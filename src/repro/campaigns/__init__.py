@@ -17,9 +17,9 @@ queryable record.  This package adds that layer:
   transaction keyed by ``(campaign id, spec hash, shard index, git
   revision)``, so a SIGKILL mid-shard rolls back cleanly;
 - :func:`run_campaign` — the executor: skips shards already in the
-  store, runs the rest through the existing
-  :func:`~repro.experiments.parallel.run_parallel` machinery, and on
-  completion rewrites the store into a canonical byte-deterministic
+  store, runs the rest on one
+  :class:`~repro.experiments.pool.WorkerPool`, and on completion
+  rewrites the store into a canonical byte-deterministic
   form — resuming after a kill yields a file bit-identical to an
   uninterrupted run, and re-running a finished campaign is a no-op.
 

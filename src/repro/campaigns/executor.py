@@ -6,24 +6,26 @@ the determinism guarantees around it:
 1. expand the spec into shards (pure function of the spec);
 2. ask the store which shard indices are already committed for this
    ``(campaign, spec hash, git revision)`` and skip them;
-3. run each remaining shard through
-   :func:`~repro.experiments.parallel.run_parallel` with the point's
-   derived seed and the shard's run-index range;
+3. submit each remaining shard — the point's derived seed and the
+   shard's run-index range — to one
+   :class:`~repro.experiments.pool.WorkerPool` and collect its
+   outcomes;
 4. commit the shard's results and merged deterministic metrics in one
    transaction;
 5. when every shard is present, mark the campaign complete and
    atomically replace the working store with its canonical
    byte-deterministic rebuild.
 
-By default the whole grid executes on one persistent
-:class:`~repro.experiments.pool.WorkerPool` (workers and their cached
+The whole grid executes on one pool (workers and their cached
 experiments survive across shards) and the loop pipelines one shard
-deep: shard N+1 is submitted to the pool *before* shard N's SQLite
-commit runs on the main thread, so commit latency overlaps compute
-instead of serializing with it.  Because a shard's results are a pure
-function of ``(spec, shard)``, the store bytes are unaffected by the
-engine — ``use_pool=False`` (CLI ``--no-pool``) falls back to one
-``run_parallel`` pool per shard and produces an identical store.
+deep: shard N+1 is submitted *before* shard N's SQLite commit runs on
+the main thread, so commit latency overlaps compute instead of
+serializing with it.  With a single worker the pool runs in-process
+(forking one worker to do what the parent could do inline is pure
+overhead); the same submit → wait → ``collect_outcomes`` →
+``write_shard`` loop then simply runs each shard when it is waited on.
+Because a shard's results are a pure function of ``(spec, shard)``,
+the store bytes are unaffected by the worker count.
 
 A SIGKILL anywhere in steps 3-4 loses at most the in-flight shards'
 work (the committing one, plus the pipelined next one); the next
@@ -43,10 +45,10 @@ Self-healing (the supervision layer):
   and re-executes them.
 - Supervision itself giving up (respawn budget exhausted, spawn
   failure) triggers **graceful degradation** instead of an exception:
-  persistent pool → fresh per-shard pool → serial in-process
-  execution, each step announced loudly on the progress sink and
-  recorded as an infrastructure event.  Because every engine produces
-  bit-identical results, degradation changes throughput, never bytes.
+  the multiprocess pool is swapped for an in-process one and the
+  shard re-runs, announced loudly on the progress sink and recorded
+  as an infrastructure event.  Both rungs produce bit-identical
+  results, so degradation changes throughput, never bytes.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from repro.errors import (
     WorkerPoolError,
     is_quarantined_failure,
 )
-from repro.experiments.parallel import collect_outcomes, run_parallel
+from repro.experiments.parallel import collect_outcomes
 from repro.experiments.pool import (
     ExperimentSpec,
     PendingRun,
@@ -81,6 +83,7 @@ from repro.experiments.pool import (
 from repro.obs import current
 from repro.obs import names as _names
 from repro.utils.fileio import atomic_write_text
+from repro.utils.validation import check_positive
 
 __all__ = ["CampaignStatus", "run_campaign"]
 
@@ -122,14 +125,12 @@ def _self_sigkill() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _shard_experiment_spec(
-    spec: CampaignSpec, shard: Shard
-) -> ExperimentSpec:
-    """The pool-side spec for one shard — mirrors the ``run_parallel``
-    arguments of the per-shard path exactly, so both engines build
-    byte-identical experiments."""
+def _submit_shard(
+    pool: WorkerPool, spec: CampaignSpec, shard: Shard
+) -> PendingRun:
+    """Submit one shard's run-index range to ``pool``."""
     point = shard.point
-    return ExperimentSpec(
+    experiment = ExperimentSpec(
         config=spec.point_config(point),
         seed=point.seed,
         strategy_value=spec.point_strategy(point).value,
@@ -138,6 +139,9 @@ def _shard_experiment_spec(
         collect_metrics=spec.collect_metrics,
         compute_backend=spec.compute_backend,
         phy_backend=spec.phy_backend,
+    )
+    return pool.submit(
+        experiment, shard.run_indices, chunksize=spec.pool_chunksize
     )
 
 
@@ -149,7 +153,6 @@ def run_campaign(
     kill_after_shards: Optional[int] = None,
     git_revision: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
-    use_pool: bool = True,
     retry_quarantined: bool = False,
     supervision: Optional[SupervisionPolicy] = None,
     execution_faults: Any = None,
@@ -164,9 +167,9 @@ def run_campaign(
     Parameters
     ----------
     processes:
-        Worker processes (sizes the persistent pool, or is forwarded
-        per shard to ``run_parallel`` with ``use_pool=False``).
-        Defaults to the CPUs available to this process.
+        Worker processes of the campaign's pool (at least 1; a single
+        worker runs in-process).  Defaults to the CPUs available to
+        this process.
     max_shards:
         Stop gracefully after executing this many shards (testing and
         budgeted execution); the campaign stays resumable.
@@ -177,14 +180,6 @@ def run_campaign(
         Override the revision key (defaults to ``git rev-parse HEAD``).
     progress:
         Optional line sink for human-readable progress.
-    use_pool:
-        Drive every shard through one persistent
-        :class:`~repro.experiments.pool.WorkerPool`, overlapping each
-        shard's commit with the next shard's execution (default).
-        ``False`` restores the per-shard-pool engine; the resulting
-        store is bit-identical either way.  With a single available
-        CPU the persistent pool is skipped automatically — forking one
-        worker to do what the parent could do inline is pure overhead.
     retry_quarantined:
         Clear this campaign's quarantine records and re-execute their
         shards.  Plain resume (the default) skips quarantined shards —
@@ -197,9 +192,11 @@ def run_campaign(
         description.
     execution_faults:
         Test-only chaos hook forwarded to the worker boundary (see
-        :mod:`repro.faults.execution`); the serial fallback ignores it
+        :mod:`repro.faults.execution`); the in-process mode ignores it
         (there is no worker process to kill).
     """
+    if processes is not None:
+        check_positive("processes", processes)
     if max_shards is not None and max_shards < 0:
         raise ConfigurationError("max_shards must be >= 0")
     revision = git_revision or current_git_revision()
@@ -211,6 +208,7 @@ def run_campaign(
         max_run_retries=spec.max_run_retries,
         run_timeout=spec.run_timeout,
     )
+    workers = processes or available_cpu_count()
 
     executed = 0
     runs_executed = 0
@@ -224,27 +222,30 @@ def run_campaign(
             )
         store.register_campaign(spec, revision)
 
-        def _record_degradation(
-            stage_from: str, stage_to: str, shard_index: int,
-            error: BaseException,
-        ) -> str:
-            """Announce + persist one engine-degradation event."""
+        def _open_pool(worker_count: int) -> WorkerPool:
+            return WorkerPool(
+                processes=worker_count,
+                cache_size=spec.pool_cache_size,
+                policy=policy,
+                execution_faults=execution_faults,
+            )
+
+        def _degrade(shard_index: int, error: BaseException) -> WorkerPool:
+            """Announce + persist the one engine degradation and
+            return the in-process pool that replaces the failed one."""
             registry.inc(_names.POOL_DEGRADED)
             message = (
-                f"supervision gave up on engine {stage_from!r} at "
-                f"shard {shard_index} ({error}); degrading to "
-                f"{stage_to!r}"
+                f"supervision gave up on engine 'pool' at shard "
+                f"{shard_index} ({error}); degrading to 'in-process'"
             )
             emit("!! " + message)
-            # Negative run indices enumerate degradation events so
-            # several steps down the ladder at one shard all persist.
+            # Run index -1 marks an engine event, not a run.
             store.record_failure(
-                spec.name, spec_hash, revision, shard_index,
-                -(len(degradations) + 1),
+                spec.name, spec_hash, revision, shard_index, -1,
                 INFRASTRUCTURE_KIND, 0, message,
             )
             degradations.append(message)
-            return stage_to
+            return _open_pool(0)
 
         done = store.completed_shards(spec.name, spec_hash, revision)
         # 'complete' is only ever written by the canonical export, so
@@ -290,151 +291,77 @@ def run_campaign(
                 break
             pending.append(shard)
 
-        workers = processes or available_cpu_count()
-        # The engine ladder: "pool" (persistent, pipelined) degrades
-        # to "per-shard" (fresh supervised pool per shard) degrades to
-        # "serial" (in-process).  All three are bit-identical.
-        engine = (
-            "pool" if use_pool and workers > 1 and pending
-            else "per-shard"
-        )
-        pool: Optional[WorkerPool] = None
-        if engine == "pool":
-            try:
-                pool = WorkerPool(
-                    processes=workers,
-                    cache_size=spec.pool_cache_size,
-                    policy=policy,
-                    execution_faults=execution_faults,
-                )
-            except (WorkerPoolError, OSError) as error:
-                engine = _record_degradation(
-                    "pool", "per-shard", pending[0].index, error
-                )
+        # The engine ladder has two rungs, both bit-identical: a
+        # multiprocess pool degrades to the in-process one.
+        try:
+            pool = _open_pool(workers if pending and workers > 1 else 0)
+        except (WorkerPoolError, OSError) as error:
+            pool = _degrade(pending[0].index, error)
         try:
             handle: Optional[PendingRun] = None
             elapsed_total = 0.0
             for position, shard in enumerate(pending):
                 point = shard.point
                 started = time.perf_counter()
-                result = None
-                quarantined_here = False
-                while result is None and not quarantined_here:
+                while True:
                     try:
-                        if engine == "pool":
-                            assert pool is not None
-                            if handle is None:
-                                handle = pool.submit(
-                                    _shard_experiment_spec(spec, shard),
-                                    shard.run_indices,
-                                    chunksize=spec.pool_chunksize,
-                                )
-                            outcomes = handle.wait()
-                            handle = None
-                            # Pipeline one shard deep: hand the pool
-                            # the next shard *before* this one's
-                            # commit, so the SQLite transaction below
-                            # overlaps worker compute.
-                            if position + 1 < len(pending):
-                                nxt = pending[position + 1]
-                                try:
-                                    handle = pool.submit(
-                                        _shard_experiment_spec(
-                                            spec, nxt
-                                        ),
-                                        nxt.run_indices,
-                                        chunksize=spec.pool_chunksize,
-                                    )
-                                except WorkerPoolError:
-                                    # Degrade when we reach it; this
-                                    # shard's outcomes are intact.
-                                    handle = None
-                            result = collect_outcomes(
-                                outcomes, shard.n_runs
-                            )
-                        else:
-                            result = run_parallel(
-                                spec.point_config(point),
-                                seed=point.seed,
-                                runs=shard.n_runs,
-                                processes=(
-                                    workers if engine == "per-shard"
-                                    else 1
-                                ),
-                                strategy=spec.point_strategy(point),
-                                mndp_rounds=spec.mndp_rounds,
-                                link_model=spec.point_link_model(
-                                    point
-                                ),
-                                collect_metrics=spec.collect_metrics,
-                                compute_backend=spec.compute_backend,
-                                run_indices=shard.run_indices,
-                                phy_backend=spec.phy_backend,
-                                chunksize=spec.pool_chunksize,
-                                supervision=policy,
-                                execution_faults=(
-                                    execution_faults
-                                    if engine == "per-shard" else None
-                                ),
-                            )
+                        outcomes = (
+                            handle or _submit_shard(pool, spec, shard)
+                        ).wait()
+                        break
                     except (WorkerPoolError, OSError) as error:
-                        # Infrastructure failure: supervision itself
-                        # gave up.  Step down the ladder and re-run
-                        # this shard (identical bits on any engine).
+                        # Supervision itself gave up: swap in the
+                        # in-process pool and re-run this shard
+                        # (identical bits on either rung).
+                        if not pool.processes:
+                            raise
                         registry.inc(_names.CAMPAIGNS_SHARDS_RETRIED)
-                        if engine == "pool":
-                            engine = _record_degradation(
-                                "pool", "per-shard", shard.index,
-                                error,
-                            )
-                            handle = None
-                            if pool is not None:
-                                pool.close()
-                                pool = None
-                        elif engine == "per-shard":
-                            engine = _record_degradation(
-                                "per-shard", "serial", shard.index,
-                                error,
-                            )
-                        else:
-                            raise
-                    except ParallelExecutionError as error:
-                        quarantined = [
-                            (index, tb)
-                            for index, tb in error.failures
-                            if is_quarantined_failure(tb)
-                        ]
-                        if len(quarantined) != len(error.failures):
-                            # Genuine run failures (bad config, bug in
-                            # a component) are not supervision's
-                            # domain: surface them unchanged.
-                            raise
-                        for run_index, tb in quarantined:
-                            store.record_failure(
-                                spec.name, spec_hash, revision,
-                                shard.index, run_index,
-                                QUARANTINE_KIND,
-                                policy.max_run_retries + 1, tb,
-                            )
-                        registry.inc(
-                            _names.CAMPAIGNS_SHARDS_QUARANTINED
+                        pool.close()
+                        pool = _degrade(shard.index, error)
+                    finally:
+                        handle = None
+                # Pipeline one shard deep: hand the pool the next shard
+                # *before* this one's commit, so the SQLite transaction
+                # below overlaps worker compute.
+                if position + 1 < len(pending):
+                    try:
+                        handle = _submit_shard(
+                            pool, spec, pending[position + 1]
                         )
-                        registry.inc(
-                            _names.CAMPAIGNS_RUNS_QUARANTINED,
-                            len(quarantined),
+                    except WorkerPoolError:
+                        pass  # degrade when the loop reaches it
+                try:
+                    result = collect_outcomes(outcomes, shard.n_runs)
+                except ParallelExecutionError as error:
+                    quarantined = [
+                        (index, tb)
+                        for index, tb in error.failures
+                        if is_quarantined_failure(tb)
+                    ]
+                    if len(quarantined) != len(error.failures):
+                        # Genuine run failures (bad config, bug in a
+                        # component) are not supervision's domain:
+                        # surface them unchanged.
+                        raise
+                    for run_index, tb in quarantined:
+                        store.record_failure(
+                            spec.name, spec_hash, revision,
+                            shard.index, run_index, QUARANTINE_KIND,
+                            policy.max_run_retries + 1, tb,
                         )
-                        emit(
-                            f"!! shard {shard.index + 1}/"
-                            f"{len(shards)}: {len(quarantined)} "
-                            f"run(s) quarantined (worker killed or "
-                            f"hung on every attempt); shard left "
-                            f"uncommitted — resume with "
-                            f"--retry-quarantined to re-execute"
-                        )
-                        quarantined_here = True
-                if quarantined_here:
+                    registry.inc(_names.CAMPAIGNS_SHARDS_QUARANTINED)
+                    registry.inc(
+                        _names.CAMPAIGNS_RUNS_QUARANTINED,
+                        len(quarantined),
+                    )
+                    emit(
+                        f"!! shard {shard.index + 1}/{len(shards)}: "
+                        f"{len(quarantined)} run(s) quarantined "
+                        f"(worker killed or hung on every attempt); "
+                        f"shard left uncommitted — resume with "
+                        f"--retry-quarantined to re-execute"
+                    )
                     continue
-                assert result is not None
                 metrics = (
                     result.merged_metrics()
                     if spec.collect_metrics else None
@@ -474,8 +401,7 @@ def run_campaign(
                     )
                     _self_sigkill()
         finally:
-            if pool is not None:
-                pool.close()
+            pool.close()
         done = store.completed_shards(spec.name, spec_hash, revision)
         complete = len(done) == len(shards)
         quarantine_records = store.failure_records(

@@ -156,11 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "instead of --spec")
         runner.add_argument("--processes", type=int, default=None,
                             help="worker processes (sizes the "
-                                 "persistent pool)")
-        runner.add_argument("--no-pool", action="store_true",
-                            help="disable the persistent worker pool "
-                                 "and fork one pool per shard "
-                                 "(results are identical)")
+                                 "persistent pool; 1 runs in-process)")
         runner.add_argument("--max-shards", type=int, default=None,
                             help="stop (resumably) after this many "
                                  "shards")
@@ -422,7 +418,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             kill_after_shards=args.kill_after_shards,
             git_revision=args.revision,
             progress=print,
-            use_pool=not args.no_pool,
             retry_quarantined=args.retry_quarantined,
             execution_faults=execution_faults,
         )

@@ -1,41 +1,41 @@
 """Multiprocess Monte Carlo execution.
 
 The paper averages every point over 100 runs; runs are embarrassingly
-parallel (each derives its own seed stream), so
-:func:`run_parallel` fans them out over worker processes and returns the
-same :class:`~repro.experiments.runner.ExperimentResult` a serial
+parallel (each derives its own seed stream), so :func:`run_parallel`
+executes them on a :class:`~repro.experiments.pool.WorkerPool` — the
+one execution engine — and returns the same
+:class:`~repro.experiments.runner.ExperimentResult` a serial
 ``NetworkExperiment.run`` would.  Results are bit-identical to the
 serial path because each run's randomness depends only on
 ``(seed, run_index)``.
 
-Robustness and efficiency:
+Robustness and efficiency come from the pool:
 
 - the experiment parameters (including the full ``JRSNDConfig``) are
   shipped to each worker **once** via a configure broadcast instead of
   being re-pickled with every task — a task is just a run index;
-- workers never let a run exception escape the dispatch protocol:
-  failures come back tagged with their run index, and after all tasks
-  drain the completed runs are preserved on the raised
+- run failures never escape the dispatch protocol: they come back
+  tagged with their run index, and after all tasks drain the completed
+  runs are preserved on the raised
   :class:`~repro.errors.ParallelExecutionError` instead of being lost
   to a bare mid-map traceback;
-- outcomes arrive in completion order (fastest drain) and are
-  reordered deterministically by run index before aggregation, so the
-  returned result is independent of worker scheduling;
+- outcomes arrive in completion order (fastest drain) and
+  :func:`collect_outcomes` reorders them deterministically by run
+  index before aggregation, so the returned result is independent of
+  worker scheduling;
 - tasks are batched with an adaptive ``chunksize``
-  (:func:`~repro.experiments.pool.adaptive_chunksize`) instead of the
-  implicit 1, cutting per-task IPC on many-run sweeps;
-- both multiprocess paths run on the supervised
-  :class:`~repro.experiments.pool.WorkerPool` — a worker death is
-  respawned and its runs retried (seed-pure, so bit-identical) rather
-  than aborting the sweep;
-- a persistent :class:`~repro.experiments.pool.WorkerPool` can be
-  passed as ``pool=`` to reuse warm worker processes (and their cached
-  experiments) across many calls — the campaign executor does this for
-  every shard of a grid.  ``pool=None`` keeps the self-contained
-  behavior (a fresh per-call pool); all three paths (serial, fresh
-  pool, persistent pool) are bit-identical.
+  (:func:`~repro.experiments.pool.adaptive_chunksize`), cutting
+  per-task IPC on many-run sweeps;
+- a worker death is respawned and its runs retried (seed-pure, so
+  bit-identical) rather than aborting the sweep;
+- one worker's worth of runs executes in the pool's in-process mode
+  (``processes=0``): no fork, same per-chunk loop;
+- a persistent pool can be passed as ``pool=`` to reuse warm worker
+  processes (and their cached experiments) across many calls.  In
+  every case — in-process, one-shot or persistent pool — the bits are
+  the same.
 
-With ``collect_metrics=True`` each worker attaches a per-run
+With ``collect_metrics=True`` each run attaches a per-run
 :class:`~repro.obs.MetricsSnapshot` to its ``RunResult`` (the
 process-global registry of the *parent* is not shared with workers);
 ``ExperimentResult.merged_metrics()`` then yields counter totals
@@ -44,80 +44,24 @@ identical to a serial instrumented run of the same seed.
 
 from __future__ import annotations
 
-import traceback
+import contextlib
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
-from repro.errors import (
-    WORKER_TRAPPED_ERRORS,
-    ConfigurationError,
-    ParallelExecutionError,
-)
+from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.experiments.pool import (
     ExperimentSpec,
     SupervisionPolicy,
     WorkerPool,
     available_cpu_count,
 )
-from repro.experiments.runner import (
-    ExperimentResult,
-    NetworkExperiment,
-    RunResult,
-)
+from repro.experiments.runner import ExperimentResult, RunResult
 from repro.utils.validation import check_positive
 
 __all__ = ["collect_outcomes", "run_parallel"]
 
-# Per-worker-process experiment, built once by _init_worker so that the
-# configuration is pickled once per worker instead of once per task.
-_worker_experiment: Optional[NetworkExperiment] = None
-
 _Outcome = Tuple[int, Optional[RunResult], Optional[str]]
-
-
-def _init_worker(
-    config: JRSNDConfig,
-    seed: int,
-    strategy_value: Any,
-    mndp_rounds: int,
-    link_model: str,
-    correlation_backend: Optional[str],
-    collect_metrics: bool,
-    compute_backend: str = "vectorized",
-    phy_backend: Optional[str] = None,
-) -> None:
-    """Pool initializer: rebuild the experiment once per worker."""
-    global _worker_experiment
-    _worker_experiment = NetworkExperiment(
-        config,
-        seed=seed,
-        strategy=JammerStrategy(strategy_value),
-        mndp_rounds=mndp_rounds,
-        link_model=link_model,
-        correlation_backend=correlation_backend,
-        collect_metrics=collect_metrics,
-        compute_backend=compute_backend,
-        phy_backend=phy_backend,
-    )
-
-
-def _one_run(index: int) -> _Outcome:
-    """Worker: execute one snapshot, tagging any failure with its index.
-
-    An exception inside a raw ``pool.map`` callable aborts the whole
-    map and discards every completed run, so every failure family a
-    run can realistically produce —
-    :data:`~repro.errors.WORKER_TRAPPED_ERRORS` — travels back as data
-    instead.  Exceptions outside those families (``KeyboardInterrupt``,
-    ``SystemExit``, non-``ReproError`` customs) still propagate: they
-    signal cancellation or a plugged-in component misusing the error
-    taxonomy, not a failed run.
-    """
-    try:
-        return index, _worker_experiment.run_once(index), None
-    except WORKER_TRAPPED_ERRORS:
-        return index, None, traceback.format_exc()
 
 
 def collect_outcomes(
@@ -125,10 +69,10 @@ def collect_outcomes(
 ) -> ExperimentResult:
     """Aggregate tagged outcomes into a result, raising on failures.
 
-    Shared by every execution path (serial, fresh pool, persistent
-    pool): outcomes are reordered deterministically by run index, and
-    any failure raises :class:`~repro.errors.ParallelExecutionError`
-    carrying the runs that did complete.
+    Shared by every caller of the pool: outcomes are reordered
+    deterministically by run index, and any failure raises
+    :class:`~repro.errors.ParallelExecutionError` carrying the runs
+    that did complete.
     """
     outcomes.sort(key=lambda outcome: outcome[0])
     failures = [
@@ -190,18 +134,17 @@ def run_parallel(
     When given, ``runs`` must equal ``len(run_indices)``.
 
     ``pool`` (when set) executes the runs on a persistent
-    :class:`~repro.experiments.pool.WorkerPool` instead of a throwaway
-    one: the workers and their cached experiments survive across
-    calls, so repeated calls for the same parameters skip the per-call
-    rebuild entirely.  ``processes`` is ignored in that case (the pool
-    was sized at construction).  Without a ``pool``, multi-worker
-    execution still runs on a (fresh, per-call) supervised
-    ``WorkerPool``, so worker deaths are respawned/retried rather than
-    aborting the sweep; ``supervision`` tunes that policy and
-    ``execution_faults`` is the test-only chaos hook, both ignored
-    when a persistent ``pool`` is passed (it carries its own).
-    ``chunksize`` overrides the adaptive run-indices-per-task batch on
-    either multiprocess path.
+    :class:`~repro.experiments.pool.WorkerPool`: its workers and their
+    cached experiments survive across calls, so repeated calls for the
+    same parameters skip the per-call rebuild entirely.  ``processes``
+    is ignored in that case (the pool was sized at construction).
+    Without a ``pool`` the call opens one for itself and closes it on
+    return — in-process when only one worker would run, a supervised
+    multiprocess pool otherwise, so worker deaths are respawned and
+    retried rather than aborting the sweep.  ``supervision`` tunes
+    that policy and ``execution_faults`` is the test-only chaos hook;
+    both are ignored when a ``pool`` is passed (it carries its own).
+    ``chunksize`` overrides the adaptive run-indices-per-task batch.
 
     Raises :class:`~repro.errors.ParallelExecutionError` if any run
     fails, after all tasks have drained — the exception carries every
@@ -236,47 +179,15 @@ def run_parallel(
         compute_backend=compute_backend,
         phy_backend=phy_backend,
     )
-    if pool is not None:
-        return collect_outcomes(
-            pool.run(spec, indices, chunksize=chunksize), int(runs)
-        )
-    workers = min(
-        processes or available_cpu_count(), int(runs)
-    )
-    if workers <= 1:
-        global _worker_experiment
-        try:
-            _init_worker(
-                config,
-                seed,
-                strategy.value,
-                mndp_rounds,
-                link_model,
-                correlation_backend,
-                collect_metrics,
-                compute_backend,
-                phy_backend,
-            )
-            outcomes: List[_Outcome] = [
-                _one_run(index) for index in indices
-            ]
-        finally:
-            # The inline path runs in the *caller's* process: leaving
-            # the built experiment in the module global would leak a
-            # full topology/codec graph into every later caller.
-            _worker_experiment = None
-    else:
-        # The fresh path is a throwaway *supervised* pool, not a raw
-        # ``multiprocessing.Pool``: a worker SIGKILLed mid-map would
-        # wedge ``imap_unordered`` forever, whereas the supervisor
-        # respawns the worker and retries its runs (bit-identically —
-        # a run's randomness depends only on ``(seed, run_index)``).
-        with WorkerPool(
-            processes=workers,
+    if pool is None:
+        workers = min(processes or available_cpu_count(), int(runs))
+        engine: Any = WorkerPool(
+            processes=workers if workers > 1 else 0,
             policy=supervision,
             execution_faults=execution_faults,
-        ) as fresh_pool:
-            outcomes = fresh_pool.run(
-                spec, indices, chunksize=chunksize
-            )
+        )
+    else:
+        engine = contextlib.nullcontext(pool)
+    with engine as active:
+        outcomes = active.run(spec, indices, chunksize=chunksize)
     return collect_outcomes(outcomes, int(runs))

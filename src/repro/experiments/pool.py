@@ -1,14 +1,12 @@
-"""The supervised, persistent warm worker pool behind campaign sweeps.
+"""The supervised, persistent warm worker pool: the one execution engine.
 
-``run_parallel`` historically created a fresh ``multiprocessing.Pool``
-per call and rebuilt the whole :class:`NetworkExperiment` (topology,
-code pool, codecs, correlation matrices) in every worker via the pool
-initializer.  That is fine for one 100-run sweep point, but a campaign
-is hundreds of *small* shards — and with the chipless PHY backend the
-run bodies are now so cheap that fork + re-pickle + rebuild dominates
-the wall clock.
-
-:class:`WorkerPool` amortizes all of that across a whole campaign:
+Every Monte Carlo run outside a bare ``NetworkExperiment.run`` goes
+through :class:`WorkerPool` — :func:`~repro.experiments.parallel.run_parallel`
+opens one per call unless it is handed one, and the campaign executor
+keeps one for a whole grid.  A campaign is hundreds of *small* shards,
+and with the chipless PHY backend the run bodies are so cheap that
+fork + re-pickle + rebuild per shard would dominate the wall clock, so
+the pool amortizes all of it:
 
 - **Processes are spawned once** and reused for every shard.  Sizing
   respects the scheduler's CPU affinity mask
@@ -26,14 +24,24 @@ the wall clock.
   workers demand-driven chunks; the campaign executor uses this to
   overlap shard N's SQLite commit with shard N+1's execution.
 
+**In-process mode.**  ``WorkerPool(processes=0)`` spawns no child and
+no dispatcher thread: :meth:`~WorkerPool.submit` only records the job
+and :meth:`PendingRun.wait` runs it in the caller's thread, through the
+same per-chunk loop (:meth:`_Experiments.run_chunk`) a worker process
+uses — same LRU, same trapping of
+:data:`~repro.errors.WORKER_TRAPPED_ERRORS` into tagged outcomes.  It is
+the serial engine and the campaign's fallback when supervision gives
+up.  It never calls the execution-fault hook: a ``WorkerKiller`` there
+would SIGKILL the caller.
+
 **Supervision.**  An overnight campaign is only as reliable as its
 least reliable process, so the dispatcher does not treat a worker
 death as fatal.  Under a :class:`SupervisionPolicy`:
 
 - a dead worker (EOF mid-chunk, broken pipe, ``fatal`` report) is
   **respawned** and its in-flight runs are **retried** as singleton
-  chunks under bounded exponential backoff — runs are seed-pure, so a
-  retried run is bit-identical to an undisturbed one;
+  chunks after the :data:`RESPAWN_BACKOFF` delay — runs are seed-pure,
+  so a retried run is bit-identical to an undisturbed one;
 - a run that keeps killing its worker past ``max_run_retries`` is
   **quarantined**: it comes back as a tagged failure outcome carrying
   :data:`~repro.errors.QUARANTINE_MARKER` (surfacing through
@@ -52,11 +60,11 @@ ahead of every run attempt, which is how the seeded ``WorkerKiller`` /
 deterministically in tests and chaos CI.
 
 Determinism is untouched: a run's randomness depends only on
-``(seed, run_index)`` and workers execute ``run_once`` exactly as the
-serial and fresh-pool paths do, so all three produce bit-identical
-:class:`~repro.experiments.runner.RunResult` streams (pinned by
-``tests/experiments/test_pool.py``) — with or without respawns in
-between.
+``(seed, run_index)`` and every mode executes ``run_once`` through the
+same loop, so in-process, one-shot and persistent pools produce
+bit-identical :class:`~repro.experiments.runner.RunResult` streams
+(pinned by ``tests/experiments/test_pool.py``) — with or without
+respawns in between.
 
 Pool activity is observable through the ``pool.*`` counters in
 :mod:`repro.obs.names`: workers spawned/respawned/timed-out/
@@ -67,6 +75,7 @@ dispatched, runs retried, and runs quarantined.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import multiprocessing
 import os
@@ -79,6 +88,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_ready
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     List,
@@ -99,7 +109,7 @@ from repro.errors import (
 from repro.experiments.runner import NetworkExperiment, RunResult
 from repro.obs import current
 from repro.obs import names as _names
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -166,6 +176,20 @@ def adaptive_chunksize(
     return max(1, min(MAX_CHUNKSIZE, per_worker))
 
 
+#: Seconds the dispatcher sleeps after the n-th *consecutive* worker
+#: death (n = 1, 2, ...; the last entry repeats): bounded exponential
+#: backoff, so a crash-looping machine is not hammered with respawn
+#: storms.  The count resets on any completed chunk.
+RESPAWN_BACKOFF: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
+
+
+def retry_delay(consecutive_deaths: int) -> float:
+    """Backoff before the dispatch following the n-th straight death."""
+    if consecutive_deaths <= 0:
+        return 0.0
+    return RESPAWN_BACKOFF[min(consecutive_deaths, len(RESPAWN_BACKOFF)) - 1]
+
+
 @dataclass(frozen=True)
 class SupervisionPolicy:
     """How the pool reacts when workers die, hang, or wedge.
@@ -180,14 +204,8 @@ class SupervisionPolicy:
     max_respawns:
         Per-job respawn budget.  More worker deaths than this within a
         single job is an infrastructure failure: the pool breaks with
-        ``WorkerPoolError`` (the campaign executor then degrades to a
-        simpler engine).
-    backoff_base / backoff_factor / backoff_max:
-        Bounded exponential backoff slept by the dispatcher after each
-        *consecutive* worker death — ``base * factor**(n-1)`` capped at
-        ``backoff_max`` — so a crash-looping machine is not hammered
-        with respawn storms.  The counter resets on any completed
-        chunk.
+        ``WorkerPoolError`` (the campaign executor then degrades to
+        the in-process mode).
     run_timeout:
         Optional per-chunk soft timeout (seconds).  A worker holding a
         chunk longer than this is classified as hung, killed, and
@@ -201,9 +219,6 @@ class SupervisionPolicy:
 
     max_run_retries: int = 2
     max_respawns: int = 16
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 1.0
     run_timeout: Optional[float] = None
     close_grace: float = 10.0
 
@@ -216,22 +231,9 @@ class SupervisionPolicy:
             raise ConfigurationError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
             )
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigurationError("backoff bounds must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
         if self.run_timeout is not None:
             check_positive("run_timeout", self.run_timeout)
         check_positive("close_grace", self.close_grace)
-
-    def retry_delay(self, consecutive_deaths: int) -> float:
-        """Backoff before the dispatch following the n-th straight death."""
-        if consecutive_deaths <= 0 or self.backoff_base == 0:
-            return 0.0
-        exponent = self.backoff_factor ** (consecutive_deaths - 1)
-        return float(min(self.backoff_max, self.backoff_base * exponent))
 
 
 @dataclass(frozen=True)
@@ -271,7 +273,7 @@ class ExperimentSpec:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
 
     def build(self) -> NetworkExperiment:
-        """Construct the experiment exactly as ``_init_worker`` does."""
+        """Construct the experiment these parameters describe."""
         return NetworkExperiment(
             self.config,
             seed=self.seed,
@@ -285,6 +287,60 @@ class ExperimentSpec:
         )
 
 
+class _Experiments:
+    """One process's experiments: specs by content key, built ones in an LRU.
+
+    Specs are retained for the process lifetime (they are tiny);
+    constructed experiments live in an LRU of ``cache_size`` so a pool
+    cycling through many points bounds its memory while revisited
+    points stay warm.  Worker processes and the in-process mode both
+    execute through :meth:`run_chunk`.
+    """
+
+    def __init__(self, cache_size: int) -> None:
+        self.specs: Dict[str, ExperimentSpec] = {}
+        self._built: "OrderedDict[str, NetworkExperiment]" = OrderedDict()
+        self._cache_size = cache_size
+
+    def run_chunk(
+        self,
+        key: str,
+        index_attempts: List[Tuple[int, int]],
+        faults: Any = None,
+    ) -> List[_Outcome]:
+        """Run ``(index, attempt)`` pairs of the spec under ``key``.
+
+        A failure in one of the
+        :data:`~repro.errors.WORKER_TRAPPED_ERRORS` families comes
+        back as tagged outcome data instead of aborting the chunk;
+        anything else (``KeyboardInterrupt``, ``SystemExit``, foreign
+        ``BaseException`` types) propagates — it signals cancellation
+        or a component misusing the error taxonomy, not a failed run.
+        ``faults`` (when set) has its ``before_run(index, attempt)``
+        called ahead of every run.
+        """
+        experiment = self._built.pop(key, None)
+        if experiment is None:
+            spec = self.specs.get(key)
+            if spec is None:
+                raise WorkerPoolError(
+                    f"run task for unconfigured spec key {key!r}"
+                )
+            experiment = spec.build()
+        self._built[key] = experiment  # most recently used last
+        while len(self._built) > self._cache_size:
+            self._built.popitem(last=False)
+        outcomes: List[_Outcome] = []
+        for index, attempt in index_attempts:
+            if faults is not None:
+                faults.before_run(index, attempt)
+            try:
+                outcomes.append((index, experiment.run_once(index), None))
+            except WORKER_TRAPPED_ERRORS:
+                outcomes.append((index, None, traceback.format_exc()))
+        return outcomes
+
+
 def _worker_main(
     conn: Any,
     close_conns: List[Any],
@@ -293,12 +349,9 @@ def _worker_main(
 ) -> None:
     """Worker process loop: configure specs, run index chunks.
 
-    Specs are retained for the process lifetime (they are tiny);
-    constructed experiments live in an LRU of ``cache_size`` so a pool
-    cycling through many points bounds its memory while revisited
-    points stay warm.  Per-run failures are trapped exactly like
-    ``run_parallel``'s ``_one_run`` and travel back as tagged outcome
-    data; anything else is a pool fault reported as ``fatal``.
+    Chunks execute through :meth:`_Experiments.run_chunk`; per-run
+    failures travel back as tagged outcome data, anything else is a
+    pool fault reported as ``fatal``.
 
     ``close_conns`` carries every *parent-side* pipe end this process
     inherited (its own and those of already-running siblings) and is
@@ -318,8 +371,7 @@ def _worker_main(
     """
     for foreign in close_conns:
         foreign.close()
-    specs: Dict[str, ExperimentSpec] = {}
-    experiments: "OrderedDict[str, NetworkExperiment]" = OrderedDict()
+    experiments = _Experiments(cache_size)
     try:
         while True:
             try:
@@ -330,37 +382,16 @@ def _worker_main(
             if tag == "stop":
                 break
             if tag == "configure":
-                specs[message[1]] = message[2]
+                experiments.specs[message[1]] = message[2]
                 continue
             if tag != "run":
                 raise WorkerPoolError(
                     f"unknown pool message tag {tag!r}"
                 )
             _, key, index_attempts = message
-            experiment = experiments.pop(key, None)
-            if experiment is None:
-                spec = specs.get(key)
-                if spec is None:
-                    raise WorkerPoolError(
-                        f"run task for unconfigured spec key {key!r}"
-                    )
-                experiment = spec.build()
-            experiments[key] = experiment  # most recently used last
-            while len(experiments) > cache_size:
-                experiments.popitem(last=False)
-            outcomes: List[_Outcome] = []
-            for index, attempt in index_attempts:
-                if faults is not None:
-                    faults.before_run(index, attempt)
-                try:
-                    outcomes.append(
-                        (index, experiment.run_once(index), None)
-                    )
-                except WORKER_TRAPPED_ERRORS:
-                    outcomes.append(
-                        (index, None, traceback.format_exc())
-                    )
-            conn.send(("done", outcomes))
+            conn.send(
+                ("done", experiments.run_chunk(key, index_attempts, faults))
+            )
     except BaseException:  # jrsnd: noqa(JRS003) -- worker crash containment: every failure must reach the parent as a 'fatal' report before this process exits
         try:
             conn.send(("fatal", traceback.format_exc()))
@@ -371,13 +402,17 @@ def _worker_main(
 
 
 class PendingRun:
-    """Handle for one submitted job; resolved by the dispatcher."""
+    """Handle for one submitted job; resolved by the dispatcher, or by
+    the first :meth:`wait` for an in-process job (``deferred``)."""
 
-    def __init__(self) -> None:
+    def __init__(
+        self, deferred: Optional[Callable[[], List[_Outcome]]] = None
+    ) -> None:
         self._event = threading.Event()
         self._outcomes: Optional[List[_Outcome]] = None
         self._error: Optional[BaseException] = None
         self._cancelled = False
+        self._deferred = deferred
 
     def done(self) -> bool:
         """True once the job has finished (successfully or not)."""
@@ -404,13 +439,19 @@ class PendingRun:
         """Block until the job resolves; return its tagged outcomes.
 
         Outcomes are ``(run_index, RunResult | None, traceback | None)``
-        triples in completion order — callers sort by index, exactly as
-        ``run_parallel`` does for ``imap_unordered``.
+        triples in completion order — callers sort by index
+        (:func:`~repro.experiments.parallel.collect_outcomes` does).
 
         On timeout the job is cancelled (see :meth:`cancel`) before
         ``WorkerPoolError`` is raised, so it cannot fire late into a
-        dispatcher slot the caller has mentally reclaimed.
+        dispatcher slot the caller has mentally reclaimed.  An
+        in-process job runs right here, in the caller's thread, and is
+        not bounded by ``timeout``; an exception it does not trap
+        propagates unchanged.
         """
+        deferred, self._deferred = self._deferred, None
+        if deferred is not None:
+            self._finish(deferred())
         if not self._event.wait(timeout):
             self.cancel()
             raise WorkerPoolError(
@@ -471,13 +512,19 @@ class WorkerPool:
     ----------
     processes:
         Worker process count; defaults to :func:`available_cpu_count`.
+        ``0`` selects the in-process mode: no child process and no
+        dispatcher thread — each job runs in the caller's thread when
+        its :class:`PendingRun` is first waited on, so jobs still
+        execute in submission order.
     cache_size:
-        Constructed experiments each worker keeps warm (LRU).
+        Constructed experiments each worker (or the in-process mode)
+        keeps warm (LRU).
     policy:
         Supervision knobs; defaults to ``SupervisionPolicy()``.
     execution_faults:
         Test-only :class:`~repro.faults.execution.ExecutionFaultPlan`
-        delivered to every worker (original and respawned alike).
+        delivered to every worker (original and respawned alike); the
+        in-process mode never calls it.
     """
 
     def __init__(
@@ -489,7 +536,7 @@ class WorkerPool:
     ) -> None:
         if processes is None:
             processes = available_cpu_count()
-        check_positive("processes", processes)
+        check_non_negative("processes", processes)
         check_positive("cache_size", cache_size)
         self._policy = policy or SupervisionPolicy()
         self._cache_size = int(cache_size)
@@ -508,18 +555,23 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._closed = False
         self._broken = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name="repro-pool-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
+        self._in_process: Optional[_Experiments] = None
+        self._dispatcher: Optional[threading.Thread] = None
+        if self._workers:
+            self._dispatcher = threading.Thread(
+                target=self._dispatch_loop,
+                name="repro-pool-dispatcher",
+                daemon=True,
+            )
+            self._dispatcher.start()
+        else:
+            self._in_process = _Experiments(self._cache_size)
 
     # -- lifecycle -----------------------------------------------------
 
     @property
     def processes(self) -> int:
-        """Worker process count."""
+        """Worker process count (0 in the in-process mode)."""
         return len(self._workers)
 
     @property
@@ -553,6 +605,8 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
+        if self._dispatcher is None:
+            return
         grace = self._policy.close_grace
         self._jobs.put(None)
         self._dispatcher.join(timeout=grace)
@@ -612,7 +666,9 @@ class WorkerPool:
 
         The caller may submit the next job before waiting on this one —
         the campaign executor relies on that to commit shard N while
-        the workers are already draining shard N+1.
+        the workers are already draining shard N+1.  In the in-process
+        mode the job only runs when its handle is waited on, so shard
+        N+1 executes after shard N's commit.
         """
         indices = [int(index) for index in run_indices]
         if not indices:
@@ -632,6 +688,14 @@ class WorkerPool:
                 raise ConfigurationError(
                     "worker pool is closed; create a new pool"
                 )
+            if self._in_process is not None:
+                key = spec.content_key()
+                self._in_process.specs[key] = spec
+                return PendingRun(deferred=functools.partial(
+                    self._in_process.run_chunk,
+                    key,
+                    [(index, 0) for index in indices],
+                ))
             handle = PendingRun()
             self._jobs.put(
                 _Job(
@@ -855,7 +919,7 @@ class WorkerPool:
                         chunk_indices, attempts, pending, outcomes,
                         reason, registry,
                     )
-                self._backoff(consecutive_deaths)
+                time.sleep(retry_delay(consecutive_deaths))
                 continue
             for conn in ready:
                 slot = conn_to_slot[conn]
@@ -886,7 +950,7 @@ class WorkerPool:
                     chunk_indices, attempts, pending, outcomes,
                     reason, registry,
                 )
-                self._backoff(consecutive_deaths)
+                time.sleep(retry_delay(consecutive_deaths))
         return outcomes
 
     def _absorb_failure(
@@ -917,11 +981,6 @@ class WorkerPool:
             else:
                 pending.append([index])
                 registry.inc(_names.POOL_RUNS_RETRIED)
-
-    def _backoff(self, consecutive_deaths: int) -> None:
-        delay = self._policy.retry_delay(consecutive_deaths)
-        if delay > 0:
-            time.sleep(delay)
 
     def _fail_pending(self, error: BaseException) -> None:
         """Resolve every queued-but-unstarted handle after a break."""

@@ -136,12 +136,47 @@ class TestResume:
             assert handle.read() == expected
 
 
+class TestValidation:
+    @pytest.mark.parametrize("processes", [0, -1])
+    def test_non_positive_processes_refused_before_store_opens(
+        self, tmp_path, processes
+    ):
+        """``processes=0`` used to mean "all CPUs" and ``-1`` failed
+        only after the campaign was registered; both are refused
+        before any store file exists."""
+        from repro.errors import ConfigurationError
+
+        path = tmp_path / "never.sqlite"
+        with pytest.raises(ConfigurationError, match="processes"):
+            run_campaign(
+                tiny_spec(), str(path), processes=processes,
+                git_revision=REV,
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cli_processes_zero_refused(self, tmp_path):
+        from repro.cli import main
+        from repro.errors import ConfigurationError
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(tiny_spec().to_json())
+        with pytest.raises(ConfigurationError, match="processes"):
+            main([
+                "campaign", "launch", "--spec", str(spec_path),
+                "--store", str(tmp_path / "never.sqlite"),
+                "--revision", REV, "--processes", "0",
+            ])
+        assert not (tmp_path / "never.sqlite").exists()
+
+
 class TestPersistentPoolEngine:
-    """The pooled engine must be invisible in the store bytes.
+    """The worker count must be invisible in the store bytes.
 
     The module-scoped ``reference`` store is built with the default
-    engine (inline on this CI's single CPU), so comparing against it
-    is a cross-engine identity check, not a self-comparison.
+    worker count (a multiprocess pool on a multi-CPU machine,
+    in-process on a single CPU), so comparing ``processes=1`` and
+    ``processes=2`` stores against it checks both rungs of the engine
+    ladder against each other, not against themselves.
     """
 
     def test_pool_store_is_bit_identical(self, tmp_path, reference):
@@ -155,12 +190,11 @@ class TestPersistentPoolEngine:
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
-    def test_no_pool_store_is_bit_identical(self, tmp_path, reference):
+    def test_in_process_store_is_bit_identical(self, tmp_path, reference):
         _, expected, _ = reference
-        path = str(tmp_path / "nopool.sqlite")
+        path = str(tmp_path / "in-process.sqlite")
         status = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            use_pool=False,
+            tiny_spec(), path, processes=1, git_revision=REV,
         )
         assert status.complete
         with open(path, "rb") as handle:

@@ -23,9 +23,7 @@ from repro.obs.registry import MetricsRegistry
 
 REV = "testrev"
 
-FAST = SupervisionPolicy(
-    backoff_base=0.01, backoff_max=0.05, close_grace=5.0
-)
+FAST = SupervisionPolicy(close_grace=5.0)
 
 
 def tiny_spec():
@@ -73,26 +71,29 @@ class TestChaosCompletes:
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
-    def test_no_pool_campaign_survives_worker_kills(
+    def test_in_process_campaign_skips_faults(
         self, tmp_path, reference
     ):
+        """With one worker the campaign runs in-process, where a
+        ``WorkerKiller`` would SIGKILL this test process: the fault
+        hook is never called and the store is the reference bytes."""
         _, expected, _ = reference
-        path = str(tmp_path / "chaos-nopool.sqlite")
+        path = str(tmp_path / "chaos-in-process.sqlite")
         status = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            use_pool=False,
+            tiny_spec(), path, processes=1, git_revision=REV,
             supervision=FAST,
             execution_faults=plan(WorkerKiller(kills={0: 1, 2: 1})),
         )
         assert status.complete
         assert status.runs_quarantined == 0
+        assert status.degraded == ()
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
 
 class TestQuarantine:
     POLICY = SupervisionPolicy(
-        max_run_retries=1, backoff_base=0.01, close_grace=5.0
+        max_run_retries=1, close_grace=5.0
     )
     # Run 3 exists in both points, so the shards covering runs 2..3
     # of each point (indices 1 and 3) both quarantine one run.
@@ -164,10 +165,10 @@ class TestDegradationLadder:
         self, tmp_path, reference
     ):
         """With a zero respawn budget every worker death is an
-        infrastructure failure: the executor steps persistent pool →
-        per-shard pool → serial, loudly, and still produces the
-        reference bytes (degradation events are telemetry, not
-        content)."""
+        infrastructure failure: the executor steps down its one rung,
+        multiprocess pool → in-process (serial) execution, loudly, and
+        still produces the reference bytes (degradation events are
+        telemetry, not content)."""
         _, expected, ref_status = reference
         path = str(tmp_path / "degraded.sqlite")
         lines = []
@@ -176,16 +177,18 @@ class TestDegradationLadder:
             status = run_campaign(
                 tiny_spec(), path, processes=2, git_revision=REV,
                 supervision=SupervisionPolicy(
-                    max_respawns=0, backoff_base=0.0, close_grace=5.0
+                    max_respawns=0, close_grace=5.0
                 ),
                 execution_faults=plan(WorkerKiller(kills={0: 1})),
                 progress=lines.append,
             )
         assert status.complete
-        assert len(status.degraded) == 2
-        assert any("degrading to 'per-shard'" in line for line in lines)
-        assert any("degrading to 'serial'" in line for line in lines)
-        assert registry.snapshot().counters[_names.POOL_DEGRADED] == 2
+        assert len(status.degraded) == 1
+        assert [
+            line for line in lines if "degrading to" in line
+        ] == ["!! " + status.degraded[0]]
+        assert "degrading to 'in-process'" in status.degraded[0]
+        assert registry.snapshot().counters[_names.POOL_DEGRADED] == 1
         assert status.canonical_digest == ref_status.canonical_digest
         with open(path, "rb") as handle:
             assert handle.read() == expected

@@ -107,7 +107,7 @@ class TestFailureHandling:
         ids=["repro-error", "value-error", "lookup-error"],
     )
     def test_trapped_families_come_back_as_data(self, monkeypatch, exc):
-        """Regression for the JRS003 narrowing: ``_one_run`` traps the
+        """Regression for the JRS003 narrowing: the run loop traps the
         concrete :data:`WORKER_TRAPPED_ERRORS` families (not a blanket
         ``except Exception``), and each still travels back tagged with
         its run index instead of aborting the map."""

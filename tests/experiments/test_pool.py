@@ -1,22 +1,22 @@
 """Tests for the persistent warm worker pool.
 
-The load-bearing property is the equivalence gate: serial, fresh-pool,
-and persistent-pool execution must produce bit-identical outcomes and
-per-run metrics, for one call and across many reusing calls.
+The load-bearing property is the equivalence gate: serial, in-process,
+one-shot and persistent-pool execution must produce bit-identical
+outcomes and per-run metrics, for one call and across many reusing
+calls.
 """
 
 import os
 
 import pytest
 
-import repro.experiments.parallel as parallel_module
 from repro.core.config import JRSNDConfig
 from repro.errors import (
     ConfigurationError,
     ParallelExecutionError,
     WorkerPoolError,
 )
-from repro.experiments.parallel import run_parallel
+from repro.experiments.parallel import collect_outcomes, run_parallel
 from repro.experiments.pool import (
     ExperimentSpec,
     SupervisionPolicy,
@@ -127,7 +127,8 @@ class TestExperimentSpec:
 
 class TestEquivalence:
     def test_serial_fresh_and_persistent_are_identical(self, pool):
-        """The headline gate: all three engines, same bits."""
+        """The headline gate: in-process (``processes=1``), a one-shot
+        two-worker pool and a persistent pool give the same bits."""
         serial = run_parallel(
             TINY, seed=11, runs=4, processes=1, collect_metrics=True
         )
@@ -223,7 +224,7 @@ class TestFailureSemantics:
 
     def test_run_failures_do_not_break_the_pool(self, monkeypatch):
         """Per-run failures come back as tagged data (exactly like the
-        fresh-pool path) and the pool stays usable."""
+        in-process mode) and the pool stays usable."""
         import multiprocessing
 
         if multiprocessing.get_start_method() != "fork":
@@ -274,7 +275,7 @@ class TestFailureSemantics:
         allows) surfaces as WorkerPoolError and poisons later
         submissions."""
         policy = SupervisionPolicy(
-            max_respawns=0, backoff_base=0.0, close_grace=5.0
+            max_respawns=0, close_grace=5.0
         )
         with WorkerPool(processes=2, policy=policy) as pool:
             for process in pool._processes:
@@ -287,18 +288,88 @@ class TestFailureSemantics:
             assert pool.broken
 
 
-class TestInlinePathLeak:
-    def test_single_worker_path_clears_module_global(self):
-        """Regression: the workers<=1 path used to leave the built
-        experiment in ``_worker_experiment`` after returning."""
-        run_parallel(TINY, seed=6, runs=2, processes=1)
-        assert parallel_module._worker_experiment is None
+class TestInProcessMode:
+    """``processes=0``: the same engine without a child process."""
 
-    def test_cleared_even_when_runs_fail(self, monkeypatch):
+    def test_spawns_no_child(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        with WorkerPool(processes=0) as inline:
+            assert inline.processes == 0
+            handle = inline.submit(ExperimentSpec(config=TINY, seed=7), [0])
+            # Deferred: nothing runs until the handle is waited on.
+            assert not handle.done()
+            assert len(handle.wait()) == 1
+            assert set(multiprocessing.active_children()) == before
+
+    def test_bit_identical_to_two_workers(self):
+        spec = ExperimentSpec(config=TINY, seed=11, collect_metrics=True)
+        with WorkerPool(processes=0) as inline:
+            ours = collect_outcomes(inline.run(spec, range(4)), 4)
+        with WorkerPool(processes=2) as pool:
+            theirs = collect_outcomes(pool.run(spec, range(4)), 4)
+        assert ours.runs == theirs.runs
+        assert (
+            ours.merged_metrics().counters
+            == theirs.merged_metrics().counters
+        )
+
+    def test_jobs_run_in_submission_order_on_wait(self, monkeypatch):
+        seen = []
+        original = NetworkExperiment.run_once
+
+        def recording(self, run_index):
+            seen.append(run_index)
+            return original(self, run_index)
+
+        monkeypatch.setattr(NetworkExperiment, "run_once", recording)
+        with WorkerPool(processes=0) as inline:
+            spec = ExperimentSpec(config=TINY, seed=7)
+            first = inline.submit(spec, [0])
+            second = inline.submit(spec, [1])
+            assert seen == []
+            first.wait()
+            assert seen == [0]
+            second.wait()
+            second.wait()  # resolved once; a second wait re-runs nothing
+        assert seen == [0, 1]
+
+    def test_trapped_failure_carries_completed_runs(self, monkeypatch):
+        """A trapped run failure surfaces exactly as it does from
+        worker processes: a ParallelExecutionError carrying the runs
+        that completed."""
+
         def failing(self, run_index):
-            raise RuntimeError("boom")
+            if run_index == 1:
+                raise RuntimeError(f"synthetic failure in run {run_index}")
+            return self._execute_run(run_index)
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
-        with pytest.raises(ParallelExecutionError):
-            run_parallel(TINY, seed=6, runs=2, processes=1)
-        assert parallel_module._worker_experiment is None
+        with WorkerPool(processes=0) as inline:
+            with pytest.raises(ParallelExecutionError) as excinfo:
+                run_parallel(TINY, seed=11, runs=3, pool=inline)
+        err = excinfo.value
+        assert [index for index, _ in err.failures] == [1]
+        assert "synthetic failure" in err.failures[0][1]
+        assert len(err.completed.runs) == 2
+
+    def test_never_calls_the_execution_fault_hook(self):
+        """A WorkerKiller in the caller's process would SIGKILL the
+        caller itself; the in-process mode must never invoke it."""
+        from repro.faults import ExecutionFaultPlan, WorkerKiller
+
+        class Recording(WorkerKiller):
+            def before_run(self, run_index, attempt):
+                raise AssertionError("fault hook called in-process")
+
+        faults = ExecutionFaultPlan((Recording(kills={0: 99}),))
+        serial = NetworkExperiment(TINY, seed=7).run(2)
+        with WorkerPool(processes=0, execution_faults=faults) as inline:
+            outcomes = inline.run(ExperimentSpec(config=TINY, seed=7), [0, 1])
+        outcomes.sort(key=lambda outcome: outcome[0])
+        assert [result for _, result, _ in outcomes] == list(serial.runs)
+
+    def test_negative_processes_refused(self):
+        with pytest.raises(ConfigurationError):
+            WorkerPool(processes=-1)

@@ -21,9 +21,11 @@ from repro.errors import (
 )
 from repro.experiments.parallel import run_parallel
 from repro.experiments.pool import (
+    RESPAWN_BACKOFF,
     ExperimentSpec,
     SupervisionPolicy,
     WorkerPool,
+    retry_delay,
 )
 from repro.experiments.runner import NetworkExperiment
 from repro.faults import (
@@ -46,9 +48,7 @@ TINY = JRSNDConfig(
     tx_range=260.0,
 )
 
-FAST = SupervisionPolicy(
-    backoff_base=0.01, backoff_max=0.05, close_grace=5.0
-)
+FAST = SupervisionPolicy(close_grace=5.0)
 
 
 def plan(*injectors):
@@ -57,22 +57,22 @@ def plan(*injectors):
 
 class TestSupervisionPolicy:
     def test_backoff_is_bounded_exponential(self):
-        policy = SupervisionPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.5
+        """The respawn backoff schedule is pinned: 50 ms doubling per
+        consecutive death, capped at 1 s."""
+        assert RESPAWN_BACKOFF == (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
+        assert retry_delay(0) == 0.0
+        assert [retry_delay(n) for n in range(1, 7)] == list(
+            RESPAWN_BACKOFF
         )
-        assert policy.retry_delay(0) == 0.0
-        assert policy.retry_delay(1) == pytest.approx(0.1)
-        assert policy.retry_delay(2) == pytest.approx(0.2)
-        assert policy.retry_delay(3) == pytest.approx(0.4)
-        assert policy.retry_delay(4) == pytest.approx(0.5)  # capped
-        assert policy.retry_delay(10) == pytest.approx(0.5)
+        assert retry_delay(7) == 1.0  # capped
+        assert retry_delay(100) == 1.0
 
     @pytest.mark.parametrize(
         "bad",
         [
             {"max_run_retries": -1},
             {"max_respawns": -1},
-            {"backoff_factor": 0.5},
+            {"run_timeout": -1.0},
             {"run_timeout": 0.0},
             {"close_grace": 0.0},
         ],
@@ -130,7 +130,7 @@ class TestRespawnRetry:
         assert counters[_names.POOL_WORKERS_RESPAWNED] >= 2
 
     def test_fresh_pool_path_survives_worker_kills(self):
-        """The pool-less (``--no-pool``) path rides the same
+        """The pool ``run_parallel`` opens for itself rides the same
         supervisor: an individual worker SIGKILLed mid-map respawns
         instead of wedging the whole call."""
         serial = run_parallel(TINY, seed=11, runs=4, processes=1)
@@ -161,7 +161,6 @@ class TestQuarantine:
                 processes=2,
                 policy=SupervisionPolicy(
                     max_run_retries=1,
-                    backoff_base=0.01,
                     close_grace=5.0,
                 ),
                 execution_faults=plan(WorkerKiller(kills={2: 99})),
@@ -191,7 +190,7 @@ class TestQuarantine:
         with WorkerPool(
             processes=1,  # one worker => all runs share its chunks
             policy=SupervisionPolicy(
-                max_run_retries=1, backoff_base=0.01, close_grace=5.0
+                max_run_retries=1, close_grace=5.0
             ),
             execution_faults=plan(WorkerKiller(kills={3: 99})),
         ) as pool:
@@ -216,7 +215,6 @@ class TestSoftTimeout:
                 processes=2,
                 policy=SupervisionPolicy(
                     run_timeout=1.0,
-                    backoff_base=0.01,
                     close_grace=2.0,
                 ),
                 execution_faults=plan(
