@@ -60,7 +60,7 @@ def _point_state(config: JRSNDConfig, seed: int):
     positions = uniform_positions(
         field, config.n_nodes, seeds.rng("placement")
     )
-    pairs = field.neighbor_pairs(positions)
+    pairs = [tuple(pair) for pair in field.neighbor_pairs(positions).tolist()]
     distributor = PreDistributor(
         config.n_nodes, config.codes_per_node, config.share_count
     )

@@ -66,7 +66,7 @@ def main() -> None:
     )
     disk_net = results["disk"]
     positions = [n.position for n in disk_net.nodes]
-    disk_pairs = set(field.neighbor_pairs(positions))
+    disk_pairs = set(map(tuple, field.neighbor_pairs(positions).tolist()))
 
     print(f"{config.n_nodes} nodes, nominal range "
           f"{config.tx_range:.0f} m; {len(disk_pairs)} disk-range "

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import integrate
-
 from repro.errors import ConfigurationError
 from repro.sim.field import lens_overlap_fraction
 from repro.utils.validation import check_non_negative, check_positive
@@ -58,6 +56,8 @@ def expected_overlap_area(radius: float) -> float:
     equals ``(π − 3√3/4) a²`` (ref. [11] of the paper), which the tests
     verify to quadrature precision.
     """
+    from scipy import integrate
+
     check_positive("radius", radius)
     value, _ = integrate.quad(
         lambda d: lens_area(d, radius) * 2.0 * d / radius**2,

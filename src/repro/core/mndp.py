@@ -16,9 +16,8 @@ Layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.messages import MNDPRequest, MNDPResponse
@@ -51,31 +50,45 @@ def _ordered(a: int, b: int) -> Pair:
 
 
 class LogicalGraph:
-    """The logical-neighbor graph over node indices.
+    """The logical-neighbor graph over node indices ``[0, n_nodes)``.
 
-    Bulk inserts via :meth:`add_links` are buffered and only pushed into
-    the underlying networkx graph when a graph query needs them; the
-    vectorized M-NDP closure reads :meth:`edge_array` instead, so a
-    snapshot's hot path never pays per-edge networkx costs.
+    Links are logged as they arrive; the networkx graph that answers
+    graph queries is only built on the first query, and bulk inserts
+    via :meth:`add_links` are pushed into it only when a query needs
+    them.  The vectorized M-NDP closure reads :meth:`edge_array`
+    instead, so a snapshot's hot path never builds the networkx graph.
     """
 
     def __init__(self, n_nodes: int) -> None:
         check_positive("n_nodes", n_nodes)
-        self._graph = nx.Graph()
-        self._graph.add_nodes_from(range(int(n_nodes)))
         self._n_nodes = int(n_nodes)
+        # The networkx graph, built by _flush on the first graph query.
+        self._graph: Optional[Any] = None
         # Every edge ever recorded: (k, 2) chunks from add_links plus a
         # list of single pairs from add_link (duplicates are harmless).
         self._chunks: List[np.ndarray] = []
         self._singles: List[Pair] = []
         self._n_flushed = 0
 
-    def _flush(self) -> None:
-        """Push buffered add_links chunks into the networkx graph."""
+    def _flush(self) -> Any:
+        """The networkx graph with every recorded link pushed in.
+
+        Single links go in when added once the graph exists; before
+        that they are replayed, ahead of the buffered chunks, when the
+        graph is built, which is the order the links would have had in
+        an eagerly built graph.
+        """
+        if self._graph is None:
+            import networkx as nx
+
+            self._graph = nx.Graph()
+            self._graph.add_nodes_from(range(self._n_nodes))
+            self._graph.add_edges_from(self._singles)
         while self._n_flushed < len(self._chunks):
             chunk = self._chunks[self._n_flushed]
             self._graph.add_edges_from(map(tuple, chunk.tolist()))
             self._n_flushed += 1
+        return self._graph
 
     @property
     def n_nodes(self) -> int:
@@ -85,15 +98,17 @@ class LogicalGraph:
     @property
     def n_edges(self) -> int:
         """Number of logical-neighbor links."""
-        self._flush()
-        return self._graph.number_of_edges()
+        return self._flush().number_of_edges()
 
     def add_link(self, a: int, b: int) -> None:
         """Record that ``a`` and ``b`` are logical neighbors."""
+        a, b = int(a), int(b)
         if a == b:
             raise ConfigurationError("a node is not its own neighbor")
-        self._graph.add_edge(int(a), int(b))
-        self._singles.append((int(a), int(b)))
+        self._check_range(min(a, b), max(a, b))
+        if self._graph is not None:
+            self._graph.add_edge(a, b)
+        self._singles.append((a, b))
 
     def add_links(self, pairs: Iterable[Pair]) -> None:
         """Record many logical links in one pass.
@@ -112,7 +127,17 @@ class LogicalGraph:
         arr = arr.reshape(-1, 2)
         if bool((arr[:, 0] == arr[:, 1]).any()):
             raise ConfigurationError("a node is not its own neighbor")
+        self._check_range(int(arr.min()), int(arr.max()))
         self._chunks.append(arr)
+
+    def _check_range(self, low: int, high: int) -> None:
+        """Reject links whose smallest or largest node index lies
+        outside ``[0, n_nodes)``."""
+        for node in (low, high):
+            if not 0 <= node < self._n_nodes:
+                raise ConfigurationError(
+                    f"node index {node} out of range [0, {self._n_nodes})"
+                )
 
     def edge_array(self) -> np.ndarray:
         """Every recorded link as a ``(k, 2)`` int array.
@@ -130,27 +155,25 @@ class LogicalGraph:
 
     def has_link(self, a: int, b: int) -> bool:
         """Whether the pair already discovered each other."""
-        self._flush()
-        return self._graph.has_edge(int(a), int(b))
+        return self._flush().has_edge(int(a), int(b))
 
     def neighbors(self, node: int) -> Set[int]:
         """Logical neighbors of ``node``."""
-        self._flush()
-        return set(self._graph.neighbors(int(node)))
+        return set(self._flush().neighbors(int(node)))
 
     def edges(self) -> Set[Pair]:
         """All logical links as ordered pairs."""
-        self._flush()
-        return {_ordered(a, b) for a, b in self._graph.edges()}
+        return {_ordered(a, b) for a, b in self._flush().edges()}
 
     def within_hops(self, source: int, max_hops: int) -> Dict[int, int]:
         """Nodes reachable from ``source`` in at most ``max_hops`` logical
         hops, mapped to their distance."""
+        import networkx as nx
+
         check_positive("max_hops", max_hops)
-        self._flush()
         return dict(
             nx.single_source_shortest_path_length(
-                self._graph, int(source), cutoff=int(max_hops)
+                self._flush(), int(source), cutoff=int(max_hops)
             )
         )
 
@@ -162,9 +185,9 @@ class LogicalGraph:
 
     def copy(self) -> "LogicalGraph":
         """An independent copy."""
-        self._flush()
         clone = LogicalGraph(self.n_nodes)
-        clone._graph = self._graph.copy()
+        if self._graph is not None:
+            clone._graph = self._flush().copy()
         clone._chunks = list(self._chunks)
         clone._singles = list(self._singles)
         clone._n_flushed = self._n_flushed
@@ -234,6 +257,8 @@ class MNDPSampler:
         ``rounds=1``).  More rounds model the periodic re-initiation the
         paper describes: links formed by M-NDP enable further pairs.
         Returns all pairs newly discovered across the rounds.
+        ``physical_pairs`` may be a sequence of pairs or a ``(k, 2)``
+        integer array.
         """
         check_positive("rounds", rounds)
         registry = _metrics()
@@ -241,6 +266,10 @@ class MNDPSampler:
             return self._discover_vectorized(
                 physical_pairs, logical, rounds, registry
             )
+        if isinstance(physical_pairs, np.ndarray):
+            physical_pairs = [
+                (a, b) for a, b in physical_pairs.reshape(-1, 2).tolist()
+            ]
         discovered: Set[Pair] = set()
         working = logical
         for round_index in range(rounds):

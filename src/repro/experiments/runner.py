@@ -12,15 +12,21 @@ One run mirrors the authors' C++ simulation:
 6. report ``P_D`` (fraction of pairs direct), ``P_M`` (fraction of
    D-NDP failures recovered), and the combined ``P``.
 
-The per-pair D-NDP sampling is vectorized over all pairs with a boolean
-node-by-code membership matrix; ``tests/experiments`` checks statistical
-agreement with the reference per-pair :class:`repro.core.dndp.DNDPSampler`.
+Section V-A gives every node exactly one code per round, and round
+``r``'s codes are ``[w·r, w·(r+1))``, so two nodes share a code in round
+``r`` exactly when their round-``r`` codes are equal.  The per-pair
+D-NDP sampling therefore reads each pair's shared and compromised code
+counts off an ``m``-wide equality test on the ``(n, m)`` code matrix,
+4096 pairs at a time; the ``"reference"`` compute backend counts the
+same thing from a node-by-code membership matrix and serves as the
+equivalence oracle.  ``tests/experiments`` checks statistical agreement
+with the reference per-pair :class:`repro.core.dndp.DNDPSampler`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +38,17 @@ from repro.core.mndp import COMPUTE_BACKENDS, LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, MetricsSnapshot, current, installed
 from repro.obs import names as _names
-from repro.predistribution.authority import PreDistributor
+from repro.predistribution.authority import CodeAssignment, PreDistributor
 from repro.sim.field import RectangularField
 from repro.sim.mobility import uniform_positions
 from repro.utils.rng import SeedSequencer
 from repro.utils.validation import check_positive
 
 __all__ = ["RunResult", "ExperimentResult", "NetworkExperiment"]
+
+#: Pairs per sweep chunk.  Every sweep draws its uniforms chunk by
+#: chunk, so this is part of the rng stream and must not change.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -245,10 +255,12 @@ class NetworkExperiment:
         into the no-op registry at negligible cost.
     compute_backend:
         ``"vectorized"`` (default) runs the snapshot pipeline on the
-        packed/NumPy implementations (neighbor search, pre-distribution,
-        D-NDP sampling, M-NDP closure); ``"reference"`` keeps the
-        original per-item loops.  Both backends consume identical rng
-        streams and produce identical :class:`RunResult` values.
+        array implementations (neighbor search, pre-distribution, the
+        round-aligned shared-code kernel of the D-NDP sweeps, M-NDP
+        closure); ``"reference"`` keeps the original per-item loops and
+        the node-by-code membership matrix as equivalence oracles.
+        Both backends consume identical rng streams and produce
+        identical :class:`RunResult` values.
     phy_backend:
         When set, overrides ``config.phy_backend`` for the D-NDP
         sampling step (``"codes"`` link model only): ``"message"``
@@ -362,8 +374,9 @@ class NetworkExperiment:
         pairs = field.neighbor_pairs(
             positions, backend=self._compute_backend
         )
+        n_pairs = len(pairs)
         mean_degree = (
-            2.0 * len(pairs) / config.n_nodes if config.n_nodes else 0.0
+            2.0 * n_pairs / config.n_nodes if config.n_nodes else 0.0
         )
 
         distributor = PreDistributor(
@@ -379,12 +392,14 @@ class NetworkExperiment:
         jamming = JammingModel.from_compromise(
             self._strategy, compromise, config.z_jamming_signals, config.mu
         )
+        compromised = np.zeros(assignment.pool_size, dtype=bool)
+        compromised[np.fromiter(compromise.codes, dtype=np.int64)] = True
 
         if self._link_model == "independent":
-            direct = self._sample_independent(pairs, seeds.rng("jamming"))
+            direct = self._sample_independent(n_pairs, seeds.rng("jamming"))
         elif config.phy_backend == "chipless":
             direct = self._sample_dndp_chipless(
-                pairs, assignment, jamming, seeds.rng("jamming")
+                pairs, assignment, compromised, jamming, seeds.rng("jamming")
             )
         elif config.phy_backend == "chip":
             direct = self._sample_dndp_chip(
@@ -392,16 +407,13 @@ class NetworkExperiment:
             )
         else:
             direct = self._sample_dndp(
-                pairs, assignment, jamming, seeds.rng("jamming")
+                pairs, assignment, compromised, jamming, seeds.rng("jamming")
             )
         logical = LogicalGraph(config.n_nodes)
         if self._compute_backend == "vectorized":
-            if pairs:
-                logical.add_links(
-                    np.asarray(pairs, dtype=np.int64)[direct]
-                )
+            logical.add_links(pairs[direct])
         else:
-            for (a, b), success in zip(pairs, direct):
+            for (a, b), success in zip(pairs.tolist(), direct.tolist()):
                 if success:
                     logical.add_link(a, b)
         mndp = MNDPSampler(config.nu, backend=self._compute_backend)
@@ -423,13 +435,13 @@ class NetworkExperiment:
         registry = current()
         if registry.enabled:
             registry.inc(_names.EXPERIMENT_RUNS)
-            registry.inc(_names.EXPERIMENT_PAIRS, len(pairs))
+            registry.inc(_names.EXPERIMENT_PAIRS, n_pairs)
             registry.inc(_names.EXPERIMENT_DNDP_SUCCESSES, dndp_successes)
             registry.inc(_names.EXPERIMENT_MNDP_RECOVERED, len(recovered))
             registry.observe(_names.EXPERIMENT_MEAN_DEGREE, mean_degree)
 
         return RunResult(
-            n_pairs=len(pairs),
+            n_pairs=n_pairs,
             dndp_successes=dndp_successes,
             mndp_successes=len(recovered),
             mean_degree=mean_degree,
@@ -439,9 +451,7 @@ class NetworkExperiment:
     # ------------------------------------------------------------------
 
     def _sample_independent(
-        self,
-        pairs: Sequence[Tuple[int, int]],
-        rng: np.random.Generator,
+        self, n_pairs: int, rng: np.random.Generator
     ) -> np.ndarray:
         """The i.i.d. link model: Bernoulli(P) per physical pair with
         Theorem 1's closed-form probability for the strategy."""
@@ -454,12 +464,64 @@ class NetworkExperiment:
             p = dndp_lower_bound(self._config, self._config.n_compromised)
         else:
             p = dndp_upper_bound(self._config, self._config.n_compromised)
-        return rng.random(len(pairs)) < p
+        return rng.random(n_pairs) < p
+
+    def _shared_counts(
+        self,
+        pairs: np.ndarray,
+        assignment: CodeAssignment,
+        compromised: np.ndarray,
+    ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+        """Per-pair shared-code counts, one 4096-pair chunk at a time.
+
+        Yields ``(start, stop, safe_count, comp_count)``: how many codes
+        pair ``start..stop-1`` shares that the jammer does not / does
+        know.  The vectorized kernel tests the two endpoints' rows of
+        the round-aligned code matrix for equality (``codes[a] ==
+        codes[b]`` is the per-round shared-code mask) and masks it with
+        ``node_comp = compromised[codes]``, built once per run.  The
+        ``"reference"`` backend ANDs rows of a node-by-code membership
+        matrix instead; both yield the same counts.
+        """
+        if self._compute_backend == "reference":
+            membership = np.zeros(
+                (assignment.n_nodes, assignment.pool_size), dtype=bool
+            )
+            membership[
+                np.arange(assignment.n_nodes)[:, None], assignment.codes
+            ] = True
+            for start in range(0, len(pairs), _CHUNK):
+                stop = min(start + _CHUNK, len(pairs))
+                shared = (
+                    membership[pairs[start:stop, 0]]
+                    & membership[pairs[start:stop, 1]]
+                )
+                yield (
+                    start,
+                    stop,
+                    (shared & ~compromised).sum(axis=1),
+                    (shared & compromised).sum(axis=1),
+                )
+            return
+        # The narrowest dtype that holds every pool index keeps the
+        # gathered rows small.
+        codes = assignment.codes.astype(
+            np.min_scalar_type(max(assignment.pool_size - 1, 0))
+        )
+        node_comp = compromised[assignment.codes]
+        for start in range(0, len(pairs), _CHUNK):
+            stop = min(start + _CHUNK, len(pairs))
+            a = pairs[start:stop, 0]
+            eq = codes[a] == codes[pairs[start:stop, 1]]
+            comp_count = np.count_nonzero(eq & node_comp[a], axis=1)
+            safe_count = np.count_nonzero(eq, axis=1) - comp_count
+            yield start, stop, safe_count, comp_count
 
     def _sample_dndp(
         self,
-        pairs: Sequence[Tuple[int, int]],
-        assignment,
+        pairs: np.ndarray,
+        assignment: CodeAssignment,
+        compromised: np.ndarray,
         jamming: JammingModel,
         rng: np.random.Generator,
     ) -> np.ndarray:
@@ -469,85 +531,43 @@ class NetworkExperiment:
         a pair succeeds iff it shares a non-compromised code, or (random
         jamming only) some shared compromised code's sub-session escapes
         both the HELLO jam (prob ``beta``) and the burst jam
-        (prob ``beta'``).
-
-        The ``"vectorized"`` compute backend runs the same chunked sweep
-        over bit-packed membership rows (8x less memory traffic, popcount
-        for the at-risk counts); chunk boundaries and per-chunk rng draws
-        are identical, so both backends consume the same rng stream and
-        return the same outcomes.
+        (prob ``beta'``).  Counts come from :meth:`_shared_counts`; one
+        ``rng.random`` draw per chunk covers that chunk's pairs with a
+        compromised shared code, on both compute backends.
         """
-        if not pairs:
-            return np.zeros(0, dtype=bool)
-        membership, compromised = self._build_membership(
-            assignment, jamming
-        )
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        if self._compute_backend == "vectorized":
-            return self._sample_dndp_packed(
-                pair_array, membership, compromised, jamming, rng
-            )
         success = np.zeros(len(pairs), dtype=bool)
-        chunk = 4096
-        for start in range(0, len(pairs), chunk):
-            stop = min(start + chunk, len(pairs))
-            rows_a = membership[pair_array[start:stop, 0]]
-            rows_b = membership[pair_array[start:stop, 1]]
-            shared = rows_a & rows_b
-            safe_shared = shared & ~compromised
-            direct = safe_shared.any(axis=1)
-            if self._strategy is JammerStrategy.RANDOM and jamming.n_compromised:
-                # Compromised shared codes may still survive random
-                # jamming: per sub-session failure prob is
-                # beta + beta' - beta*beta' (same arithmetic as
-                # DNDPSampler's message_jammed/burst_jammed).
-                tries = min(
-                    jamming.codes_per_message, jamming.n_compromised
-                )
-                beta = tries / jamming.n_compromised
-                beta_prime = min(3.0 * beta, 1.0)
-                kill = beta + beta_prime - beta * beta_prime
-                at_risk = (shared & compromised).sum(axis=1)
+        random_strategy = (
+            self._strategy is JammerStrategy.RANDOM and jamming.n_compromised
+        )
+        if random_strategy:
+            # Per sub-session failure prob is beta + beta' - beta*beta'
+            # (same arithmetic as DNDPSampler's message_jammed /
+            # burst_jammed).
+            tries = min(jamming.codes_per_message, jamming.n_compromised)
+            beta = tries / jamming.n_compromised
+            beta_prime = min(3.0 * beta, 1.0)
+            kill = beta + beta_prime - beta * beta_prime
+        for start, stop, safe_count, comp_count in self._shared_counts(
+            pairs, assignment, compromised
+        ):
+            direct = safe_count > 0
+            if random_strategy:
                 survive_any = np.zeros(stop - start, dtype=bool)
-                positive = at_risk > 0
+                positive = comp_count > 0
                 if positive.any():
-                    fail_all = kill ** at_risk[positive]
+                    fail_all = kill ** comp_count[positive]
                     survive_any[positive] = (
                         rng.random(int(positive.sum())) >= fail_all
                     )
-                success[start:stop] = direct | survive_any
-            else:
-                success[start:stop] = direct
+                direct |= survive_any
+            success[start:stop] = direct
         return success
-
-    def _build_membership(
-        self, assignment, jamming: JammingModel
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The node-by-code boolean membership matrix and the
-        compromised-code indicator vector every sampling path shares."""
-        config = self._config
-        membership = np.zeros(
-            (config.n_nodes, assignment.pool_size), dtype=bool
-        )
-        node_codes = np.asarray(assignment.node_codes)
-        if node_codes.dtype != object and node_codes.ndim == 2:
-            membership[
-                np.arange(config.n_nodes)[:, None], node_codes
-            ] = True
-        else:
-            for node, codes in enumerate(assignment.node_codes):
-                membership[node, codes] = True
-        compromised = np.zeros(assignment.pool_size, dtype=bool)
-        if jamming.n_compromised:
-            compromised[sorted(
-                c for c in range(assignment.pool_size) if jamming.knows(c)
-            )] = True
-        return membership, compromised
 
     def _sample_dndp_chipless(
         self,
-        pairs: Sequence[Tuple[int, int]],
-        assignment,
+        pairs: np.ndarray,
+        assignment: CodeAssignment,
+        compromised: np.ndarray,
         jamming: JammingModel,
         rng: np.random.Generator,
     ) -> np.ndarray:
@@ -556,50 +576,25 @@ class NetworkExperiment:
         A :class:`~repro.dsss.phy.ChiplessModel` reduces the chipless
         per-message model to two sub-session probabilities (safe /
         compromised shared code); each pair's success probability is
-        then ``1 - (1-p_s)^x_s (1-p_c)^x_c`` over its shared-code
-        counts, and one uniform per pair decides the outcome.  Same
-        4096-pair chunks and one ``rng.random(chunk)`` draw per chunk on
-        both compute backends, so reference and vectorized consume
-        identical rng streams and return identical outcomes.
+        then ``1 - (1-p_s)^x_s (1-p_c)^x_c`` over the shared-code counts
+        :meth:`_shared_counts` yields, and one uniform per pair decides
+        the outcome.  Same 4096-pair chunks and one ``rng.random(chunk)``
+        draw per chunk on both compute backends, so reference and
+        vectorized consume identical rng streams and return identical
+        outcomes.
         """
         from repro.dsss.phy import ChiplessModel
 
-        if not pairs:
+        n_pairs = len(pairs)
+        if not n_pairs:
             return np.zeros(0, dtype=bool)
         model = ChiplessModel(self._config, jamming)
-        membership, compromised = self._build_membership(
-            assignment, jamming
-        )
-        pair_array = np.asarray(pairs, dtype=np.int64)
-        n_pairs = pair_array.shape[0]
         success = np.zeros(n_pairs, dtype=bool)
-        vectorized = self._compute_backend == "vectorized"
-        if vectorized:
-            packed = np.packbits(membership, axis=1)
-            comp_packed = np.packbits(compromised)
-            safe_packed = np.packbits(~compromised)
         registry = current()
         with registry.timer(_names.PHY_SWEEP_SECONDS):
-            chunk = 4096
-            for start in range(0, n_pairs, chunk):
-                stop = min(start + chunk, n_pairs)
-                if vectorized:
-                    shared = (
-                        packed[pair_array[start:stop, 0]]
-                        & packed[pair_array[start:stop, 1]]
-                    )
-                    safe_count = _POPCOUNT[shared & safe_packed].sum(
-                        axis=1, dtype=np.int64
-                    )
-                    comp_count = _POPCOUNT[shared & comp_packed].sum(
-                        axis=1, dtype=np.int64
-                    )
-                else:
-                    rows_a = membership[pair_array[start:stop, 0]]
-                    rows_b = membership[pair_array[start:stop, 1]]
-                    shared = rows_a & rows_b
-                    safe_count = (shared & ~compromised).sum(axis=1)
-                    comp_count = (shared & compromised).sum(axis=1)
+            for start, stop, safe_count, comp_count in self._shared_counts(
+                pairs, assignment, compromised
+            ):
                 probability = model.pair_success_probability(
                     safe_count, comp_count
                 )
@@ -612,8 +607,8 @@ class NetworkExperiment:
 
     def _sample_dndp_chip(
         self,
-        pairs: Sequence[Tuple[int, int]],
-        assignment,
+        pairs: np.ndarray,
+        assignment: CodeAssignment,
         jamming: JammingModel,
         seeds: SeedSequencer,
     ) -> np.ndarray:
@@ -622,13 +617,15 @@ class NetworkExperiment:
         on a real :class:`~repro.dsss.channel.ChipChannel`.
 
         Only practical on small fields (or subsampled pair lists); the
-        equivalence suite validates the chipless sweep against it.
+        equivalence suite validates the chipless sweep against it.  Each
+        pair's shared codes are ``codes[a][codes[a] == codes[b]]``
+        (:meth:`CodeAssignment.shared_codes`), ascending.
         """
         from repro.core.dndp import DNDPSampler
         from repro.dsss.phy import make_pair_phy
         from repro.dsss.spread_code import CodePool
 
-        if not pairs:
+        if not len(pairs):
             return np.zeros(0, dtype=bool)
         config = self._config
         pool_seed = int(seeds.rng("phy-pool").integers(0, 2**31 - 1))
@@ -637,77 +634,15 @@ class NetworkExperiment:
         )
         phy = make_pair_phy("chip", config, jamming, pool=pool)
         sampler = DNDPSampler(config, jamming, phy=phy)
-        membership, _ = self._build_membership(assignment, jamming)
         rng = seeds.rng("jamming")
         success = np.zeros(len(pairs), dtype=bool)
         registry = current()
         with registry.timer(_names.PHY_SWEEP_SECONDS):
-            for index, (a, b) in enumerate(pairs):
-                shared = np.flatnonzero(membership[a] & membership[b])
+            for index, (a, b) in enumerate(pairs.tolist()):
                 outcome = sampler.sample_pair(
-                    [int(code) for code in shared], rng
+                    assignment.shared_codes(a, b), rng
                 )
                 success[index] = outcome.success
         if registry.enabled:
             registry.inc(_names.PHY_PAIRS_SWEPT, len(pairs))
         return success
-
-    def _sample_dndp_packed(
-        self,
-        pair_array: np.ndarray,
-        membership: np.ndarray,
-        compromised: np.ndarray,
-        jamming: JammingModel,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Bit-packed form of the `_sample_dndp` chunk sweep.
-
-        ``np.packbits`` pads rows with zero bits, so packed AND/any give
-        the same answers as the boolean rows; at-risk counts come from a
-        256-entry popcount table over the packed shared bytes.
-        """
-        n_pairs = pair_array.shape[0]
-        packed = np.packbits(membership, axis=1)
-        comp_packed = np.packbits(compromised)
-        # ~compromised would flip the pad bits to 1; packing the negated
-        # *unpacked* vector keeps them 0.
-        safe_packed = np.packbits(~compromised)
-        random_strategy = (
-            self._strategy is JammerStrategy.RANDOM and jamming.n_compromised
-        )
-        if random_strategy:
-            tries = min(jamming.codes_per_message, jamming.n_compromised)
-            beta = tries / jamming.n_compromised
-            beta_prime = min(3.0 * beta, 1.0)
-            kill = beta + beta_prime - beta * beta_prime
-        success = np.zeros(n_pairs, dtype=bool)
-        chunk = 4096
-        for start in range(0, n_pairs, chunk):
-            stop = min(start + chunk, n_pairs)
-            shared = (
-                packed[pair_array[start:stop, 0]]
-                & packed[pair_array[start:stop, 1]]
-            )
-            direct = (shared & safe_packed).any(axis=1)
-            if random_strategy:
-                at_risk = _POPCOUNT[shared & comp_packed].sum(
-                    axis=1, dtype=np.int64
-                )
-                survive_any = np.zeros(stop - start, dtype=bool)
-                positive = at_risk > 0
-                if positive.any():
-                    fail_all = kill ** at_risk[positive]
-                    survive_any[positive] = (
-                        rng.random(int(positive.sum())) >= fail_all
-                    )
-                success[start:stop] = direct | survive_any
-            else:
-                success[start:stop] = direct
-        return success
-
-
-# Bits set per byte value; used by the packed D-NDP sweep in place of
-# np.bitwise_count so older NumPy releases stay supported.
-_POPCOUNT = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.uint8
-)

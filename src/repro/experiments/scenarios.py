@@ -131,7 +131,8 @@ class EventNetwork:
     def node_pairs_in_range(self) -> List[tuple]:
         """Physical-neighbor index pairs of the current placement."""
         positions = [node.position for node in self.nodes]
-        return self.field.neighbor_pairs(positions)
+        pairs = self.field.neighbor_pairs(positions).tolist()
+        return [(a, b) for a, b in pairs]
 
     def logical_pairs(self) -> set:
         """All established logical links as ordered index pairs."""

@@ -12,7 +12,7 @@ pool, raising each code's share count by one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -23,40 +23,97 @@ from repro.utils.validation import check_positive
 __all__ = ["CodeAssignment", "PreDistributor"]
 
 
-@dataclass
 class CodeAssignment:
     """The result of pre-distribution.
 
-    Attributes
+    Section V-A hands out one code per round, so the assignment is an
+    ``(n, m)`` integer matrix whose column ``r`` holds every node's
+    round-``r`` code, drawn from ``[w·r, w·(r+1))``.  Two nodes then
+    share a code in round ``r`` exactly when their round-``r`` entries
+    are equal, which makes ``C_A ∩ C_B`` an ``m``-wide equality test.
+    The constructor enforces that layout.
+
+    Parameters
     ----------
-    node_codes:
-        ``node_codes[i]`` is the ordered list of pool indices assigned to
-        node ``i`` (length ``m``).
-    code_holders:
-        ``code_holders[c]`` is the set of node indices holding pool code
-        ``c``.
+    codes:
+        ``codes[i, r]`` is node ``i``'s round-``r`` pool index.  Stored
+        as a read-only ``int64`` copy.
     pool_size:
         Total number of pool codes ``s = w * m`` used by the assignment.
+
+    The list views :attr:`node_codes` and :attr:`code_holders` are built
+    on first read and cached.
     """
 
-    node_codes: List[List[int]]
-    code_holders: Dict[int, Set[int]] = field(repr=False)
-    pool_size: int = 0
+    def __init__(self, codes: Sequence[Sequence[int]], pool_size: int) -> None:
+        try:
+            matrix = np.array(codes, dtype=np.int64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"codes must be an (n, m) integer matrix: {exc}"
+            ) from None
+        if matrix.ndim != 2:
+            raise ConfigurationError(
+                f"codes must be an (n, m) matrix, got shape {matrix.shape}"
+            )
+        n_rounds = matrix.shape[1]
+        if n_rounds == 0 or pool_size % n_rounds:
+            raise ConfigurationError(
+                f"pool_size {pool_size} is not a multiple of "
+                f"m={n_rounds} codes per node"
+            )
+        w = pool_size // n_rounds
+        low = w * np.arange(n_rounds, dtype=np.int64)
+        outside = (matrix < low) | (matrix >= low + w)
+        if outside.any():
+            node, round_index = np.argwhere(outside)[0].tolist()
+            raise ConfigurationError(
+                f"node {node}'s round-{round_index} code "
+                f"{int(matrix[node, round_index])} lies outside "
+                f"[{w * round_index}, {w * (round_index + 1)})"
+            )
+        matrix.setflags(write=False)
+        self.codes = matrix
+        self.pool_size = int(pool_size)
 
     @property
     def n_nodes(self) -> int:
         """Number of (real) nodes covered by the assignment."""
-        return len(self.node_codes)
+        return int(self.codes.shape[0])
 
     @property
     def codes_per_node(self) -> int:
         """The paper's ``m``."""
-        return len(self.node_codes[0]) if self.node_codes else 0
+        return int(self.codes.shape[1])
+
+    @cached_property
+    def node_codes(self) -> List[List[int]]:
+        """``node_codes[i]`` is node ``i``'s ascending list of pool
+        indices (length ``m``)."""
+        return self.codes.tolist()
+
+    @cached_property
+    def code_holders(self) -> Dict[int, Set[int]]:
+        """``code_holders[c]`` is the set of nodes holding pool code
+        ``c``; every pool code has a key, in index order."""
+        flat = self.codes.ravel()
+        order = np.argsort(flat, kind="stable")
+        holders = (order // self.codes_per_node).tolist()
+        stops = np.cumsum(
+            np.bincount(flat, minlength=self.pool_size)
+        ).tolist()
+        result: Dict[int, Set[int]] = {}
+        begin = 0
+        for code, stop in enumerate(stops):
+            result[code] = set(holders[begin:stop])
+            begin = stop
+        return result
 
     def shared_codes(self, a: int, b: int) -> List[int]:
         """Pool indices shared by nodes ``a`` and ``b`` (the paper's
-        ``C_A ∩ C_B``)."""
-        return sorted(set(self.node_codes[a]) & set(self.node_codes[b]))
+        ``C_A ∩ C_B``), ascending."""
+        row = self.codes[a]
+        return row[row == self.codes[b]].tolist()
 
     def holders_of(self, code_index: int) -> Set[int]:
         """Nodes holding pool code ``code_index``."""
@@ -65,21 +122,17 @@ class CodeAssignment:
     def max_share_count(self) -> int:
         """Largest number of nodes sharing any one code (``<= l`` plus
         any late-join increments)."""
-        return max(
-            (len(holders) for holders in self.code_holders.values()),
-            default=0,
-        )
+        return int(np.bincount(self.codes.ravel(), minlength=1).max())
 
     def compromised_codes(self, compromised_nodes: Sequence[int]) -> Set[int]:
         """Union of pool indices held by the given nodes."""
-        codes: Set[int] = set()
-        for node in compromised_nodes:
-            if not 0 <= node < self.n_nodes:
-                raise ConfigurationError(
-                    f"node index {node} out of range [0, {self.n_nodes})"
-                )
-            codes.update(self.node_codes[node])
-        return codes
+        nodes = np.asarray(compromised_nodes, dtype=np.int64).ravel()
+        bad = nodes[(nodes < 0) | (nodes >= self.n_nodes)]
+        if bad.size:
+            raise ConfigurationError(
+                f"node index {int(bad[0])} out of range [0, {self.n_nodes})"
+            )
+        return set(np.unique(self.codes[nodes]).tolist())
 
 
 class PreDistributor:
@@ -176,7 +229,6 @@ class PreDistributor:
     def _assign_reference(self, rng: np.random.Generator) -> CodeAssignment:
         total = self._n + self._n_virtual
         node_codes: List[List[int]] = [[] for _ in range(self._n)]
-        code_holders: Dict[int, Set[int]] = {}
         for round_index in range(self._m):
             order = rng.permutation(total)
             for subset_index in range(self._w):
@@ -184,64 +236,25 @@ class PreDistributor:
                 members = order[
                     subset_index * self._l : (subset_index + 1) * self._l
                 ]
-                holders = {int(node) for node in members if node < self._n}
-                code_holders[code_index] = holders
-                for node in holders:
-                    node_codes[node].append(code_index)
-        return CodeAssignment(
-            node_codes=node_codes,
-            code_holders=code_holders,
-            pool_size=self.pool_size,
-        )
+                for node in members:
+                    if node < self._n:
+                        node_codes[int(node)].append(code_index)
+        return CodeAssignment(node_codes, pool_size=self.pool_size)
 
     def _assign_vectorized(self, rng: np.random.Generator) -> CodeAssignment:
-        """Inverse-permutation form of :meth:`_assign_reference`.
-
-        A node lands in subset ``position // l``, so one scatter per
-        round yields every node's code; holder sets come from grouping
-        the real slots of the permutation by subset.
-        """
+        """Inverse-permutation form of :meth:`_assign_reference`: a node
+        lands in subset ``position // l``, so one scatter per round
+        yields every node's code."""
         total = self._n + self._n_virtual
-        codes_matrix = np.empty((self._n, self._m), dtype=np.int64)
+        codes = np.empty((self._n, self._m), dtype=np.int64)
         position_of = np.empty(total, dtype=np.int64)
         slots = np.arange(total, dtype=np.int64)
-        code_holders: Dict[int, Set[int]] = {}
         for round_index in range(self._m):
-            order = rng.permutation(total)
-            position_of[order] = slots
-            codes_matrix[:, round_index] = (
+            position_of[rng.permutation(total)] = slots
+            codes[:, round_index] = (
                 self._w * round_index + position_of[: self._n] // self._l
             )
-            base = self._w * round_index
-            if self._n_virtual == 0:
-                # Every slot is a real node: subsets are plain l-sized
-                # slices of the permutation.
-                nodes = order.tolist()
-                for subset_index in range(self._w):
-                    begin = subset_index * self._l
-                    code_holders[base + subset_index] = set(
-                        nodes[begin : begin + self._l]
-                    )
-            else:
-                real_mask = order < self._n
-                nodes = order[real_mask].tolist()
-                counts = np.bincount(
-                    np.flatnonzero(real_mask) // self._l,
-                    minlength=self._w,
-                )
-                stops = np.cumsum(counts).tolist()
-                begin = 0
-                for subset_index in range(self._w):
-                    stop = stops[subset_index]
-                    code_holders[base + subset_index] = set(
-                        nodes[begin:stop]
-                    )
-                    begin = stop
-        return CodeAssignment(
-            node_codes=codes_matrix.tolist(),
-            code_holders=code_holders,
-            pool_size=self.pool_size,
-        )
+        return CodeAssignment(codes, pool_size=self.pool_size)
 
     def admit_new_nodes(
         self,
@@ -255,63 +268,51 @@ class PreDistributor:
         random unused code from each round's short subsets.  Once the
         virtual budget is exhausted, a full extra pass re-partitions
         ``w`` new nodes over the existing pool, raising share counts by
-        one.  Returns the extended assignment and the indices of the new
+        one.  Either way every joiner still holds one code per round.
+        Returns the extended assignment and the indices of the new
         nodes.
         """
         check_positive("n_new", n_new)
-        node_codes = [list(codes) for codes in assignment.node_codes]
-        code_holders = {
-            code: set(holders)
-            for code, holders in assignment.code_holders.items()
-        }
-        new_indices: List[int] = []
+        rows = [assignment.codes]
+        n_total = assignment.n_nodes
+        share = np.bincount(
+            assignment.codes.ravel(), minlength=assignment.pool_size
+        )
         remaining = int(n_new)
-        virtual_budget = self._n_virtual - (len(node_codes) - self._n)
+        virtual_budget = self._n_virtual - (n_total - self._n)
         while remaining > 0 and virtual_budget > 0:
-            new_node = len(node_codes)
-            codes = self._codes_for_virtual_slot(code_holders, rng)
-            node_codes.append(codes)
-            for code in codes:
-                code_holders.setdefault(code, set()).add(new_node)
-            new_indices.append(new_node)
+            codes = self._codes_for_virtual_slot(share, rng)
+            share[codes] += 1
+            rows.append(np.array([codes], dtype=np.int64))
+            n_total += 1
             remaining -= 1
             virtual_budget -= 1
         while remaining > 0:
             batch = min(remaining, self._w)
-            start = len(node_codes)
             # One extra distribution round-set over the existing s codes.
+            extra = np.empty((batch, self._m), dtype=np.int64)
             for round_index in range(self._m):
                 order = rng.permutation(self._w)
-                for offset in range(batch):
-                    node = start + offset
-                    code_index = self._w * round_index + int(order[offset])
-                    if node >= len(node_codes):
-                        node_codes.extend(
-                            [] for _ in range(node - len(node_codes) + 1)
-                        )
-                    node_codes[node].append(code_index)
-                    code_holders.setdefault(code_index, set()).add(node)
-            new_indices.extend(range(start, start + batch))
+                extra[:, round_index] = self._w * round_index + order[:batch]
+            rows.append(extra)
+            n_total += batch
             remaining -= batch
         extended = CodeAssignment(
-            node_codes=node_codes,
-            code_holders=code_holders,
-            pool_size=assignment.pool_size,
+            np.concatenate(rows, axis=0), pool_size=assignment.pool_size
         )
-        return extended, new_indices
+        return extended, list(range(assignment.n_nodes, n_total))
 
     def _codes_for_virtual_slot(
-        self, code_holders: Dict[int, Set[int]], rng: np.random.Generator
+        self, share: np.ndarray, rng: np.random.Generator
     ) -> List[int]:
-        """Pick one under-subscribed code per round for a late joiner."""
+        """Pick one under-subscribed code per round for a late joiner;
+        ``share[c]`` is code ``c``'s current holder count."""
         codes: List[int] = []
         for round_index in range(self._m):
             round_codes = range(
                 self._w * round_index, self._w * (round_index + 1)
             )
-            short = [
-                c for c in round_codes if len(code_holders.get(c, ())) < self._l
-            ]
+            short = [c for c in round_codes if share[c] < self._l]
             pool = short if short else list(round_codes)
             codes.append(int(pool[int(rng.integers(0, len(pool)))]))
         return codes

@@ -103,13 +103,14 @@ class RectangularField:
 
     def neighbor_pairs(
         self, positions: Sequence[Position], backend: str = "vectorized"
-    ) -> List[Tuple[int, int]]:
+    ) -> np.ndarray:
         """All index pairs ``(i, j), i < j`` within transmission range.
 
+        Returns a ``(k, 2)`` int64 array sorted by ``(i, j)``.
         ``"vectorized"`` (default) screens chunked squared distances and
         confirms the boundary with the same correctly-rounded hypot the
         reference uses; ``"reference"`` is the original grid-bucketed
-        loop.  Both return the same sorted list of int tuples.
+        loop.  Both return the same array.
         """
         from repro.core.mndp import COMPUTE_BACKENDS
 
@@ -120,7 +121,8 @@ class RectangularField:
             )
         if backend == "vectorized":
             return self._neighbor_pairs_vectorized(positions)
-        return self._neighbor_pairs_reference(positions)
+        pairs = self._neighbor_pairs_reference(positions)
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     def _neighbor_pairs_reference(
         self, positions: Sequence[Position]
@@ -145,7 +147,7 @@ class RectangularField:
 
     def _neighbor_pairs_vectorized(
         self, positions: Sequence[Position]
-    ) -> List[Tuple[int, int]]:
+    ) -> np.ndarray:
         """Strip-bucketed squared-distance sweep.
 
         Nodes are bucketed into vertical strips of width ``tx_range``
@@ -154,11 +156,12 @@ class RectangularField:
         and its right neighbor with one dense squared-distance screen.
         Survivors are confirmed with ``np.hypot``, the correctly-rounded
         double the reference's ``math.hypot`` computes, so the boundary
-        decision is bit-identical.
+        decision is bit-identical.  Each pair is found once; the result
+        is sorted on the key ``low * n + high``.
         """
         n = len(positions)
         if n < 2:
-            return []
+            return np.empty((0, 2), dtype=np.int64)
         pos = np.asarray(positions, dtype=np.float64)
         x = pos[:, 0]
         y = pos[:, 1]
@@ -169,12 +172,12 @@ class RectangularField:
         strips, starts = np.unique(strip_of[order], return_index=True)
         strips = strips.tolist()
         bounds = starts.tolist() + [n]
-        pairs: List[Tuple[int, int]] = []
+        keys: List[np.ndarray] = []
 
         def confirm(low: np.ndarray, high: np.ndarray) -> None:
             exact = np.hypot(x[low] - x[high], y[low] - y[high])
             keep = exact <= radius
-            pairs.extend(zip(low[keep].tolist(), high[keep].tolist()))
+            keys.append(low[keep] * n + high[keep])
 
         for t in range(len(strips)):
             a_idx = order[bounds[t] : bounds[t + 1]]
@@ -195,7 +198,8 @@ class RectangularField:
                 confirm(
                     np.minimum(left, right), np.maximum(left, right)
                 )
-        return sorted(pairs)
+        key = np.sort(np.concatenate(keys))
+        return np.stack((key // n, key % n), axis=1)
 
     def adjacency(
         self, positions: Sequence[Position]
@@ -204,7 +208,7 @@ class RectangularField:
         neighbors: Dict[int, Set[int]] = {
             i: set() for i in range(len(positions))
         }
-        for i, j in self.neighbor_pairs(positions):
+        for i, j in self.neighbor_pairs(positions).tolist():
             neighbors[i].add(j)
             neighbors[j].add(i)
         return neighbors

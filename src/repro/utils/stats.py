@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Sequence, Tuple
 
-from scipy import stats as scipy_stats
-
 from repro.errors import ConfigurationError
 from repro.utils.validation import check_fraction, check_non_negative
 
@@ -27,6 +25,8 @@ def mean_confidence_interval(
 
     A single sample yields a degenerate interval at the point estimate.
     """
+    from scipy import stats as scipy_stats
+
     check_fraction("confidence", confidence)
     values = [float(v) for v in samples]
     if not values:
@@ -58,6 +58,8 @@ def wilson_interval(
         raise ConfigurationError(
             f"successes ({successes}) exceed trials ({trials})"
         )
+    from scipy import stats as scipy_stats
+
     check_fraction("confidence", confidence)
     z = float(scipy_stats.norm.ppf((1 + confidence) / 2))
     p = successes / trials

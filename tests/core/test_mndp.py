@@ -1,5 +1,6 @@
 """Unit tests for the M-NDP graph model and chain validation."""
 
+import numpy as np
 import pytest
 
 from repro.core.messages import MNDPExtension, MNDPRequest, MNDPResponse
@@ -53,6 +54,56 @@ class TestLogicalGraph:
         clone = graph.copy()
         clone.add_link(1, 2)
         assert not graph.has_link(1, 2)
+
+    def test_copy_before_and_after_first_query(self):
+        # The networkx graph is built on the first query; a copy taken
+        # either side of that point holds the same links and stays
+        # independent of the original.
+        for query_first in (False, True):
+            graph = LogicalGraph(5)
+            graph.add_links(np.array([[0, 1], [1, 2]]))
+            graph.add_link(2, 3)
+            if query_first:
+                assert graph.n_edges == 3
+            clone = graph.copy()
+            clone.add_links([(3, 4)])
+            assert graph.edges() == {(0, 1), (1, 2), (2, 3)}
+            assert clone.edges() == {(0, 1), (1, 2), (2, 3), (3, 4)}
+
+    def test_links_added_after_first_query_are_seen(self):
+        graph = LogicalGraph(4)
+        graph.add_link(0, 1)
+        assert graph.neighbors(1) == {0}
+        graph.add_link(1, 2)
+        graph.add_links(np.array([[2, 3]]))
+        assert graph.within_hops(0, 3) == {0: 0, 1: 1, 2: 2, 3: 3}
+
+    def test_out_of_range_index_rejected(self):
+        graph = LogicalGraph(5)
+        for a, b in [(0, 9), (0, 5), (-1, 2), (0, -1)]:
+            with pytest.raises(ConfigurationError):
+                graph.add_link(a, b)
+        assert graph.edge_array().shape == (0, 2)
+
+    def test_add_links_negative_index_rejected(self):
+        # -1 used to wrap to node 4 in the vectorized scatter, so the
+        # links (0,-1), (-1,2) made (0,2) look recovered over 2 hops.
+        for backend in ("reference", "vectorized"):
+            graph = LogicalGraph(5)
+            with pytest.raises(ConfigurationError):
+                graph.add_links([(0, -1), (-1, 2)])
+            discovered = MNDPSampler(nu=2, backend=backend).discover(
+                [(0, 2)], graph
+            )
+            assert discovered == set()
+
+    def test_add_links_index_past_end_rejected(self):
+        graph = LogicalGraph(5)
+        with pytest.raises(ConfigurationError):
+            graph.add_links(np.array([[0, 7]]))
+        with pytest.raises(ConfigurationError):
+            graph.add_links([(1, 2), (3, 5)])
+        assert graph.edge_array().shape == (0, 2)
 
 
 class TestMNDPSampler:

@@ -1,9 +1,10 @@
 """End-to-end equivalence of the experiment compute backends.
 
 The ``compute_backend`` knob swaps the snapshot pipeline between the
-original per-item loops and the packed/NumPy implementations; both must
-consume identical rng streams and produce identical results, run
-results, and instrumented counters.
+original per-item loops (with the node-by-code membership matrix) and
+the array implementations (with the round-aligned shared-code kernel);
+both must consume identical rng streams and produce identical results,
+run results, and instrumented counters.
 """
 
 import pytest
@@ -42,6 +43,38 @@ class TestComputeBackendEquivalence:
             compute_backend="vectorized", collect_metrics=True,
         ).run(3)
         assert reference == vectorized
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # l does not divide n: virtual slots leave short subsets.
+            dict(n_nodes=253, share_count=10),
+            # No compromise: every shared code is safe.
+            dict(n_compromised=0),
+            # The chipless sweep under random jamming.
+            dict(phy_backend="chipless", n_compromised=25),
+        ],
+        ids=["virtual-slots", "no-compromise", "chipless"],
+    )
+    @pytest.mark.parametrize(
+        "strategy", [JammerStrategy.REACTIVE, JammerStrategy.RANDOM]
+    )
+    def test_kernel_edge_cases(self, case, strategy):
+        config = _small_config().replace(**case)
+        results = [
+            NetworkExperiment(
+                config, seed=17, strategy=strategy,
+                compute_backend=backend, collect_metrics=True,
+            ).run(2)
+            for backend in ("reference", "vectorized")
+        ]
+        reference, vectorized = results
+        assert reference == vectorized
+        assert (
+            reference.merged_metrics().counters
+            == vectorized.merged_metrics().counters
+        )
+        assert reference.runs[0].n_pairs > 0
 
     def test_instrumented_counters_identical(self):
         config = _small_config()

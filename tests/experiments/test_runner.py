@@ -221,8 +221,11 @@ class TestVectorizedSamplerEquivalence:
                 for b in range(a + 1, min(a + 40, 400), 3)
             ]
             exp = NetworkExperiment(config, seed=0, strategy=strategy)
+            compromised = np.zeros(assignment.pool_size, dtype=bool)
+            compromised[sorted(compromise.codes)] = True
             vector = exp._sample_dndp(
-                pairs, assignment, jamming, derive_rng(1, "v")
+                np.array(pairs), assignment, compromised, jamming,
+                derive_rng(1, "v"),
             )
             sampler = DNDPSampler(config, jamming)
             reference = np.array(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.predistribution.authority import PreDistributor
+from repro.predistribution.authority import CodeAssignment, PreDistributor
 
 
 class TestAssignBackends:
@@ -56,3 +56,84 @@ class TestAssignBackends:
             PreDistributor(9, 2, 3).assign(
                 np.random.default_rng(0), backend="fast"
             )
+
+
+def _assert_round_aligned(assignment, w):
+    codes = assignment.codes
+    assert codes.dtype == np.int64
+    rounds = np.arange(codes.shape[1])
+    assert ((codes >= w * rounds) & (codes < w * (rounds + 1))).all()
+
+
+class TestRoundAlignedLayout:
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("n,m,l", [(10, 3, 2), (253, 6, 10), (97, 7, 13)])
+    def test_assign_puts_round_r_in_its_block(self, backend, n, m, l):
+        distributor = PreDistributor(n, m, l)
+        assignment = distributor.assign(
+            np.random.default_rng(4), backend=backend
+        )
+        assert assignment.codes.shape == (n, m)
+        _assert_round_aligned(assignment, distributor.subsets_per_round)
+
+    @pytest.mark.parametrize("n_new", [2, 3, 9, 40])
+    def test_joins_keep_the_layout(self, n_new):
+        # n=57, l=10: three virtual slots, so n_new=2 uses only slots,
+        # 3 exhausts them, and 9 and 40 need one and several extra
+        # passes.
+        distributor = PreDistributor(57, codes_per_node=4, share_count=10)
+        rng = np.random.default_rng(8)
+        assignment = distributor.assign(rng)
+        extended, new = distributor.admit_new_nodes(assignment, n_new, rng)
+        assert new == list(range(57, 57 + n_new))
+        assert extended.codes.shape == (57 + n_new, 4)
+        assert np.array_equal(extended.codes[:57], assignment.codes)
+        _assert_round_aligned(extended, distributor.subsets_per_round)
+
+    def test_joins_after_joins_keep_the_layout(self):
+        distributor = PreDistributor(60, codes_per_node=3, share_count=10)
+        rng = np.random.default_rng(2)
+        assignment = distributor.assign(rng)
+        for n_new in (4, 7):
+            assignment, _ = distributor.admit_new_nodes(
+                assignment, n_new, rng
+            )
+        assert assignment.n_nodes == 71
+        _assert_round_aligned(assignment, distributor.subsets_per_round)
+
+
+class TestCodeAssignment:
+    @pytest.mark.parametrize(
+        "codes,pool_size",
+        [
+            ([[1, 0]], 4),          # round 1's code from round 0's block
+            ([[0, 4]], 4),          # past the pool
+            ([[-1, 2]], 4),         # negative index
+            ([[0, 2], [2, 3]], 4),  # node 1's round-0 code in round 1
+            ([[0, 2, 4]], 4),       # pool not a multiple of m
+            ([0, 2], 4),            # not a matrix
+            ([[0, 2], [1]], 4),     # ragged rows
+        ],
+    )
+    def test_rejects_codes_outside_the_layout(self, codes, pool_size):
+        with pytest.raises(ConfigurationError):
+            CodeAssignment(codes, pool_size=pool_size)
+
+    def test_views_are_built_from_the_matrix(self):
+        # w = 3: round 0 draws from [0, 3), round 1 from [3, 6).
+        assignment = CodeAssignment([[0, 3], [1, 3], [0, 4]], pool_size=6)
+        assert assignment.node_codes == [[0, 3], [1, 3], [0, 4]]
+        # Every pool code has a key, in index order, empty ones too.
+        assert list(assignment.code_holders.items()) == [
+            (0, {0, 2}), (1, {1}), (2, set()), (3, {0, 1}), (4, {2}),
+            (5, set()),
+        ]
+        assert assignment.shared_codes(0, 1) == [3]
+        assert assignment.shared_codes(0, 2) == [0]
+        assert assignment.compromised_codes([1, 2]) == {0, 1, 3, 4}
+        assert assignment.max_share_count() == 2
+
+    def test_matrix_is_read_only(self):
+        assignment = CodeAssignment([[0, 2]], pool_size=4)
+        with pytest.raises(ValueError):
+            assignment.codes[0, 0] = 1

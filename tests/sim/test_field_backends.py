@@ -24,7 +24,7 @@ class TestNeighborPairBackends:
             ]
             want = field.neighbor_pairs(positions, backend="reference")
             got = field.neighbor_pairs(positions, backend="vectorized")
-            assert want == got
+            assert np.array_equal(want, got)
 
     def test_boundary_distance_agrees(self):
         # Two nodes exactly tx_range apart: both backends use the same
@@ -33,21 +33,26 @@ class TestNeighborPairBackends:
         positions = [(0.0, 0.0), (3.0, 4.0), (0.0, 5.0), (0.0, 5.0001)]
         want = field.neighbor_pairs(positions, backend="reference")
         got = field.neighbor_pairs(positions, backend="vectorized")
-        assert want == got
-        assert (0, 1) in got and (0, 2) in got and (0, 3) not in got
+        assert np.array_equal(want, got)
+        found = got.tolist()
+        assert [0, 1] in found and [0, 2] in found and [0, 3] not in found
 
-    def test_returns_sorted_python_int_tuples(self):
+    def test_returns_sorted_int64_array(self):
         field = RectangularField(10.0, 10.0, 20.0)
-        pairs = field.neighbor_pairs([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
-        assert pairs == sorted(pairs)
-        assert all(
-            type(i) is int and type(j) is int for i, j in pairs
-        )
+        positions = [(2.0, 2.0), (0.0, 0.0), (1.0, 1.0), (3.0, 0.5)]
+        for backend in ("reference", "vectorized"):
+            pairs = field.neighbor_pairs(positions, backend=backend)
+            assert pairs.dtype == np.int64 and pairs.shape == (6, 2)
+            assert pairs.tolist() == [
+                [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]
+            ]
 
     def test_small_inputs(self):
         field = RectangularField(10.0, 10.0, 5.0)
-        assert field.neighbor_pairs([]) == []
-        assert field.neighbor_pairs([(1.0, 1.0)]) == []
+        for backend in ("reference", "vectorized"):
+            for positions in ([], [(1.0, 1.0)]):
+                pairs = field.neighbor_pairs(positions, backend=backend)
+                assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
 
     def test_unknown_backend_rejected(self):
         field = RectangularField(10.0, 10.0, 5.0)
