@@ -2,42 +2,25 @@
 
 Examples::
 
-    python -m repro.lint src/                 # human report, exit 1 on errors
-    python -m repro.lint src/ --format json   # machine-readable report
-    python -m repro.lint src/ --format sarif  # SARIF 2.1.0 for code scanning
-    python -m repro.lint src/ --jobs 4        # parallel phase-1 parsing
-    python -m repro.lint src/ --no-cache      # ignore .repro-lint-cache/
-    python -m repro.lint src/ --fix           # apply mechanical rewrites
-    python -m repro.lint --list-rules         # the JRS rule pack
+    python -m repro.lint src/          # one row per finding, exit 1 on any
+    python -m repro.lint --list-rules  # the JRS rule pack
 
-Exit codes: 0 clean (warnings allowed unless ``--fail-on-warnings``),
-1 findings at failing severity, 2 usage error.
-
-Runs are two-phase (per-file rules, then the cross-module JRS008–
-JRS011 pack over the project index) and incremental by default: cached
-results live under ``.repro-lint-cache/`` keyed by content hash and
-rule-pack version.  A stats/timing line goes to stderr so report
-output on stdout stays machine-parseable.
+Exit codes: 0 clean, 1 findings, 2 usage error (a missing path, or
+paths that hold no ``.py`` file).  The run is one sequential pass over
+both phases and writes nothing to disk.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-import time
 from pathlib import Path
-from typing import Optional, Sequence, Set
+from typing import List, Optional, Sequence
 
-from repro.lint.engine import LintConfig, Severity, strip_fixed
-from repro.lint.fixes import apply_fixes
-from repro.lint.project import ProjectLintResult, lint_project
-from repro.lint.report import render_human, render_json
+from repro.lint.engine import Violation
+from repro.lint.project import lint_project
 from repro.lint.rules import RULES_BY_CODE
-from repro.lint.sarif import render_sarif
-from repro.obs import current as _obs_current
-from repro.obs import names as _names
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "render_human"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,60 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("human", "json", "sarif"),
-        default="human",
-        help="report format (default: human)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="FILE",
-        help="additionally write a SARIF 2.1.0 report to FILE",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse/analyze files across N worker processes",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=".repro-lint-cache",
-        metavar="DIR",
-        help="incremental cache location (default: .repro-lint-cache)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical fixes (JRS004 literal → names constant)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--ignore",
-        metavar="CODES",
-        help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--fail-on-warnings",
-        action="store_true",
-        help="treat warnings as failures for the exit code",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule pack and exit",
@@ -120,29 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_codes(
-    raw: Optional[str], parser: argparse.ArgumentParser
-) -> Optional[Set[str]]:
-    if raw is None:
-        return None
-    codes = {code.strip().upper() for code in raw.split(",") if code.strip()}
-    unknown = codes - set(RULES_BY_CODE)
-    if unknown:
-        parser.error(
-            f"unknown rule code(s): {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(sorted(RULES_BY_CODE))}"
-        )
-    return codes
-
-
 def _list_rules() -> str:
     lines = ["The JR-SND rule pack:"]
     for code in sorted(RULES_BY_CODE):
-        rule_cls = RULES_BY_CODE[code]
-        lines.append(
-            f"  {code}  [{rule_cls.severity.value}]  "
-            f"{rule_cls.description}"
-        )
+        lines.append(f"  {code}  {RULES_BY_CODE[code].description}")
     lines.append(
         "Suppress per line with "
         "'# jrsnd: noqa(CODE) -- justification' (justification "
@@ -151,12 +61,21 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _report_obs(result: ProjectLintResult) -> None:
-    registry = _obs_current()
-    stats = result.stats
-    registry.inc(_names.LINT_FILES_ANALYZED, stats.files_analyzed)
-    registry.inc(_names.LINT_CACHE_HITS, stats.cache_hits)
-    registry.inc(_names.LINT_PROJECT_REANALYZED, stats.project_reanalyzed)
+def render_human(
+    violations: Sequence[Violation], files_checked: int
+) -> str:
+    """One ``path:line:col CODE message`` row per finding + summary."""
+    lines: List[str] = [
+        f"{v.path}:{v.line}:{v.col + 1} {v.rule} {v.message}"
+        for v in violations
+    ]
+    if violations:
+        lines.append(
+            f"{len(violations)} finding(s) in {files_checked} file(s)"
+        )
+    else:
+        lines.append(f"{files_checked} file(s) checked: clean")
+    return "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -168,76 +87,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for raw in args.paths:
         if not Path(raw).exists():
             parser.error(f"path does not exist: {raw}")
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    config = LintConfig(
-        select=_parse_codes(args.select, parser),
-        ignore=_parse_codes(args.ignore, parser) or set(),
-    )
-
-    started = time.perf_counter()
-    result = lint_project(
-        args.paths,
-        config,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=Path(args.cache_dir),
-    )
-    violations = result.violations
-
-    fixed_paths: Sequence[str] = []
-    if args.fix:
-        applied, fixed_paths = apply_fixes(violations)
-        if applied:
-            # Re-lint: the report must describe the tree on disk.
-            result = lint_project(
-                args.paths,
-                config,
-                jobs=args.jobs,
-                use_cache=not args.no_cache,
-                cache_dir=Path(args.cache_dir),
-            )
-            violations = result.violations
-        violations = strip_fixed(violations)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    _report_obs(result)
-
-    stats = result.stats
-    if args.format == "sarif":
-        report = render_sarif(violations).rstrip("\n")
-    elif args.format == "json":
-        report = render_json(
-            violations, stats.files_checked, stats.to_json()
+    result = lint_project(args.paths)
+    if result.files_checked == 0:
+        parser.error(
+            "no .py files under: " + ", ".join(args.paths)
         )
-    else:
-        report = render_human(violations, stats.files_checked)
-    if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
-    else:
-        print(report)
-    if args.sarif:
-        Path(args.sarif).write_text(
-            render_sarif(violations), encoding="utf-8"
-        )
-    if args.fix and fixed_paths and args.format == "human":
-        print(
-            f"fixed {len(fixed_paths)} file(s): "
-            + ", ".join(fixed_paths),
-            file=sys.stderr,
-        )
-    print(
-        f"[repro.lint] {stats.files_checked} file(s), "
-        f"{stats.files_analyzed} analyzed, "
-        f"{stats.cache_hits} cache hit(s), "
-        f"project phase {'ran' if stats.project_phase_ran else 'cached'} "
-        f"({stats.project_reanalyzed} reanalyzed), "
-        f"{elapsed_ms:.0f} ms",
-        file=sys.stderr,
-    )
-
-    failing = [
-        v
-        for v in violations
-        if v.severity is Severity.ERROR or args.fail_on_warnings
-    ]
-    return 1 if failing else 0
+    print(render_human(result.violations, result.files_checked))
+    return 1 if result.violations else 0

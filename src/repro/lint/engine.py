@@ -1,8 +1,9 @@
-"""AST lint engine: rule framework, suppressions, and the file runner.
+"""AST lint engine: findings, module context, rule bases, suppressions.
 
-The engine is deliberately small and deterministic: each file is parsed
-once, every enabled rule registers the node types it cares about, and a
-single walk dispatches nodes to rules.  Rules never see each other and
+Each file is parsed once and its nodes are collected once, in
+``ast.walk`` (breadth-first) order, into :attr:`ModuleContext.nodes`;
+the context indexer, the phase-2 summarizer and the per-file rule
+dispatch all iterate that one list.  Rules never see each other and
 never mutate the tree, so adding a rule cannot perturb another rule's
 findings.
 
@@ -16,7 +17,7 @@ This keeps every waiver self-documenting — the same policy sanitizer
 allowlists use.
 
 See :mod:`repro.lint.rules` for the JR-SND rule pack and
-:mod:`repro.lint.cli` for the command-line front end.
+:mod:`repro.lint.project` for the runner.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field, replace
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -34,7 +34,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -46,20 +45,16 @@ if TYPE_CHECKING:
     from repro.lint.graph import ProjectIndex
 
 __all__ = [
-    "Severity",
-    "Fix",
     "Violation",
-    "LintConfig",
     "ModuleContext",
     "Rule",
     "ProjectRule",
     "Suppression",
     "SUPPRESSION_CODE",
     "parse_suppressions",
-    "lint_source",
-    "lint_module_context",
-    "lint_paths",
     "iter_python_files",
+    "module_name_for_path",
+    "package_of",
     "syntax_error_violation",
 ]
 
@@ -72,111 +67,16 @@ _NOQA_RE = re.compile(
 )
 
 
-class Severity(Enum):
-    """How a finding affects the exit code.
-
-    ``ERROR`` findings fail the run; ``WARNING`` findings are reported
-    (and fixed by ``--fix`` where mechanical) but only fail under
-    ``--fail-on-warnings``.
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A mechanical single-span text replacement.
-
-    Positions are 1-based line / 0-based column, matching ``ast`` node
-    coordinates.  ``new_import`` names a module-level import line the
-    fixer must guarantee exists before the replacement makes sense.
-    """
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    replacement: str
-    new_import: Optional[str] = None
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-            "replacement": self.replacement,
-            "new_import": self.new_import,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "Fix":
-        return cls(
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            end_line=int(data["end_line"]),  # type: ignore[call-overload]
-            end_col=int(data["end_col"]),  # type: ignore[call-overload]
-            replacement=str(data["replacement"]),
-            new_import=(
-                None
-                if data["new_import"] is None
-                else str(data["new_import"])
-            ),
-        )
-
-
 @dataclass(frozen=True)
 class Violation:
-    """One finding, addressed by file position."""
+    """One finding, addressed by file position.  Every finding fails
+    the gate; the only exemption is a justified ``noqa``."""
 
     rule: str
-    severity: Severity
     path: str
     line: int
     col: int
     message: str
-    fix: Optional[Fix] = None
-
-    @property
-    def fixable(self) -> bool:
-        return self.fix is not None
-
-    def to_json(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "fixable": self.fixable,
-        }
-        return payload
-
-    def to_cache_json(self) -> Dict[str, object]:
-        """Full round-trip payload (the incremental cache needs the
-        fix spans back, not just the ``fixable`` flag)."""
-        payload = self.to_json()
-        payload["fix"] = None if self.fix is None else self.fix.to_json()
-        return payload
-
-    @classmethod
-    def from_cache_json(cls, data: Mapping[str, object]) -> "Violation":
-        fix_data = data.get("fix")
-        return cls(
-            rule=str(data["rule"]),
-            severity=Severity(str(data["severity"])),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            message=str(data["message"]),
-            fix=(
-                None
-                if fix_data is None
-                else Fix.from_json(fix_data)  # type: ignore[arg-type]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -188,52 +88,57 @@ class Suppression:
     justification: str
 
 
-@dataclass
-class LintConfig:
-    """Engine configuration: rule selection and per-rule allowlists."""
+def module_name_for_path(path: str) -> str:
+    """Dotted module name for ``path``.
 
-    #: Rule codes to run; ``None`` means every registered rule.
-    select: Optional[Set[str]] = None
-    #: Rule codes to skip.
-    ignore: Set[str] = field(default_factory=set)
-    #: Path suffixes (posix) where JRS003 broad excepts are permitted.
-    broad_except_allowlist: Tuple[str, ...] = ()
+    Paths are anchored at the last ``repro`` component so both real
+    trees (``src/repro/dsss/phy.py`` → ``repro.dsss.phy``) and the
+    virtual fixture paths tests use resolve identically.  Files outside
+    a ``repro`` tree fall back to their stem, which keeps scratch files
+    indexable without pretending they belong to a package.
+    """
+    parts = list(Path(path).parts)
+    if "repro" in parts:
+        parts = parts[len(parts) - 1 - parts[::-1].index("repro"):]
+    else:
+        parts = parts[-1:]
+    if parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts) if parts else Path(path).stem
 
-    def enabled(self, code: str) -> bool:
-        if code in self.ignore:
-            return False
-        return self.select is None or code in self.select
 
-    def signature(self) -> str:
-        """Stable text form folded into cache keys: results computed
-        under one configuration must never be served under another."""
-        select = (
-            "*" if self.select is None else ",".join(sorted(self.select))
-        )
-        return "|".join(
-            (
-                f"select={select}",
-                f"ignore={','.join(sorted(self.ignore))}",
-                "allow=" + ",".join(self.broad_except_allowlist),
-            )
-        )
+def package_of(module: str) -> str:
+    """Layering package of a module (``repro.dsss.phy`` → ``dsss``).
+
+    The ``repro`` root facade (it exists to re-export the public API)
+    and everything outside ``repro`` map to ``""``: no package scope,
+    no layering.
+    """
+    parts = module.split(".")
+    return parts[1] if parts[0] == "repro" and len(parts) > 1 else ""
 
 
 class ModuleContext:
     """Everything a rule may consult about the module being linted.
 
-    Built once per file: the parse tree, a parent map, the set of
-    names bound by *nested* (non-module-scope) ``def``/``class``
-    statements, and resolved import aliases (``np`` → ``numpy``,
-    ``nprand`` → ``numpy.random`` …).
+    Built once per file: every node in ``ast.walk`` order, a parent
+    map, the names bound by module-scope and by *nested* ``def``/
+    ``class`` statements, and resolved import aliases (``np`` →
+    ``numpy``, ``nprand`` → ``numpy.random`` …).
+
+    ``path`` is kept as given, for reports.  The module name — and with
+    it every rule's scope — comes from the resolved path, so the same
+    file gets the same findings however the path was spelled.
     """
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, path: str, tree: ast.Module) -> None:
         self.path = path
-        self.posix_path = Path(path).as_posix()
-        self.source = source
-        self.lines = source.splitlines()
+        self.module = module_name_for_path(str(Path(path).resolve()))
+        self.package = package_of(self.module)
         self.tree = tree
+        self.nodes: List[ast.AST] = [tree]
         self.parents: Dict[ast.AST, ast.AST] = {}
         self.module_scope_defs: Set[str] = set()
         self.nested_defs: Set[str] = set()
@@ -241,10 +146,13 @@ class ModuleContext:
         self._index()
 
     def _index(self) -> None:
-        for parent in ast.walk(self.tree):
-            for child in ast.iter_child_nodes(parent):
-                self.parents[child] = parent
-        for node in ast.walk(self.tree):
+        # Appending while iterating extends the loop: a breadth-first
+        # walk identical to ast.walk.  A node's ancestors all precede
+        # it, so the parent chain is complete when it is classified.
+        for node in self.nodes:
+            for child in ast.iter_child_nodes(node):
+                self.parents[child] = node
+                self.nodes.append(child)
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
@@ -294,30 +202,19 @@ class ModuleContext:
         parts.append(root)
         return ".".join(reversed(parts))
 
-    def path_in(self, *fragments: str) -> bool:
-        """True if the module's path contains any of ``fragments``."""
-        return any(fragment in self.posix_path for fragment in fragments)
-
-    def path_endswith(self, *suffixes: str) -> bool:
-        return any(self.posix_path.endswith(suffix) for suffix in suffixes)
-
 
 class Rule:
-    """Base class for one lint rule.
+    """Base class for one per-file lint rule.
 
-    Subclasses set :attr:`code`, :attr:`severity`, :attr:`description`,
-    and :attr:`node_types`, then implement :meth:`check`.  A rule may
-    restrict itself to a path scope by overriding :meth:`applies_to`.
+    Subclasses set :attr:`code`, :attr:`description`, and
+    :attr:`node_types`, then implement :meth:`check`.  A rule may
+    restrict itself to a module scope by overriding :meth:`applies_to`.
     """
 
     code: str = ""
-    severity: Severity = Severity.ERROR
     description: str = ""
     #: AST node classes dispatched to :meth:`check`.
     node_types: Tuple[Type[ast.AST], ...] = ()
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
 
     def applies_to(self, ctx: ModuleContext) -> bool:
         return True
@@ -327,24 +224,15 @@ class Rule:
     ) -> Iterable[Violation]:
         raise NotImplementedError
 
-    # -- helpers -------------------------------------------------------
-
     def violation(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        message: str,
-        fix: Optional[Fix] = None,
-        severity: Optional[Severity] = None,
+        self, ctx: ModuleContext, node: ast.AST, message: str
     ) -> Violation:
         return Violation(
             rule=self.code,
-            severity=severity or self.severity,
             path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-            fix=fix,
         )
 
 
@@ -353,18 +241,13 @@ class ProjectRule:
 
     Unlike :class:`Rule`, a project rule sees the whole
     :class:`~repro.lint.graph.ProjectIndex` at once and emits findings
-    for any file in it.  Project rules must be pure functions of the
-    index: the incremental cache replays their findings from cached
-    summaries, so consulting anything else (the filesystem, the clock)
-    would make warm runs diverge from cold ones.
+    for any file in it.  Project rules read only the index, never the
+    filesystem or the clock, so their findings are a function of the
+    summaries alone.
     """
 
     code: str = ""
-    severity: Severity = Severity.ERROR
     description: str = ""
-
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
 
     def check_project(
         self, index: "ProjectIndex"
@@ -372,20 +255,10 @@ class ProjectRule:
         raise NotImplementedError
 
     def violation_at(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        severity: Optional[Severity] = None,
+        self, path: str, line: int, col: int, message: str
     ) -> Violation:
         return Violation(
-            rule=self.code,
-            severity=severity or self.severity,
-            path=path,
-            line=line,
-            col=col,
-            message=message,
+            rule=self.code, path=path, line=line, col=col, message=message
         )
 
 
@@ -411,6 +284,8 @@ def parse_suppressions(
     """Extract per-line suppressions and suppression-hygiene findings."""
     suppressions: Dict[int, Suppression] = {}
     hygiene: List[Violation] = []
+    if "jrsnd:" not in source:
+        return suppressions, hygiene  # nothing to find; skip tokenizing
     for lineno, start_col, comment in _comment_tokens(source):
         match = _NOQA_RE.search(comment)
         if match is None:
@@ -418,7 +293,6 @@ def parse_suppressions(
                 hygiene.append(
                     Violation(
                         rule=SUPPRESSION_CODE,
-                        severity=Severity.ERROR,
                         path=path,
                         line=lineno,
                         col=start_col,
@@ -442,7 +316,6 @@ def parse_suppressions(
             hygiene.append(
                 Violation(
                     rule=SUPPRESSION_CODE,
-                    severity=Severity.ERROR,
                     path=path,
                     line=lineno,
                     col=start_col + match.start(),
@@ -458,7 +331,6 @@ def parse_suppressions(
             hygiene.append(
                 Violation(
                     rule=SUPPRESSION_CODE,
-                    severity=Severity.ERROR,
                     path=path,
                     line=lineno,
                     col=start_col + match.start(),
@@ -480,71 +352,11 @@ def parse_suppressions(
 def syntax_error_violation(path: str, exc: SyntaxError) -> Violation:
     return Violation(
         rule=SUPPRESSION_CODE,
-        severity=Severity.ERROR,
         path=path,
         line=exc.lineno or 1,
         col=(exc.offset or 1) - 1,
         message=f"syntax error: {exc.msg}",
     )
-
-
-def lint_source(
-    source: str,
-    path: str,
-    rules: Sequence[Rule],
-    config: Optional[LintConfig] = None,
-) -> List[Violation]:
-    """Lint one module's source text and return ordered findings."""
-    config = config or LintConfig()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [syntax_error_violation(path, exc)]
-    ctx = ModuleContext(path, source, tree)
-    suppressions, hygiene = parse_suppressions(source, path)
-    return lint_module_context(ctx, rules, config, suppressions, hygiene)
-
-
-def lint_module_context(
-    ctx: ModuleContext,
-    rules: Sequence[Rule],
-    config: LintConfig,
-    suppressions: Dict[int, Suppression],
-    hygiene: Sequence[Violation],
-) -> List[Violation]:
-    """Run per-file rules over an already-parsed module.
-
-    Split out of :func:`lint_source` so the project analyzer can parse
-    once and feed the same tree to both the per-file rules and the
-    phase-1 summarizer.
-    """
-    findings: List[Violation] = list(hygiene)
-    active = [
-        rule
-        for rule in rules
-        if config.enabled(rule.code) and rule.applies_to(ctx)
-    ]
-    dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-    for rule in active:
-        for node_type in rule.node_types:
-            dispatch.setdefault(node_type, []).append(rule)
-
-    for node in ast.walk(ctx.tree):
-        for rule in dispatch.get(type(node), ()):
-            findings.extend(rule.check(node, ctx))
-
-    kept: List[Violation] = []
-    for violation in findings:
-        suppression = suppressions.get(violation.line)
-        if (
-            suppression is not None
-            and violation.rule in suppression.codes
-            and violation.rule != SUPPRESSION_CODE
-        ):
-            continue
-        kept.append(violation)
-    kept.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return kept
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
@@ -566,28 +378,3 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
                 continue
             seen.add(resolved)
             yield candidate
-
-
-def lint_paths(
-    paths: Sequence[str],
-    rules: Sequence[Rule],
-    config: Optional[LintConfig] = None,
-) -> Tuple[List[Violation], int]:
-    """Lint every file under ``paths``; returns (findings, files)."""
-    violations: List[Violation] = []
-    checked = 0
-    for file_path in iter_python_files(paths):
-        checked += 1
-        source = file_path.read_text(encoding="utf-8")
-        violations.extend(
-            lint_source(source, str(file_path), rules, config)
-        )
-    return violations, checked
-
-
-def strip_fixed(
-    violations: Iterable[Violation],
-) -> List[Violation]:
-    """Copies of ``violations`` with fix payloads removed (post-fix
-    re-reporting: the finding stood, the mechanical edit was applied)."""
-    return [replace(v, fix=None) for v in violations]

@@ -5,8 +5,7 @@ thread-target reachability inside a class (JRS008), fixpoint
 propagation of pool-boundary parameters through helper functions
 (JRS009), import-cycle detection via Tarjan's SCC algorithm (JRS010),
 and taint of fresh-generator producers (JRS011).  Each analysis is a
-pure function over the summaries — no AST access — so results are
-reproducible from cached phase-1 data alone.
+pure function over the summaries — no AST access.
 """
 
 from __future__ import annotations

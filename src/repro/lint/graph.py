@@ -1,45 +1,28 @@
 """Phase-1 project indexing for the cross-module lint rules.
 
-The per-file rule pack (JRS001–JRS007) sees one ``ast.Module`` at a
-time, which is exactly the blind spot PRs 8–9 exploited: a dispatcher
-thread sharing mutable pool state, run specs crossing pickle
-boundaries through helper-call chains, and a growing package DAG none
-of which is visible inside a single file.  This module builds the
-whole-project view those checks need:
+The per-file rules see one ``ast.Module`` at a time, so they cannot
+see a dispatcher thread sharing mutable pool state, run specs crossing
+pickle boundaries through helper-call chains, or the package DAG.
+This module builds the whole-project view those checks need:
 
 - a :class:`ModuleSummary` per file — import records (with their
   ``TYPE_CHECKING`` / function-scope flags), per-class attribute-access
   summaries with lock context, a lightweight call graph over module
   functions and methods, and RNG-construction sites;
 - a :class:`ProjectIndex` over all summaries — module name resolution,
-  the runtime import graph, transitive import closures, and a global
-  function table.
+  the runtime import graph, and a global function table.
 
-Summaries are deliberately *plain data* (frozen dataclasses of
-strings/ints with JSON round-trips) for two reasons: they are cached
-per file under ``.repro-lint-cache/`` by content hash, and they cross
-process boundaries when ``--jobs N`` parses files in parallel.  The
-flow analyses that interpret them live in :mod:`repro.lint.flow`; the
-JRS008–JRS011 rules that consume both live in
-:mod:`repro.lint.rules`.
+Summaries are plain frozen dataclasses, so phase 2 never touches an
+AST.  The flow analyses that interpret them live in
+:mod:`repro.lint.flow`; the JRS008–JRS011 rules that consume both live
+in :mod:`repro.lint.rules`.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import (
-    Dict,
-    FrozenSet,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.engine import ModuleContext
 
@@ -55,8 +38,6 @@ __all__ = [
     "ModuleSummary",
     "ProjectIndex",
     "RngSite",
-    "content_hash",
-    "module_name_for_path",
     "summarize_module",
 ]
 
@@ -71,8 +52,8 @@ RNG_CONSTRUCTORS: FrozenSet[str] = frozenset(
     }
 )
 
-#: Pool-boundary method names, mirrored from JRS007 so the transitive
-#: JRS009 analysis agrees with the literal per-file rule.
+#: Pool-boundary method names, shared by the literal per-file JRS007
+#: and the transitive JRS009 analysis so the two always agree.
 POOL_BOUNDARY_METHODS: FrozenSet[str] = frozenset(
     {
         "map",
@@ -93,32 +74,6 @@ POOL_BOUNDARY_KEYWORDS: FrozenSet[str] = frozenset(
 )
 
 
-def content_hash(source: str) -> str:
-    """Stable identity of one file's text (cache key component)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def module_name_for_path(path: str) -> str:
-    """Dotted module name for ``path``.
-
-    Paths are anchored at the last ``repro`` component so both real
-    trees (``src/repro/dsss/phy.py`` → ``repro.dsss.phy``) and the
-    virtual fixture paths tests use resolve identically.  Files outside
-    a ``repro`` tree fall back to their stem, which keeps scratch files
-    indexable without pretending they belong to a package.
-    """
-    parts = list(Path(path).parts)
-    if "repro" in parts:
-        parts = parts[len(parts) - 1 - parts[::-1].index("repro"):]
-    else:
-        parts = parts[-1:]
-    if parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts) if parts else Path(path).stem
-
-
 @dataclass(frozen=True)
 class ImportRecord:
     """One import statement, with the flags JRS010 keys off."""
@@ -131,25 +86,6 @@ class ImportRecord:
     #: Inside a function body — a sanctioned lazy back edge.
     function_scope: bool
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "target": self.target,
-            "line": self.line,
-            "col": self.col,
-            "type_checking": self.type_checking,
-            "function_scope": self.function_scope,
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "ImportRecord":
-        return cls(
-            target=str(data["target"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            type_checking=bool(data["type_checking"]),
-            function_scope=bool(data["function_scope"]),
-        )
-
 
 @dataclass(frozen=True)
 class AttrAccess:
@@ -161,19 +97,6 @@ class AttrAccess:
     write: bool
     #: Lexically inside a ``with self.<lock-ish>:`` block.
     locked: bool
-
-    def to_json(self) -> List[object]:
-        return [self.attr, self.line, self.col, self.write, self.locked]
-
-    @classmethod
-    def from_json(cls, data: Sequence[object]) -> "AttrAccess":
-        return cls(
-            attr=str(data[0]),
-            line=int(data[1]),  # type: ignore[call-overload]
-            col=int(data[2]),  # type: ignore[call-overload]
-            write=bool(data[3]),
-            locked=bool(data[4]),
-        )
 
 
 @dataclass(frozen=True)
@@ -190,30 +113,6 @@ class MethodSummary:
     @property
     def public(self) -> bool:
         return not self.name.startswith("_")
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "accesses": [a.to_json() for a in self.accesses],
-            "self_calls": list(self.self_calls),
-            "thread_targets": list(self.thread_targets),
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "MethodSummary":
-        return cls(
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            accesses=tuple(
-                AttrAccess.from_json(a)
-                for a in data["accesses"]  # type: ignore[union-attr]
-            ),
-            self_calls=tuple(data["self_calls"]),  # type: ignore[arg-type]
-            thread_targets=tuple(
-                data["thread_targets"]  # type: ignore[arg-type]
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -237,24 +136,6 @@ class ClassSummary:
             targets.extend(method.thread_targets)
         return tuple(targets)
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "methods": [m.to_json() for m in self.methods],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "ClassSummary":
-        return cls(
-            name=str(data["name"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            methods=tuple(
-                MethodSummary.from_json(m)
-                for m in data["methods"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class CallArg:
@@ -272,23 +153,6 @@ class CallArg:
     name: Optional[str]
     line: int
     col: int
-
-    def to_json(self) -> List[object]:
-        return [
-            self.position, self.keyword, self.kind,
-            self.name, self.line, self.col,
-        ]
-
-    @classmethod
-    def from_json(cls, data: Sequence[object]) -> "CallArg":
-        return cls(
-            position=None if data[0] is None else int(data[0]),  # type: ignore[call-overload]
-            keyword=None if data[1] is None else str(data[1]),
-            kind=str(data[2]),
-            name=None if data[3] is None else str(data[3]),
-            line=int(data[4]),  # type: ignore[call-overload]
-            col=int(data[5]),  # type: ignore[call-overload]
-        )
 
 
 @dataclass(frozen=True)
@@ -310,32 +174,6 @@ class CallRecord:
     col: int
     args: Tuple[CallArg, ...]
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "callee": self.callee,
-            "method_attr": self.method_attr,
-            "line": self.line,
-            "col": self.col,
-            "args": [a.to_json() for a in self.args],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "CallRecord":
-        return cls(
-            callee=str(data["callee"]),
-            method_attr=(
-                None
-                if data["method_attr"] is None
-                else str(data["method_attr"])
-            ),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            col=int(data["col"]),  # type: ignore[call-overload]
-            args=tuple(
-                CallArg.from_json(a)
-                for a in data["args"]  # type: ignore[union-attr]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class FunctionSummary:
@@ -353,30 +191,6 @@ class FunctionSummary:
     def is_method(self) -> bool:
         return "." in self.qualname
 
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "params": list(self.params),
-            "calls": [c.to_json() for c in self.calls],
-            "returns_refs": list(self.returns_refs),
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            line=int(data["line"]),  # type: ignore[call-overload]
-            params=tuple(data["params"]),  # type: ignore[arg-type]
-            calls=tuple(
-                CallRecord.from_json(c)
-                for c in data["calls"]  # type: ignore[union-attr]
-            ),
-            returns_refs=tuple(
-                data["returns_refs"]  # type: ignore[arg-type]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class RngSite:
@@ -387,17 +201,6 @@ class RngSite:
     #: The resolved constructor chain, or the alias it was called via.
     via: str
 
-    def to_json(self) -> List[object]:
-        return [self.line, self.col, self.via]
-
-    @classmethod
-    def from_json(cls, data: Sequence[object]) -> "RngSite":
-        return cls(
-            line=int(data[0]),  # type: ignore[call-overload]
-            col=int(data[1]),  # type: ignore[call-overload]
-            via=str(data[2]),
-        )
-
 
 @dataclass(frozen=True)
 class FactoryRef:
@@ -407,17 +210,6 @@ class FactoryRef:
     col: int
     ref: str
 
-    def to_json(self) -> List[object]:
-        return [self.line, self.col, self.ref]
-
-    @classmethod
-    def from_json(cls, data: Sequence[object]) -> "FactoryRef":
-        return cls(
-            line=int(data[0]),  # type: ignore[call-overload]
-            col=int(data[1]),  # type: ignore[call-overload]
-            ref=str(data[2]),
-        )
-
 
 @dataclass(frozen=True)
 class ModuleSummary:
@@ -425,67 +217,11 @@ class ModuleSummary:
 
     path: str
     module: str
-    source_hash: str
     imports: Tuple[ImportRecord, ...]
     classes: Tuple[ClassSummary, ...]
     functions: Tuple[FunctionSummary, ...]
     rng_sites: Tuple[RngSite, ...]
     factory_refs: Tuple[FactoryRef, ...]
-    #: Justified-noqa lines: line → suppressed rule codes.
-    suppressed: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
-
-    def suppressed_codes(self, line: int) -> Tuple[str, ...]:
-        for lineno, codes in self.suppressed:
-            if lineno == line:
-                return codes
-        return ()
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "source_hash": self.source_hash,
-            "imports": [i.to_json() for i in self.imports],
-            "classes": [c.to_json() for c in self.classes],
-            "functions": [f.to_json() for f in self.functions],
-            "rng_sites": [s.to_json() for s in self.rng_sites],
-            "factory_refs": [r.to_json() for r in self.factory_refs],
-            "suppressed": [
-                [line, list(codes)] for line, codes in self.suppressed
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, object]) -> "ModuleSummary":
-        return cls(
-            path=str(data["path"]),
-            module=str(data["module"]),
-            source_hash=str(data["source_hash"]),
-            imports=tuple(
-                ImportRecord.from_json(i)
-                for i in data["imports"]  # type: ignore[union-attr]
-            ),
-            classes=tuple(
-                ClassSummary.from_json(c)
-                for c in data["classes"]  # type: ignore[union-attr]
-            ),
-            functions=tuple(
-                FunctionSummary.from_json(f)
-                for f in data["functions"]  # type: ignore[union-attr]
-            ),
-            rng_sites=tuple(
-                RngSite.from_json(s)
-                for s in data["rng_sites"]  # type: ignore[union-attr]
-            ),
-            factory_refs=tuple(
-                FactoryRef.from_json(r)
-                for r in data["factory_refs"]  # type: ignore[union-attr]
-            ),
-            suppressed=tuple(
-                (int(line), tuple(str(code) for code in codes))
-                for line, codes in data["suppressed"]  # type: ignore[union-attr, misc]
-            ),
-        )
 
 
 # ---------------------------------------------------------------------
@@ -525,34 +261,6 @@ class _MethodWalker(ast.NodeVisitor):
         self.self_calls: List[str] = []
         self.thread_targets: List[str] = []
         self._lock_depth = 0
-        self._write_attrs: Set[int] = set()  # id()s of store targets
-
-    # -- write classification ------------------------------------------
-
-    def _mark_write_targets(self, target: ast.expr) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._mark_write_targets(element)
-        elif isinstance(target, ast.Attribute):
-            self._write_attrs.add(id(target))
-        elif isinstance(target, ast.Starred):
-            self._mark_write_targets(target.value)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._mark_write_targets(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._mark_write_targets(node.target)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._mark_write_targets(node.target)
-        self.generic_visit(node)
-
-    # -- interesting nodes ---------------------------------------------
 
     def visit_With(self, node: ast.With) -> None:
         lockish = any(
@@ -579,8 +287,7 @@ class _MethodWalker(ast.NodeVisitor):
                     attr=attr,
                     line=node.lineno,
                     col=node.col_offset,
-                    write=id(node) in self._write_attrs
-                    or isinstance(node.ctx, (ast.Store, ast.Del)),
+                    write=isinstance(node.ctx, (ast.Store, ast.Del)),
                     locked=self._lock_depth > 0,
                 )
             )
@@ -629,15 +336,13 @@ def _summarize_class(
     return ClassSummary(name=node.name, line=node.lineno, methods=methods)
 
 
-def _resolve_ref(
-    name: str, ctx: ModuleContext, module: str, module_defs: Set[str]
-) -> Optional[str]:
+def _resolve_ref(name: str, ctx: ModuleContext) -> Optional[str]:
     """Resolve a bare name to a global callable reference."""
     resolved = ctx.aliases.get(name)
     if resolved is not None:
         return resolved
-    if name in module_defs:
-        return f"{module}.{name}"
+    if name in ctx.module_scope_defs:
+        return f"{ctx.module}.{name}"
     return None
 
 
@@ -646,8 +351,6 @@ def _classify_arg(
     position: Optional[int],
     keyword: Optional[str],
     ctx: ModuleContext,
-    module: str,
-    module_defs: Set[str],
     params: Set[str],
 ) -> CallArg:
     kind = "other"
@@ -663,7 +366,7 @@ def _classify_arg(
         ):
             kind, name = "local_def", value.id
         else:
-            ref = _resolve_ref(value.id, ctx, module, module_defs)
+            ref = _resolve_ref(value.id, ctx)
             if ref is not None:
                 kind, name = "ref", ref
     elif isinstance(value, ast.Attribute):
@@ -683,10 +386,10 @@ def _classify_arg(
 def _summarize_function(
     node: ast.FunctionDef,
     qualname: str,
+    subtree: Sequence[ast.AST],
     ctx: ModuleContext,
-    module: str,
-    module_defs: Set[str],
 ) -> FunctionSummary:
+    """Summarize one function from its nodes in ``ast.walk`` order."""
     arguments = node.args
     params = [
         arg.arg
@@ -703,7 +406,7 @@ def _summarize_function(
 
     def callee_ref(func: ast.expr) -> Tuple[str, Optional[str]]:
         if isinstance(func, ast.Name):
-            ref = _resolve_ref(func.id, ctx, module, module_defs)
+            ref = _resolve_ref(func.id, ctx)
             return ref or func.id, None
         if isinstance(func, ast.Attribute):
             attr = _self_attr(func)
@@ -713,20 +416,14 @@ def _summarize_function(
             return chain or func.attr, func.attr
         return "<dynamic>", None
 
-    for child in ast.walk(node):
+    for child in subtree:
         if isinstance(child, ast.Call):
             ref, method_attr = callee_ref(child.func)
             args = tuple(
-                _classify_arg(
-                    value, index, None, ctx, module, module_defs,
-                    param_set,
-                )
+                _classify_arg(value, index, None, ctx, param_set)
                 for index, value in enumerate(child.args)
             ) + tuple(
-                _classify_arg(
-                    kw.value, None, kw.arg, ctx, module, module_defs,
-                    param_set,
-                )
+                _classify_arg(kw.value, None, kw.arg, ctx, param_set)
                 for kw in child.keywords
                 if kw.arg is not None
             )
@@ -763,173 +460,151 @@ def _summarize_function(
     )
 
 
-def summarize_module(
-    ctx: ModuleContext,
-    suppressions: Optional[Mapping[int, Sequence[str]]] = None,
-) -> ModuleSummary:
-    """Build the phase-2 summary for one parsed module."""
-    module = module_name_for_path(ctx.path)
-    tree = ctx.tree
-
-    # -- imports, with their scoping flags -----------------------------
-    imports: List[ImportRecord] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        type_checking = False
-        function_scope = False
-        current = ctx.parents.get(node)
-        while current is not None:
-            if isinstance(current, ast.If) and _is_type_checking_test(
-                current.test
-            ):
-                type_checking = True
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                function_scope = True
-            current = ctx.parents.get(current)
-        if isinstance(node, ast.Import):
-            targets = [name.name for name in node.names]
-        else:
-            if node.module is None or node.level:
-                continue  # relative imports stay module-local
-            targets = [node.module]
-            if node.module == "repro" or node.module.startswith("repro."):
-                # `from repro.x import y` may bind the submodule x.y.
-                targets.extend(
-                    f"{node.module}.{name.name}" for name in node.names
-                )
-        for target in targets:
-            imports.append(
-                ImportRecord(
-                    target=target,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    type_checking=type_checking,
-                    function_scope=function_scope,
-                )
+def _import_records(
+    node: Union[ast.Import, ast.ImportFrom], ctx: ModuleContext
+) -> List[ImportRecord]:
+    """One record per import target, flagged by enclosing scope."""
+    if isinstance(node, ast.Import):
+        targets = [name.name for name in node.names]
+    else:
+        if node.module is None or node.level:
+            return []  # relative imports stay module-local
+        targets = [node.module]
+        if node.module == "repro" or node.module.startswith("repro."):
+            # `from repro.x import y` may bind the submodule x.y.
+            targets.extend(
+                f"{node.module}.{name.name}" for name in node.names
             )
+    type_checking = False
+    function_scope = False
+    current = ctx.parents.get(node)
+    while current is not None:
+        if isinstance(current, ast.If) and _is_type_checking_test(
+            current.test
+        ):
+            type_checking = True
+        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function_scope = True
+        current = ctx.parents.get(current)
+    return [
+        ImportRecord(
+            target=target,
+            line=node.lineno,
+            col=node.col_offset,
+            type_checking=type_checking,
+            function_scope=function_scope,
+        )
+        for target in targets
+    ]
 
-    # -- classes and functions -----------------------------------------
-    classes = tuple(
-        _summarize_class(node, ctx)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef)
+
+def _factory_refs(call: ast.Call, ctx: ModuleContext) -> List[FactoryRef]:
+    """``field(default_factory=<ref>)`` references made by ``call``."""
+    func = call.func
+    is_field = (isinstance(func, ast.Name) and func.id == "field") or (
+        isinstance(func, ast.Attribute) and func.attr == "field"
     )
-    module_defs = set(ctx.module_scope_defs)
-    functions: List[FunctionSummary] = []
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef):
-            functions.append(
-                _summarize_function(
-                    node, node.name, ctx, module, module_defs
-                )
+    if not is_field:
+        return []
+    refs: List[FactoryRef] = []
+    for keyword in call.keywords:
+        if keyword.arg != "default_factory":
+            continue
+        value = keyword.value
+        ref: Optional[str] = None
+        if isinstance(value, ast.Name):
+            ref = _resolve_ref(value.id, ctx)
+        elif isinstance(value, ast.Attribute):
+            ref = ctx.resolve_call_chain(value)
+        if ref is not None:
+            refs.append(
+                FactoryRef(line=value.lineno, col=value.col_offset, ref=ref)
             )
+    return refs
+
+
+def summarize_module(ctx: ModuleContext) -> ModuleSummary:
+    """Build the phase-2 summary for one parsed module.
+
+    One pass over :attr:`ModuleContext.nodes`.  Module functions and
+    methods of module-level classes each collect their own subtree on
+    the way; breadth-first order restricted to a subtree is that
+    subtree's own ``ast.walk`` order.
+    """
+    qualnames: Dict[ast.FunctionDef, str] = {}
+    for node in ctx.tree.body:
+        if isinstance(node, ast.FunctionDef):
+            qualnames[node] = node.name
         elif isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, ast.FunctionDef):
-                    functions.append(
-                        _summarize_function(
-                            child,
-                            f"{node.name}.{child.name}",
-                            ctx,
-                            module,
-                            module_defs,
-                        )
-                    )
+                    qualnames[child] = f"{node.name}.{child.name}"
+    subtrees: Dict[ast.AST, List[ast.AST]] = {fn: [] for fn in qualnames}
+    owner: Dict[ast.AST, ast.AST] = {}
 
-    # -- RNG construction sites ----------------------------------------
-    rng_sites: List[RngSite] = []
+    imports: List[ImportRecord] = []
+    classes: List[ClassSummary] = []
+    calls: List[ast.Call] = []
     constructor_aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and not isinstance(
-            node.value, ast.Call
+    for node in ctx.nodes:
+        parent = ctx.parents.get(node)
+        fn = node if node in subtrees else (
+            owner.get(parent) if parent is not None else None
+        )
+        if fn is not None:
+            owner[node] = fn
+            subtrees[fn].append(node)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.extend(_import_records(node, ctx))
+        elif isinstance(node, ast.ClassDef):
+            classes.append(_summarize_class(node, ctx))
+        elif isinstance(node, ast.Call):
+            calls.append(node)
+        elif (
+            isinstance(node, ast.Assign)
+            and not isinstance(node.value, ast.Call)
+            and ctx.resolve_call_chain(node.value) in RNG_CONSTRUCTORS
         ):
-            chain = ctx.resolve_call_chain(node.value)
-            if chain in RNG_CONSTRUCTORS:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        constructor_aliases.add(target.id)
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        chain = ctx.resolve_call_chain(node.func)
+            constructor_aliases.update(
+                target.id
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            )
+
+    rng_sites: List[RngSite] = []
+    factory_refs: List[FactoryRef] = []
+    for call in calls:
+        chain = ctx.resolve_call_chain(call.func)
         if chain in RNG_CONSTRUCTORS:
             rng_sites.append(
-                RngSite(
-                    line=node.lineno, col=node.col_offset, via=chain or ""
-                )
+                RngSite(line=call.lineno, col=call.col_offset, via=chain or "")
             )
         elif (
-            isinstance(node.func, ast.Name)
-            and node.func.id in constructor_aliases
+            isinstance(call.func, ast.Name)
+            and call.func.id in constructor_aliases
         ):
             rng_sites.append(
                 RngSite(
-                    line=node.lineno,
-                    col=node.col_offset,
-                    via=f"alias '{node.func.id}'",
+                    line=call.lineno,
+                    col=call.col_offset,
+                    via=f"alias '{call.func.id}'",
                 )
             )
-
-    # -- dataclass default factories -----------------------------------
-    factory_refs: List[FactoryRef] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        is_field = (
-            isinstance(func, ast.Name) and func.id == "field"
-        ) or (
-            isinstance(func, ast.Attribute) and func.attr == "field"
-        )
-        if not is_field:
-            continue
-        for keyword in node.keywords:
-            if keyword.arg != "default_factory":
-                continue
-            value = keyword.value
-            ref: Optional[str] = None
-            if isinstance(value, ast.Name):
-                ref = _resolve_ref(value.id, ctx, module, module_defs)
-            elif isinstance(value, ast.Attribute):
-                ref = ctx.resolve_call_chain(value)
-            if ref is not None:
-                factory_refs.append(
-                    FactoryRef(
-                        line=value.lineno,
-                        col=value.col_offset,
-                        ref=ref,
-                    )
-                )
-
-    suppressed: Tuple[Tuple[int, Tuple[str, ...]], ...] = ()
-    if suppressions:
-        suppressed = tuple(
-            (line, tuple(suppressions[line]))
-            for line in sorted(suppressions)
-        )
+        factory_refs.extend(_factory_refs(call, ctx))
 
     return ModuleSummary(
         path=ctx.path,
-        module=module,
-        source_hash=content_hash(ctx.source),
-        imports=imports_tuple(imports),
-        classes=classes,
-        functions=tuple(functions),
+        module=ctx.module,
+        imports=tuple(
+            sorted(imports, key=lambda i: (i.line, i.col, i.target))
+        ),
+        classes=tuple(classes),
+        functions=tuple(
+            _summarize_function(fn, qualname, subtrees[fn], ctx)
+            for fn, qualname in qualnames.items()
+        ),
         rng_sites=tuple(rng_sites),
         factory_refs=tuple(factory_refs),
-        suppressed=suppressed,
-    )
-
-
-def imports_tuple(
-    imports: Sequence[ImportRecord],
-) -> Tuple[ImportRecord, ...]:
-    """Deterministic import ordering (line, col, target)."""
-    return tuple(
-        sorted(imports, key=lambda i: (i.line, i.col, i.target))
     )
 
 
@@ -939,13 +614,7 @@ def imports_tuple(
 
 
 class ProjectIndex:
-    """Whole-project view assembled from per-file summaries.
-
-    Construction is cheap relative to parsing (the summaries carry all
-    the AST-derived facts), which is what makes the incremental cache
-    effective: a warm run re-parses only changed files, then rebuilds
-    this index from mostly cached summaries.
-    """
+    """Whole-project view assembled from per-file summaries."""
 
     def __init__(self, summaries: Sequence[ModuleSummary]) -> None:
         self.summaries: Tuple[ModuleSummary, ...] = tuple(
@@ -962,7 +631,6 @@ class ProjectIndex:
                 self.functions[
                     f"{summary.module}.{function.qualname}"
                 ] = function
-        self._closures: Dict[str, FrozenSet[str]] = {}
 
     # -- module / package resolution -----------------------------------
 
@@ -976,18 +644,6 @@ class ProjectIndex:
         if target in self.by_module:
             return target
         return None
-
-    @staticmethod
-    def package_of(module: str) -> str:
-        """Layering package of a module (``repro.dsss.phy`` → ``dsss``).
-
-        The ``repro`` root facade itself maps to ``""`` and is exempt
-        from layering (it exists to re-export the public API).
-        """
-        parts = module.split(".")
-        if parts[0] != "repro" or len(parts) == 1:
-            return "" if parts[0] == "repro" else parts[0]
-        return parts[1]
 
     # -- import graph ---------------------------------------------------
 
@@ -1028,42 +684,3 @@ class ProjectIndex:
             seen.add(key)
             edges.append((resolved, record))
         return edges
-
-    def import_closure(self, module: str) -> FrozenSet[str]:
-        """Transitive runtime import closure of ``module`` (exclusive).
-
-        This is the invalidation relation of the incremental cache: a
-        module's cross-module findings can only change when the module
-        itself or something in this closure changes.
-        """
-        cached = self._closures.get(module)
-        if cached is not None:
-            return cached
-        closure: Set[str] = set()
-        stack = [module]
-        while stack:
-            current = stack.pop()
-            for target, _ in self.import_edges(current):
-                if target not in closure and target != module:
-                    closure.add(target)
-                    stack.append(target)
-        result = frozenset(closure)
-        self._closures[module] = result
-        return result
-
-    def project_digest(self, module: str, salt: str) -> str:
-        """Content digest of ``module`` + its import closure.
-
-        Equal digests between runs mean the cross-module findings for
-        ``module`` are still valid; ``salt`` folds in the rule-pack
-        version and engine configuration.
-        """
-        summary = self.by_module[module]
-        material = [salt, module, summary.source_hash]
-        for name in sorted(self.import_closure(module)):
-            dependency = self.by_module.get(name)
-            if dependency is not None:
-                material.append(f"{name}={dependency.source_hash}")
-        return hashlib.sha256(
-            "\n".join(material).encode("utf-8")
-        ).hexdigest()

@@ -1,262 +1,119 @@
-"""Two-phase project analysis: per-file rules + cross-module rules.
+"""The lint runner: one sequential pass, nothing written to disk.
 
-:func:`lint_project` is the full engine the CLI drives:
-
-1. **Phase 1** parses every file once (optionally across ``--jobs N``
-   worker processes), runs the per-file rule pack, and builds a
-   :class:`~repro.lint.graph.ModuleSummary`.  Results are cached per
-   file by content hash under ``.repro-lint-cache/``.
-2. **Phase 2** assembles the :class:`~repro.lint.graph.ProjectIndex`
-   and runs the cross-module rules (JRS008–JRS011).  Per-file
-   phase-2 findings are cached under the file's *project digest* — a
-   hash over the file and its transitive import closure — and the
-   whole phase is skipped when no file's digest changed.
-
-Both phases honor the same justified-``noqa`` suppressions; phase-2
-suppression lines travel inside the cached summaries so warm runs
-filter identically to cold ones.
+:func:`lint_source` is the per-file step: parse once, read the
+justified-``noqa`` suppressions, run the per-file rule pack over the
+module's nodes, and condense the same parse into a
+:class:`~repro.lint.graph.ModuleSummary`.  :func:`lint_project` runs
+that step over every file, assembles the
+:class:`~repro.lint.graph.ProjectIndex`, runs the cross-module rules
+(JRS008–JRS011), and filters their findings with the same per-file
+suppression maps.
 """
 
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Type
 
-from repro.lint.cache import CacheEntry, LintCache
 from repro.lint.engine import (
-    LintConfig,
+    SUPPRESSION_CODE,
     ModuleContext,
-    ProjectRule,
     Rule,
+    Suppression,
     Violation,
     iter_python_files,
-    lint_module_context,
+    module_name_for_path,
     parse_suppressions,
     syntax_error_violation,
 )
-from repro.lint.graph import (
-    ModuleSummary,
-    ProjectIndex,
-    content_hash,
-    module_name_for_path,
-    summarize_module,
-)
-from repro.lint.rules import (
-    RULE_PACK_VERSION,
-    default_project_rules,
-    default_rules,
-)
+from repro.lint.graph import ModuleSummary, ProjectIndex, summarize_module
+from repro.lint.rules import FILE_RULES, PROJECT_RULES
 
-__all__ = ["ProjectLintStats", "ProjectLintResult", "lint_project"]
+__all__ = ["FileResult", "ProjectLintResult", "lint_project", "lint_source"]
 
 
 @dataclass
-class ProjectLintStats:
-    """What a run actually did — reported on stderr and in JSON."""
+class FileResult:
+    """Phase 1 for one file."""
 
-    files_checked: int = 0
-    #: Files parsed and analyzed this run (cache misses).
-    files_analyzed: int = 0
-    #: Files whose phase-1 results were served from cache.
-    cache_hits: int = 0
-    #: Files whose cross-module findings were recomputed.
-    project_reanalyzed: int = 0
-    #: Whether phase 2 executed at all this run.
-    project_phase_ran: bool = False
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "files_checked": self.files_checked,
-            "files_analyzed": self.files_analyzed,
-            "cache_hits": self.cache_hits,
-            "project_reanalyzed": self.project_reanalyzed,
-            "project_phase_ran": self.project_phase_ran,
-        }
+    #: Per-file findings with suppressions applied, sorted by position.
+    violations: List[Violation]
+    summary: ModuleSummary
+    #: Justified suppressions by line, for filtering phase-2 findings.
+    suppressions: Dict[int, Suppression]
 
 
 @dataclass
 class ProjectLintResult:
-    violations: List[Violation] = field(default_factory=list)
-    stats: ProjectLintStats = field(default_factory=ProjectLintStats)
+    violations: List[Violation]
+    files_checked: int
 
 
-def _analyze_file(
-    path: str, source: str, config: LintConfig
-) -> Tuple[List[Violation], ModuleSummary]:
-    """Phase 1 for one file: per-file findings + module summary."""
+def _position(violation: Violation) -> Tuple[str, int, int, str]:
+    return (violation.path, violation.line, violation.col, violation.rule)
+
+
+def _suppressed(
+    violation: Violation, suppressions: Mapping[int, Suppression]
+) -> bool:
+    suppression = suppressions.get(violation.line)
+    return (
+        suppression is not None
+        and violation.rule in suppression.codes
+        and violation.rule != SUPPRESSION_CODE
+    )
+
+
+def lint_source(source: str, path: str) -> FileResult:
+    """Lint one module's source text (phase 1)."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         empty = ModuleSummary(
             path=path,
-            module=module_name_for_path(path),
-            source_hash=content_hash(source),
+            module=module_name_for_path(str(Path(path).resolve())),
             imports=(),
             classes=(),
             functions=(),
             rng_sites=(),
             factory_refs=(),
         )
-        return [syntax_error_violation(path, exc)], empty
-    ctx = ModuleContext(path, source, tree)
-    suppressions, hygiene = parse_suppressions(source, path)
-    rules: Sequence[Rule] = default_rules(config)
-    violations = lint_module_context(
-        ctx, rules, config, suppressions, hygiene
-    )
-    summary = summarize_module(
-        ctx,
-        {line: s.codes for line, s in suppressions.items()},
-    )
-    return violations, summary
+        return FileResult([syntax_error_violation(path, exc)], empty, {})
+    ctx = ModuleContext(path, tree)
+    suppressions, findings = parse_suppressions(source, path)
+    dispatch: Dict[Type[ast.AST], List[Rule]] = {}
+    for rule in FILE_RULES:
+        if rule.applies_to(ctx):
+            for node_type in rule.node_types:
+                dispatch.setdefault(node_type, []).append(rule)
+    for node in ctx.nodes:
+        for rule in dispatch.get(type(node), ()):
+            findings.extend(rule.check(node, ctx))
+    kept = [v for v in findings if not _suppressed(v, suppressions)]
+    kept.sort(key=_position)
+    return FileResult(kept, summarize_module(ctx), suppressions)
 
 
-def _analyze_worker(
-    task: Tuple[str, str, LintConfig],
-) -> Tuple[str, List[Violation], ModuleSummary]:
-    # Module-scope so it crosses the ProcessPoolExecutor boundary
-    # (JRS007 applies to this engine too).
-    path, source, config = task
-    violations, summary = _analyze_file(path, source, config)
-    return path, violations, summary
-
-
-def _run_phase1(
-    tasks: List[Tuple[str, str, LintConfig]], jobs: int
-) -> Dict[str, Tuple[List[Violation], ModuleSummary]]:
-    results: Dict[str, Tuple[List[Violation], ModuleSummary]] = {}
-    if jobs <= 1 or len(tasks) <= 1:
-        for path, source, config in tasks:
-            results[path] = _analyze_file(path, source, config)
-        return results
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs
-    ) as executor:
-        for path, violations, summary in executor.map(
-            _analyze_worker, tasks, chunksize=8
-        ):
-            results[path] = (violations, summary)
-    return results
-
-
-def _filter_suppressed(
-    violations: Sequence[Violation],
-    by_path: Dict[str, ModuleSummary],
-) -> List[Violation]:
-    kept: List[Violation] = []
-    for violation in violations:
-        summary = by_path.get(violation.path)
-        if summary is not None and violation.rule in (
-            summary.suppressed_codes(violation.line)
-        ):
-            continue
-        kept.append(violation)
-    return kept
-
-
-def lint_project(
-    paths: Sequence[str],
-    config: Optional[LintConfig] = None,
-    *,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[Path] = None,
-    project_rules: Optional[Sequence[ProjectRule]] = None,
-) -> ProjectLintResult:
+def lint_project(paths: Sequence[str]) -> ProjectLintResult:
     """Run both phases over every ``.py`` file under ``paths``."""
-    config = config or LintConfig()
-    pack_key = f"{RULE_PACK_VERSION}|{config.signature()}"
-    cache = LintCache(
-        cache_dir if cache_dir is not None else Path(".repro-lint-cache"),
-        pack_key,
-    )
-    if use_cache:
-        cache.load()
-
-    stats = ProjectLintStats()
-    file_paths: List[str] = []
-    sources: Dict[str, str] = {}
-    hashes: Dict[str, str] = {}
-    for file_path in iter_python_files(paths):
-        text = str(file_path)
-        file_paths.append(text)
-        source = file_path.read_text(encoding="utf-8")
-        sources[text] = source
-        hashes[text] = content_hash(source)
-    stats.files_checked = len(file_paths)
-
-    # ---- phase 1: per-file rules + summaries -------------------------
-    per_file: Dict[str, List[Violation]] = {}
-    summaries: Dict[str, ModuleSummary] = {}
-    misses: List[Tuple[str, str, LintConfig]] = []
-    for path in file_paths:
-        entry = cache.get(path, hashes[path]) if use_cache else None
-        if entry is not None:
-            per_file[path] = entry.violations
-            summaries[path] = entry.summary
-            stats.cache_hits += 1
-        else:
-            misses.append((path, sources[path], config))
-    stats.files_analyzed = len(misses)
-    for path, (violations, summary) in _run_phase1(misses, jobs).items():
-        per_file[path] = violations
-        summaries[path] = summary
-        cache.put(path, CacheEntry(hashes[path], violations, summary))
-
-    # ---- phase 2: cross-module rules over the index ------------------
-    index = ProjectIndex([summaries[path] for path in file_paths])
-    by_path = {summary.path: summary for summary in index.summaries}
-    digests: Dict[str, str] = {
-        path: index.project_digest(summaries[path].module, pack_key)
-        for path in file_paths
-    }
-    dirty = [
-        path
-        for path in file_paths
-        if not use_cache
-        or (entry := cache.entries.get(path)) is None
-        or entry.project_digest != digests[path]
+    results = [
+        lint_source(file_path.read_text(encoding="utf-8"), str(file_path))
+        for file_path in iter_python_files(paths)
     ]
-    project_violations: List[Violation] = []
-    if dirty:
-        stats.project_phase_ran = True
-        stats.project_reanalyzed = len(dirty)
-        rules = (
-            list(project_rules)
-            if project_rules is not None
-            else default_project_rules(config)
+    violations = [v for result in results for v in result.violations]
+    suppressions = {
+        result.summary.path: result.suppressions for result in results
+    }
+    index = ProjectIndex([result.summary for result in results])
+    for rule in PROJECT_RULES:
+        violations.extend(
+            violation
+            for violation in rule.check_project(index)
+            if not _suppressed(
+                violation, suppressions.get(violation.path, {})
+            )
         )
-        raw: List[Violation] = []
-        for rule in rules:
-            raw.extend(rule.check_project(index))
-        project_violations = _filter_suppressed(raw, by_path)
-        grouped: Dict[str, List[Violation]] = {
-            path: [] for path in file_paths
-        }
-        for violation in project_violations:
-            grouped.setdefault(violation.path, []).append(violation)
-        for path in file_paths:
-            entry = cache.entries.get(path)
-            if entry is None:
-                continue
-            entry.project_digest = digests[path]
-            entry.project_violations = grouped.get(path, [])
-    else:
-        for path in file_paths:
-            entry = cache.entries.get(path)
-            if entry is not None:
-                project_violations.extend(entry.project_violations)
-
-    if use_cache:
-        cache.prune(tuple(file_paths))
-        cache.save()
-
-    violations: List[Violation] = []
-    for path in file_paths:
-        violations.extend(per_file[path])
-    violations.extend(project_violations)
-    violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return ProjectLintResult(violations=violations, stats=stats)
+    violations.sort(key=_position)
+    return ProjectLintResult(violations, len(results))

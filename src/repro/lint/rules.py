@@ -1,11 +1,15 @@
 """The JR-SND determinism rule pack.
 
-Per-file rules (JRS001–JRS007) each guard one invariant the
-reproduction's headline claims rest on — seeded randomness only, no
-wall-clock inside the simulated world, narrow excepts, registered
-metric names, no float equality in the signal-processing layers, no
-mutable defaults, and pickle-safe pool boundaries.  Cross-module rules
-(JRS008–JRS011) run in phase 2 against the
+Every rule guards an invariant this repository's results rest on:
+Theorem 1's P̂− at the Table I point, the exact ``(l−1)γ`` DoS bound,
+and byte-identical serial, pool and kill/resume runs all need seeded
+randomness only, simulated time only, registered metric names, and
+picklable pool boundaries.
+
+Per-file rules (JRS001–JRS004, JRS007) check one module's AST: seeded
+randomness, no wall clock inside the simulated world, narrow excepts,
+registered metric names, and pickle-safe pool boundaries.
+Cross-module rules (JRS008–JRS011) run in phase 2 against the
 :class:`~repro.lint.graph.ProjectIndex`: thread-shared-state lock
 discipline, transitive pool-boundary picklability, architecture
 layering with cycle detection, and RNG provenance.  See
@@ -16,7 +20,6 @@ the rationale table and the policy for adding a rule.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import (
     Dict,
     FrozenSet,
@@ -26,16 +29,15 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.lint.engine import (
-    Fix,
-    LintConfig,
     ModuleContext,
     ProjectRule,
     Rule,
-    Severity,
     Violation,
+    package_of,
 )
 from repro.lint.flow import (
     _callee_param_position,
@@ -45,6 +47,9 @@ from repro.lint.flow import (
     tainted_rng_producers,
 )
 from repro.lint.graph import (
+    POOL_BOUNDARY_FUNCTIONS,
+    POOL_BOUNDARY_KEYWORDS,
+    POOL_BOUNDARY_METHODS,
     RNG_CONSTRUCTORS,
     ClassSummary,
     ModuleSummary,
@@ -57,23 +62,15 @@ __all__ = [
     "JRS002WallClock",
     "JRS003BroadExcept",
     "JRS004UnregisteredMetricName",
-    "JRS005FloatEquality",
-    "JRS006MutableDefault",
     "JRS007PoolBoundaryPickle",
     "JRS008ThreadSharedState",
     "JRS009TransitivePoolPickle",
     "JRS010ArchitectureLayering",
     "JRS011RngProvenance",
-    "ALL_RULES",
+    "FILE_RULES",
     "PROJECT_RULES",
-    "RULE_PACK_VERSION",
-    "default_rules",
-    "default_project_rules",
+    "RULES_BY_CODE",
 ]
-
-#: Bumped on any change to rule semantics; invalidates every cached
-#: result (phase 1 and phase 2) in ``.repro-lint-cache/``.
-RULE_PACK_VERSION = "2"
 
 
 class JRS001UnseededRandomness(Rule):
@@ -86,7 +83,6 @@ class JRS001UnseededRandomness(Rule):
     """
 
     code = "JRS001"
-    severity = Severity.ERROR
     description = (
         "no unseeded randomness: stdlib random.*, legacy np.random.*, "
         "or argless default_rng() outside utils/rng.py"
@@ -111,7 +107,7 @@ class JRS001UnseededRandomness(Rule):
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        return not ctx.path_endswith("utils/rng.py")
+        return ctx.module != "repro.utils.rng"
 
     def check(
         self, node: ast.AST, ctx: ModuleContext
@@ -160,7 +156,6 @@ class JRS002WallClock(Rule):
     """
 
     code = "JRS002"
-    severity = Severity.ERROR
     description = (
         "no wall-clock (time.time, datetime.now, ...) in sim/, "
         "core/, dsss/"
@@ -183,7 +178,7 @@ class JRS002WallClock(Rule):
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        return ctx.path_in("/sim/", "/core/", "/dsss/")
+        return ctx.package in ("sim", "core", "dsss")
 
     def check(
         self, node: ast.AST, ctx: ModuleContext
@@ -208,15 +203,10 @@ class JRS003BroadExcept(Rule):
     """
 
     code = "JRS003"
-    severity = Severity.ERROR
-    description = "no bare/broad except outside the allowlist"
+    description = "no bare/broad except"
     node_types = (ast.ExceptHandler,)
 
     _BROAD = frozenset({"Exception", "BaseException"})
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        allowlist = self.config.broad_except_allowlist
-        return not (allowlist and ctx.path_endswith(*allowlist))
 
     def _broad_name(self, expr: ast.expr) -> Optional[str]:
         if isinstance(expr, ast.Name) and expr.id in self._BROAD:
@@ -260,12 +250,12 @@ class JRS004UnregisteredMetricName(Rule):
     A typo'd counter name silently no-ops — the counter is written but
     nothing ever reads it.  Literals must be declared in
     ``obs/names.py``; dynamic names must be built by one of its
-    helpers.  A *registered* literal is only a warning (prefer the
-    constant) and is mechanically rewritten by ``--fix``.
+    helpers.  A *registered* literal is flagged too: the message names
+    the constant to report through, so the registry stays the only
+    place a name is spelled.
     """
 
     code = "JRS004"
-    severity = Severity.ERROR
     description = (
         "metric names passed to repro.obs must be declared in "
         "repro.obs.names (literals registered, dynamics via helpers)"
@@ -289,14 +279,7 @@ class JRS004UnregisteredMetricName(Rule):
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:
-        return not ctx.path_endswith("obs/names.py")
-
-    def _names_alias(self, ctx: ModuleContext) -> Tuple[str, Optional[str]]:
-        """(attribute prefix, import line to add or None)."""
-        for bound, target in ctx.aliases.items():
-            if target == "repro.obs.names":
-                return bound, None
-        return "_names", "from repro.obs import names as _names"
+        return ctx.module != "repro.obs.names"
 
     def check(
         self, node: ast.AST, ctx: ModuleContext
@@ -324,23 +307,12 @@ class JRS004UnregisteredMetricName(Rule):
                 return
             constant = _metric_names.CONSTANT_FOR.get(name)
             if constant is None:
-                return  # helper-shaped literal: nothing to rewrite to
-            alias, new_import = self._names_alias(ctx)
-            fix = Fix(
-                line=arg.lineno,
-                col=arg.col_offset,
-                end_line=arg.end_lineno or arg.lineno,
-                end_col=arg.end_col_offset or arg.col_offset,
-                replacement=f"{alias}.{constant}",
-                new_import=new_import,
-            )
+                return  # helper-shaped literal: no constant to name
             yield self.violation(
                 ctx,
                 node.func,
                 f"registered metric name '{name}' written as a raw "
-                f"literal; use {alias}.{constant} (auto-fixable)",
-                fix=fix,
-                severity=Severity.WARNING,
+                f"literal; report through repro.obs.names.{constant}",
             )
             return
         if isinstance(arg, ast.JoinedStr):
@@ -357,86 +329,6 @@ class JRS004UnregisteredMetricName(Rule):
                 )
 
 
-class JRS005FloatEquality(Rule):
-    """Exact float equality in the signal-processing layers is a trap.
-
-    Correlation thresholds and GF-polynomial intermediates live in
-    ``float64``; ``==`` against a float literal encodes an accidental
-    bit-pattern dependence.  Compare against integers, use tolerances
-    (``math.isclose``/``np.isclose``), or restructure.
-    """
-
-    code = "JRS005"
-    severity = Severity.ERROR
-    description = "no float ==/!= comparisons in dsss/ and ecc/"
-    node_types = (ast.Compare,)
-
-    def applies_to(self, ctx: ModuleContext) -> bool:
-        return ctx.path_in("/dsss/", "/ecc/")
-
-    def check(
-        self, node: ast.AST, ctx: ModuleContext
-    ) -> Iterable[Violation]:
-        assert isinstance(node, ast.Compare)
-        if not any(
-            isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops
-        ):
-            return
-        operands = [node.left, *node.comparators]
-        for operand in operands:
-            if isinstance(operand, ast.Constant) and isinstance(
-                operand.value, float
-            ):
-                yield self.violation(
-                    ctx,
-                    node,
-                    f"float equality against {operand.value!r}; use "
-                    "math.isclose/np.isclose or an integer "
-                    "representation",
-                )
-                return
-
-
-class JRS006MutableDefault(Rule):
-    """A mutable default argument is shared across every call."""
-
-    code = "JRS006"
-    severity = Severity.ERROR
-    description = "no mutable default arguments"
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-    _MUTABLE_CALLS = frozenset(
-        {"list", "dict", "set", "bytearray", "defaultdict", "deque"}
-    )
-
-    def _is_mutable(self, default: ast.expr) -> bool:
-        if isinstance(default, (ast.List, ast.Dict, ast.Set)):
-            return True
-        if isinstance(default, ast.Call):
-            func = default.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else ""
-            )
-            return name in self._MUTABLE_CALLS
-        return False
-
-    def check(
-        self, node: ast.AST, ctx: ModuleContext
-    ) -> Iterable[Violation]:
-        args = node.args  # type: ignore[attr-defined]
-        for default in [*args.defaults, *args.kw_defaults]:
-            if default is not None and self._is_mutable(default):
-                yield self.violation(
-                    ctx,
-                    default,
-                    "mutable default argument is evaluated once and "
-                    "shared across calls; default to None or an "
-                    "immutable value",
-                )
-
-
 class JRS007PoolBoundaryPickle(Rule):
     """Work shipped to a process pool must be pickle-safe.
 
@@ -446,36 +338,19 @@ class JRS007PoolBoundaryPickle(Rule):
     """
 
     code = "JRS007"
-    severity = Severity.ERROR
     description = (
         "no lambdas/closures/local classes crossing the process-pool "
         "boundary"
     )
     node_types = (ast.Call,)
 
-    _POOL_METHODS = frozenset(
-        {
-            "map",
-            "map_async",
-            "imap",
-            "imap_unordered",
-            "starmap",
-            "starmap_async",
-            "apply",
-            "apply_async",
-            "submit",
-        }
-    )
-    _POOL_FUNCTIONS = frozenset({"run_parallel"})
-    _POOL_KEYWORDS = frozenset({"initializer", "func", "callback"})
-
     def _boundary_kind(self, node: ast.Call) -> Optional[str]:
         func = node.func
         if isinstance(func, ast.Attribute):
-            if func.attr in self._POOL_METHODS:
+            if func.attr in POOL_BOUNDARY_METHODS:
                 return f".{func.attr}"
             return None
-        if isinstance(func, ast.Name) and func.id in self._POOL_FUNCTIONS:
+        if isinstance(func, ast.Name) and func.id in POOL_BOUNDARY_FUNCTIONS:
             return func.id
         return None
 
@@ -503,7 +378,7 @@ class JRS007PoolBoundaryPickle(Rule):
         candidates.extend(
             (kw.value, f"keyword '{kw.arg}'")
             for kw in node.keywords
-            if kw.arg in self._POOL_KEYWORDS
+            if kw.arg in POOL_BOUNDARY_KEYWORDS
         )
         for arg, where in candidates:
             reason = self._unpicklable(arg, ctx)
@@ -533,7 +408,6 @@ class JRS008ThreadSharedState(ProjectRule):
     """
 
     code = "JRS008"
-    severity = Severity.ERROR
     description = (
         "attributes shared between a threading.Thread target and "
         "public methods must be accessed under 'with self._lock'"
@@ -599,7 +473,6 @@ class JRS009TransitivePoolPickle(ProjectRule):
     """
 
     code = "JRS009"
-    severity = Severity.ERROR
     description = (
         "no lambdas/closures reaching a process-pool boundary through "
         "helper functions (transitive JRS007)"
@@ -706,22 +579,14 @@ class JRS010ArchitectureLayering(ProjectRule):
     """
 
     code = "JRS010"
-    severity = Severity.ERROR
     description = (
         "imports must respect the docs/architecture.md package DAG; "
         "no module-level import cycles"
     )
 
-    @staticmethod
-    def _target_package(target: str) -> Optional[str]:
-        parts = target.split(".")
-        if parts[0] != "repro" or len(parts) < 2:
-            return None  # stdlib/third-party, or the root facade
-        return parts[1]
-
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
         for summary in index.summaries:
-            source_package = ProjectIndex.package_of(summary.module)
+            source_package = package_of(summary.module)
             allowed = _LAYER_ALLOWED.get(source_package)
             if allowed is None:
                 continue  # root facade or a package outside the DAG
@@ -729,8 +594,9 @@ class JRS010ArchitectureLayering(ProjectRule):
             for record in summary.imports:
                 if record.type_checking or record.function_scope:
                     continue
-                target_package = self._target_package(record.target)
-                if target_package is None:
+                # "" is stdlib/third-party, or the root facade.
+                target_package = package_of(record.target)
+                if not target_package:
                     continue
                 if target_package == source_package:
                     continue
@@ -792,22 +658,15 @@ class JRS011RngProvenance(ProjectRule):
     """
 
     code = "JRS011"
-    severity = Severity.ERROR
     description = (
         "numpy Generators in sim/, dsss/, faults/ must be derived via "
         "repro.utils.rng, not constructed in place"
     )
 
-    _SCOPE = ("/sim/", "/dsss/", "/faults/")
-
-    def _in_scope(self, path: str) -> bool:
-        posix = Path(path).as_posix()
-        return any(fragment in posix for fragment in self._SCOPE)
-
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
         producers = tainted_rng_producers(index)
         for summary in index.summaries:
-            if not self._in_scope(summary.path):
+            if package_of(summary.module) not in ("sim", "dsss", "faults"):
                 continue
             for site in summary.rng_sites:
                 yield self.violation_at(
@@ -847,39 +706,24 @@ class JRS011RngProvenance(ProjectRule):
                 )
 
 
-ALL_RULES: Tuple[type, ...] = (
-    JRS001UnseededRandomness,
-    JRS002WallClock,
-    JRS003BroadExcept,
-    JRS004UnregisteredMetricName,
-    JRS005FloatEquality,
-    JRS006MutableDefault,
-    JRS007PoolBoundaryPickle,
+#: Per-file rules, run in phase 1 over each module's nodes.
+FILE_RULES: Tuple[Rule, ...] = (
+    JRS001UnseededRandomness(),
+    JRS002WallClock(),
+    JRS003BroadExcept(),
+    JRS004UnregisteredMetricName(),
+    JRS007PoolBoundaryPickle(),
 )
 
 #: Cross-module rules, run in phase 2 over the ProjectIndex.
-PROJECT_RULES: Tuple[type, ...] = (
-    JRS008ThreadSharedState,
-    JRS009TransitivePoolPickle,
-    JRS010ArchitectureLayering,
-    JRS011RngProvenance,
+PROJECT_RULES: Tuple[ProjectRule, ...] = (
+    JRS008ThreadSharedState(),
+    JRS009TransitivePoolPickle(),
+    JRS010ArchitectureLayering(),
+    JRS011RngProvenance(),
 )
 
-#: code -> rule class, for --select/--ignore validation and docs.
-RULES_BY_CODE: Dict[str, type] = {
-    rule.code: rule for rule in (*ALL_RULES, *PROJECT_RULES)
+#: code -> rule, for --list-rules and docs.
+RULES_BY_CODE: Dict[str, Union[Rule, ProjectRule]] = {
+    rule.code: rule for rule in (*FILE_RULES, *PROJECT_RULES)
 }
-
-
-def default_rules(config: LintConfig) -> List[Rule]:
-    """Instantiate the per-file rule pack against ``config``."""
-    return [rule_cls(config) for rule_cls in ALL_RULES]
-
-
-def default_project_rules(config: LintConfig) -> List[ProjectRule]:
-    """Instantiate the cross-module rule pack against ``config``."""
-    return [
-        rule_cls(config)
-        for rule_cls in PROJECT_RULES
-        if config.enabled(rule_cls.code)
-    ]

@@ -17,8 +17,8 @@ Three kinds of entry:
   (cache kind, ECC backend); their shapes are registered as
   ``DYNAMIC_PATTERNS`` so the linter can still validate expanded names;
 - **lookup API** — :data:`ALL_NAMES`, :func:`is_registered`, and
-  :data:`CONSTANT_FOR` (used by ``repro.lint --fix`` to rewrite a raw
-  literal into the constant that declares it).
+  :data:`CONSTANT_FOR` (``JRS004`` names the declaring constant when a
+  registered name is written as a raw literal).
 
 Adding a metric: declare the constant here, report through it at the
 call site, and the lint gate keeps both sides honest.
@@ -167,13 +167,6 @@ POOL_WORKERS_FORCE_KILLED = "pool.workers_force_killed"
 POOL_RUNS_RETRIED = "pool.runs_retried"
 POOL_RUNS_QUARANTINED = "pool.runs_quarantined"
 POOL_DEGRADED = "pool.degraded"
-
-# -- lint engine (two-phase analyzer instrumentation) ------------------
-
-LINT_FILES_ANALYZED = "lint.files_analyzed"
-LINT_CACHE_HITS = "lint.cache_hits"
-LINT_PROJECT_REANALYZED = "lint.project_reanalyzed"
-
 
 # -- dynamic-name helpers ----------------------------------------------
 

@@ -14,8 +14,8 @@ def report(kind: str, name: str) -> None:
     registry.inc(_names.POOL_WORKERS_RESPAWNED)
     registry.inc(_names.POOL_RUNS_QUARANTINED)
     registry.inc(_names.CAMPAIGNS_STORE_SALVAGED)
-    registry.inc(_names.LINT_FILES_ANALYZED)
-    registry.inc(_names.LINT_CACHE_HITS)
+    registry.inc(_names.POOL_TASKS_DISPATCHED)
+    registry.inc(_names.POOL_RUNS_RETRIED)
     registry.inc(_names.cache_hits(kind))
     registry.inc(name)  # forwarder: literal checked at its call site
     ["a", "b"].count("a")

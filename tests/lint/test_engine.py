@@ -1,16 +1,15 @@
-"""Engine-level tests: suppressions, selection, ordering, robustness."""
+"""Engine-level tests: suppressions, ordering, robustness."""
 
 from pathlib import Path
 
-from repro.lint import LintConfig, default_rules, lint_source
+from repro.lint import lint_source
 from repro.lint.engine import parse_suppressions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def lint(source: str, path: str = "src/repro/core/x.py", **cfg):
-    config = LintConfig(**cfg)
-    return lint_source(source, path, default_rules(config), config)
+def lint(source: str, path: str = "src/repro/core/x.py"):
+    return lint_source(source, path).violations
 
 
 class TestSuppressions:
@@ -42,14 +41,17 @@ class TestSuppressions:
 
     def test_multiple_codes_one_comment(self):
         source = (
+            "import random\n"
             "import time\n"
-            "def f(xs=[]):\n"
-            "    return xs, time.time()  "
-            "# jrsnd: noqa(JRS002, JRS006) -- fixture exercises both\n"
+            "def f():\n"
+            "    return random.random(), time.time()  "
+            "# jrsnd: noqa(JRS001, JRS002) -- fixture exercises both\n"
+            "def g():\n"
+            "    return random.random()\n"
         )
         violations = lint(source, path="src/repro/sim/x.py")
-        # JRS006 fires on the def line, not the suppressed one.
-        assert [v.rule for v in violations] == ["JRS006"]
+        # Only the unsuppressed draw in g() still fires.
+        assert [(v.rule, v.line) for v in violations] == [("JRS001", 6)]
 
     def test_noqa_in_string_literal_is_not_a_suppression(self):
         source = 'POLICY = "# jrsnd: noqa(JRS003) -- not a comment"\n'
@@ -57,48 +59,31 @@ class TestSuppressions:
 
     def test_parse_suppressions_round_trip(self):
         suppressions, hygiene = parse_suppressions(
-            "x = 1  # jrsnd: noqa(JRS005) -- exact sentinel compare\n",
+            "x = 1  # jrsnd: noqa(JRS003) -- exact sentinel compare\n",
             "x.py",
         )
         assert hygiene == []
-        assert suppressions[1].codes == ("JRS005",)
+        assert suppressions[1].codes == ("JRS003",)
         assert suppressions[1].justification == (
             "exact sentinel compare"
         )
 
 
-class TestSelection:
-    SOURCE = (
-        "import time\n"
-        "def f(xs=[]):\n"
-        "    return xs, time.time()\n"
-    )
-
-    def test_select_runs_only_named_rules(self):
-        violations = lint(
-            self.SOURCE, path="src/repro/sim/x.py",
-            select={"JRS006"},
-        )
-        assert [v.rule for v in violations] == ["JRS006"]
-
-    def test_ignore_skips_named_rules(self):
-        violations = lint(
-            self.SOURCE, path="src/repro/sim/x.py",
-            ignore={"JRS002"},
-        )
-        assert [v.rule for v in violations] == ["JRS006"]
-
-
 class TestEngineBehaviour:
     def test_findings_sorted_by_position(self):
         source = (
+            "import random\n"
             "import time\n"
-            "def f(xs=[]):\n"
-            "    return xs, time.time()\n"
-            "def g(ys={}):\n"
-            "    return ys\n"
+            "def f():\n"
+            "    try:\n"
+            "        return random.random(), time.time()\n"
+            "    except Exception:\n"
+            "        return random.random()\n"
         )
         violations = lint(source, path="src/repro/sim/x.py")
+        assert [v.rule for v in violations] == [
+            "JRS001", "JRS002", "JRS003", "JRS001",
+        ]
         positions = [(v.line, v.col) for v in violations]
         assert positions == sorted(positions)
 

@@ -1,26 +1,21 @@
-"""ProjectIndex tests: module naming, import records, closures,
-summary serialization, and the flow analyses phase 2 builds on."""
+"""ProjectIndex tests: module naming, import records, and the flow
+analyses phase 2 builds on."""
 
 import ast
 
-from repro.lint.engine import ModuleContext
+from repro.lint.engine import ModuleContext, module_name_for_path, package_of
 from repro.lint.flow import (
     find_import_cycles,
     reachable_methods,
     tainted_boundary_params,
     tainted_rng_producers,
 )
-from repro.lint.graph import (
-    ModuleSummary,
-    ProjectIndex,
-    module_name_for_path,
-    summarize_module,
-)
+from repro.lint.graph import ModuleSummary, ProjectIndex, summarize_module
 
 
 def summarize(path: str, source: str) -> ModuleSummary:
     tree = ast.parse(source, filename=path)
-    return summarize_module(ModuleContext(path, source, tree))
+    return summarize_module(ModuleContext(path, tree))
 
 
 def build_index(files: dict) -> ProjectIndex:
@@ -50,8 +45,9 @@ class TestModuleNaming:
         assert module_name_for_path("/tmp/scratch.py") == "scratch"
 
     def test_package_of(self):
-        assert ProjectIndex.package_of("repro.dsss.phy") == "dsss"
-        assert ProjectIndex.package_of("repro") == ""
+        assert package_of("repro.dsss.phy") == "dsss"
+        assert package_of("repro") == ""
+        assert package_of("scratch") == ""
 
 
 class TestImportRecords:
@@ -95,81 +91,15 @@ class TestImportRecords:
         assert "repro.campaigns" not in lazy_free
 
 
-class TestImportClosure:
-    FILES = {
+class TestFlowAnalyses:
+    #: a -> b -> c, with d independent: a DAG.
+    DAG = {
         "src/repro/sim/a.py": "from repro.sim import b\n",
         "src/repro/sim/b.py": "from repro.sim import c\n",
         "src/repro/sim/c.py": "X = 1\n",
         "src/repro/sim/d.py": "Y = 2\n",
     }
 
-    def test_transitive_closure(self):
-        index = build_index(self.FILES)
-        assert index.import_closure("repro.sim.a") == {
-            "repro.sim.b",
-            "repro.sim.c",
-        }
-        assert index.import_closure("repro.sim.c") == frozenset()
-        assert index.import_closure("repro.sim.d") == frozenset()
-
-    def test_project_digest_tracks_dependencies(self):
-        index = build_index(self.FILES)
-        changed = dict(self.FILES)
-        changed["src/repro/sim/c.py"] = "X = 2\n"
-        index2 = build_index(changed)
-        # a depends on c transitively: digest changes.
-        assert index.project_digest(
-            "repro.sim.a", "salt"
-        ) != index2.project_digest("repro.sim.a", "salt")
-        # d is independent: digest is stable.
-        assert index.project_digest(
-            "repro.sim.d", "salt"
-        ) == index2.project_digest("repro.sim.d", "salt")
-
-    def test_digest_depends_on_salt(self):
-        index = build_index(self.FILES)
-        assert index.project_digest(
-            "repro.sim.a", "pack-1"
-        ) != index.project_digest("repro.sim.a", "pack-2")
-
-
-class TestSummarySerde:
-    def test_round_trip(self):
-        source = (
-            "import threading\n"
-            "import numpy as np\n"
-            "from dataclasses import dataclass, field\n"
-            "\n"
-            "def make():\n"
-            "    return np.random.default_rng(3)\n"
-            "\n"
-            "@dataclass\n"
-            "class Box:\n"
-            "    rng: object = field(default_factory=make)\n"
-            "\n"
-            "class Runner:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._n = 0\n"
-            "        self._t = threading.Thread(target=self._go)\n"
-            "    def _go(self):\n"
-            "        with self._lock:\n"
-            "            self._n += 1\n"
-        )
-        summary = summarize("src/repro/sim/x.py", source)
-        restored = ModuleSummary.from_json(summary.to_json())
-        assert restored == summary
-
-    def test_round_trip_survives_json_dump(self):
-        import json
-
-        source = "from repro.obs import names\nX = 1\n"
-        summary = summarize("src/repro/sim/x.py", source)
-        payload = json.loads(json.dumps(summary.to_json()))
-        assert ModuleSummary.from_json(payload) == summary
-
-
-class TestFlowAnalyses:
     def test_reachable_methods(self):
         source = (
             "import threading\n"
@@ -246,5 +176,5 @@ class TestFlowAnalyses:
         assert cycles == [("repro.sim.a", "repro.sim.b")]
 
     def test_no_cycles_in_dag(self):
-        index = build_index(TestImportClosure.FILES)
+        index = build_index(self.DAG)
         assert find_import_cycles(index) == []

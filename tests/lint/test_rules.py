@@ -1,23 +1,23 @@
 """Per-rule fixture tests: each JRS rule fires on its known-bad
 fixture and stays silent on the corrected version."""
 
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, default_rules, lint_project, lint_source
+from repro.lint import lint_project, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: Virtual paths: scoped rules (JRS002, JRS005) key off the module's
-#: location, so fixtures are linted as-if they lived in scope.
+#: Virtual paths: scoped rules (JRS002) key off the module's location,
+#: so fixtures are linted as-if they lived in scope.
 IN_SCOPE = {
     "JRS001": "src/repro/core/fixture.py",
     "JRS002": "src/repro/sim/fixture.py",
     "JRS003": "src/repro/core/fixture.py",
     "JRS004": "src/repro/experiments/fixture.py",
-    "JRS005": "src/repro/dsss/fixture.py",
-    "JRS006": "src/repro/analysis/fixture.py",
     "JRS007": "src/repro/experiments/fixture.py",
 }
 
@@ -27,8 +27,6 @@ EXPECTED_MIN = {
     "JRS002": 6,
     "JRS003": 4,
     "JRS004": 8,
-    "JRS005": 2,
-    "JRS006": 5,
     "JRS007": 5,
 }
 
@@ -52,10 +50,7 @@ PROJECT_EXPECTED_MIN = {
 
 def run_fixture(name: str, virtual_path: str):
     source = (FIXTURES / name).read_text()
-    config = LintConfig()
-    return lint_source(
-        source, virtual_path, default_rules(config), config
-    )
+    return lint_source(source, virtual_path).violations
 
 
 def run_project_fixture(name: str, virtual_path: str, tmp_path: Path):
@@ -63,10 +58,7 @@ def run_project_fixture(name: str, virtual_path: str, tmp_path: Path):
     target = tmp_path / virtual_path
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text((FIXTURES / name).read_text())
-    result = lint_project(
-        [str(tmp_path)], LintConfig(), use_cache=False
-    )
-    return result.violations
+    return lint_project([str(tmp_path)]).violations
 
 
 def run_project_tree(tmp_path: Path, files: dict):
@@ -75,10 +67,7 @@ def run_project_tree(tmp_path: Path, files: dict):
         target = tmp_path / virtual_path
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source)
-    result = lint_project(
-        [str(tmp_path)], LintConfig(), use_cache=False
-    )
-    return result.violations
+    return lint_project([str(tmp_path)]).violations
 
 
 @pytest.mark.parametrize("code", sorted(IN_SCOPE))
@@ -236,8 +225,6 @@ class TestScoping:
         [
             ("jrs002_bad.py", "JRS002",
              "src/repro/experiments/fixture.py"),
-            ("jrs005_bad.py", "JRS005",
-             "src/repro/analysis/fixture.py"),
         ],
     )
     def test_out_of_scope_is_silent(
@@ -248,31 +235,39 @@ class TestScoping:
 
     def test_jrs001_exempts_rng_module(self):
         source = "import numpy as np\nrng = np.random.default_rng()\n"
-        config = LintConfig()
-        rules = default_rules(config)
-        inside = lint_source(
-            source, "src/repro/utils/rng.py", rules, config
-        )
-        outside = lint_source(
-            source, "src/repro/utils/other.py", rules, config
-        )
-        assert inside == []
-        assert [v.rule for v in outside] == ["JRS001"]
+        inside = lint_source(source, "src/repro/utils/rng.py")
+        outside = lint_source(source, "src/repro/utils/other.py")
+        assert inside.violations == []
+        assert [v.rule for v in outside.violations] == ["JRS001"]
 
-    def test_jrs003_allowlist(self):
-        source = "try:\n    pass\nexcept Exception:\n    pass\n"
-        config = LintConfig(
-            broad_except_allowlist=("experiments/parallel.py",)
+    def test_scope_ignores_path_spelling(self, tmp_path, monkeypatch):
+        """A relative and an absolute spelling of the same mutated file
+        get the same findings: scope and module name come from the
+        resolved path, not the string given."""
+        package = tmp_path / "src" / "repro"
+        shutil.copytree(
+            SRC / "repro" / "sim",
+            package / "sim",
+            ignore=shutil.ignore_patterns("__pycache__"),
         )
-        rules = default_rules(config)
-        allowed = lint_source(
-            source, "src/repro/experiments/parallel.py", rules, config
+        medium = package / "sim" / "medium.py"
+        medium.write_text(
+            medium.read_text()
+            + "\nimport time\n"
+            "from repro.experiments import runner\n"
+            "STARTED = time.time()\n"
         )
-        elsewhere = lint_source(
-            source, "src/repro/core/x.py", rules, config
-        )
-        assert allowed == []
-        assert [v.rule for v in elsewhere] == ["JRS003"]
+        monkeypatch.chdir(package)
+
+        def findings(path):
+            return [
+                (v.rule, v.line, v.col, v.message)
+                for v in lint_project([path]).violations
+            ]
+
+        relative = findings("sim")
+        assert relative == findings(str(package / "sim"))
+        assert {rule for rule, *_ in relative} == {"JRS002", "JRS010"}
 
 
 class TestRuleDetails:
@@ -293,31 +288,16 @@ class TestRuleDetails:
         )
         assert run_fixture_source(source) == []
 
-    def test_jrs004_registered_literal_is_fixable_warning(self):
+    def test_jrs004_registered_literal_is_error(self):
+        """A registered name written as a raw literal is a finding
+        that names the constant to report through."""
         source = (
             "from repro.obs import current\n"
             'current().inc("dsss.scans")\n'
         )
         violations = run_fixture_source(source)
-        assert len(violations) == 1
-        violation = violations[0]
-        assert violation.rule == "JRS004"
-        assert violation.severity.value == "warning"
-        assert violation.fixable
-        assert violation.fix.replacement == "_names.DSSS_SCANS"
-        assert violation.fix.new_import == (
-            "from repro.obs import names as _names"
-        )
-
-    def test_jrs004_reuses_existing_names_alias(self):
-        source = (
-            "from repro.obs import names\n"
-            "from repro.obs import current\n"
-            'current().inc("dsss.scans")\n'
-        )
-        violations = run_fixture_source(source)
-        assert violations[0].fix.replacement == "names.DSSS_SCANS"
-        assert violations[0].fix.new_import is None
+        assert [v.rule for v in violations] == ["JRS004"]
+        assert "repro.obs.names.DSSS_SCANS" in violations[0].message
 
     def test_jrs007_module_scope_shadow_is_not_flagged(self):
         source = (
@@ -333,8 +313,4 @@ class TestRuleDetails:
 
 
 def run_fixture_source(source: str):
-    config = LintConfig()
-    return lint_source(
-        source, "src/repro/core/fixture.py",
-        default_rules(config), config,
-    )
+    return lint_source(source, "src/repro/core/fixture.py").violations
