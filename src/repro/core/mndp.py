@@ -194,6 +194,48 @@ class LogicalGraph:
         return clone
 
 
+# Pairs per chunk of the ball-intersection test: two (chunk, n/64)
+# uint64 gathers stay cache-sized instead of spanning every pair.
+_MEET_CHUNK = 1024
+
+
+def _neighbor_table(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Directed links ``src[i] -> dst[i]`` as an ``(n, max_degree)``
+    table, padded with the sentinel node ``n``."""
+    order = np.argsort(src)
+    src, dst = src[order], dst[order]
+    degree = np.bincount(src, minlength=n)
+    table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+    starts = np.cumsum(degree) - degree
+    table[src, np.arange(src.size) - starts[src]] = dst
+    return table
+
+
+def _grow(ball: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``B_{r+1}[v] = B_r[v] | OR_k B_r[table[v, k]]`` for every node;
+    the sentinel row stays zero.  Costs ``max_degree * n * n/64`` word
+    ORs, one gather per table column."""
+    grown = ball.copy()
+    body = grown[:-1]
+    for column in table.T:
+        body |= ball[column]
+    return grown
+
+
+def _meets(
+    outer: np.ndarray, inner: np.ndarray, a_arr: np.ndarray, b_arr: np.ndarray
+) -> np.ndarray:
+    """Mask of pairs whose balls ``outer[a]`` and ``inner[b]`` share a
+    node."""
+    hit = np.empty(a_arr.size, dtype=bool)
+    for start in range(0, a_arr.size, _MEET_CHUNK):
+        stop = start + _MEET_CHUNK
+        shared = outer[a_arr[start:stop]]
+        shared &= inner[b_arr[start:stop]]
+        hit[start:stop] = np.bitwise_or.reduce(shared, axis=1) != 0
+    return hit
+
+
 class MNDPSampler:
     """Monte Carlo M-NDP: bounded-hop closure of the logical graph.
 
@@ -206,10 +248,10 @@ class MNDPSampler:
         nodes refusing to cooperate — the paper keeps them in, so the
         default is empty).
     backend:
-        ``"vectorized"`` (default) answers each round with packed-bitset
-        breadth-first expansion; ``"reference"`` keeps the original
-        per-source networkx shortest-path queries.  Both return the same
-        pairs with the same hop distances in the same order.
+        ``"vectorized"`` (default) answers each round by intersecting
+        packed hop balls shared by every pair; ``"reference"`` keeps the
+        original per-source networkx shortest-path queries.  Both return
+        the same pairs with the same hop distances in the same order.
     """
 
     def __init__(
@@ -258,24 +300,22 @@ class MNDPSampler:
         paper describes: links formed by M-NDP enable further pairs.
         Returns all pairs newly discovered across the rounds.
         ``physical_pairs`` may be a sequence of pairs or a ``(k, 2)``
-        integer array.
+        integer array; a node index outside ``[0, n_nodes)`` raises
+        :class:`ConfigurationError`.
         """
         check_positive("rounds", rounds)
+        raw = np.asarray(physical_pairs, dtype=np.int64).reshape(-1, 2)
+        if raw.size:
+            logical._check_range(int(raw.min()), int(raw.max()))
         registry = _metrics()
         if self._backend == "vectorized":
-            return self._discover_vectorized(
-                physical_pairs, logical, rounds, registry
-            )
-        if isinstance(physical_pairs, np.ndarray):
-            physical_pairs = [
-                (a, b) for a, b in physical_pairs.reshape(-1, 2).tolist()
-            ]
+            return self._discover_vectorized(raw, logical, rounds, registry)
         discovered: Set[Pair] = set()
         working = logical
         for round_index in range(rounds):
             pending = [
                 _ordered(a, b)
-                for a, b in physical_pairs
+                for a, b in raw.tolist()
                 if not working.has_link(a, b)
             ]
             new_links = self._one_round(pending, working)
@@ -301,52 +341,59 @@ class MNDPSampler:
 
     def _discover_vectorized(
         self,
-        physical_pairs: Sequence[Pair],
+        raw: np.ndarray,
         logical: LogicalGraph,
         rounds: int,
         registry,
     ) -> Set[Pair]:
         """Array-native form of the reference :meth:`discover` loop.
 
-        The logical graph is scattered once into a link matrix (and,
-        when relays are excluded, a separate relay matrix); each round
-        screens the still-unlinked pairs, resolves their closure
-        distances, and commits new links in place — no per-round graph
-        copies, no per-pair ``has_link`` queries.  Metrics, results, and
+        Links are kept as one sorted array of pair keys ``a * n + b``
+        (``a < b``), closed by the sentinel key ``n * n`` so a sorted
+        search always lands on an entry.  Each round screens the
+        still-unlinked pairs against it, resolves their closure
+        distances, and merges the new links in — no graph copies, no
+        per-pair ``has_link`` queries.  Metrics, results, and
         first-occurrence pair deduplication match the reference.
         """
         n = logical.n_nodes
-        raw = np.asarray(physical_pairs, dtype=np.int64).reshape(-1, 2)
         a_all = np.minimum(raw[:, 0], raw[:, 1])
         b_all = np.maximum(raw[:, 0], raw[:, 1])
-        link = np.zeros((n, n), dtype=bool)
+        keys_all = a_all * n + b_all
         edges = logical.edge_array()
-        if edges.size:
-            link[edges[:, 0], edges[:, 1]] = True
-            link[edges[:, 1], edges[:, 0]] = True
-        if self._exclude:
-            relay = link.copy()
-            self._zero_excluded(relay)
-        else:
-            relay = link
-        valid_all = self._endpoint_valid(a_all, b_all, n)
+        linked = np.unique(
+            np.append(
+                np.minimum(edges[:, 0], edges[:, 1]) * n
+                + np.maximum(edges[:, 0], edges[:, 1]),
+                n * n,
+            )
+        )
+        excluded = np.zeros(n, dtype=bool)
+        excluded[[x for x in self._exclude if 0 <= x < n]] = True
+        # Excluded endpoints never discover anyone, and a node is never
+        # its own neighbor (the reference finds it at distance 0).
+        valid_all = (a_all != b_all) & ~(excluded[a_all] | excluded[b_all])
         discovered: Set[Pair] = set()
         for round_index in range(rounds):
-            pend = np.flatnonzero(~link[a_all, b_all])
+            pos = np.searchsorted(linked, keys_all)
+            pend = np.flatnonzero(linked[pos] != keys_all)
             # The reference keys new links by pair, so duplicates in
             # physical_pairs resolve (and observe metrics) only once.
-            keys = a_all[pend] * n + b_all[pend]
-            first = np.unique(keys, return_index=True)[1]
+            first = np.unique(keys_all[pend], return_index=True)[1]
             if first.size != pend.size:
                 first.sort()
                 pend_unique = pend[first]
             else:
                 pend_unique = pend
+            lo, hi = np.divmod(linked[:-1], n)
+            relay = ~(excluded[lo] | excluded[hi])
             dist = self._closure_distances(
                 a_all[pend_unique],
                 b_all[pend_unique],
-                relay,
                 valid_all[pend_unique],
+                lo[relay],
+                hi[relay],
+                n,
             )
             found = dist > 0
             new_idx = pend_unique[found]
@@ -362,61 +409,61 @@ class MNDPSampler:
             discovered.update(zip(new_a.tolist(), new_b.tolist()))
             if round_index == rounds - 1:
                 break
-            link[new_a, new_b] = True
-            link[new_b, new_a] = True
-            if relay is not link:
-                relay[new_a, new_b] = True
-                relay[new_b, new_a] = True
+            linked = np.union1d(linked, keys_all[new_idx])
         if registry.enabled:
             registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
         return discovered
-
-    def _zero_excluded(self, adj: np.ndarray) -> None:
-        """Remove excluded nodes' rows/columns from a relay adjacency."""
-        n = adj.shape[0]
-        excluded = np.fromiter(self._exclude, dtype=np.int64)
-        excluded = excluded[(excluded >= 0) & (excluded < n)]
-        adj[excluded, :] = False
-        adj[:, excluded] = False
-
-    def _endpoint_valid(
-        self, a_arr: np.ndarray, b_arr: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Mask of pairs whose endpoints are both non-excluded."""
-        if not self._exclude:
-            return np.ones(a_arr.size, dtype=bool)
-        excluded = np.fromiter(self._exclude, dtype=np.int64)
-        excluded = excluded[(excluded >= 0) & (excluded < n)]
-        in_excl = np.zeros(n, dtype=bool)
-        in_excl[excluded] = True
-        return ~(in_excl[a_arr] | in_excl[b_arr])
 
     def _closure_distances(
         self,
         a_arr: np.ndarray,
         b_arr: np.ndarray,
-        adj: np.ndarray,
         valid: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        n: int,
     ) -> np.ndarray:
-        """Hop distances (0 = unreachable) for pairs over a relay
-        adjacency, by the packed-bitset level sweep."""
+        """Hop distances (0 = unreachable) for unlinked pairs over the
+        relay links ``lo[i] -- hi[i]``, by meeting hop balls halfway.
+
+        ``balls[r - 1]`` packs every node's closed ``r``-hop ball into
+        ``uint64`` words, plus an all-zero sentinel row ``n``.  A pair
+        unresolved below level ``L`` sits at distance ``L`` iff
+        ``B_ceil(L/2)[a] & B_floor(L/2)[b]`` is non-zero.  The pairs are
+        unlinked, so none sits at distance 1 and the sweep starts at 2.
+        Balls grow one hop at a time, only as deep as a level needs.
+        """
         dist = np.zeros(a_arr.size, dtype=np.int64)
-        if a_arr.size == 0:
+        remaining = np.flatnonzero(valid)
+        if self._nu < 2 or remaining.size == 0:
             return dist
-        n = adj.shape[0]
-        dist[adj[a_arr, b_arr] & valid] = 1
-        remaining = np.flatnonzero(valid & (dist == 0))
-        if self._nu >= 2 and remaining.size:
-            packed = np.packbits(adj, axis=1)
-            hit = (
-                packed[a_arr[remaining]] & packed[b_arr[remaining]]
-            ).any(axis=1)
-            dist[remaining[hit]] = 2
+        nodes = np.arange(n)
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        ball = np.zeros((n + 1, (n + 63) // 64), dtype=np.uint64)
+        members = np.concatenate([dst, nodes])
+        np.bitwise_or.at(
+            ball,
+            (np.concatenate([src, nodes]), members >> 6),
+            np.left_shift(np.uint64(1), (members & 63).astype(np.uint64)),
+        )
+        balls = [ball]
+        table = None
+        for level in range(2, self._nu + 1):
+            if remaining.size == 0:
+                break
+            if (level + 1) // 2 > len(balls):
+                if table is None:
+                    table = _neighbor_table(src, dst, n)
+                balls.append(_grow(balls[-1], table))
+            hit = _meets(
+                balls[(level + 1) // 2 - 1],
+                balls[level // 2 - 1],
+                a_arr[remaining],
+                b_arr[remaining],
+            )
+            dist[remaining[hit]] = level
             remaining = remaining[~hit]
-            if self._nu >= 3 and remaining.size:
-                self._deep_levels(
-                    a_arr, b_arr, dist, remaining, adj, packed, n
-                )
         return dist
 
     def _one_round(
@@ -424,17 +471,7 @@ class MNDPSampler:
     ) -> Dict[Pair, int]:
         """Pairs connectable by a ``<= nu``-hop path in the current
         graph, mapped to the hop distance of that path (in ``pending``
-        order)."""
-        if not pending:
-            return {}
-        if self._backend == "vectorized":
-            return self._one_round_vectorized(pending, logical)
-        return self._one_round_reference(pending, logical)
-
-    def _one_round_reference(
-        self, pending: List[Pair], logical: LogicalGraph
-    ) -> Dict[Pair, int]:
-        """Per-source networkx shortest-path queries (the original)."""
+        order), by per-source networkx shortest-path queries."""
         sources = {a for a, _ in pending}
         reach: Dict[int, Dict[int, int]] = {}
         graph = logical
@@ -450,84 +487,6 @@ class MNDPSampler:
             for a, b in pending
             if b not in self._exclude and reach[a].get(b, 0) > 0
         }
-
-    def _one_round_vectorized(
-        self, pending: List[Pair], logical: LogicalGraph
-    ) -> Dict[Pair, int]:
-        """Packed-bitset bounded-hop closure.
-
-        A pair sits at distance ``L`` iff ``b`` is adjacent to some node
-        exactly ``L - 1`` hops from ``a`` and was not resolved at a
-        shallower level, so hop 1 is an adjacency lookup, hop 2 is one
-        AND/any over the packed adjacency rows of both endpoints, and
-        deeper hops expand per-source frontiers with OR-reduced packed
-        rows.  Bit-for-bit the same pairs/distances as the reference.
-        """
-        n = logical.n_nodes
-        n_pairs = len(pending)
-        a_arr = np.fromiter(
-            (a for a, _ in pending), dtype=np.int64, count=n_pairs
-        )
-        b_arr = np.fromiter(
-            (b for _, b in pending), dtype=np.int64, count=n_pairs
-        )
-        adj = np.zeros((n, n), dtype=bool)
-        edges = logical.edge_array()
-        if edges.size:
-            adj[edges[:, 0], edges[:, 1]] = True
-            adj[edges[:, 1], edges[:, 0]] = True
-        if self._exclude:
-            self._zero_excluded(adj)
-        valid = self._endpoint_valid(a_arr, b_arr, n)
-        dist = self._closure_distances(a_arr, b_arr, adj, valid)
-        result: Dict[Pair, int] = {}
-        for index, hops in enumerate(dist.tolist()):
-            if hops > 0:
-                result[pending[index]] = hops
-        return result
-
-    def _deep_levels(
-        self,
-        a_arr: np.ndarray,
-        b_arr: np.ndarray,
-        dist: np.ndarray,
-        remaining: np.ndarray,
-        adj: np.ndarray,
-        packed: np.ndarray,
-        n: int,
-    ) -> None:
-        """Resolve hops ``3..nu`` by expanding per-source frontiers."""
-        frontiers: Dict[int, np.ndarray] = {}
-        visiteds: Dict[int, np.ndarray] = {}
-        depths: Dict[int, int] = {}
-        for level in range(3, self._nu + 1):
-            if remaining.size == 0:
-                return
-            for src in set(a_arr[remaining].tolist()):
-                if src not in frontiers:
-                    visited = packed[src].copy()
-                    visited[src >> 3] |= np.uint8(0x80 >> (src & 7))
-                    frontiers[src] = packed[src]
-                    visiteds[src] = visited
-                    depths[src] = 1
-                while depths[src] < level - 1:
-                    members = np.flatnonzero(
-                        np.unpackbits(frontiers[src], count=n)
-                    )
-                    if members.size == 0:
-                        depths[src] = level - 1
-                        break
-                    grown = np.bitwise_or.reduce(packed[members], axis=0)
-                    grown &= ~visiteds[src]
-                    visiteds[src] |= grown
-                    frontiers[src] = grown
-                    depths[src] += 1
-            stacked = np.stack(
-                [frontiers[int(a)] for a in a_arr[remaining]]
-            )
-            hit = (stacked & packed[b_arr[remaining]]).any(axis=1)
-            dist[remaining[hit]] = level
-            remaining = remaining[~hit]
 
     def _without_excluded(self, logical: LogicalGraph) -> LogicalGraph:
         """The logical graph with excluded nodes unable to *relay*.

@@ -2,10 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.mndp import LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, installed
+from repro.obs import names
 
 
 def _random_instance(rnd):
@@ -23,6 +26,36 @@ def _random_instance(rnd):
     return n, graph, pairs
 
 
+def _run_backend(backend, nu, pairs, graph, exclude=(), rounds=1):
+    """``discover`` on one backend: the recovered set and the metrics."""
+    registry = MetricsRegistry()
+    with installed(registry):
+        recovered = MNDPSampler(
+            nu, exclude=exclude, backend=backend
+        ).discover(pairs, graph, rounds=rounds)
+    return recovered, registry.snapshot()
+
+
+def _assert_backends_agree(nu, pairs, graph, exclude=(), rounds=1):
+    """Same pairs, same counters, and the same ordered
+    ``mndp.recovery_hops`` samples (hop counts in pending order)."""
+    want, want_metrics = _run_backend(
+        "reference", nu, pairs, graph, exclude, rounds
+    )
+    got, got_metrics = _run_backend(
+        "vectorized", nu, pairs, graph, exclude, rounds
+    )
+    assert got == want
+    assert got_metrics.counters == want_metrics.counters
+    assert got_metrics.histograms == want_metrics.histograms
+    return want, _hops(want_metrics)
+
+
+def _hops(snapshot):
+    stat = snapshot.histograms.get(names.MNDP_RECOVERY_HOPS)
+    return list(stat.values) if stat else []
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("nu", [1, 2, 3, 5])
     def test_one_round_identical_dicts(self, nu):
@@ -30,18 +63,7 @@ class TestBackendEquivalence:
         for _ in range(40):
             n, graph, pairs = _random_instance(rnd)
             exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            reference = MNDPSampler(
-                nu, exclude=exclude, backend="reference"
-            )
-            vectorized = MNDPSampler(
-                nu, exclude=exclude, backend="vectorized"
-            )
-            pending = [p for p in pairs if not graph.has_link(*p)]
-            want = reference._one_round(pending, graph)
-            got = vectorized._one_round(pending, graph)
-            # Same pairs, same hop counts, same (pending) order — the
-            # order feeds the mndp.recovery_hops histogram.
-            assert list(want.items()) == list(got.items())
+            _assert_backends_agree(nu, pairs, graph, exclude)
 
     def test_discover_identical_over_rounds(self):
         rnd = random.Random(900)
@@ -93,29 +115,178 @@ class TestBackendEquivalence:
             assert want == got
 
     def test_discover_metrics_identical(self):
-        from repro.obs import MetricsRegistry, installed
-
         rnd = random.Random(4242)
         for _ in range(10):
             n, graph, pairs = _random_instance(rnd)
             exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            snapshots = {}
-            for backend in ("reference", "vectorized"):
-                registry = MetricsRegistry()
-                with installed(registry):
-                    MNDPSampler(
-                        3, exclude=exclude, backend=backend
-                    ).discover(pairs, graph, rounds=3)
-                snapshots[backend] = registry.snapshot()
-            want, got = snapshots["reference"], snapshots["vectorized"]
-            assert want.counters == got.counters
-            assert want.histograms == got.histograms
+            _assert_backends_agree(3, pairs, graph, exclude, rounds=3)
+
+    def test_self_pairs_never_recovered(self):
+        graph = LogicalGraph(4)
+        graph.add_link(0, 1)
+        graph.add_link(1, 2)
+        recovered, hops = _assert_backends_agree(
+            3, [(1, 1), (0, 0), (0, 2)], graph
+        )
+        assert recovered == {(0, 2)}
+        assert hops == [2]
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_out_of_range_pair_rejected(self, backend, index):
+        # -1 would otherwise wrap to node n-1 on the array path and fake
+        # (or hide) a recovery.
+        graph = LogicalGraph(6)
+        graph.add_links([(0, 5), (5, 4)])
+        sampler = MNDPSampler(3, backend=backend)
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"node index {index} out of range \[0, 6\)",
+        ):
+            sampler.discover([(0, 4), (index, 4)], graph)
+        with pytest.raises(ConfigurationError):
+            sampler.discover(np.array([[4, index]]), graph)
+
+
+NUS = list(range(1, 9))
+
+
+def _path_graph(n):
+    graph = LogicalGraph(n)
+    graph.add_links([(i, i + 1) for i in range(n - 1)])
+    return graph
+
+
+class TestClosureEquivalence:
+    """The ball closure against the per-source networkx oracle for
+    every hop budget the Figure 5 sweep uses."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_word_boundary_sizes(self, n):
+        # Balls pack n nodes into ceil(n/64) words; these sizes put the
+        # last node on, just past, and just before a word boundary.
+        rnd = random.Random(n)
+        graph = LogicalGraph(n)
+        graph.add_links(
+            {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(n)}
+        )
+        edges = graph.edges()
+        boundary = [0, 1, 62, 63, 64, 65, n - 2, n - 1]
+        pairs = sorted(
+            {
+                tuple(sorted(rnd.sample(range(n), 2)))
+                for _ in range(3 * n)
+            }
+            | {
+                (a, b)
+                for a in boundary
+                for b in boundary
+                if a < b < n
+            }
+        )
+        exclude = rnd.sample(range(n), 3)
+        for nu in NUS:
+            _assert_backends_agree(nu, pairs, graph)
+            _assert_backends_agree(nu, pairs, graph, exclude)
+        recovered, _ = _assert_backends_agree(8, pairs, graph)
+        # Non-vacuous: some pairs recover and some stay out of reach.
+        assert recovered and len(recovered) < len(
+            [p for p in pairs if p not in edges]
+        )
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_path_at_exactly_nu_and_one_past(self, nu):
+        graph = _path_graph(12)
+        pairs = [(0, nu), (0, nu + 1), (3, 3 + nu), (2, 3 + nu)]
+        recovered, hops = _assert_backends_agree(nu, pairs, graph)
+        if nu == 1:
+            assert recovered == set()
+        else:
+            assert recovered == {(0, nu), (3, 3 + nu)}
+            assert hops == [nu, nu]
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_ring_at_exactly_nu_and_one_past(self, nu):
+        # Both ways round a ring of 2 * nu + 3 nodes: node nu sits nu
+        # hops away, node nu + 1 is nu + 1 hops away either way.
+        n = 2 * nu + 3
+        graph = _path_graph(n)
+        graph.add_link(n - 1, 0)
+        pairs = [(0, nu), (0, nu + 1), (0, n - nu), (0, n - nu - 1)]
+        recovered, hops = _assert_backends_agree(nu, pairs, graph)
+        if nu == 1:
+            assert recovered == set()
+        else:
+            assert recovered == {(0, nu), (0, n - nu)}
+            assert hops == [nu, nu]
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_excluded_relay_mid_path(self, nu):
+        # 0-1-2-3-4 (4 hops) plus the detour 0-5-6-7-8-4 (5 hops).
+        graph = LogicalGraph(9)
+        graph.add_links([(0, 1), (1, 2), (2, 3), (3, 4)])
+        graph.add_links([(0, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
+        pairs = [(0, 4), (1, 4), (0, 7)]
+        full, _ = _assert_backends_agree(nu, pairs, graph)
+        cut, cut_hops = _assert_backends_agree(
+            nu, pairs, graph, exclude=[2]
+        )
+        assert ((0, 4) in full) == (nu >= 4)
+        # With relay 2 out, 0 reaches 4 only by the 5-hop detour, and
+        # 1 only through 0 (6 hops).
+        assert ((0, 4) in cut) == (nu >= 5)
+        assert ((1, 4) in cut) == (nu >= 6)
+        if nu >= 6:
+            assert cut_hops == [5, 6, 3]
+        both, _ = _assert_backends_agree(
+            nu, pairs, graph, exclude=[2, 6]
+        )
+        assert (0, 4) not in both and (1, 4) not in both
+
+    @pytest.mark.parametrize("nu", NUS)
+    def test_excluded_endpoints(self, nu):
+        graph = _path_graph(10)
+        pairs = [(0, 5), (2, 9), (4, 6), (0, 9)]
+        recovered, _ = _assert_backends_agree(
+            nu, pairs, graph, exclude=[0, 9]
+        )
+        assert all(0 not in p and 9 not in p for p in recovered)
+
+    @pytest.mark.parametrize("rounds", [2, 3])
+    @pytest.mark.parametrize("nu", [3, 4, 6, 8])
+    def test_multi_round_cascades(self, nu, rounds):
+        rnd = random.Random(31 * nu + rounds)
+        for _ in range(15):
+            n, graph, pairs = _random_instance(rnd)
+            exclude = rnd.sample(range(n), rnd.randrange(0, 3))
+            _assert_backends_agree(nu, pairs, graph, exclude, rounds)
+        # A chain whose round-1 links bring far pairs within budget.
+        n = 4 * nu + 1
+        graph = _path_graph(n)
+        pairs = [(0, nu), (nu, 2 * nu), (0, 2 * nu), (0, n - 1)]
+        recovered, _ = _assert_backends_agree(
+            nu, pairs, graph, rounds=rounds
+        )
+        assert (0, 2 * nu) in recovered
+
+    @pytest.mark.parametrize("nu", [3, 8])
+    def test_paper_scale_field(self, nu):
+        # The Table I field: 2000 nodes, 300 m range in 5000 m x 5000 m,
+        # with ~30% of the physical links logical after D-NDP.
+        from repro.sim.field import RectangularField
+        from repro.sim.mobility import uniform_positions
+
+        rng = np.random.default_rng(20110620)
+        field = RectangularField(5000.0, 5000.0, 300.0)
+        pairs = field.neighbor_pairs(uniform_positions(field, 2000, rng))
+        graph = LogicalGraph(2000)
+        graph.add_links(pairs[rng.random(len(pairs)) < 0.3])
+        recovered, hops = _assert_backends_agree(nu, pairs, graph)
+        assert max(hops) == nu and len(recovered) > len(pairs) // 4
 
 
 class TestLogicalGraphBulk:
     def test_add_links_matches_add_link(self):
-        import numpy as np
-
         one = LogicalGraph(6)
         for a, b in [(0, 1), (1, 2), (4, 5)]:
             one.add_link(a, b)
@@ -140,8 +311,6 @@ class TestLogicalGraphBulk:
         assert graph.edges() == set()
 
     def test_edge_array_covers_both_insert_paths(self):
-        import numpy as np
-
         graph = LogicalGraph(5)
         graph.add_link(0, 1)
         graph.add_links(np.array([[1, 2], [3, 4]]))
