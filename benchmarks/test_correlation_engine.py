@@ -1,10 +1,11 @@
-"""Acquisition hot-path bench: batched engine vs the naive reference.
+"""Acquisition hot-path bench: batched engine vs the naive oracle.
 
 Times a full sliding-window scan at the paper's physical-layer defaults
 (N = 512 chips, m = 4 codes) over a buffer whose only message sits at
-the last window position, so every backend walks the entire buffer.
+the last window position, so every engine walks the entire buffer.
 Records the speedup of the batched engine (FFT cross-correlation at
-this N) over the per-position naive reference and asserts the 20x
+this N) over the per-position oracle
+(:class:`repro.oracles.NaiveCorrelationEngine`) and asserts the 20x
 target, plus result identity between the two.
 
 Environment knobs (on top of ``conftest``'s):
@@ -20,8 +21,10 @@ import time
 import numpy as np
 
 from repro.dsss.channel import ChipChannel
+from repro.dsss.engine import BatchedCorrelationEngine
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
+from repro.oracles import NaiveCorrelationEngine
 from repro.utils.rng import derive_rng
 
 CODE_LENGTH = 512
@@ -47,9 +50,10 @@ def _make_buffer(seed: int, positions: int):
     return codes, channel.render(rng=rng)
 
 
-def _scan_time(codes, buffer, backend: str):
+def _scan_time(codes, buffer, engine_type):
     sync = SlidingWindowSynchronizer(
-        codes, tau=0.15, message_bits=MESSAGE_BITS, backend=backend
+        codes, tau=0.15, message_bits=MESSAGE_BITS,
+        engine=engine_type(codes),
     )
     start = time.perf_counter()
     result = sync.scan(buffer)
@@ -62,8 +66,10 @@ def test_batched_speedup_over_naive(benchmark, seed):
     codes, buffer = _make_buffer(seed, positions)
 
     def compare():
-        naive_t, naive_r = _scan_time(codes, buffer, "naive")
-        batched_t, batched_r = _scan_time(codes, buffer, "batched")
+        naive_t, naive_r = _scan_time(codes, buffer, NaiveCorrelationEngine)
+        batched_t, batched_r = _scan_time(
+            codes, buffer, BatchedCorrelationEngine
+        )
         return naive_t, batched_t, naive_r, batched_r
 
     naive_t, batched_t, naive_r, batched_r = benchmark.pedantic(

@@ -1,13 +1,14 @@
-"""ECC hot-path bench: vectorized GF(256) kernels vs the naive loops.
+"""ECC hot-path bench: vectorized GF(256) kernels vs the scalar oracle.
 
 Two gates:
 
 1. **Jammed-HELLO decode.**  A batch of HELLO-sized Reed-Solomon words
    (the per-pair hot shape: k = 3 data symbols, 3 parity symbols at the
    Table I ``mu = 1``) corrupted with random in-capability
-   errors+erasures, decoded by both backends.  Asserts bit-identical
-   outputs and a 10x speedup of the vectorized backend (relaxed in
-   smoke mode).
+   errors+erasures, decoded by the production codec and by the
+   always-scalar oracle (:class:`repro.oracles.ScalarReedSolomonCodec`).
+   Asserts bit-identical outputs and a 10x speedup of the vectorized
+   codec (relaxed in smoke mode).
 2. **End-to-end runner.**  ``NetworkExperiment`` at the Table I
    defaults under ``compute_backend="reference"`` vs ``"vectorized"``:
    identical ``RunResult`` values and a 2x wall-clock improvement
@@ -29,6 +30,7 @@ import numpy as np
 from repro.core.config import JRSNDConfig
 from repro.ecc.reed_solomon import ReedSolomonCodec
 from repro.experiments.runner import NetworkExperiment
+from repro.oracles import ScalarReedSolomonCodec
 
 HELLO_DATA_SYMBOLS = 3   # 21 plain bits -> 3 byte symbols
 HELLO_PARITY_SYMBOLS = 3  # ceil(mu * k) at the Table I mu = 1
@@ -47,7 +49,7 @@ def _jammed_hello_batch(seed: int, batch: int):
     shape the batched decode path is built for.
     """
     rng = np.random.default_rng(seed)
-    encoder = ReedSolomonCodec(HELLO_PARITY_SYMBOLS, backend="naive")
+    encoder = ScalarReedSolomonCodec(HELLO_PARITY_SYMBOLS)
     messages = rng.integers(
         0, 256, size=(batch, HELLO_DATA_SYMBOLS), dtype=np.uint8
     ).tolist()
@@ -63,8 +65,8 @@ def _jammed_hello_batch(seed: int, batch: int):
     return messages, words, erasure_lists
 
 
-def _decode_time(backend: str, words, erasure_lists):
-    codec = ReedSolomonCodec(HELLO_PARITY_SYMBOLS, backend=backend)
+def _decode_time(codec_type, words, erasure_lists):
+    codec = codec_type(HELLO_PARITY_SYMBOLS)
     copies = [list(word) for word in words]
     start = time.perf_counter()
     decoded = codec.decode_batch(copies, erasure_lists)
@@ -79,17 +81,18 @@ def test_vectorized_rs_speedup_on_jammed_hellos(
     messages, words, erasure_lists = _jammed_hello_batch(seed, batch)
 
     def compare():
-        # Warm both backends once (table/generator construction, lru
+        # Warm both codecs once (table/generator construction, lru
         # caches), then score the best of three timed passes each.
-        _decode_time("naive", words[:64], erasure_lists[:64])
-        _decode_time("vectorized", words[:64], erasure_lists[:64])
+        naive, vectorized = ScalarReedSolomonCodec, ReedSolomonCodec
+        _decode_time(naive, words[:64], erasure_lists[:64])
+        _decode_time(vectorized, words[:64], erasure_lists[:64])
         naive_t, naive_d = min(
-            (_decode_time("naive", words, erasure_lists)
+            (_decode_time(naive, words, erasure_lists)
              for _ in range(3)),
             key=lambda pair: pair[0],
         )
         vec_t, vec_d = min(
-            (_decode_time("vectorized", words, erasure_lists)
+            (_decode_time(vectorized, words, erasure_lists)
              for _ in range(3)),
             key=lambda pair: pair[0],
         )

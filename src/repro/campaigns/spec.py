@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,6 +48,29 @@ _STRATEGIES = {
     "random": JammerStrategy.RANDOM,
 }
 _LINK_MODELS = ("codes", "independent")
+
+
+def _typed(name: str, value: Any, kind: type) -> Any:
+    """``value`` of spec field ``name`` as the JSON type ``kind``.
+
+    Integers also accept integral floats (``2.0``) and floats accept
+    integers; nothing else is coerced, so ``"abc"``, ``2.7`` or
+    ``"false"`` fail here instead of becoming a traceback or a silently
+    different spec.
+    """
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if kind is float and isinstance(value, numbers.Integral):
+        value = float(value)
+    # bool is an int subclass: only a bool field takes one.
+    if isinstance(value, bool) != (kind is bool) or not isinstance(
+        value, numbers.Integral if kind is int else kind
+    ):
+        raise ConfigurationError(
+            f"campaign spec field {name!r} must be {kind.__name__}, "
+            f"got {value!r}"
+        )
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -287,41 +311,43 @@ class CampaignSpec:
                 raise ConfigurationError(
                     f"campaign spec is missing {required!r}"
                 )
+
+        def get(key: str, kind: type, default: Any = None) -> Any:
+            return _typed(key, data.get(key, default), kind)
+
+        def optional(key: str, kind: type) -> Any:
+            value = data.get(key)
+            return None if value is None else _typed(key, value, kind)
+
+        grid = data.get("grid", {})
+        if not isinstance(grid, Mapping):
+            raise ConfigurationError(
+                f"campaign spec field 'grid' must map axes to value "
+                f"lists, got {grid!r}"
+            )
+        for axis, values in grid.items():
+            if not isinstance(values, (list, tuple)):
+                raise ConfigurationError(
+                    f"grid axis {axis!r} needs a value list, got {values!r}"
+                )
         return cls(
-            name=str(data["name"]),
-            seed=int(data["seed"]),
-            runs_per_point=int(data["runs_per_point"]),
-            grid={
-                str(axis): list(values)
-                for axis, values in dict(data.get("grid", {})).items()
-            },
-            base=str(data.get("base", "paper")),
-            strategy=str(data.get("strategy", "reactive")),
-            link_model=str(data.get("link_model", "codes")),
-            runs_per_shard=(
-                None if data.get("runs_per_shard") is None
-                else int(data["runs_per_shard"])
-            ),
-            mndp_rounds=int(data.get("mndp_rounds", 1)),
-            compute_backend=str(
-                data.get("compute_backend", "vectorized")
-            ),
-            collect_metrics=bool(data.get("collect_metrics", True)),
-            sample_latency=bool(data.get("sample_latency", False)),
-            phy_backend=(
-                None if data.get("phy_backend") is None
-                else str(data["phy_backend"])
-            ),
-            pool_cache_size=int(data.get("pool_cache_size", 8)),
-            pool_chunksize=(
-                None if data.get("pool_chunksize") is None
-                else int(data["pool_chunksize"])
-            ),
-            max_run_retries=int(data.get("max_run_retries", 2)),
-            run_timeout=(
-                None if data.get("run_timeout") is None
-                else float(data["run_timeout"])
-            ),
+            name=get("name", str),
+            seed=get("seed", int),
+            runs_per_point=get("runs_per_point", int),
+            grid={str(axis): list(values) for axis, values in grid.items()},
+            base=get("base", str, "paper"),
+            strategy=get("strategy", str, "reactive"),
+            link_model=get("link_model", str, "codes"),
+            runs_per_shard=optional("runs_per_shard", int),
+            mndp_rounds=get("mndp_rounds", int, 1),
+            compute_backend=get("compute_backend", str, "vectorized"),
+            collect_metrics=get("collect_metrics", bool, True),
+            sample_latency=get("sample_latency", bool, False),
+            phy_backend=optional("phy_backend", str),
+            pool_cache_size=get("pool_cache_size", int, 8),
+            pool_chunksize=optional("pool_chunksize", int),
+            max_run_retries=get("max_run_retries", int, 2),
+            run_timeout=optional("run_timeout", float),
         )
 
     @classmethod

@@ -97,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     dsss.add_argument("--messages", type=int, default=100,
                       help="distinct HELLO senders (each sent twice, so "
                            "the waveform cache registers hits)")
-    dsss.add_argument("--ecc-backend", choices=("naive", "vectorized"),
-                      default="vectorized",
-                      help="Reed-Solomon arithmetic backend")
     dsss.add_argument("--burst", type=float, default=0.2,
                       help="fraction of coded bits erased by a "
                            "contiguous jamming burst")
@@ -280,9 +277,7 @@ def _cmd_dsss(args: argparse.Namespace) -> None:
     if not 0.0 <= args.burst < 1.0:
         raise SystemExit("--burst must be in [0, 1)")
     config = JRSNDConfig()
-    codec = FrameCodec(
-        config.mu, config.type_bits, ecc_backend=args.ecc_backend
-    )
+    codec = FrameCodec(config.mu, config.type_bits)
     rng = np.random.default_rng(args.seed)
     code = SpreadCode.random(config.code_length, rng)
     cache = shared_cache()
@@ -325,7 +320,7 @@ def _cmd_dsss(args: argparse.Namespace) -> None:
                 cache.misses - misses_before
             ),
         }],
-        title=f"DSSS jammed-HELLO sweep ({args.ecc_backend} RS backend)",
+        title="DSSS jammed-HELLO sweep",
     ))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -98,18 +99,6 @@ class JRSNDConfig:
     mndp_queue_capacity:
         Per-node bound on queued M-NDP frames; pushes beyond it are
         dropped (and counted) instead of growing without bound.
-    correlation_backend:
-        How chip-level receivers evaluate the sliding-window correlation
-        search: ``"batched"`` (default; block matmul, FFT for large N),
-        ``"naive"`` (the per-position reference loop), or ``"fft"``
-        (force the FFT cross-correlation path).  All backends produce
-        identical lock decisions and work counts; only the wall-clock
-        cost differs.
-    ecc_backend:
-        How Reed-Solomon arithmetic is evaluated: ``"vectorized"``
-        (default; NumPy GF(256) table-lookup kernels) or ``"naive"``
-        (the per-symbol reference loops).  Both produce bit-identical
-        codewords, decoded bytes, and error behavior.
     phy_backend:
         How the Monte Carlo experiments decide per-message outcomes:
         ``"message"`` (default; the paper's per-message Bernoulli
@@ -161,13 +150,23 @@ class JRSNDConfig:
     mndp_max_requeues: int = 3
     mndp_queue_capacity: int = 128
     wire_fidelity: bool = False
-    correlation_backend: str = "batched"
-    ecc_backend: str = "vectorized"
     phy_backend: str = "message"
     phy_noise_std: float = 0.0
     phy_jam_amplitude: float = 2.0
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            # Annotations are strings under ``from __future__ import
+            # annotations``.  numpy integers register as Integral; bool
+            # does too, but a flag is no count.
+            if field.type == "int" and (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigurationError(
+                    f"{field.name} must be an integer, got {value!r}"
+                )
         check_positive("n_nodes", self.n_nodes)
         check_positive("codes_per_node", self.codes_per_node)
         if not 2 <= self.share_count <= self.n_nodes:
@@ -211,20 +210,6 @@ class JRSNDConfig:
         check_positive("mndp_ttl", self.mndp_ttl)
         check_non_negative("mndp_max_requeues", self.mndp_max_requeues)
         check_positive("mndp_queue_capacity", self.mndp_queue_capacity)
-        from repro.dsss.engine import CORRELATION_BACKENDS
-
-        if self.correlation_backend not in CORRELATION_BACKENDS:
-            raise ConfigurationError(
-                f"correlation_backend must be one of "
-                f"{CORRELATION_BACKENDS}, got {self.correlation_backend!r}"
-            )
-        from repro.ecc.reed_solomon import ECC_BACKENDS
-
-        if self.ecc_backend not in ECC_BACKENDS:
-            raise ConfigurationError(
-                f"ecc_backend must be one of {ECC_BACKENDS}, "
-                f"got {self.ecc_backend!r}"
-            )
         from repro.dsss.phy import PHY_BACKENDS
 
         if self.phy_backend not in PHY_BACKENDS:

@@ -48,7 +48,7 @@ from repro.crypto.mac import MessageAuthenticator
 from repro.crypto.nonces import NonceGenerator, ReplayCache
 from repro.crypto.session import derive_session_code
 from repro.crypto.signatures import SignatureScheme
-from repro.dsss.engine import make_engine
+from repro.dsss.engine import BatchedCorrelationEngine
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
 from repro.errors import (
@@ -255,10 +255,8 @@ class JRSNDNode:
 
         This is the receiver the timing model charges ``t_p`` for: it
         slides an ``N``-chip window over a buffered signal and correlates
-        against every non-revoked pre-distributed code, using the
-        correlation backend selected by
-        ``config.correlation_backend``.  ``message_bits`` defaults to
-        the coded HELLO length ``l_h``.
+        against every non-revoked pre-distributed code.
+        ``message_bits`` defaults to the coded HELLO length ``l_h``.
         """
         codes = [
             self._codes[pool_index]
@@ -276,28 +274,23 @@ class JRSNDNode:
             else int(message_bits)
         )
         # The engine's stacked code matrix is invariant across rounds
-        # and trials for a given (backend, code-set) pair, so it is
-        # memoized in the process-local artifact cache; the synchronizer
-        # wrapper itself is cheap and built fresh each call.
-        backend = self.config.correlation_backend
-        cache_key = (
-            backend,
-            tuple(
-                (int(code.code_id), code.chips.tobytes())
-                for code in codes
-            ),
+        # and trials for a given code set, so it is memoized in the
+        # process-local artifact cache; the synchronizer wrapper itself
+        # is cheap and built fresh each call.
+        cache_key = tuple(
+            (int(code.code_id), code.chips.tobytes()) for code in codes
         )
         engine = shared_cache().get_or_build(
             "correlation_engine",
             cache_key,
-            lambda: make_engine(codes, backend),
+            lambda: BatchedCorrelationEngine(codes),
         )
         return SlidingWindowSynchronizer(
             codes,
             tau=self.config.tau,
             message_bits=bits,
             confirm_blocks=confirm_blocks,
-            backend=engine,
+            engine=engine,
         )
 
     # ------------------------------------------------------------------

@@ -14,13 +14,7 @@ from repro.dsss.correlator import (
     correlate_many,
     decide_bit,
 )
-from repro.dsss.engine import (
-    CORRELATION_BACKENDS,
-    BatchedCorrelationEngine,
-    CorrelationEngine,
-    NaiveCorrelationEngine,
-    make_engine,
-)
+from repro.dsss.engine import BatchedCorrelationEngine, CorrelationEngine
 from repro.dsss.frame import Frame, FrameCodec, MessageType
 from repro.dsss.modulation import BPSKModulator
 from repro.dsss.phy import (
@@ -51,10 +45,7 @@ __all__ = [
     "code_matrix",
     "decide_bit",
     "CorrelationEngine",
-    "NaiveCorrelationEngine",
     "BatchedCorrelationEngine",
-    "CORRELATION_BACKENDS",
-    "make_engine",
     "ChipChannel",
     "ChannelTransmission",
     "SlidingWindowSynchronizer",

@@ -6,33 +6,23 @@ is dominated by evaluating one normalized correlation per (window
 position, code) pair.  This module factors that evaluation out of
 :class:`~repro.dsss.synchronizer.SlidingWindowSynchronizer` behind a small
 engine interface so the *search semantics* (first threshold crossing,
-confirmation blocks, work accounting) stay in one place while the
-*arithmetic* can be swapped:
+confirmation blocks, work accounting) stay in one place.
 
-``naive``
-    The reference backend: one :func:`~repro.dsss.correlator.correlate_many`
-    call per window position, exactly the original per-chip Python loop
-    (including its re-stacking of the code matrix on every position).  It
-    exists so the batched backends can be checked for bit-identical lock
-    decisions and so benchmarks have an honest baseline.
+:class:`BatchedCorrelationEngine` is the one production engine.  It
+precomputes the stacked ``(N x m)`` code matrix once and picks its
+arithmetic by chip length:
 
-``batched``
-    Precomputes the stacked ``(N x m)`` code matrix once, views the buffer
-    as a ``(positions x N)`` matrix with
-    :func:`numpy.lib.stride_tricks.sliding_window_view` (no copy), and
-    evaluates a whole block of positions with a single matmul.
+- short codes view the buffer as a ``(positions x N)`` matrix with
+  :func:`numpy.lib.stride_tricks.sliding_window_view` (no copy) and
+  evaluate a whole block of positions with a single matmul;
+- long codes (the paper's ``N = 512`` qualifies) cross-correlate the
+  buffer with each reversed code via FFT, ``O((B + N) log(B + N))`` per
+  code instead of ``O(B * N)``.
 
-``fft``
-    The same engine forced onto its FFT cross-correlation path, which the
-    ``batched`` engine selects automatically once ``N`` is large enough
-    (the paper's ``N = 512`` qualifies): correlating every position
-    against one code is a cross-correlation of the buffer with the
-    reversed code, computed in ``O((B + N) log(B + N))`` per code
-    instead of ``O(B * N)``.
-
-All backends return plain float64 correlation blocks; the synchronizer's
-threshold/confirm/accounting logic on top of them is backend-independent,
-so ``SyncResult`` sequences are identical whichever engine computed them.
+The per-position reference loop is the test oracle
+:class:`repro.oracles.NaiveCorrelationEngine`; both return plain float64
+correlation blocks, so ``SyncResult`` sequences are identical whichever
+engine computed them.
 """
 
 from __future__ import annotations
@@ -42,17 +32,11 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.dsss.correlator import code_matrix, correlate_many
+from repro.dsss.correlator import code_matrix
 from repro.dsss.spread_code import SpreadCode
-from repro.errors import ConfigurationError, SpreadCodeError
+from repro.errors import SpreadCodeError
 
-__all__ = [
-    "CorrelationEngine",
-    "NaiveCorrelationEngine",
-    "BatchedCorrelationEngine",
-    "CORRELATION_BACKENDS",
-    "make_engine",
-]
+__all__ = ["CorrelationEngine", "BatchedCorrelationEngine"]
 
 
 class CorrelationEngine:
@@ -98,8 +82,8 @@ class CorrelationEngine:
         """Preferred number of window positions per :meth:`correlate_block`.
 
         The synchronizer uses this to size its requests; an engine that
-        gains nothing from batching (the naive reference) returns 1 so a
-        scan that locks early computes no more correlations than the
+        gains nothing from batching (the per-position oracle) returns 1
+        so a scan that locks early computes no more correlations than the
         original per-position loop.
         """
         return 1
@@ -129,25 +113,6 @@ class CorrelationEngine:
                 f"window [{stop - 1}, {stop - 1 + self._chip_length}) out "
                 f"of buffer of {buffer.size} chips"
             )
-
-
-class NaiveCorrelationEngine(CorrelationEngine):
-    """The original per-position reference path.
-
-    Deliberately preserves the pre-batching cost profile — one
-    :func:`correlate_many` call (which re-stacks the code matrix) per
-    position — so it can serve both as the equivalence reference and as
-    the benchmark baseline the batched engines are measured against.
-    """
-
-    def correlate_block(
-        self, buffer: np.ndarray, start: int, stop: int
-    ) -> np.ndarray:
-        self._check_range(buffer, start, stop)
-        out = np.empty((stop - start, self.n_codes), dtype=np.float64)
-        for i, position in enumerate(range(start, stop)):
-            out[i] = correlate_many(buffer, self._codes, position)
-        return out
 
 
 class BatchedCorrelationEngine(CorrelationEngine):
@@ -235,26 +200,3 @@ class BatchedCorrelationEngine(CorrelationEngine):
                             fft_len, axis=0)
         return conv[n - 1 : n - 1 + count] / n
 
-
-CORRELATION_BACKENDS = ("naive", "batched", "fft")
-
-
-def make_engine(
-    codes: Sequence[SpreadCode], backend: str = "batched"
-) -> CorrelationEngine:
-    """Build the correlation engine named by ``backend``.
-
-    ``naive`` is the per-position reference, ``batched`` auto-selects
-    matmul or FFT by chip length, ``fft`` forces the FFT path (mainly
-    for tests and large-``N`` deployments).
-    """
-    if backend == "naive":
-        return NaiveCorrelationEngine(codes)
-    if backend == "batched":
-        return BatchedCorrelationEngine(codes)
-    if backend == "fft":
-        return BatchedCorrelationEngine(codes, fft_min_length=1)
-    raise ConfigurationError(
-        f"correlation backend must be one of {CORRELATION_BACKENDS}, "
-        f"got {backend!r}"
-    )

@@ -70,27 +70,18 @@ class FrameCodec:
         times the plain frame length.
     type_bits:
         Width of the message-type field (the paper's ``l_t``, default 5).
-    ecc_backend:
-        Reed-Solomon arithmetic backend (``"vectorized"`` or
-        ``"naive"``), forwarded to the underlying
-        :class:`ExpansionCodec`.
     """
 
     TYPE_BITS = 5
 
-    def __init__(
-        self,
-        mu: float,
-        type_bits: int = TYPE_BITS,
-        ecc_backend: str = "vectorized",
-    ) -> None:
+    def __init__(self, mu: float, type_bits: int = TYPE_BITS) -> None:
         if type_bits < 3:
             raise ConfigurationError(
                 f"type_bits must be >= 3 to hold all message types, "
                 f"got {type_bits}"
             )
         self._type_bits = int(type_bits)
-        self._codec = ExpansionCodec(mu, backend=ecc_backend)
+        self._codec = ExpansionCodec(mu)
 
     @property
     def mu(self) -> float:
@@ -101,11 +92,6 @@ class FrameCodec:
     def type_bits(self) -> int:
         """Width of the message-type field."""
         return self._type_bits
-
-    @property
-    def ecc_backend(self) -> str:
-        """The Reed-Solomon backend of the underlying codec."""
-        return self._codec.backend
 
     def coded_bits(self, payload_bits: int) -> int:
         """Coded frame length for a payload of ``payload_bits``."""

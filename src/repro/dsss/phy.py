@@ -272,8 +272,7 @@ class ChipPairPHY(PairPHY):
     """The chip-level reference backend: real waveforms end to end.
 
     Parameters beyond :class:`PairPHY`'s: the ``pool`` supplying actual
-    :class:`~repro.dsss.spread_code.SpreadCode` chips per pool index,
-    and the ``correlation_backend`` its synchronizers scan with.
+    :class:`~repro.dsss.spread_code.SpreadCode` chips per pool index.
     """
 
     backend = "chip"
@@ -282,7 +281,6 @@ class ChipPairPHY(PairPHY):
         self,
         pool: CodePool,
         *args: object,
-        correlation_backend: str = "batched",
         **kwargs: object,
     ) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
@@ -292,7 +290,6 @@ class ChipPairPHY(PairPHY):
                 f"{self._n}"
             )
         self._pool = pool
-        self._correlation_backend = correlation_backend
         self._channel = ChipChannel(noise_std=self._noise_std)
         self._synchronizers: Dict[
             Tuple[int, int], SlidingWindowSynchronizer
@@ -309,7 +306,6 @@ class ChipPairPHY(PairPHY):
                 tau=self._tau,
                 message_bits=message_bits,
                 confirm_blocks=CONFIRM_BLOCKS,
-                backend=self._correlation_backend,
             )
             self._synchronizers[key] = sync
         return sync
@@ -457,12 +453,7 @@ def make_pair_phy(
         raise ConfigurationError(
             "the chip PHY backend needs a CodePool supplying real codes"
         )
-    return ChipPairPHY(
-        pool,
-        jamming,
-        correlation_backend=config.correlation_backend,
-        **kwargs,
-    )
+    return ChipPairPHY(pool, jamming, **kwargs)
 
 
 # -- closed-form probabilities (the batched sweep) ----------------------

@@ -12,23 +12,22 @@ the number of correlations computed so the protocol timing model
 (``t_p = rho * N * m * R * t_b``) can be validated against actual work.
 The counter charges every (window x code) correlation the paper's receiver
 would evaluate — including the extra confirmation-block correlations spent
-on candidate hits — regardless of which backend computed them.
+on candidate hits — regardless of which engine computed them.
 
-The correlation arithmetic itself lives in :mod:`repro.dsss.engine`: the
-default ``batched`` backend evaluates whole blocks of window positions
-with one matmul (or an FFT cross-correlation for large ``N``), while the
-``naive`` backend reproduces the original per-position loop as a
-reference.  Both produce identical :class:`SyncResult` sequences.
+The correlation arithmetic itself lives in :mod:`repro.dsss.engine`:
+:class:`~repro.dsss.engine.BatchedCorrelationEngine` evaluates whole
+blocks of window positions with one matmul (or an FFT cross-correlation
+for large ``N``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dsss.engine import CorrelationEngine, make_engine
+from repro.dsss.engine import BatchedCorrelationEngine, CorrelationEngine
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.spreader import despread
 from repro.errors import DecodeError, SpreadCodeError
@@ -75,11 +74,10 @@ class SlidingWindowSynchronizer:
         de-spreading stops after this many blocks.
     confirm_blocks:
         Consecutive blocks that must all cross ``tau`` for a lock.
-    backend:
-        Correlation backend: ``"batched"`` (default), ``"naive"`` (the
-        per-position reference), ``"fft"`` (force the FFT path), or an
-        already-built :class:`~repro.dsss.engine.CorrelationEngine` over
-        the same codes.
+    engine:
+        An already-built :class:`~repro.dsss.engine.CorrelationEngine`
+        over the same codes; ``None`` (default) builds a
+        :class:`~repro.dsss.engine.BatchedCorrelationEngine`.
     """
 
     def __init__(
@@ -88,7 +86,7 @@ class SlidingWindowSynchronizer:
         tau: float,
         message_bits: int,
         confirm_blocks: int = 3,
-        backend: Union[str, CorrelationEngine] = "batched",
+        engine: Optional[CorrelationEngine] = None,
     ) -> None:
         if not codes:
             raise SpreadCodeError("synchronizer needs at least one code")
@@ -116,15 +114,14 @@ class SlidingWindowSynchronizer:
         self._message_bits = int(message_bits)
         self._confirm_blocks = int(confirm_blocks)
         self._chip_length = self._codes[0].length
-        if isinstance(backend, CorrelationEngine):
-            if list(backend.codes) != self._codes:
-                raise SpreadCodeError(
-                    "engine monitors a different code set than the "
-                    "synchronizer"
-                )
-            self._engine = backend
-        else:
-            self._engine = make_engine(self._codes, backend)
+        if engine is None:
+            engine = BatchedCorrelationEngine(self._codes)
+        elif list(engine.codes) != self._codes:
+            raise SpreadCodeError(
+                "engine monitors a different code set than the "
+                "synchronizer"
+            )
+        self._engine: CorrelationEngine = engine
 
     @property
     def chip_length(self) -> int:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.ecc.reed_solomon import ECC_BACKENDS, ReedSolomonCodec
+from repro.ecc.reed_solomon import ReedSolomonCodec
 from repro.errors import ConfigurationError, DecodeError, EccDecodeError
 from repro.utils.artifact_cache import shared_cache
 
@@ -45,24 +45,14 @@ class ExpansionCodec:
     mu:
         Redundancy parameter; parity volume is ``mu`` times the data
         volume (the paper's default is ``mu = 1``).
-    backend:
-        Reed-Solomon arithmetic backend (``"vectorized"`` or
-        ``"naive"``), forwarded to every underlying
-        :class:`ReedSolomonCodec`.
     """
 
     _SYMBOL_BITS = 8
 
-    def __init__(self, mu: float, backend: str = "vectorized") -> None:
+    def __init__(self, mu: float) -> None:
         if mu <= 0:
             raise ConfigurationError(f"mu must be positive, got {mu}")
-        if backend not in ECC_BACKENDS:
-            raise ConfigurationError(
-                f"ecc backend must be one of {ECC_BACKENDS}, "
-                f"got {backend!r}"
-            )
         self._mu = float(mu)
-        self._backend = str(backend)
         # Largest data chunk whose codeword still fits in an RS word.
         max_codeword = 255
         self._max_data_symbols = max(
@@ -73,11 +63,6 @@ class ExpansionCodec:
     def mu(self) -> float:
         """The redundancy parameter."""
         return self._mu
-
-    @property
-    def backend(self) -> str:
-        """The Reed-Solomon arithmetic backend in use."""
-        return self._backend
 
     def parity_symbols(self, data_symbols: int) -> int:
         """Parity symbols attached to a chunk of ``data_symbols``."""
@@ -102,11 +87,8 @@ class ExpansionCodec:
         LRU-bounded, and reuse is visible in the ``cache.rs_codec``
         hit/miss counters.
         """
-        backend = self._backend
         return shared_cache().get_or_build(
-            "rs_codec",
-            (n_parity, backend),
-            lambda: ReedSolomonCodec(n_parity, backend=backend),
+            "rs_codec", n_parity, lambda: ReedSolomonCodec(n_parity)
         )
 
     def encoded_bits(self, message_bits: int) -> int:
@@ -239,7 +221,4 @@ class ExpansionCodec:
         return word, erasures
 
     def __repr__(self) -> str:
-        return (
-            f"ExpansionCodec(mu={self._mu}, "
-            f"backend={self._backend!r})"
-        )
+        return f"ExpansionCodec(mu={self._mu})"

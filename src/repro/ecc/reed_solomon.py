@@ -18,26 +18,20 @@ DSSS block fails the correlation threshold and is flagged), which is why
 the paper's expansion factor ``1 + mu`` maps to a tolerated erasure
 fraction of ``mu / (1 + mu)``.
 
-Two backends share this class (``ECC_BACKENDS``):
-
-``naive``
-    The per-symbol reference pipeline above, in pure Python.  It is the
-    ground truth the vectorized backend is property-tested against and
-    the honest baseline for the throughput benchmark.
-
-``vectorized``
-    NumPy table-lookup kernels (:mod:`repro.ecc.gf256_vec`).  Long
-    words use batched syndrome evaluation and a batched LFSR encoder;
-    :meth:`encode_batch` / :meth:`decode_batch` amortize the kernels
-    across many words at once — the shape of the Monte Carlo jammed-
-    HELLO workload, where thousands of short words decode per sweep
-    point.  Decoding exploits the fact that jamming mostly produces
-    erasures: a word whose *folded* (Forney) syndromes vanish has an
-    erasure-only solution and takes a fully batched locator/Forney
-    path; any word with actual errors falls back to the scalar
-    reference pipeline, word by word, so results — including every
-    ``EccDecodeError`` past the ``2e + f`` budget — are bit-identical
-    to ``naive`` in all cases.
+Arithmetic runs on NumPy table-lookup kernels
+(:mod:`repro.ecc.gf256_vec`) wherever they pay: long words use batched
+syndrome evaluation and a batched LFSR encoder, and
+:meth:`~ReedSolomonCodec.encode_batch` /
+:meth:`~ReedSolomonCodec.decode_batch` amortize the kernels across many
+words at once — the shape of the Monte Carlo jammed-HELLO workload,
+where thousands of short words decode per sweep point.  Decoding
+exploits the fact that jamming mostly produces erasures: a word whose
+*folded* (Forney) syndromes vanish has an erasure-only solution and
+takes a fully batched locator/Forney path; any word with actual errors,
+and any single word under 64 symbols, runs the per-symbol scalar
+pipeline above, so results — including every ``EccDecodeError`` past
+the ``2e + f`` budget — are bit-identical to the always-scalar test
+oracle :class:`repro.oracles.ScalarReedSolomonCodec`.
 """
 
 from __future__ import annotations
@@ -51,9 +45,7 @@ from repro.errors import ConfigurationError, EccDecodeError
 from repro.obs import current as _metrics
 from repro.obs import names as _names
 
-__all__ = ["ReedSolomonCodec", "ECC_BACKENDS"]
-
-ECC_BACKENDS = ("naive", "vectorized")
+__all__ = ["ReedSolomonCodec"]
 
 # Below this word length the numpy kernel overhead exceeds the scalar
 # loop cost for a *single* word (measured crossover near 40 symbols);
@@ -68,25 +60,14 @@ class ReedSolomonCodec:
     ----------
     n_parity:
         Number of parity symbols (``n - k``).
-    backend:
-        ``"vectorized"`` (default) or ``"naive"``; see the module
-        docstring.  Both produce bit-identical symbols and exceptions.
     """
 
-    def __init__(
-        self, n_parity: int, backend: str = "vectorized"
-    ) -> None:
+    def __init__(self, n_parity: int) -> None:
         if not 0 < n_parity < GF256.ORDER - 1:
             raise ConfigurationError(
                 f"n_parity must be in [1, {GF256.ORDER - 2}], got {n_parity}"
             )
-        if backend not in ECC_BACKENDS:
-            raise ConfigurationError(
-                f"ecc backend must be one of {ECC_BACKENDS}, "
-                f"got {backend!r}"
-            )
         self._n_parity = int(n_parity)
-        self._backend = backend
         self._generator = self._build_generator(self._n_parity)
         self._generator_arr = np.asarray(self._generator, dtype=np.uint8)
 
@@ -105,11 +86,6 @@ class ReedSolomonCodec:
         """Number of parity symbols appended to each message."""
         return self._n_parity
 
-    @property
-    def backend(self) -> str:
-        """The arithmetic backend (``naive`` or ``vectorized``)."""
-        return self._backend
-
     def max_codeword_length(self) -> int:
         """Longest legal codeword (255 for GF(2^8))."""
         return GF256.ORDER - 1
@@ -127,10 +103,7 @@ class ReedSolomonCodec:
         message = list(message)
         self._check_encodable(message)
         self._count(_names.ECC_SYMBOLS_ENCODED, len(message) + self._n_parity)
-        if (
-            self._backend == "vectorized"
-            and len(message) >= _VEC_MIN_SYMBOLS
-        ):
+        if len(message) >= _VEC_MIN_SYMBOLS:
             return self._encode_rows(
                 np.asarray([message], dtype=np.uint8)
             )[0]
@@ -141,9 +114,9 @@ class ReedSolomonCodec:
     ) -> List[List[int]]:
         """Encode a batch of equal-length messages.
 
-        Equivalent to ``[self.encode(m) for m in messages]`` but on the
-        vectorized backend the whole batch runs through one batched
-        LFSR, one feedback step per data symbol.
+        Equivalent to ``[self.encode(m) for m in messages]`` but the
+        whole batch runs through one batched LFSR, one feedback step per
+        data symbol.
         """
         messages = [list(m) for m in messages]
         if not messages:
@@ -154,22 +127,16 @@ class ReedSolomonCodec:
                 f"encode_batch needs equal-length messages, got "
                 f"lengths {sorted(lengths)}"
             )
-        if self._backend == "naive":
-            for message in messages:
-                self._check_encodable(message)
-        else:
-            # Vectorized bounds check; a failing batch re-raises from
-            # the scalar checker on the offending message so the
-            # exception is identical either way.  Length/empty checks
-            # are batch-uniform, so word 0 stands in for all.
-            self._check_encodable(messages[0])
-            bad = self._first_bad_row(messages)
-            if bad is not None:
-                self._check_encodable(messages[bad])
+        # Vectorized bounds check; a failing batch re-raises from the
+        # scalar checker on the offending message so the exception is
+        # identical to a per-message loop.  Length/empty checks are
+        # batch-uniform, so word 0 stands in for all.
+        self._check_encodable(messages[0])
+        bad = self._first_bad_row(messages)
+        if bad is not None:
+            self._check_encodable(messages[bad])
         total = len(messages) * (len(messages[0]) + self._n_parity)
         self._count(_names.ECC_SYMBOLS_ENCODED, total)
-        if self._backend == "naive":
-            return [self._encode_scalar(m) for m in messages]
         return self._encode_rows(np.asarray(messages, dtype=np.uint8))
 
     def _check_encodable(self, message: List[int]) -> None:
@@ -214,10 +181,7 @@ class ReedSolomonCodec:
         received = list(received)
         self._check_decodable(received, erasure_positions)
         self._count(_names.ECC_SYMBOLS_DECODED, len(received))
-        if (
-            self._backend == "vectorized"
-            and len(received) >= _VEC_MIN_SYMBOLS
-        ):
+        if len(received) >= _VEC_MIN_SYMBOLS:
             return self._decode_rows(
                 [received], [sorted(set(int(p) for p in erasure_positions))]
             )[0]
@@ -232,11 +196,10 @@ class ReedSolomonCodec:
 
         Equivalent to ``[self.decode(w, e) for w, e in zip(...)]``,
         including which :class:`~repro.errors.EccDecodeError` is raised
-        first when several words are unrecoverable.  On the vectorized
-        backend, syndrome evaluation, erasure folding, and the
-        erasure-only correction path run batched across all words;
-        only words containing actual symbol *errors* drop to the
-        scalar reference pipeline.
+        first when several words are unrecoverable.  Syndrome
+        evaluation, erasure folding, and the erasure-only correction
+        path run batched across all words; only words containing actual
+        symbol *errors* drop to the scalar reference pipeline.
         """
         words = list(words)
         if not words:
@@ -255,13 +218,6 @@ class ReedSolomonCodec:
                 f"lengths {sorted(lengths)}"
             )
         self._count(_names.ECC_SYMBOLS_DECODED, len(words) * len(words[0]))
-        if self._backend == "naive":
-            for word, erasures in zip(words, erasure_lists):
-                self._check_decodable(word, erasures)
-            return [
-                self._decode_scalar(word, erasures)
-                for word, erasures in zip(words, erasure_lists)
-            ]
         return self._decode_rows(words, erasure_lists)
 
     @staticmethod
@@ -584,7 +540,7 @@ class ReedSolomonCodec:
     def _count(self, name: str, amount: int) -> None:
         registry = _metrics()
         if registry.enabled:
-            registry.inc(_names.backend_qualified(name, self._backend), amount)
+            registry.inc(name, amount)
 
     # ------------------------------------------------------------------
     # Scalar decoding pipeline internals (the reference)
@@ -726,7 +682,4 @@ class ReedSolomonCodec:
         return self._n_parity // 2, self._n_parity
 
     def __repr__(self) -> str:
-        return (
-            f"ReedSolomonCodec(n_parity={self._n_parity}, "
-            f"backend={self._backend!r})"
-        )
+        return f"{type(self).__name__}(n_parity={self._n_parity})"

@@ -101,7 +101,6 @@ def run_parallel(
     strategy: JammerStrategy = JammerStrategy.REACTIVE,
     mndp_rounds: int = 1,
     link_model: str = "codes",
-    correlation_backend: Optional[str] = None,
     collect_metrics: bool = False,
     compute_backend: str = "vectorized",
     run_indices: Optional[Sequence[int]] = None,
@@ -118,10 +117,8 @@ def run_parallel(
     :func:`~repro.experiments.pool.available_cpu_count`), capped at
     ``runs``.
     Results are identical to ``NetworkExperiment(...).run(runs)``;
-    ``correlation_backend`` (when set) overrides the configured
-    chip-level backend in every worker, exactly as it does serially,
-    and ``compute_backend`` selects the snapshot-pipeline
-    implementation just like the serial constructor argument.
+    ``compute_backend`` selects the snapshot-pipeline implementation
+    just like the serial constructor argument.
     ``phy_backend`` (when set) overrides ``config.phy_backend`` in every
     worker, selecting the message / chip / chipless D-NDP sampling path.
 
@@ -174,7 +171,6 @@ def run_parallel(
         strategy_value=strategy.value,
         mndp_rounds=mndp_rounds,
         link_model=link_model,
-        correlation_backend=correlation_backend,
         collect_metrics=collect_metrics,
         compute_backend=compute_backend,
         phy_backend=phy_backend,

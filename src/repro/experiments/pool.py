@@ -252,7 +252,6 @@ class ExperimentSpec:
     strategy_value: Any = JammerStrategy.REACTIVE.value
     mndp_rounds: int = 1
     link_model: str = "codes"
-    correlation_backend: Optional[str] = None
     collect_metrics: bool = False
     compute_backend: str = "vectorized"
     phy_backend: Optional[str] = None
@@ -265,7 +264,6 @@ class ExperimentSpec:
             self.strategy_value,
             int(self.mndp_rounds),
             self.link_model,
-            self.correlation_backend,
             bool(self.collect_metrics),
             self.compute_backend,
             self.phy_backend,
@@ -280,7 +278,6 @@ class ExperimentSpec:
             strategy=JammerStrategy(self.strategy_value),
             mndp_rounds=self.mndp_rounds,
             link_model=self.link_model,
-            correlation_backend=self.correlation_backend,
             collect_metrics=self.collect_metrics,
             compute_backend=self.compute_backend,
             phy_backend=self.phy_backend,

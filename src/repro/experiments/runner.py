@@ -243,11 +243,6 @@ class NetworkExperiment:
         authors' plotted M-NDP behaviour (notably Fig. 5(a)'s strong
         dependence on nu) and is almost certainly what their C++
         simulator did.  See EXPERIMENTS.md for the comparison.
-    correlation_backend:
-        When set, overrides ``config.correlation_backend`` for every
-        chip-level receiver built from this experiment's configuration
-        (event-driven validation runs, ``JRSNDNode.build_synchronizer``).
-        The message-level sampling itself is backend-independent.
     collect_metrics:
         Capture a per-run :class:`~repro.obs.MetricsSnapshot` on every
         :class:`RunResult` (and forward it to any registry installed in
@@ -282,7 +277,6 @@ class NetworkExperiment:
         mndp_rounds: int = 1,
         sample_latency: bool = False,
         link_model: str = "codes",
-        correlation_backend: Optional[str] = None,
         collect_metrics: bool = False,
         compute_backend: str = "vectorized",
         phy_backend: Optional[str] = None,
@@ -304,10 +298,6 @@ class NetworkExperiment:
                 f"compute_backend must be one of {COMPUTE_BACKENDS}, "
                 f"got {compute_backend!r}"
             )
-        if correlation_backend is not None:
-            # replace() re-validates, so an unknown backend fails here
-            # rather than deep inside a worker process.
-            config = config.replace(correlation_backend=correlation_backend)
         if phy_backend is not None:
             config = config.replace(phy_backend=phy_backend)
         self._config = config

@@ -12,10 +12,10 @@ Three kinds of entry:
 - **constants** — one module-level ``UPPER_SNAKE`` string per static
   metric name (counters, gauges, timers, histograms, and structured
   event categories all share the namespace);
-- **dynamic-name helpers** — :func:`cache_hits`, :func:`cache_misses`,
-  and :func:`backend_qualified` build names with a runtime component
-  (cache kind, ECC backend); their shapes are registered as
-  ``DYNAMIC_PATTERNS`` so the linter can still validate expanded names;
+- **dynamic-name helpers** — :func:`cache_hits` and
+  :func:`cache_misses` build names with a runtime component (the cache
+  kind); their shapes are registered as ``DYNAMIC_PATTERNS`` so the
+  linter can still validate expanded names;
 - **lookup API** — :data:`ALL_NAMES`, :func:`is_registered`, and
   :data:`CONSTANT_FOR` (``JRS004`` names the declaring constant when a
   registered name is written as a raw literal).
@@ -35,7 +35,6 @@ __all__ = [
     "DYNAMIC_PATTERNS",
     "NAME_PATTERN",
     "RETRY_PREFIX",
-    "backend_qualified",
     "cache_hits",
     "cache_misses",
     "is_registered",
@@ -55,7 +54,7 @@ DSSS_CORRELATIONS_COMPUTED = "dsss.correlations_computed"
 DSSS_FALSE_ALARMS = "dsss.false_alarms"
 DSSS_LOCKS = "dsss.locks"
 
-# -- ECC codecs (backend-qualified via :func:`backend_qualified`) ------
+# -- ECC codecs --------------------------------------------------------
 
 ECC_SYMBOLS_ENCODED = "ecc.symbols_encoded"
 ECC_SYMBOLS_DECODED = "ecc.symbols_decoded"
@@ -180,23 +179,10 @@ def cache_misses(kind: str) -> str:
     return f"cache.{kind}.misses"
 
 
-def backend_qualified(base: str, backend: str) -> str:
-    """Qualify a registered base name with a backend suffix.
-
-    The ECC codecs report per-backend symbol throughput as e.g.
-    ``ecc.symbols_encoded.vectorized`` so backend-equivalence tests can
-    compare implementations from one snapshot.
-    """
-    if base not in ALL_NAMES:
-        raise ValueError(f"unregistered base metric name: {base!r}")
-    return f"{base}.{backend}"
-
-
 #: Regexes matching the names the helpers above can produce.  A name is
 #: "registered" if it is a static constant or matches one of these.
 DYNAMIC_PATTERNS: Tuple[str, ...] = (
     r"^cache\.[a-z0-9_]+\.(hits|misses)$",
-    r"^ecc\.symbols_(encoded|decoded)\.[a-z0-9_]+$",
 )
 
 _DYNAMIC_RES = tuple(re.compile(pattern) for pattern in DYNAMIC_PATTERNS)

@@ -1,5 +1,7 @@
 """Tests for campaign spec validation, hashing, and expansion."""
 
+import json
+
 import pytest
 
 from repro.campaigns import CampaignSpec, GRID_AXES
@@ -54,6 +56,48 @@ class TestValidation:
     def test_requires_mandatory_fields(self):
         with pytest.raises(ConfigurationError, match="missing"):
             CampaignSpec.from_dict({"name": "x", "seed": 1})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "abc"),
+            ("grid", [1, 2]),
+            ("grid", {"n_compromised": 5}),
+            ("collect_metrics", "false"),
+            ("runs_per_point", 2.7),
+            ("runs_per_shard", True),
+            ("run_timeout", "30"),
+            ("mndp_rounds", None),
+        ],
+    )
+    def test_from_dict_rejects_mistyped_field(self, field, value):
+        data = tiny_spec().to_dict()
+        data[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            CampaignSpec.from_dict(data)
+
+    def test_from_dict_accepts_integral_floats(self):
+        data = tiny_spec().to_dict()
+        data.update(seed=2011.0, runs_per_point=4.0, run_timeout=30)
+        spec = CampaignSpec.from_dict(data)
+        assert spec.seed == 2011 and isinstance(spec.seed, int)
+        assert spec.run_timeout == 30.0
+        assert spec.spec_hash() == tiny_spec(run_timeout=30.0).spec_hash()
+
+    def test_cli_launch_rejects_mistyped_seed(self, tmp_path):
+        from repro.cli import main
+
+        data = tiny_spec().to_dict()
+        data["seed"] = "abc"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="seed"):
+            main([
+                "campaign", "launch", "--spec", str(spec_path),
+                "--store", str(tmp_path / "never.sqlite"),
+                "--revision", "r",
+            ])
+        assert not (tmp_path / "never.sqlite").exists()
 
     def test_rejects_bad_phy_backend(self):
         with pytest.raises(ConfigurationError, match="phy_backend"):

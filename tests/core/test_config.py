@@ -1,5 +1,6 @@
 """Unit tests for the configuration (Table I)."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import JRSNDConfig, default_config
@@ -92,18 +93,34 @@ class TestValidation:
 
 
 class TestCorrelationBackend:
-    def test_default_is_batched(self):
-        assert default_config().correlation_backend == "batched"
+    def test_default_is_batched(self, small_config):
+        # No config field selects the correlation arithmetic: every
+        # node's receiver scans with the batched engine.
+        from repro.dsss.engine import BatchedCorrelationEngine
+        from repro.experiments.scenarios import build_event_network
 
-    def test_all_backends_accepted(self):
-        for backend in ("naive", "batched", "fft"):
-            config = JRSNDConfig(correlation_backend=backend)
-            assert config.correlation_backend == backend
+        net = build_event_network(small_config, seed=11)
+        sync = net.nodes[0].build_synchronizer()
+        assert type(sync.engine) is BatchedCorrelationEngine
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            JRSNDConfig(correlation_backend="vectorised")
 
-    def test_replace_validates_backend(self):
-        with pytest.raises(ConfigurationError):
-            default_config().replace(correlation_backend="")
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nu", 2.5),
+            ("nu", True),
+            ("n_compromised", 5.0),
+            ("codes_per_node", np.float64(100.0)),
+            ("mndp_queue_capacity", "128"),
+        ],
+    )
+    def test_non_integers_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            JRSNDConfig(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            default_config().replace(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = JRSNDConfig(nu=np.int64(3), n_compromised=np.int32(5))
+        assert config.nu == 3 and config.n_compromised == 5

@@ -57,13 +57,11 @@ class TestBuildSynchronizer:
         assert sync.message_bits == node.config.hello_coded_bits
         assert sync.engine.block_size > 1
 
-    def test_naive_backend_threads_through(self, small_config):
+    def test_message_bits_threads_through(self, small_config):
         from repro.experiments.scenarios import build_event_network
 
-        config = small_config.replace(correlation_backend="naive")
-        net = build_event_network(config, seed=11)
+        net = build_event_network(small_config, seed=11)
         sync = net.nodes[0].build_synchronizer(message_bits=8)
-        assert sync.engine.block_size == 1
         assert sync.message_bits == 8
 
     def test_all_revoked_raises(self, net):

@@ -1,9 +1,10 @@
 """Unit and equivalence tests for the correlation engines.
 
-The batched backends must be drop-in replacements for the naive
-per-position reference: same correlation values (to float tolerance),
-same lock decisions, same work accounting — on clean, superposed, and
-jammed channels alike.
+The production engine — with its automatic matmul/FFT choice, and with
+each path forced — must be a drop-in replacement for the per-position
+oracle: same correlation values (to float tolerance), same lock
+decisions, same work accounting — on clean, superposed, and jammed
+channels alike.
 """
 
 import numpy as np
@@ -11,15 +12,12 @@ import pytest
 
 from repro.dsss.channel import ChipChannel
 from repro.dsss.correlator import correlate_many
-from repro.dsss.engine import (
-    CORRELATION_BACKENDS,
-    BatchedCorrelationEngine,
-    NaiveCorrelationEngine,
-    make_engine,
-)
+from repro.dsss.engine import BatchedCorrelationEngine
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
-from repro.errors import ConfigurationError, SpreadCodeError
+from repro.errors import SpreadCodeError
+from repro.oracles import NaiveCorrelationEngine
+from tests.dsss.engines import ENGINES
 
 
 def _make_codes(rng, n=4, length=512):
@@ -37,13 +35,18 @@ class TestEngineConstruction:
             BatchedCorrelationEngine(codes)
 
     def test_unknown_backend(self, rng):
-        with pytest.raises(ConfigurationError):
-            make_engine(_make_codes(rng, length=16), "vectorised")
+        # Backends are no longer chosen by name: the synchronizer takes
+        # an engine instance or builds the production engine itself.
+        with pytest.raises(TypeError):
+            SlidingWindowSynchronizer(
+                _make_codes(rng, length=16), tau=0.15, message_bits=4,
+                backend="naive",
+            )
 
     def test_backend_names_resolve(self, rng):
         codes = _make_codes(rng, length=64)
-        for name in CORRELATION_BACKENDS:
-            engine = make_engine(codes, name)
+        for make in ENGINES.values():
+            engine = make(codes)
             assert engine.n_codes == 4
             assert engine.chip_length == 64
 
@@ -63,11 +66,11 @@ class TestEngineConstruction:
 
 
 class TestCorrelateBlock:
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_matches_correlate_many(self, rng, backend):
         codes = _make_codes(rng, n=3, length=64)
         buffer = rng.normal(0.0, 1.0, size=500)
-        engine = make_engine(codes, backend)
+        engine = ENGINES[backend](codes)
         block = engine.correlate_block(buffer, 10, 200)
         assert block.shape == (190, 3)
         for i, position in enumerate((10, 57, 199)):
@@ -87,15 +90,15 @@ class TestCorrelateBlock:
             atol=1e-9,
         )
 
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_empty_range(self, rng, backend):
-        engine = make_engine(_make_codes(rng, length=16), backend)
+        engine = ENGINES[backend](_make_codes(rng, length=16))
         buffer = rng.normal(0.0, 1.0, size=64)
         assert engine.correlate_block(buffer, 5, 5).shape == (0, 4)
 
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_out_of_buffer(self, rng, backend):
-        engine = make_engine(_make_codes(rng, length=16), backend)
+        engine = ENGINES[backend](_make_codes(rng, length=16))
         buffer = rng.normal(0.0, 1.0, size=64)
         with pytest.raises(SpreadCodeError):
             engine.correlate_block(buffer, 0, 50)
@@ -108,7 +111,7 @@ class TestSynchronizerBackendWiring:
         codes = _make_codes(rng, length=64)
         engine = BatchedCorrelationEngine(codes, block_size=7)
         sync = SlidingWindowSynchronizer(
-            codes, tau=0.15, message_bits=4, backend=engine
+            codes, tau=0.15, message_bits=4, engine=engine
         )
         assert sync.engine is engine
 
@@ -118,27 +121,27 @@ class TestSynchronizerBackendWiring:
         engine = BatchedCorrelationEngine(other)
         with pytest.raises(SpreadCodeError):
             SlidingWindowSynchronizer(
-                codes, tau=0.15, message_bits=4, backend=engine
+                codes, tau=0.15, message_bits=4, engine=engine
             )
 
 
 def _equivalent_results(codes, buffer, message_bits, confirm_blocks=3,
                         tau=0.15):
-    """Run scan_all under every backend and assert identical sequences."""
+    """Run scan_all under every engine and assert identical sequences."""
     outcomes = {}
-    for backend in CORRELATION_BACKENDS:
+    for backend, make in ENGINES.items():
         sync = SlidingWindowSynchronizer(
             codes,
             tau=tau,
             message_bits=message_bits,
             confirm_blocks=confirm_blocks,
-            backend=backend,
+            engine=make(codes),
         )
         outcomes[backend] = sync.scan_all(buffer)
     reference = outcomes["naive"]
     for backend, results in outcomes.items():
         assert results == reference, (
-            f"{backend} diverged from naive: "
+            f"{backend} diverged from the oracle: "
             f"{[(r.position, r.code.code_id, r.correlations_computed) for r in results]} "
             f"vs {[(r.position, r.code.code_id, r.correlations_computed) for r in reference]}"
         )
@@ -195,8 +198,8 @@ class TestBackendEquivalence:
         results = _equivalent_results(
             codes, buffer, message_bits=4, confirm_blocks=2, tau=0.2
         )
-        # Nothing real on the channel; whatever the naive path decides,
-        # the batched paths must decide identically (checked above).
+        # Nothing real on the channel; whatever the oracle decides,
+        # the production paths must decide identically (checked above).
         assert all(r.position >= 0 for r in results)
 
     def test_scan_start_offset_equivalence(self, rng):
@@ -207,12 +210,12 @@ class TestBackendEquivalence:
         channel.add_message(bits, codes[1], offset=6 * 512 + 1000)
         buffer = channel.render(rng=rng)
         scans = {}
-        for backend in CORRELATION_BACKENDS:
+        for backend, make in ENGINES.items():
             sync = SlidingWindowSynchronizer(
-                codes, tau=0.15, message_bits=6, backend=backend
+                codes, tau=0.15, message_bits=6, engine=make(codes)
             )
             scans[backend] = sync.scan(buffer, start=2000)
-        assert scans["batched"] == scans["naive"]
-        assert scans["fft"] == scans["naive"]
+        for backend in ENGINES:
+            assert scans[backend] == scans["naive"], backend
         assert scans["naive"] is not None
         assert scans["naive"].code.code_id == 1

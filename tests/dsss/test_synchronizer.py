@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.dsss.channel import ChipChannel
-from repro.dsss.engine import CORRELATION_BACKENDS
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
 from repro.errors import EccDecodeError, SpreadCodeError
+from tests.dsss.engines import ENGINES
 
 # Barker-13: aperiodic autocorrelation sidelobes of magnitude 1/13, so
 # partially overlapping windows can never cross a mid-range threshold —
@@ -111,7 +111,7 @@ def _reference_scan(codes, tau, message_bits, confirm_blocks, buffer, start=0):
 class TestAccounting:
     """correlations_computed must equal the hand-counted work."""
 
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_hand_counted_with_failed_confirm(self, backend):
         """A crafted buffer whose every correlation is known by hand.
 
@@ -135,7 +135,7 @@ class TestAccounting:
         )
         sync = SlidingWindowSynchronizer(
             [code], tau=0.5, message_bits=2, confirm_blocks=2,
-            backend=backend,
+            engine=ENGINES[backend]([code]),
         )
         result = sync.scan(buffer)
         assert result is not None
@@ -143,7 +143,7 @@ class TestAccounting:
         assert result.bits == [1, 1]
         assert result.correlations_computed == 29
 
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_clean_lock_counts_confirm_blocks(self, rng, backend):
         """Lock at position 0: m scan correlations + (confirm_blocks - 1)
         confirmation correlations."""
@@ -153,14 +153,14 @@ class TestAccounting:
         channel.add_message(bits, codes[1], offset=0)
         sync = SlidingWindowSynchronizer(
             codes, tau=0.15, message_bits=5, confirm_blocks=3,
-            backend=backend,
+            engine=ENGINES[backend](codes),
         )
         result = sync.scan(channel.render())
         assert result is not None
         assert result.position == 0
         assert result.correlations_computed == 3 + 2
 
-    @pytest.mark.parametrize("backend", CORRELATION_BACKENDS)
+    @pytest.mark.parametrize("backend", ENGINES)
     def test_matches_reference_on_noisy_buffer(self, rng, backend):
         """On a buffer full of spurious crossings the production count
         equals the independent chip-by-chip reference count."""
@@ -181,7 +181,7 @@ class TestAccounting:
         )
         sync = SlidingWindowSynchronizer(
             codes, tau=tau, message_bits=message_bits,
-            confirm_blocks=confirm_blocks, backend=backend,
+            confirm_blocks=confirm_blocks, engine=ENGINES[backend](codes),
         )
         result = sync.scan(buffer)
         if position is None:

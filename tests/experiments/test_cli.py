@@ -62,17 +62,14 @@ class TestChartFlag:
 class TestDsssCommand:
     def test_options_parsed(self):
         args = build_parser().parse_args(
-            ["dsss", "--messages", "7", "--ecc-backend", "naive",
-             "--burst", "0.1"]
+            ["dsss", "--messages", "7", "--burst", "0.1"]
         )
         assert args.messages == 7
-        assert args.ecc_backend == "naive"
         assert args.burst == 0.1
 
     def test_defaults(self):
         args = build_parser().parse_args(["dsss"])
         assert args.messages == 100
-        assert args.ecc_backend == "vectorized"
         assert args.burst == 0.2
 
     def test_burst_recovered_and_counters_visible(
@@ -91,22 +88,11 @@ class TestDsssCommand:
         assert "success_rate" in text
         assert "1.0000" in text
         snapshot = MetricsSnapshot.from_json(out.read_text())
-        assert snapshot.counter("ecc.symbols_decoded.vectorized") > 0
+        assert snapshot.counter("ecc.symbols_decoded") > 0
         assert snapshot.counter("cache.rs_codec.hits") > 0
         # Round two replays every waveform: one hit per miss.
         assert snapshot.counter("cache.waveform.misses") == 10
         assert snapshot.counter("cache.waveform.hits") == 10
-
-    def test_naive_backend_counts_separately(self, tmp_path):
-        from repro.obs import MetricsSnapshot
-
-        out = tmp_path / "metrics.json"
-        assert main(
-            ["--seed", "3", "--metrics-out", str(out),
-             "dsss", "--messages", "5", "--ecc-backend", "naive"]
-        ) == 0
-        snapshot = MetricsSnapshot.from_json(out.read_text())
-        assert snapshot.counter("ecc.symbols_decoded.naive") > 0
 
 
 class TestMetricsOut:

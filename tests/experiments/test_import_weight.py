@@ -1,10 +1,13 @@
-"""The run path imports neither scipy nor networkx.
+"""The run path imports neither scipy, networkx nor the test oracles.
 
 scipy is most of ``import repro``'s cost and only the aggregation
 helpers and the Theorem 3 quadrature use it; networkx only answers
 ``LogicalGraph`` graph queries.  Both are imported inside the functions
 that need them, so a fresh interpreter that loads the campaign executor,
-the experiment runner and the worker pool must not have either loaded.
+the experiment runner, the worker pool, the PHY models and the CLI must
+not have either loaded.  :mod:`repro.oracles` holds the reference
+correlation engine and RS codec for the equivalence tests and speed-up
+benchmarks; no runtime module may load it.
 """
 
 import os
@@ -19,9 +22,12 @@ import sys
 import repro.campaigns.executor
 import repro.experiments.pool
 import repro.experiments.runner
+import repro.dsss.phy
+import repro.cli
 heavy = sorted(
     name for name in sys.modules
     if name.split(".")[0] in ("scipy", "networkx")
+    or name == "repro.oracles"
 )
 print(",".join(heavy))
 """

@@ -2,8 +2,6 @@
 
 import re
 
-import pytest
-
 from repro.obs import names
 
 
@@ -41,20 +39,11 @@ class TestLookupApi:
     def test_dynamic_helper_products_are_registered(self):
         assert names.is_registered(names.cache_hits("rs_codec"))
         assert names.is_registered(names.cache_misses("waveform"))
-        assert names.is_registered(
-            names.backend_qualified(
-                names.ECC_SYMBOLS_ENCODED, "vectorized"
-            )
-        )
 
     def test_typos_are_not_registered(self):
         assert not names.is_registered("dsss.scnas")
         assert not names.is_registered("cache.hits")
         assert not names.is_registered("ecc.symbols_encoded.")
-
-    def test_backend_qualified_rejects_unregistered_base(self):
-        with pytest.raises(ValueError):
-            names.backend_qualified("ecc.sybmols_encoded", "naive")
 
     def test_looks_like_metric_name(self):
         assert names.looks_like_metric_name("dsss.scans")

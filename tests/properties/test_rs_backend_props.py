@@ -1,12 +1,13 @@
-"""Backend-equivalence properties: naive vs vectorized Reed-Solomon.
+"""Equivalence properties: the Reed-Solomon codec vs its scalar oracle.
 
-The vectorized backend must be *bit-identical* to the scalar reference:
+:class:`~repro.ecc.reed_solomon.ReedSolomonCodec` must be
+*bit-identical* to :class:`~repro.oracles.ScalarReedSolomonCodec`:
 same codewords, same decoded symbols for every errors+erasures pattern
 within capability (including the exact boundary ``2e + f = n - k``),
 and the same :class:`~repro.errors.EccDecodeError` outcome beyond it.
-The :class:`~repro.ecc.codec.ExpansionCodec` sweep covers the chunking
-boundaries (one symbol, exactly ``_max_data_symbols``, one past it, and
-multiple chunks).
+The :class:`~repro.ecc.codec.ExpansionCodec` sweep checks every chunk
+against the oracle across the chunking boundaries (one symbol, exactly
+``_max_data_symbols``, one past it, and multiple chunks).
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ecc.codec import ExpansionCodec
 from repro.ecc.reed_solomon import ReedSolomonCodec
 from repro.errors import EccDecodeError
+from repro.oracles import ScalarReedSolomonCodec
 
 symbol = st.integers(min_value=0, max_value=255)
 
@@ -54,8 +56,8 @@ class TestReedSolomonBackendEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_decode_agrees_including_failures(self, case):
         n_parity, message, error_pos, erasure_pos, flips = case
-        naive = ReedSolomonCodec(n_parity, backend="naive")
-        vectorized = ReedSolomonCodec(n_parity, backend="vectorized")
+        naive = ScalarReedSolomonCodec(n_parity)
+        vectorized = ReedSolomonCodec(n_parity)
         codeword = naive.encode(message)
         assert vectorized.encode(message) == codeword
         for position, flip in zip(error_pos + erasure_pos, flips):
@@ -77,8 +79,8 @@ class TestReedSolomonBackendEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_decode_batch_agrees(self, n_parity, k, batch, seed):
         rng = np.random.default_rng(seed)
-        naive = ReedSolomonCodec(n_parity, backend="naive")
-        vectorized = ReedSolomonCodec(n_parity, backend="vectorized")
+        naive = ScalarReedSolomonCodec(n_parity)
+        vectorized = ReedSolomonCodec(n_parity)
         messages = rng.integers(
             0, 256, size=(batch, k), dtype=np.uint8
         ).tolist()
@@ -101,8 +103,8 @@ class TestReedSolomonBackendEquivalence:
         n_parity = 6
         message = list(range(20))
         for e, f in ((0, 6), (1, 4), (2, 2), (3, 0)):
-            naive = ReedSolomonCodec(n_parity, backend="naive")
-            vectorized = ReedSolomonCodec(n_parity, backend="vectorized")
+            naive = ScalarReedSolomonCodec(n_parity)
+            vectorized = ReedSolomonCodec(n_parity)
             word = naive.encode(message)
             positions = list(range(e + f))
             for position in positions:
@@ -116,26 +118,50 @@ class TestReedSolomonBackendEquivalence:
 
 
 class TestExpansionCodecBackendEquivalence:
+    @staticmethod
+    def _chunks(codec, n_symbols):
+        """``(start, k, n_parity)`` of each RS chunk of ``n_symbols``."""
+        start = 0
+        for k in codec._chunk_sizes(n_symbols):
+            n_parity = codec.parity_symbols(k)
+            yield start, k, n_parity
+            start += k + n_parity
+
     @pytest.mark.parametrize("mu", [0.5, 1.0])
     @pytest.mark.parametrize("case", ["clean", "erasures"])
     def test_chunk_boundaries(self, mu, case):
-        naive = ExpansionCodec(mu, backend="naive")
-        vectorized = ExpansionCodec(mu, backend="vectorized")
-        max_symbols = naive._max_data_symbols
+        codec = ExpansionCodec(mu)
+        max_symbols = codec._max_data_symbols
         rng = np.random.default_rng(42)
         for bits in (1, 8, 8 * max_symbols, 8 * max_symbols + 1,
                      8 * (2 * max_symbols) + 13):
             plain = rng.integers(0, 2, size=bits, dtype=np.int8)
-            coded_naive = naive.encode(plain)
-            coded_vec = vectorized.encode(plain)
-            assert np.array_equal(coded_naive, coded_vec)
-            decisions = [int(b) for b in coded_naive]
+            coded = codec.encode(plain)
+            data = codec._pack(plain)
+            symbols = np.packbits(coded.astype(np.uint8)).tolist()
+            chunks = list(self._chunks(codec, len(data)))
+            offset = 0
+            for start, k, n_parity in chunks:
+                assert symbols[start : start + k + n_parity] == (
+                    ScalarReedSolomonCodec(n_parity).encode(
+                        data[offset : offset + k]
+                    )
+                )
+                offset += k
+            decisions = [int(b) for b in coded]
             if case == "erasures":
                 # Erase one whole symbol's worth of leading bits; this
                 # stays within every chunk's parity budget.
                 for position in range(min(8, len(decisions))):
                     decisions[position] = None
-            got_naive = naive.decode(decisions, bits)
-            got_vec = vectorized.decode(decisions, bits)
-            assert np.array_equal(got_naive, got_vec)
-            assert np.array_equal(got_naive, plain)
+            decoded = []
+            for start, k, n_parity in chunks:
+                word, erasures = codec._lift(
+                    decisions[8 * start : 8 * (start + k + n_parity)]
+                )
+                decoded.extend(
+                    ScalarReedSolomonCodec(n_parity).decode(word, erasures)
+                )
+            want = np.unpackbits(np.asarray(decoded, dtype=np.uint8))
+            assert np.array_equal(codec.decode(decisions, bits), want[:bits])
+            assert np.array_equal(want[:bits], plain)

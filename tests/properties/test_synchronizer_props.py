@@ -1,19 +1,20 @@
-"""Property-based equivalence of the correlation backends.
+"""Property-based equivalence of the correlation engines.
 
 Whatever random buffer the channel produces — empty, noise-only,
-carrying messages at arbitrary offsets, or jammed — every backend must
-return exactly the same SyncResult sequence as the naive per-position
-reference, work counter included.
+carrying messages at arbitrary offsets, or jammed — the production
+engine (automatic, forced-FFT and forced-matmul) must return exactly
+the same SyncResult sequence as the per-position oracle, work counter
+included.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.dsss.channel import ChipChannel
-from repro.dsss.engine import CORRELATION_BACKENDS
 from repro.dsss.spread_code import SpreadCode
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
 from repro.utils.rng import derive_rng
+from tests.dsss.engines import ENGINES
 
 
 def _scenario(seed, n_codes, code_length, message_bits, offset_positions,
@@ -68,14 +69,14 @@ class TestBackendEquivalenceProps:
         # spurious hits and failed confirmations are frequent — exactly
         # the paths where batched accounting could drift.
         results = {}
-        for backend in CORRELATION_BACKENDS:
+        for backend, make in ENGINES.items():
             sync = SlidingWindowSynchronizer(
                 codes,
                 tau=0.3,
                 message_bits=message_bits,
                 confirm_blocks=2,
-                backend=backend,
+                engine=make(codes),
             )
             results[backend] = sync.scan_all(buffer)
-        assert results["batched"] == results["naive"]
-        assert results["fft"] == results["naive"]
+        for backend in ENGINES:
+            assert results[backend] == results["naive"], backend
