@@ -49,6 +49,35 @@ def _ordered(a: int, b: int) -> Pair:
     return (a, b) if a <= b else (b, a)
 
 
+def _pair_array(pairs: Iterable[Pair]) -> np.ndarray:
+    """``pairs`` as a ``(k, 2)`` int64 array, or
+    :class:`ConfigurationError` for any other shape or a non-integral
+    value.  An integer ``(k, 2)`` array passes through uncopied."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    try:
+        arr = np.asarray(pairs)
+    except ValueError as exc:
+        raise ConfigurationError(f"pairs must be (a, b) rows: {exc}") from None
+    if arr.shape == (0,):
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ConfigurationError(
+            f"pairs must have shape (k, 2), got {arr.shape}"
+        )
+    if arr.dtype.kind not in "iu":
+        integral = (
+            arr.dtype.kind == "f"
+            and np.isfinite(arr).all()
+            and np.array_equal(arr, np.trunc(arr))
+        )
+        if not integral:
+            raise ConfigurationError(
+                f"pairs must hold integer node indices, got {arr.dtype}"
+            )
+    return arr.astype(np.int64, copy=False)
+
+
 class LogicalGraph:
     """The logical-neighbor graph over node indices ``[0, n_nodes)``.
 
@@ -116,15 +145,13 @@ class LogicalGraph:
         Equivalent to calling :meth:`add_link` per pair, minus the
         per-call overhead — the hot path for building a snapshot's
         initial graph from thousands of D-NDP outcomes.  Accepts any
-        iterable of pairs, including a ``(k, 2)`` integer array.
+        iterable of integer pairs, including a ``(k, 2)`` integer
+        array; other shapes and non-integral values raise
+        :class:`ConfigurationError`.
         """
-        if isinstance(pairs, np.ndarray):
-            arr = np.asarray(pairs, dtype=np.int64)
-        else:
-            arr = np.asarray(list(pairs), dtype=np.int64)
+        arr = _pair_array(pairs)
         if arr.size == 0:
             return
-        arr = arr.reshape(-1, 2)
         if bool((arr[:, 0] == arr[:, 1]).any()):
             raise ConfigurationError("a node is not its own neighbor")
         self._check_range(int(arr.min()), int(arr.max()))
@@ -197,6 +224,11 @@ class LogicalGraph:
 # Pairs per chunk of the ball-intersection test: two (chunk, n/64)
 # uint64 gathers stay cache-sized instead of spanning every pair.
 _MEET_CHUNK = 1024
+
+
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether ``keys`` is sorted with no repeats."""
+    return bool((keys[1:] > keys[:-1]).all())
 
 
 def _neighbor_table(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -290,7 +322,7 @@ class MNDPSampler:
         physical_pairs: Sequence[Pair],
         logical: LogicalGraph,
         rounds: int = 1,
-    ) -> Set[Pair]:
+    ) -> np.ndarray:
         """Run M-NDP over all not-yet-logical physical pairs.
 
         One round checks every remaining pair against the *current*
@@ -298,13 +330,16 @@ class MNDPSampler:
         Theorem 3's "no nodes have performed M-NDP yet" assumption for
         ``rounds=1``).  More rounds model the periodic re-initiation the
         paper describes: links formed by M-NDP enable further pairs.
-        Returns all pairs newly discovered across the rounds.
-        ``physical_pairs`` may be a sequence of pairs or a ``(k, 2)``
-        integer array; a node index outside ``[0, n_nodes)`` raises
+        Returns all pairs newly discovered across the rounds as a
+        ``(k, 2)`` int64 array of ``(a, b), a < b`` rows sorted by
+        ``(a, b)``, like :meth:`RectangularField.neighbor_pairs`.
+        ``physical_pairs`` may be a sequence of integer pairs or a
+        ``(k, 2)`` integer array; another shape, a non-integral value,
+        or a node index outside ``[0, n_nodes)`` raises
         :class:`ConfigurationError`.
         """
         check_positive("rounds", rounds)
-        raw = np.asarray(physical_pairs, dtype=np.int64).reshape(-1, 2)
+        raw = _pair_array(physical_pairs)
         if raw.size:
             logical._check_range(int(raw.min()), int(raw.max()))
         registry = _metrics()
@@ -337,7 +372,7 @@ class MNDPSampler:
                 working.add_link(a, b)
         if registry.enabled:
             registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
-        return discovered
+        return np.array(sorted(discovered), dtype=np.int64).reshape(-1, 2)
 
     def _discover_vectorized(
         self,
@@ -345,7 +380,7 @@ class MNDPSampler:
         logical: LogicalGraph,
         rounds: int,
         registry,
-    ) -> Set[Pair]:
+    ) -> np.ndarray:
         """Array-native form of the reference :meth:`discover` loop.
 
         Links are kept as one sorted array of pair keys ``a * n + b``
@@ -354,37 +389,40 @@ class MNDPSampler:
         still-unlinked pairs against it, resolves their closure
         distances, and merges the new links in — no graph copies, no
         per-pair ``has_link`` queries.  Metrics, results, and
-        first-occurrence pair deduplication match the reference.
+        first-occurrence pair deduplication match the reference.  Sorted,
+        duplicate-free keys (what :meth:`RectangularField.neighbor_pairs`
+        and a snapshot's :meth:`LogicalGraph.add_links` produce) skip
+        both ``np.unique`` passes.
         """
         n = logical.n_nodes
         a_all = np.minimum(raw[:, 0], raw[:, 1])
         b_all = np.maximum(raw[:, 0], raw[:, 1])
         keys_all = a_all * n + b_all
         edges = logical.edge_array()
-        linked = np.unique(
-            np.append(
-                np.minimum(edges[:, 0], edges[:, 1]) * n
-                + np.maximum(edges[:, 0], edges[:, 1]),
-                n * n,
-            )
+        linked = np.append(
+            np.minimum(edges[:, 0], edges[:, 1]) * n
+            + np.maximum(edges[:, 0], edges[:, 1]),
+            n * n,
         )
+        if not _strictly_increasing(linked):
+            linked = np.unique(linked)
         excluded = np.zeros(n, dtype=bool)
         excluded[[x for x in self._exclude if 0 <= x < n]] = True
         # Excluded endpoints never discover anyone, and a node is never
         # its own neighbor (the reference finds it at distance 0).
         valid_all = (a_all != b_all) & ~(excluded[a_all] | excluded[b_all])
-        discovered: Set[Pair] = set()
+        found_keys: List[np.ndarray] = []
         for round_index in range(rounds):
             pos = np.searchsorted(linked, keys_all)
             pend = np.flatnonzero(linked[pos] != keys_all)
             # The reference keys new links by pair, so duplicates in
             # physical_pairs resolve (and observe metrics) only once.
-            first = np.unique(keys_all[pend], return_index=True)[1]
-            if first.size != pend.size:
-                first.sort()
-                pend_unique = pend[first]
-            else:
-                pend_unique = pend
+            pend_unique = pend
+            if not _strictly_increasing(keys_all[pend]):
+                first = np.unique(keys_all[pend], return_index=True)[1]
+                if first.size != pend.size:
+                    first.sort()
+                    pend_unique = pend[first]
             lo, hi = np.divmod(linked[:-1], n)
             relay = ~(excluded[lo] | excluded[hi])
             dist = self._closure_distances(
@@ -396,23 +434,24 @@ class MNDPSampler:
                 n,
             )
             found = dist > 0
-            new_idx = pend_unique[found]
+            new_keys = keys_all[pend_unique[found]]
             if registry.enabled:
                 registry.inc(_names.MNDP_ROUNDS)
                 registry.inc(_names.MNDP_PAIRS_ATTEMPTED, int(pend.size))
                 for hops in dist[found].tolist():
                     registry.observe(_names.MNDP_RECOVERY_HOPS, hops)
-            if new_idx.size == 0:
+            if new_keys.size == 0:
                 break
-            new_a = a_all[new_idx]
-            new_b = b_all[new_idx]
-            discovered.update(zip(new_a.tolist(), new_b.tolist()))
+            found_keys.append(new_keys)
             if round_index == rounds - 1:
                 break
-            linked = np.union1d(linked, keys_all[new_idx])
+            linked = np.union1d(linked, new_keys)
+        # A recovered pair joins ``linked``, so no key repeats across
+        # rounds.
+        keys = np.sort(np.concatenate(found_keys or [keys_all[:0]]))
         if registry.enabled:
-            registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
-        return discovered
+            registry.inc(_names.MNDP_PAIRS_RECOVERED, int(keys.size))
+        return np.stack(divmod(keys, n), axis=1)
 
     def _closure_distances(
         self,

@@ -208,7 +208,7 @@ def build_event_network(
     if positions is None:
         positions = uniform_positions(
             field, config.n_nodes, seeds.rng("placement")
-        )
+        ).tolist()
     elif len(positions) != config.n_nodes:
         raise ValueError(
             f"{len(positions)} positions for {config.n_nodes} nodes"

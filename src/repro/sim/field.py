@@ -27,6 +27,26 @@ __all__ = ["RectangularField", "lens_overlap_fraction"]
 Position = Tuple[float, float]
 
 
+def _position_array(positions: Sequence[Position]) -> np.ndarray:
+    """``positions`` as an ``(n, 2)`` float64 array of finite
+    coordinates, or :class:`ConfigurationError`."""
+    try:
+        pos = np.asarray(positions, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"positions must be (x, y) pairs: {exc}"
+        ) from None
+    if pos.shape == (0,):
+        return pos.reshape(0, 2)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ConfigurationError(
+            f"positions must have shape (n, 2), got {pos.shape}"
+        )
+    if not np.isfinite(pos).all():
+        raise ConfigurationError("positions must be finite")
+    return pos
+
+
 def lens_overlap_fraction() -> float:
     """Expected overlap fraction ``1 - 3*sqrt(3)/(4*pi)`` of Theorem 3."""
     return 1.0 - 3.0 * math.sqrt(3.0) / (4.0 * math.pi)
@@ -45,9 +65,14 @@ class RectangularField:
     """
 
     def __init__(self, width: float, height: float, tx_range: float) -> None:
-        check_positive("width", width)
-        check_positive("height", height)
-        check_positive("tx_range", tx_range)
+        for name, value in (
+            ("width", width), ("height", height), ("tx_range", tx_range)
+        ):
+            check_positive(name, value)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {value!r}"
+                )
         self._width = float(width)
         self._height = float(height)
         self._range = float(tx_range)
@@ -106,11 +131,13 @@ class RectangularField:
     ) -> np.ndarray:
         """All index pairs ``(i, j), i < j`` within transmission range.
 
-        Returns a ``(k, 2)`` int64 array sorted by ``(i, j)``.
-        ``"vectorized"`` (default) screens chunked squared distances and
-        confirms the boundary with the same correctly-rounded hypot the
-        reference uses; ``"reference"`` is the original grid-bucketed
-        loop.  Both return the same array.
+        ``positions`` is an ``(n, 2)`` array or a sequence of ``(x, y)``
+        pairs; anything that is not ``n`` finite coordinate pairs raises
+        :class:`ConfigurationError`.  Returns a ``(k, 2)`` int64 array
+        sorted by ``(i, j)``.  ``"vectorized"`` (default) is the
+        occupied-cell search of :meth:`_neighbor_pairs_vectorized`;
+        ``"reference"`` is the original grid-bucketed loop.  Both return
+        the same array.
         """
         from repro.core.mndp import COMPUTE_BACKENDS
 
@@ -119,9 +146,10 @@ class RectangularField:
                 f"neighbor_pairs backend must be one of "
                 f"{COMPUTE_BACKENDS}, got {backend!r}"
             )
+        pos = _position_array(positions)
         if backend == "vectorized":
-            return self._neighbor_pairs_vectorized(positions)
-        pairs = self._neighbor_pairs_reference(positions)
+            return self._neighbor_pairs_vectorized(pos)
+        pairs = self._neighbor_pairs_reference(pos.tolist())
         return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     def _neighbor_pairs_reference(
@@ -145,61 +173,85 @@ class RectangularField:
                         pairs.append((i, j))
         return sorted(set(pairs))
 
-    def _neighbor_pairs_vectorized(
-        self, positions: Sequence[Position]
-    ) -> np.ndarray:
-        """Strip-bucketed squared-distance sweep.
+    def _neighbor_pairs_vectorized(self, pos: np.ndarray) -> np.ndarray:
+        """Occupied-cell search over the reference's grid.
 
-        Nodes are bucketed into vertical strips of width ``tx_range``
-        (any in-range pair sits in the same or adjacent strips, like the
-        reference's grid cells) and each strip is swept against itself
-        and its right neighbor with one dense squared-distance screen.
-        Survivors are confirmed with ``np.hypot``, the correctly-rounded
-        double the reference's ``math.hypot`` computes, so the boundary
-        decision is bit-identical.  Each pair is found once; the result
-        is sorted on the key ``low * n + high``.
+        Nodes get the reference's cells (side ``tx_range``) and are
+        sorted by cell.  Each node is paired with the later nodes of its
+        own cell and every node of the four forward cells ``(0, +1)``,
+        ``(+1, -1)``, ``(+1, 0)``, ``(+1, +1)``, which visits each
+        in-range candidate pair of the reference's 3 x 3 neighborhood
+        exactly once.  Forward cells are found by ``searchsorted`` over
+        the occupied cell keys only, so memory is O(n) however many
+        empty cells the field holds.  A squared-distance screen with
+        1e-9 slack drops far candidates; survivors are confirmed with
+        ``np.hypot``, the correctly-rounded double the reference's
+        ``math.hypot`` computes, so the boundary decision is
+        bit-identical.  The rows are sorted on the key
+        ``low << 32 | high``, i.e. by ``(low, high)``.
         """
-        n = len(positions)
+        n = len(pos)
         if n < 2:
             return np.empty((0, 2), dtype=np.int64)
-        pos = np.asarray(positions, dtype=np.float64)
-        x = pos[:, 0]
-        y = pos[:, 1]
         radius = self._range
-        screen = radius * radius * (1.0 + 1e-9)
-        strip_of = np.floor_divide(x, radius).astype(np.int64)
-        order = np.argsort(strip_of, kind="stable")
-        strips, starts = np.unique(strip_of[order], return_index=True)
-        strips = strips.tolist()
-        bounds = starts.tolist() + [n]
-        keys: List[np.ndarray] = []
-
-        def confirm(low: np.ndarray, high: np.ndarray) -> None:
-            exact = np.hypot(x[low] - x[high], y[low] - y[high])
-            keep = exact <= radius
-            keys.append(low[keep] * n + high[keep])
-
-        for t in range(len(strips)):
-            a_idx = order[bounds[t] : bounds[t + 1]]
-            xa = x[a_idx]
-            ya = y[a_idx]
-            dx = xa[:, None] - xa[None, :]
-            dy = ya[:, None] - ya[None, :]
-            rows, cols = np.nonzero(dx * dx + dy * dy <= screen)
-            low, high = a_idx[rows], a_idx[cols]
-            inside = high > low
-            confirm(low[inside], high[inside])
-            if t + 1 < len(strips) and strips[t + 1] == strips[t] + 1:
-                b_idx = order[bounds[t + 1] : bounds[t + 2]]
-                dx = xa[:, None] - x[b_idx][None, :]
-                dy = ya[:, None] - y[b_idx][None, :]
-                rows, cols = np.nonzero(dx * dx + dy * dy <= screen)
-                left, right = a_idx[rows], b_idx[cols]
-                confirm(
-                    np.minimum(left, right), np.maximum(left, right)
-                )
-        key = np.sort(np.concatenate(keys))
-        return np.stack((key // n, key % n), axis=1)
+        # Cell coordinates, rank-compressed per axis with every gap
+        # wider than one cell closed to exactly two: adjacency is kept,
+        # and keys stay below (2n + 1)^2 whatever the coordinates.
+        ranks = []
+        for axis in (0, 1):
+            cells, inverse = np.unique(
+                np.floor_divide(pos[:, axis], radius), return_inverse=True
+            )
+            step = np.where(np.diff(cells) == 1.0, 1, 2)
+            ranks.append(np.concatenate(([1], 1 + np.cumsum(step)))[inverse])
+        stride = int(ranks[1].max()) + 2
+        key = ranks[0] * stride + ranks[1]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        bounds = np.flatnonzero(key[1:] != key[:-1]) + 1
+        starts = np.concatenate(([0], bounds))
+        stops = np.concatenate((bounds, [n]))
+        occupied = key[starts]
+        cell_of = np.repeat(np.arange(starts.size), stops - starts)
+        # Candidate ranges [lo, hi) of sorted positions, one row per
+        # node: the rest of its own cell, then each forward cell.
+        lo = np.empty((n, 5), dtype=np.int64)
+        hi = np.empty((n, 5), dtype=np.int64)
+        lo[:, 0] = np.arange(1, n + 1)
+        hi[:, 0] = stops[cell_of]
+        for column, offset in enumerate((1, stride - 1, stride, stride + 1)):
+            target = occupied + offset
+            found = np.minimum(
+                np.searchsorted(occupied, target), occupied.size - 1
+            )
+            hit = occupied[found] == target
+            lo[:, column + 1] = np.where(hit, starts[found], 0)[cell_of]
+            hi[:, column + 1] = np.where(hit, stops[found], 0)[cell_of]
+        lo = lo.ravel()
+        length = np.maximum(hi.ravel() - lo, 0)
+        offsets = np.cumsum(length) - length
+        left = np.repeat(np.arange(n).repeat(5), length)
+        right = np.arange(int(offsets[-1] + length[-1])) + np.repeat(
+            lo - offsets, length
+        )
+        # One complex gather per side fetches both coordinates; the
+        # real and imaginary parts of the difference are the reference's
+        # dx and dy, bit for bit.
+        z = np.empty(n, dtype=np.complex128)
+        z.real = pos[order, 0]
+        z.imag = pos[order, 1]
+        d = z[left] - z[right]
+        dx, dy = d.real, d.imag
+        near = np.flatnonzero(
+            dx * dx + dy * dy <= radius * radius * (1.0 + 1e-9)
+        )
+        near = near[np.hypot(dx[near], dy[near]) <= radius]
+        first = order[left[near]]
+        second = order[right[near]]
+        pair_key = np.sort(
+            (np.minimum(first, second) << 32) | np.maximum(first, second)
+        )
+        return np.stack((pair_key >> 32, pair_key & 0xFFFFFFFF), axis=1)
 
     def adjacency(
         self, positions: Sequence[Position]

@@ -11,7 +11,7 @@ travels in a straight line, with optional pause times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,21 +24,32 @@ __all__ = ["uniform_positions", "StaticPlacement", "RandomWaypointModel"]
 
 def uniform_positions(
     field: RectangularField, n_nodes: int, rng: np.random.Generator
-) -> List[Position]:
-    """Place ``n_nodes`` uniformly at random in the field."""
+) -> np.ndarray:
+    """Place ``n_nodes`` uniformly at random in the field.
+
+    Returns an ``(n_nodes, 2)`` float64 array of ``(x, y)`` rows: all
+    x draws first, then all y draws.
+    """
     check_positive("n_nodes", n_nodes)
     xs = rng.uniform(0.0, field.width, size=n_nodes)
     ys = rng.uniform(0.0, field.height, size=n_nodes)
-    return [(float(x), float(y)) for x, y in zip(xs, ys)]
+    return np.stack((xs, ys), axis=1)
+
+
+def _as_tuples(positions: Sequence[Position]) -> List[Position]:
+    """Positions as a list of ``(x, y)`` float tuples."""
+    return [
+        (x, y) for x, y in np.asarray(positions, dtype=np.float64).tolist()
+    ]
 
 
 class StaticPlacement:
     """A time-invariant placement (one snapshot)."""
 
-    def __init__(self, positions: List[Position]) -> None:
-        if not positions:
+    def __init__(self, positions: Sequence[Position]) -> None:
+        if len(positions) == 0:
             raise ConfigurationError("placement must contain nodes")
-        self._positions = list(positions)
+        self._positions = _as_tuples(positions)
 
     @classmethod
     def uniform(
@@ -133,7 +144,7 @@ class RandomWaypointModel:
         self._rng = rng
         self._pause = float(pause_time)
         self._speed_range = (float(low), float(high))
-        starts = uniform_positions(field, n_nodes, rng)
+        starts = _as_tuples(uniform_positions(field, n_nodes, rng))
         self._legs: List[List[_Leg]] = [
             [self._new_leg(0.0, start)] for start in starts
         ]
@@ -144,7 +155,9 @@ class RandomWaypointModel:
         return len(self._legs)
 
     def _new_leg(self, start_time: float, start: Position) -> _Leg:
-        destination = uniform_positions(self._field, 1, self._rng)[0]
+        (destination,) = _as_tuples(
+            uniform_positions(self._field, 1, self._rng)
+        )
         speed = float(self._rng.uniform(*self._speed_range))
         return _Leg(start_time, start, destination, speed)
 

@@ -95,7 +95,7 @@ class TestLogicalGraph:
             discovered = MNDPSampler(nu=2, backend=backend).discover(
                 [(0, 2)], graph
             )
-            assert discovered == set()
+            assert discovered.shape == (0, 2)
 
     def test_add_links_index_past_end_rejected(self):
         graph = LogicalGraph(5)
@@ -106,6 +106,52 @@ class TestLogicalGraph:
         assert graph.edge_array().shape == (0, 2)
 
 
+class TestPairArrays:
+    BAD = {
+        "fractional array": np.array([[0.7, 2.2]]),
+        "fractional list": [(0.5, 1.9)],
+        "nan": np.array([[0.0, np.nan]]),
+        "three columns": [(0, 1, 2)],
+        "one column": np.array([[1], [2]]),
+        "flat": [0, 1, 2, 3],
+        "ragged": [(0, 1), (2,)],
+        "bool": np.array([[True, False]]),
+        "text": [("0", "1")],
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_add_links_rejects(self, case):
+        graph = LogicalGraph(5)
+        with pytest.raises(ConfigurationError):
+            graph.add_links(self.BAD[case])
+        assert graph.edge_array().shape == (0, 2)
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_discover_rejects(self, backend, case):
+        graph = LogicalGraph(5)
+        graph.add_links([(0, 2), (2, 1)])
+        with pytest.raises(ConfigurationError):
+            MNDPSampler(2, backend=backend).discover(self.BAD[case], graph)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 1), (3, 4)],
+            np.array([[0, 1], [3, 4]], dtype=np.int32),
+            np.array([[0, 1], [3, 4]], dtype=np.uint16),
+            [(np.int64(0), 1), (3, np.int8(4))],
+            np.array([[0.0, 1.0], [3.0, 4.0]]),
+        ],
+    )
+    def test_integer_pairs_accepted(self, pairs):
+        graph = LogicalGraph(5)
+        graph.add_links(pairs)
+        assert graph.edges() == {(0, 1), (3, 4)}
+        recovered = MNDPSampler(2).discover(pairs, LogicalGraph(5))
+        assert recovered.dtype == np.int64 and recovered.shape == (0, 2)
+
+
 class TestMNDPSampler:
     def test_two_hop_recovery(self):
         """A-B fail D-NDP but share logical neighbor C."""
@@ -114,20 +160,22 @@ class TestMNDPSampler:
         logical.add_link(1, 2)
         sampler = MNDPSampler(nu=2)
         discovered = sampler.discover([(0, 1)], logical)
-        assert discovered == {(0, 1)}
+        assert discovered.tolist() == [[0, 1]]
 
     def test_respects_hop_budget(self):
         logical = LogicalGraph(4)
         # path 0-2-3-1 has 3 hops
         for a, b in [(0, 2), (2, 3), (3, 1)]:
             logical.add_link(a, b)
-        assert MNDPSampler(nu=2).discover([(0, 1)], logical) == set()
-        assert MNDPSampler(nu=3).discover([(0, 1)], logical) == {(0, 1)}
+        assert MNDPSampler(nu=2).discover([(0, 1)], logical).shape == (0, 2)
+        assert MNDPSampler(nu=3).discover(
+            [(0, 1)], logical
+        ).tolist() == [[0, 1]]
 
     def test_already_logical_pairs_skipped(self):
         logical = LogicalGraph(2)
         logical.add_link(0, 1)
-        assert MNDPSampler(nu=2).discover([(0, 1)], logical) == set()
+        assert MNDPSampler(nu=2).discover([(0, 1)], logical).shape == (0, 2)
 
     def test_single_round_uses_initial_graph(self):
         """rounds=1 matches Theorem 3: new links don't cascade."""
@@ -139,7 +187,7 @@ class TestMNDPSampler:
         # after (0,1) exists.
         pairs = [(0, 1), (0, 3)]
         one_round = MNDPSampler(nu=2).discover(pairs, logical, rounds=1)
-        assert one_round == {(0, 1)}
+        assert one_round.tolist() == [[0, 1]]
 
     def test_multi_round_cascades(self):
         logical = LogicalGraph(4)
@@ -148,21 +196,21 @@ class TestMNDPSampler:
         logical.add_link(3, 1)
         pairs = [(0, 1), (0, 3)]
         two_rounds = MNDPSampler(nu=2).discover(pairs, logical, rounds=2)
-        assert two_rounds == {(0, 1), (0, 3)}
+        assert two_rounds.tolist() == [[0, 1], [0, 3]]
 
     def test_excluded_relays(self):
         logical = LogicalGraph(3)
         logical.add_link(0, 2)
         logical.add_link(1, 2)
         sampler = MNDPSampler(nu=2, exclude=[2])
-        assert sampler.discover([(0, 1)], logical) == set()
+        assert sampler.discover([(0, 1)], logical).shape == (0, 2)
 
     def test_excluded_endpoint(self):
         logical = LogicalGraph(3)
         logical.add_link(0, 2)
         logical.add_link(1, 2)
         sampler = MNDPSampler(nu=2, exclude=[1])
-        assert sampler.discover([(0, 1)], logical) == set()
+        assert sampler.discover([(0, 1)], logical).shape == (0, 2)
 
     def test_rejects_bad_nu(self):
         with pytest.raises(ConfigurationError):

@@ -27,7 +27,8 @@ def _random_instance(rnd):
 
 
 def _run_backend(backend, nu, pairs, graph, exclude=(), rounds=1):
-    """``discover`` on one backend: the recovered set and the metrics."""
+    """``discover`` on one backend: the recovered pair array and the
+    metrics."""
     registry = MetricsRegistry()
     with installed(registry):
         recovered = MNDPSampler(
@@ -45,10 +46,20 @@ def _assert_backends_agree(nu, pairs, graph, exclude=(), rounds=1):
     got, got_metrics = _run_backend(
         "vectorized", nu, pairs, graph, exclude, rounds
     )
-    assert got == want
+    _assert_sorted_pairs(want)
+    _assert_sorted_pairs(got)
+    assert np.array_equal(got, want)
     assert got_metrics.counters == want_metrics.counters
     assert got_metrics.histograms == want_metrics.histograms
     return want, _hops(want_metrics)
+
+
+def _assert_sorted_pairs(recovered):
+    """A ``(k, 2)`` int64 array of ``a < b`` rows in ``(a, b)`` order."""
+    assert recovered.dtype == np.int64
+    assert recovered.ndim == 2 and recovered.shape[1] == 2
+    assert (recovered[:, 0] < recovered[:, 1]).all()
+    assert recovered.tolist() == sorted(recovered.tolist())
 
 
 def _hops(snapshot):
@@ -76,7 +87,7 @@ class TestBackendEquivalence:
             got = MNDPSampler(2, backend="vectorized").discover(
                 pairs, graph, rounds=rounds
             )
-            assert want == got
+            assert np.array_equal(want, got)
 
     def test_discover_leaves_caller_graph_untouched(self):
         graph = LogicalGraph(4)
@@ -86,7 +97,7 @@ class TestBackendEquivalence:
         recovered = MNDPSampler(2).discover(
             [(0, 2), (0, 3)], graph, rounds=3
         )
-        assert recovered == {(0, 2)}
+        assert recovered.tolist() == [[0, 2]]
         assert graph.edges() == edges_before
 
     def test_unknown_backend_rejected(self):
@@ -112,7 +123,7 @@ class TestBackendEquivalence:
             got = MNDPSampler(
                 3, exclude=exclude, backend="vectorized"
             ).discover(noisy, graph, rounds=2)
-            assert want == got
+            assert np.array_equal(want, got)
 
     def test_discover_metrics_identical(self):
         rnd = random.Random(4242)
@@ -128,7 +139,7 @@ class TestBackendEquivalence:
         recovered, hops = _assert_backends_agree(
             3, [(1, 1), (0, 0), (0, 2)], graph
         )
-        assert recovered == {(0, 2)}
+        assert recovered.tolist() == [[0, 2]]
         assert hops == [2]
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
@@ -190,7 +201,7 @@ class TestClosureEquivalence:
             _assert_backends_agree(nu, pairs, graph, exclude)
         recovered, _ = _assert_backends_agree(8, pairs, graph)
         # Non-vacuous: some pairs recover and some stay out of reach.
-        assert recovered and len(recovered) < len(
+        assert 0 < len(recovered) < len(
             [p for p in pairs if p not in edges]
         )
 
@@ -200,9 +211,9 @@ class TestClosureEquivalence:
         pairs = [(0, nu), (0, nu + 1), (3, 3 + nu), (2, 3 + nu)]
         recovered, hops = _assert_backends_agree(nu, pairs, graph)
         if nu == 1:
-            assert recovered == set()
+            assert recovered.shape == (0, 2)
         else:
-            assert recovered == {(0, nu), (3, 3 + nu)}
+            assert recovered.tolist() == [[0, nu], [3, 3 + nu]]
             assert hops == [nu, nu]
 
     @pytest.mark.parametrize("nu", NUS)
@@ -215,9 +226,9 @@ class TestClosureEquivalence:
         pairs = [(0, nu), (0, nu + 1), (0, n - nu), (0, n - nu - 1)]
         recovered, hops = _assert_backends_agree(nu, pairs, graph)
         if nu == 1:
-            assert recovered == set()
+            assert recovered.shape == (0, 2)
         else:
-            assert recovered == {(0, nu), (0, n - nu)}
+            assert recovered.tolist() == [[0, nu], [0, n - nu]]
             assert hops == [nu, nu]
 
     @pytest.mark.parametrize("nu", NUS)
@@ -231,17 +242,18 @@ class TestClosureEquivalence:
         cut, cut_hops = _assert_backends_agree(
             nu, pairs, graph, exclude=[2]
         )
-        assert ((0, 4) in full) == (nu >= 4)
+        assert ([0, 4] in full.tolist()) == (nu >= 4)
         # With relay 2 out, 0 reaches 4 only by the 5-hop detour, and
         # 1 only through 0 (6 hops).
-        assert ((0, 4) in cut) == (nu >= 5)
-        assert ((1, 4) in cut) == (nu >= 6)
+        assert ([0, 4] in cut.tolist()) == (nu >= 5)
+        assert ([1, 4] in cut.tolist()) == (nu >= 6)
         if nu >= 6:
             assert cut_hops == [5, 6, 3]
         both, _ = _assert_backends_agree(
             nu, pairs, graph, exclude=[2, 6]
         )
-        assert (0, 4) not in both and (1, 4) not in both
+        assert [0, 4] not in both.tolist()
+        assert [1, 4] not in both.tolist()
 
     @pytest.mark.parametrize("nu", NUS)
     def test_excluded_endpoints(self, nu):
@@ -250,7 +262,7 @@ class TestClosureEquivalence:
         recovered, _ = _assert_backends_agree(
             nu, pairs, graph, exclude=[0, 9]
         )
-        assert all(0 not in p and 9 not in p for p in recovered)
+        assert not np.isin(recovered, [0, 9]).any()
 
     @pytest.mark.parametrize("rounds", [2, 3])
     @pytest.mark.parametrize("nu", [3, 4, 6, 8])
@@ -267,7 +279,7 @@ class TestClosureEquivalence:
         recovered, _ = _assert_backends_agree(
             nu, pairs, graph, rounds=rounds
         )
-        assert (0, 2 * nu) in recovered
+        assert [0, 2 * nu] in recovered.tolist()
 
     @pytest.mark.parametrize("nu", [3, 8])
     def test_paper_scale_field(self, nu):

@@ -1,0 +1,49 @@
+"""Pinned paper-scale run results.
+
+Each case is one Table I snapshot (2000 nodes on the 5000 x 5000 m
+field, 300 m range, q = 60 compromised nodes, reactive jammer) at its own
+run index.  The counts were recorded before the occupied-cell neighbor
+search and the array-returning M-NDP closure replaced their
+predecessors, so a kernel change that alters any placement, neighbor
+pair, D-NDP draw or M-NDP recovery shows up here as a changed tuple.
+"""
+
+import pytest
+
+from repro.core.config import JRSNDConfig
+from repro.experiments.runner import NetworkExperiment
+
+SEED = 2011
+
+# (phy_backend, link_model, nu, run_index,
+#  (n_pairs, dndp_successes, mndp_successes, mean_degree))
+GOLDEN = [
+    ("message", "codes", 2, 0, (21399, 9173, 9877, 21.399)),
+    ("message", "codes", 8, 1, (21598, 9307, 10999, 21.598)),
+    ("message", "independent", 2, 2, (21691, 9453, 11059, 21.691)),
+    ("message", "independent", 8, 3, (21970, 9448, 12513, 21.97)),
+    ("chipless", "codes", 2, 4, (21195, 8921, 9663, 21.195)),
+    ("chipless", "codes", 8, 5, (21415, 9014, 11118, 21.415)),
+    ("chipless", "independent", 2, 6, (21454, 9207, 10984, 21.454)),
+    ("chipless", "independent", 8, 7, (21608, 9454, 12154, 21.608)),
+]
+
+
+@pytest.mark.parametrize(
+    "phy, link_model, nu, run_index, expected",
+    GOLDEN,
+    ids=[f"{phy}-{link}-nu{nu}" for phy, link, nu, _, _ in GOLDEN],
+)
+def test_paper_scale_run_is_pinned(phy, link_model, nu, run_index, expected):
+    config = JRSNDConfig(phy_backend=phy, nu=nu, n_compromised=60)
+    result = NetworkExperiment(
+        config, seed=SEED, link_model=link_model
+    ).run_once(run_index)
+    got = (
+        result.n_pairs,
+        result.dndp_successes,
+        result.mndp_successes,
+        result.mean_degree,
+    )
+    assert got == expected
+    assert result.mean_dndp_latency is None

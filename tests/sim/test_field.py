@@ -47,6 +47,20 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             RectangularField(0, 10, 5)
 
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            (10, math.inf, 5),
+            (math.inf, 10, 5),
+            (10, 10, math.inf),
+            (10, -math.inf, 5),
+            (10, 10, math.nan),
+        ],
+    )
+    def test_rejects_non_finite_dimensions(self, dims):
+        with pytest.raises(ConfigurationError, match="must be"):
+            RectangularField(*dims)
+
 
 class TestNeighborPairs:
     def test_matches_brute_force(self, rng):

@@ -25,6 +25,15 @@ class TestUniformPositions:
     def test_count(self, field, rng):
         assert len(uniform_positions(field, 17, rng)) == 17
 
+    def test_array_of_x_then_y_draws(self, field):
+        positions = uniform_positions(field, 50, np.random.default_rng(3))
+        draws = np.random.default_rng(3)
+        xs = draws.uniform(0.0, field.width, size=50)
+        ys = draws.uniform(0.0, field.height, size=50)
+        assert positions.dtype == np.float64 and positions.shape == (50, 2)
+        assert np.array_equal(positions[:, 0], xs)
+        assert np.array_equal(positions[:, 1], ys)
+
     def test_rejects_zero(self, field, rng):
         with pytest.raises(ConfigurationError):
             uniform_positions(field, 0, rng)
@@ -45,6 +54,14 @@ class TestStaticPlacement:
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             StaticPlacement([])
+        with pytest.raises(ConfigurationError):
+            StaticPlacement(np.empty((0, 2)))
+
+    def test_positions_are_float_tuples(self, field, rng):
+        placement = StaticPlacement(uniform_positions(field, 4, rng))
+        for position in placement.positions_at():
+            assert type(position) is tuple
+            assert all(type(c) is float for c in position)
 
 
 class TestRandomWaypoint:
