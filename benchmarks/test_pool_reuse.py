@@ -2,15 +2,16 @@
 
 The campaign workload the pool exists for: hundreds of *small* shards,
 where the chipless PHY has made the run bodies cheap enough that
-per-shard process spin-up (fork, experiment rebuild, cold artifact
-caches in every worker, teardown) would dominate wall clock.  The
-persistent :class:`~repro.experiments.pool.WorkerPool` pays those costs
-once per campaign and overlaps each shard's SQLite commit with the next
-shard's execution.
+per-shard process spin-up (fork, cold artifact caches in every worker,
+teardown) would dominate wall clock.  The persistent
+:class:`~repro.experiments.pool.WorkerPool` pays those costs once per
+campaign and overlaps each shard's SQLite commit with the next shard's
+execution.
 
 The throughput bench runs one many-small-shard campaign on a
-two-worker pool, checks that the pool stayed warm, and records its
-shard throughput in the root-level ``BENCH_pool.json`` artifact.  The
+two-worker pool, checks that its workers were spawned once and never
+replaced, and records its shard throughput in the root-level
+``BENCH_pool.json`` artifact.  The
 pooled store must carry the same canonical digest as a ``processes=1``
 (in-process) run of the same campaign — an engine that changed the
 bytes would be a correctness bug, not a speedup.  The supervision bench
@@ -108,13 +109,11 @@ def test_persistent_pool_shard_throughput(
         pooled_status.canonical_digest
         == in_process_status.canonical_digest
     )
-    # The pool must actually have been exercised and stayed warm: one
-    # cold configure per point, every later shard a cache hit.
-    points = len(spec.points())
+    # The pool must actually have been exercised and stayed up: its
+    # workers spawned once for the whole campaign, none replaced.
     shards = pooled_status.shards_total
     assert pool_counters[_names.POOL_WORKERS_SPAWNED] == WORKERS
-    assert pool_counters[_names.POOL_WARM_MISSES] == points
-    assert pool_counters[_names.POOL_WARM_HITS] == shards - points
+    assert pool_counters.get(_names.POOL_WORKERS_RESPAWNED, 0) == 0
 
     runs_per_s = pooled_status.runs_executed / pooled_t
     print()

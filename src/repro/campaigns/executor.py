@@ -16,8 +16,8 @@ the determinism guarantees around it:
    atomically replace the working store with its canonical
    byte-deterministic rebuild.
 
-The whole grid executes on one pool (workers and their cached
-experiments survive across shards) and the loop pipelines one shard
+The whole grid executes on one pool (workers and their artifact
+caches survive across shards) and the loop pipelines one shard
 deep: shard N+1 is submitted *before* shard N's SQLite commit runs on
 the main thread, so commit latency overlaps compute instead of
 serializing with it.  With a single worker the pool runs in-process
@@ -74,12 +74,12 @@ from repro.errors import (
 )
 from repro.experiments.parallel import collect_outcomes
 from repro.experiments.pool import (
-    ExperimentSpec,
     PendingRun,
     SupervisionPolicy,
     WorkerPool,
     available_cpu_count,
 )
+from repro.experiments.runner import NetworkExperiment
 from repro.obs import current
 from repro.obs import names as _names
 from repro.utils.fileio import atomic_write_text
@@ -130,19 +130,18 @@ def _submit_shard(
 ) -> PendingRun:
     """Submit one shard's run-index range to ``pool``."""
     point = shard.point
-    experiment = ExperimentSpec(
-        config=spec.point_config(point),
+    experiment = NetworkExperiment(
+        spec.point_config(point),
         seed=point.seed,
-        strategy_value=spec.point_strategy(point).value,
+        strategy=spec.point_strategy(point),
         mndp_rounds=spec.mndp_rounds,
+        sample_latency=spec.sample_latency,
         link_model=spec.point_link_model(point),
         collect_metrics=spec.collect_metrics,
         compute_backend=spec.compute_backend,
         phy_backend=spec.phy_backend,
     )
-    return pool.submit(
-        experiment, shard.run_indices, chunksize=spec.pool_chunksize
-    )
+    return pool.submit(experiment, shard.run_indices)
 
 
 def run_campaign(
@@ -225,7 +224,6 @@ def run_campaign(
         def _open_pool(worker_count: int) -> WorkerPool:
             return WorkerPool(
                 processes=worker_count,
-                cache_size=spec.pool_cache_size,
                 policy=policy,
                 execution_faults=execution_faults,
             )

@@ -49,6 +49,11 @@ _STRATEGIES = {
 }
 _LINK_MODELS = ("codes", "independent")
 
+#: Fields older specs carried and :meth:`CampaignSpec.from_dict` now
+#: rejects.  A store still holds them in the ``spec_json`` it wrote, so
+#: :mod:`repro.campaigns.store` strips them before parsing.
+REMOVED_FIELDS = frozenset({"pool_cache_size", "pool_chunksize"})
+
 
 def _typed(name: str, value: Any, kind: type) -> Any:
     """``value`` of spec field ``name`` as the JSON type ``kind``.
@@ -145,13 +150,6 @@ class CampaignSpec:
         Optional PHY override forwarded to the experiment; ``None``
         (default) keeps the base preset's ``config.phy_backend`` (so a
         ``*-chipless`` base is not silently overridden).
-    pool_cache_size:
-        Constructed experiments each persistent-pool worker keeps warm
-        (LRU); size it at or above the campaign's distinct point count
-        to make every revisit a cache hit.
-    pool_chunksize:
-        Run indices per pool task message; ``None`` (default) lets
-        :func:`~repro.experiments.pool.adaptive_chunksize` choose.
     max_run_retries:
         Times the pool supervisor retries a run whose worker died
         before quarantining it as a tagged failure (see
@@ -175,8 +173,6 @@ class CampaignSpec:
     collect_metrics: bool = True
     sample_latency: bool = False
     phy_backend: Optional[str] = None
-    pool_cache_size: int = 8
-    pool_chunksize: Optional[int] = None
     max_run_retries: int = 2
     run_timeout: Optional[float] = None
 
@@ -191,9 +187,6 @@ class CampaignSpec:
         if self.runs_per_shard is not None:
             check_positive("runs_per_shard", self.runs_per_shard)
         check_positive("mndp_rounds", self.mndp_rounds)
-        check_positive("pool_cache_size", self.pool_cache_size)
-        if self.pool_chunksize is not None:
-            check_positive("pool_chunksize", self.pool_chunksize)
         if self.max_run_retries < 0:
             raise ConfigurationError(
                 f"max_run_retries must be >= 0, "
@@ -271,8 +264,6 @@ class CampaignSpec:
             "collect_metrics": self.collect_metrics,
             "sample_latency": self.sample_latency,
             "phy_backend": self.phy_backend,
-            "pool_cache_size": self.pool_cache_size,
-            "pool_chunksize": self.pool_chunksize,
             "max_run_retries": self.max_run_retries,
             "run_timeout": self.run_timeout,
         }
@@ -298,9 +289,15 @@ class CampaignSpec:
             "name", "seed", "runs_per_point", "grid", "base",
             "strategy", "link_model", "runs_per_shard", "mndp_rounds",
             "compute_backend", "collect_metrics", "sample_latency",
-            "phy_backend", "pool_cache_size", "pool_chunksize",
-            "max_run_retries", "run_timeout",
+            "phy_backend", "max_run_retries", "run_timeout",
         }
+        removed = sorted(REMOVED_FIELDS & set(data))
+        if removed:
+            raise ConfigurationError(
+                f"campaign spec fields {removed} were removed: the pool "
+                f"no longer caches experiments or takes a chunk size; "
+                f"delete them from the spec"
+            )
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(
@@ -344,8 +341,6 @@ class CampaignSpec:
             collect_metrics=get("collect_metrics", bool, True),
             sample_latency=get("sample_latency", bool, False),
             phy_backend=optional("phy_backend", str),
-            pool_cache_size=get("pool_cache_size", int, 8),
-            pool_chunksize=optional("pool_chunksize", int),
             max_run_retries=get("max_run_retries", int, 2),
             run_timeout=optional("run_timeout", float),
         )

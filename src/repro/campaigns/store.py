@@ -54,7 +54,7 @@ import sqlite3
 import subprocess
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaigns.spec import CampaignSpec, Shard
+from repro.campaigns.spec import REMOVED_FIELDS, CampaignSpec, Shard
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentResult, RunResult
 from repro.obs import MetricsSnapshot, current
@@ -136,6 +136,18 @@ INFRASTRUCTURE_KIND = "infrastructure"
 
 class _StoreCorruption(Exception):
     """Internal: the file failed integrity/consistency verification."""
+
+
+def _stored_spec(spec_json: str) -> CampaignSpec:
+    """Parse a stored ``spec_json``, dropping :data:`REMOVED_FIELDS`.
+
+    :meth:`CampaignSpec.from_dict` rejects those fields, but stores
+    written before their removal still carry them.
+    """
+    data = json.loads(spec_json)
+    for name in REMOVED_FIELDS:
+        data.pop(name, None)
+    return CampaignSpec.from_dict(data)
 
 
 def current_git_revision(cwd: Optional[str] = None) -> str:
@@ -621,7 +633,13 @@ class CampaignStore:
     # -- queries --------------------------------------------------------
 
     def list_campaigns(self) -> List[Dict[str, Any]]:
-        """One row per (campaign, spec hash, revision) with progress."""
+        """One row per (campaign, spec hash, revision) with progress.
+
+        ``spec_hash`` is the key the rows are stored under.  For a spec
+        written before a field was removed it differs from
+        ``spec.spec_hash()`` of the parsed spec, so address stored rows
+        by this value.
+        """
         rows = self._conn.execute(
             "SELECT campaign_id, spec_hash, git_revision, spec_json, "
             "status FROM campaigns "
@@ -629,7 +647,7 @@ class CampaignStore:
         ).fetchall()
         campaigns = []
         for campaign_id, spec_hash, revision, spec_json, status in rows:
-            spec = CampaignSpec.from_json(spec_json)
+            spec = _stored_spec(spec_json)
             done = len(
                 self.completed_shards(campaign_id, spec_hash, revision)
             )
@@ -671,7 +689,7 @@ class CampaignStore:
             raise ConfigurationError(
                 f"campaign {campaign_id!r} not found in {self._path}"
             )
-        return CampaignSpec.from_json(row[0]), str(row[1])
+        return _stored_spec(row[0]), str(row[1])
 
     def point_results(
         self, campaign_id: str, spec_hash: str, git_revision: str

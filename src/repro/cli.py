@@ -370,6 +370,28 @@ def _campaign_spec(args: argparse.Namespace):
     raise SystemExit("campaign launch/resume needs --spec or --campaign")
 
 
+def _stored_key(store, campaign: str, revision: Optional[str]):
+    """``(spec hash, revision)`` the store keys ``campaign``'s rows by.
+
+    The stored hash, not the parsed spec's: a spec written before a
+    field was removed re-hashes differently.  Without a ``revision``
+    the lexicographically last one is used, as in ``spec_for``.
+    """
+    from repro.errors import ConfigurationError
+
+    rows = [
+        row for row in store.list_campaigns()
+        if row["campaign_id"] == campaign
+        and revision in (None, row["git_revision"])
+    ]
+    if not rows:
+        raise ConfigurationError(
+            f"campaign {campaign!r} not found in {store.path}"
+        )
+    row = max(rows, key=lambda row: row["git_revision"])
+    return row["spec_hash"], row["git_revision"]
+
+
 def _campaign_point_rows(results) -> List[dict]:
     """``point_results`` output flattened into printable table rows."""
     rows = []
@@ -396,15 +418,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         spec = _campaign_spec(args)
         execution_faults = None
         if args.chaos_kill_rate:
-            from repro.faults import ExecutionFaultPlan, WorkerKiller
+            from repro.faults import WorkerKiller
 
-            execution_faults = ExecutionFaultPlan((
-                WorkerKiller(
-                    seed=args.chaos_kill_seed,
-                    rate=args.chaos_kill_rate,
-                    max_kills=args.chaos_max_kills,
-                ),
-            ))
+            execution_faults = WorkerKiller(
+                seed=args.chaos_kill_seed,
+                rate=args.chaos_kill_rate,
+                max_kills=args.chaos_max_kills,
+            )
         status = run_campaign(
             spec,
             args.store,
@@ -528,11 +548,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 3 if total_quarantined else 0
     if args.campaign_command == "query":
         with CampaignStore(args.store) as store:
-            spec, revision = store.spec_for(
-                args.campaign, args.revision
+            spec_hash, revision = _stored_key(
+                store, args.campaign, args.revision
             )
             results = store.point_results(
-                args.campaign, spec.spec_hash(), revision
+                args.campaign, spec_hash, revision
             )
         if not results:
             print(f"campaign {args.campaign!r} has no committed "
@@ -541,24 +561,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(format_series_table(
             _campaign_point_rows(results),
             title=f"{args.campaign} @ {revision[:12]} "
-                  f"(spec {spec.spec_hash()})",
+                  f"(spec {spec_hash})",
         ))
         return 0
     if args.campaign_command == "diff":
         with CampaignStore(args.store) as store:
-            spec, revision = store.spec_for(
-                args.campaign, args.revision
+            spec_hash, revision = _stored_key(
+                store, args.campaign, args.revision
             )
             base = store.point_results(
-                args.campaign, spec.spec_hash(), revision
+                args.campaign, spec_hash, revision
             )
         other_path = args.other or args.store
         with CampaignStore(other_path) as store:
-            other_spec, other_revision = store.spec_for(
-                args.campaign, args.against
+            other_hash, other_revision = _stored_key(
+                store, args.campaign, args.against
             )
             other = store.point_results(
-                args.campaign, other_spec.spec_hash(), other_revision
+                args.campaign, other_hash, other_revision
             )
         if revision == other_revision and other_path == args.store:
             print("nothing to diff: both sides are "

@@ -11,9 +11,10 @@ serial path because each run's randomness depends only on
 
 Robustness and efficiency come from the pool:
 
-- the experiment parameters (including the full ``JRSNDConfig``) are
-  shipped to each worker **once** via a configure broadcast instead of
-  being re-pickled with every task — a task is just a run index;
+- the :class:`~repro.experiments.runner.NetworkExperiment` is built
+  (and validated) here, in the caller, so a bad parameter raises
+  :class:`~repro.errors.ConfigurationError` before anything is
+  dispatched; the pool then ships it with each chunk of run indices;
 - run failures never escape the dispatch protocol: they come back
   tagged with their run index, and after all tasks drain the completed
   runs are preserved on the raised
@@ -30,8 +31,8 @@ Robustness and efficiency come from the pool:
   bit-identical) rather than aborting the sweep;
 - one worker's worth of runs executes in the pool's in-process mode
   (``processes=0``): no fork, same per-chunk loop;
-- a persistent pool can be passed as ``pool=`` to reuse warm worker
-  processes (and their cached experiments) across many calls.  In
+- a persistent pool can be passed as ``pool=`` to reuse worker
+  processes (and their warm artifact caches) across many calls.  In
   every case — in-process, one-shot or persistent pool — the bits are
   the same.
 
@@ -51,12 +52,15 @@ from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
 from repro.errors import ConfigurationError, ParallelExecutionError
 from repro.experiments.pool import (
-    ExperimentSpec,
     SupervisionPolicy,
     WorkerPool,
     available_cpu_count,
 )
-from repro.experiments.runner import ExperimentResult, RunResult
+from repro.experiments.runner import (
+    ExperimentResult,
+    NetworkExperiment,
+    RunResult,
+)
 from repro.utils.validation import check_positive
 
 __all__ = ["collect_outcomes", "run_parallel"]
@@ -106,7 +110,6 @@ def run_parallel(
     run_indices: Optional[Sequence[int]] = None,
     phy_backend: Optional[str] = None,
     pool: Optional[WorkerPool] = None,
-    chunksize: Optional[int] = None,
     supervision: Optional[SupervisionPolicy] = None,
     execution_faults: Any = None,
 ) -> ExperimentResult:
@@ -132,16 +135,15 @@ def run_parallel(
 
     ``pool`` (when set) executes the runs on a persistent
     :class:`~repro.experiments.pool.WorkerPool`: its workers and their
-    cached experiments survive across calls, so repeated calls for the
-    same parameters skip the per-call rebuild entirely.  ``processes``
-    is ignored in that case (the pool was sized at construction).
+    artifact caches survive across calls, so repeated calls skip the
+    per-call process spawn entirely.  ``processes`` is ignored in that
+    case (the pool was sized at construction).
     Without a ``pool`` the call opens one for itself and closes it on
     return — in-process when only one worker would run, a supervised
     multiprocess pool otherwise, so worker deaths are respawned and
     retried rather than aborting the sweep.  ``supervision`` tunes
     that policy and ``execution_faults`` is the test-only chaos hook;
     both are ignored when a ``pool`` is passed (it carries its own).
-    ``chunksize`` overrides the adaptive run-indices-per-task batch.
 
     Raises :class:`~repro.errors.ParallelExecutionError` if any run
     fails, after all tasks have drained — the exception carries every
@@ -160,15 +162,13 @@ def run_parallel(
             )
         if any(index < 0 for index in indices_list):
             raise ConfigurationError("run_indices must be non-negative")
-    if chunksize is not None:
-        check_positive("chunksize", chunksize)
     indices: Sequence[int] = (
         range(int(runs)) if run_indices is None else indices_list
     )
-    spec = ExperimentSpec(
-        config=config,
+    experiment = NetworkExperiment(
+        config,
         seed=seed,
-        strategy_value=strategy.value,
+        strategy=strategy,
         mndp_rounds=mndp_rounds,
         link_model=link_model,
         collect_metrics=collect_metrics,
@@ -185,5 +185,5 @@ def run_parallel(
     else:
         engine = contextlib.nullcontext(pool)
     with engine as active:
-        outcomes = active.run(spec, indices, chunksize=chunksize)
+        outcomes = active.run(experiment, indices)
     return collect_outcomes(outcomes, int(runs))

@@ -1,24 +1,24 @@
-"""The supervised, persistent warm worker pool: the one execution engine.
+"""The supervised, persistent worker pool: the one execution engine.
 
 Every Monte Carlo run outside a bare ``NetworkExperiment.run`` goes
 through :class:`WorkerPool` — :func:`~repro.experiments.parallel.run_parallel`
 opens one per call unless it is handed one, and the campaign executor
 keeps one for a whole grid.  A campaign is hundreds of *small* shards,
-and with the chipless PHY backend the run bodies are so cheap that
-fork + re-pickle + rebuild per shard would dominate the wall clock, so
-the pool amortizes all of it:
+and with the chipless PHY backend the run bodies are so cheap that a
+fork per shard would dominate the wall clock, so the pool amortizes it:
 
 - **Processes are spawned once** and reused for every shard.  Sizing
   respects the scheduler's CPU affinity mask
-  (:func:`available_cpu_count`), not the raw machine core count.
-- **Workers cache constructed experiments** in a small LRU keyed by a
-  content hash of the experiment parameters
-  (:meth:`ExperimentSpec.content_key`), so consecutive shards of the
-  same sweep point — and revisits of a point anywhere in the grid —
-  skip the rebuild entirely.  New points are announced with one cheap
-  ``configure`` broadcast carrying the spec; the per-process artifact
-  cache (codecs, correlation matrices, waveforms) stays warm for the
-  pool's whole lifetime.
+  (:func:`available_cpu_count`), not the raw machine core count.  The
+  per-process artifact cache (codecs, correlation matrices, waveforms,
+  :mod:`repro.utils.artifact_cache`) is the warm state, and it lives
+  as long as the worker does.
+- **The experiment is the unit of work.**  A snapshot is a pure
+  function of ``(config, seed, run index)``, and a
+  :class:`~repro.experiments.runner.NetworkExperiment` is a small
+  value (about 1 KB pickled) that costs microseconds to build, so
+  every ``("run", experiment, index_attempts)`` chunk message carries
+  its own experiment.  Workers keep no per-experiment state.
 - **Submission is asynchronous.**  :meth:`WorkerPool.submit` returns a
   :class:`PendingRun` immediately while a dispatcher thread feeds the
   workers demand-driven chunks; the campaign executor uses this to
@@ -27,12 +27,11 @@ the pool amortizes all of it:
 **In-process mode.**  ``WorkerPool(processes=0)`` spawns no child and
 no dispatcher thread: :meth:`~WorkerPool.submit` only records the job
 and :meth:`PendingRun.wait` runs it in the caller's thread, through the
-same per-chunk loop (:meth:`_Experiments.run_chunk`) a worker process
-uses — same LRU, same trapping of
-:data:`~repro.errors.WORKER_TRAPPED_ERRORS` into tagged outcomes.  It is
-the serial engine and the campaign's fallback when supervision gives
-up.  It never calls the execution-fault hook: a ``WorkerKiller`` there
-would SIGKILL the caller.
+same per-chunk loop (:func:`_run_chunk`) a worker process uses — same
+trapping of :data:`~repro.errors.WORKER_TRAPPED_ERRORS` into tagged
+outcomes.  It is the serial engine and the campaign's fallback when
+supervision gives up.  It never calls the execution-fault hook: a
+``WorkerKiller`` there would SIGKILL the caller.
 
 **Supervision.**  An overnight campaign is only as reliable as its
 least reliable process, so the dispatcher does not treat a worker
@@ -53,10 +52,10 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
   exhausted, a spawn failure, the pool closed mid-job — raise
   :class:`~repro.errors.WorkerPoolError` and break the pool.
 
-An :class:`~repro.faults.execution.ExecutionFaultPlan` can be attached
-at construction (test-only hook): workers call its ``before_run`` hook
-ahead of every run attempt, which is how the seeded ``WorkerKiller`` /
-``RunHang`` / ``SlowWorker`` injectors drive the supervisor
+One execution-fault injector can be attached at construction
+(test-only hook): workers call its ``before_run`` hook ahead of every
+run attempt, which is how the seeded ``WorkerKiller`` and ``RunHang``
+injectors of :mod:`repro.faults.execution` drive the supervisor
 deterministically in tests and chaos CI.
 
 Determinism is untouched: a run's randomness depends only on
@@ -68,38 +67,23 @@ respawns in between.
 
 Pool activity is observable through the ``pool.*`` counters in
 :mod:`repro.obs.names`: workers spawned/respawned/timed-out/
-force-killed, configure broadcasts, warm cache hits/misses, tasks
-dispatched, runs retried, and runs quarantined.
+force-killed, tasks dispatched, runs retried, and runs quarantined.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import hashlib
 import multiprocessing
 import os
 import queue
 import threading
 import time
 import traceback
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.adversary.jammer import JammerStrategy
-from repro.core.config import JRSNDConfig
 from repro.errors import (
     WORKER_TRAPPED_ERRORS,
     ConfigurationError,
@@ -112,19 +96,12 @@ from repro.obs import names as _names
 from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
-    "DEFAULT_CACHE_SIZE",
-    "ExperimentSpec",
     "PendingRun",
     "SupervisionPolicy",
     "WorkerPool",
     "adaptive_chunksize",
     "available_cpu_count",
 ]
-
-#: Constructed experiments a worker process keeps warm; beyond this the
-#: least recently used one is dropped (its spec is retained, so a
-#: revisit rebuilds locally without any IPC).
-DEFAULT_CACHE_SIZE = 8
 
 #: Hard cap on run indices shipped per task message, bounding both the
 #: request payload and the ``RunResult`` batch coming back.
@@ -154,21 +131,15 @@ def available_cpu_count() -> int:
     return multiprocessing.cpu_count()
 
 
-def adaptive_chunksize(
-    n_tasks: int, workers: int, chunksize: Optional[int] = None
-) -> int:
+def adaptive_chunksize(n_tasks: int, workers: int) -> int:
     """Run indices per task message.
 
     ``multiprocessing``'s implicit chunksize of 1 costs one IPC round
     trip per run — pure overhead on many-run shards of cheap runs.
     Mirroring ``Pool.map``'s heuristic, aim for about four chunks per
     worker (keeping the tail balanced), capped at :data:`MAX_CHUNKSIZE`
-    so a single reply can never carry an unbounded result batch.  An
-    explicit ``chunksize`` overrides the heuristic.
+    so a single reply can never carry an unbounded result batch.
     """
-    if chunksize is not None:
-        check_positive("chunksize", chunksize)
-        return int(chunksize)
     check_positive("workers", workers)
     if n_tasks <= 0:
         return 1
@@ -236,119 +207,41 @@ class SupervisionPolicy:
         check_positive("close_grace", self.close_grace)
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Everything a worker needs to construct one experiment.
+def _run_chunk(
+    experiment: NetworkExperiment,
+    index_attempts: List[Tuple[int, int]],
+    faults: Any = None,
+) -> List[_Outcome]:
+    """Run ``(index, attempt)`` pairs of ``experiment``.
 
-    This is the pool's unit of configuration: a picklable value object
-    whose :meth:`content_key` is a content hash over every field that
-    influences results, used to key the per-worker LRU of constructed
-    experiments.  Two shards of the same sweep point produce equal
-    keys, so the second one reuses the first one's warm experiment.
+    Worker processes and the in-process mode both execute through this
+    loop.  A failure in one of the
+    :data:`~repro.errors.WORKER_TRAPPED_ERRORS` families comes back as
+    tagged outcome data instead of aborting the chunk; anything else
+    (``KeyboardInterrupt``, ``SystemExit``, foreign ``BaseException``
+    types) propagates — it signals cancellation or a component misusing
+    the error taxonomy, not a failed run.  ``faults`` (when set) has its
+    ``before_run(index, attempt)`` called ahead of every run.
     """
-
-    config: JRSNDConfig
-    seed: int
-    strategy_value: Any = JammerStrategy.REACTIVE.value
-    mndp_rounds: int = 1
-    link_model: str = "codes"
-    collect_metrics: bool = False
-    compute_backend: str = "vectorized"
-    phy_backend: Optional[str] = None
-
-    def content_key(self) -> str:
-        """Stable hash of ``(config, seed, strategy, ...)`` (16 hex)."""
-        material = repr((
-            sorted(dataclasses.asdict(self.config).items()),
-            int(self.seed),
-            self.strategy_value,
-            int(self.mndp_rounds),
-            self.link_model,
-            bool(self.collect_metrics),
-            self.compute_backend,
-            self.phy_backend,
-        ))
-        return hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-
-    def build(self) -> NetworkExperiment:
-        """Construct the experiment these parameters describe."""
-        return NetworkExperiment(
-            self.config,
-            seed=self.seed,
-            strategy=JammerStrategy(self.strategy_value),
-            mndp_rounds=self.mndp_rounds,
-            link_model=self.link_model,
-            collect_metrics=self.collect_metrics,
-            compute_backend=self.compute_backend,
-            phy_backend=self.phy_backend,
-        )
-
-
-class _Experiments:
-    """One process's experiments: specs by content key, built ones in an LRU.
-
-    Specs are retained for the process lifetime (they are tiny);
-    constructed experiments live in an LRU of ``cache_size`` so a pool
-    cycling through many points bounds its memory while revisited
-    points stay warm.  Worker processes and the in-process mode both
-    execute through :meth:`run_chunk`.
-    """
-
-    def __init__(self, cache_size: int) -> None:
-        self.specs: Dict[str, ExperimentSpec] = {}
-        self._built: "OrderedDict[str, NetworkExperiment]" = OrderedDict()
-        self._cache_size = cache_size
-
-    def run_chunk(
-        self,
-        key: str,
-        index_attempts: List[Tuple[int, int]],
-        faults: Any = None,
-    ) -> List[_Outcome]:
-        """Run ``(index, attempt)`` pairs of the spec under ``key``.
-
-        A failure in one of the
-        :data:`~repro.errors.WORKER_TRAPPED_ERRORS` families comes
-        back as tagged outcome data instead of aborting the chunk;
-        anything else (``KeyboardInterrupt``, ``SystemExit``, foreign
-        ``BaseException`` types) propagates — it signals cancellation
-        or a component misusing the error taxonomy, not a failed run.
-        ``faults`` (when set) has its ``before_run(index, attempt)``
-        called ahead of every run.
-        """
-        experiment = self._built.pop(key, None)
-        if experiment is None:
-            spec = self.specs.get(key)
-            if spec is None:
-                raise WorkerPoolError(
-                    f"run task for unconfigured spec key {key!r}"
-                )
-            experiment = spec.build()
-        self._built[key] = experiment  # most recently used last
-        while len(self._built) > self._cache_size:
-            self._built.popitem(last=False)
-        outcomes: List[_Outcome] = []
-        for index, attempt in index_attempts:
-            if faults is not None:
-                faults.before_run(index, attempt)
-            try:
-                outcomes.append((index, experiment.run_once(index), None))
-            except WORKER_TRAPPED_ERRORS:
-                outcomes.append((index, None, traceback.format_exc()))
-        return outcomes
+    outcomes: List[_Outcome] = []
+    for index, attempt in index_attempts:
+        if faults is not None:
+            faults.before_run(index, attempt)
+        try:
+            outcomes.append((index, experiment.run_once(index), None))
+        except WORKER_TRAPPED_ERRORS:
+            outcomes.append((index, None, traceback.format_exc()))
+    return outcomes
 
 
 def _worker_main(
-    conn: Any,
-    close_conns: List[Any],
-    cache_size: int,
-    faults: Any = None,
+    conn: Any, close_conns: List[Any], faults: Any = None
 ) -> None:
-    """Worker process loop: configure specs, run index chunks.
+    """Worker process loop: run the chunks the dispatcher sends.
 
-    Chunks execute through :meth:`_Experiments.run_chunk`; per-run
-    failures travel back as tagged outcome data, anything else is a
-    pool fault reported as ``fatal``.
+    Each ``("run", experiment, index_attempts)`` message executes
+    through :func:`_run_chunk`; per-run failures travel back as tagged
+    outcome data, anything else is a pool fault reported as ``fatal``.
 
     ``close_conns`` carries every *parent-side* pipe end this process
     inherited (its own and those of already-running siblings) and is
@@ -363,12 +256,11 @@ def _worker_main(
 
     ``faults`` is the execution-plane chaos hook: when set, its
     ``before_run(index, attempt)`` runs ahead of every run attempt —
-    the seeded injectors use it to kill, hang, or slow this process at
+    the seeded injectors use it to kill or hang this process at
     deterministic points.
     """
     for foreign in close_conns:
         foreign.close()
-    experiments = _Experiments(cache_size)
     try:
         while True:
             try:
@@ -378,16 +270,13 @@ def _worker_main(
             tag = message[0]
             if tag == "stop":
                 break
-            if tag == "configure":
-                experiments.specs[message[1]] = message[2]
-                continue
             if tag != "run":
                 raise WorkerPoolError(
                     f"unknown pool message tag {tag!r}"
                 )
-            _, key, index_attempts = message
+            _, experiment, index_attempts = message
             conn.send(
-                ("done", experiments.run_chunk(key, index_attempts, faults))
+                ("done", _run_chunk(experiment, index_attempts, faults))
             )
     except BaseException:  # jrsnd: noqa(JRS003) -- worker crash containment: every failure must reach the parent as a 'fatal' report before this process exits
         try:
@@ -471,9 +360,8 @@ class PendingRun:
 
 @dataclass
 class _Job:
-    spec: ExperimentSpec
+    experiment: NetworkExperiment
     indices: List[int]
-    chunksize: Optional[int]
     handle: PendingRun
 
 
@@ -484,11 +372,10 @@ class _Worker:
     slot: int
     process: Any
     conn: Any
-    delivered: Set[str] = field(default_factory=set)
 
 
 class WorkerPool:
-    """A supervised pool of long-lived workers with warm experiments.
+    """A supervised pool of long-lived worker processes.
 
     Create one per campaign (or once per caller of ``run_parallel``)
     and reuse it across every shard::
@@ -513,46 +400,36 @@ class WorkerPool:
         dispatcher thread — each job runs in the caller's thread when
         its :class:`PendingRun` is first waited on, so jobs still
         execute in submission order.
-    cache_size:
-        Constructed experiments each worker (or the in-process mode)
-        keeps warm (LRU).
     policy:
         Supervision knobs; defaults to ``SupervisionPolicy()``.
     execution_faults:
-        Test-only :class:`~repro.faults.execution.ExecutionFaultPlan`
-        delivered to every worker (original and respawned alike); the
-        in-process mode never calls it.
+        Test-only injector — any object with a
+        ``before_run(run_index, attempt)`` method, such as
+        :class:`~repro.faults.execution.WorkerKiller` — delivered to
+        every worker (original and respawned alike); the in-process
+        mode never calls it.
     """
 
     def __init__(
         self,
         processes: Optional[int] = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         policy: Optional[SupervisionPolicy] = None,
         execution_faults: Any = None,
     ) -> None:
         if processes is None:
             processes = available_cpu_count()
         check_non_negative("processes", processes)
-        check_positive("cache_size", cache_size)
         self._policy = policy or SupervisionPolicy()
-        self._cache_size = int(cache_size)
-        if execution_faults is not None and not getattr(
-            execution_faults, "enabled", True
-        ):
-            execution_faults = None  # inert plan == no plan (bit-identical)
         self._faults = execution_faults
         self._context = multiprocessing.get_context()
         self._workers: List[_Worker] = []
         for slot in range(int(processes)):
             self._workers.append(self._spawn_worker(slot))
-        self._specs: Dict[str, ExperimentSpec] = {}
         self._job_respawns = 0
         self._jobs: "queue.Queue[Optional[_Job]]" = queue.Queue()
         self._lock = threading.Lock()
         self._closed = False
         self._broken = False
-        self._in_process: Optional[_Experiments] = None
         self._dispatcher: Optional[threading.Thread] = None
         if self._workers:
             self._dispatcher = threading.Thread(
@@ -561,8 +438,6 @@ class WorkerPool:
                 daemon=True,
             )
             self._dispatcher.start()
-        else:
-            self._in_process = _Experiments(self._cache_size)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -654,26 +529,28 @@ class WorkerPool:
     # -- submission ----------------------------------------------------
 
     def submit(
-        self,
-        spec: ExperimentSpec,
-        run_indices: Sequence[int],
-        chunksize: Optional[int] = None,
+        self, experiment: NetworkExperiment, run_indices: Sequence[int]
     ) -> PendingRun:
-        """Queue ``run_indices`` of ``spec``; returns immediately.
+        """Queue ``run_indices`` of ``experiment``; returns immediately.
 
-        The caller may submit the next job before waiting on this one —
-        the campaign executor relies on that to commit shard N while
-        the workers are already draining shard N+1.  In the in-process
-        mode the job only runs when its handle is waited on, so shard
-        N+1 executes after shard N's commit.
+        The experiment itself is the unit of work: it is pickled into
+        every chunk message, and a worker runs ``run_once`` on the copy
+        it receives.  The caller may submit the next job before waiting
+        on this one — the campaign executor relies on that to commit
+        shard N while the workers are already draining shard N+1.  In
+        the in-process mode the job only runs when its handle is waited
+        on, so shard N+1 executes after shard N's commit.
         """
+        if not isinstance(experiment, NetworkExperiment):
+            raise ConfigurationError(
+                f"pool work must be a NetworkExperiment, got "
+                f"{type(experiment).__name__}"
+            )
         indices = [int(index) for index in run_indices]
         if not indices:
             raise ConfigurationError("run_indices must be non-empty")
         if any(index < 0 for index in indices):
             raise ConfigurationError("run_indices must be non-negative")
-        if chunksize is not None:
-            check_positive("chunksize", chunksize)
         with self._lock:
             if self._broken:
                 raise WorkerPoolError(
@@ -685,33 +562,21 @@ class WorkerPool:
                 raise ConfigurationError(
                     "worker pool is closed; create a new pool"
                 )
-            if self._in_process is not None:
-                key = spec.content_key()
-                self._in_process.specs[key] = spec
+            if self._dispatcher is None:
                 return PendingRun(deferred=functools.partial(
-                    self._in_process.run_chunk,
-                    key,
+                    _run_chunk,
+                    experiment,
                     [(index, 0) for index in indices],
                 ))
             handle = PendingRun()
-            self._jobs.put(
-                _Job(
-                    spec=spec,
-                    indices=indices,
-                    chunksize=chunksize,
-                    handle=handle,
-                )
-            )
+            self._jobs.put(_Job(experiment, indices, handle))
         return handle
 
     def run(
-        self,
-        spec: ExperimentSpec,
-        run_indices: Sequence[int],
-        chunksize: Optional[int] = None,
+        self, experiment: NetworkExperiment, run_indices: Sequence[int]
     ) -> List[_Outcome]:
         """Synchronous convenience: ``submit(...).wait()``."""
-        return self.submit(spec, run_indices, chunksize).wait()
+        return self.submit(experiment, run_indices).wait()
 
     # -- worker management ---------------------------------------------
 
@@ -724,12 +589,7 @@ class WorkerPool:
         close_conns.append(parent_end)
         process = self._context.Process(
             target=_worker_main,
-            args=(
-                child_end,
-                close_conns,
-                self._cache_size,
-                self._faults,
-            ),
+            args=(child_end, close_conns, self._faults),
             daemon=True,
         )
         process.start()
@@ -771,24 +631,18 @@ class WorkerPool:
             ) from error
         current().inc(_names.POOL_WORKERS_RESPAWNED)
 
+    @staticmethod
     def _deliver(
-        self,
         worker: _Worker,
-        key: str,
+        experiment: NetworkExperiment,
         chunk: List[int],
         attempts: Dict[int, int],
     ) -> bool:
-        """Send (configure if needed +) a run chunk; False if the pipe
-        is dead — the caller respawns and the chunk stays queued."""
+        """Send a run chunk; False if the pipe is dead — the caller
+        respawns and the chunk stays queued."""
         try:
-            if key not in worker.delivered:
-                worker.conn.send(
-                    ("configure", key, self._specs[key])
-                )
-                worker.delivered.add(key)
-                current().inc(_names.POOL_RECONFIGURES)
             worker.conn.send(
-                ("run", key,
+                ("run", experiment,
                  [(index, attempts[index]) for index in chunk])
             )
         except (OSError, ValueError):
@@ -823,30 +677,8 @@ class WorkerPool:
     def _execute(self, job: _Job) -> List[_Outcome]:
         registry = current()
         policy = self._policy
-        key = job.spec.content_key()
-        if key in self._specs:
-            registry.inc(_names.POOL_WARM_HITS)
-        else:
-            self._specs[key] = job.spec
-            registry.inc(_names.POOL_WARM_MISSES)
         self._job_respawns = 0
-        # Configure broadcast up front: one cheap spec message per
-        # worker missing this key replaces what used to be a full
-        # fork + config re-pickle + experiment rebuild per worker.
-        for slot in range(len(self._workers)):
-            while key not in self._workers[slot].delivered:
-                worker = self._workers[slot]
-                try:
-                    worker.conn.send(("configure", key, job.spec))
-                    worker.delivered.add(key)
-                    registry.inc(_names.POOL_RECONFIGURES)
-                except (OSError, ValueError):
-                    self._respawn(
-                        slot, "worker gone before configure"
-                    )
-        chunk = adaptive_chunksize(
-            len(job.indices), len(self._workers), job.chunksize
-        )
+        chunk = adaptive_chunksize(len(job.indices), len(self._workers))
         attempts: Dict[int, int] = {
             int(index): 0 for index in job.indices
         }
@@ -866,7 +698,9 @@ class WorkerPool:
                     continue
                 worker = self._workers[slot]
                 chunk_indices = pending[0]
-                if self._deliver(worker, key, chunk_indices, attempts):
+                if self._deliver(
+                    worker, job.experiment, chunk_indices, attempts
+                ):
                     pending.popleft()
                     in_flight[slot] = (
                         chunk_indices, time.monotonic()

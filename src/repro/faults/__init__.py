@@ -28,20 +28,13 @@ Everything the layer does is visible as ``faults.*`` counters in the
 installed :mod:`repro.obs` registry and on ``FaultPlan.counters``.
 
 A second, *execution-plane* family (:mod:`repro.faults.execution`)
-targets the worker-pool supervisor instead of the channel: seeded
-:class:`WorkerKiller`, :class:`RunHang`, and :class:`SlowWorker`
-injectors composed by an :class:`ExecutionFaultPlan` and driven through
-a test-only hook at the pool boundary, so respawn/retry/quarantine
+targets the worker-pool supervisor instead of the channel: a seeded
+:class:`WorkerKiller` or :class:`RunHang` enters through a test-only
+hook at the pool boundary, so respawn/retry/quarantine/timeout
 behaviour is just as deterministic as the jammed channel.
 """
 
-from repro.faults.execution import (
-    ExecutionFault,
-    ExecutionFaultPlan,
-    RunHang,
-    SlowWorker,
-    WorkerKiller,
-)
+from repro.faults.execution import RunHang, WorkerKiller
 from repro.faults.injectors import (
     BurstJammer,
     ClockSkew,
@@ -66,9 +59,6 @@ __all__ = [
     "ClockSkew",
     "InvariantChecker",
     "InvariantViolation",
-    "ExecutionFault",
-    "ExecutionFaultPlan",
     "WorkerKiller",
     "RunHang",
-    "SlowWorker",
 ]

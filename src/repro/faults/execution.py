@@ -2,22 +2,20 @@
 
 The channel-plane injectors (:mod:`repro.faults.injectors`) made the
 protocol stack deterministically testable under jamming and loss; this
-module does the same for the *compute* plane.  An
-:class:`ExecutionFaultPlan` is handed to a
-:class:`~repro.experiments.pool.WorkerPool` (test-only hook) and rides
-into every worker process; immediately before a worker executes run
-``index`` on attempt ``attempt`` it calls
-``plan.before_run(index, attempt)``, giving the injectors a precise,
-seeded place to kill, hang, or slow the worker:
+module does the same for the *compute* plane.  One injector is handed
+to a :class:`~repro.experiments.pool.WorkerPool` (test-only hook) and
+rides into every worker process; immediately before a worker executes
+run ``index`` on attempt ``attempt`` it calls
+``injector.before_run(index, attempt)``, giving the injector a precise,
+seeded place to kill or hang the worker:
 
 - :class:`WorkerKiller` — SIGKILLs the worker from inside (the closest
   deterministic stand-in for the OOM killer), either from an explicit
-  ``{run_index: kills}`` map or a seeded per-run draw;
+  ``{run_index: kills}`` map or a seeded per-run draw; the CI chaos
+  campaign drives it through ``--chaos-kill-*``;
 - :class:`RunHang` — wedges the worker in a long sleep so per-run soft
   timeouts can classify and reap it; optionally ignores ``SIGTERM`` to
-  exercise the ``close()`` terminate→kill escalation;
-- :class:`SlowWorker` — adds a fixed per-run delay, for supervision
-  overhead and backoff measurements.
+  exercise the ``close()`` terminate→kill escalation.
 
 Determinism contract: kills are gated on *attempt* (an injector that
 kills ``k`` times lets attempt ``k`` through), and the seeded variant
@@ -25,7 +23,9 @@ draws from :func:`repro.utils.rng.derive_rng` keyed by run index alone
 — so a respawned worker makes exactly the same decisions as its
 predecessor, and the supervisor's retry path is reproducible bit for
 bit.  Runs themselves are seed-pure, so a retried run is identical to
-an uninjected one; the plan perturbs *scheduling*, never results.
+an uninjected one; an injector perturbs *scheduling*, never results.
+Both injectors are frozen dataclasses, so they pickle across the
+process boundary at worker spawn.
 """
 
 from __future__ import annotations
@@ -34,36 +34,16 @@ import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import derive_rng
 
-__all__ = [
-    "ExecutionFault",
-    "ExecutionFaultPlan",
-    "RunHang",
-    "SlowWorker",
-    "WorkerKiller",
-]
-
-
-class ExecutionFault:
-    """Base class for execution-plane injectors.
-
-    Subclasses are frozen dataclasses (picklable — they cross the
-    process boundary at worker spawn) and implement
-    :meth:`before_run`, called in the *worker* process immediately
-    before each run attempt.
-    """
-
-    def before_run(self, run_index: int, attempt: int) -> None:
-        """Hook invoked in the worker before executing a run attempt."""
-        raise NotImplementedError
+__all__ = ["RunHang", "WorkerKiller"]
 
 
 @dataclass(frozen=True)
-class WorkerKiller(ExecutionFault):
+class WorkerKiller:
     """SIGKILL the worker from inside, before selected run attempts.
 
     With an explicit ``kills`` map, run ``i`` kills its worker on
@@ -108,7 +88,7 @@ class WorkerKiller(ExecutionFault):
 
 
 @dataclass(frozen=True)
-class RunHang(ExecutionFault):
+class RunHang:
     """Wedge the worker in a long sleep before selected run attempts.
 
     ``hangs`` maps run index → number of attempts to hang (attempt
@@ -135,43 +115,3 @@ class RunHang(ExecutionFault):
             deadline = time.monotonic() + self.duration
             while time.monotonic() < deadline:
                 time.sleep(min(0.05, self.duration))
-
-
-@dataclass(frozen=True)
-class SlowWorker(ExecutionFault):
-    """Delay every run attempt by a fixed amount (overhead probes)."""
-
-    delay: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.delay < 0.0:
-            raise ConfigurationError(
-                f"SlowWorker delay must be >= 0, got {self.delay}"
-            )
-
-    def before_run(self, run_index: int, attempt: int) -> None:
-        if self.delay > 0.0:
-            time.sleep(self.delay)
-
-
-@dataclass(frozen=True)
-class ExecutionFaultPlan:
-    """A composable, picklable bundle of execution-plane injectors.
-
-    An empty plan is inert (``enabled`` is False) and the pool treats
-    it exactly like no plan at all, mirroring the
-    :class:`~repro.faults.plan.NullFaultPlan` contract on the channel
-    plane.
-    """
-
-    injectors: Tuple[ExecutionFault, ...] = ()
-
-    @property
-    def enabled(self) -> bool:
-        """True if the plan carries at least one injector."""
-        return bool(self.injectors)
-
-    def before_run(self, run_index: int, attempt: int) -> None:
-        """Run every injector's hook, in declaration order."""
-        for injector in self.injectors:
-            injector.before_run(run_index, attempt)

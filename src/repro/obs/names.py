@@ -150,12 +150,9 @@ CAMPAIGNS_SHARDS_QUARANTINED = "campaigns.shards_quarantined"
 CAMPAIGNS_RUNS_QUARANTINED = "campaigns.runs_quarantined"
 CAMPAIGNS_STORE_SALVAGED = "campaigns.store_salvaged"
 
-# -- persistent worker pool (warm campaign engine) ---------------------
+# -- persistent worker pool (campaign engine) --------------------------
 
 POOL_WORKERS_SPAWNED = "pool.workers_spawned"
-POOL_RECONFIGURES = "pool.reconfigures"
-POOL_WARM_HITS = "pool.warm_hits"
-POOL_WARM_MISSES = "pool.warm_misses"
 POOL_TASKS_DISPATCHED = "pool.tasks_dispatched"
 
 # -- pool supervision (respawn / retry / quarantine / degradation) -----

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
+from repro.experiments.runner import NetworkExperiment
 
 REV = "testrev"
 
@@ -60,6 +61,38 @@ class TestUninterrupted:
         assert summary["campaign_id"] == "smoke"
         assert summary["canonical_digest"] == status.canonical_digest
         assert summary["shards"] == 4
+
+
+class TestSpecForwarding:
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_sample_latency_reaches_every_run(self, tmp_path, processes):
+        """``sample_latency`` is part of the spec hash, so it must also
+        shape the stored runs: each equals the serial run with latency
+        sampling on."""
+        spec = CampaignSpec.from_dict(
+            dict(tiny_spec().to_dict(), sample_latency=True)
+        )
+        path = str(tmp_path / "latency.sqlite")
+        status = run_campaign(
+            spec, path, processes=processes, git_revision=REV
+        )
+        assert status.complete
+        with CampaignStore(path) as store:
+            points = store.point_results(spec.name, spec.spec_hash(), REV)
+        for point in spec.points():
+            experiment = NetworkExperiment(
+                spec.point_config(point),
+                seed=point.seed,
+                strategy=spec.point_strategy(point),
+                sample_latency=True,
+                link_model=spec.point_link_model(point),
+            )
+            stored = points[point.index][1].runs
+            assert len(stored) == spec.runs_per_point
+            for index, run in enumerate(stored):
+                latency = experiment.run_once(index).mean_dndp_latency
+                assert latency is not None
+                assert run.mean_dndp_latency == latency
 
 
 class TestResume:

@@ -1,11 +1,15 @@
 """Tests for campaign spec validation, hashing, and expansion."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.campaigns import CampaignSpec, GRID_AXES
 from repro.errors import ConfigurationError
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def tiny_spec(**overrides):
@@ -56,6 +60,15 @@ class TestValidation:
     def test_requires_mandatory_fields(self):
         with pytest.raises(ConfigurationError, match="missing"):
             CampaignSpec.from_dict({"name": "x", "seed": 1})
+
+    @pytest.mark.parametrize(
+        "field, value", [("pool_cache_size", 8), ("pool_chunksize", None)]
+    )
+    def test_from_dict_rejects_removed_pool_fields(self, field, value):
+        with pytest.raises(ConfigurationError, match="removed"):
+            CampaignSpec.from_dict(
+                {"name": "x", "seed": 1, "runs_per_point": 1, field: value}
+            )
 
     @pytest.mark.parametrize(
         "field, value",
@@ -112,6 +125,31 @@ class TestValidation:
         # tiny-chipless base is not silently overridden.
         assert tiny_spec().phy_backend is None
         assert tiny_spec(base="tiny-chipless").phy_backend is None
+
+
+def _documented_specs():
+    """Every campaign spec the docs and examples ship, as JSON text."""
+    texts = [
+        (path.name, path.read_text(encoding="utf-8"))
+        for path in sorted((REPO_ROOT / "examples").glob("campaign_smoke*.json"))
+    ]
+    experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", experiments, flags=re.DOTALL)
+    texts += [(f"EXPERIMENTS.md block {i}", text) for i, text in enumerate(blocks)]
+    return texts
+
+
+class TestDocumentedSpecs:
+    def test_every_shipped_spec_parses(self):
+        """The recipes users copy must load with the current fields."""
+        specs = _documented_specs()
+        assert len(specs) >= 6
+        for where, text in specs:
+            data = json.loads(text)
+            try:
+                CampaignSpec.from_dict(data)
+            except ConfigurationError as error:
+                pytest.fail(f"{where}: {error}")
 
 
 class TestHashing:

@@ -1,5 +1,9 @@
 """Tests for the SQLite campaign results store."""
 
+import hashlib
+import json
+import sqlite3
+
 import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore
@@ -205,3 +209,70 @@ class TestCanonicalForm:
         with CampaignStore(str(tmp_path / "s.sqlite")) as store:
             with pytest.raises(ConfigurationError, match="not found"):
                 store.spec_for("ghost")
+
+
+def make_legacy(path, spec, revision=REV):
+    """Rewrite a populated store as it was written while campaign specs
+    still carried ``pool_cache_size`` and ``pool_chunksize``; returns
+    the legacy spec hash its rows are keyed under."""
+    data = spec.to_dict()
+    data.update(pool_cache_size=8, pool_chunksize=None)
+    legacy_json = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    legacy_hash = hashlib.sha256(legacy_json.encode("utf-8")).hexdigest()[:16]
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(
+            "UPDATE campaigns SET spec_json = ?, spec_hash = ? "
+            "WHERE git_revision = ?",
+            (legacy_json, legacy_hash, revision),
+        )
+        for table in ("shards", "runs"):
+            conn.execute(
+                f"UPDATE {table} SET spec_hash = ? WHERE git_revision = ?",
+                (legacy_hash, revision),
+            )
+    conn.close()
+    return legacy_hash
+
+
+class TestLegacySpecs:
+    """Stores written before two pool knobs left the spec still read."""
+
+    def test_list_campaigns_and_spec_for(self, tmp_path):
+        spec = tiny_spec()
+        path = str(tmp_path / "old.sqlite")
+        with CampaignStore(path) as store:
+            populate(store, spec)
+        legacy_hash = make_legacy(path, spec)
+        assert legacy_hash != spec.spec_hash()
+        with CampaignStore(path) as store:
+            assert not store.salvaged
+            [row] = store.list_campaigns()
+            stored, revision = store.spec_for("smoke")
+        assert row["spec"] == spec and stored == spec
+        assert row["spec_hash"] == legacy_hash
+        assert row["shards_done"] == row["shards_total"] == 4
+        assert revision == REV
+
+    def test_cli_status_query_diff(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = tiny_spec()
+        path = str(tmp_path / "old.sqlite")
+        with CampaignStore(path) as store:
+            populate(store, spec)
+            populate(store, spec, revision="newrev")
+        make_legacy(path, spec)
+        assert main(["campaign", "status", "--store", path]) == 0
+        assert main([
+            "campaign", "query", "--store", path,
+            "--campaign", "smoke", "--revision", REV,
+        ]) == 0
+        assert "p_dndp" in capsys.readouterr().out
+        # The legacy revision diffs against a current one point by point.
+        assert main([
+            "campaign", "diff", "--store", path, "--campaign", "smoke",
+            "--revision", REV, "--against", "newrev",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "d_jrsnd" in out and "only on one side" not in out

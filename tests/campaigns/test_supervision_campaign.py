@@ -16,7 +16,7 @@ from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
 from repro.campaigns.store import QUARANTINE_KIND
 from repro.errors import is_quarantined_failure
 from repro.experiments.pool import SupervisionPolicy
-from repro.faults import ExecutionFaultPlan, WorkerKiller
+from repro.faults import WorkerKiller
 from repro.obs import installed
 from repro.obs import names as _names
 from repro.obs.registry import MetricsRegistry
@@ -35,10 +35,6 @@ def tiny_spec():
         base="tiny",
         grid={"n_compromised": [5, 10]},
     )
-
-
-def plan(*injectors):
-    return ExecutionFaultPlan(tuple(injectors))
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +58,7 @@ class TestChaosCompletes:
         status = run_campaign(
             tiny_spec(), path, processes=2, git_revision=REV,
             supervision=FAST,
-            execution_faults=plan(WorkerKiller(kills={1: 1, 3: 2})),
+            execution_faults=WorkerKiller(kills={1: 1, 3: 2}),
         )
         assert status.complete
         assert status.runs_quarantined == 0
@@ -82,7 +78,7 @@ class TestChaosCompletes:
         status = run_campaign(
             tiny_spec(), path, processes=1, git_revision=REV,
             supervision=FAST,
-            execution_faults=plan(WorkerKiller(kills={0: 1, 2: 1})),
+            execution_faults=WorkerKiller(kills={0: 1, 2: 1}),
         )
         assert status.complete
         assert status.runs_quarantined == 0
@@ -97,7 +93,7 @@ class TestQuarantine:
     )
     # Run 3 exists in both points, so the shards covering runs 2..3
     # of each point (indices 1 and 3) both quarantine one run.
-    POISON = plan(WorkerKiller(kills={3: 99}))
+    POISON = WorkerKiller(kills={3: 99})
 
     def test_poison_run_quarantines_shard_not_campaign(self, tmp_path):
         path = str(tmp_path / "poison.sqlite")
@@ -179,7 +175,7 @@ class TestDegradationLadder:
                 supervision=SupervisionPolicy(
                     max_respawns=0, close_grace=5.0
                 ),
-                execution_faults=plan(WorkerKiller(kills={0: 1})),
+                execution_faults=WorkerKiller(kills={0: 1}),
                 progress=lines.append,
             )
         assert status.complete

@@ -1,4 +1,4 @@
-"""Tests for the persistent warm worker pool.
+"""Tests for the persistent worker pool.
 
 The load-bearing property is the equivalence gate: serial, in-process,
 one-shot and persistent-pool execution must produce bit-identical
@@ -18,7 +18,6 @@ from repro.errors import (
 )
 from repro.experiments.parallel import collect_outcomes, run_parallel
 from repro.experiments.pool import (
-    ExperimentSpec,
     SupervisionPolicy,
     WorkerPool,
     adaptive_chunksize,
@@ -88,17 +87,9 @@ class TestAdaptiveChunksize:
         assert adaptive_chunksize(0, 2) == 1
         assert adaptive_chunksize(10_000, 2) == 32
 
-    def test_explicit_override(self):
-        assert adaptive_chunksize(100, 2, chunksize=5) == 5
-        with pytest.raises(ConfigurationError):
-            adaptive_chunksize(100, 2, chunksize=0)
 
-
-class TestExperimentSpec:
-    def test_content_key_is_stable(self):
-        a = ExperimentSpec(config=TINY, seed=7)
-        b = ExperimentSpec(config=TINY, seed=7)
-        assert a.content_key() == b.content_key()
+class TestUnitOfWork:
+    """The pool ships the experiment itself with every chunk."""
 
     @pytest.mark.parametrize(
         "override",
@@ -109,20 +100,44 @@ class TestExperimentSpec:
             {"link_model": "independent"},
             {"collect_metrics": True},
             {"phy_backend": "chipless"},
+            {"sample_latency": True},
         ],
     )
-    def test_content_key_covers_every_axis(self, override):
-        base = ExperimentSpec(config=TINY, seed=7)
-        kwargs = {"config": TINY, "seed": 7}
+    def test_pool_honours_every_experiment_parameter(self, override):
+        """A pooled run of a shipped experiment equals its serial run,
+        whichever constructor parameter is set."""
+        kwargs = {"seed": 7}
         kwargs.update(override)
-        changed = ExperimentSpec(**kwargs)
-        assert base.content_key() != changed.content_key()
+        config = kwargs.pop("config", TINY)
+        experiment = NetworkExperiment(config, **kwargs)
+        with WorkerPool(processes=1) as pool:
+            outcomes = pool.run(experiment, [0, 1])
+        outcomes.sort(key=lambda outcome: outcome[0])
+        assert [result for _, result, _ in outcomes] == [
+            experiment.run_once(0), experiment.run_once(1)
+        ]
 
-    def test_build_matches_direct_construction(self):
-        spec = ExperimentSpec(config=TINY, seed=7)
-        built = spec.build().run(2)
-        direct = NetworkExperiment(TINY, seed=7).run(2)
-        assert built.runs == direct.runs
+    def test_bad_parameter_raises_in_the_caller(self):
+        """Validation happens where the experiment is built, so the
+        error type does not depend on the worker count."""
+        for processes in (1, 2):
+            with pytest.raises(ConfigurationError, match="link_model"):
+                run_parallel(
+                    TINY, seed=7, runs=2, processes=processes,
+                    link_model="bogus",
+                )
+
+    @pytest.mark.parametrize("processes", [0, 2])
+    def test_submit_rejects_non_experiments(self, processes):
+        """A wrong work item is refused before anything is queued, and
+        the pool keeps running valid jobs."""
+        experiment = NetworkExperiment(TINY, seed=7)
+        with WorkerPool(processes=processes) as pool:
+            with pytest.raises(ConfigurationError, match="NetworkExperiment"):
+                pool.submit(object(), [0])
+            outcomes = pool.run(experiment, [0])
+            assert not pool.broken
+        assert outcomes[0][1] == experiment.run_once(0)
 
 
 class TestEquivalence:
@@ -170,20 +185,10 @@ class TestEquivalence:
         )
         assert part.runs == full.runs[2:5]
 
-    def test_lru_eviction_keeps_results_correct(self):
-        """cache_size=1 forces rebuild-on-revisit; only speed may
-        change, never bits."""
-        with WorkerPool(processes=2, cache_size=1) as small_pool:
-            for config in (TINY, TINY_B, TINY):
-                serial = NetworkExperiment(config, seed=5).run(2)
-                warm = run_parallel(
-                    config, seed=5, runs=2, pool=small_pool
-                )
-                assert warm.runs == serial.runs
-
 
 class TestPoolMetrics:
     def test_counters_observe_reuse(self):
+        """Three jobs on one pool spawn its workers once."""
         registry = MetricsRegistry()
         with installed(registry):
             with WorkerPool(processes=2) as pool:
@@ -192,10 +197,6 @@ class TestPoolMetrics:
                 run_parallel(TINY_B, seed=11, runs=4, pool=pool)
             counters = registry.snapshot().counters
         assert counters[_names.POOL_WORKERS_SPAWNED] == 2
-        assert counters[_names.POOL_WARM_MISSES] == 2
-        assert counters[_names.POOL_WARM_HITS] == 1
-        # One configure broadcast per miss reaches every worker.
-        assert counters[_names.POOL_RECONFIGURES] == 4
         assert counters[_names.POOL_TASKS_DISPATCHED] >= 3
 
     def test_pool_counters_never_enter_run_snapshots(self):
@@ -252,11 +253,11 @@ class TestFailureSemantics:
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(ConfigurationError):
-            pool.submit(ExperimentSpec(config=TINY, seed=7), [0])
+            pool.submit(NetworkExperiment(TINY, seed=7), [0])
 
     def test_empty_indices_refused(self, pool):
         with pytest.raises(ConfigurationError):
-            pool.submit(ExperimentSpec(config=TINY, seed=7), [])
+            pool.submit(NetworkExperiment(TINY, seed=7), [])
 
     def test_dead_workers_are_respawned(self, pool):
         """Supervision absorbs worker deaths between jobs: every
@@ -265,7 +266,7 @@ class TestFailureSemantics:
             process.terminate()
             process.join(timeout=10.0)
         serial = NetworkExperiment(TINY, seed=7).run(2)
-        outcomes = pool.run(ExperimentSpec(config=TINY, seed=7), [0, 1])
+        outcomes = pool.run(NetworkExperiment(TINY, seed=7), [0, 1])
         outcomes.sort(key=lambda outcome: outcome[0])
         assert [result for _, result, _ in outcomes] == list(serial.runs)
         assert not pool.broken
@@ -282,9 +283,9 @@ class TestFailureSemantics:
                 process.terminate()
                 process.join(timeout=10.0)
             with pytest.raises(WorkerPoolError):
-                pool.run(ExperimentSpec(config=TINY, seed=7), [0, 1])
+                pool.run(NetworkExperiment(TINY, seed=7), [0, 1])
             with pytest.raises(WorkerPoolError):
-                pool.submit(ExperimentSpec(config=TINY, seed=7), [0])
+                pool.submit(NetworkExperiment(TINY, seed=7), [0])
             assert pool.broken
 
 
@@ -297,18 +298,18 @@ class TestInProcessMode:
         before = set(multiprocessing.active_children())
         with WorkerPool(processes=0) as inline:
             assert inline.processes == 0
-            handle = inline.submit(ExperimentSpec(config=TINY, seed=7), [0])
+            handle = inline.submit(NetworkExperiment(TINY, seed=7), [0])
             # Deferred: nothing runs until the handle is waited on.
             assert not handle.done()
             assert len(handle.wait()) == 1
             assert set(multiprocessing.active_children()) == before
 
     def test_bit_identical_to_two_workers(self):
-        spec = ExperimentSpec(config=TINY, seed=11, collect_metrics=True)
+        experiment = NetworkExperiment(TINY, seed=11, collect_metrics=True)
         with WorkerPool(processes=0) as inline:
-            ours = collect_outcomes(inline.run(spec, range(4)), 4)
+            ours = collect_outcomes(inline.run(experiment, range(4)), 4)
         with WorkerPool(processes=2) as pool:
-            theirs = collect_outcomes(pool.run(spec, range(4)), 4)
+            theirs = collect_outcomes(pool.run(experiment, range(4)), 4)
         assert ours.runs == theirs.runs
         assert (
             ours.merged_metrics().counters
@@ -325,9 +326,9 @@ class TestInProcessMode:
 
         monkeypatch.setattr(NetworkExperiment, "run_once", recording)
         with WorkerPool(processes=0) as inline:
-            spec = ExperimentSpec(config=TINY, seed=7)
-            first = inline.submit(spec, [0])
-            second = inline.submit(spec, [1])
+            experiment = NetworkExperiment(TINY, seed=7)
+            first = inline.submit(experiment, [0])
+            second = inline.submit(experiment, [1])
             assert seen == []
             first.wait()
             assert seen == [0]
@@ -357,16 +358,16 @@ class TestInProcessMode:
     def test_never_calls_the_execution_fault_hook(self):
         """A WorkerKiller in the caller's process would SIGKILL the
         caller itself; the in-process mode must never invoke it."""
-        from repro.faults import ExecutionFaultPlan, WorkerKiller
+        from repro.faults import WorkerKiller
 
         class Recording(WorkerKiller):
             def before_run(self, run_index, attempt):
                 raise AssertionError("fault hook called in-process")
 
-        faults = ExecutionFaultPlan((Recording(kills={0: 99}),))
+        faults = Recording(kills={0: 99})
         serial = NetworkExperiment(TINY, seed=7).run(2)
         with WorkerPool(processes=0, execution_faults=faults) as inline:
-            outcomes = inline.run(ExperimentSpec(config=TINY, seed=7), [0, 1])
+            outcomes = inline.run(NetworkExperiment(TINY, seed=7), [0, 1])
         outcomes.sort(key=lambda outcome: outcome[0])
         assert [result for _, result, _ in outcomes] == list(serial.runs)
 

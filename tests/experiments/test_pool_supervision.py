@@ -22,18 +22,13 @@ from repro.errors import (
 from repro.experiments.parallel import run_parallel
 from repro.experiments.pool import (
     RESPAWN_BACKOFF,
-    ExperimentSpec,
     SupervisionPolicy,
     WorkerPool,
+    adaptive_chunksize,
     retry_delay,
 )
 from repro.experiments.runner import NetworkExperiment
-from repro.faults import (
-    ExecutionFaultPlan,
-    RunHang,
-    SlowWorker,
-    WorkerKiller,
-)
+from repro.faults import RunHang, WorkerKiller
 from repro.obs import installed
 from repro.obs import names as _names
 from repro.obs.registry import MetricsRegistry
@@ -49,10 +44,6 @@ TINY = JRSNDConfig(
 )
 
 FAST = SupervisionPolicy(close_grace=5.0)
-
-
-def plan(*injectors):
-    return ExecutionFaultPlan(tuple(injectors))
 
 
 class TestSupervisionPolicy:
@@ -97,7 +88,7 @@ class TestRespawnRetry:
             with WorkerPool(
                 processes=2,
                 policy=FAST,
-                execution_faults=plan(WorkerKiller(kills={1: 1})),
+                execution_faults=WorkerKiller(kills={1: 1}),
             ) as pool:
                 survived = run_parallel(
                     TINY, seed=11, runs=4,
@@ -122,7 +113,7 @@ class TestRespawnRetry:
             with WorkerPool(
                 processes=2,
                 policy=FAST,
-                execution_faults=plan(WorkerKiller(kills={2: 2})),
+                execution_faults=WorkerKiller(kills={2: 2}),
             ) as pool:
                 result = run_parallel(TINY, seed=3, runs=4, pool=pool)
             counters = registry.snapshot().counters
@@ -137,17 +128,9 @@ class TestRespawnRetry:
         survived = run_parallel(
             TINY, seed=11, runs=4, processes=2,
             supervision=FAST,
-            execution_faults=plan(WorkerKiller(kills={0: 1})),
+            execution_faults=WorkerKiller(kills={0: 1}),
         )
         assert survived.runs == serial.runs
-
-    def test_inert_fault_plan_is_no_plan(self):
-        serial = run_parallel(TINY, seed=5, runs=2, processes=1)
-        result = run_parallel(
-            TINY, seed=5, runs=2, processes=2,
-            execution_faults=ExecutionFaultPlan(),
-        )
-        assert result.runs == serial.runs
 
 
 class TestQuarantine:
@@ -163,7 +146,7 @@ class TestQuarantine:
                     max_run_retries=1,
                     close_grace=5.0,
                 ),
-                execution_faults=plan(WorkerKiller(kills={2: 99})),
+                execution_faults=WorkerKiller(kills={2: 99}),
             ) as pool:
                 with pytest.raises(ParallelExecutionError) as excinfo:
                     run_parallel(TINY, seed=11, runs=4, pool=pool)
@@ -186,22 +169,29 @@ class TestQuarantine:
     def test_innocent_chunk_mates_are_not_quarantined(self):
         """Runs sharing a chunk with a poison run are retried as
         singletons, so only the killer itself is quarantined."""
-        serial = run_parallel(TINY, seed=9, runs=4, processes=1)
-        with WorkerPool(
-            processes=1,  # one worker => all runs share its chunks
-            policy=SupervisionPolicy(
-                max_run_retries=1, close_grace=5.0
-            ),
-            execution_faults=plan(WorkerKiller(kills={3: 99})),
-        ) as pool:
-            with pytest.raises(ParallelExecutionError) as excinfo:
-                run_parallel(
-                    TINY, seed=9, runs=4, pool=pool, chunksize=4
-                )
+        # One worker and 16 runs: the heuristic ships chunks of 4, so
+        # runs 12-14 share their chunk with the poison run 15.
+        assert adaptive_chunksize(16, 1) == 4
+        serial = run_parallel(TINY, seed=9, runs=16, processes=1)
+        registry = MetricsRegistry()
+        with installed(registry):
+            with WorkerPool(
+                processes=1,
+                policy=SupervisionPolicy(
+                    max_run_retries=1, close_grace=5.0
+                ),
+                execution_faults=WorkerKiller(kills={15: 99}),
+            ) as pool:
+                with pytest.raises(ParallelExecutionError) as excinfo:
+                    run_parallel(TINY, seed=9, runs=16, pool=pool)
+            counters = registry.snapshot().counters
         error = excinfo.value
-        assert [index for index, _ in error.failures] == [3]
+        assert [index for index, _ in error.failures] == [15]
         # collect_outcomes orders by run index before aggregation.
-        assert error.completed.runs == serial.runs[:3]
+        assert error.completed.runs == serial.runs[:15]
+        # The chunk-mates were retried (as singletons), not quarantined.
+        assert counters[_names.POOL_RUNS_QUARANTINED] == 1
+        assert counters[_names.POOL_RUNS_RETRIED] >= 4
 
 
 class TestSoftTimeout:
@@ -217,9 +207,7 @@ class TestSoftTimeout:
                     run_timeout=1.0,
                     close_grace=2.0,
                 ),
-                execution_faults=plan(
-                    RunHang(hangs={1: 1}, duration=60.0)
-                ),
+                execution_faults=RunHang(hangs={1: 1}, duration=60.0),
             ) as pool:
                 result = run_parallel(TINY, seed=7, runs=3, pool=pool)
             counters = registry.snapshot().counters
@@ -238,17 +226,13 @@ class TestCloseEscalation:
             pool = WorkerPool(
                 processes=2,
                 policy=SupervisionPolicy(close_grace=0.3),
-                execution_faults=plan(
-                    RunHang(
-                        hangs={0: 1},
-                        duration=120.0,
-                        ignore_sigterm=True,
-                    )
+                execution_faults=RunHang(
+                    hangs={0: 1},
+                    duration=120.0,
+                    ignore_sigterm=True,
                 ),
             )
-            handle = pool.submit(
-                ExperimentSpec(config=TINY, seed=7), [0, 1]
-            )
+            handle = pool.submit(NetworkExperiment(TINY, seed=7), [0, 1])
             # Let the hung chunk reach the worker before closing.
             time.sleep(0.5)
             start = time.monotonic()
@@ -273,13 +257,11 @@ class TestWaitTimeoutCancellation:
         with WorkerPool(
             processes=1,
             policy=FAST,
-            execution_faults=plan(
-                RunHang(hangs={5: 1}, duration=1.5)
-            ),
+            execution_faults=RunHang(hangs={5: 1}, duration=1.5),
         ) as pool:
-            spec = ExperimentSpec(config=TINY, seed=7)
-            slow = pool.submit(spec, [5])
-            queued = pool.submit(spec, [0])
+            experiment = NetworkExperiment(TINY, seed=7)
+            slow = pool.submit(experiment, [5])
+            queued = pool.submit(experiment, [0])
             with pytest.raises(WorkerPoolError, match="cancelled"):
                 queued.wait(timeout=0.2)
             assert queued.cancelled
@@ -290,16 +272,6 @@ class TestWaitTimeoutCancellation:
                 queued.wait(timeout=30.0)
             # No late delivery into the caller's next job: fresh
             # submissions resolve normally with the right bits.
-            outcomes = pool.run(spec, [0])
+            outcomes = pool.run(experiment, [0])
             assert outcomes[0][1] == serial.runs[0]
             assert not pool.broken
-
-
-class TestSlowWorker:
-    def test_slow_worker_changes_timing_not_bits(self):
-        serial = run_parallel(TINY, seed=4, runs=2, processes=1)
-        result = run_parallel(
-            TINY, seed=4, runs=2, processes=2,
-            execution_faults=plan(SlowWorker(delay=0.01)),
-        )
-        assert result.runs == serial.runs

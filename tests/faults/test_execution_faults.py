@@ -12,12 +12,7 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import (
-    ExecutionFaultPlan,
-    RunHang,
-    SlowWorker,
-    WorkerKiller,
-)
+from repro.faults import RunHang, WorkerKiller
 
 
 class TestWorkerKiller:
@@ -86,45 +81,3 @@ class TestRunHang:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RunHang(hangs={}, duration=0.0)
-
-
-class TestSlowWorker:
-    def test_delays(self):
-        slow = SlowWorker(delay=0.05)
-        start = time.monotonic()
-        slow.before_run(0, 0)
-        assert time.monotonic() - start >= 0.04
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SlowWorker(delay=-0.1)
-
-
-class TestExecutionFaultPlan:
-    def test_empty_plan_is_inert(self):
-        plan = ExecutionFaultPlan()
-        assert not plan.enabled
-        plan.before_run(0, 0)  # no-op
-
-    def test_runs_injectors_in_order(self):
-        calls = []
-
-        class Recorder(SlowWorker):
-            def before_run(self, run_index, attempt):
-                calls.append((self.delay, run_index, attempt))
-
-        plan = ExecutionFaultPlan(
-            (Recorder(delay=0.0), Recorder(delay=1.0))
-        )
-        assert plan.enabled
-        plan.before_run(3, 1)
-        assert calls == [(0.0, 3, 1), (1.0, 3, 1)]
-
-    def test_picklable(self):
-        plan = ExecutionFaultPlan(
-            (WorkerKiller(seed=9, rate=0.25), SlowWorker(delay=0.0))
-        )
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.injectors[0].kills_for(5) == plan.injectors[
-            0
-        ].kills_for(5)

@@ -10,7 +10,7 @@ def report(kind: str, name: str) -> None:
     registry.observe(_names.MNDP_RECOVERY_HOPS, 3)
     registry.inc(_names.CAMPAIGNS_SHARDS_COMPLETED)
     registry.inc(_names.PHY_PAIRS_SWEPT)
-    registry.inc(_names.POOL_WARM_HITS)
+    registry.inc(_names.POOL_WORKERS_SPAWNED)
     registry.inc(_names.POOL_WORKERS_RESPAWNED)
     registry.inc(_names.POOL_RUNS_QUARANTINED)
     registry.inc(_names.CAMPAIGNS_STORE_SALVAGED)
