@@ -17,20 +17,27 @@ the determinism guarantees around it:
    byte-deterministic rebuild.
 
 The whole grid executes on one pool (workers and their artifact
-caches survive across shards) and the loop pipelines one shard
-deep: shard N+1 is submitted *before* shard N's SQLite commit runs on
-the main thread, so commit latency overlaps compute instead of
-serializing with it.  With a single worker the pool runs in-process
-(forking one worker to do what the parent could do inline is pure
-overhead); the same submit → wait → ``collect_outcomes`` →
-``write_shard`` loop then simply runs each shard when it is waited on.
-Because a shard's results are a pure function of ``(spec, shard)``,
-the store bytes are unaffected by the worker count.
+caches survive across shards), and the loop keeps one shard per
+worker in flight behind the shard it is waiting on: while it waits on
+shard N, shards N+1 .. N+w of a ``w``-worker pool are already
+submitted, so even one-run shards keep every worker busy, and a
+worker that finishes a later shard first starts the next one instead
+of idling.  Shards may finish in any order, but the loop waits on
+them, and commits them, strictly in shard order; shard N's SQLite
+commit runs on the main thread while N+1 .. N+w compute, and shard
+N+w+1 is submitted right after it.  With a single worker the pool
+runs in-process (forking one worker to do what the parent could do
+inline is pure overhead) and each shard is submitted when the loop
+reaches it; the same submit → wait → ``collect_outcomes`` →
+``write_shard`` loop then simply runs each shard when it is waited
+on.  Because a shard's results are a pure function of ``(spec,
+shard)``, the store bytes are unaffected by the worker count.
 
-A SIGKILL anywhere in steps 3-4 loses at most the in-flight shards'
-work (the committing one, plus the pipelined next one); the next
-``resume`` re-executes exactly those shards and the final store is
-bit-identical to an uninterrupted run's.
+A SIGKILL anywhere in steps 3-4 loses at most the committing shard
+plus the ``w`` in-flight shards behind it; committed shards are the
+only durable state, they always form a prefix of the pending shards
+in order, and the next ``resume`` re-executes exactly the lost ones,
+so the final store is bit-identical to an uninterrupted run's.
 
 Self-healing (the supervision layer):
 
@@ -45,10 +52,11 @@ Self-healing (the supervision layer):
   and re-executes them.
 - Supervision itself giving up (respawn budget exhausted, spawn
   failure) triggers **graceful degradation** instead of an exception:
-  the multiprocess pool is swapped for an in-process one and the
-  shard re-runs, announced loudly on the progress sink and recorded
-  as an infrastructure event.  Both rungs produce bit-identical
-  results, so degradation changes throughput, never bytes.
+  the multiprocess pool is swapped for an in-process one and every
+  uncommitted in-flight shard re-runs on it in shard order, announced
+  loudly on the progress sink and recorded as one infrastructure
+  event.  Both rungs produce bit-identical results, so degradation
+  changes throughput, never bytes.
 """
 
 from __future__ import annotations
@@ -56,8 +64,9 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.campaigns.spec import CampaignSpec, Shard
 from repro.campaigns.store import (
@@ -160,21 +169,25 @@ def run_campaign(
 
     Launching and resuming are the same operation: shards already
     committed under ``(spec.name, spec hash, git revision)`` are
-    skipped, the rest execute in shard-index order.  Re-invoking on a
-    finished campaign is a no-op that leaves the store untouched.
+    skipped, the rest execute with one shard per worker in flight
+    behind the one being committed, and commit in shard-index order.
+    Re-invoking on a finished campaign is a no-op that leaves the
+    store untouched.
 
     Parameters
     ----------
     processes:
-        Worker processes of the campaign's pool (at least 1; a single
-        worker runs in-process).  Defaults to the CPUs available to
-        this process.
+        Worker processes of the campaign's pool, and the number of
+        shards kept in flight behind the one being committed (at
+        least 1; a single worker runs in-process, one shard at a
+        time).  Defaults to the CPUs available to this process.
     max_shards:
         Stop gracefully after executing this many shards (testing and
         budgeted execution); the campaign stays resumable.
     kill_after_shards:
         Testing hook: SIGKILL this process immediately after the
-        N-th shard commit, simulating a hard crash mid-campaign.
+        N-th shard commit, simulating a hard crash mid-campaign (the
+        shards then in flight are lost).
     git_revision:
         Override the revision key (defaults to ``git rev-parse HEAD``).
     progress:
@@ -295,10 +308,39 @@ def run_campaign(
             pool = _open_pool(workers if pending and workers > 1 else 0)
         except (WorkerPoolError, OSError) as error:
             pool = _degrade(pending[0].index, error)
+        # Shards submitted and not yet committed, in shard order.  A
+        # ``None`` handle is a shard the broken pool refused; waiting
+        # on it resubmits, which raises and degrades.
+        window: Deque[Tuple[Shard, Optional[PendingRun]]] = deque()
+        upcoming = iter(pending)
+
+        def _fill(pool: WorkerPool) -> None:
+            """Submit shards until ``pool.processes`` of them queue
+            behind the head of the window (none in-process, where a
+            shard runs only when it is waited on)."""
+            while len(window) <= pool.processes:
+                shard = next(upcoming, None)
+                if shard is None:
+                    return
+                try:
+                    handle: Optional[PendingRun] = _submit_shard(
+                        pool, spec, shard
+                    )
+                except WorkerPoolError:
+                    handle = None
+                window.append((shard, handle))
+
         try:
-            handle: Optional[PendingRun] = None
             elapsed_total = 0.0
-            for position, shard in enumerate(pending):
+            while True:
+                # With one shard per worker behind the head, a worker
+                # that finishes a later shard first takes the next one
+                # instead of idling while the loop still waits on the
+                # head, and the head's commit overlaps their compute.
+                _fill(pool)
+                if not window:
+                    break
+                shard, handle = window[0]
                 point = shard.point
                 started = time.perf_counter()
                 while True:
@@ -309,25 +351,22 @@ def run_campaign(
                         break
                     except (WorkerPoolError, OSError) as error:
                         # Supervision itself gave up: swap in the
-                        # in-process pool and re-run this shard
-                        # (identical bits on either rung).
+                        # in-process pool and re-run every uncommitted
+                        # shard in order (identical bits on either
+                        # rung).
                         if not pool.processes:
                             raise
-                        registry.inc(_names.CAMPAIGNS_SHARDS_RETRIED)
+                        registry.inc(
+                            _names.CAMPAIGNS_SHARDS_RETRIED, len(window)
+                        )
                         pool.close()
                         pool = _degrade(shard.index, error)
-                    finally:
-                        handle = None
-                # Pipeline one shard deep: hand the pool the next shard
-                # *before* this one's commit, so the SQLite transaction
-                # below overlaps worker compute.
-                if position + 1 < len(pending):
-                    try:
-                        handle = _submit_shard(
-                            pool, spec, pending[position + 1]
-                        )
-                    except WorkerPoolError:
-                        pass  # degrade when the loop reaches it
+                        for position, (queued, _) in enumerate(list(window)):
+                            window[position] = (
+                                queued, _submit_shard(pool, spec, queued)
+                            )
+                        handle = window[0][1]
+                window.popleft()
                 try:
                     result = collect_outcomes(outcomes, shard.n_runs)
                 except ParallelExecutionError as error:

@@ -19,10 +19,19 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   value (about 1 KB pickled) that costs microseconds to build, so
   every ``("run", experiment, index_attempts)`` chunk message carries
   its own experiment.  Workers keep no per-experiment state.
-- **Submission is asynchronous.**  :meth:`WorkerPool.submit` returns a
-  :class:`PendingRun` immediately while a dispatcher thread feeds the
-  workers demand-driven chunks; the campaign executor uses this to
-  overlap shard N's SQLite commit with shard N+1's execution.
+- **Submission is asynchronous and jobs overlap.**
+  :meth:`WorkerPool.submit` returns a :class:`PendingRun` immediately.
+  A dispatcher thread keeps the active jobs in a FIFO, each with its
+  own chunk queue, attempt counts, outcomes and respawn count, and
+  hands every idle worker the next chunk of the oldest job that still
+  has one.  A handle resolves as soon as its own job has nothing
+  pending and nothing in flight, whatever the jobs around it do.  The
+  dispatcher blocks on the busy workers' pipes plus a wake-up pipe
+  that :meth:`~WorkerPool.submit` and :meth:`~WorkerPool.close` write
+  to, so a new job starts on an idle worker at once.  A lone job (one
+  ``run_parallel`` call) spreads over every worker; the campaign
+  executor keeps one shard per worker in flight, so even one-run
+  shards keep every worker busy.
 
 **In-process mode.**  ``WorkerPool(processes=0)`` spawns no child and
 no dispatcher thread: :meth:`~WorkerPool.submit` only records the job
@@ -40,7 +49,9 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
 - a dead worker (EOF mid-chunk, broken pipe, ``fatal`` report) is
   **respawned** and its in-flight runs are **retried** as singleton
   chunks after the :data:`RESPAWN_BACKOFF` delay — runs are seed-pure,
-  so a retried run is bit-identical to an undisturbed one;
+  so a retried run is bit-identical to an undisturbed one.  The death
+  is charged to the job whose chunk the worker held, against that
+  job's own ``max_respawns`` budget;
 - a run that keeps killing its worker past ``max_run_retries`` is
   **quarantined**: it comes back as a tagged failure outcome carrying
   :data:`~repro.errors.QUARANTINE_MARKER` (surfacing through
@@ -48,9 +59,10 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
 - an optional per-chunk soft timeout (``run_timeout``) classifies a
   **hung** worker, which is killed, counted, and respawned like a
   crash;
-- only *infrastructure* failures — the per-job respawn budget
-  exhausted, a spawn failure, the pool closed mid-job — raise
-  :class:`~repro.errors.WorkerPoolError` and break the pool.
+- only *infrastructure* failures — a job's respawn budget exhausted,
+  a spawn failure, the pool closed mid-job — raise
+  :class:`~repro.errors.WorkerPoolError` and break the pool, failing
+  every active and queued job.
 
 One execution-fault injector can be attached at construction
 (test-only hook): workers call its ``before_run`` hook ahead of every
@@ -75,12 +87,11 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
-import queue
 import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -173,10 +184,11 @@ class SupervisionPolicy:
         (i.e. on its ``max_run_retries + 1``-th try) is quarantined as
         a tagged failure outcome.
     max_respawns:
-        Per-job respawn budget.  More worker deaths than this within a
-        single job is an infrastructure failure: the pool breaks with
-        ``WorkerPoolError`` (the campaign executor then degrades to
-        the in-process mode).
+        Per-job respawn budget.  A worker death is charged to the job
+        whose chunk the worker held (or was about to receive); more
+        deaths than this within a single job is an infrastructure
+        failure: the pool breaks with ``WorkerPoolError`` (the campaign
+        executor then degrades to the in-process mode).
     run_timeout:
         Optional per-chunk soft timeout (seconds).  A worker holding a
         chunk longer than this is classified as hung, killed, and
@@ -306,14 +318,16 @@ class PendingRun:
 
     @property
     def cancelled(self) -> bool:
-        """True once the job has been cancelled by a timed-out wait."""
+        """True once :meth:`cancel` has been called (a timed-out
+        :meth:`wait` calls it)."""
         return self._cancelled
 
     def cancel(self) -> None:
         """Withdraw the job: the dispatcher skips it if not yet started.
 
-        A job already executing runs to completion (its results are
-        simply discarded with this handle); a queued job is resolved
+        A job with any chunk already on a worker runs to completion
+        (its results are simply discarded with this handle); a job
+        none of whose chunks has been dispatched is resolved
         with ``WorkerPoolError`` instead of occupying the pool.  This
         is what :meth:`wait` does on timeout, closing the old
         outstanding-slot leak where a timed-out job stayed registered
@@ -360,9 +374,22 @@ class PendingRun:
 
 @dataclass
 class _Job:
+    """One submitted job and its dispatch state.
+
+    ``pending`` holds the chunks not yet handed to a worker, ``running``
+    counts the chunks in flight, and ``respawns`` the worker deaths
+    charged to this job (against ``max_respawns``).  The handle
+    resolves once nothing is pending and nothing is running.
+    """
+
     experiment: NetworkExperiment
-    indices: List[int]
     handle: PendingRun
+    pending: Deque[List[int]]
+    attempts: Dict[int, int]
+    outcomes: List[_Outcome] = field(default_factory=list)
+    running: int = 0
+    respawns: int = 0
+    started: bool = False
 
 
 @dataclass
@@ -384,13 +411,19 @@ class WorkerPool:
             for shard in shards:
                 result = run_parallel(..., pool=pool)
 
-    Jobs execute one at a time in submission order on a dispatcher
-    thread that hands idle workers demand-driven index chunks, so a
-    slow worker never stalls the fast ones.  Worker deaths and hangs
-    are absorbed by the :class:`SupervisionPolicy` (respawn + retry +
-    quarantine); the pool only becomes *broken* — refusing further
-    submissions — on an infrastructure failure such as an exhausted
-    respawn budget.  Per-run failures never break it.
+    A dispatcher thread keeps the submitted jobs in a FIFO and hands
+    each idle worker the next index chunk of the oldest job that still
+    has one.  A lone job therefore spreads over every worker in
+    demand-driven chunks (a slow worker never stalls the fast ones),
+    and jobs submitted back to back run side by side as soon as the
+    earlier ones leave a worker idle.  Each job resolves on its own,
+    when its last chunk comes back.  Worker deaths and hangs are
+    absorbed by the :class:`SupervisionPolicy` (respawn + retry +
+    quarantine), charged to the job whose chunk the worker held; the
+    pool only becomes *broken* — failing every active and queued job
+    and refusing further submissions — on an infrastructure failure
+    such as an exhausted respawn budget.  Per-run failures never break
+    it.
 
     Parameters
     ----------
@@ -398,8 +431,7 @@ class WorkerPool:
         Worker process count; defaults to :func:`available_cpu_count`.
         ``0`` selects the in-process mode: no child process and no
         dispatcher thread — each job runs in the caller's thread when
-        its :class:`PendingRun` is first waited on, so jobs still
-        execute in submission order.
+        its :class:`PendingRun` is first waited on.
     policy:
         Supervision knobs; defaults to ``SupervisionPolicy()``.
     execution_faults:
@@ -423,21 +455,27 @@ class WorkerPool:
         self._faults = execution_faults
         self._context = multiprocessing.get_context()
         self._workers: List[_Worker] = []
-        for slot in range(int(processes)):
-            self._workers.append(self._spawn_worker(slot))
-        self._job_respawns = 0
-        self._jobs: "queue.Queue[Optional[_Job]]" = queue.Queue()
+        # Jobs submitted but not yet seen by the dispatcher.
+        self._submitted: Deque[_Job] = deque()
         self._lock = threading.Lock()
         self._closed = False
         self._broken = False
         self._dispatcher: Optional[threading.Thread] = None
-        if self._workers:
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop,
-                name="repro-pool-dispatcher",
-                daemon=True,
-            )
-            self._dispatcher.start()
+        if not processes:
+            return
+        # ``submit`` and ``close`` write to this pipe so the dispatcher,
+        # blocked on the busy workers' pipes, sees them at once.
+        self._wake_reader, self._wake_writer = self._context.Pipe(
+            duplex=False
+        )
+        for slot in range(int(processes)):
+            self._workers.append(self._spawn_worker(slot))
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop,
+            name="repro-pool-dispatcher",
+            daemon=True,
+        )
+        self._dispatcher.start()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -466,10 +504,11 @@ class WorkerPool:
     def close(self) -> None:
         """Stop the dispatcher and workers; idempotent.
 
-        An in-flight job is given ``close_grace`` seconds to finish;
-        after that shutdown escalates per worker — join, then
+        Jobs already submitted are given ``close_grace`` seconds to
+        finish; after that shutdown escalates per worker — join, then
         ``terminate()``, then ``kill()`` — so a wedged or
-        SIGTERM-ignoring worker can not leak past close.  Workers that
+        SIGTERM-ignoring worker can not leak past close, and every job
+        still unresolved fails with ``WorkerPoolError``.  Workers that
         needed ``kill()`` are surfaced on the
         ``pool.workers_force_killed`` counter.
         """
@@ -477,10 +516,11 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
+            if self._dispatcher is not None:
+                self._wake()
         if self._dispatcher is None:
             return
         grace = self._policy.close_grace
-        self._jobs.put(None)
         self._dispatcher.join(timeout=grace)
         for worker in self._workers:
             try:
@@ -535,11 +575,11 @@ class WorkerPool:
 
         The experiment itself is the unit of work: it is pickled into
         every chunk message, and a worker runs ``run_once`` on the copy
-        it receives.  The caller may submit the next job before waiting
-        on this one — the campaign executor relies on that to commit
-        shard N while the workers are already draining shard N+1.  In
-        the in-process mode the job only runs when its handle is waited
-        on, so shard N+1 executes after shard N's commit.
+        it receives.  The caller may submit further jobs before waiting
+        on this one; they take any worker this job leaves idle — the
+        campaign executor keeps one shard per worker in flight that
+        way.  In the in-process mode a job only runs when its handle is
+        waited on.
         """
         if not isinstance(experiment, NetworkExperiment):
             raise ConfigurationError(
@@ -568,8 +608,18 @@ class WorkerPool:
                     experiment,
                     [(index, 0) for index in indices],
                 ))
+            chunk = adaptive_chunksize(len(indices), len(self._workers))
             handle = PendingRun()
-            self._jobs.put(_Job(experiment, indices, handle))
+            self._submitted.append(_Job(
+                experiment,
+                handle,
+                deque(
+                    indices[start : start + chunk]
+                    for start in range(0, len(indices), chunk)
+                ),
+                {index: 0 for index in indices},
+            ))
+            self._wake()
         return handle
 
     def run(
@@ -578,15 +628,20 @@ class WorkerPool:
         """Synchronous convenience: ``submit(...).wait()``."""
         return self.submit(experiment, run_indices).wait()
 
+    def _wake(self) -> None:
+        """Wake the dispatcher (caller holds ``_lock``)."""
+        try:
+            self._wake_writer.send_bytes(b"")
+        except (OSError, ValueError):
+            pass  # the dispatcher has exited
+
     # -- worker management ---------------------------------------------
 
     def _spawn_worker(self, slot: int) -> _Worker:
         """Start one worker process wired for orphan-free shutdown."""
         parent_end, child_end = self._context.Pipe(duplex=True)
-        close_conns = [
-            worker.conn for worker in getattr(self, "_workers", [])
-        ]
-        close_conns.append(parent_end)
+        close_conns = [worker.conn for worker in self._workers]
+        close_conns += [self._wake_reader, self._wake_writer, parent_end]
         process = self._context.Process(
             target=_worker_main,
             args=(child_end, close_conns, self._faults),
@@ -597,11 +652,14 @@ class WorkerPool:
         current().inc(_names.POOL_WORKERS_SPAWNED)
         return _Worker(slot=slot, process=process, conn=parent_end)
 
-    def _respawn(self, slot: int, reason: str, hung: bool = False) -> None:
-        """Replace the worker in ``slot`` after a death or hang.
+    def _respawn(
+        self, slot: int, job: _Job, reason: str, hung: bool = False
+    ) -> None:
+        """Replace the worker in ``slot`` after a death or hang,
+        charging the death to ``job``.
 
         Raises ``WorkerPoolError`` (infrastructure) when the pool is
-        closing, the per-job respawn budget is exhausted, or the
+        closing, ``job``'s respawn budget is exhausted, or the
         replacement itself cannot be spawned.
         """
         with self._lock:
@@ -617,8 +675,8 @@ class WorkerPool:
             raise WorkerPoolError(
                 "worker pool closed while a job was in flight"
             )
-        self._job_respawns += 1
-        if self._job_respawns > self._policy.max_respawns:
+        job.respawns += 1
+        if job.respawns > self._policy.max_respawns:
             raise WorkerPoolError(
                 f"respawn budget exhausted ({self._policy.max_respawns}"
                 f" worker deaths in one job); last failure: {reason}"
@@ -632,18 +690,13 @@ class WorkerPool:
         current().inc(_names.POOL_WORKERS_RESPAWNED)
 
     @staticmethod
-    def _deliver(
-        worker: _Worker,
-        experiment: NetworkExperiment,
-        chunk: List[int],
-        attempts: Dict[int, int],
-    ) -> bool:
+    def _deliver(worker: _Worker, job: _Job, chunk: List[int]) -> bool:
         """Send a run chunk; False if the pipe is dead — the caller
         respawns and the chunk stays queued."""
         try:
             worker.conn.send(
-                ("run", experiment,
-                 [(index, attempts[index]) for index in chunk])
+                ("run", job.experiment,
+                 [(index, job.attempts[index]) for index in chunk])
             )
         except (OSError, ValueError):
             return False
@@ -652,148 +705,170 @@ class WorkerPool:
     # -- dispatcher ----------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        while True:
-            job = self._jobs.get()
-            if job is None:
-                return
-            if job.handle.cancelled:
+        active: Deque[_Job] = deque()
+        try:
+            self._dispatch(active)
+        except BaseException as error:  # jrsnd: noqa(JRS003) -- dispatcher thread boundary: any failure must resolve the pending handles, not die silently in a daemon thread
+            with self._lock:
+                self._broken = True
+                queued = list(self._submitted)
+                self._submitted.clear()
+            for job in active:
+                job.handle._fail(error)
+            for job in queued:
                 job.handle._fail(
                     WorkerPoolError(
-                        "pool job was cancelled by a timed-out wait "
-                        "before it started"
+                        f"worker pool broken by an earlier failure: "
+                        f"{error}"
                     )
                 )
-                continue
-            try:
-                outcomes = self._execute(job)
-            except BaseException as error:  # jrsnd: noqa(JRS003) -- dispatcher thread boundary: any failure must resolve the pending handle, not die silently in a daemon thread
-                with self._lock:
-                    self._broken = True
-                job.handle._fail(error)
-                self._fail_pending(error)
-                return
-            job.handle._finish(outcomes)
+        finally:
+            self._wake_reader.close()
+            self._wake_writer.close()
 
-    def _execute(self, job: _Job) -> List[_Outcome]:
-        registry = current()
+    def _dispatch(self, active: Deque[_Job]) -> None:
+        """Run every submitted job until the pool closes.
+
+        ``active`` is the FIFO of jobs the dispatcher has taken over;
+        it is the caller's so that a failure can resolve them all.
+        """
         policy = self._policy
-        self._job_respawns = 0
-        chunk = adaptive_chunksize(len(job.indices), len(self._workers))
-        attempts: Dict[int, int] = {
-            int(index): 0 for index in job.indices
-        }
-        pending: Deque[List[int]] = deque(
-            job.indices[start : start + chunk]
-            for start in range(0, len(job.indices), chunk)
-        )
-        in_flight: Dict[int, Tuple[List[int], float]] = {}
-        outcomes: List[_Outcome] = []
+        in_flight: Dict[int, Tuple[_Job, List[int], float]] = {}
         consecutive_deaths = 0
-        while pending or in_flight:
-            # -- dispatch to idle workers ------------------------------
+        while True:
+            registry = current()
+            with self._lock:
+                active.extend(self._submitted)
+                self._submitted.clear()
+                closing = self._closed
+            for job in [
+                job for job in active
+                if job.handle.cancelled and not job.started
+            ]:
+                active.remove(job)
+                job.handle._fail(
+                    WorkerPoolError(
+                        "pool job was cancelled before it started"
+                    )
+                )
+            # -- dispatch to idle workers, oldest job first ------------
             for slot in range(len(self._workers)):
-                if not pending:
-                    break
                 if slot in in_flight:
                     continue
-                worker = self._workers[slot]
-                chunk_indices = pending[0]
-                if self._deliver(
-                    worker, job.experiment, chunk_indices, attempts
-                ):
-                    pending.popleft()
+                job = next((job for job in active if job.pending), None)
+                if job is None:
+                    break
+                chunk_indices = job.pending[0]
+                if self._deliver(self._workers[slot], job, chunk_indices):
+                    job.pending.popleft()
+                    job.running += 1
+                    job.started = True
                     in_flight[slot] = (
-                        chunk_indices, time.monotonic()
+                        job, chunk_indices, time.monotonic()
                     )
                     registry.inc(_names.POOL_TASKS_DISPATCHED)
                 else:
                     # Dead before the chunk was even dispatched: the
                     # chunk carries no blame (stays queued as-is); the
-                    # respawn budget still bounds this.
+                    # job's respawn budget still bounds this.
                     consecutive_deaths += 1
                     self._respawn(
-                        slot, "worker gone before dispatch"
+                        slot, job, "worker gone before dispatch"
                     )
             if not in_flight:
-                continue
-            # -- wait for replies (bounded by the soft timeout) --------
+                if active:
+                    continue  # a respawned worker takes the chunk
+                if closing:
+                    return
+            # -- wait for replies or submissions (bounded by the soft
+            # timeout) -------------------------------------------------
             conn_to_slot = {
                 self._workers[slot].conn: slot for slot in in_flight
             }
             timeout: Optional[float] = None
-            if policy.run_timeout is not None:
+            if policy.run_timeout is not None and in_flight:
                 now = time.monotonic()
                 deadline = min(
                     started + policy.run_timeout
-                    for _, started in in_flight.values()
+                    for _, _, started in in_flight.values()
                 )
                 timeout = max(0.001, deadline - now)
-            ready = _wait_ready(list(conn_to_slot), timeout)
+            ready = _wait_ready(
+                [*conn_to_slot, self._wake_reader], timeout
+            )
             if not ready:
                 # Soft timeout expired: classify hung workers, kill
                 # and respawn them, retry/quarantine their runs.
                 assert policy.run_timeout is not None
                 now = time.monotonic()
                 for slot in list(in_flight):
-                    chunk_indices, started = in_flight[slot]
+                    job, chunk_indices, started = in_flight[slot]
                     if now - started < policy.run_timeout:
                         continue
                     registry.inc(_names.POOL_WORKERS_TIMED_OUT)
                     consecutive_deaths += 1
                     del in_flight[slot]
+                    job.running -= 1
                     reason = (
                         f"chunk exceeded the {policy.run_timeout} s "
                         f"soft timeout (hung worker killed)"
                     )
-                    self._respawn(slot, reason, hung=True)
+                    self._respawn(slot, job, reason, hung=True)
                     self._absorb_failure(
-                        chunk_indices, attempts, pending, outcomes,
-                        reason, registry,
+                        job, chunk_indices, reason, registry
                     )
+                    self._settle(job, active)
                 time.sleep(retry_delay(consecutive_deaths))
                 continue
             for conn in ready:
+                if conn is self._wake_reader:
+                    while conn.poll():
+                        conn.recv_bytes()
+                    continue
                 slot = conn_to_slot[conn]
-                if slot not in in_flight:
-                    continue  # already handled this sweep
                 try:
                     message: Optional[Tuple[Any, ...]] = conn.recv()
                 except (EOFError, OSError):
                     message = None
+                job, chunk_indices, _ = in_flight.pop(slot)
+                job.running -= 1
                 if message is not None and message[0] == "done":
-                    in_flight.pop(slot)
-                    outcomes.extend(message[1])
+                    job.outcomes.extend(message[1])
                     consecutive_deaths = 0
-                    continue
-                # EOF (killed / crashed) or a 'fatal' report: either
-                # way this worker is done for — respawn it and put the
-                # blame on the runs it was holding.
-                chunk_indices, _ = in_flight.pop(slot)
-                reason = (
-                    "worker died mid-chunk (killed or crashed "
-                    "before replying)"
-                    if message is None
-                    else f"worker fault:\n{message[1]}"
-                )
-                consecutive_deaths += 1
-                self._respawn(slot, reason)
-                self._absorb_failure(
-                    chunk_indices, attempts, pending, outcomes,
-                    reason, registry,
-                )
-                time.sleep(retry_delay(consecutive_deaths))
-        return outcomes
+                else:
+                    # EOF (killed / crashed) or a 'fatal' report:
+                    # either way this worker is done for — respawn it
+                    # and put the blame on the runs it was holding.
+                    reason = (
+                        "worker died mid-chunk (killed or crashed "
+                        "before replying)"
+                        if message is None
+                        else f"worker fault:\n{message[1]}"
+                    )
+                    consecutive_deaths += 1
+                    self._respawn(slot, job, reason)
+                    self._absorb_failure(
+                        job, chunk_indices, reason, registry
+                    )
+                    time.sleep(retry_delay(consecutive_deaths))
+                self._settle(job, active)
+
+    @staticmethod
+    def _settle(job: _Job, active: Deque[_Job]) -> None:
+        """Resolve ``job``'s handle once nothing is pending or running."""
+        if job.pending or job.running:
+            return
+        active.remove(job)
+        job.handle._finish(job.outcomes)
 
     def _absorb_failure(
         self,
+        job: _Job,
         chunk_indices: List[int],
-        attempts: Dict[int, int],
-        pending: Deque[List[int]],
-        outcomes: List[_Outcome],
         reason: str,
         registry: Any,
     ) -> None:
-        """Retry or quarantine every run of a failed chunk.
+        """Retry or quarantine every run of a failed chunk of ``job``.
 
         Retried runs go back as *singleton* chunks: a run sharing a
         chunk with a poison run must not inherit its blame, and after
@@ -801,29 +876,14 @@ class WorkerPool:
         """
         policy = self._policy
         for index in chunk_indices:
-            attempts[index] += 1
-            if attempts[index] > policy.max_run_retries:
-                outcomes.append((
+            job.attempts[index] += 1
+            if job.attempts[index] > policy.max_run_retries:
+                job.outcomes.append((
                     index,
                     None,
-                    quarantine_failure(index, attempts[index], reason),
+                    quarantine_failure(index, job.attempts[index], reason),
                 ))
                 registry.inc(_names.POOL_RUNS_QUARANTINED)
             else:
-                pending.append([index])
+                job.pending.append([index])
                 registry.inc(_names.POOL_RUNS_RETRIED)
-
-    def _fail_pending(self, error: BaseException) -> None:
-        """Resolve every queued-but-unstarted handle after a break."""
-        while True:
-            try:
-                job = self._jobs.get_nowait()
-            except queue.Empty:
-                return
-            if job is not None:
-                job.handle._fail(
-                    WorkerPoolError(
-                        f"worker pool broken by an earlier failure: "
-                        f"{error}"
-                    )
-                )

@@ -50,6 +50,33 @@ __all__ = ["RunResult", "ExperimentResult", "NetworkExperiment"]
 #: chunk, so this is part of the rng stream and must not change.
 _CHUNK = 4096
 
+#: Rounds per 8-byte lane of the shared-code kernel.
+_LANE = 8
+#: Lanes summed before their bytes are folded into one count: each
+#: byte then holds at most 31 and the fold's total at most 248 < 256.
+_FOLD_LANES = 31
+#: Multiplying by this sums a ``uint64``'s eight bytes into its top
+#: byte (exact while the total stays below 256).
+_BYTE_SUM = np.uint64(0x0101010101010101)
+
+
+def _lane_counts(lanes: np.ndarray) -> np.ndarray:
+    """Per row, how many bytes of ``lanes`` are 1.
+
+    ``lanes`` is a ``(k, L)`` ``uint64`` view of a 0/1 byte matrix.
+    Lanes are added column by column (bytewise, no carries) in blocks
+    of :data:`_FOLD_LANES`, and each block's bytes are folded into one
+    count with :data:`_BYTE_SUM`, so the count is exact for any ``L``.
+    """
+    counts = np.zeros(len(lanes), dtype=np.uint64)
+    for low in range(0, lanes.shape[1], _FOLD_LANES):
+        high = min(low + _FOLD_LANES, lanes.shape[1])
+        block = lanes[:, low].copy()
+        for lane in range(low + 1, high):
+            block += lanes[:, lane]
+        counts += (block * _BYTE_SUM) >> np.uint64(56)
+    return counts.astype(np.int64)
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -469,9 +496,11 @@ class NetworkExperiment:
         know.  The vectorized kernel tests the two endpoints' rows of
         the round-aligned code matrix for equality (``codes[a] ==
         codes[b]`` is the per-round shared-code mask) and masks it with
-        ``node_comp = compromised[codes]``, built once per run.  The
-        ``"reference"`` backend ANDs rows of a node-by-code membership
-        matrix instead; both yield the same counts.
+        ``node_comp = compromised[codes]``, built once per run; both
+        masks are counted eight rounds at a time on their ``uint64``
+        lane views (:func:`_lane_counts`).  The ``"reference"`` backend
+        ANDs rows of a node-by-code membership matrix instead; both
+        yield the same counts.
         """
         if self._compute_backend == "reference":
             membership = np.zeros(
@@ -493,18 +522,31 @@ class NetworkExperiment:
                     (shared & compromised).sum(axis=1),
                 )
             return
-        # The narrowest dtype that holds every pool index keeps the
-        # gathered rows small.
-        codes = assignment.codes.astype(
-            np.min_scalar_type(max(assignment.pool_size - 1, 0))
+        # Round-local keys (code minus the round's offset w·r) are
+        # equal exactly where the codes are, and fit the narrowest
+        # dtype.  Rows are padded to whole 8-byte lanes: the padding
+        # keys are 0 on both sides, so every pair "shares" the
+        # ``padding`` extra rounds, never compromised ones.
+        n_nodes, m = assignment.codes.shape
+        w = assignment.pool_size // m
+        width = -(-m // _LANE) * _LANE
+        padding = width - m
+        keys = np.zeros(
+            (n_nodes, width), dtype=np.min_scalar_type(max(w - 1, 0))
         )
-        node_comp = compromised[assignment.codes]
+        keys[:, :m] = assignment.codes - w * np.arange(m)
+        node_comp = np.zeros((n_nodes, width), dtype=bool)
+        node_comp[:, :m] = compromised[assignment.codes]
+        comp_lanes = node_comp.view(np.uint64)
         for start in range(0, len(pairs), _CHUNK):
             stop = min(start + _CHUNK, len(pairs))
             a = pairs[start:stop, 0]
-            eq = codes[a] == codes[pairs[start:stop, 1]]
-            comp_count = np.count_nonzero(eq & node_comp[a], axis=1)
-            safe_count = np.count_nonzero(eq, axis=1) - comp_count
+            eq = np.equal(
+                np.take(keys, a, axis=0),
+                np.take(keys, pairs[start:stop, 1], axis=0),
+            ).view(np.uint64)
+            comp_count = _lane_counts(eq & np.take(comp_lanes, a, axis=0))
+            safe_count = _lane_counts(eq) - padding - comp_count
             yield start, stop, safe_count, comp_count
 
     def _sample_dndp(

@@ -11,6 +11,7 @@ OOM kill takes in production.
 
 import os
 import shutil
+import sqlite3
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
 from repro.experiments.runner import NetworkExperiment
+from repro.faults import RunHang
 
 REV = "testrev"
 
@@ -233,6 +235,53 @@ class TestPersistentPoolEngine:
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
+    def test_two_workers_write_the_rows_of_one(self, tmp_path):
+        """The ``runs`` and ``shards`` rows and the canonical digest do
+        not depend on how many shards were in flight."""
+        stores = {}
+        for processes in (1, 2):
+            path = str(tmp_path / f"p{processes}.sqlite")
+            status = run_campaign(
+                tiny_spec(), path, processes=processes, git_revision=REV
+            )
+            assert status.complete
+            conn = sqlite3.connect(path)
+            try:
+                stores[processes] = (
+                    status.canonical_digest,
+                    conn.execute(
+                        "SELECT * FROM runs ORDER BY 1, 2, 3, 4, 5"
+                    ).fetchall(),
+                    conn.execute(
+                        "SELECT * FROM shards ORDER BY 1, 2, 3, 4"
+                    ).fetchall(),
+                )
+            finally:
+                conn.close()
+        assert len(stores[2][1]) == 8 and len(stores[2][2]) == 4
+        assert stores[1] == stores[2]
+
+    def test_commits_in_shard_order_when_a_later_shard_finishes_first(
+        self, tmp_path, reference
+    ):
+        """Run 0 of each point is held, so shard 1 finishes before
+        shard 0 on the other worker; shards still commit 1, 2, 3, 4."""
+        _, expected, _ = reference
+        lines = []
+        path = str(tmp_path / "held.sqlite")
+        status = run_campaign(
+            tiny_spec(), path, processes=2, git_revision=REV,
+            execution_faults=RunHang(hangs={0: 1}, duration=1.0),
+            progress=lines.append,
+        )
+        assert status.complete
+        committed = [
+            line.split()[1] for line in lines if " committed " in line
+        ]
+        assert committed == ["1/4", "2/4", "3/4", "4/4"]
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+
     def test_progress_reports_rate_and_eta(self, tmp_path):
         import re
 
@@ -252,8 +301,9 @@ class TestPersistentPoolEngine:
         self, tmp_path, reference
     ):
         """Kill/resume byte-identity with the pool on both sides of
-        the crash: the pipelined in-flight shard is simply lost and
-        re-executed."""
+        the crash: the shards in flight behind the last commit are
+        simply lost and re-executed, and no later shard can have
+        committed before an earlier one."""
         _, expected, ref_status = reference
         path = str(tmp_path / "killed.sqlite")
         spec_path = str(tmp_path / "spec.json")

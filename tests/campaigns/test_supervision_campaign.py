@@ -190,6 +190,32 @@ class TestDegradationLadder:
             assert handle.read() == expected
 
 
+    def test_break_on_second_in_flight_shard_degrades_once(
+        self, tmp_path, reference
+    ):
+        """Run 2 lives in shard 1, submitted beside shard 0: its death
+        breaks the pool with two shards in flight.  Every uncommitted
+        shard re-runs in-process, with one degradation event and the
+        reference bytes."""
+        _, expected, ref_status = reference
+        path = str(tmp_path / "degraded-second.sqlite")
+        registry = MetricsRegistry()
+        with installed(registry):
+            status = run_campaign(
+                tiny_spec(), path, processes=2, git_revision=REV,
+                supervision=SupervisionPolicy(
+                    max_respawns=0, close_grace=5.0
+                ),
+                execution_faults=WorkerKiller(kills={2: 1}),
+            )
+        assert status.complete
+        assert len(status.degraded) == 1
+        assert registry.snapshot().counters[_names.POOL_DEGRADED] == 1
+        assert status.canonical_digest == ref_status.canonical_digest
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+
+
 class TestSalvage:
     def test_torn_store_salvaged_then_resume_bit_identical(
         self, tmp_path, reference

@@ -7,13 +7,15 @@ both must consume identical rng streams and produce identical results,
 run results, and instrumented counters.
 """
 
+import numpy as np
 import pytest
 
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import run_parallel
-from repro.experiments.runner import NetworkExperiment
+from repro.experiments.runner import NetworkExperiment, _lane_counts
+from repro.predistribution.authority import PreDistributor
 
 
 def _small_config() -> JRSNDConfig:
@@ -117,3 +119,53 @@ class TestComputeBackendEquivalence:
         )
         with pytest.raises(ConfigurationError):
             NetworkExperiment(config, seed=1, compute_backend="cuda")
+
+
+class TestSharedCountKernel:
+    """The vectorized shared-code kernel counts eight rounds per
+    ``uint64`` lane and folds each lane's bytes into one count; the
+    counts must stay exact for any ``m``, including ``m > 255`` where a
+    single byte fold would overflow."""
+
+    @staticmethod
+    def _counts(backend, pairs, assignment, compromised):
+        experiment = NetworkExperiment(
+            _small_config(), seed=1, compute_backend=backend
+        )
+        chunks = list(
+            experiment._shared_counts(pairs, assignment, compromised)
+        )
+        return (
+            np.concatenate([safe for _, _, safe, _ in chunks]),
+            np.concatenate([comp for _, _, _, comp in chunks]),
+        )
+
+    @pytest.mark.parametrize("m", [1, 7, 200, 300])
+    @pytest.mark.parametrize("share_count", [2, 12, 60])
+    def test_counts_match_membership_reference(self, m, share_count):
+        """``share_count == n`` makes every pair share all ``m`` rounds
+        (``w = 1``), so at ``m`` = 300 every count passes 255."""
+        n_nodes = 60
+        rng = np.random.default_rng(1000 * m + share_count)
+        assignment = PreDistributor(n_nodes, m, share_count).assign(rng)
+        compromised = rng.random(assignment.pool_size) < 0.3
+        pairs = np.array(
+            [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)],
+            dtype=np.int64,
+        )
+        want = self._counts("reference", pairs, assignment, compromised)
+        got = self._counts("vectorized", pairs, assignment, compromised)
+        assert np.array_equal(want[0], got[0])
+        assert np.array_equal(want[1], got[1])
+        if share_count == n_nodes:
+            assert (got[0] + got[1] == m).all()
+
+    @pytest.mark.parametrize("lanes", [1, 30, 31, 32, 80])
+    def test_lane_counts_are_exact(self, lanes):
+        rng = np.random.default_rng(lanes)
+        ones = np.ones((64, 8 * lanes), dtype=bool)
+        ones[1:] = rng.random((63, 8 * lanes)) < 0.7
+        counts = _lane_counts(ones.view(np.uint64))
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, ones.sum(axis=1))
+        assert counts[0] == 8 * lanes

@@ -7,6 +7,8 @@ calls.
 """
 
 import os
+import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -38,6 +40,21 @@ TINY = JRSNDConfig(
     tx_range=260.0,
 )
 TINY_B = TINY.replace(n_compromised=10)
+
+
+@dataclass(frozen=True)
+class StartRecorder:
+    """Execution-fault hook that appends ``pid index time`` to ``path``
+    before every run and then holds the worker for ``hold`` seconds, so
+    each run occupies its worker for at least that long."""
+
+    path: str
+    hold: float = 0.5
+
+    def before_run(self, run_index, attempt):
+        with open(self.path, "a") as handle:
+            handle.write(f"{os.getpid()} {run_index} {time.time()}\n")
+        time.sleep(self.hold)
 
 
 @pytest.fixture
@@ -184,6 +201,52 @@ class TestEquivalence:
             TINY, seed=11, runs=3, run_indices=[2, 3, 4], pool=pool
         )
         assert part.runs == full.runs[2:5]
+
+
+class TestConcurrentJobs:
+    """Jobs submitted back to back share the pool's workers."""
+
+    def test_back_to_back_jobs_run_side_by_side(self, tmp_path):
+        """Two one-run jobs on a two-worker pool start on different
+        workers within one hold of each other: the second job does not
+        wait for the first to finish."""
+        recorder = StartRecorder(str(tmp_path / "starts.txt"))
+        experiment = NetworkExperiment(TINY, seed=7)
+        with WorkerPool(processes=2, execution_faults=recorder) as pool:
+            first = pool.submit(experiment, [0])
+            second = pool.submit(experiment, [1])
+            outcomes = second.wait() + first.wait()
+        with open(recorder.path) as handle:
+            starts = {
+                int(index): (int(pid), float(stamp))
+                for pid, index, stamp in (
+                    line.split() for line in handle
+                )
+            }
+        assert sorted(starts) == [0, 1]
+        assert starts[0][0] != starts[1][0]
+        assert abs(starts[0][1] - starts[1][1]) < recorder.hold
+        outcomes.sort(key=lambda outcome: outcome[0])
+        assert [result for _, result, _ in outcomes] == [
+            experiment.run_once(0), experiment.run_once(1)
+        ]
+
+    def test_concurrent_jobs_are_bit_identical_to_serial(self, pool):
+        """Many jobs in flight at once, of two different points and
+        uneven sizes, each resolve to exactly their serial runs."""
+        plan = [(TINY, 3, [0, 1, 2]), (TINY_B, 5, [4]), (TINY, 3, [3]),
+                (TINY_B, 5, [0, 1, 2, 3])]
+        handles = [
+            (NetworkExperiment(config, seed=seed), indices,
+             pool.submit(NetworkExperiment(config, seed=seed), indices))
+            for config, seed, indices in plan
+        ]
+        for experiment, indices, handle in reversed(handles):
+            outcomes = sorted(handle.wait(), key=lambda o: o[0])
+            assert [index for index, _, _ in outcomes] == indices
+            assert [result for _, result, _ in outcomes] == [
+                experiment.run_once(index) for index in indices
+            ]
 
 
 class TestPoolMetrics:

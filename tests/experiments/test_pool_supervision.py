@@ -8,7 +8,10 @@ a retried run is identical to an undisturbed one because runs are
 seed-pure.
 """
 
+import os
+import signal
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -44,6 +47,21 @@ TINY = JRSNDConfig(
 )
 
 FAST = SupervisionPolicy(close_grace=5.0)
+
+
+@dataclass(frozen=True)
+class KillOrHold:
+    """SIGKILL the worker before the first attempt of run ``kill``;
+    hold every other run for ``hold`` seconds."""
+
+    kill: int
+    hold: float
+
+    def before_run(self, run_index, attempt):
+        if run_index == self.kill and attempt == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if run_index != self.kill:
+            time.sleep(self.hold)
 
 
 class TestSupervisionPolicy:
@@ -131,6 +149,50 @@ class TestRespawnRetry:
             execution_faults=WorkerKiller(kills={0: 1}),
         )
         assert survived.runs == serial.runs
+
+
+class TestConcurrentJobSupervision:
+    def test_deaths_are_charged_to_their_own_job(self):
+        """Two jobs running side by side each lose one worker; with a
+        budget of one respawn per job neither death counts against the
+        other job, and both land bit-identically."""
+        serial = NetworkExperiment(TINY, seed=7).run(2)
+        registry = MetricsRegistry()
+        with installed(registry):
+            with WorkerPool(
+                processes=2,
+                policy=SupervisionPolicy(max_respawns=1, close_grace=5.0),
+                execution_faults=WorkerKiller(kills={0: 1, 1: 1}),
+            ) as pool:
+                experiment = NetworkExperiment(TINY, seed=7)
+                first = pool.submit(experiment, [0])
+                second = pool.submit(experiment, [1])
+                outcomes = first.wait() + second.wait()
+                assert not pool.broken
+            counters = registry.snapshot().counters
+        outcomes.sort(key=lambda outcome: outcome[0])
+        assert [result for _, result, _ in outcomes] == list(serial.runs)
+        assert counters[_names.POOL_WORKERS_RESPAWNED] == 2
+        assert counters[_names.POOL_RUNS_RETRIED] == 2
+
+    def test_break_fails_every_active_and_queued_job(self):
+        """An infrastructure failure in one job resolves every other
+        job too: the one running beside it and the one queued behind
+        it."""
+        with WorkerPool(
+            processes=2,
+            policy=SupervisionPolicy(max_respawns=0, close_grace=2.0),
+            execution_faults=KillOrHold(kill=0, hold=2.0),
+        ) as pool:
+            experiment = NetworkExperiment(TINY, seed=7)
+            killed = pool.submit(experiment, [0])
+            beside = pool.submit(experiment, [1])
+            queued = pool.submit(experiment, [2])
+            for handle in (killed, beside, queued):
+                with pytest.raises(WorkerPoolError):
+                    handle.wait(timeout=30.0)
+                assert not handle.cancelled
+            assert pool.broken
 
 
 class TestQuarantine:
