@@ -1,7 +1,6 @@
 """Campaign-layer overhead bench: store + checkpointing vs bare sweeps.
 
-A campaign runs the exact same ``run_parallel`` workload as a direct
-sweep, plus its bookkeeping: per-shard SQLite commits, metrics
+A campaign runs the exact same pool workload as a direct sweep, plus its bookkeeping: per-shard SQLite commits, metrics
 merging/serialization, and the final canonical store rebuild.  That
 bookkeeping must stay a small tax on real Monte Carlo work — this
 bench gates the ratio and records per-shard throughput in the
@@ -19,8 +18,9 @@ import os
 import time
 
 from repro.campaigns import CampaignSpec, run_campaign
-from repro.experiments.parallel import run_parallel
+from repro.experiments.pool import WorkerPool, available_cpu_count
 from repro.experiments.reporting import format_series_table
+from repro.experiments.runner import NetworkExperiment
 from repro.obs import MetricsRegistry, installed
 from repro.utils.fileio import atomic_write_text
 
@@ -46,19 +46,24 @@ def _bench_spec(runs_per_point: int, seed: int) -> CampaignSpec:
 
 
 def _time_direct(spec: CampaignSpec) -> float:
-    """The same workload a campaign executes, without the store."""
+    """The same workload a campaign executes, without the store: one
+    pool per point, in-process when only one worker would run."""
+    workers = min(available_cpu_count(), spec.runs_per_point)
     start = time.perf_counter()
     for point in spec.points():
-        run_parallel(
+        experiment = NetworkExperiment(
             spec.point_config(point),
             seed=point.seed,
-            runs=spec.runs_per_point,
             strategy=spec.point_strategy(point),
             mndp_rounds=spec.mndp_rounds,
+            sample_latency=spec.sample_latency,
             link_model=spec.point_link_model(point),
             collect_metrics=spec.collect_metrics,
             compute_backend=spec.compute_backend,
+            phy_backend=spec.phy_backend,
         )
+        with WorkerPool(workers if workers > 1 else 0) as pool:
+            pool.run(experiment, range(spec.runs_per_point))
     return time.perf_counter() - start
 
 

@@ -56,17 +56,19 @@ def test_null_fault_plan_overhead(benchmark, seed):
     def measure():
         # Warm-up evens out allocator and cache effects; best-of-N
         # minima suppress scheduler noise, which at this workload size
-        # is far larger than the overhead being gated.
+        # is far larger than the overhead being gated.  Both arms run
+        # back to back inside every repeat, alternating which goes
+        # first, so a slow phase of the host lands on both arms rather
+        # than on whichever one was timed during it.
         _time_soak(seed, 1, faults=None)
-        plain = min(
-            _time_soak(seed, rounds, faults=None)
-            for _ in range(repeats)
-        )
-        nulled = min(
-            _time_soak(seed, rounds, faults=NullFaultPlan())
-            for _ in range(repeats)
-        )
-        return plain, nulled
+        plain, nulled = [], []
+        for repeat in range(repeats):
+            arms = [(plain, None), (nulled, NullFaultPlan())]
+            if repeat % 2:
+                arms.reverse()
+            for times, faults in arms:
+                times.append(_time_soak(seed, rounds, faults=faults))
+        return min(plain), min(nulled)
 
     plain, nulled = benchmark.pedantic(measure, rounds=1, iterations=1)
     ratio = nulled / plain

@@ -81,12 +81,12 @@ from repro.errors import (
     WorkerPoolError,
     is_quarantined_failure,
 )
-from repro.experiments.parallel import collect_outcomes
 from repro.experiments.pool import (
     PendingRun,
     SupervisionPolicy,
     WorkerPool,
     available_cpu_count,
+    collect_outcomes,
 )
 from repro.experiments.runner import NetworkExperiment
 from repro.obs import current
@@ -368,7 +368,7 @@ def run_campaign(
                         handle = window[0][1]
                 window.popleft()
                 try:
-                    result = collect_outcomes(outcomes, shard.n_runs)
+                    result = collect_outcomes(outcomes)
                 except ParallelExecutionError as error:
                     quarantined = [
                         (index, tb)

@@ -87,15 +87,6 @@ class JRSNDConfig:
         session FAILED and releases its monitors.  0 disables the
         timers entirely, restoring the original fire-and-forget
         behavior.
-    retry_backoff_factor:
-        Multiplier between consecutive retry timeouts (>= 1).
-    mndp_ttl:
-        Simulated seconds an M-NDP frame may wait in the pending queue
-        (and the age bound for the request dedup / return-route state)
-        before being garbage-collected.
-    mndp_max_requeues:
-        How many times a queued M-NDP frame may be requeued after its
-        target session vanished again before it is dropped.
     mndp_queue_capacity:
         Per-node bound on queued M-NDP frames; pushes beyond it are
         dropped (and counted) instead of growing without bound.
@@ -145,9 +136,6 @@ class JRSNDConfig:
     use_gps: bool = False
     tx_antennas: int = 1
     retry_max_attempts: int = 2
-    retry_backoff_factor: float = 2.0
-    mndp_ttl: float = 120.0
-    mndp_max_requeues: int = 3
     mndp_queue_capacity: int = 128
     wire_fidelity: bool = False
     phy_backend: str = "message"
@@ -202,13 +190,6 @@ class JRSNDConfig:
         check_positive("tx_range", self.tx_range)
         check_positive("tx_antennas", self.tx_antennas)
         check_non_negative("retry_max_attempts", self.retry_max_attempts)
-        if self.retry_backoff_factor < 1.0:
-            raise ConfigurationError(
-                "retry_backoff_factor must be >= 1, got "
-                f"{self.retry_backoff_factor}"
-            )
-        check_positive("mndp_ttl", self.mndp_ttl)
-        check_non_negative("mndp_max_requeues", self.mndp_max_requeues)
         check_positive("mndp_queue_capacity", self.mndp_queue_capacity)
         from repro.dsss.phy import PHY_BACKENDS
 

@@ -68,6 +68,16 @@ from repro.sim.trace import TraceRecorder
 
 __all__ = ["JRSNDNode", "JRSNDOutcome", "FakeSignedRequest"]
 
+#: Multiplier between consecutive AUTH-retry timeouts.
+RETRY_BACKOFF_FACTOR = 2.0
+#: Simulated seconds an M-NDP frame may wait in the pending queue (and
+#: the age bound for the request dedup / return-route state) before it
+#: is garbage-collected.
+MNDP_TTL = 120.0
+#: How many times a queued M-NDP frame may be requeued after its target
+#: session vanished again before it is dropped.
+MNDP_MAX_REQUEUES = 3
+
 
 @dataclass(frozen=True)
 class JRSNDOutcome:
@@ -176,12 +186,12 @@ class JRSNDNode:
         self._retry = RetryPolicy(
             base_timeout=base_timeout,
             max_attempts=config.retry_max_attempts,
-            backoff_factor=config.retry_backoff_factor,
+            backoff_factor=RETRY_BACKOFF_FACTOR,
             max_timeout=8.0 * base_timeout,
         )
         self._mndp_queue = PendingRequestQueue(
-            ttl=config.mndp_ttl,
-            max_requeues=config.mndp_max_requeues,
+            ttl=MNDP_TTL,
+            max_requeues=MNDP_MAX_REQUEUES,
             capacity=config.mndp_queue_capacity,
         )
         self._sessions: Dict[NodeId, DNDPSession] = {}
@@ -1024,7 +1034,7 @@ class JRSNDNode:
         Drops FAILED and stale pending sessions (releasing their
         monitor refcounts and unconfirmed session-code listeners),
         expires queued M-NDP frames past their TTL, and ages out M-NDP
-        dedup / return-route entries older than ``mndp_ttl``.  Returns
+        dedup / return-route entries older than :data:`MNDP_TTL`.  Returns
         the number of sessions collected.
         """
         removed = 0
@@ -1043,7 +1053,7 @@ class JRSNDNode:
         expired = self._mndp_queue.expire(self._sim.now)
         if expired:
             self._count(_names.RETRY_MNDP_EXPIRED, expired)
-        cutoff = self._sim.now - self.config.mndp_ttl
+        cutoff = self._sim.now - MNDP_TTL
         stale_keys = [
             key
             for key, recorded in self._mndp_seen.items()

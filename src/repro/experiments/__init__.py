@@ -15,7 +15,6 @@ from repro.experiments.figures import (
     figure5_sweep,
 )
 from repro.experiments.charts import ascii_chart
-from repro.experiments.parallel import run_parallel
 from repro.experiments.reporting import format_series_table
 from repro.experiments.validation import (
     ValidationPoint,
@@ -38,7 +37,6 @@ __all__ = [
     "figure4_sweep",
     "figure5_sweep",
     "format_series_table",
-    "run_parallel",
     "ascii_chart",
     "ValidationPoint",
     "validate_theorem1_grid",

@@ -1,9 +1,11 @@
 """The supervised, persistent worker pool: the one execution engine.
 
 Every Monte Carlo run outside a bare ``NetworkExperiment.run`` goes
-through :class:`WorkerPool` — :func:`~repro.experiments.parallel.run_parallel`
-opens one per call unless it is handed one, and the campaign executor
-keeps one for a whole grid.  A campaign is hundreds of *small* shards,
+through :class:`WorkerPool`: ``WorkerPool(p).run(experiment,
+run_indices)`` returns the same
+:class:`~repro.experiments.runner.ExperimentResult` as
+``experiment.run``, and the campaign executor keeps one pool for a
+whole grid.  A campaign is hundreds of *small* shards,
 and with the chipless PHY backend the run bodies are so cheap that a
 fork per shard would dominate the wall clock, so the pool amortizes it:
 
@@ -29,7 +31,7 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   dispatcher blocks on the busy workers' pipes plus a wake-up pipe
   that :meth:`~WorkerPool.submit` and :meth:`~WorkerPool.close` write
   to, so a new job starts on an idle worker at once.  A lone job (one
-  ``run_parallel`` call) spreads over every worker; the campaign
+  :meth:`~WorkerPool.run` call) spreads over every worker; the campaign
   executor keeps one shard per worker in flight, so even one-run
   shards keep every worker busy.
 
@@ -98,10 +100,15 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.errors import (
     WORKER_TRAPPED_ERRORS,
     ConfigurationError,
+    ParallelExecutionError,
     WorkerPoolError,
     quarantine_failure,
 )
-from repro.experiments.runner import NetworkExperiment, RunResult
+from repro.experiments.runner import (
+    ExperimentResult,
+    NetworkExperiment,
+    RunResult,
+)
 from repro.obs import current
 from repro.obs import names as _names
 from repro.utils.validation import check_non_negative, check_positive
@@ -112,6 +119,7 @@ __all__ = [
     "WorkerPool",
     "adaptive_chunksize",
     "available_cpu_count",
+    "collect_outcomes",
 ]
 
 #: Hard cap on run indices shipped per task message, bounding both the
@@ -299,6 +307,33 @@ def _worker_main(
         conn.close()
 
 
+def collect_outcomes(outcomes: List[_Outcome]) -> ExperimentResult:
+    """Aggregate tagged outcomes into a result, raising on failures.
+
+    Outcomes are reordered deterministically by run index, so the
+    result is independent of worker scheduling, and any failure raises
+    :class:`~repro.errors.ParallelExecutionError` carrying every
+    failure's index and traceback plus the runs that did complete.
+    """
+    outcomes.sort(key=lambda outcome: outcome[0])
+    failures = [
+        (index, tb) for index, _, tb in outcomes if tb is not None
+    ]
+    completed = tuple(
+        result for _, result, tb in outcomes if tb is None
+    )
+    if failures:
+        failed_indices = ", ".join(str(index) for index, _ in failures)
+        raise ParallelExecutionError(
+            f"{len(failures)} of {len(outcomes)} runs failed "
+            f"(indices {failed_indices}); first failure:\n"
+            f"{failures[0][1]}",
+            failures=failures,
+            completed=ExperimentResult(runs=completed),
+        )
+    return ExperimentResult(runs=completed)
+
+
 class PendingRun:
     """Handle for one submitted job; resolved by the dispatcher, or by
     the first :meth:`wait` for an in-process job (``deferred``)."""
@@ -340,7 +375,7 @@ class PendingRun:
 
         Outcomes are ``(run_index, RunResult | None, traceback | None)``
         triples in completion order — callers sort by index
-        (:func:`~repro.experiments.parallel.collect_outcomes` does).
+        (:func:`collect_outcomes` does).
 
         On timeout the job is cancelled (see :meth:`cancel`) before
         ``WorkerPoolError`` is raised, so it cannot fire late into a
@@ -404,12 +439,13 @@ class _Worker:
 class WorkerPool:
     """A supervised pool of long-lived worker processes.
 
-    Create one per campaign (or once per caller of ``run_parallel``)
-    and reuse it across every shard::
+    Create one per campaign (or per sweep) and reuse it across every
+    experiment::
 
         with WorkerPool(processes=4) as pool:
-            for shard in shards:
-                result = run_parallel(..., pool=pool)
+            for config in configs:
+                result = pool.run(NetworkExperiment(config, seed=7),
+                                  range(100))
 
     A dispatcher thread keeps the submitted jobs in a FIFO and hands
     each idle worker the next index chunk of the oldest job that still
@@ -624,9 +660,16 @@ class WorkerPool:
 
     def run(
         self, experiment: NetworkExperiment, run_indices: Sequence[int]
-    ) -> List[_Outcome]:
-        """Synchronous convenience: ``submit(...).wait()``."""
-        return self.submit(experiment, run_indices).wait()
+    ) -> ExperimentResult:
+        """Run ``run_indices`` of ``experiment`` and aggregate them.
+
+        ``collect_outcomes(submit(...).wait())``: the result holds the
+        runs in index order, bit-identical to ``experiment.run`` over
+        the same indices whatever the worker count, and any failed run
+        raises :class:`~repro.errors.ParallelExecutionError` carrying
+        the runs that completed.
+        """
+        return collect_outcomes(self.submit(experiment, run_indices).wait())
 
     def _wake(self) -> None:
         """Wake the dispatcher (caller holds ``_lock``)."""

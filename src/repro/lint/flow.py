@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from repro.lint.graph import (
-    POOL_BOUNDARY_FUNCTIONS,
     POOL_BOUNDARY_KEYWORDS,
     POOL_BOUNDARY_METHODS,
     ClassSummary,
@@ -62,13 +61,13 @@ def tainted_boundary_params(
 
     Seeds: a function passes one of its own parameters directly at a
     pool boundary (positional 0 of a pool method such as ``submit`` /
-    ``imap_unordered``, a boundary keyword like ``initializer=``, or
-    any argument of ``run_parallel``).  Propagation: if helper ``h``'s
-    parameter *i* is boundary-tainted and ``f`` passes its own
-    parameter *j* at position *i* of a call to ``h``, then ``f``'s
-    parameter *j* is boundary-tainted too.  The fixpoint over the
-    project call graph is what lets JRS009 catch a lambda handed to a
-    wrapper that only reaches ``pool.submit`` two hops later.
+    ``imap_unordered``, or a boundary keyword like ``initializer=``).
+    Propagation: if helper ``h``'s parameter *i* is boundary-tainted
+    and ``f`` passes its own parameter *j* at position *i* of a call
+    to ``h``, then ``f``'s parameter *j* is boundary-tainted too.  The
+    fixpoint over the project call graph is what lets JRS009 catch a
+    lambda handed to a wrapper that only reaches ``pool.submit`` two
+    hops later.
     """
     tainted: Dict[str, Set[int]] = {}
 
@@ -122,19 +121,11 @@ def _is_boundary_position(call: object, arg: object) -> bool:
     # Typed as object above to appease the summary-only import graph;
     # the real shapes are CallRecord / CallArg.
     method_attr = getattr(call, "method_attr", None)
-    callee: str = getattr(call, "callee", "")
     keyword = getattr(arg, "keyword", None)
     position = getattr(arg, "position", None)
     if keyword in POOL_BOUNDARY_KEYWORDS:
         return True
-    if method_attr in POOL_BOUNDARY_METHODS and position == 0:
-        return True
-    base = callee.rsplit(".", 1)[-1]
-    if base in POOL_BOUNDARY_FUNCTIONS and (
-        position is not None or keyword is not None
-    ):
-        return True
-    return False
+    return method_attr in POOL_BOUNDARY_METHODS and position == 0
 
 
 def _callee_param_position(

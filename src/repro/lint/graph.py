@@ -68,7 +68,6 @@ POOL_BOUNDARY_METHODS: FrozenSet[str] = frozenset(
     }
 )
 
-POOL_BOUNDARY_FUNCTIONS: FrozenSet[str] = frozenset({"run_parallel"})
 POOL_BOUNDARY_KEYWORDS: FrozenSet[str] = frozenset(
     {"initializer", "func", "callback"}
 )
@@ -160,7 +159,7 @@ class CallRecord:
     """One call made by a function body.
 
     ``callee`` is the best-effort reference: a fully resolved dotted
-    path for imported names (``repro.experiments.parallel.run_parallel``),
+    path for imported names (``repro.experiments.pool.collect_outcomes``),
     ``<module>.<name>`` for module-level functions of the same file,
     ``self.<attr>`` for method self-calls, or the bare name when
     unresolvable.  ``method_attr`` carries the trailing attribute for

@@ -47,7 +47,6 @@ from repro.lint.flow import (
     tainted_rng_producers,
 )
 from repro.lint.graph import (
-    POOL_BOUNDARY_FUNCTIONS,
     POOL_BOUNDARY_KEYWORDS,
     POOL_BOUNDARY_METHODS,
     RNG_CONSTRUCTORS,
@@ -333,7 +332,7 @@ class JRS007PoolBoundaryPickle(Rule):
     """Work shipped to a process pool must be pickle-safe.
 
     Lambdas, nested functions, and locally defined classes cannot be
-    pickled; handing one to ``pool.map``/``run_parallel`` fails only at
+    pickled; handing one to ``pool.map``/``pool.submit`` fails only at
     runtime, on the largest configured fan-out.
     """
 
@@ -349,9 +348,6 @@ class JRS007PoolBoundaryPickle(Rule):
         if isinstance(func, ast.Attribute):
             if func.attr in POOL_BOUNDARY_METHODS:
                 return f".{func.attr}"
-            return None
-        if isinstance(func, ast.Name) and func.id in POOL_BOUNDARY_FUNCTIONS:
-            return func.id
         return None
 
     def _unpicklable(
@@ -466,7 +462,7 @@ class JRS009TransitivePoolPickle(ProjectRule):
 
     JRS007 checks the literal call site; this rule follows the project
     call graph.  If helper ``h(fn)`` forwards ``fn`` to
-    ``pool.submit``/``run_parallel`` (possibly through further
+    ``pool.submit``/``pool.map`` (possibly through further
     helpers), then passing a lambda or nested function *to h* is the
     same bug, one hop removed — it still dies un-picklable at fan-out
     time.

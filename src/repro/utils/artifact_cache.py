@@ -17,8 +17,8 @@ behind one explicit, bounded interface:
   counter to the installed :mod:`repro.obs` registry, so cache
   effectiveness shows up in ``--metrics-out`` snapshots;
 - :func:`shared_cache` exposes one cache per process.  Worker processes
-  spawned by :func:`~repro.experiments.parallel.run_parallel` each start
-  with an empty module global and rebuild their own cache, so no state
+  of a :class:`~repro.experiments.pool.WorkerPool` each start with an
+  empty module global and rebuild their own cache, so no state
   (and no cross-process invalidation problem) is ever shared.
 
 Cached values are treated as immutable by every caller: NumPy arrays
@@ -130,7 +130,8 @@ def shared_cache() -> ArtifactCache:
 
     Each OS process has its own instance (the module global is never
     inherited as shared memory), which is what makes the cache safe
-    under ``run_parallel``: workers simply warm their own copies.
+    under a :class:`~repro.experiments.pool.WorkerPool`: workers simply
+    warm their own copies.
     """
     global _shared
     if _shared is None:

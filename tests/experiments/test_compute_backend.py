@@ -13,7 +13,7 @@ import pytest
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
 from repro.errors import ConfigurationError
-from repro.experiments.parallel import run_parallel
+from repro.experiments.pool import WorkerPool
 from repro.experiments.runner import NetworkExperiment, _lane_counts
 from repro.predistribution.authority import PreDistributor
 
@@ -96,20 +96,19 @@ class TestComputeBackendEquivalence:
 
     def test_parallel_matches_serial_per_backend(self):
         config = _small_config()
-        for backend in ("reference", "vectorized"):
-            serial = NetworkExperiment(
-                config, seed=13, compute_backend=backend,
-                collect_metrics=True,
-            ).run(4)
-            parallel = run_parallel(
-                config, seed=13, runs=4, processes=2,
-                compute_backend=backend, collect_metrics=True,
-            )
-            assert serial == parallel
-            assert (
-                serial.merged_metrics().counters
-                == parallel.merged_metrics().counters
-            )
+        with WorkerPool(2) as pool:
+            for backend in ("reference", "vectorized"):
+                experiment = NetworkExperiment(
+                    config, seed=13, compute_backend=backend,
+                    collect_metrics=True,
+                )
+                serial = experiment.run(4)
+                parallel = pool.run(experiment, range(4))
+                assert serial == parallel
+                assert (
+                    serial.merged_metrics().counters
+                    == parallel.merged_metrics().counters
+                )
 
     def test_backend_property_and_validation(self):
         config = _small_config()

@@ -7,7 +7,9 @@ that need them, so a fresh interpreter that loads the campaign executor,
 the experiment runner, the worker pool, the PHY models and the CLI must
 not have either loaded.  :mod:`repro.oracles` holds the reference
 correlation engine and RS codec for the equivalence tests and speed-up
-benchmarks; no runtime module may load it.
+benchmarks; no runtime module may load it.  A bare ``import repro``
+(config, node, runner, metrics) does not load the worker pool or
+``multiprocessing`` either: only code that fans runs out pays for them.
 """
 
 import os
@@ -33,16 +35,36 @@ print(",".join(heavy))
 """
 
 
-def test_run_path_imports_no_scipy_or_networkx():
+POOL_PROBE = """
+import sys
+import repro
+loaded = sorted(
+    name for name in sys.modules
+    if name.split(".")[0] == "multiprocessing"
+    or name == "repro.experiments.pool"
+)
+print(",".join(loaded))
+"""
+
+
+def _probe(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     result = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    assert result.stdout.strip() == ""
+    return result.stdout.strip()
+
+
+def test_run_path_imports_no_scipy_or_networkx():
+    assert _probe(PROBE) == ""
+
+
+def test_import_repro_loads_no_pool_or_multiprocessing():
+    assert _probe(POOL_PROBE) == ""

@@ -1,4 +1,5 @@
-"""Tests for the multiprocess Monte Carlo runner."""
+"""Monte Carlo runs on the worker pool: ``WorkerPool(p).run`` must
+return exactly what ``NetworkExperiment.run`` does."""
 
 import multiprocessing
 
@@ -6,8 +7,8 @@ import pytest
 
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
-from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.parallel import run_parallel
+from repro.errors import SimulationError
+from repro.experiments.pool import WorkerPool
 from repro.experiments.runner import NetworkExperiment
 
 SMALL = JRSNDConfig(
@@ -21,47 +22,46 @@ SMALL = JRSNDConfig(
 )
 
 
+def run_inline(runs):
+    with WorkerPool(0) as inline:
+        return inline.run(NetworkExperiment(SMALL, seed=6), range(runs))
+
+
 class TestRunParallel:
     def test_matches_serial_exactly(self):
         """Per-run seeding depends only on (seed, index), so the
         parallel path reproduces the serial one bit-for-bit."""
-        serial = NetworkExperiment(SMALL, seed=6).run(4)
-        parallel = run_parallel(SMALL, seed=6, runs=4, processes=2)
-        assert parallel.runs == serial.runs
+        experiment = NetworkExperiment(SMALL, seed=6)
+        with WorkerPool(2) as pool:
+            parallel = pool.run(experiment, range(4))
+        assert parallel.runs == experiment.run(4).runs
 
     def test_single_worker_path(self):
-        serial = NetworkExperiment(SMALL, seed=6).run(2)
-        inline = run_parallel(SMALL, seed=6, runs=2, processes=1)
-        assert inline.runs == serial.runs
+        experiment = NetworkExperiment(SMALL, seed=6)
+        with WorkerPool(0) as inline:
+            result = inline.run(experiment, range(2))
+        assert result.runs == experiment.run(2).runs
 
     def test_strategy_and_link_model_forwarded(self):
-        serial = NetworkExperiment(
+        """The shipped experiment carries every constructor argument
+        to the workers."""
+        experiment = NetworkExperiment(
             SMALL, seed=3, strategy=JammerStrategy.RANDOM,
             link_model="independent",
-        ).run(2)
-        parallel = run_parallel(
-            SMALL, seed=3, runs=2, processes=2,
-            strategy=JammerStrategy.RANDOM, link_model="independent",
         )
-        assert parallel.runs == serial.runs
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_parallel(SMALL, seed=1, runs=0)
-        with pytest.raises(ConfigurationError):
-            run_parallel(SMALL, seed=1, runs=2, processes=0)
+        with WorkerPool(2) as pool:
+            parallel = pool.run(experiment, range(2))
+        assert parallel.runs == experiment.run(2).runs
 
 
 class TestInstrumentedParallel:
     def test_counter_totals_match_serial(self):
         """Per-run registries are deterministic, so the merged counter
         totals agree across execution paths for the same seed."""
-        serial = NetworkExperiment(
-            SMALL, seed=6, collect_metrics=True
-        ).run(3)
-        parallel = run_parallel(
-            SMALL, seed=6, runs=3, processes=2, collect_metrics=True
-        )
+        experiment = NetworkExperiment(SMALL, seed=6, collect_metrics=True)
+        serial = experiment.run(3)
+        with WorkerPool(2) as pool:
+            parallel = pool.run(experiment, range(3))
         assert parallel.runs == serial.runs
         assert (
             parallel.merged_metrics().counters
@@ -69,9 +69,9 @@ class TestInstrumentedParallel:
         )
 
     def test_snapshots_survive_pickling(self):
-        result = run_parallel(
-            SMALL, seed=6, runs=2, processes=2, collect_metrics=True
-        )
+        experiment = NetworkExperiment(SMALL, seed=6, collect_metrics=True)
+        with WorkerPool(2) as pool:
+            result = pool.run(experiment, range(2))
         for run in result.runs:
             assert run.metrics is not None
             assert run.metrics.counter("experiment.runs") == 1
@@ -91,7 +91,7 @@ class TestFailureHandling:
             NetworkExperiment, "run_once", self._failing_run_once
         )
         with pytest.raises(ParallelExecutionError) as excinfo:
-            run_parallel(SMALL, seed=6, runs=3, processes=1)
+            run_inline(3)
         err = excinfo.value
         assert [index for index, _ in err.failures] == [1]
         assert "synthetic failure" in err.failures[0][1]
@@ -120,7 +120,7 @@ class TestFailureHandling:
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
         with pytest.raises(ParallelExecutionError) as excinfo:
-            run_parallel(SMALL, seed=6, runs=3, processes=1)
+            run_inline(3)
         err = excinfo.value
         assert [index for index, _ in err.failures] == [1]
         assert type(exc).__name__ in err.failures[0][1]
@@ -138,7 +138,7 @@ class TestFailureHandling:
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
         with pytest.raises(ForeignPluginError):
-            run_parallel(SMALL, seed=6, runs=2, processes=1)
+            run_inline(2)
 
     def test_trapped_families_are_concrete(self):
         """The worker boundary must never regress to a blanket catch."""
@@ -176,7 +176,8 @@ class TestFailureHandling:
             NetworkExperiment, "run_once", self._failing_run_once
         )
         with pytest.raises(ParallelExecutionError) as excinfo:
-            run_parallel(SMALL, seed=6, runs=3, processes=2)
+            with WorkerPool(2) as pool:
+                pool.run(NetworkExperiment(SMALL, seed=6), range(3))
         err = excinfo.value
         assert [index for index, _ in err.failures] == [1]
         assert len(err.completed.runs) == 2

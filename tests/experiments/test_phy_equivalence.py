@@ -250,17 +250,14 @@ class TestRunnerLevel:
             assert reference == vectorized
 
     def test_chipless_parallel_equals_serial(self):
-        from repro.experiments.parallel import run_parallel
+        from repro.experiments.pool import WorkerPool
 
-        config = self._micro_config()
-        serial = NetworkExperiment(
-            config, seed=8, phy_backend="chipless"
-        ).run(3)
-        parallel = run_parallel(
-            config, seed=8, runs=3, processes=2,
-            phy_backend="chipless",
+        experiment = NetworkExperiment(
+            self._micro_config(), seed=8, phy_backend="chipless"
         )
-        assert serial == parallel
+        with WorkerPool(2) as pool:
+            parallel = pool.run(experiment, range(3))
+        assert experiment.run(3) == parallel
 
     def test_phy_backend_override_argument(self):
         config = self._micro_config()

@@ -18,7 +18,6 @@ from repro.errors import (
     ParallelExecutionError,
     WorkerPoolError,
 )
-from repro.experiments.parallel import collect_outcomes, run_parallel
 from repro.experiments.pool import (
     SupervisionPolicy,
     WorkerPool,
@@ -128,21 +127,15 @@ class TestUnitOfWork:
         config = kwargs.pop("config", TINY)
         experiment = NetworkExperiment(config, **kwargs)
         with WorkerPool(processes=1) as pool:
-            outcomes = pool.run(experiment, [0, 1])
-        outcomes.sort(key=lambda outcome: outcome[0])
-        assert [result for _, result, _ in outcomes] == [
-            experiment.run_once(0), experiment.run_once(1)
-        ]
+            result = pool.run(experiment, [0, 1])
+        assert result.runs == experiment.run(2).runs
 
     def test_bad_parameter_raises_in_the_caller(self):
-        """Validation happens where the experiment is built, so the
-        error type does not depend on the worker count."""
-        for processes in (1, 2):
-            with pytest.raises(ConfigurationError, match="link_model"):
-                run_parallel(
-                    TINY, seed=7, runs=2, processes=processes,
-                    link_model="bogus",
-                )
+        """Validation happens where the experiment is built, before
+        any pool is involved, so the error type does not depend on the
+        worker count."""
+        with pytest.raises(ConfigurationError, match="link_model"):
+            NetworkExperiment(TINY, seed=7, link_model="bogus")
 
     @pytest.mark.parametrize("processes", [0, 2])
     def test_submit_rejects_non_experiments(self, processes):
@@ -152,27 +145,27 @@ class TestUnitOfWork:
         with WorkerPool(processes=processes) as pool:
             with pytest.raises(ConfigurationError, match="NetworkExperiment"):
                 pool.submit(object(), [0])
-            outcomes = pool.run(experiment, [0])
+            result = pool.run(experiment, [0])
             assert not pool.broken
-        assert outcomes[0][1] == experiment.run_once(0)
+        assert result.runs == (experiment.run_once(0),)
 
 
 class TestEquivalence:
     def test_serial_fresh_and_persistent_are_identical(self, pool):
-        """The headline gate: in-process (``processes=1``), a one-shot
-        two-worker pool and a persistent pool give the same bits."""
-        serial = run_parallel(
-            TINY, seed=11, runs=4, processes=1, collect_metrics=True
-        )
-        fresh = run_parallel(
-            TINY, seed=11, runs=4, processes=2, collect_metrics=True
-        )
-        warm = run_parallel(
-            TINY, seed=11, runs=4, collect_metrics=True, pool=pool
-        )
-        assert serial.runs == fresh.runs == warm.runs
+        """The headline gate: ``experiment.run``, the in-process mode,
+        a fresh two-worker pool and a persistent pool give the same
+        runs and the same merged counter totals."""
+        experiment = NetworkExperiment(TINY, seed=11, collect_metrics=True)
+        serial = experiment.run(4)
+        with WorkerPool(processes=0) as inline_pool:
+            inline = inline_pool.run(experiment, range(4))
+        with WorkerPool(processes=2) as fresh_pool:
+            fresh = fresh_pool.run(experiment, range(4))
+        warm = pool.run(experiment, range(4))
+        assert serial.runs == inline.runs == fresh.runs == warm.runs
         assert (
             serial.merged_metrics().counters
+            == inline.merged_metrics().counters
             == fresh.merged_metrics().counters
             == warm.merged_metrics().counters
         )
@@ -182,13 +175,11 @@ class TestEquivalence:
         first — keeps producing exactly the serial results."""
         plan = [(TINY, 3), (TINY_B, 5), (TINY, 3)]
         for config, seed in plan:
-            serial = NetworkExperiment(
+            experiment = NetworkExperiment(
                 config, seed=seed, collect_metrics=True
-            ).run(3)
-            warm = run_parallel(
-                config, seed=seed, runs=3,
-                collect_metrics=True, pool=pool,
             )
+            serial = experiment.run(3)
+            warm = pool.run(experiment, range(3))
             assert warm.runs == serial.runs
             assert (
                 warm.merged_metrics().counters
@@ -196,11 +187,9 @@ class TestEquivalence:
             )
 
     def test_run_indices_subset(self, pool):
-        full = run_parallel(TINY, seed=11, runs=6, processes=1)
-        part = run_parallel(
-            TINY, seed=11, runs=3, run_indices=[2, 3, 4], pool=pool
-        )
-        assert part.runs == full.runs[2:5]
+        experiment = NetworkExperiment(TINY, seed=11)
+        part = pool.run(experiment, [2, 3, 4])
+        assert part.runs == experiment.run(6).runs[2:5]
 
 
 class TestConcurrentJobs:
@@ -255,9 +244,8 @@ class TestPoolMetrics:
         registry = MetricsRegistry()
         with installed(registry):
             with WorkerPool(processes=2) as pool:
-                run_parallel(TINY, seed=11, runs=4, pool=pool)
-                run_parallel(TINY, seed=11, runs=4, pool=pool)
-                run_parallel(TINY_B, seed=11, runs=4, pool=pool)
+                for config in (TINY, TINY, TINY_B):
+                    pool.run(NetworkExperiment(config, seed=11), range(4))
             counters = registry.snapshot().counters
         assert counters[_names.POOL_WORKERS_SPAWNED] == 2
         assert counters[_names.POOL_TASKS_DISPATCHED] >= 3
@@ -268,9 +256,9 @@ class TestPoolMetrics:
         registry = MetricsRegistry()
         with installed(registry):
             with WorkerPool(processes=2) as pool:
-                result = run_parallel(
-                    TINY, seed=11, runs=2,
-                    collect_metrics=True, pool=pool,
+                result = pool.run(
+                    NetworkExperiment(TINY, seed=11, collect_metrics=True),
+                    range(2),
                 )
         for run in result.runs:
             assert not any(
@@ -298,7 +286,7 @@ class TestFailureSemantics:
         )
         with WorkerPool(processes=2) as pool:
             with pytest.raises(ParallelExecutionError) as excinfo:
-                run_parallel(TINY, seed=11, runs=3, pool=pool)
+                pool.run(NetworkExperiment(TINY, seed=11), range(3))
             err = excinfo.value
             assert [index for index, _ in err.failures] == [1]
             assert len(err.completed.runs) == 2
@@ -306,9 +294,7 @@ class TestFailureSemantics:
             # The forked workers keep the patched run_once, so reuse
             # the pool on an index that does not trip it: the pool
             # still accepts and executes work after run failures.
-            again = run_parallel(
-                TINY, seed=11, runs=1, run_indices=[0], pool=pool
-            )
+            again = pool.run(NetworkExperiment(TINY, seed=11), [0])
             assert len(again.runs) == 1
 
     def test_submit_after_close_is_refused(self):
@@ -329,9 +315,8 @@ class TestFailureSemantics:
             process.terminate()
             process.join(timeout=10.0)
         serial = NetworkExperiment(TINY, seed=7).run(2)
-        outcomes = pool.run(NetworkExperiment(TINY, seed=7), [0, 1])
-        outcomes.sort(key=lambda outcome: outcome[0])
-        assert [result for _, result, _ in outcomes] == list(serial.runs)
+        result = pool.run(NetworkExperiment(TINY, seed=7), [0, 1])
+        assert result.runs == serial.runs
         assert not pool.broken
 
     def test_exhausted_respawn_budget_breaks_the_pool(self):
@@ -370,9 +355,9 @@ class TestInProcessMode:
     def test_bit_identical_to_two_workers(self):
         experiment = NetworkExperiment(TINY, seed=11, collect_metrics=True)
         with WorkerPool(processes=0) as inline:
-            ours = collect_outcomes(inline.run(experiment, range(4)), 4)
+            ours = inline.run(experiment, range(4))
         with WorkerPool(processes=2) as pool:
-            theirs = collect_outcomes(pool.run(experiment, range(4)), 4)
+            theirs = pool.run(experiment, range(4))
         assert ours.runs == theirs.runs
         assert (
             ours.merged_metrics().counters
@@ -412,7 +397,7 @@ class TestInProcessMode:
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
         with WorkerPool(processes=0) as inline:
             with pytest.raises(ParallelExecutionError) as excinfo:
-                run_parallel(TINY, seed=11, runs=3, pool=inline)
+                inline.run(NetworkExperiment(TINY, seed=11), range(3))
         err = excinfo.value
         assert [index for index, _ in err.failures] == [1]
         assert "synthetic failure" in err.failures[0][1]
@@ -430,9 +415,8 @@ class TestInProcessMode:
         faults = Recording(kills={0: 99})
         serial = NetworkExperiment(TINY, seed=7).run(2)
         with WorkerPool(processes=0, execution_faults=faults) as inline:
-            outcomes = inline.run(NetworkExperiment(TINY, seed=7), [0, 1])
-        outcomes.sort(key=lambda outcome: outcome[0])
-        assert [result for _, result, _ in outcomes] == list(serial.runs)
+            result = inline.run(NetworkExperiment(TINY, seed=7), [0, 1])
+        assert result.runs == serial.runs
 
     def test_negative_processes_refused(self):
         with pytest.raises(ConfigurationError):

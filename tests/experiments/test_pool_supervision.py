@@ -22,7 +22,6 @@ from repro.errors import (
     WorkerPoolError,
     is_quarantined_failure,
 )
-from repro.experiments.parallel import run_parallel
 from repro.experiments.pool import (
     RESPAWN_BACKOFF,
     SupervisionPolicy,
@@ -98,9 +97,8 @@ class TestRespawnRetry:
         """The headline supervision gate: a run that SIGKILLs its
         worker once is retried on a respawned worker and the final
         result is byte-for-byte the serial result."""
-        serial = run_parallel(
-            TINY, seed=11, runs=4, processes=1, collect_metrics=True
-        )
+        experiment = NetworkExperiment(TINY, seed=11, collect_metrics=True)
+        serial = experiment.run(4)
         registry = MetricsRegistry()
         with installed(registry):
             with WorkerPool(
@@ -108,10 +106,7 @@ class TestRespawnRetry:
                 policy=FAST,
                 execution_faults=WorkerKiller(kills={1: 1}),
             ) as pool:
-                survived = run_parallel(
-                    TINY, seed=11, runs=4,
-                    collect_metrics=True, pool=pool,
-                )
+                survived = pool.run(experiment, range(4))
             counters = registry.snapshot().counters
         assert survived.runs == serial.runs
         assert (
@@ -133,22 +128,23 @@ class TestRespawnRetry:
                 policy=FAST,
                 execution_faults=WorkerKiller(kills={2: 2}),
             ) as pool:
-                result = run_parallel(TINY, seed=3, runs=4, pool=pool)
+                result = pool.run(NetworkExperiment(TINY, seed=3), range(4))
             counters = registry.snapshot().counters
         assert result.runs == serial.runs
         assert counters[_names.POOL_WORKERS_RESPAWNED] >= 2
 
     def test_fresh_pool_path_survives_worker_kills(self):
-        """The pool ``run_parallel`` opens for itself rides the same
-        supervisor: an individual worker SIGKILLed mid-map respawns
-        instead of wedging the whole call."""
-        serial = run_parallel(TINY, seed=11, runs=4, processes=1)
-        survived = run_parallel(
-            TINY, seed=11, runs=4, processes=2,
-            supervision=FAST,
+        """A pool opened for one call rides the same supervisor: an
+        individual worker SIGKILLed mid-job respawns instead of wedging
+        the whole call."""
+        experiment = NetworkExperiment(TINY, seed=11)
+        with WorkerPool(
+            processes=2,
+            policy=FAST,
             execution_faults=WorkerKiller(kills={0: 1}),
-        )
-        assert survived.runs == serial.runs
+        ) as pool:
+            survived = pool.run(experiment, range(4))
+        assert survived.runs == experiment.run(4).runs
 
 
 class TestConcurrentJobSupervision:
@@ -211,7 +207,7 @@ class TestQuarantine:
                 execution_faults=WorkerKiller(kills={2: 99}),
             ) as pool:
                 with pytest.raises(ParallelExecutionError) as excinfo:
-                    run_parallel(TINY, seed=11, runs=4, pool=pool)
+                    pool.run(NetworkExperiment(TINY, seed=11), range(4))
                 error = excinfo.value
                 assert [index for index, _ in error.failures] == [2]
                 assert all(
@@ -221,9 +217,7 @@ class TestQuarantine:
                 assert len(error.completed.runs) == 3
                 assert not pool.broken
                 # The pool still accepts and executes work.
-                again = run_parallel(
-                    TINY, seed=11, runs=1, run_indices=[0], pool=pool
-                )
+                again = pool.run(NetworkExperiment(TINY, seed=11), [0])
                 assert len(again.runs) == 1
             counters = registry.snapshot().counters
         assert counters[_names.POOL_RUNS_QUARANTINED] == 1
@@ -234,7 +228,8 @@ class TestQuarantine:
         # One worker and 16 runs: the heuristic ships chunks of 4, so
         # runs 12-14 share their chunk with the poison run 15.
         assert adaptive_chunksize(16, 1) == 4
-        serial = run_parallel(TINY, seed=9, runs=16, processes=1)
+        experiment = NetworkExperiment(TINY, seed=9)
+        serial = experiment.run(16)
         registry = MetricsRegistry()
         with installed(registry):
             with WorkerPool(
@@ -245,7 +240,7 @@ class TestQuarantine:
                 execution_faults=WorkerKiller(kills={15: 99}),
             ) as pool:
                 with pytest.raises(ParallelExecutionError) as excinfo:
-                    run_parallel(TINY, seed=9, runs=16, pool=pool)
+                    pool.run(experiment, range(16))
             counters = registry.snapshot().counters
         error = excinfo.value
         assert [index for index, _ in error.failures] == [15]
@@ -271,7 +266,7 @@ class TestSoftTimeout:
                 ),
                 execution_faults=RunHang(hangs={1: 1}, duration=60.0),
             ) as pool:
-                result = run_parallel(TINY, seed=7, runs=3, pool=pool)
+                result = pool.run(NetworkExperiment(TINY, seed=7), range(3))
             counters = registry.snapshot().counters
         assert result.runs == serial.runs
         assert counters[_names.POOL_WORKERS_TIMED_OUT] >= 1
@@ -334,6 +329,5 @@ class TestWaitTimeoutCancellation:
                 queued.wait(timeout=30.0)
             # No late delivery into the caller's next job: fresh
             # submissions resolve normally with the right bits.
-            outcomes = pool.run(experiment, [0])
-            assert outcomes[0][1] == serial.runs[0]
+            assert pool.run(experiment, [0]).runs == serial.runs
             assert not pool.broken

@@ -2,8 +2,6 @@
 
 import multiprocessing
 
-from repro.experiments.parallel import run_parallel
-
 
 def fan_out(items):
     def local_worker(item):
@@ -16,8 +14,8 @@ def fan_out(items):
     return doubled, list(tripled), async_r
 
 
-def sweep():
-    return run_parallel(lambda: None, 7, 4)
+def sweep(pool, pairs):
+    return pool.starmap(lambda a, b: a + b, pairs)
 
 
 def warm_sweep(pool, items):

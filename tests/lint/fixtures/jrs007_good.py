@@ -2,8 +2,6 @@
 
 import multiprocessing
 
-from repro.experiments.parallel import run_parallel
-
 
 def _worker(item):
     return item * 2
@@ -11,6 +9,10 @@ def _worker(item):
 
 def _init(seed):
     return None
+
+
+def _add(a, b):
+    return a + b
 
 
 def fan_out(items):
@@ -21,10 +23,8 @@ def fan_out(items):
     return doubled
 
 
-def sweep(configs):
-    return [
-        run_parallel(config, seed=7, runs=2) for config in configs
-    ]
+def sweep(pool, pairs):
+    return pool.starmap(_add, pairs)
 
 
 def warm_sweep(pool, spec, items):
