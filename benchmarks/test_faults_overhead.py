@@ -10,11 +10,13 @@ disabled path), not micro-timing.
 
 Environment knobs (on top of ``conftest``'s):
 
-- ``REPRO_BENCH_SMOKE``  set to 1 for CI smoke mode: fewer rounds and
-  a relaxed overhead ceiling for noisy shared runners.
+- ``REPRO_BENCH_SMOKE``  set to 1 for CI smoke mode: fewer rounds,
+  more paired repeats, and a relaxed overhead ceiling for noisy shared
+  runners.
 """
 
 import os
+import statistics
 import time
 
 from repro.core.config import JRSNDConfig
@@ -50,16 +52,16 @@ def _time_soak(seed: int, rounds: int, faults) -> float:
 
 def test_null_fault_plan_overhead(benchmark, seed):
     rounds = 2 if _smoke() else 6
-    repeats = 2 if _smoke() else 3
+    repeats = 41 if _smoke() else 5
     ceiling = 1.25 if _smoke() else 1.05
 
     def measure():
-        # Warm-up evens out allocator and cache effects; best-of-N
-        # minima suppress scheduler noise, which at this workload size
-        # is far larger than the overhead being gated.  Both arms run
+        # Warm-up evens out allocator and cache effects.  Both arms run
         # back to back inside every repeat, alternating which goes
-        # first, so a slow phase of the host lands on both arms rather
-        # than on whichever one was timed during it.
+        # first, and each repeat yields one paired ratio: a slow phase
+        # of the host lands on both halves of a pair rather than on
+        # whichever arm was timed during it, and the median over pairs
+        # ignores the repeats a burst of scheduler noise did split.
         _time_soak(seed, 1, faults=None)
         plain, nulled = [], []
         for repeat in range(repeats):
@@ -68,20 +70,21 @@ def test_null_fault_plan_overhead(benchmark, seed):
                 arms.reverse()
             for times, faults in arms:
                 times.append(_time_soak(seed, rounds, faults=faults))
-        return min(plain), min(nulled)
+        return plain, nulled
 
     plain, nulled = benchmark.pedantic(measure, rounds=1, iterations=1)
-    ratio = nulled / plain
+    ratio = statistics.median(n / p for p, n in zip(plain, nulled))
     print()
     print(
         format_series_table(
             [{
                 "rounds": float(rounds),
-                "no_plan_s": plain,
-                "null_plan_s": nulled,
+                "no_plan_s": statistics.median(plain),
+                "null_plan_s": statistics.median(nulled),
                 "ratio": ratio,
             }],
-            title="Fault-hook overhead (NullFaultPlan / no plan)",
+            title="Fault-hook overhead (median paired NullFaultPlan / "
+            "no plan)",
         )
     )
     assert ratio < ceiling, (

@@ -18,7 +18,7 @@ depends on:
 ``repro.crypto``
     A simulated identity-based cryptography substrate (pairwise
     non-interactive keys, ID-based signatures, MACs, session spread-code
-    derivation) together with the paper's crypto timing model.
+    derivation).
 
 ``repro.predistribution``
     The random spread-code pre-distribution scheme of Section V-A, its

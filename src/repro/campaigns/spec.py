@@ -239,9 +239,17 @@ class CampaignSpec:
                     f"phy_backend must be one of {PHY_BACKENDS}, "
                     f"got {self.phy_backend!r}"
                 )
-        # Resolving the preset now surfaces a bad name at spec-build
-        # time instead of deep inside shard 0.
-        preset_config(self.base)
+        # Resolving the preset and every distinct combination of
+        # config-axis values now surfaces a bad name or value at
+        # spec-build time, not in the first shard that reaches it.
+        base = preset_config(self.base)
+        config_axes = [
+            axis for axis in sorted(self.grid) if axis in CONFIG_AXES
+        ]
+        for combo in itertools.product(
+            *(self.grid[axis] for axis in config_axes)
+        ):
+            base.replace(**dict(zip(config_axes, combo)))
 
     # -- canonical form and hashing ------------------------------------
 

@@ -15,9 +15,9 @@ and agreement properties the protocol needs (see ``DESIGN.md``):
   a node can only compute what its :class:`~repro.crypto.identity.IBCPrivateKey`
   object exposes, and the adversary models in :mod:`repro.adversary` only
   ever use key objects captured from compromised nodes;
-- wall-clock cost of the real primitives is modelled by the
-  :class:`~repro.crypto.timing.CryptoTimingModel` (Table I: ``t_key``,
-  ``t_sig``, ``t_ver``), charged on the simulated clock.
+- wall-clock cost of the real primitives is Table I's ``t_key``,
+  ``t_sig`` and ``t_ver`` on :class:`~repro.core.config.JRSNDConfig`,
+  which the protocol engines charge on the simulated clock.
 """
 
 from repro.crypto.identity import (
@@ -31,7 +31,6 @@ from repro.crypto.mac import MessageAuthenticator
 from repro.crypto.nonces import NonceGenerator, ReplayCache
 from repro.crypto.session import derive_session_code
 from repro.crypto.signatures import IdentitySignature, SignatureScheme
-from repro.crypto.timing import CryptoTimingModel
 
 __all__ = [
     "NodeId",
@@ -46,5 +45,4 @@ __all__ = [
     "derive_session_code",
     "derive_bytes",
     "expand_bytes",
-    "CryptoTimingModel",
 ]

@@ -3,8 +3,8 @@
 The reproduction's results (Theorem 1's P̂− at the Table I point, the
 exact ``(l-1)·γ`` DoS bound, byte-identical serial, pool and
 kill/resume runs) rest on conventions — seeded RNG only, simulated
-time only, registered metric names, picklable pool boundaries — that
-no generic linter knows.  This package enforces them: the rule
+time only, registered metric names, lock discipline, the package
+layering — that no generic linter knows.  This package enforces them: the rule
 framework and suppressions (:mod:`repro.lint.engine`), the per-file
 and cross-module rule pack (:mod:`repro.lint.rules`), the project
 index and flow analyses behind phase 2 (:mod:`repro.lint.graph`,

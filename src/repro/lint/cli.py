@@ -28,11 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "JR-SND determinism lints: per-file AST rules guarding "
-            "seeded randomness, simulated time, narrow excepts, "
-            "registered metric names, and pickle-safe pool "
-            "boundaries, plus cross-module rules for thread-shared "
-            "state, transitive picklability, architecture layering, "
-            "and RNG provenance."
+            "seeded randomness, simulated time, narrow excepts, and "
+            "registered metric names, plus cross-module rules for "
+            "thread-shared state, architecture layering, and RNG "
+            "provenance."
         ),
     )
     parser.add_argument(

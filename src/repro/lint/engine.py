@@ -124,9 +124,9 @@ class ModuleContext:
     """Everything a rule may consult about the module being linted.
 
     Built once per file: every node in ``ast.walk`` order, a parent
-    map, the names bound by module-scope and by *nested* ``def``/
-    ``class`` statements, and resolved import aliases (``np`` →
-    ``numpy``, ``nprand`` → ``numpy.random`` …).
+    map, the names bound by module-scope ``def``/``class``
+    statements, and resolved import aliases (``np`` → ``numpy``,
+    ``nprand`` → ``numpy.random`` …).
 
     ``path`` is kept as given, for reports.  The module name — and with
     it every rule's scope — comes from the resolved path, so the same
@@ -141,7 +141,6 @@ class ModuleContext:
         self.nodes: List[ast.AST] = [tree]
         self.parents: Dict[ast.AST, ast.AST] = {}
         self.module_scope_defs: Set[str] = set()
-        self.nested_defs: Set[str] = set()
         self.aliases: Dict[str, str] = {}
         self._index()
 
@@ -156,9 +155,7 @@ class ModuleContext:
             if isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             ):
-                if self.in_function_scope(node):
-                    self.nested_defs.add(node.name)
-                else:
+                if not self.in_function_scope(node):
                     self.module_scope_defs.add(node.name)
             elif isinstance(node, ast.Import):
                 for name in node.names:

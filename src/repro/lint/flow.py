@@ -1,30 +1,21 @@
 """Flow analyses over the :class:`~repro.lint.graph.ProjectIndex`.
 
-These are the interprocedural halves of the JRS008–JRS011 rules:
-thread-target reachability inside a class (JRS008), fixpoint
-propagation of pool-boundary parameters through helper functions
-(JRS009), import-cycle detection via Tarjan's SCC algorithm (JRS010),
-and taint of fresh-generator producers (JRS011).  Each analysis is a
-pure function over the summaries — no AST access.
+These are the interprocedural halves of the cross-module rules:
+thread-target reachability inside a class (JRS008), import-cycle
+detection via Tarjan's SCC algorithm (JRS010), and taint of
+fresh-generator producers (JRS011).  Each analysis is a pure function
+over the summaries — no AST access.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
-from repro.lint.graph import (
-    POOL_BOUNDARY_KEYWORDS,
-    POOL_BOUNDARY_METHODS,
-    ClassSummary,
-    FunctionSummary,
-    ProjectIndex,
-    RNG_CONSTRUCTORS,
-)
+from repro.lint.graph import RNG_CONSTRUCTORS, ClassSummary, ProjectIndex
 
 __all__ = [
     "find_import_cycles",
     "reachable_methods",
-    "tainted_boundary_params",
     "tainted_rng_producers",
 ]
 
@@ -52,97 +43,6 @@ def reachable_methods(
             if callee not in reachable and cls.method(callee) is not None:
                 stack.append(callee)
     return frozenset(reachable)
-
-
-def tainted_boundary_params(
-    index: ProjectIndex,
-) -> Dict[str, FrozenSet[int]]:
-    """Parameter positions that flow into pool boundaries, per function.
-
-    Seeds: a function passes one of its own parameters directly at a
-    pool boundary (positional 0 of a pool method such as ``submit`` /
-    ``imap_unordered``, or a boundary keyword like ``initializer=``).
-    Propagation: if helper ``h``'s parameter *i* is boundary-tainted
-    and ``f`` passes its own parameter *j* at position *i* of a call
-    to ``h``, then ``f``'s parameter *j* is boundary-tainted too.  The
-    fixpoint over the project call graph is what lets JRS009 catch a
-    lambda handed to a wrapper that only reaches ``pool.submit`` two
-    hops later.
-    """
-    tainted: Dict[str, Set[int]] = {}
-
-    def param_index(fn: FunctionSummary, name: str) -> int:
-        try:
-            return fn.params.index(name)
-        except ValueError:
-            return -1
-
-    # Seed pass: direct boundary crossings of own parameters.
-    for qualname, fn in index.functions.items():
-        for call in fn.calls:
-            for arg in call.args:
-                if arg.kind != "param" or arg.name is None:
-                    continue
-                if not _is_boundary_position(call, arg):
-                    continue
-                position = param_index(fn, arg.name)
-                if position >= 0:
-                    tainted.setdefault(qualname, set()).add(position)
-
-    # Fixpoint: propagate through calls to project helpers.
-    changed = True
-    while changed:
-        changed = False
-        for qualname, fn in index.functions.items():
-            for call in fn.calls:
-                callee_taint = tainted.get(call.callee)
-                if not callee_taint:
-                    continue
-                callee = index.functions.get(call.callee)
-                for arg in call.args:
-                    if arg.kind != "param" or arg.name is None:
-                        continue
-                    target = _callee_param_position(callee, arg)
-                    if target is None or target not in callee_taint:
-                        continue
-                    position = param_index(fn, arg.name)
-                    if position < 0:
-                        continue
-                    slots = tainted.setdefault(qualname, set())
-                    if position not in slots:
-                        slots.add(position)
-                        changed = True
-
-    return {name: frozenset(slots) for name, slots in tainted.items()}
-
-
-def _is_boundary_position(call: object, arg: object) -> bool:
-    """Is this (call, arg) pair a pool-boundary crossing?"""
-    # Typed as object above to appease the summary-only import graph;
-    # the real shapes are CallRecord / CallArg.
-    method_attr = getattr(call, "method_attr", None)
-    keyword = getattr(arg, "keyword", None)
-    position = getattr(arg, "position", None)
-    if keyword in POOL_BOUNDARY_KEYWORDS:
-        return True
-    return method_attr in POOL_BOUNDARY_METHODS and position == 0
-
-
-def _callee_param_position(
-    callee: object, arg: object
-) -> "int | None":
-    """Map a call argument onto the callee's parameter position."""
-    position = getattr(arg, "position", None)
-    keyword = getattr(arg, "keyword", None)
-    if position is not None:
-        return int(position)
-    if keyword is not None and callee is not None:
-        params: Tuple[str, ...] = getattr(callee, "params", ())
-        try:
-            return params.index(keyword)
-        except ValueError:
-            return None
-    return None
 
 
 def tainted_rng_producers(index: ProjectIndex) -> FrozenSet[str]:

@@ -1,8 +1,8 @@
 """Phase-1 project indexing for the cross-module lint rules.
 
 The per-file rules see one ``ast.Module`` at a time, so they cannot
-see a dispatcher thread sharing mutable pool state, run specs crossing
-pickle boundaries through helper-call chains, or the package DAG.
+see a dispatcher thread sharing mutable pool state, a helper in another
+module that returns a fresh generator, or the package DAG.
 This module builds the whole-project view those checks need:
 
 - a :class:`ModuleSummary` per file — import records (with their
@@ -14,7 +14,7 @@ This module builds the whole-project view those checks need:
 
 Summaries are plain frozen dataclasses, so phase 2 never touches an
 AST.  The flow analyses that interpret them live in
-:mod:`repro.lint.flow`; the JRS008–JRS011 rules that consume both live
+:mod:`repro.lint.flow`; the cross-module rules that consume both live
 in :mod:`repro.lint.rules`.
 """
 
@@ -28,7 +28,6 @@ from repro.lint.engine import ModuleContext
 
 __all__ = [
     "AttrAccess",
-    "CallArg",
     "CallRecord",
     "ClassSummary",
     "FactoryRef",
@@ -51,27 +50,6 @@ RNG_CONSTRUCTORS: FrozenSet[str] = frozenset(
         "numpy.random.RandomState",
     }
 )
-
-#: Pool-boundary method names, shared by the literal per-file JRS007
-#: and the transitive JRS009 analysis so the two always agree.
-POOL_BOUNDARY_METHODS: FrozenSet[str] = frozenset(
-    {
-        "map",
-        "map_async",
-        "imap",
-        "imap_unordered",
-        "starmap",
-        "starmap_async",
-        "apply",
-        "apply_async",
-        "submit",
-    }
-)
-
-POOL_BOUNDARY_KEYWORDS: FrozenSet[str] = frozenset(
-    {"initializer", "func", "callback"}
-)
-
 
 @dataclass(frozen=True)
 class ImportRecord:
@@ -137,24 +115,6 @@ class ClassSummary:
 
 
 @dataclass(frozen=True)
-class CallArg:
-    """One argument at a call site, classified for pickle analysis.
-
-    ``kind`` is one of ``lambda``, ``local_def`` (a nested function or
-    class), ``param`` (a parameter of the enclosing function, carrying
-    taint), ``ref`` (a module-level or imported callable, resolved in
-    ``name``), or ``other``.
-    """
-
-    position: Optional[int]
-    keyword: Optional[str]
-    kind: str
-    name: Optional[str]
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
 class CallRecord:
     """One call made by a function body.
 
@@ -162,25 +122,20 @@ class CallRecord:
     path for imported names (``repro.experiments.pool.collect_outcomes``),
     ``<module>.<name>`` for module-level functions of the same file,
     ``self.<attr>`` for method self-calls, or the bare name when
-    unresolvable.  ``method_attr`` carries the trailing attribute for
-    ``obj.method(...)`` shapes so pool-boundary methods are matched the
-    way JRS007 matches them — by name, on any receiver.
+    unresolvable.
     """
 
     callee: str
-    method_attr: Optional[str]
     line: int
     col: int
-    args: Tuple[CallArg, ...]
 
 
 @dataclass(frozen=True)
 class FunctionSummary:
-    """Signature + calls of one function (or method)."""
+    """Calls of one function (or method)."""
 
     qualname: str
     line: int
-    params: Tuple[str, ...]
     calls: Tuple[CallRecord, ...]
     #: Callee refs whose results this function returns (directly or
     #: through one local assignment) — the JRS011 producer signal.
@@ -345,43 +300,6 @@ def _resolve_ref(name: str, ctx: ModuleContext) -> Optional[str]:
     return None
 
 
-def _classify_arg(
-    value: ast.expr,
-    position: Optional[int],
-    keyword: Optional[str],
-    ctx: ModuleContext,
-    params: Set[str],
-) -> CallArg:
-    kind = "other"
-    name: Optional[str] = None
-    if isinstance(value, ast.Lambda):
-        kind = "lambda"
-    elif isinstance(value, ast.Name):
-        if value.id in params:
-            kind, name = "param", value.id
-        elif (
-            value.id in ctx.nested_defs
-            and value.id not in ctx.module_scope_defs
-        ):
-            kind, name = "local_def", value.id
-        else:
-            ref = _resolve_ref(value.id, ctx)
-            if ref is not None:
-                kind, name = "ref", ref
-    elif isinstance(value, ast.Attribute):
-        chain = ctx.resolve_call_chain(value)
-        if chain is not None:
-            kind, name = "ref", chain
-    return CallArg(
-        position=position,
-        keyword=keyword,
-        kind=kind,
-        name=name,
-        line=value.lineno,
-        col=value.col_offset,
-    )
-
-
 def _summarize_function(
     node: ast.FunctionDef,
     qualname: str,
@@ -389,63 +307,39 @@ def _summarize_function(
     ctx: ModuleContext,
 ) -> FunctionSummary:
     """Summarize one function from its nodes in ``ast.walk`` order."""
-    arguments = node.args
-    params = [
-        arg.arg
-        for arg in (
-            *arguments.posonlyargs,
-            *arguments.args,
-            *arguments.kwonlyargs,
-        )
-    ]
-    param_set = set(params)
     calls: List[CallRecord] = []
     assigned_from: Dict[str, str] = {}
     returns_refs: List[str] = []
 
-    def callee_ref(func: ast.expr) -> Tuple[str, Optional[str]]:
+    def callee_ref(func: ast.expr) -> str:
         if isinstance(func, ast.Name):
-            ref = _resolve_ref(func.id, ctx)
-            return ref or func.id, None
+            return _resolve_ref(func.id, ctx) or func.id
         if isinstance(func, ast.Attribute):
             attr = _self_attr(func)
             if attr is not None:
-                return f"self.{attr}", func.attr
-            chain = ctx.resolve_call_chain(func)
-            return chain or func.attr, func.attr
-        return "<dynamic>", None
+                return f"self.{attr}"
+            return ctx.resolve_call_chain(func) or func.attr
+        return "<dynamic>"
 
     for child in subtree:
         if isinstance(child, ast.Call):
-            ref, method_attr = callee_ref(child.func)
-            args = tuple(
-                _classify_arg(value, index, None, ctx, param_set)
-                for index, value in enumerate(child.args)
-            ) + tuple(
-                _classify_arg(kw.value, None, kw.arg, ctx, param_set)
-                for kw in child.keywords
-                if kw.arg is not None
-            )
             calls.append(
                 CallRecord(
-                    callee=ref,
-                    method_attr=method_attr,
+                    callee=callee_ref(child.func),
                     line=child.lineno,
                     col=child.col_offset,
-                    args=args,
                 )
             )
         elif isinstance(child, ast.Assign) and isinstance(
             child.value, ast.Call
         ):
-            ref, _ = callee_ref(child.value.func)
+            ref = callee_ref(child.value.func)
             for target in child.targets:
                 if isinstance(target, ast.Name):
                     assigned_from[target.id] = ref
         elif isinstance(child, ast.Return) and child.value is not None:
             if isinstance(child.value, ast.Call):
-                ref, _ = callee_ref(child.value.func)
-                returns_refs.append(ref)
+                returns_refs.append(callee_ref(child.value.func))
             elif isinstance(child.value, ast.Name):
                 ref_opt = assigned_from.get(child.value.id)
                 if ref_opt is not None:
@@ -453,7 +347,6 @@ def _summarize_function(
     return FunctionSummary(
         qualname=qualname,
         line=node.lineno,
-        params=tuple(params),
         calls=tuple(calls),
         returns_refs=tuple(sorted(set(returns_refs))),
     )

@@ -6,7 +6,7 @@ module's nodes, and condense the same parse into a
 :class:`~repro.lint.graph.ModuleSummary`.  :func:`lint_project` runs
 that step over every file, assembles the
 :class:`~repro.lint.graph.ProjectIndex`, runs the cross-module rules
-(JRS008–JRS011), and filters their findings with the same per-file
+(JRS008, JRS010, JRS011), and filters their findings with the same per-file
 suppression maps.
 """
 

@@ -3,16 +3,17 @@
 Every rule guards an invariant this repository's results rest on:
 Theorem 1's P̂− at the Table I point, the exact ``(l−1)γ`` DoS bound,
 and byte-identical serial, pool and kill/resume runs all need seeded
-randomness only, simulated time only, registered metric names, and
-picklable pool boundaries.
+randomness only, simulated time only, and registered metric names.
 
-Per-file rules (JRS001–JRS004, JRS007) check one module's AST: seeded
+Per-file rules (JRS001–JRS004) check one module's AST: seeded
 randomness, no wall clock inside the simulated world, narrow excepts,
-registered metric names, and pickle-safe pool boundaries.
-Cross-module rules (JRS008–JRS011) run in phase 2 against the
+and registered metric names.  Cross-module rules (JRS008, JRS010,
+JRS011) run in phase 2 against the
 :class:`~repro.lint.graph.ProjectIndex`: thread-shared-state lock
-discipline, transitive pool-boundary picklability, architecture
-layering with cycle detection, and RNG provenance.  See
+discipline, architecture layering with cycle detection, and RNG
+provenance.  What crosses the process-pool boundary needs no rule: the
+pool's only unit of work is a ``NetworkExperiment``, and
+``WorkerPool.submit`` refuses anything else.  See
 ``docs/architecture.md`` ("Static analysis & determinism lints") for
 the rationale table and the policy for adding a rule.
 """
@@ -24,7 +25,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    List,
     Optional,
     Sequence,
     Set,
@@ -40,15 +40,11 @@ from repro.lint.engine import (
     package_of,
 )
 from repro.lint.flow import (
-    _callee_param_position,
     find_import_cycles,
     reachable_methods,
-    tainted_boundary_params,
     tainted_rng_producers,
 )
 from repro.lint.graph import (
-    POOL_BOUNDARY_KEYWORDS,
-    POOL_BOUNDARY_METHODS,
     RNG_CONSTRUCTORS,
     ClassSummary,
     ModuleSummary,
@@ -61,9 +57,7 @@ __all__ = [
     "JRS002WallClock",
     "JRS003BroadExcept",
     "JRS004UnregisteredMetricName",
-    "JRS007PoolBoundaryPickle",
     "JRS008ThreadSharedState",
-    "JRS009TransitivePoolPickle",
     "JRS010ArchitectureLayering",
     "JRS011RngProvenance",
     "FILE_RULES",
@@ -328,66 +322,6 @@ class JRS004UnregisteredMetricName(Rule):
                 )
 
 
-class JRS007PoolBoundaryPickle(Rule):
-    """Work shipped to a process pool must be pickle-safe.
-
-    Lambdas, nested functions, and locally defined classes cannot be
-    pickled; handing one to ``pool.map``/``pool.submit`` fails only at
-    runtime, on the largest configured fan-out.
-    """
-
-    code = "JRS007"
-    description = (
-        "no lambdas/closures/local classes crossing the process-pool "
-        "boundary"
-    )
-    node_types = (ast.Call,)
-
-    def _boundary_kind(self, node: ast.Call) -> Optional[str]:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            if func.attr in POOL_BOUNDARY_METHODS:
-                return f".{func.attr}"
-        return None
-
-    def _unpicklable(
-        self, arg: ast.expr, ctx: ModuleContext
-    ) -> Optional[str]:
-        if isinstance(arg, ast.Lambda):
-            return "a lambda"
-        if isinstance(arg, ast.Name) and arg.id in ctx.nested_defs:
-            if arg.id in ctx.module_scope_defs:
-                return None  # also defined at module scope: ambiguous
-            return f"locally defined '{arg.id}'"
-        return None
-
-    def check(
-        self, node: ast.AST, ctx: ModuleContext
-    ) -> Iterable[Violation]:
-        assert isinstance(node, ast.Call)
-        boundary = self._boundary_kind(node)
-        if boundary is None:
-            return
-        candidates: List[Tuple[ast.expr, str]] = [
-            (arg, f"argument {i}") for i, arg in enumerate(node.args)
-        ]
-        candidates.extend(
-            (kw.value, f"keyword '{kw.arg}'")
-            for kw in node.keywords
-            if kw.arg in POOL_BOUNDARY_KEYWORDS
-        )
-        for arg, where in candidates:
-            reason = self._unpicklable(arg, ctx)
-            if reason is not None:
-                yield self.violation(
-                    ctx,
-                    arg,
-                    f"{reason} passed to pool boundary '{boundary}' "
-                    f"({where}) cannot be pickled; move it to module "
-                    "scope",
-                )
-
-
 class JRS008ThreadSharedState(ProjectRule):
     """State shared with a ``threading.Thread`` needs lock discipline.
 
@@ -455,58 +389,6 @@ class JRS008ThreadSharedState(ProjectRule):
                     f"'{cls.name}' but accessed here "
                     f"(in '{method.name}') outside 'with self._lock'",
                 )
-
-
-class JRS009TransitivePoolPickle(ProjectRule):
-    """Pickle-safety must hold through helper-call chains.
-
-    JRS007 checks the literal call site; this rule follows the project
-    call graph.  If helper ``h(fn)`` forwards ``fn`` to
-    ``pool.submit``/``pool.map`` (possibly through further
-    helpers), then passing a lambda or nested function *to h* is the
-    same bug, one hop removed — it still dies un-picklable at fan-out
-    time.
-    """
-
-    code = "JRS009"
-    description = (
-        "no lambdas/closures reaching a process-pool boundary through "
-        "helper functions (transitive JRS007)"
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
-        tainted = tainted_boundary_params(index)
-        for summary in index.summaries:
-            for fn in summary.functions:
-                for call in fn.calls:
-                    slots = tainted.get(call.callee)
-                    if not slots:
-                        continue
-                    callee = index.functions.get(call.callee)
-                    if callee is None:
-                        continue  # builtin boundaries are JRS007's
-                    for arg in call.args:
-                        if arg.kind not in ("lambda", "local_def"):
-                            continue
-                        position = _callee_param_position(callee, arg)
-                        if position is None or position not in slots:
-                            continue
-                        what = (
-                            "a lambda"
-                            if arg.kind == "lambda"
-                            else f"locally defined '{arg.name}'"
-                        )
-                        short = call.callee.rsplit(".", 1)[-1]
-                        yield self.violation_at(
-                            summary.path,
-                            arg.line,
-                            arg.col,
-                            f"{what} passed to '{short}' reaches a "
-                            "process-pool boundary (parameter "
-                            f"'{callee.params[position]}' of "
-                            f"{call.callee}) and cannot be pickled; "
-                            "move it to module scope",
-                        )
 
 
 #: Leaf packages any layer may import.
@@ -708,13 +590,11 @@ FILE_RULES: Tuple[Rule, ...] = (
     JRS002WallClock(),
     JRS003BroadExcept(),
     JRS004UnregisteredMetricName(),
-    JRS007PoolBoundaryPickle(),
 )
 
 #: Cross-module rules, run in phase 2 over the ProjectIndex.
 PROJECT_RULES: Tuple[ProjectRule, ...] = (
     JRS008ThreadSharedState(),
-    JRS009TransitivePoolPickle(),
     JRS010ArchitectureLayering(),
     JRS011RngProvenance(),
 )

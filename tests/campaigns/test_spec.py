@@ -112,6 +112,29 @@ class TestValidation:
             ])
         assert not (tmp_path / "never.sqlite").exists()
 
+    def test_bad_grid_value_fails_the_spec_not_a_shard(self, tmp_path):
+        """A config value only the third point uses is refused when the
+        spec is built, before any shard runs or any store exists."""
+        from repro.cli import main
+
+        data = {
+            "name": "badnu", "seed": 2011, "runs_per_point": 2,
+            "base": "tiny", "grid": {"nu": [2, 3, 0]},
+        }
+        with pytest.raises(ConfigurationError, match="nu must be > 0"):
+            CampaignSpec(**data)
+        with pytest.raises(ConfigurationError, match="nu must be > 0"):
+            CampaignSpec.from_json(json.dumps(data))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="nu must be > 0"):
+            main([
+                "campaign", "launch", "--spec", str(spec_path),
+                "--store", str(tmp_path / "never.sqlite"),
+                "--revision", "r",
+            ])
+        assert not (tmp_path / "never.sqlite").exists()
+
     def test_rejects_bad_phy_backend(self):
         with pytest.raises(ConfigurationError, match="phy_backend"):
             tiny_spec(phy_backend="analog")

@@ -7,7 +7,6 @@ from repro.lint.engine import ModuleContext, module_name_for_path, package_of
 from repro.lint.flow import (
     find_import_cycles,
     reachable_methods,
-    tainted_boundary_params,
     tainted_rng_producers,
 )
 from repro.lint.graph import ModuleSummary, ProjectIndex, summarize_module
@@ -118,24 +117,6 @@ class TestFlowAnalyses:
         assert cls.thread_targets == ("_run",)
         reachable = reachable_methods(cls, cls.thread_targets)
         assert reachable == {"_run", "_helper"}
-
-    def test_boundary_taint_propagates(self):
-        index = build_index(
-            {
-                "src/repro/experiments/x.py": (
-                    "def leaf(pool, fn, items):\n"
-                    "    return pool.submit(fn, items)\n"
-                    "def wrap(pool, g, items):\n"
-                    "    return leaf(pool, g, items)\n"
-                    "def safe(pool, n, items):\n"
-                    "    return leaf(pool, None, n)\n"
-                )
-            }
-        )
-        tainted = tainted_boundary_params(index)
-        assert tainted["repro.experiments.x.leaf"] == {1}
-        assert tainted["repro.experiments.x.wrap"] == {1}
-        assert "repro.experiments.x.safe" not in tainted
 
     def test_rng_producer_taint(self):
         index = build_index(

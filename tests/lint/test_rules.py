@@ -18,7 +18,6 @@ IN_SCOPE = {
     "JRS002": "src/repro/sim/fixture.py",
     "JRS003": "src/repro/core/fixture.py",
     "JRS004": "src/repro/experiments/fixture.py",
-    "JRS007": "src/repro/experiments/fixture.py",
 }
 
 #: Minimum findings each bad fixture must produce for its own rule.
@@ -27,7 +26,6 @@ EXPECTED_MIN = {
     "JRS002": 6,
     "JRS003": 4,
     "JRS004": 8,
-    "JRS007": 5,
 }
 
 #: Cross-module rules: fixtures are linted as a one-file project tree
@@ -35,14 +33,12 @@ EXPECTED_MIN = {
 #: also be free of per-file findings).
 PROJECT_IN_SCOPE = {
     "JRS008": "src/repro/experiments/fixture.py",
-    "JRS009": "src/repro/experiments/fixture.py",
     "JRS010": "src/repro/dsss/fixture.py",
     "JRS011": "src/repro/sim/fixture.py",
 }
 
 PROJECT_EXPECTED_MIN = {
     "JRS008": 5,
-    "JRS009": 3,
     "JRS010": 5,
     "JRS011": 5,
 }
@@ -298,18 +294,6 @@ class TestRuleDetails:
         violations = run_fixture_source(source)
         assert [v.rule for v in violations] == ["JRS004"]
         assert "repro.obs.names.DSSS_SCANS" in violations[0].message
-
-    def test_jrs007_module_scope_shadow_is_not_flagged(self):
-        source = (
-            "def worker(x):\n"
-            "    return x\n"
-            "def other():\n"
-            "    def worker(x):\n"
-            "        return x\n"
-            "def go(pool, items):\n"
-            "    return pool.map(worker, items)\n"
-        )
-        assert run_fixture_source(source) == []
 
 
 def run_fixture_source(source: str):

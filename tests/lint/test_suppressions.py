@@ -89,8 +89,9 @@ class TestDecoratedDefs:
 
 
 def project_cases(comment_for):
-    """One minimal single-finding tree per cross-module rule, with
-    ``comment_for(code)`` appended to the flagged line."""
+    """One minimal single-finding tree per cross-module case, keyed
+    ``CODE`` or ``CODE-variant``, with ``comment_for(code)`` appended
+    to the flagged line."""
     return {
         "JRS008": {
             "src/repro/experiments/box.py": (
@@ -111,18 +112,6 @@ def project_cases(comment_for):
                 "    def is_open(self):\n"
                 "        with self._lock:\n"
                 "            return self._open\n"
-            )
-        },
-        "JRS009": {
-            "src/repro/experiments/fan.py": (
-                "def helper(pool, fn, items):\n"
-                "    return pool.map(fn, items)\n"
-                "\n"
-                "\n"
-                "def go(pool, items):\n"
-                "    return helper(pool, lambda x: x, items)  "
-                + comment_for("JRS009")
-                + "\n"
             )
         },
         "JRS010": {
@@ -146,32 +135,53 @@ def project_cases(comment_for):
                 "    return rng.normal(size=n)\n"
             )
         },
+        # The finding's cause (a helper that mints a generator) is in
+        # another module than the line it anchors on.
+        "JRS011-cross-module": {
+            "src/repro/utils/mkrng.py": (
+                "import numpy as np\n"
+                "\n"
+                "\n"
+                "def make_rng(seed):\n"
+                "    return np.random.default_rng(seed)\n"
+            ),
+            "src/repro/sim/noise.py": (
+                "from repro.utils.mkrng import make_rng\n"
+                "\n"
+                "\n"
+                "def sample(n):\n"
+                "    rng = make_rng(7)  "
+                + comment_for("JRS011")
+                + "\n"
+                "    return rng.normal(size=n)\n"
+            ),
+        },
     }
 
 
-PROJECT_CODES = sorted(project_cases(lambda code: "").keys())
+PROJECT_CASES = sorted(project_cases(lambda code: "").keys())
 
 
-@pytest.mark.parametrize("code", PROJECT_CODES)
+@pytest.mark.parametrize("case", PROJECT_CASES)
 class TestProjectRuleSuppression:
-    def test_fires_without_noqa(self, code, tmp_path):
-        files = project_cases(lambda c: "")[code]
+    def test_fires_without_noqa(self, case, tmp_path):
+        files = project_cases(lambda c: "")[case]
         result = lint_tree(tmp_path, files)
-        assert [v.rule for v in result.violations] == [code]
+        assert [v.rule for v in result.violations] == [case[:6]]
 
-    def test_justified_noqa_suppresses(self, code, tmp_path):
+    def test_justified_noqa_suppresses(self, case, tmp_path):
         files = project_cases(
             lambda c: JUSTIFIED.format(code=c)
-        )[code]
+        )[case]
         result = lint_tree(tmp_path, files)
         assert result.violations == []
 
     def test_unjustified_noqa_keeps_finding_and_flags_jrs000(
-        self, code, tmp_path
+        self, case, tmp_path
     ):
         files = project_cases(
             lambda c: UNJUSTIFIED.format(code=c)
-        )[code]
+        )[case]
         result = lint_tree(tmp_path, files)
         rules = sorted(v.rule for v in result.violations)
-        assert rules == ["JRS000", code]
+        assert rules == ["JRS000", case[:6]]

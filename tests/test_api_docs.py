@@ -6,7 +6,8 @@ row belongs to: the package in the section heading (``## Protocols
 cell is a bare module path (the Substrates rows, the
 ``repro.core.messages`` row).  A name spelled with its module path
 (``repro.experiments.pool.WorkerPool``) resolves on that module.  The
-command-line block must list exactly the subcommands the CLI defines.
+command-line block must list exactly the subcommands the CLI defines,
+and the rule table in ``docs/architecture.md`` exactly the lint rules.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser
+from repro.lint.rules import RULES_BY_CODE
 
 API_MD = Path(__file__).resolve().parents[1] / "docs" / "api.md"
 
@@ -102,3 +104,10 @@ def test_command_line_block_lists_every_subcommand():
     assert _listed(block.group(1), "python -m repro campaign") == set(
         _subcommands(commands["campaign"])
     )
+
+
+def test_architecture_rule_table_matches_the_rule_pack():
+    text = (API_MD.parent / "architecture.md").read_text()
+    section = text.split("### The rule pack", 1)[1].split("\n### ", 1)[0]
+    codes = re.findall(r"^\| (JRS\d{3}) \|", section, re.M)
+    assert codes == sorted(RULES_BY_CODE)
