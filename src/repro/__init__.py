@@ -12,7 +12,7 @@ depends on:
 
 ``repro.ecc``
     Error-correcting codes: a complete Reed-Solomon codec over GF(2^8)
-    (with errors-and-erasures decoding), a repetition code, and the
+    (with errors-and-erasures decoding), a block interleaver, and the
     rate-``mu`` codec wrapper used by the JR-SND messages.
 
 ``repro.crypto``

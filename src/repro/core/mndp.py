@@ -282,8 +282,9 @@ class MNDPSampler:
     backend:
         ``"vectorized"`` (default) answers each round by intersecting
         packed hop balls shared by every pair; ``"reference"`` keeps the
-        original per-source networkx shortest-path queries.  Both return
-        the same pairs with the same hop distances in the same order.
+        original per-source networkx shortest-path queries.  Both find
+        every pair at the same hop distance, so they return the same
+        pairs and tally the same ``mndp.recovery_hops`` histogram.
     """
 
     def __init__(
@@ -438,8 +439,9 @@ class MNDPSampler:
             if registry.enabled:
                 registry.inc(_names.MNDP_ROUNDS)
                 registry.inc(_names.MNDP_PAIRS_ATTEMPTED, int(pend.size))
-                for hops in dist[found].tolist():
-                    registry.observe(_names.MNDP_RECOVERY_HOPS, hops)
+                hops, counts = np.unique(dist[found], return_counts=True)
+                for value, count in zip(hops.tolist(), counts.tolist()):
+                    registry.observe(_names.MNDP_RECOVERY_HOPS, value, count)
             if new_keys.size == 0:
                 break
             found_keys.append(new_keys)

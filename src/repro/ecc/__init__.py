@@ -8,7 +8,6 @@ corrupted bits.  This package provides:
 - :mod:`repro.ecc.gf256` — arithmetic in GF(2^8),
 - :mod:`repro.ecc.reed_solomon` — a full RS codec with errors-and-erasures
   decoding (Berlekamp-Massey + Chien search + Forney),
-- :mod:`repro.ecc.repetition` — a trivial repetition code baseline,
 - :mod:`repro.ecc.interleaver` — block interleaving to spread bursts,
 - :mod:`repro.ecc.codec` — the rate-``mu`` bit-level wrapper the protocol
   layer actually uses.
@@ -18,12 +17,10 @@ from repro.ecc.codec import ExpansionCodec, erasure_tolerance
 from repro.ecc.gf256 import GF256
 from repro.ecc.interleaver import BlockInterleaver
 from repro.ecc.reed_solomon import ReedSolomonCodec
-from repro.ecc.repetition import RepetitionCodec
 
 __all__ = [
     "GF256",
     "ReedSolomonCodec",
-    "RepetitionCodec",
     "BlockInterleaver",
     "ExpansionCodec",
     "erasure_tolerance",

@@ -97,6 +97,12 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _wait_ready
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+# numpy 2.x loads these two on first use (every run draws from
+# numpy.random, and np.unique reaches numpy.ma).  Loading them before
+# the workers fork spares each fresh worker the import on its first run.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from repro.errors import (
     WORKER_TRAPPED_ERRORS,
     ConfigurationError,

@@ -5,7 +5,9 @@ One run mirrors the authors' C++ simulation:
 1. place ``n`` nodes uniformly in the field and build the
    physical-neighbor pair list;
 2. run the pre-distribution assignment;
-3. compromise ``q`` random nodes, giving the jammer its code set;
+3. compromise ``q`` random nodes, giving the jammer its code set (the
+   ``independent`` link model skips steps 2 and 3 unless latency is
+   sampled);
 4. sample every physical pair's D-NDP outcome under the chosen jamming
    strategy (the model validated against Theorem 1);
 5. close the surviving logical graph under ``nu``-hop M-NDP;
@@ -269,7 +271,10 @@ class NetworkExperiment:
         Theorem 1 probability for the strategy; this matches the
         authors' plotted M-NDP behaviour (notably Fig. 5(a)'s strong
         dependence on nu) and is almost certainly what their C++
-        simulator did.  See EXPERIMENTS.md for the comparison.
+        simulator did.  It draws no code assignment and compromises no
+        node (unless ``sample_latency`` needs the jamming model), which
+        leaves every result unchanged.  See EXPERIMENTS.md for the
+        comparison.
     collect_metrics:
         Capture a per-run :class:`~repro.obs.MetricsSnapshot` on every
         :class:`RunResult` (and forward it to any registry installed in
@@ -396,21 +401,11 @@ class NetworkExperiment:
             2.0 * n_pairs / config.n_nodes if config.n_nodes else 0.0
         )
 
-        distributor = PreDistributor(
-            config.n_nodes, config.codes_per_node, config.share_count
-        )
-        assignment = distributor.assign(
-            seeds.rng("assignment"), backend=self._compute_backend
-        )
-
-        compromise = CompromiseModel(assignment).compromise_random(
-            config.n_compromised, seeds.rng("compromise")
-        )
-        jamming = JammingModel.from_compromise(
-            self._strategy, compromise, config.z_jamming_signals, config.mu
-        )
-        compromised = np.zeros(assignment.pool_size, dtype=bool)
-        compromised[np.fromiter(compromise.codes, dtype=np.int64)] = True
+        # The independent model reads no code: only latency sampling
+        # needs the assignment and the jammer built from it.  Streams
+        # are keyed by label, so skipping them moves no other draw.
+        if self._link_model == "codes" or self._sample_latency:
+            assignment, compromised, jamming = self._code_state(seeds)
 
         if self._link_model == "independent":
             direct = self._sample_independent(n_pairs, seeds.rng("jamming"))
@@ -466,6 +461,28 @@ class NetworkExperiment:
         )
 
     # ------------------------------------------------------------------
+
+    def _code_state(
+        self, seeds: SeedSequencer
+    ) -> Tuple[CodeAssignment, np.ndarray, JammingModel]:
+        """The run's code assignment, its compromised-code mask, and
+        the jamming model the compromise gives the adversary."""
+        config = self._config
+        distributor = PreDistributor(
+            config.n_nodes, config.codes_per_node, config.share_count
+        )
+        assignment = distributor.assign(
+            seeds.rng("assignment"), backend=self._compute_backend
+        )
+        compromise = CompromiseModel(assignment).compromise_random(
+            config.n_compromised, seeds.rng("compromise")
+        )
+        jamming = JammingModel.from_compromise(
+            self._strategy, compromise, config.z_jamming_signals, config.mu
+        )
+        compromised = np.zeros(assignment.pool_size, dtype=bool)
+        compromised[np.fromiter(compromise.codes, dtype=np.int64)] = True
+        return assignment, compromised, jamming
 
     def _sample_independent(
         self, n_pairs: int, rng: np.random.Generator

@@ -81,7 +81,6 @@ class MethodSummary:
     """Attribute accesses and self-calls of one method."""
 
     name: str
-    line: int
     accesses: Tuple[AttrAccess, ...]
     self_calls: Tuple[str, ...]
     #: Methods handed to ``threading.Thread(target=self.X)`` here.
@@ -97,7 +96,6 @@ class ClassSummary:
     """Per-class view JRS008's thread-shared-state analysis consumes."""
 
     name: str
-    line: int
     methods: Tuple[MethodSummary, ...]
 
     def method(self, name: str) -> Optional[MethodSummary]:
@@ -135,7 +133,6 @@ class FunctionSummary:
     """Calls of one function (or method)."""
 
     qualname: str
-    line: int
     calls: Tuple[CallRecord, ...]
     #: Callee refs whose results this function returns (directly or
     #: through one local assignment) — the JRS011 producer signal.
@@ -272,7 +269,6 @@ def _summarize_method(
         walker.visit(statement)
     return MethodSummary(
         name=node.name,
-        line=node.lineno,
         accesses=tuple(walker.accesses),
         self_calls=tuple(sorted(set(walker.self_calls))),
         thread_targets=tuple(sorted(set(walker.thread_targets))),
@@ -287,7 +283,7 @@ def _summarize_class(
         for child in node.body
         if isinstance(child, ast.FunctionDef)
     )
-    return ClassSummary(name=node.name, line=node.lineno, methods=methods)
+    return ClassSummary(name=node.name, methods=methods)
 
 
 def _resolve_ref(name: str, ctx: ModuleContext) -> Optional[str]:
@@ -301,7 +297,6 @@ def _resolve_ref(name: str, ctx: ModuleContext) -> Optional[str]:
 
 
 def _summarize_function(
-    node: ast.FunctionDef,
     qualname: str,
     subtree: Sequence[ast.AST],
     ctx: ModuleContext,
@@ -346,7 +341,6 @@ def _summarize_function(
                     returns_refs.append(ref_opt)
     return FunctionSummary(
         qualname=qualname,
-        line=node.lineno,
         calls=tuple(calls),
         returns_refs=tuple(sorted(set(returns_refs))),
     )
@@ -492,7 +486,7 @@ def summarize_module(ctx: ModuleContext) -> ModuleSummary:
         ),
         classes=tuple(classes),
         functions=tuple(
-            _summarize_function(fn, qualname, subtrees[fn], ctx)
+            _summarize_function(qualname, subtrees[fn], ctx)
             for fn, qualname in qualnames.items()
         ),
         rng_sites=tuple(rng_sites),

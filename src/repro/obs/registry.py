@@ -88,7 +88,7 @@ class MetricsRegistry:
         self._max_gauges: Dict[str, float] = {}
         self._timer_counts: Dict[str, int] = {}
         self._timer_totals: Dict[str, float] = {}
-        self._histograms: Dict[str, List[float]] = {}
+        self._histograms: Dict[str, Dict[float, int]] = {}
         self._events: List[TraceEvent] = []
         self._event_seq = 0
 
@@ -129,9 +129,15 @@ class MetricsRegistry:
 
     # -- histograms ----------------------------------------------------
 
-    def observe(self, name: str, value: float) -> None:
-        """Append one sample to histogram ``name``."""
-        self._histograms.setdefault(name, []).append(float(value))
+    def observe(self, name: str, value: float, count: int = 1) -> None:
+        """Tally ``count`` samples of ``value`` in histogram ``name``."""
+        if count < 1:
+            raise ConfigurationError(
+                f"histogram count must be positive, got {count}"
+            )
+        tally = self._histograms.setdefault(name, {})
+        value = float(value)
+        tally[value] = tally.get(value, 0) + int(count)
 
     # -- structured trace events ---------------------------------------
 
@@ -165,7 +171,8 @@ class MetricsRegistry:
                 self._timer_totals.get(name, 0.0) + stat.total_seconds
             )
         for name, stat in snapshot.histograms.items():
-            self._histograms.setdefault(name, []).extend(stat.values)
+            for value, count in stat.counts:
+                self.observe(name, value, count)
         for event in snapshot.events:
             self.event(event.category, **event.fields)
 
@@ -183,8 +190,8 @@ class MetricsRegistry:
                 for name in self._timer_counts
             },
             histograms={
-                name: HistogramStat(values=tuple(values))
-                for name, values in self._histograms.items()
+                name: HistogramStat.from_tally(tally)
+                for name, tally in self._histograms.items()
             },
             events=tuple(self._events),
         )
@@ -241,7 +248,7 @@ class NullRegistry(MetricsRegistry):
     def record_seconds(self, name: str, seconds: float) -> None:
         pass
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, count: int = 1) -> None:
         pass
 
     def event(self, category: str, **fields: Any) -> None:

@@ -2,17 +2,18 @@
 
 A :class:`MetricsSnapshot` freezes the state of a
 :class:`~repro.obs.registry.MetricsRegistry` — counters, gauges, timer
-accumulators, histogram samples, and the bounded trace-event log — into
+accumulators, histogram tallies, and the bounded trace-event log — into
 a plain value object that can be compared, merged across runs or worker
 processes, and round-tripped through JSON.  The schema is versioned
-(``repro.obs/1``) so benchmark telemetry written by one revision can be
-regressed against by later ones.
+(``repro.obs/2``) so benchmark telemetry written by one revision can be
+regressed against by later ones; ``repro.obs/1`` files, whose
+histograms list every sample, still load.
 
 Merge semantics (used to aggregate per-run snapshots into experiment
 totals, and per-worker totals across processes):
 
 - counters and timers **add**;
-- histograms **concatenate** their sample lists in merge order;
+- histograms are ``value → count`` tallies, and their counts **add**;
 - gauges take the **last** written value, except ``*_high_water`` /
   ``*_max`` style gauges which the registry records via ``gauge_max``
   and which merge with :func:`max`;
@@ -29,7 +30,9 @@ from repro.errors import ConfigurationError
 
 __all__ = ["TraceEvent", "TimerStat", "HistogramStat", "MetricsSnapshot"]
 
-SCHEMA = "repro.obs/1"
+SCHEMA = "repro.obs/2"
+#: Schemas :meth:`MetricsSnapshot.from_dict` reads.
+_READABLE_SCHEMAS = ("repro.obs/1", SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -84,32 +87,44 @@ class TimerStat:
 
 @dataclass(frozen=True)
 class HistogramStat:
-    """The sample series recorded under one histogram name."""
+    """The value → count tally recorded under one histogram name.
 
-    values: Tuple[float, ...] = ()
+    ``counts`` holds ``(value, count)`` pairs in ascending value order,
+    one per distinct value, each count positive.
+    """
+
+    counts: Tuple[Tuple[float, int], ...] = ()
+
+    @classmethod
+    def from_tally(cls, tally: Mapping[float, int]) -> "HistogramStat":
+        """The stat of a ``value → count`` mapping."""
+        return cls(counts=tuple(sorted(tally.items())))
 
     @property
     def count(self) -> int:
-        return len(self.values)
+        return sum(n for _, n in self.counts)
 
     @property
     def total(self) -> float:
-        return float(sum(self.values))
+        return float(sum(value * n for value, n in self.counts))
 
     @property
     def minimum(self) -> Optional[float]:
-        return min(self.values) if self.values else None
+        return self.counts[0][0] if self.counts else None
 
     @property
     def maximum(self) -> Optional[float]:
-        return max(self.values) if self.values else None
+        return self.counts[-1][0] if self.counts else None
 
     @property
     def mean(self) -> Optional[float]:
-        return self.total / self.count if self.values else None
+        return self.total / self.count if self.counts else None
 
     def merged(self, other: "HistogramStat") -> "HistogramStat":
-        return HistogramStat(values=self.values + other.values)
+        tally = dict(self.counts)
+        for value, n in other.counts:
+            tally[value] = tally.get(value, 0) + n
+        return HistogramStat.from_tally(tally)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -117,12 +132,24 @@ class HistogramStat:
             "total": self.total,
             "min": self.minimum,
             "max": self.maximum,
-            "values": list(self.values),
+            "counts": [[value, n] for value, n in self.counts],
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "HistogramStat":
-        return cls(values=tuple(float(v) for v in data.get("values", ())))
+        tally: Dict[float, int] = {}
+        if "counts" in data:
+            pairs = ((float(v), int(n)) for v, n in data["counts"])
+        else:
+            # ``repro.obs/1`` listed every sample.
+            pairs = ((float(v), 1) for v in data.get("values", ()))
+        for value, n in pairs:
+            if n < 1:
+                raise ConfigurationError(
+                    f"histogram count must be positive, got {n}"
+                )
+            tally[value] = tally.get(value, 0) + n
+        return cls.from_tally(tally)
 
 
 @dataclass(frozen=True)
@@ -233,7 +260,7 @@ class MetricsSnapshot:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "MetricsSnapshot":
         schema = data.get("schema")
-        if schema != SCHEMA:
+        if schema not in _READABLE_SCHEMAS:
             raise ConfigurationError(
                 f"unsupported metrics schema {schema!r}; expected {SCHEMA!r}"
             )

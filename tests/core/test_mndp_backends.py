@@ -1,6 +1,7 @@
 """Reference vs vectorized M-NDP closure equivalence."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ def _run_backend(backend, nu, pairs, graph, exclude=(), rounds=1):
 
 
 def _assert_backends_agree(nu, pairs, graph, exclude=(), rounds=1):
-    """Same pairs, same counters, and the same ordered
-    ``mndp.recovery_hops`` samples (hop counts in pending order)."""
+    """Same pairs, counters and ``mndp.recovery_hops`` histogram from
+    both backends, and the same hop count for every pending pair (see
+    :func:`_per_pair_hops`).  Returns the recovered pairs and the hop
+    counts in pending order, round by round."""
     want, want_metrics = _run_backend(
         "reference", nu, pairs, graph, exclude, rounds
     )
@@ -51,7 +54,60 @@ def _assert_backends_agree(nu, pairs, graph, exclude=(), rounds=1):
     assert np.array_equal(got, want)
     assert got_metrics.counters == want_metrics.counters
     assert got_metrics.histograms == want_metrics.histograms
-    return want, _hops(want_metrics)
+    found = _per_pair_hops(nu, pairs, graph, exclude, rounds)
+    assert sorted(found) == [tuple(pair) for pair in want.tolist()]
+    hops = list(found.values())
+    stat = want_metrics.histograms.get(names.MNDP_RECOVERY_HOPS)
+    assert (stat.counts if stat else ()) == tuple(
+        sorted(Counter(float(h) for h in hops).items())
+    )
+    return want, hops
+
+
+def _per_pair_hops(nu, pairs, graph, exclude, rounds):
+    """Round by round, the reference ``_one_round`` pair → hops dict
+    equals the vectorized ``_closure_distances`` of the same pending
+    pairs; returns every round's dict merged, in pending order."""
+    sampler = MNDPSampler(nu, exclude=exclude)
+    working = graph.copy()
+    found = {}
+    for _ in range(rounds):
+        pending = [
+            (min(a, b), max(a, b))
+            for a, b in np.asarray(pairs).reshape(-1, 2).tolist()
+            if not working.has_link(a, b)
+        ]
+        want = sampler._one_round(pending, working)
+        assert _closure_hops(sampler, pending, working) == want
+        if not want:
+            break
+        found.update(want)
+        working.add_links(list(want))
+    return found
+
+
+def _closure_hops(sampler, pending, graph):
+    """The vectorized closure's pair → hops dict for ``pending``."""
+    excluded = sampler.excluded
+    ends = np.array(pending, dtype=np.int64).reshape(-1, 2)
+    edges = graph.edge_array()
+    relay = np.array(
+        [a not in excluded and b not in excluded
+         for a, b in edges.tolist()],
+        dtype=bool,
+    )
+    valid = np.array(
+        [a != b and a not in excluded and b not in excluded
+         for a, b in pending],
+        dtype=bool,
+    )
+    dist = sampler._closure_distances(
+        ends[:, 0], ends[:, 1], valid,
+        edges[relay, 0], edges[relay, 1], graph.n_nodes,
+    )
+    return {
+        pair: hops for pair, hops in zip(pending, dist.tolist()) if hops
+    }
 
 
 def _assert_sorted_pairs(recovered):
@@ -60,11 +116,6 @@ def _assert_sorted_pairs(recovered):
     assert recovered.ndim == 2 and recovered.shape[1] == 2
     assert (recovered[:, 0] < recovered[:, 1]).all()
     assert recovered.tolist() == sorted(recovered.tolist())
-
-
-def _hops(snapshot):
-    stat = snapshot.histograms.get(names.MNDP_RECOVERY_HOPS)
-    return list(stat.values) if stat else []
 
 
 class TestBackendEquivalence:

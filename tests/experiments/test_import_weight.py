@@ -10,6 +10,9 @@ correlation engine and RS codec for the equivalence tests and speed-up
 benchmarks; no runtime module may load it.  A bare ``import repro``
 (config, node, runner, metrics) does not load the worker pool or
 ``multiprocessing`` either: only code that fans runs out pays for them.
+The pool itself loads numpy's lazily imported ``numpy.random`` and
+``numpy.ma`` before it forks, so no fresh worker imports them on its
+first run.
 """
 
 import os
@@ -47,6 +50,15 @@ print(",".join(loaded))
 """
 
 
+WARM_PROBE = """
+import sys
+import repro.experiments.pool
+print(",".join(
+    name for name in ("numpy.random", "numpy.ma") if name in sys.modules
+))
+"""
+
+
 def _probe(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -68,3 +80,7 @@ def test_run_path_imports_no_scipy_or_networkx():
 
 def test_import_repro_loads_no_pool_or_multiprocessing():
     assert _probe(POOL_PROBE) == ""
+
+
+def test_pool_loads_numpy_lazy_modules_before_forking():
+    assert _probe(WARM_PROBE) == "numpy.random,numpy.ma"

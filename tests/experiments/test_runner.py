@@ -13,6 +13,7 @@ from repro.core.config import JRSNDConfig
 from repro.core.dndp import DNDPSampler
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentResult, NetworkExperiment, RunResult
+from repro.experiments.scenarios import preset_config
 from repro.predistribution.authority import PreDistributor
 from repro.utils.rng import derive_rng
 
@@ -280,6 +281,50 @@ class TestIndependentLinkModel:
         )
 
 
+class TestIndependentModelSkipsCodeState:
+    """The independent link model reads no code, so it builds no code
+    assignment unless latency sampling needs the jamming model; the
+    skip moves no rng stream and changes no result."""
+
+    @pytest.mark.parametrize(
+        "strategy", [JammerStrategy.REACTIVE, JammerStrategy.RANDOM]
+    )
+    @pytest.mark.parametrize("nu", [1, 3, 8])
+    @pytest.mark.parametrize("q", [0, 60])
+    def test_same_run_with_and_without_code_state(self, q, nu, strategy):
+        config = preset_config("paper").replace(n_compromised=q, nu=nu)
+        for seed in (3, 4):
+            lean, full = (
+                NetworkExperiment(
+                    config, seed=seed, strategy=strategy,
+                    link_model="independent", collect_metrics=True,
+                    sample_latency=sample_latency,
+                ).run_once(seed)
+                for sample_latency in (False, True)
+            )
+            assert lean.mean_dndp_latency is None
+            assert full.mean_dndp_latency is not None
+            assert (lean.n_pairs, lean.dndp_successes,
+                    lean.mndp_successes) == (
+                full.n_pairs, full.dndp_successes, full.mndp_successes
+            )
+            assert (
+                lean.metrics.deterministic() == full.metrics.deterministic()
+            )
+
+    def test_no_assignment_without_latency(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("independent run drew an assignment")
+
+        monkeypatch.setattr(PreDistributor, "assign", refuse)
+        result = NetworkExperiment(
+            SMALL, seed=2, link_model="independent"
+        ).run_once(0)
+        assert result.n_pairs > 0
+        with pytest.raises(AssertionError, match="drew an assignment"):
+            NetworkExperiment(SMALL, seed=2).run_once(0)
+
+
 class TestMndpAggregationExcludesZeroFailureRuns:
     """Regression: runs where D-NDP succeeded on every pair carry no
     information about M-NDP recovery; averaging their p_mndp == 0.0
@@ -348,6 +393,17 @@ class TestCollectMetrics:
             SMALL, seed=7, collect_metrics=True
         ).run(2)
         assert instrumented.runs == plain.runs
+
+    def test_paper_run_metrics_stay_small(self):
+        # Histograms travel as value -> count tallies, so a 2000-node
+        # run's ~8k recovered pairs cost a few entries, not ~8k samples.
+        config = preset_config("paper").replace(n_compromised=60, nu=8)
+        run = NetworkExperiment(
+            config, seed=7, collect_metrics=True
+        ).run_once(0)
+        assert run.mndp_successes > 5000
+        text = run.metrics.deterministic().to_json(indent=None)
+        assert len(text.encode()) < 4096
 
     def test_default_leaves_metrics_unset(self):
         result = NetworkExperiment(SMALL, seed=7).run(1)

@@ -70,6 +70,23 @@ class TestHistograms:
         assert stat.maximum == 3.0
         assert stat.mean == pytest.approx(2.0)
 
+    def test_observe_tallies_counts(self):
+        reg = MetricsRegistry()
+        reg.observe("h", 3, count=4)
+        reg.observe("h", 1.0)
+        reg.observe("h", 3.0)
+        stat = reg.snapshot().histograms["h"]
+        assert stat.counts == ((1.0, 1), (3.0, 5))
+        assert stat.count == 6
+        assert stat.total == pytest.approx(16.0)
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_non_positive_count_rejected(self, count):
+        reg = MetricsRegistry()
+        with pytest.raises(ConfigurationError):
+            reg.observe("h", 1.0, count=count)
+        assert reg.snapshot().histograms == {}
+
 
 class TestEvents:
     def test_bounded_ring(self):
@@ -101,17 +118,19 @@ class TestAbsorbAndReset:
         child.gauge_max("m", 9.0)
         child.record_seconds("t", 0.25)
         child.observe("h", 4.0)
+        child.observe("h", 2.0, count=3)
         child.event("e", k="v")
         parent = MetricsRegistry()
         parent.inc("c", 1)
         parent.gauge_max("m", 3.0)
+        parent.observe("h", 4.0)
         parent.absorb(child.snapshot())
         snap = parent.snapshot()
         assert snap.counter("c") == 3
         assert snap.gauges["g"] == 1.0
         assert snap.max_gauges["m"] == 9.0
         assert snap.timers["t"].count == 1
-        assert snap.histograms["h"].values == (4.0,)
+        assert snap.histograms["h"].counts == ((2.0, 3), (4.0, 2))
         assert snap.events[0].category == "e"
 
     def test_reset_clears(self):

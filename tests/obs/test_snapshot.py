@@ -1,5 +1,7 @@
 """Unit tests for snapshot merging and the JSON wire format."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -51,10 +53,16 @@ class TestMerge:
         assert stat.count == 3
         assert stat.total_seconds == pytest.approx(1.5)
 
-    def test_histograms_concatenate_in_order(self):
-        a = MetricsSnapshot(histograms={"h": HistogramStat((1.0, 2.0))})
-        b = MetricsSnapshot(histograms={"h": HistogramStat((3.0,))})
-        assert a.merge(b).histograms["h"].values == (1.0, 2.0, 3.0)
+    def test_histogram_counts_add(self):
+        a = MetricsSnapshot(
+            histograms={"h": HistogramStat(((1.0, 2), (3.0, 1)))}
+        )
+        b = MetricsSnapshot(
+            histograms={"h": HistogramStat(((2.0, 4), (3.0, 5)))}
+        )
+        want = ((1.0, 2), (2.0, 4), (3.0, 6))
+        assert a.merge(b).histograms["h"].counts == want
+        assert b.merge(a).histograms["h"].counts == want
 
     def test_merge_all_skips_none(self):
         a = MetricsSnapshot(counters={"x": 1})
@@ -74,8 +82,29 @@ class TestJsonRoundTrip:
     def test_to_json_is_sorted_and_versioned(self):
         snap = _sample_snapshot()
         data = snap.to_dict()
-        assert data["schema"] == "repro.obs/1"
+        assert data["schema"] == "repro.obs/2"
         assert list(data["counters"]) == sorted(data["counters"])
+        assert data["histograms"]["hops"]["counts"] == [[2.0, 1], [3.0, 1]]
+
+    def test_schema_1_values_read_as_counts(self):
+        # A ``repro.obs/1`` file lists every histogram sample in order.
+        text = json.dumps({
+            "schema": "repro.obs/1",
+            "counters": {"runs": 2},
+            "histograms": {
+                "hops": {"count": 5, "total": 13.0, "min": 2.0,
+                         "max": 4.0,
+                         "values": [3.0, 2.0, 3.0, 4.0, 1.0]},
+            },
+        })
+        snap = MetricsSnapshot.from_json(text)
+        assert snap.counters == {"runs": 2}
+        assert snap.histograms["hops"] == HistogramStat(
+            ((1.0, 1), (2.0, 1), (3.0, 2), (4.0, 1))
+        )
+        again = MetricsSnapshot.from_json(snap.to_json())
+        assert again == snap
+        assert again.to_dict()["schema"] == "repro.obs/2"
 
     def test_event_fields_survive(self):
         snap = _sample_snapshot()
@@ -88,6 +117,15 @@ class TestJsonRoundTrip:
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConfigurationError):
             MetricsSnapshot.from_json('{"schema": "repro.obs/999"}')
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_non_positive_histogram_count_rejected(self, count):
+        text = json.dumps({
+            "schema": "repro.obs/2",
+            "histograms": {"h": {"counts": [[1.0, 2], [3.0, count]]}},
+        })
+        with pytest.raises(ConfigurationError):
+            MetricsSnapshot.from_json(text)
 
     def test_bad_json_rejected(self):
         with pytest.raises(ConfigurationError):
