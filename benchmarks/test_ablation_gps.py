@@ -52,7 +52,7 @@ def test_gps_filter_saves_responder_work(benchmark):
         rows = []
         for use_gps in (False, True):
             net = _run(_chain_network(use_gps))
-            counters = net.trace.counters()
+            counters = net.metrics.snapshot().counters
             rows.append(
                 {
                     "gps": float(use_gps),

@@ -84,11 +84,10 @@ def main() -> None:
         print(f"  {a:>2}-{b:<2}  shared codes {len(shared)} "
               f"(safe {len(safe)})  -> {how}")
 
-    latencies = net.trace.samples("dndp.latency")
-    if latencies:
+    latency = net.metrics.snapshot().histograms.get("dndp.latency")
+    if latency is not None:
         print(f"\nMean D-NDP handshake latency: "
-              f"{sum(latencies)/len(latencies):.3f} s over "
-              f"{len(latencies)} handshakes")
+              f"{latency.mean:.3f} s over {latency.count} handshakes")
 
 
 if __name__ == "__main__":

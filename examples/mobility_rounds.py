@@ -85,7 +85,7 @@ def main() -> None:
               f"tracked={len(tracked):>2} ({coverage:5.0%})  "
               f"stale={len(stale):>2}  expired_before_round={expired:>2}")
 
-    counters = net.trace.counters()
+    counters = net.metrics.snapshot().counters
     print(f"\ntotals: D-NDP establishments "
           f"{counters.get('dndp.established', 0)}, "
           f"M-NDP {counters.get('mndp.established', 0)}, "

@@ -12,8 +12,8 @@ depends on:
 
 ``repro.ecc``
     Error-correcting codes: a complete Reed-Solomon codec over GF(2^8)
-    (with errors-and-erasures decoding), a block interleaver, and the
-    rate-``mu`` codec wrapper used by the JR-SND messages.
+    (with errors-and-erasures decoding) and the rate-``mu`` codec
+    wrapper used by the JR-SND messages.
 
 ``repro.crypto``
     A simulated identity-based cryptography substrate (pairwise

@@ -57,14 +57,13 @@ from repro.errors import (
     ProtocolError,
     RevokedCodeError,
 )
-from repro.obs import current as _obs
+from repro.obs import MetricsRegistry
 from repro.obs import names as _names
 from repro.utils.artifact_cache import shared_cache
 from repro.predistribution.revocation import RevocationList
 from repro.sim.engine import Simulator, Timeout
 from repro.sim.field import Position
 from repro.sim.medium import RadioMedium, Transmission
-from repro.sim.trace import TraceRecorder
 
 __all__ = ["JRSNDNode", "JRSNDOutcome", "FakeSignedRequest"]
 
@@ -133,9 +132,10 @@ class JRSNDNode:
         Shared infrastructure.
     rng:
         The node's private random stream.
-    trace:
-        Shared trace recorder (counters: ``dndp.established``,
-        ``mndp.established``, ``dos.verifications`` ...).
+    metrics:
+        The network's shared registry (counters: ``dndp.established``,
+        ``mndp.established``, ``dos.verifications`` ...; histograms:
+        ``dndp.latency``, ``mndp.latency``).
     position:
         Static position; register a custom getter for mobility via
         ``medium.register_node`` before calling :meth:`start`.
@@ -152,7 +152,7 @@ class JRSNDNode:
         medium: RadioMedium,
         scheme: SignatureScheme,
         rng: np.random.Generator,
-        trace: TraceRecorder,
+        metrics: MetricsRegistry,
         position: Position,
     ) -> None:
         if not codes:
@@ -173,7 +173,7 @@ class JRSNDNode:
         self._medium = medium
         self._scheme = scheme
         self._rng = rng
-        self._trace = trace
+        self._metrics = metrics
         self._position = position
         self._nonces = NonceGenerator(rng, config.nonce_bits)
         self._replay = ReplayCache()
@@ -365,9 +365,6 @@ class JRSNDNode:
                         duration=t_h,
                     )
                 yield Timeout(t_h)
-        self._trace.log(
-            self._sim.now, "dndp.broadcast_done", node=self.index
-        )
 
     # ------------------------------------------------------------------
     # delivery dispatch
@@ -392,7 +389,7 @@ class JRSNDNode:
             # adversarial bytes — is dropped like channel noise.  Any
             # other exception propagates: a codec bug must not be
             # silently misread as interference.
-            self._count(_names.WIRE_UNDECODABLE)
+            self._metrics.inc(_names.WIRE_UNDECODABLE)
             return None
 
     def _on_pool_delivery(self, tx: Transmission) -> None:
@@ -420,14 +417,6 @@ class JRSNDNode:
             if window.buffer_start <= start and end <= window.buffer_end:
                 return window
         return None
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Bump a counter in the shared trace and, when a metrics
-        registry is installed, mirror it to ``repro.obs``."""
-        self._trace.increment(name, amount)
-        registry = _obs()
-        if registry.enabled:
-            registry.inc(name, amount)
 
     def _is_realtime(self, pool_index: int) -> bool:
         return self._realtime.get(pool_index, 0) > 0
@@ -575,7 +564,7 @@ class JRSNDNode:
         if session.state is SessionState.CONFIRMING:
             # Timer expired with no AUTH_REQUEST: peer moved away.
             self._fail_session(session)
-            self._trace.increment(_names.DNDP_RESPONDER_TIMEOUT)
+            self._metrics.inc(_names.DNDP_RESPONDER_TIMEOUT)
 
     def _on_confirm(
         self, confirm: Confirm, pool_index: int, sender: int
@@ -677,18 +666,11 @@ class JRSNDNode:
         if self._sessions.get(session.peer) is not session:
             return  # replaced by a newer session with the same peer
         if session.attempts >= self._retry.max_attempts:
-            self._count(_names.RETRY_SESSIONS_FAILED)
-            self._trace.log(
-                self._sim.now,
-                "retry.give_up",
-                node=self.index,
-                peer=session.peer.value,
-                attempts=session.attempts,
-            )
+            self._metrics.inc(_names.RETRY_SESSIONS_FAILED)
             self._fail_session(session)
             return
         session.attempts += 1
-        self._count(_names.RETRY_AUTH_RETRANSMITS)
+        self._metrics.inc(_names.RETRY_AUTH_RETRANSMITS)
         self._sim.process(
             self._resend_auth_request(session),
             name=f"auth-retry@{self.index}",
@@ -753,9 +735,9 @@ class JRSNDNode:
                 session.shared_key, self.config.mac_bits
             )
             if not mac.verify(request.mac_tag, *request.mac_input()):
-                self._trace.increment(_names.DNDP_BAD_MAC_IGNORED)
+                self._metrics.inc(_names.DNDP_BAD_MAC_IGNORED)
                 return
-            self._count(_names.RETRY_AUTH_RESPONSE_RETRANSMITS)
+            self._metrics.inc(_names.RETRY_AUTH_RESPONSE_RETRANSMITS)
             self._sim.process(
                 self._retransmit_auth_response(session),
                 name=f"auth2-retry@{self.index}",
@@ -771,7 +753,7 @@ class JRSNDNode:
         if not acceptable:
             return
         if self._replay.seen_before("auth1", peer, request.nonce):
-            self._trace.increment(_names.DNDP_REPLAYS_DROPPED)
+            self._metrics.inc(_names.DNDP_REPLAYS_DROPPED)
             return
         self._sim.process(
             self._finish_responder(session, request, sender),
@@ -788,7 +770,7 @@ class JRSNDNode:
             # Either a forgery or an overheard AUTH_REQUEST addressed to
             # another holder of the same pool code — indistinguishable
             # cases, so the session stays where it was.
-            self._trace.increment(_names.DNDP_BAD_MAC_IGNORED)
+            self._metrics.inc(_names.DNDP_BAD_MAC_IGNORED)
             return
         session.shared_key = shared
         session.peer_nonce = request.nonce
@@ -850,10 +832,10 @@ class JRSNDNode:
         mac = MessageAuthenticator(session.shared_key, self.config.mac_bits)
         if not mac.verify(response.mac_tag, *response.mac_input()):
             # Forged or overheard (addressed to another node): ignore.
-            self._trace.increment(_names.DNDP_BAD_MAC_IGNORED)
+            self._metrics.inc(_names.DNDP_BAD_MAC_IGNORED)
             return
         if self._replay.seen_before("auth2", peer, response.nonce):
-            self._trace.increment(_names.DNDP_REPLAYS_DROPPED)
+            self._metrics.inc(_names.DNDP_REPLAYS_DROPPED)
             return
         session.peer_nonce = response.nonce
         self._establish(session, sender, via_mndp=False)
@@ -888,7 +870,7 @@ class JRSNDNode:
         self._add_logical(session.peer, sender, via_mndp)
         latency = session.latency
         if latency is not None:
-            self._trace.sample("dndp.latency", latency)
+            self._metrics.observe(_names.DNDP_LATENCY, latency)
 
     def _add_logical(
         self, peer: NodeId, peer_index: int, via_mndp: bool
@@ -900,17 +882,10 @@ class JRSNDNode:
         self.neighbor_table.touch(peer, self._sim.now)
         if via_mndp:
             self._mndp_count += 1
-            self._trace.increment(_names.MNDP_ESTABLISHED)
+            self._metrics.inc(_names.MNDP_ESTABLISHED)
         else:
             self._dndp_count += 1
-            self._trace.increment(_names.DNDP_ESTABLISHED)
-        self._trace.log(
-            self._sim.now,
-            "logical_neighbor",
-            node=self.index,
-            peer=peer_index,
-            via="mndp" if via_mndp else "dndp",
-        )
+            self._metrics.inc(_names.DNDP_ESTABLISHED)
         if len(self._mndp_queue):
             entries = self._mndp_queue.pop_for(peer, self._sim.now)
             if entries:
@@ -927,11 +902,11 @@ class JRSNDNode:
             if self._session_codes.get(peer) is None:
                 # The session vanished again between dequeue and send.
                 if self._mndp_queue.requeue(entry, self._sim.now):
-                    self._count(_names.RETRY_MNDP_REQUEUED)
+                    self._metrics.inc(_names.RETRY_MNDP_REQUEUED)
                 else:
-                    self._count(_names.RETRY_MNDP_DROPPED)
+                    self._metrics.inc(_names.RETRY_MNDP_DROPPED)
                 continue
-            self._count(_names.RETRY_MNDP_DEQUEUED)
+            self._metrics.inc(_names.RETRY_MNDP_DEQUEUED)
             yield from self._unicast_session(peer, entry.frame)
 
     def _record_invalid(self, pool_indices: Sequence[int]) -> None:
@@ -945,7 +920,7 @@ class JRSNDNode:
                 )
             except RevokedCodeError:
                 continue
-            self._trace.increment(_names.REVOCATION_INVALID_REQUESTS)
+            self._metrics.inc(_names.REVOCATION_INVALID_REQUESTS)
             if revoked_now:
                 self._medium.stop_listening(self.index, pool_index)
                 self._realtime.pop(pool_index, None)
@@ -954,7 +929,7 @@ class JRSNDNode:
                 # stays conserved.
                 for session in self._sessions.values():
                     session.monitored.discard(pool_index)
-                self._trace.increment(_names.REVOCATION_CODES_REVOKED)
+                self._metrics.inc(_names.REVOCATION_CODES_REVOKED)
 
     def _on_fake_request(self, pool_index: int) -> None:
         """A DoS fake: one wasted t_ver, one revocation counter tick.
@@ -964,7 +939,7 @@ class JRSNDNode:
         """
         if not self.revocation.is_active(pool_index):
             return
-        self._trace.increment(_names.DOS_VERIFICATIONS)
+        self._metrics.inc(_names.DOS_VERIFICATIONS)
         # The verification occupies the CPU for t_ver; the counter is
         # charged immediately since ordering does not matter here.
         self._record_invalid([pool_index])
@@ -994,11 +969,7 @@ class JRSNDNode:
                 self._medium.stop_listening(self.index, state.code.code_id)
             self._sessions.pop(peer, None)
             self.neighbor_table.forget(peer)
-            self._trace.increment(_names.NEIGHBORS_EXPIRED)
-            self._trace.log(
-                self._sim.now, "neighbor_expired",
-                node=self.index, peer=peer.value,
-            )
+            self._metrics.inc(_names.NEIGHBORS_EXPIRED)
         return stale
 
     def start_maintenance(self, threshold: float, interval: float):
@@ -1049,10 +1020,10 @@ class JRSNDNode:
             self._drop_session(peer, session)
             removed += 1
         if removed:
-            self._count(_names.RETRY_SESSIONS_GCED, removed)
+            self._metrics.inc(_names.RETRY_SESSIONS_GCED, removed)
         expired = self._mndp_queue.expire(self._sim.now)
         if expired:
-            self._count(_names.RETRY_MNDP_EXPIRED, expired)
+            self._metrics.inc(_names.RETRY_MNDP_EXPIRED, expired)
         cutoff = self._sim.now - MNDP_TTL
         stale_keys = [
             key
@@ -1063,7 +1034,7 @@ class JRSNDNode:
             del self._mndp_seen[key]
             self._mndp_return_route.pop(key, None)
         if stale_keys:
-            self._count(_names.RETRY_MNDP_STATE_PRUNED, len(stale_keys))
+            self._metrics.inc(_names.RETRY_MNDP_STATE_PRUNED, len(stale_keys))
         return removed
 
     def start_session_gc(self, interval: float):
@@ -1165,9 +1136,9 @@ class JRSNDNode:
             if peer == self.node_id:
                 return
             if self._mndp_queue.push(peer, frame, self._sim.now):
-                self._count(_names.RETRY_MNDP_QUEUED)
+                self._metrics.inc(_names.RETRY_MNDP_QUEUED)
             else:
-                self._count(_names.RETRY_MNDP_QUEUE_DROPPED)
+                self._metrics.inc(_names.RETRY_MNDP_QUEUE_DROPPED)
             return
         bits = frame.wire_bits(self.config) if hasattr(
             frame, "wire_bits"
@@ -1215,14 +1186,14 @@ class JRSNDNode:
         # Verify the whole chain: one t_ver per signature.
         n_sigs = 1 + len(request.extensions)
         yield Timeout(n_sigs * self.config.t_ver)
-        self._trace.increment(_names.MNDP_VERIFICATIONS, n_sigs)
+        self._metrics.inc(_names.MNDP_VERIFICATIONS, n_sigs)
         if not validate_request_chain(request, self._scheme):
-            self._trace.increment(_names.MNDP_INVALID_REQUESTS)
+            self._metrics.inc(_names.MNDP_INVALID_REQUESTS)
             return
         relay = request.path_nodes()[-1]
         if relay != self.node_id and relay not in self._logical:
             # The last hop must be our own logical neighbor.
-            self._trace.increment(_names.MNDP_INVALID_REQUESTS)
+            self._metrics.inc(_names.MNDP_INVALID_REQUESTS)
             return
         self._mndp_return_route[key] = relay
         source = request.source
@@ -1232,7 +1203,7 @@ class JRSNDNode:
             known.add(extension.node)
         if source != self.node_id and source not in self._logical:
             if self._gps_filtered(request):
-                self._trace.increment(_names.MNDP_GPS_FILTERED)
+                self._metrics.inc(_names.MNDP_GPS_FILTERED)
             else:
                 yield from self._respond_to_mndp(request, relay)
         if request.hops_traversed < request.hop_budget:
@@ -1364,9 +1335,9 @@ class JRSNDNode:
     ) -> Iterator[object]:
         n_sigs = 1 + len(response.extensions)
         yield Timeout(n_sigs * self.config.t_ver)
-        self._trace.increment(_names.MNDP_VERIFICATIONS, n_sigs)
+        self._metrics.inc(_names.MNDP_VERIFICATIONS, n_sigs)
         if not validate_response_chain(response, self._scheme):
-            self._trace.increment(_names.MNDP_INVALID_RESPONSES)
+            self._metrics.inc(_names.MNDP_INVALID_RESPONSES)
             return
         if response.source != self.node_id:
             # Relay back along the recorded reverse route.
@@ -1463,8 +1434,8 @@ class JRSNDNode:
         session.state = SessionState.ESTABLISHED
         session.established_at = self._sim.now
         self._add_logical(peer, tx.sender, via_mndp=True)
-        self._trace.sample(
-            "mndp.latency", self._sim.now - session.started_at
+        self._metrics.observe(
+            _names.MNDP_LATENCY, self._sim.now - session.started_at
         )
 
     def _on_mndp_confirm(self, confirm: Confirm, tx: Transmission) -> None:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import JRSNDConfig
+from repro.obs import current as _metrics
 from repro.obs import names as _names
 from repro.experiments.scenarios import build_event_network
 from repro.faults import (
@@ -40,7 +41,8 @@ __all__ = ["ChaosReport", "default_chaos_plan", "run_chaos"]
 
 @dataclass(frozen=True)
 class ChaosReport:
-    """Outcome of one chaos soak."""
+    """Outcome of one chaos soak; ``counters`` are the network's
+    (``net.metrics``: node and ``faults.*`` counts alike)."""
 
     seed: int
     duration: float
@@ -49,8 +51,7 @@ class ChaosReport:
     logical_links: int
     sessions_gced: int
     violations: Tuple[InvariantViolation, ...]
-    fault_counters: Dict[str, int]
-    trace_counters: Dict[str, int]
+    counters: Dict[str, int]
 
     @property
     def ok(self) -> bool:
@@ -64,25 +65,17 @@ class ChaosReport:
             f"events={self.events} links={self.logical_links}",
             f"sessions gc'd: {self.sessions_gced}",
         ]
-        if self.fault_counters:
-            injected = ", ".join(
-                f"{name.split('.', 1)[1]}={value}"
-                for name, value in sorted(self.fault_counters.items())
+        for label, prefix in (
+            ("faults injected", _names.FAULTS_PREFIX),
+            ("recovery", _names.RETRY_PREFIX),
+        ):
+            counts = ", ".join(
+                f"{name[len(prefix):]}={value}"
+                for name, value in sorted(self.counters.items())
+                if name.startswith(prefix)
             )
-            lines.append(f"faults injected: {injected}")
-        retry = {
-            name: value
-            for name, value in sorted(self.trace_counters.items())
-            if name.startswith(_names.RETRY_PREFIX)
-        }
-        if retry:
-            lines.append(
-                "recovery: "
-                + ", ".join(
-                    f"{name.split('.', 1)[1]}={value}"
-                    for name, value in retry.items()
-                )
-            )
+            if counts:
+                lines.append(f"{label}: {counts}")
         if self.violations:
             lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
             lines.extend(f"  {violation}" for violation in self.violations)
@@ -171,7 +164,9 @@ def run_chaos(
     The network runs randomized periodic discovery and the per-node
     session GC for ``duration`` simulated seconds, then a final GC
     sweep precedes the invariant audit so only genuinely wedged state
-    can fail the session checks.
+    can fail the session checks.  The network's registry is then
+    absorbed once into the installed :mod:`repro.obs` registry, which is
+    how ``--metrics-out`` receives the soak's counters.
     """
     if plan is None:
         plan = default_chaos_plan(config, seed=seed, duration=duration)
@@ -185,7 +180,9 @@ def run_chaos(
     for node in net.nodes:
         node.gc_stale_sessions()
     checker.check_network(net)
-    counters = dict(net.trace.counters())
+    snapshot = net.metrics.snapshot()
+    _metrics().absorb(snapshot)
+    counters = dict(snapshot.counters)
     return ChaosReport(
         seed=seed,
         duration=duration,
@@ -194,6 +191,5 @@ def run_chaos(
         logical_links=len(net.logical_pairs()),
         sessions_gced=counters.get(_names.RETRY_SESSIONS_GCED, 0),
         violations=tuple(checker.violations),
-        fault_counters=dict(getattr(plan, "counters", {})),
-        trace_counters=counters,
+        counters=counters,
     )

@@ -20,12 +20,12 @@ from repro.crypto.identity import TrustedAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.dsss.spread_code import CodePool
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry
 from repro.predistribution.authority import CodeAssignment, PreDistributor
 from repro.sim.engine import Simulator
 from repro.sim.field import Position, RectangularField
 from repro.sim.medium import RadioMedium
 from repro.sim.mobility import uniform_positions
-from repro.sim.trace import TraceRecorder
 from repro.utils.rng import SeedSequencer
 
 __all__ = [
@@ -114,14 +114,18 @@ def preset_config(name: str) -> JRSNDConfig:
 
 @dataclass
 class EventNetwork:
-    """A fully wired event-driven JR-SND deployment."""
+    """A fully wired event-driven JR-SND deployment.
+
+    ``metrics`` is the network's one registry: every count and latency
+    sample its nodes and fault plan record lands there exactly once.
+    """
 
     config: JRSNDConfig
     simulator: Simulator
     field: RectangularField
     medium: RadioMedium
     nodes: List[JRSNDNode]
-    trace: TraceRecorder
+    metrics: MetricsRegistry
     pool: CodePool
     assignment: CodeAssignment
     authority: TrustedAuthority
@@ -150,7 +154,6 @@ def build_event_network(
     seed: int,
     positions: Optional[Sequence[Position]] = None,
     jammer_strategy: Optional[JammerStrategy] = None,
-    keep_trace_events: bool = True,
     link_model=None,
     faults=None,
 ) -> EventNetwork:
@@ -176,11 +179,13 @@ def build_event_network(
         disk.
     faults:
         Optional :class:`repro.sim.medium.FaultHook` (typically a
-        :class:`repro.faults.FaultPlan`) injected into the medium;
-        ``None`` keeps the legacy fault-free delivery path.
+        :class:`repro.faults.FaultPlan`) injected into the medium and
+        counting into the network's ``metrics``; ``None`` keeps the
+        legacy fault-free delivery path.
     """
     seeds = SeedSequencer(seed)
     simulator = Simulator()
+    metrics = MetricsRegistry()
     field = RectangularField(
         config.field_width, config.field_height, config.tx_range
     )
@@ -191,8 +196,8 @@ def build_event_network(
         link_model=link_model,
         link_rng=seeds.rng("links"),
         faults=faults,
+        metrics=metrics,
     )
-    trace = TraceRecorder(keep_events=keep_trace_events)
 
     pool = CodePool.generate(
         config.pool_size, config.code_length, seeds.rng("pool-seed").integers(0, 2**31)
@@ -229,7 +234,7 @@ def build_event_network(
             medium=medium,
             scheme=scheme,
             rng=seeds.rng(f"node-{index}"),
-            trace=trace,
+            metrics=metrics,
             position=tuple(positions[index]),
         )
         node.start()
@@ -252,7 +257,7 @@ def build_event_network(
         field=field,
         medium=medium,
         nodes=nodes,
-        trace=trace,
+        metrics=metrics,
         pool=pool,
         assignment=assignment,
         authority=authority,
@@ -300,7 +305,7 @@ def admit_node(
         medium=network.medium,
         scheme=scheme,
         rng=seeds.rng(f"node-{index}"),
-        trace=network.trace,
+        metrics=network.metrics,
         position=tuple(position),
     )
     node.start()

@@ -25,7 +25,9 @@ any other random stream — and a :class:`NullFaultPlan` (or a plan with
 no injectors) is bit-identical to running with no plan at all.
 
 Everything the layer does is visible as ``faults.*`` counters in the
-installed :mod:`repro.obs` registry and on ``FaultPlan.counters``.
+registry the plan is bound with — an event network's ``metrics``, which
+:func:`~repro.experiments.chaos.run_chaos` absorbs into the installed
+:mod:`repro.obs` registry.
 
 A second, *execution-plane* family (:mod:`repro.faults.execution`)
 targets the worker-pool supervisor instead of the channel: a seeded

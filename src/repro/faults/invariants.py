@@ -147,10 +147,11 @@ class InvariantChecker:
 
     def _check_counter_conservation(self, net: "EventNetwork") -> None:
         links = sum(len(node.logical_neighbors) for node in net.nodes)
-        established = net.trace.counter(
+        metrics = net.metrics
+        established = metrics.counter(
             _names.DNDP_ESTABLISHED
-        ) + net.trace.counter(_names.MNDP_ESTABLISHED)
-        expired = net.trace.counter(_names.NEIGHBORS_EXPIRED)
+        ) + metrics.counter(_names.MNDP_ESTABLISHED)
+        expired = metrics.counter(_names.NEIGHBORS_EXPIRED)
         if links != established - expired:
             self._record(
                 "counter-conservation",

@@ -18,11 +18,11 @@ reproducible and never touches the simulation's other rng streams.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs import current as _metrics
+from repro.obs import NULL, MetricsRegistry
 from repro.obs import names as _names
 from repro.sim.engine import Simulator
 from repro.sim.medium import RadioMedium, Transmission
@@ -96,7 +96,7 @@ class FaultPlan:
         self._injectors: Tuple[FaultInjector, ...] = tuple(injectors)
         self._seed = int(seed)
         self._bound = False
-        self.counters: Dict[str, int] = {}
+        self._metrics: MetricsRegistry = NULL
 
     @property
     def injectors(self) -> Tuple[FaultInjector, ...]:
@@ -104,19 +104,19 @@ class FaultPlan:
         return self._injectors
 
     def count(self, name: str, amount: int = 1) -> None:
-        """Record one fault event locally and in the obs registry."""
-        self.counters[name] = self.counters.get(name, 0) + int(amount)
-        registry = _metrics()
-        if registry.enabled:
-            registry.inc(name, amount)
+        """Count one fault event into the registry the plan is bound
+        with (nothing is kept before :meth:`bind`)."""
+        self._metrics.inc(name, amount)
 
     # -- FaultHook protocol ---------------------------------------------
 
-    def bind(self, simulator: Simulator) -> None:
-        """Attach to a simulator: each injector gets its child stream."""
+    def bind(self, simulator: Simulator, metrics: MetricsRegistry) -> None:
+        """Attach to a simulator and the registry the plan counts into;
+        each injector gets its child stream."""
         if self._bound:
             return
         self._bound = True
+        self._metrics = metrics
         seeds = SeedSequencer(self._seed).child("faults")
         for position, injector in enumerate(self._injectors):
             injector.bind(
@@ -155,12 +155,6 @@ class FaultPlan:
         actions = [delay]
         actions.extend(delay + max(0.0, offset) for offset in extra)
         return actions
-
-    def node_alive(self, node: int, now: float) -> bool:
-        """Whether every injector considers ``node`` up at ``now``."""
-        return all(
-            injector.alive(node, now) for injector in self._injectors
-        )
 
     def __repr__(self) -> str:
         names = ", ".join(i.name for i in self._injectors) or "empty"

@@ -34,6 +34,7 @@ __all__ = [
     "CONSTANT_FOR",
     "DYNAMIC_PATTERNS",
     "NAME_PATTERN",
+    "FAULTS_PREFIX",
     "RETRY_PREFIX",
     "cache_hits",
     "cache_misses",
@@ -83,6 +84,7 @@ DNDP_ESTABLISHED = "dndp.established"
 DNDP_RESPONDER_TIMEOUT = "dndp.responder_timeout"
 DNDP_BAD_MAC_IGNORED = "dndp.bad_mac_ignored"
 DNDP_REPLAYS_DROPPED = "dndp.replays_dropped"
+DNDP_LATENCY = "dndp.latency"  # event-driven handshake latency (s)
 
 # -- M-NDP (multi-hop recovery) ----------------------------------------
 
@@ -95,6 +97,7 @@ MNDP_VERIFICATIONS = "mndp.verifications"
 MNDP_INVALID_REQUESTS = "mndp.invalid_requests"
 MNDP_INVALID_RESPONSES = "mndp.invalid_responses"
 MNDP_GPS_FILTERED = "mndp.gps_filtered"
+MNDP_LATENCY = "mndp.latency"  # event-driven recovery latency (s)
 
 # -- revocation / DoS defence ------------------------------------------
 
@@ -121,6 +124,7 @@ RETRY_SESSIONS_GCED = "retry.sessions_gced"
 
 # -- fault injection ---------------------------------------------------
 
+FAULTS_PREFIX = "faults."
 FAULTS_BURST_JAMMED = "faults.burst_jammed"
 FAULTS_TX_SUPPRESSED = "faults.tx_suppressed"
 FAULTS_RX_CRASHED = "faults.rx_crashed"

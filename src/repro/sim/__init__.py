@@ -4,9 +4,10 @@ The authors evaluated JR-SND with a private C++ simulator; this package
 is its Python equivalent: a generator-based discrete-event kernel
 (:mod:`repro.sim.engine`), 2-D field geometry with neighbor queries
 (:mod:`repro.sim.field`), node placement and mobility models
-(:mod:`repro.sim.mobility`), a code-addressed radio medium operating at
-message granularity (:mod:`repro.sim.medium`), and tracing utilities
-(:mod:`repro.sim.trace`).
+(:mod:`repro.sim.mobility`), and a code-addressed radio medium operating
+at message granularity (:mod:`repro.sim.medium`).  Counts and latency
+samples go to :mod:`repro.obs`: an event network's nodes and fault plan
+record into the network's own registry.
 """
 
 from repro.sim.engine import Event, Process, Simulator, Timeout
@@ -22,7 +23,6 @@ from repro.sim.mobility import (
     StaticPlacement,
     uniform_positions,
 )
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -39,5 +39,4 @@ __all__ = [
     "LogNormalShadowingModel",
     "RadioMedium",
     "Transmission",
-    "TraceRecorder",
 ]

@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.ecc.codec import erasure_tolerance
 from repro.errors import SimulationError
+from repro.obs import NULL, MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.field import Position, RectangularField
 from repro.sim.links import DiskLinkModel, LinkModel
@@ -109,8 +110,9 @@ class FaultHook(Protocol):
 
     enabled: bool
 
-    def bind(self, simulator: Simulator) -> None:
-        """Called once when the medium is constructed."""
+    def bind(self, simulator: Simulator, metrics: MetricsRegistry) -> None:
+        """Called once when the medium is constructed; the hook counts
+        what it injects into ``metrics``."""
 
     def on_transmit(self, tx: Transmission, medium: "RadioMedium") -> bool:
         """Inspect (and possibly jam) a starting transmission.
@@ -146,6 +148,9 @@ class RadioMedium:
         :class:`repro.faults.plan.FaultPlan`).  ``None`` (the default)
         and a disabled hook are byte-identical to the un-hooked medium:
         deliveries stay synchronous and no fault randomness is drawn.
+    metrics:
+        The registry ``faults`` counts into (the owning network's; the
+        default :data:`~repro.obs.NULL` discards the counts).
     """
 
     def __init__(
@@ -156,6 +161,7 @@ class RadioMedium:
         link_model: Optional[LinkModel] = None,
         link_rng: Optional[np.random.Generator] = None,
         faults: Optional[FaultHook] = None,
+        metrics: MetricsRegistry = NULL,
     ) -> None:
         self._simulator = simulator
         self._field = field_
@@ -178,13 +184,12 @@ class RadioMedium:
             int, Tuple[Callable[[], Position], Dict[CodeKey, DeliveryCallback]]
         ] = {}
         self._jammers: List[JammerObserver] = []
-        self._active: List[Transmission] = []
         self.delivered_count = 0
         self.jammed_count = 0
         self.fault_suppressed_count = 0
         self._faults = faults
         if faults is not None:
-            faults.bind(simulator)
+            faults.bind(simulator, metrics)
 
     @property
     def tolerance(self) -> float:
@@ -253,7 +258,6 @@ class RadioMedium:
             # Crashed/churned-out sender: the radio never keys up.
             self.fault_suppressed_count += 1
             return tx
-        self._active.append(tx)
         for jammer in self._jammers:
             jammer.on_transmission(tx, self)
         self._simulator.call_at(tx.end, self._complete, tx)
@@ -283,7 +287,6 @@ class RadioMedium:
         return True
 
     def _complete(self, tx: Transmission) -> None:
-        self._active.remove(tx)
         lost = tx.jammed_fraction() > self._tolerance
         if lost:
             self.jammed_count += 1
@@ -331,10 +334,6 @@ class RadioMedium:
             return
         self.delivered_count += 1
         callback(tx)
-
-    def active_transmissions(self) -> List[Transmission]:
-        """Transmissions currently on the air."""
-        return list(self._active)
 
     def _require_node(self, node: int) -> None:
         if node not in self._listeners:

@@ -57,14 +57,14 @@ class TestGpsFiltering:
         """With GPS on, node 2 drops node 0's request before doing the
         expensive key derivation / beaconing."""
         net = _run_line_topology(use_gps=True)
-        assert net.trace.counter("mndp.gps_filtered") >= 1
+        assert net.metrics.counter("mndp.gps_filtered") >= 1
         assert (0, 2) not in net.logical_pairs()
 
     def test_without_gps_wasted_work_but_same_outcome(self):
         """Without GPS, the confirmation exchange still prevents the
         false positive — at the cost of wasted responses/beacons."""
         net = _run_line_topology(use_gps=False)
-        assert net.trace.counter("mndp.gps_filtered") == 0
+        assert net.metrics.counter("mndp.gps_filtered") == 0
         assert (0, 2) not in net.logical_pairs()
 
     def test_gps_does_not_block_true_neighbors(self, small_config):
@@ -181,7 +181,7 @@ class TestWireFidelity:
         plain = run(False)
         wired = run(True)
         assert wired.logical_pairs() == plain.logical_pairs()
-        assert wired.trace.counter("wire.undecodable") == 0
+        assert wired.metrics.counter("wire.undecodable") == 0
 
     def test_frames_actually_on_the_air(self, small_config):
         """In wire mode the medium carries Frame objects, not the

@@ -52,9 +52,9 @@ class TestDNDPEvent:
     def test_latencies_recorded(self, small_config):
         net = build_event_network(small_config, seed=11)
         _run_dndp(net)
-        samples = net.trace.samples("dndp.latency")
-        assert samples
-        assert all(latency > 0 for latency in samples)
+        latency = net.metrics.snapshot().histograms["dndp.latency"]
+        assert latency.count
+        assert latency.minimum > 0
 
     def test_out_of_range_nodes_not_discovered(self, small_config):
         config = small_config.replace(
@@ -100,7 +100,7 @@ class TestMNDPEvent:
         net = build_event_network(small_config, seed=0)
         _run_dndp(net)
         _run_mndp(net, nu=2)
-        counters = net.trace.counters()
+        counters = net.metrics.snapshot().counters
         assert counters.get("mndp.verifications", 0) > 0
 
     def test_outcome_totals(self, small_config):
@@ -175,7 +175,7 @@ class TestDoSEvent:
         gamma = small_config.revocation_gamma
         _inject_fakes(net, victim, attacker_code, gamma + 3)
         assert attacker_code in victim.revocation.revoked
-        assert net.trace.counter("revocation.codes_revoked") >= 1
+        assert net.metrics.counter("revocation.codes_revoked") >= 1
         # Victim no longer receives anything under the revoked code.
         assert not net.medium.is_listening(victim.index, attacker_code)
 
@@ -191,8 +191,8 @@ class TestDoSEvent:
         _inject_fakes(
             net, victim, code, 5 * (small_config.revocation_gamma + 1)
         )
-        assert net.trace.counter("dos.verifications") >= 1
-        assert net.trace.counter("dos.verifications") <= holders * (
+        assert net.metrics.counter("dos.verifications") >= 1
+        assert net.metrics.counter("dos.verifications") <= holders * (
             small_config.revocation_gamma + 1
         )
 

@@ -63,7 +63,7 @@ class TestNodeExpiry:
         expired = node.expire_stale_neighbors(threshold=50.0)
         assert len(expired) == before
         assert not node.logical_neighbors
-        assert net.trace.counter("neighbors.expired") >= before
+        assert net.metrics.counter("neighbors.expired") >= before
 
     def test_keepalive_prevents_expiry(self, small_config):
         net = self._discovered_network(small_config)

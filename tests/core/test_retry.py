@@ -110,10 +110,10 @@ class TestAuthRetransmission:
         net.simulator.run(until=30.0)
         assert injector.dropped > 0
         assert len(net.logical_pairs()) == 1
-        assert net.trace.counter("retry.auth_retransmits") >= 1
+        assert net.metrics.counter("retry.auth_retransmits") >= 1
         # The responder re-answered the duplicate AUTH_REQUEST instead
         # of replay-dropping it.
-        assert net.trace.counter("retry.auth_response_retransmits") >= 1
+        assert net.metrics.counter("retry.auth_response_retransmits") >= 1
         for node in net.nodes:
             for session in node.sessions().values():
                 assert session.state is SessionState.ESTABLISHED
@@ -130,7 +130,7 @@ class TestAuthRetransmission:
         for node in net.nodes:
             node.initiate_dndp()
         net.simulator.run(until=60.0)
-        assert net.trace.counter("retry.sessions_failed") >= 1
+        assert net.metrics.counter("retry.sessions_failed") >= 1
         failed = [
             (node, session)
             for node in net.nodes
@@ -178,8 +178,8 @@ class TestAuthRetransmission:
         for node in net.nodes:
             node.initiate_dndp()
         net.simulator.run(until=60.0)
-        assert net.trace.counter("retry.auth_retransmits") == 0
-        assert net.trace.counter("retry.sessions_failed") == 0
+        assert net.metrics.counter("retry.auth_retransmits") == 0
+        assert net.metrics.counter("retry.sessions_failed") == 0
         states = {
             session.state
             for node in net.nodes

@@ -9,6 +9,7 @@ bit-identical to a run with no plan attached at all.
 
 import pytest
 
+from repro.experiments import chaos
 from repro.experiments.chaos import (
     chaos_config,
     default_chaos_plan,
@@ -20,6 +21,15 @@ from repro.faults import (
     InvariantChecker,
     NullFaultPlan,
 )
+from repro.obs import MetricsRegistry, installed
+
+
+def _fault_counts(report):
+    return {
+        name: value
+        for name, value in report.counters.items()
+        if name.startswith("faults.")
+    }
 
 
 def _run_fingerprint(config, seed, faults):
@@ -34,7 +44,7 @@ def _run_fingerprint(config, seed, faults):
     net.simulator.run(until=start + 100.0)
     return (
         net.logical_pairs(),
-        dict(net.trace.counters()),
+        dict(net.metrics.snapshot().counters),
         net.medium.delivered_count,
         net.medium.jammed_count,
         [node.outcome() for node in net.nodes],
@@ -55,7 +65,7 @@ class TestChaosSoak:
         assert report.violations == ()
         assert report.events > 0
         # The plan actually did something hostile.
-        assert sum(plan.counters.values()) > 0
+        assert _fault_counts(report)
 
     def test_null_plan_bit_identical_to_no_plan(self):
         """NullFaultPlan (the disabled default) must not perturb one
@@ -89,7 +99,43 @@ class TestChaosSoak:
         assert report.ok is (report.terminated and not report.violations)
         lines = report.summary_lines()
         assert any("chaos soak" in line for line in lines)
-        assert report.fault_counters  # the mix injected something
+        assert _fault_counts(report)  # the mix injected something
+
+
+class TestOneCounterStore:
+    def test_network_counts_reach_installed_registry_once(
+        self, monkeypatch
+    ):
+        """The network's nodes and fault plan count into one registry,
+        and ``run_chaos`` hands it to the installed one exactly once."""
+        nets = []
+
+        def capture(*args, **kwargs):
+            nets.append(build_event_network(*args, **kwargs))
+            return nets[-1]
+
+        monkeypatch.setattr(chaos, "build_event_network", capture)
+        with installed(MetricsRegistry()) as registry:
+            report = run_chaos(chaos_config(), seed=2011, duration=10.0)
+        counters = registry.snapshot().counters
+        prefixes = ("dndp.", "mndp.", "retry.", "faults.")
+
+        def event_counts(source):
+            return {
+                name: value
+                for name, value in source.items()
+                if name.startswith(prefixes)
+            }
+
+        assert event_counts(counters) == event_counts(report.counters)
+        assert counters["dndp.established"] == 14
+        assert counters["mndp.established"] == 4
+        directed = sum(len(node.logical_neighbors) for node in nets[0].nodes)
+        assert directed == (
+            counters["dndp.established"]
+            + counters["mndp.established"]
+            - counters.get("neighbors.expired", 0)
+        )
 
 
 class TestInvariantChecker:

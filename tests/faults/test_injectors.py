@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry
 from repro.faults import (
     BurstJammer,
     ClockSkew,
@@ -54,11 +55,13 @@ class TestBurstJammer:
     def test_overlap_fraction_jams_matching_share(self):
         jammer = BurstJammer([(0.5, 0.75)])
         plan = FaultPlan([jammer], seed=1)
+        metrics = MetricsRegistry()
+        plan.bind(None, metrics)
         medium = _StubMedium()
         tx = _StubTx(start=0.0, end=1.0)
         jammer.on_transmit(tx, medium, plan)
         assert medium.jams == [(7, pytest.approx(0.25))]
-        assert plan.counters["faults.burst_jammed"] == 1
+        assert metrics.counter("faults.burst_jammed") == 1
 
     def test_no_overlap_no_jam(self):
         jammer = BurstJammer([(5.0, 6.0)])
@@ -155,35 +158,38 @@ class TestFaultPlan:
     def test_dead_sender_suppresses_transmission(self):
         churn = NodeChurn([(0, 0.0, 10.0)])
         plan = FaultPlan([churn], seed=0)
-        plan.bind(None)
+        metrics = MetricsRegistry()
+        plan.bind(None, metrics)
         assert not plan.on_transmit(_StubTx(sender=0, start=5.0), None)
-        assert plan.counters["faults.tx_suppressed"] == 1
+        assert metrics.counter("faults.tx_suppressed") == 1
         assert plan.on_transmit(_StubTx(sender=1, start=5.0), None)
 
     def test_dead_receiver_drops_delivery(self):
         churn = NodeChurn([(3, 0.0, 10.0)])
         plan = FaultPlan([churn], seed=0)
-        plan.bind(None)
+        metrics = MetricsRegistry()
+        plan.bind(None, metrics)
         assert plan.delivery_actions(_StubTx(), 3, 5.0) == ()
-        assert plan.counters["faults.rx_crashed"] == 1
+        assert metrics.counter("faults.rx_crashed") == 1
 
     def test_delays_compose_additively(self):
         plan = FaultPlan(
             [ClockSkew(max_skew=1e-3), Duplicator(1.0, gap=0.5)],
             seed=2,
         )
-        plan.bind(None)
+        metrics = MetricsRegistry()
+        plan.bind(None, metrics)
         actions = plan.delivery_actions(_StubTx(), 0, 0.0)
         assert len(actions) == 2
         lag = actions[0]
         assert 0.0 <= lag <= 1e-3
         assert actions[1] == pytest.approx(lag + 0.5)
-        assert plan.counters["faults.duplicated"] == 1
+        assert metrics.counter("faults.duplicated") == 1
 
     def test_same_seed_same_draws(self):
         def sample(seed):
             plan = FaultPlan([MessageDrop(0.5)], seed=seed)
-            plan.bind(None)
+            plan.bind(None, MetricsRegistry())
             return [
                 plan.delivery_actions(_StubTx(), 0, 0.0)
                 for _ in range(64)

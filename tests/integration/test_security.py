@@ -65,7 +65,7 @@ class TestImpersonation:
         net.simulator.run(until=net.simulator.now + 1.0)
 
         assert claimed not in victim.logical_neighbors
-        assert net.trace.counter("dndp.bad_mac_ignored") >= 1
+        assert net.metrics.counter("dndp.bad_mac_ignored") >= 1
 
     def test_confirm_spoofing_cannot_complete(self, small_config):
         """Spoofed CONFIRMs make the victim start the handshake, but it
@@ -143,7 +143,7 @@ class TestEventDoS:
         injector.start(interval=2e-3, count=3000)
         net.simulator.run()
         assert injector.injected == 3000
-        verifications = net.trace.counter("dos.verifications")
+        verifications = net.metrics.counter("dos.verifications")
         assert verifications > 0
         # Containment: every holder revokes after gamma + 1, so the
         # total wasted work across all victims is bounded.

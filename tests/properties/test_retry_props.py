@@ -76,7 +76,7 @@ def _fingerprint(config, seed):
     net.simulator.run(until=start + 60.0)
     return (
         net.logical_pairs(),
-        dict(net.trace.counters()),
+        dict(net.metrics.snapshot().counters),
         net.medium.delivered_count,
         net.medium.jammed_count,
         [node.outcome() for node in net.nodes],
