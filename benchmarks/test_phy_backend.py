@@ -1,21 +1,23 @@
-"""PHY backend bench: the analytic chipless sweep vs the chip reference.
+"""PHY bench: the analytic chipless sweep vs the chip reference.
 
-Two gates:
+The chip-level reference is a test oracle
+(:class:`repro.oracles.ChipPairPHY`), not a runtime backend.  Two gates:
 
 1. **Paper-scale speedup.**  The full Table I 2000-node point runs end
    to end on ``phy_backend="chipless"`` (every pair decided by the
    closed-form sweep).  The chip-level reference cost for the same
    point is measured on a subsample of the point's actual pairs (same
-   placement, assignment, compromise, and jamming state) and
-   extrapolated to the full pair count — running all ~20k pairs through
-   real waveform synthesis and sliding-window re-synchronization takes
-   minutes, which is exactly the point.  Asserts a 10x speedup
-   (trivially exceeded; relaxed further in smoke mode).
+   placement, assignment, compromise, and jamming state, rebuilt by
+   :func:`repro.oracles.run_point_state`) and extrapolated to the full
+   pair count — running all ~20k pairs through real waveform synthesis
+   and sliding-window re-synchronization takes minutes, which is
+   exactly the point.  Asserts a 10x speedup (trivially exceeded;
+   relaxed further in smoke mode).
 
 2. **Distribution identity.**  At ``phy_noise_std = 0`` the chip and
-   chipless backends consume identical rng streams and must produce
-   bit-for-bit identical pair outcomes — the gate that makes the
-   speedup legitimate (same random variable, cheaper evaluation).
+   chipless per-draw PHYs consume identical rng streams and must
+   produce bit-for-bit identical pair outcomes — the gate that makes
+   the speedup legitimate (same random variable, cheaper evaluation).
 
 Results land in ``--bench-json`` (see ``conftest``) for CI artifacts;
 the committed root-level ``BENCH_phy.json`` holds a full (non-smoke)
@@ -32,56 +34,15 @@ import time
 
 import numpy as np
 
-from repro.adversary.compromise import CompromiseModel
 from repro.adversary.jammer import JammerStrategy, JammingModel
 from repro.core.config import JRSNDConfig
-from repro.core.dndp import DNDPSampler
-from repro.dsss.phy import make_pair_phy
 from repro.dsss.spread_code import CodePool
 from repro.experiments.runner import NetworkExperiment
-from repro.predistribution.authority import PreDistributor
-from repro.sim.field import RectangularField
-from repro.sim.mobility import uniform_positions
-from repro.utils.rng import SeedSequencer
+from repro.oracles import make_pair_phy, run_point_state
 
 
 def _smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE", "0") not in ("", "0")
-
-
-def _point_state(config: JRSNDConfig, seed: int):
-    """Replicate run 0's field snapshot exactly as the runner builds it
-    (same seed labels), so the chip subsample times the *same* point the
-    chipless sweep executes."""
-    seeds = SeedSequencer(seed).child("run-0")
-    field = RectangularField(
-        config.field_width, config.field_height, config.tx_range
-    )
-    positions = uniform_positions(
-        field, config.n_nodes, seeds.rng("placement")
-    )
-    pairs = [tuple(pair) for pair in field.neighbor_pairs(positions).tolist()]
-    distributor = PreDistributor(
-        config.n_nodes, config.codes_per_node, config.share_count
-    )
-    assignment = distributor.assign(seeds.rng("assignment"))
-    compromise = CompromiseModel(assignment).compromise_random(
-        config.n_compromised, seeds.rng("compromise")
-    )
-    jamming = JammingModel.from_compromise(
-        JammerStrategy.REACTIVE,
-        compromise,
-        config.z_jamming_signals,
-        config.mu,
-    )
-    return pairs, assignment, jamming
-
-
-def _shared_codes(assignment, pair):
-    a, b = pair
-    return sorted(
-        set(assignment.node_codes[a]) & set(assignment.node_codes[b])
-    )
 
 
 def test_chipless_speedup_at_paper_scale(benchmark, seed, bench_record):
@@ -110,21 +71,19 @@ def test_chipless_speedup_at_paper_scale(benchmark, seed, bench_record):
         n_pairs = result.runs[0].n_pairs
 
         # Chip reference on a subsample of the same point's pairs.
-        pairs, assignment, jamming = _point_state(config, seed)
+        pairs, assignment, jamming, _ = run_point_state(config, seed)
         assert len(pairs) == n_pairs
         pool = CodePool.generate(
             assignment.pool_size, config.code_length, seed
         )
-        chip_config = config.replace(phy_backend="chip")
-        phy = make_pair_phy("chip", chip_config, jamming, pool=pool)
-        sampler = DNDPSampler(chip_config, jamming, phy=phy)
+        phy = make_pair_phy("chip", config, jamming, pool=pool)
         rng = np.random.default_rng(seed)
         sample = pairs[:: max(1, len(pairs) // subsample)][:subsample]
         # Warm the waveform/synchronizer caches out of the timed region.
-        sampler.sample_pair(_shared_codes(assignment, sample[0]), rng)
+        phy.sample_pair(assignment.shared_codes(*sample[0]), rng)
         start = time.perf_counter()
-        for pair in sample:
-            sampler.sample_pair(_shared_codes(assignment, pair), rng)
+        for a, b in sample:
+            phy.sample_pair(assignment.shared_codes(a, b), rng)
         chip_sub_t = time.perf_counter() - start
         chip_t = chip_sub_t / len(sample) * n_pairs
         return chipless_t, chip_t, n_pairs, len(sample), result
@@ -160,7 +119,7 @@ def test_chipless_speedup_at_paper_scale(benchmark, seed, bench_record):
 def test_chip_chipless_distribution_identity(seed, bench_record):
     """The speedup gate's legitimacy: identical outcomes at sigma = 0.
 
-    Both backends consume one shared rng stream contract, so with no
+    Both per-draw PHYs consume one shared rng stream contract, so with no
     noise every pair outcome (and every surviving-code set) must match
     bit for bit across a mixed bag of compromised and safe shared
     codes.
@@ -174,14 +133,8 @@ def test_chip_chipless_distribution_identity(seed, bench_record):
         mu=config.mu,
     )
     pool = CodePool.generate(n_codes, config.code_length, seed)
-    chip_sampler = DNDPSampler(
-        config, jamming,
-        phy=make_pair_phy("chip", config, jamming, pool=pool),
-    )
-    chipless_sampler = DNDPSampler(
-        config, jamming,
-        phy=make_pair_phy("chipless", config, jamming),
-    )
+    chip_phy = make_pair_phy("chip", config, jamming, pool=pool)
+    chipless_phy = make_pair_phy("chipless", config, jamming)
     pairs = 8 if _smoke() else 24
     rng_chip = np.random.default_rng(seed)
     rng_chipless = np.random.default_rng(seed)
@@ -189,16 +142,14 @@ def test_chip_chipless_distribution_identity(seed, bench_record):
     mismatches = 0
     for _ in range(pairs):
         shared = share_rng.choice(n_codes, size=4, replace=False)
-        chip = chip_sampler.sample_pair(
+        # (success, surviving codes) of each.
+        chip = chip_phy.sample_pair(
             [int(code) for code in shared], rng_chip
         )
-        chipless = chipless_sampler.sample_pair(
+        chipless = chipless_phy.sample_pair(
             [int(code) for code in shared], rng_chipless
         )
-        if (
-            chip.success != chipless.success
-            or chip.surviving_codes != chipless.surviving_codes
-        ):
+        if chip != chipless:
             mismatches += 1
     bench_record(
         "phy_chip_chipless_identity",
@@ -207,5 +158,5 @@ def test_chip_chipless_distribution_identity(seed, bench_record):
     )
     assert mismatches == 0, (
         f"{mismatches}/{pairs} pair outcomes diverged between the chip "
-        "and chipless backends at sigma = 0"
+        "and chipless PHYs at sigma = 0"
     )

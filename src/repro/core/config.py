@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.utils.validation import (
     check_fraction,
@@ -20,6 +22,14 @@ from repro.utils.validation import (
 )
 
 __all__ = ["JRSNDConfig", "default_config"]
+
+#: The value types each field annotation accepts.
+_KINDS = {
+    "int": numbers.Integral,
+    "float": numbers.Real,
+    "bool": (bool, np.bool_),
+    "str": str,
+}
 
 
 @dataclass(frozen=True)
@@ -91,22 +101,20 @@ class JRSNDConfig:
         Per-node bound on queued M-NDP frames; pushes beyond it are
         dropped (and counted) instead of growing without bound.
     phy_backend:
-        How the Monte Carlo experiments decide per-message outcomes:
-        ``"message"`` (default; the paper's per-message Bernoulli
-        model), ``"chip"`` (real waveforms on a
-        :class:`~repro.dsss.channel.ChipChannel`, recovered with the
-        sliding-window synchronizer), or ``"chipless"`` (the analytic
-        backend: identical outcomes computed in closed form from
-        correlation statistics, no chips materialised).  ``chip`` and
-        ``chipless`` consume identical rng streams and are
-        outcome-identical at ``phy_noise_std = 0``.
+        Which PHY model the Monte Carlo experiments decide D-NDP
+        outcomes with: ``"message"`` (default; the paper's per-message
+        Bernoulli model) or ``"chipless"`` (the chip model's
+        correlation statistics in closed form, no chips materialised;
+        :class:`~repro.dsss.phy.ChiplessModel`).  Its chip-level
+        reference, which builds real waveforms, is the test oracle
+        :class:`repro.oracles.ChipPairPHY`.
     phy_noise_std:
-        Per-chip AWGN sigma applied by the chip/chipless PHY backends
-        (0 = noiseless, the default).
+        Per-chip AWGN sigma of the chipless model (0 = noiseless, the
+        default).
     phy_jam_amplitude:
-        Jam power relative to the legitimate signal in the chip and
-        chipless backends.  2.0 (default) makes a disagreeing jam bit
-        flip the block decision; 1.0 cancels it into an erasure.
+        Jam power relative to the legitimate signal in the chipless
+        model.  2.0 (default) makes a disagreeing jam bit flip the
+        block decision; 1.0 cancels it into an erasure.
     """
 
     n_nodes: int = 2000
@@ -146,14 +154,14 @@ class JRSNDConfig:
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             # Annotations are strings under ``from __future__ import
-            # annotations``.  numpy integers register as Integral; bool
-            # does too, but a flag is no count.
-            if field.type == "int" and (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
+            # annotations``.  numpy scalars register as Integral/Real;
+            # bool does too, but only a bool field takes a flag.
+            flag = isinstance(value, _KINDS["bool"])
+            if flag != (field.type == "bool") or not isinstance(
+                value, _KINDS[field.type]
             ):
                 raise ConfigurationError(
-                    f"{field.name} must be an integer, got {value!r}"
+                    f"{field.name} must be {field.type}, got {value!r}"
                 )
         check_positive("n_nodes", self.n_nodes)
         check_positive("codes_per_node", self.codes_per_node)

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.adversary.jammer import JammingModel
 from repro.core.config import JRSNDConfig
-from repro.dsss.phy import PairPHY
 from repro.core.timing import ProtocolTiming
 from repro.crypto.identity import NodeId
 from repro.dsss.spread_code import SpreadCode
@@ -74,23 +73,11 @@ class DNDPSampler:
         Deployment parameters.
     jamming:
         The adversary's jamming model (strategy + compromised codes).
-    phy:
-        Optional pair-level PHY backend (chip or chipless).  When set,
-        per-message outcomes come from the PHY — acquisition plus decode
-        under the jam overlay — instead of the jamming model's
-        per-message Bernoulli draws; the jamming model still supplies
-        the jam geometry inside the PHY.
     """
 
-    def __init__(
-        self,
-        config: JRSNDConfig,
-        jamming: JammingModel,
-        phy: Optional["PairPHY"] = None,
-    ) -> None:
+    def __init__(self, config: JRSNDConfig, jamming: JammingModel) -> None:
         self._config = config
         self._jamming = jamming
-        self._phy = phy
         self._timing = ProtocolTiming(config)
 
     @property
@@ -117,14 +104,9 @@ class DNDPSampler:
         attack" defeats: the attacker spares HELLOs and concentrates on
         the later messages, likely hitting the one chosen code.
         """
-        phy = self._phy
         hello_survivors: List[int] = []
         for code in shared_codes:
-            if phy is not None:
-                delivered = phy.hello_received(code, rng)
-            else:
-                delivered = not self._jamming.message_jammed(code, rng)
-            if delivered:
+            if not self._jamming.message_jammed(code, rng):
                 hello_survivors.append(int(code))
         surviving: List[int] = []
         if redundancy:
@@ -135,11 +117,7 @@ class DNDPSampler:
         else:
             candidates = []
         for code in candidates:
-            if phy is not None:
-                delivered = phy.burst_received(code, rng)
-            else:
-                delivered = not self._jamming.burst_jammed(code, 3, rng)
-            if delivered:
+            if not self._jamming.burst_jammed(code, 3, rng):
                 surviving.append(code)
         success = bool(surviving)
         registry = _metrics()

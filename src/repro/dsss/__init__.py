@@ -20,10 +20,6 @@ from repro.dsss.modulation import BPSKModulator
 from repro.dsss.phy import (
     PHY_BACKENDS,
     ChiplessModel,
-    ChiplessPairPHY,
-    ChipPairPHY,
-    PairPHY,
-    make_pair_phy,
     message_success_probability,
 )
 from repro.dsss.receiver import (
@@ -54,11 +50,7 @@ __all__ = [
     "ScheduleWindow",
     "required_hello_rounds",
     "PHY_BACKENDS",
-    "PairPHY",
-    "ChipPairPHY",
-    "ChiplessPairPHY",
     "ChiplessModel",
-    "make_pair_phy",
     "message_success_probability",
     "BPSKModulator",
     "Frame",

@@ -1,76 +1,50 @@
-"""Pair-level PHY backends for the D-NDP Monte Carlo (the tentpole knob).
+"""The chipless PHY model: D-NDP outcomes from correlation statistics.
 
 The default experiment model (``phy_backend="message"``) decides every
 sub-session with the paper's per-*message* Bernoulli outcomes
-(:class:`repro.adversary.jammer.JammingModel`).  This module adds the two
-finer-grained backends below it:
+(:class:`repro.adversary.jammer.JammingModel`).  ``"chipless"`` decides
+them from the chip model's correlation arithmetic instead, without
+materialising a single chip.  With the legitimate NRZ bit ``b``, a
+same-code jam bit ``J`` at relative amplitude ``a``, and AWGN of
+per-chip sigma ``noise_std``, the normalized block correlation is
 
-- ``"chip"`` — the reference: every message is actually spread, placed on
-  a :class:`~repro.dsss.channel.ChipChannel` at a random chip offset,
-  overlaid with the jammer's same-code burst, rendered (optionally with
-  AWGN), and recovered with the real
-  :class:`~repro.dsss.synchronizer.SlidingWindowSynchronizer`;
+    corr = b + a * J + z,   z ~ N(0, noise_std / sqrt(N)),
 
-- ``"chipless"`` — the analytic backend: the *same* outcome is computed
-  in closed form from correlation statistics, without materialising a
-  single chip.  With the legitimate NRZ bit ``b``, a same-code jam bit
-  ``J`` at relative amplitude ``a``, and AWGN of per-chip sigma
-  ``noise_std``, the normalized block correlation is exactly
-
-      corr = b + a * J + z,   z ~ N(0, noise_std / sqrt(N)),
-
-  independent per bit — so acquisition (the first ``confirm_blocks``
-  correlations all crossing ``tau``) and the decode budget (Reed-Solomon
-  style ``2 * errors + erasures <= coded - plain``) follow from per-bit
-  draws, no waveforms needed.
-
-Both backends consume the *same* rng stream (offset draw, payload bits,
-jam-targeting coin, jam bits — in that order, per message); noise draws
-are the only divergence point, so at ``noise_std = 0`` the two backends
-produce bit-for-bit identical outcomes from a shared generator, exactly
-the ``compute_backend`` stream contract.  With noise they are
-distribution-identical, which ``tests/experiments`` checks statistically.
-
-:class:`ChiplessModel` is the batched, draw-free form of the chipless
-backend: per-message success *probabilities* from the same per-bit
-statistics, composed into one success probability per (pair, code-mix).
-The field-level sweep in :mod:`repro.experiments.runner` uses it to
-collapse the whole per-pair D-NDP loop into a handful of vectorised ops.
+independent per bit — so acquisition (the first ``confirm_blocks``
+correlations all crossing ``tau``) and the decode budget (Reed-Solomon
+style ``2 * errors + erasures <= coded - plain``) follow from per-bit
+statistics.  :class:`ChiplessModel` integrates them into one success
+probability per (pair, code-mix), so the runner's sweep decides every
+pair with one uniform draw.  Its per-draw references, the chip-level
+one included, are test oracles in :mod:`repro.oracles`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
 from repro.adversary.jammer import JammerStrategy, JammingModel
-from repro.dsss.channel import ChipChannel
-from repro.dsss.spread_code import CodePool
-from repro.dsss.synchronizer import SlidingWindowSynchronizer
-from repro.errors import ConfigurationError
-from repro.obs import current as _metrics
-from repro.obs import names as _names
+
+if TYPE_CHECKING:
+    from repro.core.config import JRSNDConfig
 
 __all__ = [
     "PHY_BACKENDS",
-    "PairPHY",
-    "ChipPairPHY",
-    "ChiplessPairPHY",
+    "CONFIRM_BLOCKS",
     "ChiplessModel",
-    "make_pair_phy",
     "message_success_probability",
 ]
 
-#: The experiment-level PHY knob values.  ``"message"`` keeps the
-#: original per-message Bernoulli model (no :class:`PairPHY` involved);
-#: the other two are implemented here.
-PHY_BACKENDS = ("message", "chip", "chipless")
+#: The experiment-level PHY knob values: the paper's per-message
+#: Bernoulli model and the chipless correlation model.
+PHY_BACKENDS = ("message", "chipless")
 
 #: Blocks that must all cross ``tau`` for an acquisition lock — the
-#: synchronizer's default, shared so chip and chipless agree.
+#: synchronizer's default, shared with the chip reference.
 CONFIRM_BLOCKS = 3
 
 #: Message kinds of one D-NDP sub-session, in protocol order.
@@ -86,374 +60,6 @@ def _identify_fraction(mu: float) -> float:
     same capable-jammer model as
     :class:`repro.adversary.jammer.MediumJammer`."""
     return 0.5 / (1.0 + mu)
-
-
-class PairPHY:
-    """Shared jam geometry + rng stream contract of the two backends.
-
-    Parameters
-    ----------
-    jamming:
-        The adversary model (strategy, compromised codes, budget).
-    code_length:
-        Chips per code (the paper's ``N``).
-    tau:
-        Correlation decision threshold.
-    hello_shape, auth_shape:
-        ``(coded_bits, plain_bits)`` of the HELLO/CONFIRM frames and of
-        the authentication frames.
-    noise_std:
-        Per-chip AWGN sigma on the channel (0 = noiseless).
-    jam_amplitude:
-        Jam power relative to the legitimate signal.  2.0 (default
-        elsewhere) makes a disagreeing jam bit *flip* the block; 1.0
-        cancels it into an erasure.
-    """
-
-    backend = "abstract"
-
-    def __init__(
-        self,
-        jamming: JammingModel,
-        code_length: int,
-        tau: float,
-        hello_shape: Tuple[int, int],
-        auth_shape: Tuple[int, int],
-        noise_std: float = 0.0,
-        jam_amplitude: float = 2.0,
-    ) -> None:
-        if code_length <= 0:
-            raise ConfigurationError(
-                f"code_length must be positive, got {code_length}"
-            )
-        if not 0 < tau <= 1:
-            raise ConfigurationError(f"tau must be in (0, 1], got {tau}")
-        if noise_std < 0:
-            raise ConfigurationError(
-                f"noise_std must be non-negative, got {noise_std}"
-            )
-        if jam_amplitude <= 0:
-            raise ConfigurationError(
-                f"jam_amplitude must be positive, got {jam_amplitude}"
-            )
-        for label, (coded, plain) in (
-            ("hello", hello_shape), ("auth", auth_shape)
-        ):
-            if not 0 < plain <= coded:
-                raise ConfigurationError(
-                    f"{label} shape needs 0 < plain <= coded bits, "
-                    f"got {(coded, plain)}"
-                )
-            if coded < CONFIRM_BLOCKS:
-                raise ConfigurationError(
-                    f"{label} message of {coded} bits is shorter than "
-                    f"the {CONFIRM_BLOCKS} acquisition blocks"
-                )
-        self._jamming = jamming
-        self._n = int(code_length)
-        self._tau = float(tau)
-        self._shapes = {
-            _HELLO: (int(hello_shape[0]), int(hello_shape[1])),
-            _CONFIRM: (int(hello_shape[0]), int(hello_shape[1])),
-            _AUTH: (int(auth_shape[0]), int(auth_shape[1])),
-        }
-        self._noise_std = float(noise_std)
-        self._amplitude = float(jam_amplitude)
-        self._identify = _identify_fraction(jamming._mu)
-
-    # -- the shared per-message protocol --------------------------------
-
-    def message_received(
-        self, kind: str, code_index: int, rng: np.random.Generator
-    ) -> bool:
-        """Sample whether one ``kind`` message under ``code_index``
-        is acquired *and* decodes.
-
-        Draw order (identical in both backends): chip offset, payload
-        bits, the random jammer's targeting coin, jam bits — then any
-        backend-specific noise.
-        """
-        coded, plain = self._shapes[kind]
-        offset = int(rng.integers(0, self._n))
-        bits = rng.integers(0, 2, size=coded, dtype=np.int8)
-        jam_start, jam_len = self._jam_plan(kind, code_index, coded, rng)
-        jam_bits = (
-            rng.integers(0, 2, size=jam_len, dtype=np.int8)
-            if jam_len else None
-        )
-        received = self._deliver(
-            code_index, offset, bits, jam_start, jam_bits, plain, rng
-        )
-        registry = _metrics()
-        if registry.enabled:
-            registry.inc(_names.PHY_MESSAGES)
-            if not received:
-                registry.inc(_names.PHY_MESSAGES_LOST)
-        return received
-
-    def hello_received(
-        self, code_index: int, rng: np.random.Generator
-    ) -> bool:
-        """The sub-session's HELLO leg."""
-        return self.message_received(_HELLO, code_index, rng)
-
-    def burst_received(
-        self, code_index: int, rng: np.random.Generator
-    ) -> bool:
-        """The CONFIRM + two authentication messages, short-circuiting
-        on the first loss (both backends exit at the same message for a
-        shared noiseless stream, so the contract survives the early
-        exit)."""
-        for kind in _BURST_KINDS:
-            if not self.message_received(kind, code_index, rng):
-                return False
-        return True
-
-    def subsession_survives(
-        self, code_index: int, rng: np.random.Generator
-    ) -> bool:
-        """One full sub-session: HELLO then the three-message burst."""
-        registry = _metrics()
-        if registry.enabled:
-            registry.inc(_names.PHY_SUBSESSIONS)
-        return self.hello_received(code_index, rng) and (
-            self.burst_received(code_index, rng)
-        )
-
-    def _jam_plan(
-        self,
-        kind: str,
-        code_index: int,
-        coded_bits: int,
-        rng: np.random.Generator,
-    ) -> Tuple[int, int]:
-        """``(jam_start, jam_len)`` in bits for this message.
-
-        Mirrors :class:`~repro.adversary.jammer.JammingModel` /
-        ``MediumJammer``: the reactive jammer hits the tail after its
-        identification window, the random jammer covers the whole
-        message iff its fresh per-message code picks include the target,
-        and the intelligent strawman attack spares HELLOs.
-        """
-        jamming = self._jamming
-        if not isinstance(code_index, (int, np.integer)):
-            return coded_bits, 0  # session codes are unjammable
-        if not jamming.knows(int(code_index)):
-            return coded_bits, 0
-        strategy = jamming.strategy
-        if strategy is JammerStrategy.INTELLIGENT:
-            if kind == _HELLO:
-                return coded_bits, 0
-            return 0, coded_bits
-        if strategy is JammerStrategy.REACTIVE:
-            start = int(math.floor(self._identify * coded_bits))
-            return start, coded_bits - start
-        # Random: fresh per-message budget, full coverage on a hit.
-        c = jamming.n_compromised
-        tries = min(jamming.codes_per_message, c)
-        if rng.random() < tries / c:
-            return 0, coded_bits
-        return coded_bits, 0
-
-    def _deliver(
-        self,
-        code_index: int,
-        offset: int,
-        bits: np.ndarray,
-        jam_start: int,
-        jam_bits: Optional[np.ndarray],
-        plain_bits: int,
-        rng: np.random.Generator,
-    ) -> bool:
-        raise NotImplementedError
-
-
-class ChipPairPHY(PairPHY):
-    """The chip-level reference backend: real waveforms end to end.
-
-    Parameters beyond :class:`PairPHY`'s: the ``pool`` supplying actual
-    :class:`~repro.dsss.spread_code.SpreadCode` chips per pool index.
-    """
-
-    backend = "chip"
-
-    def __init__(
-        self,
-        pool: CodePool,
-        *args: object,
-        **kwargs: object,
-    ) -> None:
-        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        if pool.code_length != self._n:
-            raise ConfigurationError(
-                f"pool codes are {pool.code_length} chips, PHY expects "
-                f"{self._n}"
-            )
-        self._pool = pool
-        self._channel = ChipChannel(noise_std=self._noise_std)
-        self._synchronizers: Dict[
-            Tuple[int, int], SlidingWindowSynchronizer
-        ] = {}
-
-    def _synchronizer(
-        self, code_index: int, message_bits: int
-    ) -> SlidingWindowSynchronizer:
-        key = (int(code_index), int(message_bits))
-        sync = self._synchronizers.get(key)
-        if sync is None:
-            sync = SlidingWindowSynchronizer(
-                [self._pool.code(int(code_index))],
-                tau=self._tau,
-                message_bits=message_bits,
-                confirm_blocks=CONFIRM_BLOCKS,
-            )
-            self._synchronizers[key] = sync
-        return sync
-
-    def _deliver(
-        self,
-        code_index: int,
-        offset: int,
-        bits: np.ndarray,
-        jam_start: int,
-        jam_bits: Optional[np.ndarray],
-        plain_bits: int,
-        rng: np.random.Generator,
-    ) -> bool:
-        coded_bits = int(bits.size)
-        code = self._pool.code(int(code_index))
-        channel = self._channel
-        channel.add_message(bits, code, offset, label="message")
-        if jam_bits is not None and jam_bits.size:
-            # Bit-aligned same-code jam, chip-synchronized with the
-            # target (the paper's model): random data under the correct
-            # code at relative amplitude ``a``.
-            channel.add_message(
-                jam_bits,
-                code,
-                offset + jam_start * self._n,
-                amplitude=self._amplitude,
-                label="jam",
-            )
-        signal = channel.mix(rng=rng if self._noise_std > 0 else None)
-        sync = self._synchronizer(code_index, coded_bits)
-        # False locks at pre-offset positions (noise or partial message
-        # overlap crossing tau) despread bit salad; the real receiver
-        # rejects it upstream and resumes one chip later
-        # (scan_validated's recovery), so keep scanning until the true
-        # offset locks or the buffer is exhausted.  The scan never
-        # considers positions past ``offset`` — the buffer ends exactly
-        # ``message_bits * N`` chips after it.
-        position = 0
-        result = None
-        while True:
-            candidate = sync.scan(signal, start=position)
-            if candidate is None or candidate.position == offset:
-                result = candidate
-                break
-            position = candidate.position + 1
-        if result is None:
-            registry = _metrics()
-            if registry.enabled:
-                registry.inc(_names.PHY_ACQUISITION_FAILURES)
-            return False
-        sent = bits.tolist()
-        erasures = sum(1 for bit in result.bits if bit is None)
-        errors = sum(
-            1
-            for decoded, expected in zip(result.bits, sent)
-            if decoded is not None and decoded != expected
-        )
-        if 2 * errors + erasures > coded_bits - plain_bits:
-            registry = _metrics()
-            if registry.enabled:
-                registry.inc(_names.PHY_DECODE_FAILURES)
-            return False
-        return True
-
-
-class ChiplessPairPHY(PairPHY):
-    """The analytic backend: per-bit correlation statistics, no chips."""
-
-    backend = "chipless"
-
-    def _deliver(
-        self,
-        code_index: int,
-        offset: int,  # drawn for stream parity; the exhaustive scan
-        bits: np.ndarray,  # makes the outcome offset-invariant
-        jam_start: int,
-        jam_bits: Optional[np.ndarray],
-        plain_bits: int,
-        rng: np.random.Generator,
-    ) -> bool:
-        coded_bits = int(bits.size)
-        corr = (2.0 * bits - 1.0).astype(np.float64)
-        if jam_bits is not None and jam_bits.size:
-            corr[jam_start : jam_start + jam_bits.size] += (
-                self._amplitude * (2.0 * jam_bits - 1.0)
-            )
-        if self._noise_std > 0:
-            corr += rng.normal(
-                0.0,
-                self._noise_std / math.sqrt(self._n),
-                size=coded_bits,
-            )
-        hits = np.abs(corr) >= self._tau
-        if not bool(hits[:CONFIRM_BLOCKS].all()):
-            registry = _metrics()
-            if registry.enabled:
-                registry.inc(_names.PHY_ACQUISITION_FAILURES)
-            return False
-        # Same decisions as despread(): >= tau -> 1, <= -tau -> 0,
-        # otherwise an erasure.
-        decisions = np.where(
-            corr >= self._tau, 1, np.where(corr <= -self._tau, 0, -1)
-        )
-        erasures = int((decisions < 0).sum())
-        errors = int(((decisions >= 0) & (decisions != bits)).sum())
-        if 2 * errors + erasures > coded_bits - plain_bits:
-            registry = _metrics()
-            if registry.enabled:
-                registry.inc(_names.PHY_DECODE_FAILURES)
-            return False
-        return True
-
-
-def make_pair_phy(
-    backend: str,
-    config: object,
-    jamming: JammingModel,
-    pool: Optional[CodePool] = None,
-) -> Optional[PairPHY]:
-    """Build the pair PHY for an experiment configuration.
-
-    ``config`` is a :class:`repro.core.config.JRSNDConfig` (duck-typed
-    here to keep the dsss layer import-free of core).  Returns ``None``
-    for ``"message"`` — the sampler then keeps its original per-message
-    Bernoulli path untouched.
-    """
-    if backend not in PHY_BACKENDS:
-        raise ConfigurationError(
-            f"phy backend must be one of {PHY_BACKENDS}, got {backend!r}"
-        )
-    if backend == "message":
-        return None
-    kwargs = dict(
-        code_length=config.code_length,
-        tau=config.tau,
-        hello_shape=(config.hello_coded_bits, config.hello_plain_bits),
-        auth_shape=(config.auth_frame_bits, config.auth_plain_bits),
-        noise_std=config.phy_noise_std,
-        jam_amplitude=config.phy_jam_amplitude,
-    )
-    if backend == "chipless":
-        return ChiplessPairPHY(jamming, **kwargs)
-    if pool is None:
-        raise ConfigurationError(
-            "the chip PHY backend needs a CodePool supplying real codes"
-        )
-    return ChipPairPHY(pool, jamming, **kwargs)
 
 
 # -- closed-form probabilities (the batched sweep) ----------------------
@@ -500,7 +106,8 @@ def message_success_probability(
 ) -> float:
     """Closed-form probability that one message is acquired and decoded.
 
-    Exactly the :class:`ChiplessPairPHY` per-bit model, integrated out:
+    Exactly the chipless per-bit model (the per-draw
+    :class:`repro.oracles.ChiplessPairPHY`), integrated out:
     acquisition multiplies the no-erasure probabilities of the first
     ``confirm_blocks`` bits, and the decode budget ``2e + f <= n - k``
     is evaluated by convolving each bit's ``{0, 1, 2}``-weight
@@ -546,7 +153,7 @@ class ChiplessModel:
     redundancy design (success iff *any* sub-session survives).
     """
 
-    def __init__(self, config: object, jamming: JammingModel) -> None:
+    def __init__(self, config: "JRSNDConfig", jamming: JammingModel) -> None:
         self._jamming = jamming
         self._tau = float(config.tau)
         self._sigma_bit = (

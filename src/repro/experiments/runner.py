@@ -294,11 +294,9 @@ class NetworkExperiment:
         keeps the per-message Bernoulli model; ``"chipless"`` computes
         each pair's success probability in closed form from the
         correlation statistics and decides all pairs in one batched
-        sweep (one uniform per pair — by far the fastest path);
-        ``"chip"`` spreads, superposes, and re-synchronizes every
-        message of every sub-session on a real
-        :class:`~repro.dsss.channel.ChipChannel` — the slow reference
-        the chipless results are validated against.
+        sweep (one uniform per pair).  The chip-level reference the
+        chipless results are validated against is a test oracle,
+        :func:`repro.oracles.sample_dndp_chip`, not a backend.
     """
 
     def __init__(
@@ -412,10 +410,6 @@ class NetworkExperiment:
         elif config.phy_backend == "chipless":
             direct = self._sample_dndp_chipless(
                 pairs, assignment, compromised, jamming, seeds.rng("jamming")
-            )
-        elif config.phy_backend == "chip":
-            direct = self._sample_dndp_chip(
-                pairs, assignment, jamming, seeds
             )
         else:
             direct = self._sample_dndp(
@@ -652,46 +646,4 @@ class NetworkExperiment:
                 )
         if registry.enabled:
             registry.inc(_names.PHY_PAIRS_SWEPT, n_pairs)
-        return success
-
-    def _sample_dndp_chip(
-        self,
-        pairs: np.ndarray,
-        assignment: CodeAssignment,
-        jamming: JammingModel,
-        seeds: SeedSequencer,
-    ) -> np.ndarray:
-        """The chip-level reference: every message of every sub-session
-        of every pair is spread, superposed, jammed, and re-synchronized
-        on a real :class:`~repro.dsss.channel.ChipChannel`.
-
-        Only practical on small fields (or subsampled pair lists); the
-        equivalence suite validates the chipless sweep against it.  Each
-        pair's shared codes are ``codes[a][codes[a] == codes[b]]``
-        (:meth:`CodeAssignment.shared_codes`), ascending.
-        """
-        from repro.core.dndp import DNDPSampler
-        from repro.dsss.phy import make_pair_phy
-        from repro.dsss.spread_code import CodePool
-
-        if not len(pairs):
-            return np.zeros(0, dtype=bool)
-        config = self._config
-        pool_seed = int(seeds.rng("phy-pool").integers(0, 2**31 - 1))
-        pool = CodePool.generate(
-            assignment.pool_size, config.code_length, pool_seed
-        )
-        phy = make_pair_phy("chip", config, jamming, pool=pool)
-        sampler = DNDPSampler(config, jamming, phy=phy)
-        rng = seeds.rng("jamming")
-        success = np.zeros(len(pairs), dtype=bool)
-        registry = current()
-        with registry.timer(_names.PHY_SWEEP_SECONDS):
-            for index, (a, b) in enumerate(pairs.tolist()):
-                outcome = sampler.sample_pair(
-                    assignment.shared_codes(a, b), rng
-                )
-                success[index] = outcome.success
-        if registry.enabled:
-            registry.inc(_names.PHY_PAIRS_SWEPT, len(pairs))
         return success

@@ -64,13 +64,8 @@ ECC_SYMBOLS_DECODED = "ecc.symbols_decoded"
 
 WIRE_UNDECODABLE = "wire.undecodable"
 
-# -- PHY backends (chip / chipless pair-level models) ------------------
+# -- PHY backends (the chipless sweep) ---------------------------------
 
-PHY_MESSAGES = "phy.messages"
-PHY_MESSAGES_LOST = "phy.messages_lost"
-PHY_SUBSESSIONS = "phy.subsessions"
-PHY_ACQUISITION_FAILURES = "phy.acquisition_failures"
-PHY_DECODE_FAILURES = "phy.decode_failures"
 PHY_PAIRS_SWEPT = "phy.pairs_swept"
 PHY_SWEEP_SECONDS = "phy.sweep_seconds"
 

@@ -186,7 +186,6 @@ class RadioMedium:
         self._jammers: List[JammerObserver] = []
         self.delivered_count = 0
         self.jammed_count = 0
-        self.fault_suppressed_count = 0
         self._faults = faults
         if faults is not None:
             faults.bind(simulator, metrics)
@@ -256,7 +255,6 @@ class RadioMedium:
             and not faults.on_transmit(tx, self)
         ):
             # Crashed/churned-out sender: the radio never keys up.
-            self.fault_suppressed_count += 1
             return tx
         for jammer in self._jammers:
             jammer.on_transmission(tx, self)

@@ -138,6 +138,11 @@ class TestValidation:
     def test_rejects_bad_phy_backend(self):
         with pytest.raises(ConfigurationError, match="phy_backend"):
             tiny_spec(phy_backend="analog")
+        # A stored spec naming the retired chip backend no longer loads.
+        data = json.loads(tiny_spec().to_json())
+        data["phy_backend"] = "chip"
+        with pytest.raises(ConfigurationError, match="phy_backend"):
+            CampaignSpec.from_dict(data)
 
     def test_phy_backend_round_trip(self):
         spec = tiny_spec(phy_backend="chipless")

@@ -105,6 +105,9 @@ class TestCorrelationBackend:
 
 
 class TestIntegerFields:
+    """Every field type fails fast: int, float, bool and str fields
+    (the class keeps its first name so its test ids stay stable)."""
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -113,6 +116,11 @@ class TestIntegerFields:
             ("n_compromised", 5.0),
             ("codes_per_node", np.float64(100.0)),
             ("mndp_queue_capacity", "128"),
+            ("use_gps", "no"),
+            ("wire_fidelity", 1),
+            ("phy_noise_std", "0.5"),
+            ("tx_range", True),
+            ("phy_backend", 1),
         ],
     )
     def test_non_integers_rejected(self, field, value):
@@ -124,3 +132,10 @@ class TestIntegerFields:
     def test_numpy_integers_accepted(self):
         config = JRSNDConfig(nu=np.int64(3), n_compromised=np.int32(5))
         assert config.nu == 3 and config.n_compromised == 5
+
+    def test_float_fields_take_integers_and_numpy_reals(self):
+        config = JRSNDConfig(
+            tx_range=300, phy_noise_std=np.float64(0.5), use_gps=np.bool_(1)
+        )
+        assert config.tx_range == 300.0 and config.phy_noise_std == 0.5
+        assert config.use_gps

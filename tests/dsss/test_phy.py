@@ -1,10 +1,11 @@
-"""Unit tests for the pair-level PHY backends.
+"""Unit tests for the chipless PHY model and its per-draw oracle.
 
 The chip vs chipless *equivalence* suite lives in
 ``tests/experiments/test_phy_equivalence.py``; this file covers the
 chipless model's own guarantees: validation, the jam geometry, the
 closed-form probabilities, and the Monte Carlo agreement between
-:class:`ChiplessPairPHY` draws and :class:`ChiplessModel` numbers.
+:class:`repro.oracles.ChiplessPairPHY` draws and :class:`ChiplessModel`
+numbers.
 """
 
 import math
@@ -17,11 +18,10 @@ from repro.core.config import JRSNDConfig
 from repro.dsss.phy import (
     PHY_BACKENDS,
     ChiplessModel,
-    ChiplessPairPHY,
-    make_pair_phy,
     message_success_probability,
 )
 from repro.errors import ConfigurationError
+from repro.oracles import ChiplessPairPHY, make_pair_phy
 
 
 def _config(**overrides):
@@ -47,7 +47,7 @@ def _chipless(config, jamming):
 
 class TestFactory:
     def test_backends_tuple(self):
-        assert PHY_BACKENDS == ("message", "chip", "chipless")
+        assert PHY_BACKENDS == ("message", "chipless")
 
     def test_message_backend_returns_none(self):
         assert make_pair_phy("message", _config(), _jamming()) is None
@@ -225,6 +225,9 @@ class TestValidation:
     def test_config_rejects_unknown_phy_backend(self):
         with pytest.raises(ConfigurationError):
             _config(phy_backend="analog")
+        # The chip PHY is a test oracle (repro.oracles), not a backend.
+        with pytest.raises(ConfigurationError, match="phy_backend"):
+            _config(phy_backend="chip")
 
     def test_config_accepts_all_backends(self):
         for backend in PHY_BACKENDS:

@@ -6,8 +6,9 @@ helpers and the Theorem 3 quadrature use it; networkx only answers
 that need them, so a fresh interpreter that loads the campaign executor,
 the experiment runner, the worker pool, the PHY models and the CLI must
 not have either loaded.  :mod:`repro.oracles` holds the reference
-correlation engine and RS codec for the equivalence tests and speed-up
-benchmarks; no runtime module may load it.  A bare ``import repro``
+correlation engine, RS codec and per-draw pair PHYs (the chip PHY among
+them) for the equivalence tests and speed-up benchmarks; no runtime
+module may load it, at import or while a chipless run executes.  A bare ``import repro``
 (config, node, runner, metrics) does not load the worker pool or
 ``multiprocessing`` either: only code that fans runs out pays for them.
 The pool itself loads numpy's lazily imported ``numpy.random`` and
@@ -35,6 +36,15 @@ heavy = sorted(
     or name == "repro.oracles"
 )
 print(",".join(heavy))
+"""
+
+
+RUN_PROBE = """
+import sys
+from repro.experiments.runner import NetworkExperiment
+from repro.experiments.scenarios import preset_config
+NetworkExperiment(preset_config("tiny-chipless"), seed=0).run_once(0)
+print("repro.oracles" in sys.modules)
 """
 
 
@@ -76,6 +86,10 @@ def _probe(code):
 
 def test_run_path_imports_no_scipy_or_networkx():
     assert _probe(PROBE) == ""
+
+
+def test_chipless_run_loads_no_oracles():
+    assert _probe(RUN_PROBE) == "False"
 
 
 def test_import_repro_loads_no_pool_or_multiprocessing():

@@ -1,17 +1,20 @@
-"""Seeded distribution-equivalence of the chip and chipless PHY backends.
+"""Seeded distribution-equivalence of the chip and chipless PHYs.
 
-The chipless backend's whole claim is that it computes *the same random
-variable* as the chip-level reference without materialising chips.  Two
-layers of evidence:
+The chipless model's whole claim is that it computes *the same random
+variable* as the chip-level reference without materialising chips.  The
+per-draw PHYs of both live in :mod:`repro.oracles`.  Three layers of
+evidence:
 
-- **exact** — at ``phy_noise_std = 0`` the two backends consume
+- **exact** — at ``phy_noise_std = 0`` the two oracles consume
   identical rng streams and must produce bit-for-bit identical outcomes
   for every message, sub-session, and pair, across jammer strategies
   and shared-code counts;
-- **distributional** — with noise the chip backend draws per-chip AWGN
-  and the chipless backend the equivalent per-bit ``N(0, sigma/sqrt(N))``
+- **distributional** — with noise the chip PHY draws per-chip AWGN
+  and the chipless PHY the equivalent per-bit ``N(0, sigma/sqrt(N))``
   correlation noise, so outcomes agree in distribution (checked with a
-  normal-approximation tolerance on survival frequencies).
+  normal-approximation tolerance on survival frequencies);
+- **runner level** — the runtime's batched chipless sweep agrees in
+  rate with the chip oracle run over the same field snapshot.
 
 ``tau = 0.25`` keeps the chip scan's false-lock probability at N = 512
 negligible (~1e-12 per position) so stream identity is exact in
@@ -25,10 +28,10 @@ import pytest
 
 from repro.adversary.jammer import JammerStrategy, JammingModel
 from repro.core.config import JRSNDConfig
-from repro.core.dndp import DNDPSampler
-from repro.dsss.phy import make_pair_phy
 from repro.dsss.spread_code import CodePool
+from repro.errors import ConfigurationError
 from repro.experiments.runner import NetworkExperiment
+from repro.oracles import make_pair_phy, run_point_state, sample_dndp_chip
 
 N_COMPROMISED_CODES = 20
 POOL_SEED = 424242
@@ -89,14 +92,8 @@ class TestExactEquivalenceNoiseless:
     def test_sample_pair_identical(self, pool, strategy, n_shared):
         config = _config()
         jamming = _jamming(strategy)
-        chip_sampler = DNDPSampler(
-            config, jamming,
-            phy=make_pair_phy("chip", config, jamming, pool=pool),
-        )
-        chipless_sampler = DNDPSampler(
-            config, jamming,
-            phy=make_pair_phy("chipless", config, jamming),
-        )
+        chip = make_pair_phy("chip", config, jamming, pool=pool)
+        chipless = make_pair_phy("chipless", config, jamming)
         rng_chip = np.random.default_rng(99)
         rng_chipless = np.random.default_rng(99)
         share_rng = np.random.default_rng(n_shared)
@@ -105,36 +102,25 @@ class TestExactEquivalenceNoiseless:
             shared = share_rng.choice(
                 2 * N_COMPROMISED_CODES, size=n_shared, replace=False
             )
-            a = chip_sampler.sample_pair(
-                [int(c) for c in shared], rng_chip
-            )
-            b = chipless_sampler.sample_pair(
+            a = chip.sample_pair([int(c) for c in shared], rng_chip)
+            b = chipless.sample_pair(
                 [int(c) for c in shared], rng_chipless
             )
-            assert a.success == b.success
-            assert a.surviving_codes == b.surviving_codes
+            assert a == b  # success and surviving codes
 
     def test_redundancy_off_identical(self, pool):
         config = _config()
         jamming = _jamming(JammerStrategy.INTELLIGENT)
-        chip_sampler = DNDPSampler(
-            config, jamming,
-            phy=make_pair_phy("chip", config, jamming, pool=pool),
-        )
-        chipless_sampler = DNDPSampler(
-            config, jamming,
-            phy=make_pair_phy("chipless", config, jamming),
-        )
+        chip = make_pair_phy("chip", config, jamming, pool=pool)
+        chipless = make_pair_phy("chipless", config, jamming)
         rng_chip = np.random.default_rng(5)
         rng_chipless = np.random.default_rng(5)
         for _ in range(10):
-            a = chip_sampler.sample_pair(
-                [1, 2, 25], rng_chip, redundancy=False
-            )
-            b = chipless_sampler.sample_pair(
+            a = chip.sample_pair([1, 2, 25], rng_chip, redundancy=False)
+            b = chipless.sample_pair(
                 [1, 2, 25], rng_chipless, redundancy=False
             )
-            assert a.success == b.success
+            assert a == b
 
 
 class TestDistributionalEquivalenceNoisy:
@@ -195,7 +181,7 @@ class TestDistributionalEquivalenceNoisy:
 
 
 class TestRunnerLevel:
-    """The experiment pipeline on the new backends."""
+    """The experiment pipeline on the chipless model."""
 
     def _micro_config(self, **overrides):
         base = dict(
@@ -211,25 +197,22 @@ class TestRunnerLevel:
         return JRSNDConfig(**base)
 
     def test_chip_and_chipless_rates_agree(self):
-        config = self._micro_config()
+        # The chip oracle runs over each run's own placement, assignment
+        # and compromise, rebuilt from the runner's seed labels.
+        config = self._micro_config(phy_backend="chipless")
         chip_successes = 0
         chipless_successes = 0
         pairs = 0
         for seed in range(4):
-            chip = NetworkExperiment(
-                config.replace(phy_backend="chip"),
-                seed=seed,
-                strategy=JammerStrategy.RANDOM,
-            ).run(1).runs[0]
             chipless = NetworkExperiment(
-                config.replace(phy_backend="chipless"),
-                seed=seed,
-                strategy=JammerStrategy.RANDOM,
+                config, seed=seed, strategy=JammerStrategy.RANDOM
             ).run(1).runs[0]
-            assert chip.n_pairs == chipless.n_pairs  # same placement
-            chip_successes += chip.dndp_successes
+            state = run_point_state(config, seed, JammerStrategy.RANDOM)
+            chip = sample_dndp_chip(config, *state)
+            assert len(chip) == chipless.n_pairs  # same placement
+            chip_successes += int(chip.sum())
             chipless_successes += chipless.dndp_successes
-            pairs += chip.n_pairs
+            pairs += chipless.n_pairs
         p = (chip_successes + chipless_successes) / (2 * pairs)
         sigma = math.sqrt(max(p * (1 - p), 1e-9) * 2 / pairs)
         assert abs(chip_successes - chipless_successes) / pairs < max(
@@ -267,6 +250,8 @@ class TestRunnerLevel:
         assert experiment.config.phy_backend == "chipless"
         with pytest.raises(Exception):
             NetworkExperiment(config, seed=1, phy_backend="bogus")
+        with pytest.raises(ConfigurationError, match="phy_backend"):
+            NetworkExperiment(config, seed=1, phy_backend="chip")
 
     def test_chipless_presets_resolve(self):
         from repro.experiments.scenarios import preset_config
