@@ -3,9 +3,8 @@
 A campaign runs the exact same pool workload as a direct sweep, plus its bookkeeping: per-shard SQLite commits, metrics
 merging/serialization, and the final canonical store rebuild.  That
 bookkeeping must stay a small tax on real Monte Carlo work — this
-bench gates the ratio and records per-shard throughput in the
-root-level ``BENCH_campaign.json`` artifact (written through the same
-atomic helper as every other results file).
+bench gates the ratio and records per-shard throughput through
+``bench_record`` (written out by ``--bench-json``, see ``conftest``).
 
 Environment knobs (on top of ``conftest``'s):
 
@@ -13,7 +12,6 @@ Environment knobs (on top of ``conftest``'s):
   for noisy shared runners.
 """
 
-import json
 import os
 import time
 
@@ -22,12 +20,6 @@ from repro.experiments.pool import WorkerPool, available_cpu_count
 from repro.experiments.reporting import format_series_table
 from repro.experiments.runner import NetworkExperiment
 from repro.obs import MetricsRegistry, installed
-from repro.utils.fileio import atomic_write_text
-
-BENCH_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_campaign.json",
-)
 
 
 def _smoke() -> bool:
@@ -124,28 +116,25 @@ def test_campaign_overhead_and_throughput(
         }],
         title="Campaign layer overhead (store + checkpoint vs bare)",
     ))
-    record = {
-        "workload": {
+    bench_record(
+        "campaign_overhead",
+        workload={
             "base": spec.base,
             "grid": {"n_compromised": [5, 10]},
             "runs_per_point": runs_per_point,
             "shards": status.shards_total,
             "runs_executed": status.runs_executed,
         },
-        "campaign_seconds": round(campaign_t, 4),
-        "direct_seconds": round(direct_t, 4),
-        "overhead_ratio": round(ratio, 3),
-        "per_shard_seconds": round(per_shard, 4),
-        "shard_throughput_runs_per_s": round(
+        campaign_seconds=round(campaign_t, 4),
+        direct_seconds=round(direct_t, 4),
+        overhead_ratio=round(ratio, 3),
+        per_shard_seconds=round(per_shard, 4),
+        shard_throughput_runs_per_s=round(
             status.runs_executed / shard_timer.total_seconds, 2
         ),
-        "throughput_runs_per_s": round(throughput, 2),
-        "ceiling": ceiling,
-        "smoke": _smoke(),
-    }
-    bench_record("campaign_overhead", **record)
-    atomic_write_text(
-        BENCH_JSON, json.dumps(record, indent=2, sort_keys=True)
+        throughput_runs_per_s=round(throughput, 2),
+        ceiling=ceiling,
+        smoke=_smoke(),
     )
     assert ratio < ceiling, (
         f"campaign layer {ratio:.2f}x slower than the bare sweep "

@@ -20,8 +20,7 @@ The chip-level reference is a test oracle
    the speedup legitimate (same random variable, cheaper evaluation).
 
 Results land in ``--bench-json`` (see ``conftest``) for CI artifacts;
-the committed root-level ``BENCH_phy.json`` holds a full (non-smoke)
-reference run.
+EXPERIMENTS.md quotes a full (non-smoke) reference run.
 
 Environment knobs (on top of ``conftest``'s):
 

@@ -1,4 +1,4 @@
-"""Persistent-pool bench: shard throughput and supervision overhead.
+"""Persistent-pool bench: many-small-shard campaign throughput.
 
 The campaign workload the pool exists for: hundreds of *small* shards,
 where the chipless PHY has made the run bodies cheap enough that
@@ -8,36 +8,27 @@ teardown) would dominate wall clock.  The persistent
 campaign and overlaps each shard's SQLite commit with the next shard's
 execution.
 
-The throughput bench runs one many-small-shard campaign on a
-two-worker pool, checks that its workers were spawned once and never
-replaced, and records its shard throughput in the root-level
-``BENCH_pool.json`` artifact.  The
-pooled store must carry the same canonical digest as a ``processes=1``
-(in-process) run of the same campaign — an engine that changed the
-bytes would be a correctness bug, not a speedup.  The supervision bench
-gates what timeout-polled waits cost against blocking ones.
+The bench runs one many-small-shard campaign on a two-worker pool,
+checks that its workers were spawned once and never replaced, and
+records its shard throughput through ``bench_record`` (written out by
+``--bench-json``, see ``conftest``).  The pooled store must carry the
+same canonical digest as a ``processes=1`` (in-process) run of the
+same campaign — an engine that changed the bytes would be a
+correctness bug, not a speedup.
 
 Environment knobs (on top of ``conftest``'s):
 
 - ``REPRO_BENCH_SMOKE``  set to 1 for CI smoke mode: a smaller
-  workload and a relaxed ceiling for noisy shared runners.
+  workload.
 """
 
-import json
 import os
 import time
 
 from repro.campaigns import CampaignSpec, run_campaign
-from repro.experiments.pool import SupervisionPolicy
 from repro.experiments.reporting import format_series_table
 from repro.obs import MetricsRegistry, installed
 from repro.obs import names as _names
-from repro.utils.fileio import atomic_write_text
-
-BENCH_JSON = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_pool.json",
-)
 
 #: Explicit worker count: sizing from this machine's affinity mask can
 #: yield 1 worker (single-CPU CI), which would run in-process and
@@ -61,7 +52,7 @@ def _bench_spec(runs_per_point: int, seed: int) -> CampaignSpec:
     )
 
 
-def _time_campaign(spec, store_path, processes=WORKERS, supervision=None):
+def _time_campaign(spec, store_path, processes=WORKERS):
     """``(elapsed, status, pool counters)`` for one full campaign."""
     registry = MetricsRegistry()
     start = time.perf_counter()
@@ -71,7 +62,6 @@ def _time_campaign(spec, store_path, processes=WORKERS, supervision=None):
             store_path,
             processes=processes,
             git_revision="bench",
-            supervision=supervision,
         )
     elapsed = time.perf_counter() - start
     counters = registry.snapshot().counters
@@ -126,8 +116,9 @@ def test_persistent_pool_shard_throughput(
         }],
         title="Campaign on a persistent two-worker pool",
     ))
-    record = {
-        "workload": {
+    bench_record(
+        "pool_reuse",
+        workload={
             "base": spec.base,
             "grid": {"n_compromised": [5, 10]},
             "runs_per_point": runs_per_point,
@@ -136,85 +127,9 @@ def test_persistent_pool_shard_throughput(
             "runs_executed": pooled_status.runs_executed,
             "workers": WORKERS,
         },
-        "persistent_pool_seconds": round(pooled_t, 4),
-        "persistent_pool_runs_per_s": round(runs_per_s, 2),
-        "pool_counters": pool_counters,
-        "smoke": _smoke(),
-    }
-    bench_record("pool_reuse", **record)
-    atomic_write_text(
-        BENCH_JSON, json.dumps(record, indent=2, sort_keys=True)
+        persistent_pool_seconds=round(pooled_t, 4),
+        persistent_pool_runs_per_s=round(runs_per_s, 2),
+        pool_counters=pool_counters,
+        smoke=_smoke(),
     )
 
-
-#: Supervision may cost at most this much wall clock.  The only
-#: supervision machinery on the fault-free hot path is the soft-timeout
-#: sweep (a deadline-polled wait instead of a blocking one); with
-#: ``run_timeout=None`` the dispatcher blocks exactly as an
-#: unsupervised pool would.
-OVERHEAD_CEILING = 1.05
-SMOKE_OVERHEAD_CEILING = 1.25
-
-
-def test_supervision_overhead(benchmark, seed, bench_record, tmp_path):
-    runs_per_point = 8 if _smoke() else 32
-    ceiling = (
-        SMOKE_OVERHEAD_CEILING if _smoke() else OVERHEAD_CEILING
-    )
-    spec = _bench_spec(runs_per_point, seed + 1)
-    blocking = SupervisionPolicy()  # run_timeout=None: blocking waits
-    polling = SupervisionPolicy(run_timeout=60.0)  # never fires
-
-    def measure():
-        warm = _bench_spec(2, seed + 1)
-        _time_campaign(
-            warm, str(tmp_path / "warm.sqlite"), supervision=blocking
-        )
-        base_t, base_status, _ = _time_campaign(
-            spec, str(tmp_path / "blocking.sqlite"), supervision=blocking
-        )
-        timed_t, timed_status, _ = _time_campaign(
-            spec, str(tmp_path / "polling.sqlite"), supervision=polling
-        )
-        return base_t, base_status, timed_t, timed_status
-
-    base_t, base_status, timed_t, timed_status = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-
-    assert base_status.complete and timed_status.complete
-    assert (
-        timed_status.canonical_digest == base_status.canonical_digest
-    )
-    overhead = timed_t / base_t
-    print()
-    print(format_series_table(
-        [{
-            "blocking_s": base_t,
-            "polling_s": timed_t,
-            "overhead": overhead,
-        }],
-        title="Supervision overhead: blocking vs timeout-polled waits",
-    ))
-    supervision_record = {
-        "blocking_seconds": round(base_t, 4),
-        "timeout_polled_seconds": round(timed_t, 4),
-        "overhead_ratio": round(overhead, 3),
-        "ceiling": ceiling,
-        "smoke": _smoke(),
-    }
-    bench_record("supervision_overhead", **supervision_record)
-    # Fold into the shared artifact written by the throughput bench.
-    try:
-        with open(BENCH_JSON) as handle:
-            artifact = json.load(handle)
-    except (OSError, ValueError):
-        artifact = {}
-    artifact["supervision_overhead"] = supervision_record
-    atomic_write_text(
-        BENCH_JSON, json.dumps(artifact, indent=2, sort_keys=True)
-    )
-    assert overhead <= ceiling, (
-        f"supervision (timeout-polled waits) cost {overhead:.3f}x "
-        f"the blocking baseline (ceiling {ceiling}x)"
-    )

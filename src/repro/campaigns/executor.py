@@ -172,7 +172,9 @@ def run_campaign(
     skipped, the rest execute with one shard per worker in flight
     behind the one being committed, and commit in shard-index order.
     Re-invoking on a finished campaign is a no-op that leaves the
-    store untouched.
+    store untouched.  A store that fails verification on open raises
+    ``ConfigurationError`` before anything runs, and is left as it
+    was (see :class:`~repro.campaigns.store.CampaignStore`).
 
     Parameters
     ----------
@@ -199,9 +201,8 @@ def run_campaign(
         unless something changed.
     supervision:
         Pool supervision policy override.  Defaults to a policy built
-        from the spec's ``max_run_retries`` / ``run_timeout`` knobs,
-        so retry budgets are part of the campaign's declarative
-        description.
+        from the spec's ``max_run_retries``, so retry budgets are part
+        of the campaign's declarative description.
     execution_faults:
         Test-only chaos hook forwarded to the worker boundary (see
         :mod:`repro.faults.execution`); the in-process mode ignores it
@@ -217,8 +218,7 @@ def run_campaign(
     emit = progress or (lambda line: None)
     registry = current()
     policy = supervision or SupervisionPolicy(
-        max_run_retries=spec.max_run_retries,
-        run_timeout=spec.run_timeout,
+        max_run_retries=spec.max_run_retries
     )
     workers = processes or available_cpu_count()
 
@@ -226,12 +226,6 @@ def run_campaign(
     runs_executed = 0
     degradations: List[str] = []
     with CampaignStore(store_path) as store:
-        if store.salvaged:
-            emit(
-                f"!! store {store_path} was damaged and has been "
-                f"salvaged to its last committed shard set "
-                f"({store.salvaged}); lost shards will re-execute"
-            )
         store.register_campaign(spec, revision)
 
         def _open_pool(worker_count: int) -> WorkerPool:
@@ -394,7 +388,7 @@ def run_campaign(
                     emit(
                         f"!! shard {shard.index + 1}/{len(shards)}: "
                         f"{len(quarantined)} run(s) quarantined "
-                        f"(worker killed or hung on every attempt); "
+                        f"(worker killed on every attempt); "
                         f"shard left uncommitted — resume with "
                         f"--retry-quarantined to re-execute"
                     )

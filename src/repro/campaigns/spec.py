@@ -50,23 +50,28 @@ _STRATEGIES = {
 _LINK_MODELS = ("codes", "independent")
 
 #: Fields older specs carried and :meth:`CampaignSpec.from_dict` now
-#: rejects.  A store still holds them in the ``spec_json`` it wrote, so
-#: :mod:`repro.campaigns.store` strips them before parsing.
-REMOVED_FIELDS = frozenset({"pool_cache_size", "pool_chunksize"})
+#: rejects, each with the reason it went.  A store still holds them in
+#: the ``spec_json`` it wrote, so :mod:`repro.campaigns.store` strips
+#: them before parsing.
+REMOVED_FIELDS: Dict[str, str] = {
+    "pool_cache_size": "the pool no longer caches experiments",
+    "pool_chunksize": "the pool sizes its own chunks",
+    "run_timeout": (
+        "runs are seed-pure, so a run that hangs hangs again on retry; "
+        "there is no per-run soft timeout"
+    ),
+}
 
 
 def _typed(name: str, value: Any, kind: type) -> Any:
     """``value`` of spec field ``name`` as the JSON type ``kind``.
 
-    Integers also accept integral floats (``2.0``) and floats accept
-    integers; nothing else is coerced, so ``"abc"``, ``2.7`` or
-    ``"false"`` fail here instead of becoming a traceback or a silently
-    different spec.
+    Integers also accept integral floats (``2.0``); nothing else is
+    coerced, so ``"abc"``, ``2.7`` or ``"false"`` fail here instead of
+    becoming a traceback or a silently different spec.
     """
     if kind is int and isinstance(value, float) and value.is_integer():
         value = int(value)
-    if kind is float and isinstance(value, numbers.Integral):
-        value = float(value)
     # bool is an int subclass: only a bool field takes one.
     if isinstance(value, bool) != (kind is bool) or not isinstance(
         value, numbers.Integral if kind is int else kind
@@ -154,10 +159,6 @@ class CampaignSpec:
         Times the pool supervisor retries a run whose worker died
         before quarantining it as a tagged failure (see
         :class:`~repro.experiments.pool.SupervisionPolicy`).
-    run_timeout:
-        Per-run soft timeout in seconds; a worker silent that long is
-        classified hung, killed, and its runs retried.  ``None``
-        (default) disables the timeout sweep entirely.
     """
 
     name: str
@@ -174,7 +175,6 @@ class CampaignSpec:
     sample_latency: bool = False
     phy_backend: Optional[str] = None
     max_run_retries: int = 2
-    run_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("-", "").replace(
@@ -192,8 +192,6 @@ class CampaignSpec:
                 f"max_run_retries must be >= 0, "
                 f"got {self.max_run_retries}"
             )
-        if self.run_timeout is not None:
-            check_positive("run_timeout", self.run_timeout)
         for axis, values in self.grid.items():
             if axis not in GRID_AXES:
                 raise ConfigurationError(
@@ -273,7 +271,6 @@ class CampaignSpec:
             "sample_latency": self.sample_latency,
             "phy_backend": self.phy_backend,
             "max_run_retries": self.max_run_retries,
-            "run_timeout": self.run_timeout,
         }
 
     def to_json(self) -> str:
@@ -297,14 +294,16 @@ class CampaignSpec:
             "name", "seed", "runs_per_point", "grid", "base",
             "strategy", "link_model", "runs_per_shard", "mndp_rounds",
             "compute_backend", "collect_metrics", "sample_latency",
-            "phy_backend", "max_run_retries", "run_timeout",
+            "phy_backend", "max_run_retries",
         }
-        removed = sorted(REMOVED_FIELDS & set(data))
+        removed = sorted(REMOVED_FIELDS.keys() & data.keys())
         if removed:
+            reasons = "; ".join(
+                f"{name!r}: {REMOVED_FIELDS[name]}" for name in removed
+            )
             raise ConfigurationError(
-                f"campaign spec fields {removed} were removed: the pool "
-                f"no longer caches experiments or takes a chunk size; "
-                f"delete them from the spec"
+                f"campaign spec fields {removed} were removed "
+                f"({reasons}); delete them from the spec"
             )
         unknown = set(data) - known
         if unknown:
@@ -350,7 +349,6 @@ class CampaignSpec:
             sample_latency=get("sample_latency", bool, False),
             phy_backend=optional("phy_backend", str),
             max_run_retries=get("max_run_retries", int, 2),
-            run_timeout=optional("run_timeout", float),
         )
 
     @classmethod

@@ -29,13 +29,13 @@ Robustness (schema v2):
   **infrastructure events** (engine degradations), keyed like every
   other row so resume logic can skip — or, with
   ``--retry-quarantined``, clear and re-execute — poisoned shards;
-- every open runs ``PRAGMA integrity_check`` plus a spec-hash check
-  over the stored campaign rows; a store that fails either (torn by a
-  crash mid-page, bit-rotted, hand-edited) is **salvaged**: every
-  readable, internally consistent shard (shard row + its full run
-  complement) is carried into a rebuilt file that atomically replaces
-  the damaged one, so a resume re-executes only what was actually
-  lost;
+- every open runs ``PRAGMA integrity_check``, a spec-hash check over
+  the stored campaign rows and a torn-shard check; a store that fails
+  any of them (torn by a crash mid-page, bit-rotted, hand-edited) is
+  **refused** with a ``ConfigurationError`` naming the file and the
+  finding, and is left as it was.  Nothing is rebuilt from it: runs
+  are seed-pure, so re-running the campaign into a fresh store gives
+  the same bytes;
 - v1 stores migrate in place (the new table is created and the
   version stamped); unknown versions are still refused.
 
@@ -57,8 +57,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.campaigns.spec import REMOVED_FIELDS, CampaignSpec, Shard
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentResult, RunResult
-from repro.obs import MetricsSnapshot, current
-from repro.obs import names as _names
+from repro.obs import MetricsSnapshot
 
 __all__ = [
     "CampaignStore",
@@ -119,23 +118,10 @@ CREATE TABLE IF NOT EXISTS failures (
 );
 """
 
-#: Column arity per table — the salvage path uses it to reject rows
-#: recovered with a damaged shape.
-_TABLE_ARITY = {
-    "campaigns": 5,
-    "shards": 9,
-    "runs": 10,
-    "failures": 8,
-}
-
 #: Failure-record kinds (the store is agnostic; these are the two the
 #: executor writes).
 QUARANTINE_KIND = "quarantine"
 INFRASTRUCTURE_KIND = "infrastructure"
-
-
-class _StoreCorruption(Exception):
-    """Internal: the file failed integrity/consistency verification."""
 
 
 def _stored_spec(spec_json: str) -> CampaignSpec:
@@ -173,21 +159,21 @@ class CampaignStore:
     visible.
     """
 
-    def __init__(self, path: str, salvage: bool = True) -> None:
+    def __init__(self, path: str) -> None:
         self._path = path
-        #: Human-readable reason when this open had to salvage the
-        #: file, else ``None`` — callers surface it in progress output.
-        self.salvaged: Optional[str] = None
+        self._conn = sqlite3.connect(path)
         try:
-            self._conn = self._open_verified(path)
-        except _StoreCorruption as damage:
-            if not salvage:
-                raise ConfigurationError(
-                    f"campaign store {path} failed verification: "
-                    f"{damage}"
-                ) from damage
-            self._conn = self._salvage(path, str(damage))
-            self.salvaged = str(damage)
+            finding = self._verify()
+        except BaseException:  # jrsnd: noqa(JRS003) -- verification failed for *any* reason: close the handle, then re-raise unchanged
+            self._conn.close()
+            raise
+        if finding is not None:
+            self._conn.close()
+            raise ConfigurationError(
+                f"campaign store {path} failed verification: {finding}; "
+                f"runs are seed-pure, so re-running the campaign into a "
+                f"fresh store gives the same bytes"
+            )
 
     @property
     def path(self) -> str:
@@ -202,16 +188,17 @@ class CampaignStore:
     def close(self) -> None:
         self._conn.close()
 
-    @staticmethod
-    def _ensure_schema(conn: sqlite3.Connection) -> None:
+    def _ensure_schema(self) -> None:
+        conn = self._conn
         # Fix the page size *before* the first table exists so working
         # and canonical stores share their on-disk geometry everywhere.
         conn.execute("PRAGMA page_size = 4096")
         (version,) = conn.execute("PRAGMA user_version").fetchone()
         if version not in (0, 1, STORE_SCHEMA_VERSION):
             raise ConfigurationError(
-                f"campaign store schema v{version} is not supported "
-                f"(expected v{STORE_SCHEMA_VERSION})"
+                f"campaign store {self._path} has schema v{version}, "
+                f"which is not supported (expected "
+                f"v{STORE_SCHEMA_VERSION})"
             )
         # ``IF NOT EXISTS`` throughout makes this both the fresh-file
         # bootstrap and the v1 → v2 migration (v2 only adds the
@@ -223,55 +210,45 @@ class CampaignStore:
             )
             conn.commit()
 
-    # -- open-time verification and salvage ----------------------------
+    # -- open-time verification ----------------------------------------
 
-    @classmethod
-    def _open_verified(cls, path: str) -> sqlite3.Connection:
-        """Open ``path`` and verify it, or raise :class:`_StoreCorruption`.
+    def _verify(self) -> Optional[str]:
+        """The damage that makes this file unfit to open, or ``None``.
 
         Verification is two-layered: SQLite's own ``PRAGMA
         integrity_check`` catches physical damage (torn pages, broken
         b-trees), and re-hashing every stored ``spec_json`` against its
-        ``spec_hash`` column catches logical damage that leaves the
-        pages well-formed.  Unsupported schema *versions* are a policy
-        refusal, not damage — they raise ``ConfigurationError`` and are
-        never salvaged.
+        ``spec_hash`` column, plus counting every shard's run rows,
+        catches logical damage that leaves the pages well-formed.  An
+        unsupported schema *version* is not damage: it raises its own
+        ``ConfigurationError``.  Nothing here writes to a store that
+        is already at the current schema version.
         """
-        conn = sqlite3.connect(path)
+        conn = self._conn
         try:
-            try:
-                findings = conn.execute(
-                    "PRAGMA integrity_check"
-                ).fetchall()
-            except sqlite3.DatabaseError as error:
-                raise _StoreCorruption(f"unreadable database: {error}")
-            if findings != [("ok",)]:
-                summary = "; ".join(
-                    str(row[0]) for row in findings[:3]
-                )
-                raise _StoreCorruption(
-                    f"integrity_check failed: {summary}"
-                )
-            try:
-                cls._ensure_schema(conn)
-                mismatched = cls._spec_hash_mismatches(conn)
-                torn = cls._torn_shards(conn)
-            except sqlite3.DatabaseError as error:
-                raise _StoreCorruption(f"damaged schema: {error}")
-            if mismatched:
-                raise _StoreCorruption(
-                    "spec hash does not match stored spec for: "
-                    + ", ".join(mismatched)
-                )
-            if torn:
-                raise _StoreCorruption(
-                    "shards missing run rows (torn commit): "
-                    + ", ".join(torn)
-                )
-        except BaseException:  # jrsnd: noqa(JRS003) -- verification failed for *any* reason: close the handle, then re-raise unchanged
-            conn.close()
-            raise
-        return conn
+            findings = conn.execute("PRAGMA integrity_check").fetchall()
+        except sqlite3.DatabaseError as error:
+            return f"unreadable database: {error}"
+        if findings != [("ok",)]:
+            summary = "; ".join(str(row[0]) for row in findings[:3])
+            return f"integrity_check failed: {summary}"
+        try:
+            self._ensure_schema()
+            mismatched = self._spec_hash_mismatches(conn)
+            torn = self._torn_shards(conn)
+        except sqlite3.DatabaseError as error:
+            return f"damaged schema: {error}"
+        if mismatched:
+            return (
+                "spec hash does not match stored spec for: "
+                + ", ".join(mismatched)
+            )
+        if torn:
+            return (
+                "shards missing run rows (torn commit): "
+                + ", ".join(torn)
+            )
+        return None
 
     @staticmethod
     def _spec_hash_mismatches(conn: sqlite3.Connection) -> List[str]:
@@ -312,117 +289,6 @@ class CampaignStore:
                     f"shard {shard_index} of {campaign_id}@{revision}"
                 )
         return torn
-
-    @staticmethod
-    def _readable_rows(
-        conn: sqlite3.Connection, table: str
-    ) -> List[Tuple[Any, ...]]:
-        """Best-effort row dump: stop at the first unreadable row."""
-        rows: List[Tuple[Any, ...]] = []
-        try:
-            cursor = conn.execute(f"SELECT * FROM {table}")
-        except sqlite3.DatabaseError:
-            return rows
-        arity = _TABLE_ARITY[table]
-        while True:
-            try:
-                row = cursor.fetchone()
-            except sqlite3.DatabaseError:
-                break
-            if row is None:
-                break
-            if len(row) == arity:
-                rows.append(tuple(row))
-        return rows
-
-    @classmethod
-    def _salvage(cls, path: str, why: str) -> sqlite3.Connection:
-        """Rebuild a damaged store from its readable, consistent rows.
-
-        Keeps exactly the **last committed shard set**: a campaign row
-        survives only if its spec hash verifies, a shard row only if
-        its full run complement (``run_stop - run_start`` rows) was
-        readable, and run/failure rows only under a surviving parent.
-        Surviving campaigns are demoted to ``running`` so a resumed
-        executor re-executes the lost shards and re-canonicalizes.
-        The rebuilt file atomically replaces the damaged one.
-        """
-        current().inc(_names.CAMPAIGNS_STORE_SALVAGED)
-        recovered: Dict[str, List[Tuple[Any, ...]]] = {
-            table: [] for table in _TABLE_ARITY
-        }
-        try:
-            damaged: Optional[sqlite3.Connection] = sqlite3.connect(
-                path
-            )
-        except sqlite3.DatabaseError:
-            damaged = None
-        if damaged is not None:
-            for table in recovered:
-                recovered[table] = cls._readable_rows(damaged, table)
-            try:
-                damaged.close()
-            except sqlite3.DatabaseError:
-                pass
-        campaigns = []
-        for row in recovered["campaigns"]:
-            campaign_id, spec_hash, revision, spec_json, _status = row
-            digest = hashlib.sha256(
-                str(spec_json).encode("utf-8")
-            ).hexdigest()[:16]
-            if digest == spec_hash:
-                campaigns.append(
-                    (campaign_id, spec_hash, revision, spec_json,
-                     "running")
-                )
-        keys = {row[:3] for row in campaigns}
-        runs_per_shard: Dict[Tuple[Any, ...], int] = {}
-        for row in recovered["runs"]:
-            shard_key = row[:4]
-            runs_per_shard[shard_key] = (
-                runs_per_shard.get(shard_key, 0) + 1
-            )
-        shards = [
-            row
-            for row in recovered["shards"]
-            if row[:3] in keys
-            and runs_per_shard.get(row[:4], 0)
-            == int(row[7]) - int(row[6])
-        ]
-        shard_keys = {row[:4] for row in shards}
-        runs = [
-            row for row in recovered["runs"] if row[:4] in shard_keys
-        ]
-        failures = [
-            row for row in recovered["failures"] if row[:3] in keys
-        ]
-        rebuilt = path + ".salvage.tmp"
-        if os.path.exists(rebuilt):
-            os.unlink(rebuilt)
-        conn = sqlite3.connect(rebuilt)
-        try:
-            cls._ensure_schema(conn)
-            with conn:
-                for table, rows in (
-                    ("campaigns", campaigns),
-                    ("shards", shards),
-                    ("runs", runs),
-                    ("failures", failures),
-                ):
-                    placeholders = ", ".join(
-                        "?" * _TABLE_ARITY[table]
-                    )
-                    conn.executemany(
-                        f"INSERT INTO {table} "
-                        f"VALUES ({placeholders})",
-                        sorted(rows),
-                    )
-        except BaseException:  # jrsnd: noqa(JRS003) -- the half-built salvage file must not leak an open handle; re-raised unchanged
-            conn.close()
-            raise
-        conn.close()
-        os.replace(rebuilt, path)
-        return sqlite3.connect(path)
 
     # -- campaign lifecycle --------------------------------------------
 

@@ -27,6 +27,7 @@ machine-readable telemetry to regress against.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from typing import List, Optional
@@ -357,14 +358,30 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _existing_store(path: str):
+    """Open the campaign store at ``path`` for reading.
+
+    Opening a store creates a missing file, which only
+    ``launch``/``resume`` should do; every read of an existing store
+    goes through here, so a mistyped path fails instead of reporting
+    on a new, empty store.
+    """
+    from repro.campaigns import CampaignStore
+    from repro.errors import ConfigurationError
+
+    if not os.path.isfile(path):
+        raise ConfigurationError(f"no campaign store file at {path}")
+    return CampaignStore(path)
+
+
 def _campaign_spec(args: argparse.Namespace):
     """Resolve the spec for launch/resume from --spec or --campaign."""
-    from repro.campaigns import CampaignSpec, CampaignStore
+    from repro.campaigns import CampaignSpec
 
     if args.spec is not None:
         return CampaignSpec.from_file(args.spec)
     if args.campaign is not None:
-        with CampaignStore(args.store) as store:
+        with _existing_store(args.store) as store:
             spec, _revision = store.spec_for(args.campaign)
         return spec
     raise SystemExit("campaign launch/resume needs --spec or --campaign")
@@ -411,7 +428,7 @@ def _campaign_point_rows(results) -> List[dict]:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     """Dispatch ``campaign launch|resume|status|query|diff``."""
-    from repro.campaigns import CampaignStore, run_campaign
+    from repro.campaigns import run_campaign
     from repro.experiments.reporting import format_kv_block
 
     if args.campaign_command in ("launch", "resume"):
@@ -468,7 +485,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             QUARANTINE_KIND,
         )
 
-        with CampaignStore(args.store) as store:
+        with _existing_store(args.store) as store:
             campaigns = store.list_campaigns()
             digest = store.canonical_digest()
             details = []
@@ -547,7 +564,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"\ncanonical digest: {digest}")
         return 3 if total_quarantined else 0
     if args.campaign_command == "query":
-        with CampaignStore(args.store) as store:
+        with _existing_store(args.store) as store:
             spec_hash, revision = _stored_key(
                 store, args.campaign, args.revision
             )
@@ -565,7 +582,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         ))
         return 0
     if args.campaign_command == "diff":
-        with CampaignStore(args.store) as store:
+        with _existing_store(args.store) as store:
             spec_hash, revision = _stored_key(
                 store, args.campaign, args.revision
             )
@@ -573,7 +590,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 args.campaign, spec_hash, revision
             )
         other_path = args.other or args.store
-        with CampaignStore(other_path) as store:
+        with _existing_store(other_path) as store:
             other_hash, other_revision = _stored_key(
                 store, args.campaign, args.against
             )

@@ -53,14 +53,14 @@ class WorkerPoolError(ReproError):
 
     The execution plane classifies failures into three families:
 
-    - **transient** — a worker died or hung but supervision absorbed
-      it: the worker was respawned and the affected runs were retried
+    - **transient** — a worker died but supervision absorbed it: the
+      worker was respawned and the affected runs were retried
       (bit-identically, runs are seed-pure).  Transient failures never
       raise; they are visible only as ``pool.workers_respawned`` /
       ``pool.runs_retried`` counters.
     - **quarantine** — a run exceeded its retry budget (it keeps
-      killing or hanging its worker).  The run is reported as a tagged
-      failure outcome carrying :data:`QUARANTINE_MARKER` and surfaces
+      killing its worker).  The run is reported as a tagged failure
+      outcome carrying :data:`QUARANTINE_MARKER` and surfaces
       through :class:`ParallelExecutionError`; the pool survives.
     - **infrastructure** — supervision itself failed (respawn budget
       exhausted, spawn failures, a closed/broken pool).  Only this
@@ -70,7 +70,7 @@ class WorkerPoolError(ReproError):
 
 
 #: Prefix tagging a failure traceback as a *quarantined* run: one that
-#: repeatedly killed or hung its worker and was benched after
+#: repeatedly killed its worker and was benched after
 #: exhausting its retry budget, rather than a run that raised.
 QUARANTINE_MARKER = "[quarantined]"
 
@@ -78,8 +78,8 @@ QUARANTINE_MARKER = "[quarantined]"
 def quarantine_failure(run_index, attempts, reason):
     """The tagged failure text for a quarantined run."""
     return (
-        f"{QUARANTINE_MARKER} run {run_index} killed or hung its "
-        f"worker on all {attempts} attempts; last failure: {reason}"
+        f"{QUARANTINE_MARKER} run {run_index} killed its worker on "
+        f"all {attempts} attempts; last failure: {reason}"
     )
 
 

@@ -58,9 +58,6 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
   **quarantined**: it comes back as a tagged failure outcome carrying
   :data:`~repro.errors.QUARANTINE_MARKER` (surfacing through
   ``ParallelExecutionError``) instead of sinking the pool;
-- an optional per-chunk soft timeout (``run_timeout``) classifies a
-  **hung** worker, which is killed, counted, and respawned like a
-  crash;
 - only *infrastructure* failures — a job's respawn budget exhausted,
   a spawn failure, the pool closed mid-job — raise
   :class:`~repro.errors.WorkerPoolError` and break the pool, failing
@@ -68,9 +65,9 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
 
 One execution-fault injector can be attached at construction
 (test-only hook): workers call its ``before_run`` hook ahead of every
-run attempt, which is how the seeded ``WorkerKiller`` and ``RunHang``
-injectors of :mod:`repro.faults.execution` drive the supervisor
-deterministically in tests and chaos CI.
+run attempt, which is how the seeded ``WorkerKiller`` of
+:mod:`repro.faults.execution` drives the supervisor deterministically
+in tests and chaos CI.
 
 Determinism is untouched: a run's randomness depends only on
 ``(seed, run_index)`` and every mode executes ``run_once`` through the
@@ -80,8 +77,8 @@ bit-identical :class:`~repro.experiments.runner.RunResult` streams
 respawns in between.
 
 Pool activity is observable through the ``pool.*`` counters in
-:mod:`repro.obs.names`: workers spawned/respawned/timed-out/
-force-killed, tasks dispatched, runs retried, and runs quarantined.
+:mod:`repro.obs.names`: workers spawned/respawned/force-killed,
+tasks dispatched, runs retried, and runs quarantined.
 """
 
 from __future__ import annotations
@@ -188,13 +185,13 @@ def retry_delay(consecutive_deaths: int) -> float:
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """How the pool reacts when workers die, hang, or wedge.
+    """How the pool reacts when workers die.
 
     Parameters
     ----------
     max_run_retries:
-        How many times one run may kill (or hang) its worker and still
-        be re-dispatched.  A run failing attempt ``max_run_retries``
+        How many times one run may kill its worker and still be
+        re-dispatched.  A run failing attempt ``max_run_retries``
         (i.e. on its ``max_run_retries + 1``-th try) is quarantined as
         a tagged failure outcome.
     max_respawns:
@@ -203,12 +200,6 @@ class SupervisionPolicy:
         deaths than this within a single job is an infrastructure
         failure: the pool breaks with ``WorkerPoolError`` (the campaign
         executor then degrades to the in-process mode).
-    run_timeout:
-        Optional per-chunk soft timeout (seconds).  A worker holding a
-        chunk longer than this is classified as hung, killed, and
-        respawned; its runs are retried/quarantined exactly like a
-        crash.  ``None`` (default) disables the timeout and the
-        dispatcher blocks without polling.
     close_grace:
         Per-escalation-step grace (seconds) used when reaping worker
         processes: join → ``terminate()`` → ``kill()``.
@@ -216,7 +207,6 @@ class SupervisionPolicy:
 
     max_run_retries: int = 2
     max_respawns: int = 16
-    run_timeout: Optional[float] = None
     close_grace: float = 10.0
 
     def __post_init__(self) -> None:
@@ -228,8 +218,6 @@ class SupervisionPolicy:
             raise ConfigurationError(
                 f"max_respawns must be >= 0, got {self.max_respawns}"
             )
-        if self.run_timeout is not None:
-            check_positive("run_timeout", self.run_timeout)
         check_positive("close_grace", self.close_grace)
 
 
@@ -282,7 +270,7 @@ def _worker_main(
 
     ``faults`` is the execution-plane chaos hook: when set, its
     ``before_run(index, attempt)`` runs ahead of every run attempt —
-    the seeded injectors use it to kill or hang this process at
+    the seeded injectors use it to kill or hold this process at
     deterministic points.
     """
     for foreign in close_conns:
@@ -459,7 +447,7 @@ class WorkerPool:
     demand-driven chunks (a slow worker never stalls the fast ones),
     and jobs submitted back to back run side by side as soon as the
     earlier ones leave a worker idle.  Each job resolves on its own,
-    when its last chunk comes back.  Worker deaths and hangs are
+    when its last chunk comes back.  Worker deaths are
     absorbed by the :class:`SupervisionPolicy` (respawn + retry +
     quarantine), charged to the job whose chunk the worker held; the
     pool only becomes *broken* — failing every active and queued job
@@ -588,18 +576,14 @@ class WorkerPool:
                 pass
 
     @staticmethod
-    def _stop_process(
-        process: Any, grace: float, suspect: bool = False
-    ) -> bool:
+    def _stop_process(process: Any, grace: float) -> bool:
         """Reap ``process``: join → terminate → kill escalation.
 
-        Returns True if SIGKILL was required.  ``suspect`` skips the
-        polite join — used for workers already classified as hung.
+        Returns True if SIGKILL was required.
         """
-        if not suspect:
-            process.join(timeout=grace)
-            if not process.is_alive():
-                return False
+        process.join(timeout=grace)
+        if not process.is_alive():
+            return False
         process.terminate()
         process.join(timeout=grace)
         if not process.is_alive():
@@ -701,11 +685,9 @@ class WorkerPool:
         current().inc(_names.POOL_WORKERS_SPAWNED)
         return _Worker(slot=slot, process=process, conn=parent_end)
 
-    def _respawn(
-        self, slot: int, job: _Job, reason: str, hung: bool = False
-    ) -> None:
-        """Replace the worker in ``slot`` after a death or hang,
-        charging the death to ``job``.
+    def _respawn(self, slot: int, job: _Job, reason: str) -> None:
+        """Replace the worker in ``slot`` after a death, charging the
+        death to ``job``.
 
         Raises ``WorkerPoolError`` (infrastructure) when the pool is
         closing, ``job``'s respawn budget is exhausted, or the
@@ -714,8 +696,7 @@ class WorkerPool:
         with self._lock:
             closing = self._closed
         worker = self._workers[slot]
-        self._stop_process(worker.process, self._policy.close_grace,
-                           suspect=hung)
+        self._stop_process(worker.process, self._policy.close_grace)
         try:
             worker.conn.close()
         except OSError:
@@ -781,8 +762,7 @@ class WorkerPool:
         ``active`` is the FIFO of jobs the dispatcher has taken over;
         it is the caller's so that a failure can resolve them all.
         """
-        policy = self._policy
-        in_flight: Dict[int, Tuple[_Job, List[int], float]] = {}
+        in_flight: Dict[int, Tuple[_Job, List[int]]] = {}
         consecutive_deaths = 0
         while True:
             registry = current()
@@ -812,9 +792,7 @@ class WorkerPool:
                     job.pending.popleft()
                     job.running += 1
                     job.started = True
-                    in_flight[slot] = (
-                        job, chunk_indices, time.monotonic()
-                    )
+                    in_flight[slot] = (job, chunk_indices)
                     registry.inc(_names.POOL_TASKS_DISPATCHED)
                 else:
                     # Dead before the chunk was even dispatched: the
@@ -829,47 +807,11 @@ class WorkerPool:
                     continue  # a respawned worker takes the chunk
                 if closing:
                     return
-            # -- wait for replies or submissions (bounded by the soft
-            # timeout) -------------------------------------------------
+            # -- wait for replies or submissions ----------------------
             conn_to_slot = {
                 self._workers[slot].conn: slot for slot in in_flight
             }
-            timeout: Optional[float] = None
-            if policy.run_timeout is not None and in_flight:
-                now = time.monotonic()
-                deadline = min(
-                    started + policy.run_timeout
-                    for _, _, started in in_flight.values()
-                )
-                timeout = max(0.001, deadline - now)
-            ready = _wait_ready(
-                [*conn_to_slot, self._wake_reader], timeout
-            )
-            if not ready:
-                # Soft timeout expired: classify hung workers, kill
-                # and respawn them, retry/quarantine their runs.
-                assert policy.run_timeout is not None
-                now = time.monotonic()
-                for slot in list(in_flight):
-                    job, chunk_indices, started = in_flight[slot]
-                    if now - started < policy.run_timeout:
-                        continue
-                    registry.inc(_names.POOL_WORKERS_TIMED_OUT)
-                    consecutive_deaths += 1
-                    del in_flight[slot]
-                    job.running -= 1
-                    reason = (
-                        f"chunk exceeded the {policy.run_timeout} s "
-                        f"soft timeout (hung worker killed)"
-                    )
-                    self._respawn(slot, job, reason, hung=True)
-                    self._absorb_failure(
-                        job, chunk_indices, reason, registry
-                    )
-                    self._settle(job, active)
-                time.sleep(retry_delay(consecutive_deaths))
-                continue
-            for conn in ready:
+            for conn in _wait_ready([*conn_to_slot, self._wake_reader]):
                 if conn is self._wake_reader:
                     while conn.poll():
                         conn.recv_bytes()
@@ -879,7 +821,7 @@ class WorkerPool:
                     message: Optional[Tuple[Any, ...]] = conn.recv()
                 except (EOFError, OSError):
                     message = None
-                job, chunk_indices, _ = in_flight.pop(slot)
+                job, chunk_indices = in_flight.pop(slot)
                 job.running -= 1
                 if message is not None and message[0] == "done":
                     job.outcomes.extend(message[1])

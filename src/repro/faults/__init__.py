@@ -31,12 +31,12 @@ registry the plan is bound with — an event network's ``metrics``, which
 
 A second, *execution-plane* family (:mod:`repro.faults.execution`)
 targets the worker-pool supervisor instead of the channel: a seeded
-:class:`WorkerKiller` or :class:`RunHang` enters through a test-only
-hook at the pool boundary, so respawn/retry/quarantine/timeout
-behaviour is just as deterministic as the jammed channel.
+:class:`WorkerKiller` enters through a test-only hook at the pool
+boundary, so respawn/retry/quarantine behaviour is just as
+deterministic as the jammed channel.
 """
 
-from repro.faults.execution import RunHang, WorkerKiller
+from repro.faults.execution import WorkerKiller
 from repro.faults.injectors import (
     BurstJammer,
     ClockSkew,
@@ -62,5 +62,4 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "WorkerKiller",
-    "RunHang",
 ]

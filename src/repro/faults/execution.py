@@ -7,15 +7,11 @@ to a :class:`~repro.experiments.pool.WorkerPool` (test-only hook) and
 rides into every worker process; immediately before a worker executes
 run ``index`` on attempt ``attempt`` it calls
 ``injector.before_run(index, attempt)``, giving the injector a precise,
-seeded place to kill or hang the worker:
-
-- :class:`WorkerKiller` — SIGKILLs the worker from inside (the closest
-  deterministic stand-in for the OOM killer), either from an explicit
-  ``{run_index: kills}`` map or a seeded per-run draw; the CI chaos
-  campaign drives it through ``--chaos-kill-*``;
-- :class:`RunHang` — wedges the worker in a long sleep so per-run soft
-  timeouts can classify and reap it; optionally ignores ``SIGTERM`` to
-  exercise the ``close()`` terminate→kill escalation.
+seeded place to kill the worker.  :class:`WorkerKiller` SIGKILLs the
+worker from inside (the closest deterministic stand-in for the OOM
+killer), either from an explicit ``{run_index: kills}`` map or a seeded
+per-run draw; the CI chaos campaign drives it through
+``--chaos-kill-*``.
 
 Determinism contract: kills are gated on *attempt* (an injector that
 kills ``k`` times lets attempt ``k`` through), and the seeded variant
@@ -24,22 +20,21 @@ draws from :func:`repro.utils.rng.derive_rng` keyed by run index alone
 predecessor, and the supervisor's retry path is reproducible bit for
 bit.  Runs themselves are seed-pure, so a retried run is identical to
 an uninjected one; an injector perturbs *scheduling*, never results.
-Both injectors are frozen dataclasses, so they pickle across the
-process boundary at worker spawn.
+The injector is a frozen dataclass, so it pickles across the process
+boundary at worker spawn.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import time
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import derive_rng
 
-__all__ = ["RunHang", "WorkerKiller"]
+__all__ = ["WorkerKiller"]
 
 
 @dataclass(frozen=True)
@@ -85,33 +80,3 @@ class WorkerKiller:
             # Suicide by SIGKILL: no cleanup, no exit handlers — the
             # parent sees exactly what an OOM kill looks like.
             os.kill(os.getpid(), signal.SIGKILL)
-
-
-@dataclass(frozen=True)
-class RunHang:
-    """Wedge the worker in a long sleep before selected run attempts.
-
-    ``hangs`` maps run index → number of attempts to hang (attempt
-    ``hangs[i]`` proceeds normally).  With ``ignore_sigterm`` the
-    worker first disarms ``SIGTERM``, modelling a process stuck in
-    uninterruptible state — only ``SIGKILL`` can reap it, which is
-    what the ``close()`` escalation regression test needs.
-    """
-
-    hangs: Mapping[int, int]
-    duration: float = 60.0
-    ignore_sigterm: bool = False
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ConfigurationError(
-                f"RunHang duration must be > 0, got {self.duration}"
-            )
-
-    def before_run(self, run_index: int, attempt: int) -> None:
-        if attempt < int(self.hangs.get(run_index, 0)):
-            if self.ignore_sigterm:
-                signal.signal(signal.SIGTERM, signal.SIG_IGN)
-            deadline = time.monotonic() + self.duration
-            while time.monotonic() < deadline:
-                time.sleep(min(0.05, self.duration))

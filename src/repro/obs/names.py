@@ -147,7 +147,6 @@ CAMPAIGNS_RESUMED = "campaigns.resumed"
 CAMPAIGNS_SHARDS_RETRIED = "campaigns.shards_retried"
 CAMPAIGNS_SHARDS_QUARANTINED = "campaigns.shards_quarantined"
 CAMPAIGNS_RUNS_QUARANTINED = "campaigns.runs_quarantined"
-CAMPAIGNS_STORE_SALVAGED = "campaigns.store_salvaged"
 
 # -- persistent worker pool (campaign engine) --------------------------
 
@@ -157,7 +156,6 @@ POOL_TASKS_DISPATCHED = "pool.tasks_dispatched"
 # -- pool supervision (respawn / retry / quarantine / degradation) -----
 
 POOL_WORKERS_RESPAWNED = "pool.workers_respawned"
-POOL_WORKERS_TIMED_OUT = "pool.workers_timed_out"
 POOL_WORKERS_FORCE_KILLED = "pool.workers_force_killed"
 POOL_RUNS_RETRIED = "pool.runs_retried"
 POOL_RUNS_QUARANTINED = "pool.runs_quarantined"

@@ -19,7 +19,7 @@ import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
 from repro.experiments.runner import NetworkExperiment
-from repro.faults import RunHang
+from tests.injectors import HoldRun
 
 REV = "testrev"
 
@@ -271,7 +271,7 @@ class TestPersistentPoolEngine:
         path = str(tmp_path / "held.sqlite")
         status = run_campaign(
             tiny_spec(), path, processes=2, git_revision=REV,
-            execution_faults=RunHang(hangs={0: 1}, duration=1.0),
+            execution_faults=HoldRun(run=0, seconds=1.0),
             progress=lines.append,
         )
         assert status.complete
@@ -369,6 +369,32 @@ class TestCli:
         ]) == 1
         out = capsys.readouterr().out
         assert "nothing to diff" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["status", "--store", "{typo}"],
+            ["status", "--store", "{typo}", "--json"],
+            ["query", "--store", "{typo}", "--campaign", "smoke"],
+            ["diff", "--store", "{ref}", "--campaign", "smoke",
+             "--other", "{typo}"],
+            ["resume", "--store", "{typo}", "--campaign", "smoke"],
+        ],
+        ids=["status", "status-json", "query", "diff-other", "resume"],
+    )
+    def test_missing_store_is_refused_not_created(
+        self, reference, tmp_path, argv
+    ):
+        """Reading a mistyped store path must not create an empty
+        store there and report on it."""
+        from repro.cli import main
+        from repro.errors import ConfigurationError
+
+        typo = str(tmp_path / "typo.sqlite")
+        argv = [arg.format(typo=typo, ref=reference[0]) for arg in argv]
+        with pytest.raises(ConfigurationError, match=typo):
+            main(["campaign", *argv])
+        assert os.listdir(tmp_path) == []
 
     def test_diff_across_stores(self, reference, tmp_path, capsys):
         from repro.cli import main

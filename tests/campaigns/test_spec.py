@@ -70,6 +70,13 @@ class TestValidation:
                 {"name": "x", "seed": 1, "runs_per_point": 1, field: value}
             )
 
+    @pytest.mark.parametrize("value", [None, 600.0])
+    def test_from_dict_rejects_removed_run_timeout(self, value):
+        data = tiny_spec().to_dict()
+        assert "run_timeout" not in data
+        with pytest.raises(ConfigurationError, match="seed-pure"):
+            CampaignSpec.from_dict({**data, "run_timeout": value})
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -79,7 +86,6 @@ class TestValidation:
             ("collect_metrics", "false"),
             ("runs_per_point", 2.7),
             ("runs_per_shard", True),
-            ("run_timeout", "30"),
             ("mndp_rounds", None),
         ],
     )
@@ -91,11 +97,12 @@ class TestValidation:
 
     def test_from_dict_accepts_integral_floats(self):
         data = tiny_spec().to_dict()
-        data.update(seed=2011.0, runs_per_point=4.0, run_timeout=30)
+        data.update(seed=2011.0, runs_per_point=4.0, max_run_retries=3.0)
         spec = CampaignSpec.from_dict(data)
         assert spec.seed == 2011 and isinstance(spec.seed, int)
-        assert spec.run_timeout == 30.0
-        assert spec.spec_hash() == tiny_spec(run_timeout=30.0).spec_hash()
+        assert spec.max_run_retries == 3
+        assert isinstance(spec.max_run_retries, int)
+        assert spec.spec_hash() == tiny_spec(max_run_retries=3).spec_hash()
 
     def test_cli_launch_rejects_mistyped_seed(self, tmp_path):
         from repro.cli import main

@@ -246,7 +246,6 @@ class TestLegacySpecs:
         legacy_hash = make_legacy(path, spec)
         assert legacy_hash != spec.spec_hash()
         with CampaignStore(path) as store:
-            assert not store.salvaged
             [row] = store.list_campaigns()
             stored, revision = store.spec_for("smoke")
         assert row["spec"] == spec and stored == spec

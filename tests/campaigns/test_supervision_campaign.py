@@ -1,11 +1,12 @@
-"""Campaign-level self-healing: chaos, quarantine, degradation, salvage.
+"""Campaign-level supervision: chaos, quarantine, degradation, damage.
 
 Everything here drives ``run_campaign`` under the seeded
 execution-plane injectors (:mod:`repro.faults.execution`) and pins the
 headline robustness guarantee: supervision may change *how long* a
-campaign takes, never *what bytes* it produces.  Every scenario ends
-with a byte comparison against the module's uninterrupted reference
-store.
+campaign takes, never *what bytes* it produces.  Every recovery
+scenario ends with a byte comparison against the module's
+uninterrupted reference store; a damaged store is not recovered but
+refused, and its bytes are compared with themselves.
 """
 
 import sqlite3
@@ -14,7 +15,7 @@ import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
 from repro.campaigns.store import QUARANTINE_KIND
-from repro.errors import is_quarantined_failure
+from repro.errors import ConfigurationError, is_quarantined_failure
 from repro.experiments.pool import SupervisionPolicy
 from repro.faults import WorkerKiller
 from repro.obs import installed
@@ -216,72 +217,66 @@ class TestDegradationLadder:
             assert handle.read() == expected
 
 
-class TestSalvage:
-    def test_torn_store_salvaged_then_resume_bit_identical(
-        self, tmp_path, reference
-    ):
-        """Losing run rows from a committed shard (logical tear) drops
-        exactly that shard at the next open; resume re-executes it and
-        the final store is byte-identical."""
-        _, expected, ref_status = reference
-        path = str(tmp_path / "torn.sqlite")
-        run_campaign(
-            tiny_spec(), path, max_shards=2, git_revision=REV
-        )
-        conn = sqlite3.connect(path)
-        conn.execute(
-            "DELETE FROM runs WHERE shard_index = 1 AND run_index = 3"
-        )
-        conn.commit()
-        conn.close()
-        lines = []
-        registry = MetricsRegistry()
-        with installed(registry):
-            resumed = run_campaign(
-                tiny_spec(), path, git_revision=REV,
-                progress=lines.append,
-            )
-        assert any("salvaged" in line for line in lines)
-        counters = registry.snapshot().counters
-        assert counters[_names.CAMPAIGNS_STORE_SALVAGED] == 1
-        assert resumed.complete
-        assert resumed.shards_skipped == 1  # shard 0 survived the tear
-        assert resumed.shards_executed == 3
-        assert resumed.canonical_digest == ref_status.canonical_digest
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
+def _torn(path):
+    """Two committed shards, then one run row of shard 1 deleted."""
+    run_campaign(tiny_spec(), str(path), max_shards=2, git_revision=REV)
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "DELETE FROM runs WHERE shard_index = 1 AND run_index = 3"
+    )
+    conn.commit()
+    conn.close()
 
-    def test_physically_corrupt_store_salvaged_and_rebuilt(
-        self, tmp_path, reference
-    ):
-        """Garbage over every page past the header still yields a
-        working (possibly empty) store; the resume re-runs what was
-        lost and lands on the reference bytes."""
-        _, expected, _ = reference
-        path = str(tmp_path / "corrupt.sqlite")
-        run_campaign(
-            tiny_spec(), path, max_shards=2, git_revision=REV
-        )
-        with open(path, "r+b") as handle:
-            handle.seek(4096)
-            remaining = handle.seek(0, 2) - 4096
-            handle.seek(4096)
-            handle.write(b"\xa5" * remaining)
-        lines = []
-        resumed = run_campaign(
-            tiny_spec(), path, git_revision=REV,
-            progress=lines.append,
-        )
-        assert any("salvaged" in line for line in lines)
-        assert resumed.complete
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
+
+def _corrupt(path):
+    """Two committed shards, then every page past the header
+    overwritten with garbage."""
+    run_campaign(tiny_spec(), str(path), max_shards=2, git_revision=REV)
+    with open(path, "r+b") as handle:
+        remaining = handle.seek(0, 2) - 4096
+        handle.seek(4096)
+        handle.write(b"\xa5" * remaining)
+
+
+class TestSalvage:
+    """A damaged store is refused with a typed error, never salvaged:
+    the open names the file and the finding and leaves its bytes as
+    they were."""
+
+    @staticmethod
+    def _assert_resume_refused(path, finding):
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_campaign(tiny_spec(), str(path), git_revision=REV)
+        message = str(excinfo.value)
+        assert f"campaign store {path} failed verification" in message
+        assert finding in message and "seed-pure" in message
+        assert path.read_bytes() == before
+
+    def test_torn_store_is_refused_unchanged(self, tmp_path):
+        """One run row lost from a committed shard (logical tear)."""
+        _torn(tmp_path / "torn.sqlite")
+        self._assert_resume_refused(tmp_path / "torn.sqlite", "torn commit")
+
+    def test_corrupt_store_is_refused_unchanged(self, tmp_path):
+        """Garbage over every page past the header (physical damage)."""
+        _corrupt(tmp_path / "corrupt.sqlite")
+        self._assert_resume_refused(tmp_path / "corrupt.sqlite", "malformed")
+
+    def test_cli_query_leaves_torn_store_unchanged(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "torn.sqlite"
+        _torn(path)
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError, match="torn commit"):
+            main(["campaign", "query", "--store", str(path),
+                  "--campaign", "smoke"])
+        assert path.read_bytes() == before
 
     def test_unsupported_schema_version_is_refused_not_salvaged(
         self, tmp_path
     ):
-        from repro.errors import ConfigurationError
-
         path = str(tmp_path / "future.sqlite")
         with CampaignStore(path):
             pass

@@ -1,11 +1,11 @@
-"""Supervision tests: respawn, retry, quarantine, timeouts, shutdown.
+"""Supervision tests: respawn, retry, quarantine, shutdown.
 
 Driven end to end through the seeded execution-plane injectors
-(:mod:`repro.faults.execution`), the way ``BurstJammer`` drives the
-channel tests: every scenario is deterministic, and the load-bearing
-assertion everywhere is that supervision never changes result bits —
-a retried run is identical to an undisturbed one because runs are
-seed-pure.
+(:mod:`repro.faults.execution`, ``tests/injectors.py``), the way
+``BurstJammer`` drives the channel tests: every scenario is
+deterministic, and the load-bearing assertion everywhere is that
+supervision never changes result bits — a retried run is identical to
+an undisturbed one because runs are seed-pure.
 """
 
 import os
@@ -30,10 +30,11 @@ from repro.experiments.pool import (
     retry_delay,
 )
 from repro.experiments.runner import NetworkExperiment
-from repro.faults import RunHang, WorkerKiller
+from repro.faults import WorkerKiller
 from repro.obs import installed
 from repro.obs import names as _names
 from repro.obs.registry import MetricsRegistry
+from tests.injectors import HoldRun
 
 TINY = JRSNDConfig(
     n_nodes=120,
@@ -80,8 +81,8 @@ class TestSupervisionPolicy:
         [
             {"max_run_retries": -1},
             {"max_respawns": -1},
-            {"run_timeout": -1.0},
-            {"run_timeout": 0.0},
+            {"close_grace": -1.0},
+            {"close_grace": float("nan")},
             {"close_grace": 0.0},
         ],
     )
@@ -251,46 +252,22 @@ class TestQuarantine:
         assert counters[_names.POOL_RUNS_RETRIED] >= 4
 
 
-class TestSoftTimeout:
-    def test_hung_worker_is_killed_and_run_retried(self):
-        """A wedged worker trips the per-run soft timeout, is killed
-        and respawned, and its runs land bit-identically."""
-        serial = NetworkExperiment(TINY, seed=7).run(3)
-        registry = MetricsRegistry()
-        with installed(registry):
-            with WorkerPool(
-                processes=2,
-                policy=SupervisionPolicy(
-                    run_timeout=1.0,
-                    close_grace=2.0,
-                ),
-                execution_faults=RunHang(hangs={1: 1}, duration=60.0),
-            ) as pool:
-                result = pool.run(NetworkExperiment(TINY, seed=7), range(3))
-            counters = registry.snapshot().counters
-        assert result.runs == serial.runs
-        assert counters[_names.POOL_WORKERS_TIMED_OUT] >= 1
-        assert counters[_names.POOL_WORKERS_RESPAWNED] >= 1
-
-
 class TestCloseEscalation:
     def test_close_force_kills_uninterruptible_worker(self):
         """Satellite regression: ``close()`` used to leak a worker
         that ignored the stop sentinel.  The join → terminate → kill
-        ladder must reap even a SIGTERM-ignoring hang, boundedly."""
+        ladder must reap even a SIGTERM-ignoring held worker, boundedly."""
         registry = MetricsRegistry()
         with installed(registry):
             pool = WorkerPool(
                 processes=2,
                 policy=SupervisionPolicy(close_grace=0.3),
-                execution_faults=RunHang(
-                    hangs={0: 1},
-                    duration=120.0,
-                    ignore_sigterm=True,
+                execution_faults=HoldRun(
+                    run=0, seconds=120.0, ignore_sigterm=True
                 ),
             )
             handle = pool.submit(NetworkExperiment(TINY, seed=7), [0, 1])
-            # Let the hung chunk reach the worker before closing.
+            # Let the held chunk reach the worker before closing.
             time.sleep(0.5)
             start = time.monotonic()
             pool.close()
@@ -314,7 +291,7 @@ class TestWaitTimeoutCancellation:
         with WorkerPool(
             processes=1,
             policy=FAST,
-            execution_faults=RunHang(hangs={5: 1}, duration=1.5),
+            execution_faults=HoldRun(run=5, seconds=1.5),
         ) as pool:
             experiment = NetworkExperiment(TINY, seed=7)
             slow = pool.submit(experiment, [5])
@@ -322,7 +299,7 @@ class TestWaitTimeoutCancellation:
             with pytest.raises(WorkerPoolError, match="cancelled"):
                 queued.wait(timeout=0.2)
             assert queued.cancelled
-            # The hung job finishes; the cancelled one is skipped with
+            # The held job finishes; the cancelled one is skipped with
             # an error instead of occupying the worker.
             slow.wait(timeout=30.0)
             with pytest.raises(WorkerPoolError, match="cancelled"):

@@ -1,4 +1,4 @@
-"""Unit tests for the execution-plane injectors.
+"""Unit tests for the execution-plane injector.
 
 The process-killing behaviour itself is exercised end to end in
 ``tests/experiments/test_pool_supervision.py``; here we pin the
@@ -7,12 +7,11 @@ ever actually killing the test process.
 """
 
 import pickle
-import time
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import RunHang, WorkerKiller
+from repro.faults import WorkerKiller
 
 
 class TestWorkerKiller:
@@ -69,15 +68,3 @@ class TestWorkerKiller:
         clone = pickle.loads(pickle.dumps(killer))
         assert clone.kills_for(1) == 1
 
-
-class TestRunHang:
-    def test_only_selected_attempts_hang(self):
-        hang = RunHang(hangs={2: 1}, duration=5.0)
-        start = time.monotonic()
-        hang.before_run(0, 0)  # not selected
-        hang.before_run(2, 1)  # attempt past the hang budget
-        assert time.monotonic() - start < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RunHang(hangs={}, duration=0.0)

@@ -13,7 +13,7 @@ def report(kind: str, name: str) -> None:
     registry.inc(_names.POOL_WORKERS_SPAWNED)
     registry.inc(_names.POOL_WORKERS_RESPAWNED)
     registry.inc(_names.POOL_RUNS_QUARANTINED)
-    registry.inc(_names.CAMPAIGNS_STORE_SALVAGED)
+    registry.inc(_names.CAMPAIGNS_STORE_COMMITS)
     registry.inc(_names.POOL_TASKS_DISPATCHED)
     registry.inc(_names.POOL_RUNS_RETRIED)
     registry.inc(_names.cache_hits(kind))
