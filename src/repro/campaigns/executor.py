@@ -6,8 +6,8 @@ the determinism guarantees around it:
 1. expand the spec into shards (pure function of the spec);
 2. ask the store which shard indices are already committed for this
    ``(campaign, spec hash, git revision)`` and skip them;
-3. submit each remaining shard — the point's derived seed and the
-   shard's run-index range — to one
+3. submit each remaining shard — the point's experiment on the
+   campaign seed and the shard's run-index range — to one
    :class:`~repro.experiments.pool.WorkerPool` and collect its
    outcomes;
 4. commit the shard's results and merged deterministic metrics in one

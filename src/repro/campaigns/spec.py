@@ -2,11 +2,16 @@
 
 A spec is data, not code: a base config preset, a grid of axis values,
 runs per point, and a root seed.  Everything downstream — point order,
-shard boundaries, per-point seeds, the content hash — is a pure
-function of that data, which is what makes a campaign resumable: any
-process expanding the same spec produces the same shard list, so a
-store populated by a killed run composes seamlessly with the shards a
-resuming run still has to execute.
+shard boundaries, the content hash — is a pure function of that data,
+which is what makes a campaign resumable: any process expanding the
+same spec produces the same shard list, so a store populated by a
+killed run composes seamlessly with the shards a resuming run still
+has to execute.
+
+Every point runs on the campaign seed (common random numbers): run
+``i`` of every point draws the same placement, code assignment,
+compromise and jamming streams, so each point keeps its marginal
+distribution while the noise between points is paired.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from repro.core.config import JRSNDConfig
 from repro.core.mndp import COMPUTE_BACKENDS
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import preset_config
-from repro.utils.rng import SeedSequencer
 from repro.utils.validation import check_positive
 
 __all__ = ["GRID_AXES", "CampaignPoint", "Shard", "CampaignSpec"]
@@ -48,6 +52,13 @@ _STRATEGIES = {
     "random": JammerStrategy.RANDOM,
 }
 _LINK_MODELS = ("codes", "independent")
+
+#: The sampling design, written into every spec's canonical JSON so a
+#: store's ``spec_json`` says how its rows were drawn, and specs from
+#: before the design (each point on its own derived seed) hash
+#: differently.  It is not a setting: :meth:`CampaignSpec.from_dict`
+#: accepts this value or none.
+SAMPLING = "common-random-numbers"
 
 #: Fields older specs carried and :meth:`CampaignSpec.from_dict` now
 #: rejects, each with the reason it went.  A store still holds them in
@@ -89,8 +100,8 @@ class CampaignPoint:
 
     ``params`` holds the axis values that distinguish this point
     (config overrides plus strategy/link_model), in sorted-key order;
-    ``seed`` is the point's derived root seed, a pure function of the
-    campaign seed and the point index.
+    ``seed`` is the root seed of the point's experiment, which is the
+    campaign seed for every point.
     """
 
     index: int
@@ -134,7 +145,9 @@ class CampaignSpec:
     name:
         Campaign identifier; the store keys results under it.
     seed:
-        Root seed; every point derives an independent child seed.
+        Root seed of every point's experiment, so run ``i`` of every
+        point shares its placement, code assignment, compromise and
+        jamming streams (common random numbers).
     runs_per_point:
         Monte Carlo runs per grid point (the paper uses 100).
     grid:
@@ -148,7 +161,8 @@ class CampaignSpec:
         Defaults for points whose grid does not sweep them.
     runs_per_shard:
         Checkpoint granularity: a point's runs are chunked into shards
-        of at most this many runs (default: one shard per point).
+        of at most this many runs (default: one shard per point), and
+        shards run block by block, every point within a block.
     mndp_rounds, compute_backend, collect_metrics, sample_latency:
         Forwarded to :class:`~repro.experiments.runner.NetworkExperiment`.
     phy_backend:
@@ -271,6 +285,7 @@ class CampaignSpec:
             "sample_latency": self.sample_latency,
             "phy_backend": self.phy_backend,
             "max_run_retries": self.max_run_retries,
+            "sampling": SAMPLING,
         }
 
     def to_json(self) -> str:
@@ -294,7 +309,7 @@ class CampaignSpec:
             "name", "seed", "runs_per_point", "grid", "base",
             "strategy", "link_model", "runs_per_shard", "mndp_rounds",
             "compute_backend", "collect_metrics", "sample_latency",
-            "phy_backend", "max_run_retries",
+            "phy_backend", "max_run_retries", "sampling",
         }
         removed = sorted(REMOVED_FIELDS.keys() & data.keys())
         if removed:
@@ -309,6 +324,12 @@ class CampaignSpec:
         if unknown:
             raise ConfigurationError(
                 f"unknown campaign spec fields: {sorted(unknown)}"
+            )
+        if data.get("sampling", SAMPLING) != SAMPLING:
+            raise ConfigurationError(
+                f"campaign spec field 'sampling' is written by the "
+                f"program and must be {SAMPLING!r}, got "
+                f"{data['sampling']!r}"
             )
         for required in ("name", "seed", "runs_per_point"):
             if required not in data:
@@ -374,12 +395,11 @@ class CampaignSpec:
         """The grid's cartesian product, in deterministic order.
 
         Axes iterate in sorted-name order, values in spec order; the
-        point index is the product's enumeration order and the point
-        seed derives from ``(campaign seed, point index)`` only.
+        point index is the product's enumeration order, and every point
+        runs on the campaign seed.
         """
         axes = sorted(self.grid)
         value_lists = [list(self.grid[axis]) for axis in axes]
-        seeds = SeedSequencer(self.seed)
         points = []
         for index, combo in enumerate(
             itertools.product(*value_lists) if axes else [()]
@@ -391,18 +411,25 @@ class CampaignSpec:
                 CampaignPoint(
                     index=index,
                     params=tuple(sorted(params.items())),
-                    seed=seeds.child(f"point-{index}").seed,
+                    seed=self.seed,
                 )
             )
         return points
 
     def shards(self) -> List[Shard]:
-        """Every point's runs chunked into checkpointable shards."""
+        """Every point's runs chunked into checkpointable shards.
+
+        Blocks of ``runs_per_shard`` run indices form the outer loop and
+        points the inner one, so consecutive shards run the same
+        indices on the same seed and a pool worker can reuse their
+        field snapshots (see :mod:`repro.experiments.pool`).
+        """
         chunk = self.runs_per_shard or self.runs_per_point
+        points = self.points()
         shards = []
-        for point in self.points():
-            for start in range(0, self.runs_per_point, chunk):
-                stop = min(start + chunk, self.runs_per_point)
+        for start in range(0, self.runs_per_point, chunk):
+            stop = min(start + chunk, self.runs_per_point)
+            for point in points:
                 shards.append(
                     Shard(
                         index=len(shards),

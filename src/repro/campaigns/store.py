@@ -12,9 +12,9 @@ Two properties carry the resume guarantees:
 
 - **Shard atomicity.**  A shard lands in a single transaction (shard
   row + run rows together).  SIGKILL mid-shard rolls the transaction
-  back on the next open; the shard simply re-runs, and because a run's
-  randomness depends only on ``(point seed, run index)`` it re-runs to
-  the identical result.
+  back on the next open; the shard simply re-runs, and because a run
+  depends only on the campaign seed, the run index and the point's
+  parameters, it re-runs to the identical result.
 - **Canonical form.**  On campaign completion the executor rebuilds
   the store from scratch — fixed page size, rows inserted in sorted
   key order, one transaction — and atomically replaces the working
@@ -161,7 +161,18 @@ class CampaignStore:
 
     def __init__(self, path: str) -> None:
         self._path = path
-        self._conn = sqlite3.connect(path)
+        # SQLite reads both as a database with no file behind it, which
+        # the executor's canonical rebuild could never replace.
+        if path in ("", ":memory:"):
+            raise ConfigurationError(
+                f"campaign store path must name a file, got {path!r}"
+            )
+        try:
+            self._conn = sqlite3.connect(path)
+        except sqlite3.OperationalError as error:
+            raise ConfigurationError(
+                f"cannot open campaign store {path}: {error}"
+            ) from None
         try:
             finding = self._verify()
         except BaseException:  # jrsnd: noqa(JRS003) -- verification failed for *any* reason: close the handle, then re-raise unchanged

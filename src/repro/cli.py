@@ -22,6 +22,10 @@ installs a :class:`~repro.obs.MetricsRegistry` for the duration of the
 command and writes the resulting
 :class:`~repro.obs.MetricsSnapshot` as JSON, giving benchmark runs
 machine-readable telemetry to regress against.
+
+A command refused with a :class:`~repro.errors.ConfigurationError` (a
+bad spec, a missing or damaged store) prints one ``error:`` line on
+stderr and exits with :data:`EXIT_CONFIGURATION_ERROR`.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from repro.analysis.mndp_theory import (
     mndp_two_hop_bound,
 )
 from repro.core.config import JRSNDConfig
+from repro.errors import ConfigurationError
 from repro.experiments.figures import (
     figure2_sweep,
     figure3a_sweep,
@@ -53,7 +58,12 @@ from repro.experiments.figures import (
 from repro.experiments.reporting import format_series_table
 from repro.experiments.runner import NetworkExperiment
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "EXIT_CONFIGURATION_ERROR"]
+
+#: Exit code of a command refused with a ``ConfigurationError``; 1 means
+#: an incomplete campaign or a broken invariant, 2 an argument error,
+#: and 3 quarantined runs.
+EXIT_CONFIGURATION_ERROR = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +377,6 @@ def _existing_store(path: str):
     on a new, empty store.
     """
     from repro.campaigns import CampaignStore
-    from repro.errors import ConfigurationError
 
     if not os.path.isfile(path):
         raise ConfigurationError(f"no campaign store file at {path}")
@@ -394,8 +403,6 @@ def _stored_key(store, campaign: str, revision: Optional[str]):
     field was removed re-hashes differently.  Without a ``revision``
     the lexicographically last one is used, as in ``spec_for``.
     """
-    from repro.errors import ConfigurationError
-
     rows = [
         row for row in store.list_campaigns()
         if row["campaign_id"] == campaign
@@ -641,7 +648,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         registry = None
         context = nullcontext()
     with context:
-        code = _dispatch(args) or 0
+        try:
+            code = _dispatch(args) or 0
+        except ConfigurationError as error:
+            print(f"error: {' '.join(str(error).split())}", file=sys.stderr)
+            return EXIT_CONFIGURATION_ERROR
     if registry is not None:
         from repro.utils.fileio import atomic_write_text
 

@@ -475,8 +475,15 @@ class MNDPSampler:
         Balls grow one hop at a time, only as deep as a level needs.
         """
         dist = np.zeros(a_arr.size, dtype=np.int64)
-        remaining = np.flatnonzero(valid)
-        if self._nu < 2 or remaining.size == 0:
+        if self._nu < 2:
+            return dist
+        # A pair with an endpoint on no relay link is out of reach at
+        # any distance: drop it before any ball is built.
+        relayed = np.zeros(n, dtype=bool)
+        relayed[lo] = True
+        relayed[hi] = True
+        remaining = np.flatnonzero(valid & relayed[a_arr] & relayed[b_arr])
+        if remaining.size == 0:
             return dist
         nodes = np.arange(n)
         src = np.concatenate([lo, hi])

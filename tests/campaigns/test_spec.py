@@ -104,26 +104,23 @@ class TestValidation:
         assert isinstance(spec.max_run_retries, int)
         assert spec.spec_hash() == tiny_spec(max_run_retries=3).spec_hash()
 
-    def test_cli_launch_rejects_mistyped_seed(self, tmp_path):
-        from repro.cli import main
-
+    def test_cli_launch_rejects_mistyped_seed(self, tmp_path, cli_refused):
         data = tiny_spec().to_dict()
         data["seed"] = "abc"
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(data))
-        with pytest.raises(ConfigurationError, match="seed"):
-            main([
-                "campaign", "launch", "--spec", str(spec_path),
-                "--store", str(tmp_path / "never.sqlite"),
-                "--revision", "r",
-            ])
+        cli_refused([
+            "campaign", "launch", "--spec", str(spec_path),
+            "--store", str(tmp_path / "never.sqlite"),
+            "--revision", "r",
+        ], "seed")
         assert not (tmp_path / "never.sqlite").exists()
 
-    def test_bad_grid_value_fails_the_spec_not_a_shard(self, tmp_path):
+    def test_bad_grid_value_fails_the_spec_not_a_shard(
+        self, tmp_path, cli_refused
+    ):
         """A config value only the third point uses is refused when the
         spec is built, before any shard runs or any store exists."""
-        from repro.cli import main
-
         data = {
             "name": "badnu", "seed": 2011, "runs_per_point": 2,
             "base": "tiny", "grid": {"nu": [2, 3, 0]},
@@ -134,12 +131,11 @@ class TestValidation:
             CampaignSpec.from_json(json.dumps(data))
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(data))
-        with pytest.raises(ConfigurationError, match="nu must be > 0"):
-            main([
-                "campaign", "launch", "--spec", str(spec_path),
-                "--store", str(tmp_path / "never.sqlite"),
-                "--revision", "r",
-            ])
+        cli_refused([
+            "campaign", "launch", "--spec", str(spec_path),
+            "--store", str(tmp_path / "never.sqlite"),
+            "--revision", "r",
+        ], "nu must be > 0")
         assert not (tmp_path / "never.sqlite").exists()
 
     def test_rejects_bad_phy_backend(self):
@@ -206,6 +202,24 @@ class TestHashing:
         assert again == spec
         assert again.spec_hash() == spec.spec_hash()
 
+    def test_canonical_json_names_the_sampling_design(self):
+        """The hash covers the sampling design, so a spec written while
+        every point had its own seed hashes differently."""
+        import hashlib
+
+        data = json.loads(tiny_spec().to_json())
+        assert data["sampling"] == "common-random-numbers"
+        del data["sampling"]
+        assert CampaignSpec.from_dict(data) == tiny_spec()
+        old_json = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        old_hash = hashlib.sha256(old_json.encode("utf-8")).hexdigest()
+        assert old_hash[:16] != tiny_spec().spec_hash()
+
+    def test_from_dict_rejects_another_sampling_design(self):
+        data = dict(tiny_spec().to_dict(), sampling="per-point-seeds")
+        with pytest.raises(ConfigurationError, match="sampling"):
+            CampaignSpec.from_dict(data)
+
 
 class TestExpansion:
     def test_point_count_is_cartesian_product(self):
@@ -225,13 +239,27 @@ class TestExpansion:
         assert spec.points() == spec.points()
         assert spec.shards() == spec.shards()
 
-    def test_point_seeds_are_distinct_and_seed_derived(self):
+    def test_every_point_runs_on_the_campaign_seed(self):
+        """Common random numbers: every point's experiment is seeded
+        with the campaign seed, so run i draws the same streams at
+        every point."""
         spec = tiny_spec(grid={"n_compromised": [5, 10], "nu": [1, 2]})
-        seeds = [point.seed for point in spec.points()]
-        assert len(set(seeds)) == len(seeds)
+        assert [point.seed for point in spec.points()] == [2011] * 4
         other = tiny_spec(seed=7, grid={"n_compromised": [5, 10],
                                         "nu": [1, 2]})
-        assert seeds != [point.seed for point in other.points()]
+        assert {point.seed for point in other.points()} == {7}
+
+    def test_shards_iterate_points_inside_run_blocks(self):
+        spec = tiny_spec(runs_per_point=5, runs_per_shard=2)
+        assert [
+            (shard.index, shard.point.index, shard.run_start,
+             shard.run_stop)
+            for shard in spec.shards()
+        ] == [
+            (0, 0, 0, 2), (1, 1, 0, 2),
+            (2, 0, 2, 4), (3, 1, 2, 4),
+            (4, 0, 4, 5), (5, 1, 4, 5),
+        ]
 
     def test_shard_chunking_covers_all_runs(self):
         spec = tiny_spec(runs_per_point=5, runs_per_shard=2)

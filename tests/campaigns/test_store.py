@@ -65,6 +65,18 @@ class TestLifecycle:
             with pytest.raises(ConfigurationError, match="refusing"):
                 store.register_campaign(tiny_spec(seed=7), REV)
 
+    def test_unopenable_path_is_a_typed_error(self, tmp_path):
+        path = str(tmp_path / "nodir" / "x.sqlite")
+        with pytest.raises(
+            ConfigurationError, match=f"cannot open campaign store {path}"
+        ):
+            CampaignStore(path)
+        with pytest.raises(ConfigurationError, match="cannot open"):
+            CampaignStore(str(tmp_path))  # a directory
+        for fileless in ("", ":memory:"):
+            with pytest.raises(ConfigurationError, match="name a file"):
+                CampaignStore(fileless)
+
     def test_schema_version_mismatch_is_rejected(self, tmp_path):
         import sqlite3
 

@@ -93,7 +93,8 @@ class TestQuarantine:
         max_run_retries=1, close_grace=5.0
     )
     # Run 3 exists in both points, so the shards covering runs 2..3
-    # of each point (indices 1 and 3) both quarantine one run.
+    # of each point (indices 2 and 3: shards iterate points inside
+    # each run block) both quarantine one run.
     POISON = WorkerKiller(kills={3: 99})
 
     def test_poison_run_quarantines_shard_not_campaign(self, tmp_path):
@@ -114,11 +115,11 @@ class TestQuarantine:
                 spec.name, spec.spec_hash(), REV,
                 kind=QUARANTINE_KIND,
             )
-        assert done == frozenset({0, 2})
+        assert done == frozenset({0, 1})
         assert [
             (record["shard_index"], record["run_index"])
             for record in records
-        ] == [(1, 3), (3, 3)]
+        ] == [(2, 3), (3, 3)]
         assert all(
             is_quarantined_failure(record["detail"])
             and record["attempts"] == 2
@@ -194,10 +195,10 @@ class TestDegradationLadder:
     def test_break_on_second_in_flight_shard_degrades_once(
         self, tmp_path, reference
     ):
-        """Run 2 lives in shard 1, submitted beside shard 0: its death
-        breaks the pool with two shards in flight.  Every uncommitted
-        shard re-runs in-process, with one degradation event and the
-        reference bytes."""
+        """Run 2 lives in shards 2 and 3 (the second run block),
+        submitted beside shard 0: its death breaks the pool with later
+        shards in flight.  Every uncommitted shard re-runs in-process,
+        with one degradation event and the reference bytes."""
         _, expected, ref_status = reference
         path = str(tmp_path / "degraded-second.sqlite")
         registry = MetricsRegistry()
@@ -222,7 +223,7 @@ def _torn(path):
     run_campaign(tiny_spec(), str(path), max_shards=2, git_revision=REV)
     conn = sqlite3.connect(path)
     conn.execute(
-        "DELETE FROM runs WHERE shard_index = 1 AND run_index = 3"
+        "DELETE FROM runs WHERE shard_index = 1 AND run_index = 1"
     )
     conn.commit()
     conn.close()
@@ -263,15 +264,14 @@ class TestSalvage:
         _corrupt(tmp_path / "corrupt.sqlite")
         self._assert_resume_refused(tmp_path / "corrupt.sqlite", "malformed")
 
-    def test_cli_query_leaves_torn_store_unchanged(self, tmp_path):
-        from repro.cli import main
-
+    def test_cli_query_leaves_torn_store_unchanged(
+        self, tmp_path, cli_refused
+    ):
         path = tmp_path / "torn.sqlite"
         _torn(path)
         before = path.read_bytes()
-        with pytest.raises(ConfigurationError, match="torn commit"):
-            main(["campaign", "query", "--store", str(path),
-                  "--campaign", "smoke"])
+        cli_refused(["campaign", "query", "--store", str(path),
+                     "--campaign", "smoke"], "torn commit")
         assert path.read_bytes() == before
 
     def test_unsupported_schema_version_is_refused_not_salvaged(
@@ -341,7 +341,7 @@ class TestCli:
         assert [
             (entry["shard_index"], entry["run_index"])
             for entry in campaign["quarantined_runs"]
-        ] == [(1, 3), (3, 3)]
+        ] == [(2, 3), (3, 3)]
         # Plain (non-JSON) status surfaces the same exit code.
         assert main([
             "campaign", "status", "--store", path,

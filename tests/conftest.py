@@ -37,3 +37,24 @@ def small_config() -> JRSNDConfig:
 def paper_config() -> JRSNDConfig:
     """The exact Table I defaults."""
     return JRSNDConfig()
+
+
+@pytest.fixture
+def cli_refused(capsys):
+    """``refused(argv, match)`` runs ``python -m repro argv`` in-process
+    and asserts it was refused with a ``ConfigurationError``: the exit
+    code is ``EXIT_CONFIGURATION_ERROR`` and stderr is one ``error:``
+    line matching ``match`` (a regex).  Returns that line."""
+    import re
+
+    from repro.cli import EXIT_CONFIGURATION_ERROR, main
+
+    def refused(argv, match):
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIGURATION_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert re.search(match, err), err
+        return err
+
+    return refused

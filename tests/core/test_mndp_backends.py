@@ -315,6 +315,30 @@ class TestClosureEquivalence:
         )
         assert not np.isin(recovered, [0, 9]).any()
 
+    def test_isolated_endpoints_at_nu_8(self):
+        # Nodes 10..14 sit on no logical link, so every pair touching
+        # one is out of reach and is dropped before a ball is built;
+        # pairs_attempted and the hop histogram still count them as
+        # the oracle does.
+        graph = LogicalGraph(15)
+        graph.add_links([(i, i + 1) for i in range(9)])
+        graph.add_links([(0, 5), (3, 9), (12, 13)])
+        pairs = [
+            (a, b)
+            for a in range(15)
+            for b in range(a + 1, 15)
+            if not graph.has_link(a, b)
+        ]
+        recovered, hops = _assert_backends_agree(8, pairs, graph)
+        isolated = [10, 11, 14]
+        assert not np.isin(recovered, isolated).any()
+        assert len(recovered) == 45 - 11 and max(hops) <= 8
+        # Only isolated endpoints pending: nothing to resolve at all.
+        only, _ = _assert_backends_agree(
+            8, [(0, 10), (11, 14), (9, 12)], graph
+        )
+        assert only.shape == (0, 2)
+
     @pytest.mark.parametrize("rounds", [2, 3])
     @pytest.mark.parametrize("nu", [3, 4, 6, 8])
     def test_multi_round_cascades(self, nu, rounds):

@@ -128,3 +128,47 @@ class TestMetricsOut:
         main(["theory"])
         assert obs.current() is obs.NULL
         assert list(tmp_path.iterdir()) == []
+
+
+class TestConfigurationErrors:
+    def test_refusal_is_one_stderr_line_and_exit_code(self, tmp_path):
+        """``python -m repro`` reports a ConfigurationError as one
+        ``error:`` line with its own exit code, not a traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.cli import EXIT_CONFIGURATION_ERROR
+
+        typo = str(tmp_path / "typo.sqlite")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            env.get("PYTHONPATH", ""),
+        ])
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "campaign", "status",
+             "--store", typo],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert EXIT_CONFIGURATION_ERROR not in (0, 1, 2, 3)
+        assert proc.returncode == EXIT_CONFIGURATION_ERROR
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: no campaign store file at {typo}\n"
+
+    def test_unopenable_store_path_is_refused(self, tmp_path, cli_refused):
+        """A store path SQLite cannot open is a ConfigurationError that
+        names the path, and nothing is created."""
+        from repro.campaigns import CampaignSpec
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(CampaignSpec(
+            name="smoke", seed=1, runs_per_point=1, base="tiny"
+        ).to_json())
+        path = str(tmp_path / "nodir" / "x.sqlite")
+        cli_refused([
+            "campaign", "launch", "--spec", str(spec_path),
+            "--store", path, "--revision", "r",
+        ], f"cannot open campaign store {path}: unable to open")
+        assert list(tmp_path.iterdir()) == [spec_path]

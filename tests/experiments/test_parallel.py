@@ -21,6 +21,10 @@ SMALL = JRSNDConfig(
     tx_range=300.0,
 )
 
+#: The real ``run_once``, for stubs that fail some runs and pass the
+#: rest through.
+RUN_ONCE = NetworkExperiment.run_once
+
 
 def run_inline(runs):
     with WorkerPool(0) as inline:
@@ -79,10 +83,10 @@ class TestInstrumentedParallel:
 
 class TestFailureHandling:
     @staticmethod
-    def _failing_run_once(self, run_index):
+    def _failing_run_once(self, run_index, snapshot=None):
         if run_index == 1:
             raise RuntimeError(f"synthetic failure in run {run_index}")
-        return self._execute_run(run_index)
+        return RUN_ONCE(self, run_index, snapshot)
 
     def test_failures_tagged_and_completed_preserved(self, monkeypatch):
         from repro.errors import ParallelExecutionError
@@ -113,10 +117,10 @@ class TestFailureHandling:
         its run index instead of aborting the map."""
         from repro.errors import ParallelExecutionError
 
-        def failing(self, run_index):
+        def failing(self, run_index, snapshot=None):
             if run_index == 1:
                 raise exc
-            return self._execute_run(run_index)
+            return RUN_ONCE(self, run_index, snapshot)
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
         with pytest.raises(ParallelExecutionError) as excinfo:
@@ -133,7 +137,7 @@ class TestFailureHandling:
         class ForeignPluginError(BaseException):
             pass
 
-        def failing(self, run_index):
+        def failing(self, run_index, snapshot=None):
             raise ForeignPluginError("not part of the worker taxonomy")
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)

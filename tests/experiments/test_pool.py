@@ -29,6 +29,10 @@ from repro.obs import installed
 from repro.obs import names as _names
 from repro.obs.registry import MetricsRegistry
 
+#: The real ``run_once``, for stubs that fail some runs and pass the
+#: rest through.
+RUN_ONCE = NetworkExperiment.run_once
+
 TINY = JRSNDConfig(
     n_nodes=120,
     codes_per_node=12,
@@ -269,10 +273,10 @@ class TestPoolMetrics:
 
 class TestFailureSemantics:
     @staticmethod
-    def _failing_run_once(self, run_index):
+    def _failing_run_once(self, run_index, snapshot=None):
         if run_index == 1:
             raise RuntimeError(f"synthetic failure in run {run_index}")
-        return self._execute_run(run_index)
+        return RUN_ONCE(self, run_index, snapshot)
 
     def test_run_failures_do_not_break_the_pool(self, monkeypatch):
         """Per-run failures come back as tagged data (exactly like the
@@ -368,9 +372,9 @@ class TestInProcessMode:
         seen = []
         original = NetworkExperiment.run_once
 
-        def recording(self, run_index):
+        def recording(self, run_index, snapshot=None):
             seen.append(run_index)
-            return original(self, run_index)
+            return original(self, run_index, snapshot)
 
         monkeypatch.setattr(NetworkExperiment, "run_once", recording)
         with WorkerPool(processes=0) as inline:
@@ -389,10 +393,10 @@ class TestInProcessMode:
         worker processes: a ParallelExecutionError carrying the runs
         that completed."""
 
-        def failing(self, run_index):
+        def failing(self, run_index, snapshot=None):
             if run_index == 1:
                 raise RuntimeError(f"synthetic failure in run {run_index}")
-            return self._execute_run(run_index)
+            return RUN_ONCE(self, run_index, snapshot)
 
         monkeypatch.setattr(NetworkExperiment, "run_once", failing)
         with WorkerPool(processes=0) as inline:
