@@ -8,6 +8,9 @@ Layers:
   that failed D-NDP discover each other iff a jamming-resilient logical
   path of at most ``nu`` hops connects them (M-NDP messages travel over
   session spread codes the jammer cannot know).
+- :class:`HopClosure` — one round's hop distances, resolved level by
+  level; a larger ``nu`` resumes it, so the ``nu`` points of one run
+  share it.
 - Chain validation helpers for the event-driven implementation: every
   signature in a request/response chain must verify, and consecutive
   path nodes must be mutual logical neighbors per the embedded lists.
@@ -29,6 +32,7 @@ from repro.utils.validation import check_positive
 
 __all__ = [
     "COMPUTE_BACKENDS",
+    "HopClosure",
     "LogicalGraph",
     "MNDPSampler",
     "PendingFrame",
@@ -231,13 +235,21 @@ def _strictly_increasing(keys: np.ndarray) -> bool:
     return bool((keys[1:] > keys[:-1]).all())
 
 
+def _narrow(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values``, all in ``[0, bound]``, in the narrowest unsigned
+    dtype that holds ``bound``."""
+    return values.astype(np.min_scalar_type(bound), copy=False)
+
+
 def _neighbor_table(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """Directed links ``src[i] -> dst[i]`` as an ``(n, max_degree)``
-    table, padded with the sentinel node ``n``."""
+    table in the narrowest dtype, padded with the sentinel node ``n``."""
     order = np.argsort(src)
     src, dst = src[order], dst[order]
     degree = np.bincount(src, minlength=n)
-    table = np.full((n, int(degree.max(initial=0))), n, dtype=np.int64)
+    table = np.full(
+        (n, int(degree.max(initial=0))), n, dtype=np.min_scalar_type(n)
+    )
     starts = np.cumsum(degree) - degree
     table[src, np.arange(src.size) - starts[src]] = dst
     return table
@@ -266,6 +278,235 @@ def _meets(
         shared &= inner[b_arr[start:stop]]
         hit[start:stop] = np.bitwise_or.reduce(shared, axis=1) != 0
     return hit
+
+
+class HopClosure:
+    """Hop distances of unlinked pairs over relay links, resolved one
+    level at a time and resumable.
+
+    ``B_r`` packs every node's closed ``r``-hop ball into ``uint64``
+    words, plus an all-zero sentinel row ``n``.  A pair unresolved below
+    level ``L`` sits at distance ``L`` iff ``B_ceil(L/2)[a] &
+    B_floor(L/2)[b]`` is non-zero.  The pairs are unlinked, so none sits
+    at distance 1 and the sweep starts at 2.  Levels ``2k`` and
+    ``2k + 1`` read only ``B_k`` and ``B_(k+1)``, so the closure holds
+    one ball, the largest grown so far, next to the level reached, the
+    distances resolved, the pairs still unresolved and the relay links
+    (as a neighbor table once a ball has to grow), all in the narrowest
+    dtypes.  :meth:`distances` grows balls only past the level already
+    reached and answers a smaller ``nu`` from what is resolved; once no
+    pair is left unresolved, the ball and the links are dropped.
+
+    Parameters
+    ----------
+    a, b, valid:
+        The pairs' endpoints, and which pairs may be recovered at all
+        (not one with an excluded endpoint, nor ``a == b``).
+    lo, hi:
+        The relay links ``lo[i] -- hi[i]``.
+    n:
+        Node count; every index lies in ``[0, n)``.
+    index:
+        Each pair's row in the physical pair array it was screened
+        from (default: its own position); :meth:`tally` reports these.
+    attempted:
+        Pairs the round attempts, duplicates included (default: the
+        pair count), which :meth:`tally` adds to
+        ``mndp.pairs_attempted``.
+    """
+
+    def __init__(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        valid: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        n: int,
+        index: Optional[np.ndarray] = None,
+        attempted: Optional[int] = None,
+    ) -> None:
+        count = a.size
+        if index is None:
+            index = np.arange(count)
+        self._n = int(n)
+        self._index = _narrow(index, int(index.max(initial=0)))
+        self._attempted = count if attempted is None else int(attempted)
+        self._dist = np.zeros(count, dtype=np.min_scalar_type(n))
+        # Pairs resolved at each level, indexed by level.
+        self._hits = [0, 0]
+        self._level = 1
+        # A pair with an endpoint on no relay link is out of reach at
+        # any distance: it never enters the sweep.
+        relayed = np.zeros(n, dtype=bool)
+        relayed[lo] = True
+        relayed[hi] = True
+        remaining = np.flatnonzero(valid & relayed[a] & relayed[b])
+        self._remaining = _narrow(remaining, count)
+        self._ends = _narrow(np.stack([a[remaining], b[remaining]]), n)
+        self._links: Optional[np.ndarray] = (
+            _narrow(np.stack([lo, hi]), n) if remaining.size else None
+        )
+        self._table: Optional[np.ndarray] = None
+        self._ball: Optional[np.ndarray] = None
+        self._radius = 0
+
+    @property
+    def n_nodes(self) -> int:
+        """The node count the pairs index into."""
+        return self._n
+
+    @property
+    def level(self) -> int:
+        """The largest hop distance resolved so far."""
+        return self._level
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the closure holds."""
+        held = (
+            self._index, self._dist, self._remaining, self._ends,
+            self._links, self._table, self._ball,
+        )
+        return sum(array.nbytes for array in held if array is not None)
+
+    def distances(self, nu: int) -> np.ndarray:
+        """Each pair's hop distance if it is at most ``nu``, else 0."""
+        self._resolve(nu)
+        return np.where(self._dist <= nu, self._dist, 0)
+
+    def tally(self, nu: int, registry: Any) -> np.ndarray:
+        """One M-NDP round at hop budget ``nu``: the rows (``index``)
+        of the pairs it recovers, in pair order.
+
+        Records the round in ``registry``: ``mndp.rounds``,
+        ``mndp.pairs_attempted`` and one ``mndp.recovery_hops`` tally
+        per distance.
+        """
+        rows = self._index[np.flatnonzero(self.distances(nu))]
+        if registry.enabled:
+            registry.inc(_names.MNDP_ROUNDS)
+            registry.inc(_names.MNDP_PAIRS_ATTEMPTED, self._attempted)
+            for level in range(2, min(nu, self._level) + 1):
+                if self._hits[level]:
+                    registry.observe(
+                        _names.MNDP_RECOVERY_HOPS, level, self._hits[level]
+                    )
+        return rows
+
+    def _resolve(self, nu: int) -> None:
+        """Resolve every level up to ``nu`` not resolved yet."""
+        while self._level < nu and self._remaining.size:
+            level = self._level + 1
+            if self._ball is None:
+                self._ball, self._radius = self._first_ball(), 1
+            inner = self._ball
+            if (level + 1) // 2 > self._radius:
+                if self._table is None:
+                    assert self._links is not None
+                    lo, hi = self._links
+                    self._table = _neighbor_table(
+                        np.concatenate([lo, hi]),
+                        np.concatenate([hi, lo]),
+                        self._n,
+                    )
+                    self._links = None
+                self._ball = _grow(inner, self._table)
+                self._radius += 1
+            hit = _meets(self._ball, inner, self._ends[0], self._ends[1])
+            self._dist[self._remaining[hit]] = level
+            self._hits.append(int(np.count_nonzero(hit)))
+            self._remaining = self._remaining[~hit]
+            self._ends = self._ends[:, ~hit]
+            self._level = level
+        if not self._remaining.size:
+            self._links = self._table = self._ball = None
+
+    def _first_ball(self) -> np.ndarray:
+        """``B_1``: every node with its relay neighbors."""
+        assert self._links is not None
+        n = self._n
+        lo, hi = self._links
+        nodes = np.arange(n)
+        members = np.concatenate([hi, lo, nodes])
+        ball = np.zeros((n + 1, (n + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(
+            ball,
+            (np.concatenate([lo, hi, nodes]), members >> 6),
+            np.left_shift(np.uint64(1), (members & 63).astype(np.uint64)),
+        )
+        return ball
+
+
+class _Screen:
+    """The physical pairs of one :meth:`MNDPSampler.discover` call as
+    pair keys ``a * n + b`` (``a < b``), screened round by round against
+    the sorted keys of the links so far.
+
+    The link keys end in the sentinel ``n * n``, so a sorted search
+    always lands on an entry.  Sorted, duplicate-free keys (what
+    :meth:`RectangularField.neighbor_pairs` and a snapshot's
+    :meth:`LogicalGraph.add_links` produce) skip both ``np.unique``
+    passes.
+    """
+
+    def __init__(
+        self,
+        raw: np.ndarray,
+        logical: LogicalGraph,
+        exclude: FrozenSet[int],
+    ) -> None:
+        n = logical.n_nodes
+        edges = logical.edge_array()
+        self.n = n
+        self.a = np.minimum(raw[:, 0], raw[:, 1])
+        self.b = np.maximum(raw[:, 0], raw[:, 1])
+        self.keys = self.a * n + self.b
+        linked = np.append(
+            np.minimum(edges[:, 0], edges[:, 1]) * n
+            + np.maximum(edges[:, 0], edges[:, 1]),
+            n * n,
+        )
+        if not _strictly_increasing(linked):
+            linked = np.unique(linked)
+        self.linked = linked
+        self.excluded = np.zeros(n, dtype=bool)
+        self.excluded[[x for x in exclude if 0 <= x < n]] = True
+        # Excluded endpoints never discover anyone, and a node is never
+        # its own neighbor (the reference finds it at distance 0).
+        self.valid = (self.a != self.b) & ~(
+            self.excluded[self.a] | self.excluded[self.b]
+        )
+
+    def closure(self) -> HopClosure:
+        """The closure of the pairs not linked yet over the links whose
+        endpoints both relay."""
+        pos = np.searchsorted(self.linked, self.keys)
+        pend = np.flatnonzero(self.linked[pos] != self.keys)
+        # The reference keys new links by pair, so duplicates in the
+        # physical pairs resolve (and observe metrics) only once.
+        pend_unique = pend
+        if not _strictly_increasing(self.keys[pend]):
+            first = np.unique(self.keys[pend], return_index=True)[1]
+            if first.size != pend.size:
+                first.sort()
+                pend_unique = pend[first]
+        lo, hi = np.divmod(self.linked[:-1], self.n)
+        relay = ~(self.excluded[lo] | self.excluded[hi])
+        return HopClosure(
+            self.a[pend_unique],
+            self.b[pend_unique],
+            self.valid[pend_unique],
+            lo[relay],
+            hi[relay],
+            self.n,
+            index=pend_unique,
+            attempted=int(pend.size),
+        )
+
+    def link(self, keys: np.ndarray) -> None:
+        """Add the links ``keys`` for the next round's screening."""
+        self.linked = np.union1d(self.linked, keys)
 
 
 class MNDPSampler:
@@ -321,8 +562,9 @@ class MNDPSampler:
     def discover(
         self,
         physical_pairs: Sequence[Pair],
-        logical: LogicalGraph,
+        logical: Optional[LogicalGraph],
         rounds: int = 1,
+        closure: Optional[HopClosure] = None,
     ) -> np.ndarray:
         """Run M-NDP over all not-yet-logical physical pairs.
 
@@ -338,12 +580,33 @@ class MNDPSampler:
         ``(k, 2)`` integer array; another shape, a non-integral value,
         or a node index outside ``[0, n_nodes)`` raises
         :class:`ConfigurationError`.
+
+        ``closure`` is a :class:`HopClosure` that :meth:`closure` built
+        for these ``physical_pairs``: the one round then resumes it
+        instead of screening the pairs against ``logical``, which is not
+        read (and may be ``None``), and grows only the hop balls past
+        the level it reached.  It needs ``rounds == 1`` and the
+        vectorized backend; results and metrics equal a call without it.
         """
         check_positive("rounds", rounds)
         raw = _pair_array(physical_pairs)
+        registry = _metrics()
+        if closure is not None:
+            if rounds != 1 or self._backend != "vectorized":
+                raise ConfigurationError(
+                    "a closure resumes one round on the vectorized "
+                    f"backend, not {rounds} on {self._backend!r}"
+                )
+            found = raw[closure.tally(self._nu, registry)]
+            keys = (
+                np.minimum(found[:, 0], found[:, 1]) * closure.n_nodes
+                + np.maximum(found[:, 0], found[:, 1])
+            )
+            return self._recovered(keys, closure.n_nodes, registry)
+        if logical is None:
+            raise ConfigurationError("discover needs a logical graph")
         if raw.size:
             logical._check_range(int(raw.min()), int(raw.max()))
-        registry = _metrics()
         if self._backend == "vectorized":
             return self._discover_vectorized(raw, logical, rounds, registry)
         discovered: Set[Pair] = set()
@@ -375,6 +638,22 @@ class MNDPSampler:
             registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
         return np.array(sorted(discovered), dtype=np.int64).reshape(-1, 2)
 
+    def closure(
+        self, physical_pairs: Sequence[Pair], logical: LogicalGraph
+    ) -> HopClosure:
+        """The :class:`HopClosure` of one M-NDP round over ``logical``.
+
+        It holds the physical pairs not linked yet (deduplicated, with
+        their rows in ``physical_pairs``) and the links both of whose
+        endpoints relay; it reads no ``nu``, so every hop budget can
+        resume it through :meth:`discover`'s ``closure`` argument.
+        ``physical_pairs`` is checked as in :meth:`discover`.
+        """
+        raw = _pair_array(physical_pairs)
+        if raw.size:
+            logical._check_range(int(raw.min()), int(raw.max()))
+        return _Screen(raw, logical, self._exclude).closure()
+
     def _discover_vectorized(
         self,
         raw: np.ndarray,
@@ -384,135 +663,37 @@ class MNDPSampler:
     ) -> np.ndarray:
         """Array-native form of the reference :meth:`discover` loop.
 
-        Links are kept as one sorted array of pair keys ``a * n + b``
-        (``a < b``), closed by the sentinel key ``n * n`` so a sorted
-        search always lands on an entry.  Each round screens the
-        still-unlinked pairs against it, resolves their closure
-        distances, and merges the new links in — no graph copies, no
-        per-pair ``has_link`` queries.  Metrics, results, and
-        first-occurrence pair deduplication match the reference.  Sorted,
-        duplicate-free keys (what :meth:`RectangularField.neighbor_pairs`
-        and a snapshot's :meth:`LogicalGraph.add_links` produce) skip
-        both ``np.unique`` passes.
+        Each round screens the still-unlinked pairs against the links
+        so far (:class:`_Screen`), resolves their distances in one
+        :class:`HopClosure`, and merges the new links in: no graph
+        copies, no per-pair ``has_link`` queries.  Metrics, results,
+        and first-occurrence pair deduplication match the reference.
         """
-        n = logical.n_nodes
-        a_all = np.minimum(raw[:, 0], raw[:, 1])
-        b_all = np.maximum(raw[:, 0], raw[:, 1])
-        keys_all = a_all * n + b_all
-        edges = logical.edge_array()
-        linked = np.append(
-            np.minimum(edges[:, 0], edges[:, 1]) * n
-            + np.maximum(edges[:, 0], edges[:, 1]),
-            n * n,
-        )
-        if not _strictly_increasing(linked):
-            linked = np.unique(linked)
-        excluded = np.zeros(n, dtype=bool)
-        excluded[[x for x in self._exclude if 0 <= x < n]] = True
-        # Excluded endpoints never discover anyone, and a node is never
-        # its own neighbor (the reference finds it at distance 0).
-        valid_all = (a_all != b_all) & ~(excluded[a_all] | excluded[b_all])
-        found_keys: List[np.ndarray] = []
+        screen = _Screen(raw, logical, self._exclude)
+        found: List[np.ndarray] = []
         for round_index in range(rounds):
-            pos = np.searchsorted(linked, keys_all)
-            pend = np.flatnonzero(linked[pos] != keys_all)
-            # The reference keys new links by pair, so duplicates in
-            # physical_pairs resolve (and observe metrics) only once.
-            pend_unique = pend
-            if not _strictly_increasing(keys_all[pend]):
-                first = np.unique(keys_all[pend], return_index=True)[1]
-                if first.size != pend.size:
-                    first.sort()
-                    pend_unique = pend[first]
-            lo, hi = np.divmod(linked[:-1], n)
-            relay = ~(excluded[lo] | excluded[hi])
-            dist = self._closure_distances(
-                a_all[pend_unique],
-                b_all[pend_unique],
-                valid_all[pend_unique],
-                lo[relay],
-                hi[relay],
-                n,
-            )
-            found = dist > 0
-            new_keys = keys_all[pend_unique[found]]
-            if registry.enabled:
-                registry.inc(_names.MNDP_ROUNDS)
-                registry.inc(_names.MNDP_PAIRS_ATTEMPTED, int(pend.size))
-                hops, counts = np.unique(dist[found], return_counts=True)
-                for value, count in zip(hops.tolist(), counts.tolist()):
-                    registry.observe(_names.MNDP_RECOVERY_HOPS, value, count)
+            new_keys = screen.keys[screen.closure().tally(self._nu, registry)]
             if new_keys.size == 0:
                 break
-            found_keys.append(new_keys)
+            found.append(new_keys)
             if round_index == rounds - 1:
                 break
-            linked = np.union1d(linked, new_keys)
-        # A recovered pair joins ``linked``, so no key repeats across
+            screen.link(new_keys)
+        # A recovered pair joins the links, so no key repeats across
         # rounds.
-        keys = np.sort(np.concatenate(found_keys or [keys_all[:0]]))
+        return self._recovered(
+            np.concatenate(found or [screen.keys[:0]]), screen.n, registry
+        )
+
+    @staticmethod
+    def _recovered(keys: np.ndarray, n: int, registry) -> np.ndarray:
+        """The recovered pair keys as sorted ``(a, b)`` rows; records
+        ``mndp.pairs_recovered``."""
+        if not _strictly_increasing(keys):
+            keys = np.sort(keys)
         if registry.enabled:
             registry.inc(_names.MNDP_PAIRS_RECOVERED, int(keys.size))
         return np.stack(divmod(keys, n), axis=1)
-
-    def _closure_distances(
-        self,
-        a_arr: np.ndarray,
-        b_arr: np.ndarray,
-        valid: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        n: int,
-    ) -> np.ndarray:
-        """Hop distances (0 = unreachable) for unlinked pairs over the
-        relay links ``lo[i] -- hi[i]``, by meeting hop balls halfway.
-
-        ``balls[r - 1]`` packs every node's closed ``r``-hop ball into
-        ``uint64`` words, plus an all-zero sentinel row ``n``.  A pair
-        unresolved below level ``L`` sits at distance ``L`` iff
-        ``B_ceil(L/2)[a] & B_floor(L/2)[b]`` is non-zero.  The pairs are
-        unlinked, so none sits at distance 1 and the sweep starts at 2.
-        Balls grow one hop at a time, only as deep as a level needs.
-        """
-        dist = np.zeros(a_arr.size, dtype=np.int64)
-        if self._nu < 2:
-            return dist
-        # A pair with an endpoint on no relay link is out of reach at
-        # any distance: drop it before any ball is built.
-        relayed = np.zeros(n, dtype=bool)
-        relayed[lo] = True
-        relayed[hi] = True
-        remaining = np.flatnonzero(valid & relayed[a_arr] & relayed[b_arr])
-        if remaining.size == 0:
-            return dist
-        nodes = np.arange(n)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        ball = np.zeros((n + 1, (n + 63) // 64), dtype=np.uint64)
-        members = np.concatenate([dst, nodes])
-        np.bitwise_or.at(
-            ball,
-            (np.concatenate([src, nodes]), members >> 6),
-            np.left_shift(np.uint64(1), (members & 63).astype(np.uint64)),
-        )
-        balls = [ball]
-        table = None
-        for level in range(2, self._nu + 1):
-            if remaining.size == 0:
-                break
-            if (level + 1) // 2 > len(balls):
-                if table is None:
-                    table = _neighbor_table(src, dst, n)
-                balls.append(_grow(balls[-1], table))
-            hit = _meets(
-                balls[(level + 1) // 2 - 1],
-                balls[level // 2 - 1],
-                a_arr[remaining],
-                b_arr[remaining],
-            )
-            dist[remaining[hit]] = level
-            remaining = remaining[~hit]
-        return dist
 
     def _one_round(
         self, pending: List[Pair], logical: LogicalGraph

@@ -25,6 +25,11 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   (neighbor pairs, code assignment) of at most ``capacity`` runs, one
   job's run indices, and :data:`SNAPSHOT_MEMO_BYTES`, for the campaign
   shards of the other grid points to reuse (:class:`_SnapshotMemo`).
+  Each kept snapshot also holds the cell it last served: everything a
+  run computes before M-NDP reads ``nu`` (compromise, D-NDP outcome,
+  latency sample) and, with one M-NDP round, the hop-ball closure.
+  The next ``nu`` point of that (run, q, link model) cell skips the
+  sweep and resumes the closure past the hop level it reached.
 - **Submission is asynchronous and jobs overlap.**
   :meth:`WorkerPool.submit` returns a :class:`PendingRun` immediately.
   A dispatcher thread keeps the active jobs in a FIFO, each with its
@@ -227,12 +232,15 @@ class SupervisionPolicy:
         check_positive("close_grace", self.close_grace)
 
 
-#: Bytes of field snapshots one process's memo holds ahead of a build.
-#: A kept Table I snapshot (n=2000, m=100) is about 0.5 MB, 0.09 MB of
-#: uint16 pairs and 0.4 MB of uint16 codes, so the budget holds a
-#: dozen: the ten of a ``runs_per_shard`` 10 block (the EXPERIMENTS.md
-#: Fig 4/5 recipe) fit.
-SNAPSHOT_MEMO_BYTES = 6 << 20
+#: Bytes of field snapshots, cells included, that one process's memo
+#: holds besides the snapshot in use.  A kept Table I snapshot (n=2000,
+#: m=100) is about 0.5 MB, 0.09 MB of uint16 pairs and 0.4 MB of uint16
+#: codes; the cell it last served adds up to about 0.65 MB while its
+#: M-NDP closure is unresolved (a 0.5 MB hop ball, a 0.1 MB neighbor
+#: table, per-pair distances).  The budget holds ten such snapshots, the
+#: block of a ``runs_per_shard`` 10 campaign (the EXPERIMENTS.md Fig 4/5
+#: recipe).  Worst case: this plus the snapshot in use.
+SNAPSHOT_MEMO_BYTES = 12 << 20
 
 
 class _SnapshotMemo:
@@ -245,17 +253,22 @@ class _SnapshotMemo:
     same topology.  Entries are keyed by
     :meth:`~repro.experiments.runner.NetworkExperiment.snapshot_key`,
     every value a snapshot is a pure function of, so a hit is exactly
-    the snapshot the run would have built.  Snapshots record no
-    metrics, so a hit and a miss leave the same per-run counters.
+    the snapshot the run would have built.  A kept snapshot also holds
+    the :class:`~repro.experiments.runner.RunCell` it last served:
+    points sorted by ``nu`` last (the Fig 5 axis) share their
+    compromise and D-NDP outcome, and one M-NDP closure resumed from
+    point to point.  Snapshots and cells record no metrics (the run
+    replays what a cell counted), so a hit and a miss leave the same
+    per-run counters.
 
-    Before a build the least recently used snapshots are evicted until
-    fewer than ``capacity`` (one job's run indices) are held and they
-    total under :data:`SNAPSHOT_MEMO_BYTES`.  That budget bounds the
-    worst case: a process holds at most it plus the snapshot in use,
-    whatever the shard size.  Reuse needs a shard's run block to fit
-    in the budget; a larger block cycles through the memo in index
-    order, so nearly every LRU lookup misses and the campaign runs at
-    the speed of unshared snapshots.
+    Before it serves a run the memo evicts the least recently used
+    other snapshots until fewer than ``capacity`` (one job's run
+    indices) are held and they total under :data:`SNAPSHOT_MEMO_BYTES`.
+    That budget bounds the worst case: a process holds at most it plus
+    the snapshot in use, whatever the shard size.  Reuse needs a
+    shard's run block to fit in the budget; a larger block cycles
+    through the memo in index order, so nearly every LRU lookup misses
+    and the campaign runs at the speed of unshared snapshots.
     """
 
     def __init__(self) -> None:
@@ -269,12 +282,12 @@ class _SnapshotMemo:
         """Run ``run_index``'s snapshot, built on a miss."""
         key = experiment.snapshot_key(run_index)
         snapshot = self._held.pop(key, None)
+        while self._held and (
+            len(self._held) >= capacity
+            or self.nbytes >= SNAPSHOT_MEMO_BYTES
+        ):
+            self._held.popitem(last=False)
         if snapshot is None:
-            while self._held and (
-                len(self._held) >= capacity
-                or self.nbytes >= SNAPSHOT_MEMO_BYTES
-            ):
-                self._held.popitem(last=False)
             snapshot = FieldSnapshot(key, kept=True)
         self._held[key] = snapshot
         return snapshot

@@ -27,8 +27,8 @@ with the reference per-pair :class:`repro.core.dndp.DNDPSampler`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +36,12 @@ from repro.adversary.compromise import CompromiseModel
 from repro.adversary.jammer import JammerStrategy, JammingModel
 from repro.core.config import JRSNDConfig
 from repro.core.dndp import DNDPSampler
-from repro.core.mndp import COMPUTE_BACKENDS, LogicalGraph, MNDPSampler
+from repro.core.mndp import (
+    COMPUTE_BACKENDS,
+    HopClosure,
+    LogicalGraph,
+    MNDPSampler,
+)
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, MetricsSnapshot, current, installed
 from repro.obs import names as _names
@@ -51,12 +56,18 @@ __all__ = [
     "ExperimentResult",
     "FieldSnapshot",
     "NetworkExperiment",
+    "RunCell",
 ]
 
 #: What a :class:`FieldSnapshot` is a pure function of: ``(run seed,
 #: n_nodes, field_width, field_height, tx_range, codes_per_node,
 #: share_count, compute_backend)``.
 SnapshotKey = Tuple[int, int, float, float, float, int, int, str]
+
+#: What a :class:`RunCell` is a pure function of besides its snapshot:
+#: ``(config fields but nu, strategy, link_model, mndp_rounds,
+#: sample_latency)``.
+CellKey = Tuple[Any, ...]
 
 #: Pairs per sweep chunk.  Every sweep draws its uniforms chunk by
 #: chunk, so this is part of the rng stream and must not change.
@@ -90,6 +101,37 @@ def _lane_counts(lanes: np.ndarray) -> np.ndarray:
     return counts.astype(np.int64)
 
 
+@dataclass
+class RunCell:
+    """Steps 3 and 4 of a run for one cell: the part of the run that
+    every ``nu`` point of the cell shares.
+
+    A cell is every input of :meth:`NetworkExperiment._evaluate` but
+    ``config.nu`` (:data:`CellKey`, on top of the snapshot).  It holds
+    the D-NDP outcome: the success count, the mean sampled latency, the
+    pairs the chipless sweep decided (``phy.pairs_swept``), and what
+    M-NDP needs of the direct links.  With one M-NDP round on the
+    vectorized backend that is the round's resumable
+    :class:`~repro.core.mndp.HopClosure`, and the direct mask is
+    dropped; otherwise links formed in one round feed the next, so the
+    cell holds the read-only direct mask and each point runs M-NDP over
+    it afresh.
+    """
+
+    key: CellKey
+    dndp_successes: int
+    mean_latency: Optional[float]
+    swept: int
+    direct: Optional[np.ndarray]
+    closure: Optional[HopClosure]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the cell holds."""
+        held = 0 if self.direct is None else self.direct.nbytes
+        return held + (0 if self.closure is None else self.closure.nbytes)
+
+
 class FieldSnapshot:
     """Steps 1 and 2 of a run: the neighbor pairs of a uniform
     placement and, built on first use, the code assignment.
@@ -103,10 +145,13 @@ class FieldSnapshot:
     A snapshot built for one run (``kept=False``) holds its int64 pairs
     and nothing more: :meth:`assignment` returns the
     :class:`CodeAssignment` it draws.  A ``kept`` one (a pool memo's)
-    holds the pairs and, once drawn, the assignment's code matrix in
-    the narrowest unsigned dtypes, read-only (0.5 MB instead of 2 MB
-    at Table I scale), and widens them again on each read.  Either way
-    the snapshot records no metrics, so sharing it changes no counter.
+    holds the pairs and, once drawn, the assignment in the narrowest
+    unsigned dtypes, read-only (0.5 MB instead of 2 MB at Table I
+    scale): the pairs are widened on each read, and the narrowed
+    assignment is handed out as it is.  A kept snapshot also holds the
+    :class:`RunCell` it last served, so the next point of that cell
+    skips steps 3 and 4 and resumes its M-NDP closure.  Either way the
+    snapshot records no metrics, so sharing it changes no counter.
     """
 
     def __init__(self, key: SnapshotKey, kept: bool = False) -> None:
@@ -123,8 +168,8 @@ class FieldSnapshot:
         pairs.setflags(write=False)
         self._pairs = pairs
         self._kept = kept
-        self._codes: Optional[np.ndarray] = None
-        self._pool_size = 0
+        self._assignment: Optional[CodeAssignment] = None
+        self._cell: Optional[RunCell] = None
 
     @property
     def pairs(self) -> np.ndarray:
@@ -137,26 +182,35 @@ class FieldSnapshot:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays the snapshot holds."""
-        codes = 0 if self._codes is None else self._codes.nbytes
-        return self._pairs.nbytes + codes
+        """Bytes of the arrays the snapshot holds, its cell's included."""
+        held = self._pairs.nbytes
+        if self._assignment is not None:
+            held += self._assignment.codes.nbytes
+        return held + (0 if self._cell is None else self._cell.nbytes)
 
     def assignment(self) -> CodeAssignment:
         """The run's code assignment, drawn from the ``assignment``
         stream (once, if the snapshot is kept)."""
-        if self._codes is not None:
-            return CodeAssignment(self._codes, self._pool_size)
+        if self._assignment is not None:
+            return self._assignment
         _seed, n_nodes, _w, _h, _r, m, share_count, backend = self.key
         assignment = PreDistributor(n_nodes, m, share_count).assign(
             self.seeds.rng("assignment"), backend=backend
         )
         if self._kept:
-            codes = assignment.codes.astype(
-                np.min_scalar_type(assignment.pool_size - 1)
-            )
-            codes.setflags(write=False)
-            self._codes, self._pool_size = codes, assignment.pool_size
+            assignment = self._assignment = assignment.narrowed()
         return assignment
+
+    def cell(self, key: CellKey) -> Optional[RunCell]:
+        """The cell this snapshot last served, if its key is ``key``."""
+        cell = self._cell
+        return cell if cell is not None and cell.key == key else None
+
+    def keep(self, cell: RunCell) -> None:
+        """Hold ``cell`` in place of the last one (a kept snapshot
+        only)."""
+        if self._kept:
+            self._cell = cell
 
 
 @dataclass(frozen=True)
@@ -491,14 +545,82 @@ class NetworkExperiment:
         return replace(result, metrics=snapshot_metrics)
 
     def _evaluate(self, snapshot: FieldSnapshot) -> RunResult:
-        """Steps 3-6 of a run on its :class:`FieldSnapshot`."""
+        """Steps 3-6 of a run on its :class:`FieldSnapshot`.
+
+        Steps 3 and 4 come from the snapshot's :class:`RunCell` when it
+        last served this cell (:meth:`_decide` otherwise), so only
+        M-NDP reads ``nu``.
+        """
         config = self._config
-        seeds = snapshot.seeds
         pairs = snapshot.pairs
         n_pairs = len(pairs)
         mean_degree = (
             2.0 * n_pairs / config.n_nodes if config.n_nodes else 0.0
         )
+        key = self._cell_key()
+        cell = snapshot.cell(key)
+        if cell is None:
+            cell = self._decide(snapshot, pairs, key)
+            snapshot.keep(cell)
+
+        mndp = MNDPSampler(config.nu, backend=self._compute_backend)
+        if cell.closure is not None:
+            recovered = mndp.discover(pairs, None, closure=cell.closure)
+        else:
+            assert cell.direct is not None
+            recovered = mndp.discover(
+                pairs,
+                self._logical(pairs, cell.direct),
+                rounds=self._mndp_rounds,
+            )
+
+        registry = current()
+        if registry.enabled:
+            if cell.swept:
+                registry.inc(_names.PHY_PAIRS_SWEPT, cell.swept)
+            registry.inc(_names.EXPERIMENT_RUNS)
+            registry.inc(_names.EXPERIMENT_PAIRS, n_pairs)
+            registry.inc(
+                _names.EXPERIMENT_DNDP_SUCCESSES, cell.dndp_successes
+            )
+            registry.inc(_names.EXPERIMENT_MNDP_RECOVERED, len(recovered))
+            registry.observe(_names.EXPERIMENT_MEAN_DEGREE, mean_degree)
+
+        return RunResult(
+            n_pairs=n_pairs,
+            dndp_successes=cell.dndp_successes,
+            mndp_successes=len(recovered),
+            mean_degree=mean_degree,
+            mean_dndp_latency=cell.mean_latency,
+        )
+
+    # ------------------------------------------------------------------
+
+    def _cell_key(self) -> CellKey:
+        """Every input of :meth:`_evaluate` besides the snapshot and
+        ``config.nu``."""
+        config = self._config
+        return (
+            tuple(
+                getattr(config, spec.name)
+                for spec in fields(config)
+                if spec.name != "nu"
+            ),
+            self._strategy,
+            self._link_model,
+            self._mndp_rounds,
+            self._sample_latency,
+        )
+
+    def _decide(
+        self, snapshot: FieldSnapshot, pairs: np.ndarray, key: CellKey
+    ) -> RunCell:
+        """Steps 3 and 4 of a run (compromise, D-NDP sweep, latency
+        sample) and, with one M-NDP round on the vectorized backend, the
+        round's :class:`~repro.core.mndp.HopClosure` over the direct
+        links."""
+        config = self._config
+        seeds = snapshot.seeds
 
         # The independent model reads no code: only latency sampling
         # needs the assignment and the jammer built from it.  Streams
@@ -506,27 +628,20 @@ class NetworkExperiment:
         if self._link_model == "codes" or self._sample_latency:
             assignment, compromised, jamming = self._code_state(snapshot)
 
+        swept = 0
         if self._link_model == "independent":
-            direct = self._sample_independent(n_pairs, seeds.rng("jamming"))
+            direct = self._sample_independent(
+                len(pairs), seeds.rng("jamming")
+            )
         elif config.phy_backend == "chipless":
             direct = self._sample_dndp_chipless(
                 pairs, assignment, compromised, jamming, seeds.rng("jamming")
             )
+            swept = len(pairs)
         else:
             direct = self._sample_dndp(
                 pairs, assignment, compromised, jamming, seeds.rng("jamming")
             )
-        logical = LogicalGraph(config.n_nodes)
-        if self._compute_backend == "vectorized":
-            logical.add_links(pairs[direct])
-        else:
-            for (a, b), success in zip(pairs.tolist(), direct.tolist()):
-                if success:
-                    logical.add_link(a, b)
-        mndp = MNDPSampler(config.nu, backend=self._compute_backend)
-        recovered = mndp.discover(
-            pairs, logical, rounds=self._mndp_rounds
-        )
 
         mean_latency = None
         dndp_successes = int(np.count_nonzero(direct))
@@ -539,23 +654,26 @@ class NetworkExperiment:
             ]
             mean_latency = float(np.mean(samples))
 
-        registry = current()
-        if registry.enabled:
-            registry.inc(_names.EXPERIMENT_RUNS)
-            registry.inc(_names.EXPERIMENT_PAIRS, n_pairs)
-            registry.inc(_names.EXPERIMENT_DNDP_SUCCESSES, dndp_successes)
-            registry.inc(_names.EXPERIMENT_MNDP_RECOVERED, len(recovered))
-            registry.observe(_names.EXPERIMENT_MEAN_DEGREE, mean_degree)
-
-        return RunResult(
-            n_pairs=n_pairs,
-            dndp_successes=dndp_successes,
-            mndp_successes=len(recovered),
-            mean_degree=mean_degree,
-            mean_dndp_latency=mean_latency,
+        if self._mndp_rounds > 1 or self._compute_backend != "vectorized":
+            direct.setflags(write=False)
+            return RunCell(
+                key, dndp_successes, mean_latency, swept, direct, None
+            )
+        closure = MNDPSampler(config.nu).closure(
+            pairs, self._logical(pairs, direct)
         )
+        return RunCell(key, dndp_successes, mean_latency, swept, None, closure)
 
-    # ------------------------------------------------------------------
+    def _logical(self, pairs: np.ndarray, direct: np.ndarray) -> LogicalGraph:
+        """The logical graph of the pairs that succeeded directly."""
+        logical = LogicalGraph(self._config.n_nodes)
+        if self._compute_backend == "vectorized":
+            logical.add_links(pairs[direct])
+        else:
+            for (a, b), success in zip(pairs.tolist(), direct.tolist()):
+                if success:
+                    logical.add_link(a, b)
+        return logical
 
     def _code_state(
         self, snapshot: FieldSnapshot
@@ -720,7 +838,9 @@ class NetworkExperiment:
         the outcome.  Same 4096-pair chunks and one ``rng.random(chunk)``
         draw per chunk on both compute backends, so reference and
         vectorized consume identical rng streams and return identical
-        outcomes.
+        outcomes.  The caller counts the swept pairs
+        (``phy.pairs_swept``), so a cell that reuses the outcome counts
+        them too.
         """
         from repro.dsss.phy import ChiplessModel
 
@@ -740,6 +860,4 @@ class NetworkExperiment:
                 success[start:stop] = (
                     rng.random(stop - start) < probability
                 )
-        if registry.enabled:
-            registry.inc(_names.PHY_PAIRS_SWEPT, n_pairs)
         return success

@@ -557,3 +557,70 @@ class TestCommonRandomNumbers:
         with pytest.raises(ConfigurationError, match="refusing to mix"):
             run_campaign(spec, str(path), git_revision=REV)
         assert path.read_bytes() == before
+
+
+NU_SMOKE_SPEC = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    os.pardir,
+    os.pardir,
+    "examples",
+    "campaign_smoke_nu.json",
+)
+
+
+class TestNuSmokeSpec:
+    """``examples/campaign_smoke_nu.json`` (the CI ``campaign-smoke``
+    job launches it at ``--processes 2`` and ``1`` and ``cmp``s the
+    stores): its nu axis is not monotone, so a pool worker serves each
+    (run, q, link model) cell's nu points from one kept snapshot,
+    resuming the closure upward and thresholding it downward."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        spec = CampaignSpec.from_file(NU_SMOKE_SPEC)
+        paths = {}
+        for processes in (1, 2):
+            path = str(
+                tmp_path_factory.mktemp("nu") / f"p{processes}.sqlite"
+            )
+            status = run_campaign(
+                spec, path, processes=processes, git_revision=REV
+            )
+            assert status.complete
+            paths[processes] = path
+        return spec, paths
+
+    def test_every_point_equals_fresh_run_once_rows(self, stores):
+        spec, paths = stores
+        assert [point.params_dict["nu"] for point in spec.points()] == [
+            3, 1, 2, 3, 1, 2,
+        ]
+        fresh = {}
+        for point in spec.points():
+            experiment = NetworkExperiment(
+                spec.point_config(point),
+                seed=spec.seed,
+                strategy=spec.point_strategy(point),
+                mndp_rounds=spec.mndp_rounds,
+                link_model=spec.point_link_model(point),
+                compute_backend=spec.compute_backend,
+                phy_backend=spec.phy_backend,
+            )
+            fresh[point.index] = tuple(
+                experiment.run_once(index)
+                for index in range(spec.runs_per_point)
+            )
+        for path in paths.values():
+            with CampaignStore(path) as store:
+                points = store.point_results(
+                    spec.name, spec.spec_hash(), REV
+                )
+            for point in spec.points():
+                assert points[point.index][1].runs == fresh[point.index]
+        # Non-vacuous: the nu points of a cell recover different counts.
+        assert len({runs[0].mndp_successes for runs in fresh.values()}) > 3
+
+    def test_stores_are_byte_identical_across_engines(self, stores):
+        _, paths = stores
+        with open(paths[1], "rb") as a, open(paths[2], "rb") as b:
+            assert a.read() == b.read()

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.mndp import LogicalGraph, MNDPSampler
+from repro.core.mndp import HopClosure, LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, installed
 from repro.obs import names
@@ -66,7 +66,7 @@ def _assert_backends_agree(nu, pairs, graph, exclude=(), rounds=1):
 
 def _per_pair_hops(nu, pairs, graph, exclude, rounds):
     """Round by round, the reference ``_one_round`` pair → hops dict
-    equals the vectorized ``_closure_distances`` of the same pending
+    equals the vectorized ``HopClosure`` distances of the same pending
     pairs; returns every round's dict merged, in pending order."""
     sampler = MNDPSampler(nu, exclude=exclude)
     working = graph.copy()
@@ -101,10 +101,10 @@ def _closure_hops(sampler, pending, graph):
          for a, b in pending],
         dtype=bool,
     )
-    dist = sampler._closure_distances(
+    dist = HopClosure(
         ends[:, 0], ends[:, 1], valid,
         edges[relay, 0], edges[relay, 1], graph.n_nodes,
-    )
+    ).distances(sampler.nu)
     return {
         pair: hops for pair, hops in zip(pending, dist.tolist()) if hops
     }
@@ -370,6 +370,72 @@ class TestClosureEquivalence:
         graph.add_links(pairs[rng.random(len(pairs)) < 0.3])
         recovered, hops = _assert_backends_agree(nu, pairs, graph)
         assert max(hops) == nu and len(recovered) > len(pairs) // 4
+
+
+class TestResumedClosure:
+    """One :class:`HopClosure` queried at several hop budgets equals a
+    fresh closure per budget, and ``discover`` resuming it equals a
+    plain ``discover``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_order_equals_fresh(self, seed):
+        rnd = random.Random(1300 + seed)
+        for _ in range(20):
+            n, graph, pairs = _random_instance(rnd)
+            sampler = MNDPSampler(1)
+            closure = sampler.closure(pairs, graph)
+            budgets = [rnd.randrange(1, 9) for _ in range(6)]
+            for nu in budgets:
+                fresh = MNDPSampler(nu).closure(pairs, graph)
+                assert np.array_equal(
+                    closure.distances(nu), fresh.distances(nu)
+                )
+                assert closure.level <= max(budgets)
+
+    @pytest.mark.parametrize("nu", [1, 2, 5, 8])
+    def test_discover_resumes_with_the_same_pairs_and_metrics(self, nu):
+        rnd = random.Random(1400 + nu)
+        for _ in range(25):
+            n, graph, pairs = _random_instance(rnd)
+            exclude = rnd.sample(range(n), rnd.randrange(0, 3))
+            sampler = MNDPSampler(nu, exclude=exclude)
+            closure = MNDPSampler(8, exclude=exclude).closure(pairs, graph)
+            # Resumed from any level reached before.
+            closure.distances(rnd.randrange(1, 9))
+            want, want_metrics = _run_backend(
+                "reference", nu, pairs, graph, exclude
+            )
+            registry = MetricsRegistry()
+            with installed(registry):
+                got = sampler.discover(pairs, None, closure=closure)
+            _assert_sorted_pairs(got)
+            assert np.array_equal(got, want)
+            got_metrics = registry.snapshot()
+            assert got_metrics.counters == want_metrics.counters
+            assert got_metrics.histograms == want_metrics.histograms
+
+    def test_resolved_closure_drops_its_ball(self):
+        # A path 0-1-2-3: the pair (0, 3) sits at distance 3.
+        graph = LogicalGraph(4)
+        graph.add_links([(0, 1), (1, 2), (2, 3)])
+        closure = MNDPSampler(1).closure([(0, 3)], graph)
+        assert closure.distances(2).tolist() == [0]
+        held = closure.nbytes
+        assert closure.distances(3).tolist() == [3]
+        assert closure.nbytes < held
+        assert closure.distances(8).tolist() == [3]
+        assert closure.distances(2).tolist() == [0]
+
+    def test_closure_needs_one_vectorized_round(self):
+        graph = LogicalGraph(3)
+        graph.add_link(0, 1)
+        closure = MNDPSampler(2).closure([(0, 2)], graph)
+        with pytest.raises(ConfigurationError, match="one round"):
+            MNDPSampler(2).discover([(0, 2)], None, rounds=2, closure=closure)
+        with pytest.raises(ConfigurationError, match="one round"):
+            MNDPSampler(2, backend="reference").discover(
+                [(0, 2)], None, closure=closure
+            )
 
 
 class TestLogicalGraphBulk:

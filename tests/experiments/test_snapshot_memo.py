@@ -1,9 +1,13 @@
 """Field snapshots shared between runs: a snapshot a pool worker serves
-from its memo gives exactly the run a fresh ``run_once`` gives."""
+from its memo, with the cell it last served, gives exactly the run a
+fresh ``run_once`` gives."""
 
 import numpy as np
 import pytest
 
+from repro.adversary.jammer import JammerStrategy
+from repro.core import mndp as mndp_module
+from repro.core.mndp import HopClosure
 from repro.errors import ConfigurationError
 from repro.experiments import pool as pool_module
 from repro.experiments.pool import _run_chunk, _SnapshotMemo
@@ -137,15 +141,15 @@ def test_kept_snapshot_narrows_what_it_holds():
     assert snapshot.pairs.dtype == np.int64
     assert not snapshot.pairs.flags.writeable
     assert np.array_equal(snapshot.pairs, fresh.pairs)
+    drawn = fresh.assignment()
     first = snapshot.assignment()
-    again = snapshot.assignment()
-    assert again is not first
-    assert np.array_equal(again.codes, first.codes)
-    assert again.codes.dtype == np.int64
-    assert again.pool_size == first.pool_size
-    assert not snapshot._codes.flags.writeable
-    assert snapshot._codes.itemsize < first.codes.itemsize
-    assert snapshot.nbytes == snapshot._pairs.nbytes + snapshot._codes.nbytes
+    # The validated assignment is handed out as held: no widening copy.
+    assert snapshot.assignment() is first
+    assert np.array_equal(first.codes, drawn.codes)
+    assert first.pool_size == drawn.pool_size
+    assert first.codes.itemsize < drawn.codes.itemsize
+    assert not first.codes.flags.writeable
+    assert snapshot.nbytes == snapshot._pairs.nbytes + first.codes.nbytes
 
 
 def test_unkept_snapshot_holds_only_its_pairs():
@@ -157,7 +161,7 @@ def test_unkept_snapshot_holds_only_its_pairs():
     assert not snapshot.pairs.flags.writeable
     assignment = snapshot.assignment()
     assert assignment.codes.dtype == np.int64
-    assert snapshot._codes is None
+    assert snapshot._assignment is None
     assert np.array_equal(snapshot.assignment().codes, assignment.codes)
 
 
@@ -167,3 +171,189 @@ def test_run_once_refuses_another_runs_snapshot():
     assert experiment.run_once(0, snapshot) == experiment.run_once(0)
     with pytest.raises(ConfigurationError, match="does not belong"):
         experiment.run_once(1, snapshot)
+
+
+# -- the cell a kept snapshot last served ----------------------------------
+
+NU_ORDERS = {
+    "ascending": [1, 2, 3, 4, 5, 6, 7, 8],
+    "descending": [8, 7, 6, 5, 4, 3, 2, 1],
+    "shuffled": [5, 2, 8, 1, 7, 3, 6, 4],
+    "repeated": [3, 3, 6, 2, 6, 8, 1, 8],
+}
+
+
+def _point(base, nu, q=20, **kwargs):
+    """One (q, nu) point of ``base`` on the shared seed; q=20 keeps
+    M-NDP recovering more pairs up to nu=8 on the tiny field."""
+    config = preset_config(base).replace(n_compromised=q, nu=nu)
+    return NetworkExperiment(config, seed=SEED, collect_metrics=True, **kwargs)
+
+
+def _assert_same_run(served, fresh):
+    assert served == fresh
+    assert (
+        served.metrics.deterministic().to_json()
+        == fresh.metrics.deterministic().to_json()
+    )
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so calls are counted in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", sorted(NU_ORDERS))
+@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("link_model", ["codes", "independent"])
+@pytest.mark.parametrize("base", ["tiny", "tiny-chipless"])
+def test_one_cell_serves_every_nu(base, link_model, backend, order):
+    """Every nu of one cell, in any order, from one kept snapshot:
+    each run equals a fresh ``run_once`` with the same deterministic
+    metrics, and the snapshot keeps serving the same cell."""
+    snapshot = None
+    cells = set()
+    recovered = set()
+    for nu in NU_ORDERS[order]:
+        experiment = _point(
+            base, nu, link_model=link_model, compute_backend=backend
+        )
+        if snapshot is None:
+            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+        served = experiment.run_once(0, snapshot)
+        _assert_same_run(served, experiment.run_once(0))
+        cells.add(id(snapshot._cell))
+        recovered.add(served.mndp_successes)
+    assert len(cells) == 1
+    assert (snapshot._cell.closure is not None) == (backend == "vectorized")
+    # Non-vacuous: the nu points disagree.
+    assert len(recovered) > 3
+
+
+@pytest.mark.parametrize("base", ["tiny", "tiny-chipless"])
+def test_one_cell_serves_every_nu_under_random_jamming(base):
+    """Under reactive jamming at the tiny presets every chipless pair
+    probability is 0 or 1; random jamming makes the sweep's uniform
+    draws decide outcomes, and a reused cell still equals fresh runs."""
+    snapshot = None
+    for nu in NU_ORDERS["shuffled"]:
+        experiment = _point(
+            base, nu, q=10, strategy=JammerStrategy.RANDOM,
+            sample_latency=True,
+        )
+        if snapshot is None:
+            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+        served = experiment.run_once(0, snapshot)
+        _assert_same_run(served, experiment.run_once(0))
+        assert served.mean_dndp_latency is not None
+    assert 0 < served.dndp_successes < served.n_pairs
+
+
+@pytest.mark.parametrize("link_model", ["codes", "independent"])
+def test_two_rounds_reuse_only_the_dndp_outcome(link_model, monkeypatch):
+    """Links from one M-NDP round feed the next, so with two rounds a
+    cell holds the direct mask, not a closure, and every point runs
+    M-NDP afresh over it."""
+    decided = _counting(monkeypatch, NetworkExperiment, "_decide")
+    snapshot = None
+    served = []
+    for nu in NU_ORDERS["shuffled"]:
+        experiment = _point("tiny", nu, link_model=link_model, mndp_rounds=2)
+        if snapshot is None:
+            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+        served.append((experiment, experiment.run_once(0, snapshot)))
+    assert len(decided) == 1
+    cell = snapshot._cell
+    assert cell.closure is None
+    assert cell.direct is not None and not cell.direct.flags.writeable
+    for experiment, result in served:
+        _assert_same_run(result, experiment.run_once(0))
+    assert len({result.mndp_successes for _, result in served}) > 3
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"q": 10},
+        {"strategy": JammerStrategy.RANDOM},
+        {"link_model": "independent"},
+        {"mndp_rounds": 2},
+        {"sample_latency": True},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_any_input_but_nu_is_a_cell_miss(change, monkeypatch):
+    decided = _counting(monkeypatch, NetworkExperiment, "_decide")
+    base = _point("tiny", 3)
+    snapshot = FieldSnapshot(base.snapshot_key(0), kept=True)
+    base.run_once(0, snapshot)
+    _point("tiny", 6).run_once(0, snapshot)
+    assert len(decided) == 1
+    other = _point("tiny", 3, **change)
+    served = other.run_once(0, snapshot)
+    assert len(decided) == 2
+    _assert_same_run(served, other.run_once(0))
+    # The snapshot now holds the other cell: the base cell misses again.
+    base.run_once(0, snapshot)
+    assert len(decided) == 4
+
+
+def test_eight_points_sweep_once_and_grow_each_ball_once(monkeypatch):
+    sweeps = _counting(monkeypatch, NetworkExperiment, "_sample_dndp")
+    grows = _counting(monkeypatch, mndp_module, "_grow")
+    first_balls = _counting(monkeypatch, HopClosure, "_first_ball")
+    snapshot = None
+    for nu in NU_ORDERS["shuffled"]:
+        experiment = _point("tiny", nu)
+        if snapshot is None:
+            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+        experiment.run_once(0, snapshot)
+    closure = snapshot._cell.closure
+    assert closure.level == 8
+    assert len(sweeps) == 1
+    assert len(first_balls) == 1
+    # B_2, B_3 and B_4 answer levels 3 to 8, one growth each.
+    assert len(grows) == 3
+    # A fresh run at nu=8 grows the same balls again.
+    _point("tiny", 8).run_once(0)
+    assert len(grows) == 6 and len(sweeps) == 2
+
+
+def test_memo_budget_counts_cell_state(monkeypatch):
+    experiment = _point("tiny", 8)
+    memo = _SnapshotMemo()
+    _run_chunk(experiment, [(0, 0)], memo, 100)
+    snapshot = memo._held[experiment.snapshot_key(0)]
+    cell = snapshot._cell
+    # The closure is unresolved at level 8, so it still holds a ball.
+    assert cell.closure._ball is not None
+    assert cell.nbytes == cell.closure.nbytes > cell.closure._ball.nbytes
+    assert memo.nbytes == (
+        snapshot._pairs.nbytes
+        + snapshot._assignment.codes.nbytes
+        + cell.nbytes
+    )
+    # A budget the snapshot fits in without its cell: the cell puts it
+    # over, so serving another run evicts it.
+    monkeypatch.setattr(
+        pool_module, "SNAPSHOT_MEMO_BYTES", memo.nbytes - cell.nbytes + 1
+    )
+    memo.get(experiment, 1, 100)
+    assert experiment.snapshot_key(0) not in memo._held
+    # A hit evicts too, so cells grown since the last build count; the
+    # snapshot in use is never counted against the others.
+    monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", 1 << 30)
+    _run_chunk(experiment, [(2, 0), (1, 0)], memo, 100)
+    assert len(memo._held) == 2
+    monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", 1)
+    held = memo.get(experiment, 1, 100)
+    assert held._cell is not None
+    assert list(memo._held.values()) == [held]
