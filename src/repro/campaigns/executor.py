@@ -6,38 +6,47 @@ the determinism guarantees around it:
 1. expand the spec into shards (pure function of the spec);
 2. ask the store which shard indices are already committed for this
    ``(campaign, spec hash, git revision)`` and skip them;
-3. submit each remaining shard — the point's experiment on the
-   campaign seed and the shard's run-index range — to one
-   :class:`~repro.experiments.pool.WorkerPool` and collect its
-   outcomes;
-4. commit the shard's results and merged deterministic metrics in one
-   transaction;
+3. group the remaining shards into jobs — the ``nu`` shards of one
+   cell together, the first shard alone — and submit each job (its
+   points' experiments on the campaign seed, and its run-index range)
+   to one :class:`~repro.experiments.pool.WorkerPool`;
+4. collect each shard's outcomes and commit the job's results and
+   merged deterministic metrics in one transaction;
 5. when every shard is present, mark the campaign complete and
    atomically replace the working store with its canonical
    byte-deterministic rebuild.
 
-The whole grid executes on one pool (workers and their artifact
-caches survive across shards), and the loop keeps one shard per
-worker in flight behind the shard it is waiting on: while it waits on
-shard N, shards N+1 .. N+w of a ``w``-worker pool are already
-submitted, so even one-run shards keep every worker busy, and a
-worker that finishes a later shard first starts the next one instead
-of idling.  Shards may finish in any order, but the loop waits on
-them, and commits them, strictly in shard order; shard N's SQLite
-commit runs on the main thread while N+1 .. N+w compute, and shard
-N+w+1 is submitted right after it.  With a single worker the pool
-runs in-process (forking one worker to do what the parent could do
-inline is pure overhead) and each shard is submitted when the loop
-reaches it; the same submit → wait → ``collect_outcomes`` →
-``write_shard`` loop then simply runs each shard when it is waited
-on.  Because a shard's results are a pure function of ``(spec,
-shard)``, the store bytes are unaffected by the worker count.
+**Cell jobs.**  Consecutive pending shards that run the same run
+range on points differing only in ``nu`` form one job
+(:func:`_cell_jobs`): they share everything up to M-NDP, so the one
+worker that runs the job decides each run's cell once and resumes its
+M-NDP closure across ``nu``, and the driver pays one commit for all
+of them.  The launch's first pending shard is a job of its own, so
+the first checkpoint lands after one shard's runs, not a whole cold
+cell's.  ``max_shards`` cuts the pending shards before they group.
 
-A SIGKILL anywhere in steps 3-4 loses at most the committing shard
-plus the ``w`` in-flight shards behind it; committed shards are the
-only durable state, they always form a prefix of the pending shards
-in order, and the next ``resume`` re-executes exactly the lost ones,
-so the final store is bit-identical to an uninterrupted run's.
+The whole grid executes on one pool (workers and their artifact
+caches survive across jobs), and the loop keeps one job per worker in
+flight behind the job it is waiting on: while it waits on job N, jobs
+N+1 .. N+w of a ``w``-worker pool are already submitted, so every
+worker stays busy, and a worker that finishes a later job first
+starts the next one instead of idling.  Jobs may finish in any order,
+but the loop waits on them, and commits them, strictly in shard
+order; job N's SQLite commit runs on the main thread while
+N+1 .. N+w compute, and job N+w+1 is submitted right after it.  With
+a single worker the pool runs in-process (forking one worker to do
+what the parent could do inline is pure overhead) and each job is
+submitted when the loop reaches it; the same submit → wait →
+``collect_outcomes`` (per shard) → ``write_shard`` loop then simply
+runs each job when it is waited on.  Because a shard's results are a
+pure function of ``(spec, shard)``, the store bytes are unaffected by
+the worker count or the grouping.
+
+A SIGKILL anywhere in steps 3-4 loses at most the committing job plus
+the ``w`` in-flight jobs behind it; committed shards are the only
+durable state, they always form a prefix of the pending shards in
+order, and the next ``resume`` re-executes exactly the lost ones, so
+the final store is bit-identical to an uninterrupted run's.
 
 Self-healing (the supervision layer):
 
@@ -47,13 +56,14 @@ Self-healing (the supervision layer):
   never sees them.
 - A run that exhausts its retry budget comes back as a **quarantined**
   failure: the executor persists one failure record per poisoned run,
-  leaves the shard uncommitted, and moves on.  Plain resume skips
-  quarantined shards; ``retry_quarantined=True`` clears the records
-  and re-executes them.
+  leaves the shard uncommitted, and moves on (a run index quarantined
+  inside a cell job fails in every shard of the job).  Plain resume
+  skips quarantined shards; ``retry_quarantined=True`` clears the
+  records and re-executes them.
 - Supervision itself giving up (respawn budget exhausted, spawn
   failure) triggers **graceful degradation** instead of an exception:
   the multiprocess pool is swapped for an in-process one and every
-  uncommitted in-flight shard re-runs on it in shard order, announced
+  uncommitted in-flight job re-runs on it in shard order, announced
   loudly on the progress sink and recorded as one infrastructure
   event.  Both rungs produce bit-identical results, so degradation
   changes throughput, never bytes.
@@ -73,6 +83,7 @@ from repro.campaigns.store import (
     INFRASTRUCTURE_KIND,
     QUARANTINE_KIND,
     CampaignStore,
+    ShardRows,
     current_git_revision,
 )
 from repro.errors import (
@@ -134,23 +145,60 @@ def _self_sigkill() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _submit_shard(
-    pool: WorkerPool, spec: CampaignSpec, shard: Shard
-) -> PendingRun:
-    """Submit one shard's run-index range to ``pool``."""
-    point = shard.point
-    experiment = NetworkExperiment(
-        spec.point_config(point),
-        seed=point.seed,
-        strategy=spec.point_strategy(point),
-        mndp_rounds=spec.mndp_rounds,
-        sample_latency=spec.sample_latency,
-        link_model=spec.point_link_model(point),
-        collect_metrics=spec.collect_metrics,
-        compute_backend=spec.compute_backend,
-        phy_backend=spec.phy_backend,
+#: Consecutive pending shards the pool runs as one job, in shard order.
+Job = Tuple[Shard, ...]
+
+
+def _cell(shard: Shard) -> Tuple[Any, ...]:
+    """Everything about ``shard`` but its point's ``nu``."""
+    return (
+        shard.run_start,
+        shard.run_stop,
+        tuple(param for param in shard.point.params if param[0] != "nu"),
     )
-    return pool.submit(experiment, shard.run_indices)
+
+
+def _cell_jobs(pending: List[Shard]) -> List[Job]:
+    """Group ``pending`` into pool jobs, keeping shard order.
+
+    Consecutive shards that run the same run range on points that
+    differ only in ``nu`` form one *cell job*: they share one seed and
+    everything up to M-NDP, so one worker running each run index
+    through all of them decides the run's cell once and resumes one
+    closure across ``nu`` (see :mod:`repro.experiments.pool`).  The
+    first pending shard is always a job of its own, so the launch's
+    first checkpoint still lands after one shard's runs instead of a
+    whole cold cell's.
+    """
+    jobs: List[List[Shard]] = []
+    for shard in pending:
+        if len(jobs) > 1 and _cell(jobs[-1][0]) == _cell(shard):
+            jobs[-1].append(shard)
+        else:
+            jobs.append([shard])
+    return [tuple(job) for job in jobs]
+
+
+def _submit_job(
+    pool: WorkerPool, spec: CampaignSpec, job: Job
+) -> PendingRun:
+    """Submit one job's run-index range, through each of its shards'
+    point experiments, to ``pool``."""
+    experiments = tuple(
+        NetworkExperiment(
+            spec.point_config(shard.point),
+            seed=shard.point.seed,
+            strategy=spec.point_strategy(shard.point),
+            mndp_rounds=spec.mndp_rounds,
+            sample_latency=spec.sample_latency,
+            link_model=spec.point_link_model(shard.point),
+            collect_metrics=spec.collect_metrics,
+            compute_backend=spec.compute_backend,
+            phy_backend=spec.phy_backend,
+        )
+        for shard in job
+    )
+    return pool.submit(experiments, job[0].run_indices)
 
 
 def run_campaign(
@@ -169,8 +217,10 @@ def run_campaign(
 
     Launching and resuming are the same operation: shards already
     committed under ``(spec.name, spec hash, git revision)`` are
-    skipped, the rest execute with one shard per worker in flight
-    behind the one being committed, and commit in shard-index order.
+    skipped, the rest execute as jobs (the ``nu`` shards of one cell
+    together) with one job per worker in flight behind the one being
+    committed, and commit in shard-index order, one transaction per
+    job.
     Re-invoking on a finished campaign is a no-op that leaves the
     store untouched.  A store that fails verification on open raises
     ``ConfigurationError`` before anything runs, and is left as it
@@ -180,16 +230,17 @@ def run_campaign(
     ----------
     processes:
         Worker processes of the campaign's pool, and the number of
-        shards kept in flight behind the one being committed (at
-        least 1; a single worker runs in-process, one shard at a
+        jobs kept in flight behind the one being committed (at
+        least 1; a single worker runs in-process, one job at a
         time).  Defaults to the CPUs available to this process.
     max_shards:
         Stop gracefully after executing this many shards (testing and
         budgeted execution); the campaign stays resumable.
     kill_after_shards:
         Testing hook: SIGKILL this process immediately after the
-        N-th shard commit, simulating a hard crash mid-campaign (the
-        shards then in flight are lost).
+        commit that brings the shards committed by this invocation to
+        at least N, simulating a hard crash mid-campaign (the jobs
+        then in flight are lost).
     git_revision:
         Override the revision key (defaults to ``git rev-parse HEAD``).
     progress:
@@ -302,126 +353,139 @@ def run_campaign(
             pool = _open_pool(workers if pending and workers > 1 else 0)
         except (WorkerPoolError, OSError) as error:
             pool = _degrade(pending[0].index, error)
-        # Shards submitted and not yet committed, in shard order.  A
-        # ``None`` handle is a shard the broken pool refused; waiting
-        # on it resubmits, which raises and degrades.
-        window: Deque[Tuple[Shard, Optional[PendingRun]]] = deque()
-        upcoming = iter(pending)
+        # Jobs submitted and not yet committed, in shard order.  A
+        # ``None`` handle is a job the broken pool refused; waiting on
+        # it resubmits, which raises and degrades.
+        window: Deque[Tuple[Job, Optional[PendingRun]]] = deque()
+        upcoming = iter(_cell_jobs(pending))
 
         def _fill(pool: WorkerPool) -> None:
-            """Submit shards until ``pool.processes`` of them queue
+            """Submit jobs until ``pool.processes`` of them queue
             behind the head of the window (none in-process, where a
-            shard runs only when it is waited on)."""
+            job runs only when it is waited on)."""
             while len(window) <= pool.processes:
-                shard = next(upcoming, None)
-                if shard is None:
+                job = next(upcoming, None)
+                if job is None:
                     return
                 try:
-                    handle: Optional[PendingRun] = _submit_shard(
-                        pool, spec, shard
+                    handle: Optional[PendingRun] = _submit_job(
+                        pool, spec, job
                     )
                 except WorkerPoolError:
                     handle = None
-                window.append((shard, handle))
+                window.append((job, handle))
+
+        def _quarantine(shard: Shard, error: ParallelExecutionError) -> None:
+            """Record ``shard``'s quarantined runs; re-raise ``error``
+            if any of its failures is not a quarantine."""
+            quarantined = [
+                (index, tb)
+                for index, tb in error.failures
+                if is_quarantined_failure(tb)
+            ]
+            if len(quarantined) != len(error.failures):
+                # Genuine run failures (bad config, bug in a
+                # component) are not supervision's domain: surface
+                # them unchanged.
+                raise error
+            for run_index, tb in quarantined:
+                store.record_failure(
+                    spec.name, spec_hash, revision,
+                    shard.index, run_index, QUARANTINE_KIND,
+                    policy.max_run_retries + 1, tb,
+                )
+            registry.inc(_names.CAMPAIGNS_SHARDS_QUARANTINED)
+            registry.inc(
+                _names.CAMPAIGNS_RUNS_QUARANTINED, len(quarantined)
+            )
+            emit(
+                f"!! shard {shard.index + 1}/{len(shards)}: "
+                f"{len(quarantined)} run(s) quarantined "
+                f"(worker killed on every attempt); "
+                f"shard left uncommitted — resume with "
+                f"--retry-quarantined to re-execute"
+            )
 
         try:
             elapsed_total = 0.0
             while True:
-                # With one shard per worker behind the head, a worker
-                # that finishes a later shard first takes the next one
+                # With one job per worker behind the head, a worker
+                # that finishes a later job first takes the next one
                 # instead of idling while the loop still waits on the
                 # head, and the head's commit overlaps their compute.
                 _fill(pool)
                 if not window:
                     break
-                shard, handle = window[0]
-                point = shard.point
+                job, handle = window[0]
                 started = time.perf_counter()
                 while True:
                     try:
                         outcomes = (
-                            handle or _submit_shard(pool, spec, shard)
+                            handle or _submit_job(pool, spec, job)
                         ).wait()
                         break
                     except (WorkerPoolError, OSError) as error:
                         # Supervision itself gave up: swap in the
                         # in-process pool and re-run every uncommitted
-                        # shard in order (identical bits on either
-                        # rung).
+                        # job in order (identical bits on either rung).
                         if not pool.processes:
                             raise
                         registry.inc(
-                            _names.CAMPAIGNS_SHARDS_RETRIED, len(window)
+                            _names.CAMPAIGNS_SHARDS_RETRIED,
+                            sum(len(queued) for queued, _ in window),
                         )
                         pool.close()
-                        pool = _degrade(shard.index, error)
+                        pool = _degrade(job[0].index, error)
                         for position, (queued, _) in enumerate(list(window)):
                             window[position] = (
-                                queued, _submit_shard(pool, spec, queued)
+                                queued, _submit_job(pool, spec, queued)
                             )
                         handle = window[0][1]
                 window.popleft()
-                try:
-                    result = collect_outcomes(outcomes)
-                except ParallelExecutionError as error:
-                    quarantined = [
-                        (index, tb)
-                        for index, tb in error.failures
-                        if is_quarantined_failure(tb)
-                    ]
-                    if len(quarantined) != len(error.failures):
-                        # Genuine run failures (bad config, bug in a
-                        # component) are not supervision's domain:
-                        # surface them unchanged.
-                        raise
-                    for run_index, tb in quarantined:
-                        store.record_failure(
-                            spec.name, spec_hash, revision,
-                            shard.index, run_index, QUARANTINE_KIND,
-                            policy.max_run_retries + 1, tb,
-                        )
-                    registry.inc(_names.CAMPAIGNS_SHARDS_QUARANTINED)
-                    registry.inc(
-                        _names.CAMPAIGNS_RUNS_QUARANTINED,
-                        len(quarantined),
-                    )
-                    emit(
-                        f"!! shard {shard.index + 1}/{len(shards)}: "
-                        f"{len(quarantined)} run(s) quarantined "
-                        f"(worker killed on every attempt); "
-                        f"shard left uncommitted — resume with "
-                        f"--retry-quarantined to re-execute"
-                    )
+                finished: List[ShardRows] = []
+                for shard, shard_outcomes in zip(job, outcomes):
+                    try:
+                        result = collect_outcomes(shard_outcomes)
+                    except ParallelExecutionError as error:
+                        _quarantine(shard, error)
+                        continue
+                    finished.append((
+                        shard,
+                        result.runs,
+                        result.merged_metrics()
+                        if spec.collect_metrics else None,
+                    ))
+                if not finished:
                     continue
-                metrics = (
-                    result.merged_metrics()
-                    if spec.collect_metrics else None
-                )
+                # One transaction for the whole job.
                 store.write_shard(
-                    spec, revision, shard, result.runs, metrics
-                )
-                elapsed = time.perf_counter() - started
-                elapsed_total += elapsed
-                registry.record_seconds(
-                    _names.CAMPAIGNS_SHARD_SECONDS, elapsed
-                )
-                executed += 1
-                runs_executed += shard.n_runs
-                registry.inc(_names.CAMPAIGNS_SHARDS_COMPLETED)
-                registry.inc(
-                    _names.CAMPAIGNS_RUNS_EXECUTED, shard.n_runs
+                    spec, revision, *finished[0], more=finished[1:]
                 )
                 registry.inc(_names.CAMPAIGNS_STORE_COMMITS)
-                rate = shard.n_runs / elapsed if elapsed > 0 else 0.0
-                eta = (elapsed_total / executed) * (
-                    len(pending) - executed
-                )
-                emit(
-                    f"shard {shard.index + 1}/{len(shards)} committed "
-                    f"(point {point.index}, runs "
-                    f"{shard.run_start}..{shard.run_stop - 1}) "
-                    f"[{rate:.1f} runs/s, ETA {eta:.1f}s]"
-                )
+                elapsed = time.perf_counter() - started
+                elapsed_total += elapsed
+                job_runs = sum(shard.n_runs for shard, _, _ in finished)
+                rate = job_runs / elapsed if elapsed > 0 else 0.0
+                for shard, _, _ in finished:
+                    registry.record_seconds(
+                        _names.CAMPAIGNS_SHARD_SECONDS,
+                        elapsed / len(finished),
+                    )
+                    executed += 1
+                    runs_executed += shard.n_runs
+                    registry.inc(_names.CAMPAIGNS_SHARDS_COMPLETED)
+                    registry.inc(
+                        _names.CAMPAIGNS_RUNS_EXECUTED, shard.n_runs
+                    )
+                    eta = (elapsed_total / executed) * (
+                        len(pending) - executed
+                    )
+                    emit(
+                        f"shard {shard.index + 1}/{len(shards)} "
+                        f"committed (point {shard.point.index}, runs "
+                        f"{shard.run_start}..{shard.run_stop - 1}) "
+                        f"[{rate:.1f} runs/s, ETA {eta:.1f}s]"
+                    )
                 if (
                     kill_after_shards is not None
                     and executed >= kill_after_shards

@@ -11,10 +11,11 @@ what ``campaign diff`` compares.
 Two properties carry the resume guarantees:
 
 - **Shard atomicity.**  A shard lands in a single transaction (shard
-  row + run rows together).  SIGKILL mid-shard rolls the transaction
-  back on the next open; the shard simply re-runs, and because a run
+  row + run rows together; the executor puts the ``nu`` shards of one
+  cell job in the same one).  SIGKILL mid-commit rolls the transaction
+  back on the next open; the shards simply re-run, and because a run
   depends only on the campaign seed, the run index and the point's
-  parameters, it re-runs to the identical result.
+  parameters, they re-run to the identical result.
 - **Canonical form.**  On campaign completion the executor rebuilds
   the store from scratch — fixed page size, rows inserted in sorted
   key order, one transaction — and atomically replaces the working
@@ -30,14 +31,16 @@ Robustness (schema v2):
   other row so resume logic can skip — or, with
   ``--retry-quarantined``, clear and re-execute — poisoned shards;
 - every open runs ``PRAGMA integrity_check``, a spec-hash check over
-  the stored campaign rows and a torn-shard check; a store that fails
+  the stored campaign rows and a torn-shard check (one grouped scan of
+  the run rows); a store that fails
   any of them (torn by a crash mid-page, bit-rotted, hand-edited) is
   **refused** with a ``ConfigurationError`` naming the file and the
   finding, and is left as it was.  Nothing is rebuilt from it: runs
   are seed-pure, so re-running the campaign into a fresh store gives
   the same bytes;
 - v1 stores migrate in place (the new table is created and the
-  version stamped); unknown versions are still refused.
+  version stamped, in one transaction, which is also how a new store
+  is bootstrapped); unknown versions are still refused.
 
 Canonical form is unaffected: quarantine rows block completion (their
 shards never commit) and infrastructure events are execution telemetry,
@@ -68,6 +71,10 @@ __all__ = [
 ]
 
 STORE_SCHEMA_VERSION = 2
+
+#: One finished shard as :meth:`CampaignStore.write_shard` commits it:
+#: the shard, its runs in index order, its merged metrics (or ``None``).
+ShardRows = Tuple[Shard, Sequence[RunResult], Optional[MetricsSnapshot]]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
@@ -213,13 +220,13 @@ class CampaignStore:
             )
         # ``IF NOT EXISTS`` throughout makes this both the fresh-file
         # bootstrap and the v1 → v2 migration (v2 only adds the
-        # ``failures`` table; existing rows are untouched).
-        conn.executescript(_SCHEMA)
+        # ``failures`` table; existing rows are untouched), in one
+        # write transaction: the tables and the version stamp land
+        # together, with one journal sync instead of one per statement.
+        script = _SCHEMA
         if version != STORE_SCHEMA_VERSION:
-            conn.execute(
-                f"PRAGMA user_version = {STORE_SCHEMA_VERSION}"
-            )
-            conn.commit()
+            script += f"PRAGMA user_version = {STORE_SCHEMA_VERSION};\n"
+        conn.executescript(f"BEGIN;\n{script}COMMIT;")
 
     # -- open-time verification ----------------------------------------
 
@@ -281,20 +288,28 @@ class CampaignStore:
 
         Shard commits are single transactions, so a healthy store can
         never disagree — a mismatch means the file lost rows to
-        corruption that left the pages themselves well-formed.
+        corruption that left the pages themselves well-formed.  The
+        run rows are counted in one grouped scan: ``shard_index`` is
+        not a prefix of the ``runs`` key, so a count per shard would
+        scan the whole campaign once for every shard.
         """
+        counts = {
+            tuple(key): count
+            for *key, count in conn.execute(
+                "SELECT campaign_id, spec_hash, git_revision, "
+                "shard_index, COUNT(*) FROM runs GROUP BY "
+                "campaign_id, spec_hash, git_revision, shard_index"
+            )
+        }
         torn = []
         for (campaign_id, spec_hash, revision, shard_index, run_start,
              run_stop) in conn.execute(
             "SELECT campaign_id, spec_hash, git_revision, "
             "shard_index, run_start, run_stop FROM shards"
         ).fetchall():
-            (count,) = conn.execute(
-                "SELECT COUNT(*) FROM runs WHERE campaign_id = ? "
-                "AND spec_hash = ? AND git_revision = ? "
-                "AND shard_index = ?",
-                (campaign_id, spec_hash, revision, shard_index),
-            ).fetchone()
+            count = counts.get(
+                (campaign_id, spec_hash, revision, shard_index), 0
+            )
             if count != run_stop - run_start:
                 torn.append(
                     f"shard {shard_index} of {campaign_id}@{revision}"
@@ -378,36 +393,45 @@ class CampaignStore:
         shard: Shard,
         results: Sequence[RunResult],
         metrics: Optional[MetricsSnapshot],
+        more: Sequence[ShardRows] = (),
     ) -> None:
-        """Commit one finished shard atomically (shard row + runs)."""
-        if len(results) != shard.n_runs:
-            raise ConfigurationError(
-                f"shard {shard.index} expected {shard.n_runs} results, "
-                f"got {len(results)}"
-            )
-        spec_hash = spec.spec_hash()
-        metrics_json = (
-            None if metrics is None
-            else metrics.deterministic().to_json(indent=None)
-        )
+        """Commit one finished shard atomically (shard row + runs).
+
+        Each ``(shard, results, metrics)`` of ``more`` lands in the
+        same transaction: the executor commits the shards of one cell
+        job together, so they pay one journal sync between them.
+        """
+        batch: List[ShardRows] = [(shard, results, metrics), *more]
+        for shard, results, _ in batch:
+            if len(results) != shard.n_runs:
+                raise ConfigurationError(
+                    f"shard {shard.index} expected {shard.n_runs} "
+                    f"results, got {len(results)}"
+                )
+        key = (spec.name, spec.spec_hash(), git_revision)
         with self._conn:  # one transaction: all rows or none
-            self._conn.execute(
+            self._conn.executemany(
                 "INSERT INTO shards VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    spec.name, spec_hash, git_revision, shard.index,
-                    shard.point.index, shard.point.params_json(),
-                    shard.run_start, shard.run_stop, metrics_json,
-                ),
+                [
+                    key + (
+                        shard.index, shard.point.index,
+                        shard.point.params_json(), shard.run_start,
+                        shard.run_stop,
+                        None if metrics is None
+                        else metrics.deterministic().to_json(indent=None),
+                    )
+                    for shard, _, metrics in batch
+                ],
             )
             self._conn.executemany(
                 "INSERT INTO runs VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 [
-                    (
-                        spec.name, spec_hash, git_revision, shard.index,
-                        run_index, result.n_pairs,
+                    key + (
+                        shard.index, run_index, result.n_pairs,
                         result.dndp_successes, result.mndp_successes,
                         result.mean_degree, result.mean_dndp_latency,
                     )
+                    for shard, results, _ in batch
                     for run_index, result in zip(
                         shard.run_indices, results
                     )

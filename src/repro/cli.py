@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         runner.add_argument("--kill-after-shards", type=int,
                             default=None,
                             help="testing hook: SIGKILL this process "
-                                 "after the N-th shard commit")
+                                 "after the commit that brings the "
+                                 "committed shards to at least N")
         runner.add_argument("--revision", default=None,
                             help="override the git revision key "
                                  "(default: git rev-parse HEAD)")

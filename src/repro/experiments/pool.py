@@ -15,21 +15,27 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   per-process artifact cache (codecs, correlation matrices, waveforms,
   :mod:`repro.utils.artifact_cache`) is the warm state, and it lives
   as long as the worker does.
-- **The experiment is the unit of work.**  A snapshot is a pure
-  function of ``(config, seed, run index)``, and a
+- **The job is the unit of work.**  A snapshot is a pure function of
+  ``(config, seed, run index)``, and a
   :class:`~repro.experiments.runner.NetworkExperiment` is a small
   value (about 1 KB pickled) that costs microseconds to build, so
-  every ``("run", experiment, index_attempts, capacity)`` chunk
-  message carries its own experiment.  Workers keep no per-experiment
-  state.  What they keep between chunks is the field snapshots
-  (neighbor pairs, code assignment) of at most ``capacity`` runs, one
-  job's run indices, and :data:`SNAPSHOT_MEMO_BYTES`, for the campaign
-  shards of the other grid points to reuse (:class:`_SnapshotMemo`).
-  Each kept snapshot also holds the cell it last served: everything a
-  run computes before M-NDP reads ``nu`` (compromise, D-NDP outcome,
-  latency sample) and, with one M-NDP round, the hop-ball closure.
-  The next ``nu`` point of that (run, q, link model) cell skips the
-  sweep and resumes the closure past the hop level it reached.
+  every ``("run", experiments, index_attempts, capacity)`` chunk
+  message carries its job's experiments: one, or a tuple of them.  A
+  chunk runs each run index through every experiment in order before
+  the next index (:func:`_run_chunk`), and the job resolves with one
+  outcome list per experiment.  The campaign executor submits the
+  ``nu`` points of one (q, link model) cell as one such *cell job*.
+  Workers keep no per-experiment state.  What they keep between
+  chunks is the field snapshots (neighbor pairs, code assignment) of
+  at most ``capacity`` runs, one job's run indices, and
+  :data:`SNAPSHOT_MEMO_BYTES`, for the campaign shards of the other
+  grid points to reuse (:class:`_SnapshotMemo`).  Each kept snapshot
+  also holds the cell it last served: everything a run computes
+  before M-NDP reads ``nu`` (compromise, D-NDP outcome, latency
+  sample) and, with one M-NDP round, the hop-ball closure.  The next
+  ``nu`` point of that (run, q, link model) cell skips the sweep and
+  resumes the closure past the hop level it reached; in a cell job
+  that next point is the very next run the worker does.
 - **Submission is asynchronous and jobs overlap.**
   :meth:`WorkerPool.submit` returns a :class:`PendingRun` immediately.
   A dispatcher thread keeps the active jobs in a FIFO, each with its
@@ -41,7 +47,7 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   that :meth:`~WorkerPool.submit` and :meth:`~WorkerPool.close` write
   to, so a new job starts on an idle worker at once.  A lone job (one
   :meth:`~WorkerPool.run` call) spreads over every worker; the campaign
-  executor keeps one shard per worker in flight, so even one-run
+  executor keeps one job per worker in flight, so even one-run
   shards keep every worker busy.
 
 **In-process mode.**  ``WorkerPool(processes=0)`` spawns no child and
@@ -63,8 +69,9 @@ death as fatal.  Under a :class:`SupervisionPolicy`:
   so a retried run is bit-identical to an undisturbed one.  The death
   is charged to the job whose chunk the worker held, against that
   job's own ``max_respawns`` budget;
-- a run that keeps killing its worker past ``max_run_retries`` is
-  **quarantined**: it comes back as a tagged failure outcome carrying
+- a run index that keeps killing its worker past ``max_run_retries``
+  is **quarantined**, in every experiment of its job: it comes back
+  as a tagged failure outcome carrying
   :data:`~repro.errors.QUARANTINE_MARKER` (surfacing through
   ``ParallelExecutionError``) instead of sinking the pool;
 - only *infrastructure* failures — a job's respawn budget exhausted,
@@ -99,9 +106,11 @@ import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 # numpy 2.x loads these two on first use (every run draws from
 # numpy.random, and np.unique reaches numpy.ma).  Loading them before
@@ -302,13 +311,19 @@ class _SnapshotMemo:
 
 
 def _run_chunk(
-    experiment: NetworkExperiment,
+    experiments: Tuple[NetworkExperiment, ...],
     index_attempts: List[Tuple[int, int]],
     memo: _SnapshotMemo,
     capacity: int,
     faults: Any = None,
-) -> List[_Outcome]:
-    """Run ``(index, attempt)`` pairs of ``experiment``.
+) -> List[List[_Outcome]]:
+    """Run ``(index, attempt)`` pairs through each of ``experiments``.
+
+    Returns one outcome list per experiment, in ``experiments`` order.
+    Each run index goes through every experiment before the next index
+    starts, so the experiments of one cell job (the ``nu`` points of
+    one (q, link model) cell) meet the run's snapshot, and the cell it
+    holds, one after another whatever ``capacity`` is.
 
     Worker processes and the in-process mode both execute through this
     loop, each run on its snapshot from ``memo`` (which keeps at most
@@ -318,19 +333,20 @@ def _run_chunk(
     (``KeyboardInterrupt``, ``SystemExit``, foreign ``BaseException``
     types) propagates — it signals cancellation or a component misusing
     the error taxonomy, not a failed run.  ``faults`` (when set) has its
-    ``before_run(index, attempt)`` called ahead of every run.
+    ``before_run(index, attempt)`` called ahead of every run index.
     """
-    outcomes: List[_Outcome] = []
+    outcomes: List[List[_Outcome]] = [[] for _ in experiments]
     for index, attempt in index_attempts:
         if faults is not None:
             faults.before_run(index, attempt)
-        try:
-            snapshot = memo.get(experiment, index, capacity)
-            outcomes.append(
-                (index, experiment.run_once(index, snapshot), None)
-            )
-        except WORKER_TRAPPED_ERRORS:
-            outcomes.append((index, None, traceback.format_exc()))
+        for experiment, into in zip(experiments, outcomes):
+            try:
+                snapshot = memo.get(experiment, index, capacity)
+                into.append(
+                    (index, experiment.run_once(index, snapshot), None)
+                )
+            except WORKER_TRAPPED_ERRORS:
+                into.append((index, None, traceback.format_exc()))
     return outcomes
 
 
@@ -339,7 +355,7 @@ def _worker_main(
 ) -> None:
     """Worker process loop: run the chunks the dispatcher sends.
 
-    Each ``("run", experiment, index_attempts, capacity)`` message
+    Each ``("run", experiments, index_attempts, capacity)`` message
     executes through :func:`_run_chunk` on this process's snapshot
     memo; per-run failures travel back as tagged outcome data, anything
     else is a pool fault reported as ``fatal``.
@@ -376,11 +392,11 @@ def _worker_main(
                 raise WorkerPoolError(
                     f"unknown pool message tag {tag!r}"
                 )
-            _, experiment, index_attempts, capacity = message
+            _, experiments, index_attempts, capacity = message
             conn.send((
                 "done",
                 _run_chunk(
-                    experiment, index_attempts, memo, capacity, faults
+                    experiments, index_attempts, memo, capacity, faults
                 ),
             ))
     except BaseException:  # jrsnd: noqa(JRS003) -- worker crash containment: every failure must reach the parent as a 'fatal' report before this process exits
@@ -421,16 +437,24 @@ def collect_outcomes(outcomes: List[_Outcome]) -> ExperimentResult:
 
 class PendingRun:
     """Handle for one submitted job; resolved by the dispatcher, or by
-    the first :meth:`wait` for an in-process job (``deferred``)."""
+    the first :meth:`wait` for an in-process job (``deferred``).
+
+    A job resolves with one outcome list per experiment; ``single``
+    marks a job submitted as a bare experiment, whose :meth:`wait`
+    returns that one list.
+    """
 
     def __init__(
-        self, deferred: Optional[Callable[[], List[_Outcome]]] = None
+        self,
+        deferred: Optional[Callable[[], List[List[_Outcome]]]] = None,
+        single: bool = False,
     ) -> None:
         self._event = threading.Event()
-        self._outcomes: Optional[List[_Outcome]] = None
+        self._outcomes: Optional[List[List[_Outcome]]] = None
         self._error: Optional[BaseException] = None
         self._cancelled = False
         self._deferred = deferred
+        self._single = single
 
     def done(self) -> bool:
         """True once the job has finished (successfully or not)."""
@@ -455,12 +479,14 @@ class PendingRun:
         """
         self._cancelled = True
 
-    def wait(self, timeout: Optional[float] = None) -> List[_Outcome]:
+    def wait(self, timeout: Optional[float] = None) -> Any:
         """Block until the job resolves; return its tagged outcomes.
 
         Outcomes are ``(run_index, RunResult | None, traceback | None)``
         triples in completion order — callers sort by index
-        (:func:`collect_outcomes` does).
+        (:func:`collect_outcomes` does).  A job submitted as a bare
+        experiment returns its list of them; a job submitted as a tuple
+        returns one such list per experiment, in the tuple's order.
 
         On timeout the job is cancelled (see :meth:`cancel`) before
         ``WorkerPoolError`` is raised, so it cannot fire late into a
@@ -481,9 +507,9 @@ class PendingRun:
         if self._error is not None:
             raise self._error
         assert self._outcomes is not None
-        return self._outcomes
+        return self._outcomes[0] if self._single else self._outcomes
 
-    def _finish(self, outcomes: List[_Outcome]) -> None:
+    def _finish(self, outcomes: List[List[_Outcome]]) -> None:
         self._outcomes = outcomes
         self._event.set()
 
@@ -496,17 +522,20 @@ class PendingRun:
 class _Job:
     """One submitted job and its dispatch state.
 
-    ``pending`` holds the chunks not yet handed to a worker, ``running``
-    counts the chunks in flight, and ``respawns`` the worker deaths
-    charged to this job (against ``max_respawns``).  The handle
-    resolves once nothing is pending and nothing is running.
+    Every chunk runs its run indices through each of ``experiments``;
+    ``outcomes`` holds one list per experiment.  ``pending`` holds the
+    chunks not yet handed to a worker, ``running`` counts the chunks in
+    flight, and ``respawns`` the worker deaths charged to this job
+    (against ``max_respawns``).  Attempts count per run index: a
+    worker death blames the index, whichever experiment it was in.  The
+    handle resolves once nothing is pending and nothing is running.
     """
 
-    experiment: NetworkExperiment
+    experiments: Tuple[NetworkExperiment, ...]
     handle: PendingRun
     pending: Deque[List[int]]
     attempts: Dict[int, int]
-    outcomes: List[_Outcome] = field(default_factory=list)
+    outcomes: List[List[_Outcome]]
     running: int = 0
     respawns: int = 0
     started: bool = False
@@ -689,22 +718,37 @@ class WorkerPool:
     # -- submission ----------------------------------------------------
 
     def submit(
-        self, experiment: NetworkExperiment, run_indices: Sequence[int]
+        self,
+        work: Union[NetworkExperiment, Tuple[NetworkExperiment, ...]],
+        run_indices: Sequence[int],
     ) -> PendingRun:
-        """Queue ``run_indices`` of ``experiment``; returns immediately.
+        """Queue ``run_indices`` of ``work``; returns immediately.
 
-        The experiment itself is the unit of work: it is pickled into
-        every chunk message, and a worker runs ``run_once`` on the copy
-        it receives.  The caller may submit further jobs before waiting
-        on this one; they take any worker this job leaves idle — the
-        campaign executor keeps one shard per worker in flight that
-        way.  In the in-process mode a job only runs when its handle is
+        ``work`` is a :class:`NetworkExperiment` or a tuple of them (a
+        *cell job*: the campaign executor submits the ``nu`` points of
+        one cell this way).  The experiments themselves are the unit of
+        work: they are pickled into every chunk message, and a worker
+        runs each index of its chunk through every experiment of the
+        copy it receives, in order, so one worker sees all the points
+        of a run.  The caller may submit further jobs before waiting on
+        this one; they take any worker this job leaves idle — the
+        campaign executor keeps one job per worker in flight that way.
+        In the in-process mode a job only runs when its handle is
         waited on.
         """
-        if not isinstance(experiment, NetworkExperiment):
+        single = isinstance(work, NetworkExperiment)
+        experiments = (work,) if single else work
+        if not (
+            isinstance(experiments, tuple)
+            and experiments
+            and all(
+                isinstance(experiment, NetworkExperiment)
+                for experiment in experiments
+            )
+        ):
             raise ConfigurationError(
-                f"pool work must be a NetworkExperiment, got "
-                f"{type(experiment).__name__}"
+                f"pool work must be a NetworkExperiment or a non-empty "
+                f"tuple of them, got {type(work).__name__}"
             )
         indices = [int(index) for index in run_indices]
         if not indices:
@@ -723,23 +767,27 @@ class WorkerPool:
                     "worker pool is closed; create a new pool"
                 )
             if self._dispatcher is None:
-                return PendingRun(deferred=functools.partial(
-                    _run_chunk,
-                    experiment,
-                    [(index, 0) for index in indices],
-                    self._memo,
-                    len(set(indices)),
-                ))
+                return PendingRun(
+                    deferred=functools.partial(
+                        _run_chunk,
+                        experiments,
+                        [(index, 0) for index in indices],
+                        self._memo,
+                        len(set(indices)),
+                    ),
+                    single=single,
+                )
             chunk = adaptive_chunksize(len(indices), len(self._workers))
-            handle = PendingRun()
+            handle = PendingRun(single=single)
             self._submitted.append(_Job(
-                experiment,
+                experiments,
                 handle,
                 deque(
                     indices[start : start + chunk]
                     for start in range(0, len(indices), chunk)
                 ),
                 {index: 0 for index in indices},
+                [[] for _ in experiments],
             ))
             self._wake()
         return handle
@@ -755,6 +803,11 @@ class WorkerPool:
         raises :class:`~repro.errors.ParallelExecutionError` carrying
         the runs that completed.
         """
+        if not isinstance(experiment, NetworkExperiment):
+            raise ConfigurationError(
+                f"pool.run takes one NetworkExperiment, got "
+                f"{type(experiment).__name__}"
+            )
         return collect_outcomes(self.submit(experiment, run_indices).wait())
 
     def _wake(self) -> None:
@@ -821,7 +874,7 @@ class WorkerPool:
         respawns and the chunk stays queued."""
         try:
             worker.conn.send(
-                ("run", job.experiment,
+                ("run", job.experiments,
                  [(index, job.attempts[index]) for index in chunk],
                  len(job.attempts))
             )
@@ -921,7 +974,8 @@ class WorkerPool:
                 job, chunk_indices = in_flight.pop(slot)
                 job.running -= 1
                 if message is not None and message[0] == "done":
-                    job.outcomes.extend(message[1])
+                    for into, outcomes in zip(job.outcomes, message[1]):
+                        into.extend(outcomes)
                     consecutive_deaths = 0
                 else:
                     # EOF (killed / crashed) or a 'fatal' report:
@@ -956,22 +1010,24 @@ class WorkerPool:
         reason: str,
         registry: Any,
     ) -> None:
-        """Retry or quarantine every run of a failed chunk of ``job``.
+        """Retry or quarantine every run index of a failed chunk of
+        ``job``, in each of its experiments.
 
-        Retried runs go back as *singleton* chunks: a run sharing a
+        Retried indices go back as *singleton* chunks: a run sharing a
         chunk with a poison run must not inherit its blame, and after
         one isolation round the killer is unambiguous.
         """
         policy = self._policy
+        runs = len(job.experiments)
         for index in chunk_indices:
             job.attempts[index] += 1
             if job.attempts[index] > policy.max_run_retries:
-                job.outcomes.append((
-                    index,
-                    None,
-                    quarantine_failure(index, job.attempts[index], reason),
-                ))
-                registry.inc(_names.POOL_RUNS_QUARANTINED)
+                failure = quarantine_failure(
+                    index, job.attempts[index], reason
+                )
+                for into in job.outcomes:
+                    into.append((index, None, failure))
+                registry.inc(_names.POOL_RUNS_QUARANTINED, runs)
             else:
                 job.pending.append([index])
-                registry.inc(_names.POOL_RUNS_RETRIED)
+                registry.inc(_names.POOL_RUNS_RETRIED, runs)

@@ -276,10 +276,11 @@ class TestPersistentPoolEngine:
         ).complete
         shard_of = {}
         finished = []
-        submit, finish = executor._submit_shard, PendingRun._finish
+        submit, finish = executor._submit_job, PendingRun._finish
 
-        def recording_submit(pool, spec, shard):
-            handle = submit(pool, spec, shard)
+        def recording_submit(pool, spec, job):
+            (shard,) = job  # no nu axis: one shard per job
+            handle = submit(pool, spec, job)
             shard_of[id(handle)] = shard.index
             return handle
 
@@ -287,7 +288,7 @@ class TestPersistentPoolEngine:
             finished.append(shard_of.get(id(handle)))
             finish(handle, outcomes)
 
-        monkeypatch.setattr(executor, "_submit_shard", recording_submit)
+        monkeypatch.setattr(executor, "_submit_job", recording_submit)
         monkeypatch.setattr(PendingRun, "_finish", recording_finish)
         lines = []
         path = str(tmp_path / "held.sqlite")

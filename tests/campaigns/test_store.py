@@ -287,3 +287,170 @@ class TestLegacySpecs:
         ]) == 0
         out = capsys.readouterr().out
         assert "d_jrsnd" in out and "only on one side" not in out
+
+
+def change_counter(path):
+    """SQLite's file change counter: one per write transaction."""
+    with open(path, "rb") as handle:
+        return int.from_bytes(handle.read(28)[24:28], "big")
+
+
+class TestSchemaBootstrap:
+    def test_new_store_is_one_write_transaction(self, tmp_path):
+        path = str(tmp_path / "s.sqlite")
+        with CampaignStore(path):
+            pass
+        assert change_counter(path) == 1
+        conn = sqlite3.connect(path)
+        try:
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
+            tables = {
+                name for (name,) in conn.execute(
+                    "SELECT name FROM sqlite_master WHERE type = 'table'"
+                )
+            }
+        finally:
+            conn.close()
+        assert version == 2
+        assert tables == {"campaigns", "shards", "runs", "failures"}
+        # Reopening a current store writes nothing.
+        with CampaignStore(path):
+            pass
+        assert change_counter(path) == 1
+
+    def test_v1_store_migrates_in_one_transaction(self, tmp_path):
+        """A v1 store (no ``failures`` table) gains the table and the
+        v2 stamp in one write, and keeps its rows."""
+        spec = tiny_spec()
+        path = str(tmp_path / "v1.sqlite")
+        with CampaignStore(path) as store:
+            populate(store, spec)
+        conn = sqlite3.connect(path)
+        conn.execute("DROP TABLE failures")
+        conn.execute("PRAGMA user_version = 1")
+        conn.commit()
+        conn.close()
+        before = change_counter(path)
+        with CampaignStore(path) as store:
+            done = store.completed_shards(spec.name, spec.spec_hash(), REV)
+            assert store.failure_records(spec.name, spec.spec_hash(), REV) == []
+        assert done == frozenset(range(4))
+        assert change_counter(path) == before + 1
+        conn = sqlite3.connect(path)
+        try:
+            (version,) = conn.execute("PRAGMA user_version").fetchone()
+            (failures_sql,) = conn.execute(
+                "SELECT sql FROM sqlite_master WHERE name = 'failures'"
+            ).fetchone()
+        finally:
+            conn.close()
+        assert version == 2
+        assert failures_sql.startswith("CREATE TABLE failures")
+
+
+def per_shard_torn(conn):
+    """The torn-shard findings as one ``COUNT(*)`` per shard finds
+    them: the reference for the grouped scan."""
+    torn = []
+    for (campaign_id, spec_hash, revision, shard_index, run_start,
+         run_stop) in conn.execute(
+        "SELECT campaign_id, spec_hash, git_revision, "
+        "shard_index, run_start, run_stop FROM shards"
+    ).fetchall():
+        (count,) = conn.execute(
+            "SELECT COUNT(*) FROM runs WHERE campaign_id = ? "
+            "AND spec_hash = ? AND git_revision = ? "
+            "AND shard_index = ?",
+            (campaign_id, spec_hash, revision, shard_index),
+        ).fetchone()
+        if count != run_stop - run_start:
+            torn.append(f"shard {shard_index} of {campaign_id}@{revision}")
+    return torn
+
+
+class TestTornShards:
+    def test_grouped_scan_equals_per_shard_counts(self, tmp_path):
+        """Torn shards in two campaigns and two revisions, one shard
+        with every run row gone: the findings, and their order, are the
+        per-shard counts' own."""
+        path = str(tmp_path / "torn.sqlite")
+        other = tiny_spec(name="other", runs_per_shard=1)
+        with CampaignStore(path) as store:
+            populate(store, tiny_spec())
+            populate(store, tiny_spec(), revision="newrev")
+            populate(store, other)
+        conn = sqlite3.connect(path)
+        with conn:
+            for campaign, revision, shard, run in (
+                ("smoke", REV, 1, 1),
+                ("smoke", "newrev", 3, 2),
+                ("smoke", "newrev", 3, 3),
+                ("other", REV, 6, 3),
+            ):
+                conn.execute(
+                    "DELETE FROM runs WHERE campaign_id = ? AND "
+                    "git_revision = ? AND shard_index = ? AND "
+                    "run_index = ?",
+                    (campaign, revision, shard, run),
+                )
+        try:
+            expected = per_shard_torn(conn)
+            assert CampaignStore._torn_shards(conn) == expected
+        finally:
+            conn.close()
+        assert expected == [
+            "shard 1 of smoke@deadbeef",
+            "shard 3 of smoke@newrev",
+            "shard 6 of other@deadbeef",
+        ]
+        with pytest.raises(ConfigurationError, match="torn commit"):
+            CampaignStore(path)
+
+    def test_healthy_store_has_no_findings(self, tmp_path):
+        path = str(tmp_path / "ok.sqlite")
+        with CampaignStore(path) as store:
+            populate(store, tiny_spec())
+            populate(store, tiny_spec(), revision="newrev")
+        conn = sqlite3.connect(path)
+        try:
+            assert CampaignStore._torn_shards(conn) == []
+            assert per_shard_torn(conn) == []
+        finally:
+            conn.close()
+
+
+class TestBatchedCommit:
+    def test_several_shards_commit_in_one_transaction(self, tmp_path):
+        """``write_shard(..., more=...)`` lands every shard in one
+        write, with the rows one call per shard would write."""
+        spec = tiny_spec()
+        shards = spec.shards()
+        batched, single = (
+            str(tmp_path / "batched.sqlite"), str(tmp_path / "single.sqlite")
+        )
+        with CampaignStore(single) as store:
+            populate(store, spec)
+        with CampaignStore(batched) as store:
+            store.register_campaign(spec, REV)
+            before = change_counter(batched)
+            first, *rest = [
+                (shard, fake_results(shard), None) for shard in shards
+            ]
+            store.write_shard(spec, REV, *first, more=rest)
+            assert change_counter(batched) == before + 1
+            with CampaignStore(single) as reference:
+                assert store.canonical_digest() == reference.canonical_digest()
+
+    def test_a_bad_shard_in_the_batch_writes_nothing(self, tmp_path):
+        spec = tiny_spec()
+        good, bad = spec.shards()[:2]
+        with CampaignStore(str(tmp_path / "s.sqlite")) as store:
+            store.register_campaign(spec, REV)
+            with pytest.raises(ConfigurationError, match="expected"):
+                store.write_shard(
+                    spec, REV, good, fake_results(good), None,
+                    more=[(bad, fake_results(bad)[:1], None)],
+                )
+            assert store.completed_shards(
+                spec.name, spec.spec_hash(), REV
+            ) == frozenset()

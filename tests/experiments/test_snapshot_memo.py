@@ -50,7 +50,9 @@ def test_memo_hits_equal_fresh_runs(base, monkeypatch):
     monkeypatch.setattr(pool_module, "FieldSnapshot", _CountingSnapshot)
     memo = _SnapshotMemo()
     cells = _cells(base)
-    served = [_run_chunk(cell, [(0, 0), (1, 0)], memo, 2) for cell in cells]
+    served = [
+        _run_chunk((cell,), [(0, 0), (1, 0)], memo, 2)[0] for cell in cells
+    ]
     assert _CountingSnapshot.built == 2
     for cell, outcomes in zip(cells, served):
         assert [index for index, _, _ in outcomes] == [0, 1]
@@ -330,7 +332,7 @@ def test_eight_points_sweep_once_and_grow_each_ball_once(monkeypatch):
 def test_memo_budget_counts_cell_state(monkeypatch):
     experiment = _point("tiny", 8)
     memo = _SnapshotMemo()
-    _run_chunk(experiment, [(0, 0)], memo, 100)
+    _run_chunk((experiment,), [(0, 0)], memo, 100)
     snapshot = memo._held[experiment.snapshot_key(0)]
     cell = snapshot._cell
     # The closure is unresolved at level 8, so it still holds a ball.
@@ -351,7 +353,7 @@ def test_memo_budget_counts_cell_state(monkeypatch):
     # A hit evicts too, so cells grown since the last build count; the
     # snapshot in use is never counted against the others.
     monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", 1 << 30)
-    _run_chunk(experiment, [(2, 0), (1, 0)], memo, 100)
+    _run_chunk((experiment,), [(2, 0), (1, 0)], memo, 100)
     assert len(memo._held) == 2
     monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", 1)
     held = memo.get(experiment, 1, 100)
