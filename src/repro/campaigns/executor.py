@@ -6,24 +6,31 @@ the determinism guarantees around it:
 1. expand the spec into shards (pure function of the spec);
 2. ask the store which shard indices are already committed for this
    ``(campaign, spec hash, git revision)`` and skip them;
-3. group the remaining shards into jobs — the ``nu`` shards of one
-   cell together, the first shard alone — and submit each job (its
-   points' experiments on the campaign seed, and its run-index range)
-   to one :class:`~repro.experiments.pool.WorkerPool`;
+3. group the remaining shards into jobs — the shards of one run block
+   together, the first shard alone — and submit each job (its points'
+   experiments on the campaign seed, and its run-index range) to one
+   :class:`~repro.experiments.pool.WorkerPool`;
 4. collect each shard's outcomes and commit the job's results and
    merged deterministic metrics in one transaction;
 5. when every shard is present, mark the campaign complete and
    atomically replace the working store with its canonical
    byte-deterministic rebuild.
 
-**Cell jobs.**  Consecutive pending shards that run the same run
-range on points differing only in ``nu`` form one job
-(:func:`_cell_jobs`): they share everything up to M-NDP, so the one
-worker that runs the job decides each run's cell once and resumes its
-M-NDP closure across ``nu``, and the driver pays one commit for all
-of them.  The launch's first pending shard is a job of its own, so
-the first checkpoint lands after one shard's runs, not a whole cold
-cell's.  ``max_shards`` cuts the pending shards before they group.
+**Block jobs.**  Every pending shard of one run range forms one job
+(:func:`_jobs`): under common random numbers a run index has one
+placement and one code assignment for every point of the block on one
+topology, so a worker running each index through all of the block's
+points builds each of the run's snapshots once, decides each of its
+cells once, resumes each cell's M-NDP closure across ``nu``, and drops
+the snapshot; the driver pays one commit for the block.  A job's
+points run with those sharing a snapshot adjacent, and within them
+those sharing a cell (``nu`` last), whatever the axis names sort to.
+A block with fewer run indices than the pool has workers is cut into
+*cell jobs* (its consecutive shards differing only in ``nu``), so one
+job does not idle the other workers.  The launch's first pending shard
+is a job of its own, so the first checkpoint lands after one shard's
+runs, not a whole cold block's.  ``max_shards`` cuts the pending
+shards before they group.
 
 The whole grid executes on one pool (workers and their artifact
 caches survive across jobs), and the loop keeps one job per worker in
@@ -57,7 +64,7 @@ Self-healing (the supervision layer):
 - A run that exhausts its retry budget comes back as a **quarantined**
   failure: the executor persists one failure record per poisoned run,
   leaves the shard uncommitted, and moves on (a run index quarantined
-  inside a cell job fails in every shard of the job).  Plain resume
+  inside a job fails in every shard of the job).  Plain resume
   skips quarantined shards; ``retry_quarantined=True`` clears the
   records and re-executes them.
 - Supervision itself giving up (respawn budget exhausted, spawn
@@ -71,12 +78,14 @@ Self-healing (the supervision layer):
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.campaigns.spec import CampaignSpec, Shard
 from repro.campaigns.store import (
@@ -145,8 +154,20 @@ def _self_sigkill() -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-#: Consecutive pending shards the pool runs as one job, in shard order.
+#: Pending shards of one run range that the pool runs as one job, in
+#: the order their points run (:func:`_jobs`).
 Job = Tuple[Shard, ...]
+
+#: The grid axes a run's field snapshot reads (see
+#: :meth:`~repro.experiments.runner.NetworkExperiment.snapshot_key`).
+_TOPOLOGY_AXES = ("n_nodes", "codes_per_node", "share_count")
+
+
+def _topology(shard: Shard) -> Tuple[Any, ...]:
+    """The axis values of ``shard``'s point that its snapshots read."""
+    return tuple(
+        param for param in shard.point.params if param[0] in _TOPOLOGY_AXES
+    )
 
 
 def _cell(shard: Shard) -> Tuple[Any, ...]:
@@ -158,25 +179,45 @@ def _cell(shard: Shard) -> Tuple[Any, ...]:
     )
 
 
-def _cell_jobs(pending: List[Shard]) -> List[Job]:
-    """Group ``pending`` into pool jobs, keeping shard order.
+def _ordered(shards: List[Shard]) -> Job:
+    """``shards`` with those that share a run's snapshot adjacent, and
+    within them those that share a cell, in shard order otherwise (so
+    ``nu`` varies last), whatever the axis names sort to."""
+    topologies: Dict[Tuple[Any, ...], int] = {}
+    cells: Dict[Tuple[Any, ...], int] = {}
+    # Each key ranks by its first appearance in shard order.
+    return tuple(sorted(shards, key=lambda shard: (
+        topologies.setdefault(_topology(shard), len(topologies)),
+        cells.setdefault(_cell(shard), len(cells)),
+    )))
 
-    Consecutive shards that run the same run range on points that
-    differ only in ``nu`` form one *cell job*: they share one seed and
-    everything up to M-NDP, so one worker running each run index
-    through all of them decides the run's cell once and resumes one
-    closure across ``nu`` (see :mod:`repro.experiments.pool`).  The
-    first pending shard is always a job of its own, so the launch's
-    first checkpoint still lands after one shard's runs instead of a
-    whole cold cell's.
+
+def _jobs(pending: List[Shard], workers: int) -> List[Job]:
+    """Group ``pending`` into pool jobs, in shard order.
+
+    Every pending shard of one run range forms one *block job*: a
+    worker runs each run index through all of the block's points, so
+    the run's snapshot is built once and dropped, and one commit
+    covers the block.  A block with fewer run indices than ``workers``
+    would leave workers idle, so it is cut into *cell jobs* instead:
+    consecutive shards whose points differ only in ``nu``.  The first
+    pending shard is always a job of its own, so the launch's first
+    checkpoint still lands after one shard's runs.  Within a job the
+    shards run in :func:`_ordered` order.
     """
-    jobs: List[List[Shard]] = []
-    for shard in pending:
-        if len(jobs) > 1 and _cell(jobs[-1][0]) == _cell(shard):
-            jobs[-1].append(shard)
+    jobs = [tuple(pending[:1])] if pending else []
+    for _, block in itertools.groupby(
+        pending[1:], key=attrgetter("run_start")
+    ):
+        shards = list(block)
+        if shards[0].n_runs >= workers:
+            jobs.append(_ordered(shards))
         else:
-            jobs.append([shard])
-    return [tuple(job) for job in jobs]
+            jobs.extend(
+                tuple(cell)
+                for _, cell in itertools.groupby(shards, key=_cell)
+            )
+    return jobs
 
 
 def _submit_job(
@@ -217,7 +258,7 @@ def run_campaign(
 
     Launching and resuming are the same operation: shards already
     committed under ``(spec.name, spec hash, git revision)`` are
-    skipped, the rest execute as jobs (the ``nu`` shards of one cell
+    skipped, the rest execute as jobs (the shards of one run block
     together) with one job per worker in flight behind the one being
     committed, and commit in shard-index order, one transaction per
     job.
@@ -232,7 +273,8 @@ def run_campaign(
         Worker processes of the campaign's pool, and the number of
         jobs kept in flight behind the one being committed (at
         least 1; a single worker runs in-process, one job at a
-        time).  Defaults to the CPUs available to this process.
+        time).  A run block of fewer runs than this runs as cell
+        jobs.  Defaults to the CPUs available to this process.
     max_shards:
         Stop gracefully after executing this many shards (testing and
         budgeted execution); the campaign stays resumable.
@@ -357,7 +399,7 @@ def run_campaign(
         # ``None`` handle is a job the broken pool refused; waiting on
         # it resubmits, which raises and degrades.
         window: Deque[Tuple[Job, Optional[PendingRun]]] = deque()
-        upcoming = iter(_cell_jobs(pending))
+        upcoming = iter(_jobs(pending, workers))
 
         def _fill(pool: WorkerPool) -> None:
             """Submit jobs until ``pool.processes`` of them queue
@@ -443,7 +485,9 @@ def run_campaign(
                         handle = window[0][1]
                 window.popleft()
                 finished: List[ShardRows] = []
-                for shard, shard_outcomes in zip(job, outcomes):
+                for shard, shard_outcomes in sorted(
+                    zip(job, outcomes), key=lambda pair: pair[0].index
+                ):
                     try:
                         result = collect_outcomes(shard_outcomes)
                     except ParallelExecutionError as error:

@@ -11,8 +11,8 @@ what ``campaign diff`` compares.
 Two properties carry the resume guarantees:
 
 - **Shard atomicity.**  A shard lands in a single transaction (shard
-  row + run rows together; the executor puts the ``nu`` shards of one
-  cell job in the same one).  SIGKILL mid-commit rolls the transaction
+  row + run rows together; the executor puts the shards of one job
+  in the same one).  SIGKILL mid-commit rolls the transaction
   back on the next open; the shards simply re-run, and because a run
   depends only on the campaign seed, the run index and the point's
   parameters, they re-run to the identical result.

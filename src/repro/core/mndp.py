@@ -361,15 +361,6 @@ class HopClosure:
         """The largest hop distance resolved so far."""
         return self._level
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays the closure holds."""
-        held = (
-            self._index, self._dist, self._remaining, self._ends,
-            self._links, self._table, self._ball,
-        )
-        return sum(array.nbytes for array in held if array is not None)
-
     def distances(self, nu: int) -> np.ndarray:
         """Each pair's hop distance if it is at most ``nu``, else 0."""
         self._resolve(nu)

@@ -19,23 +19,23 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   ``(config, seed, run index)``, and a
   :class:`~repro.experiments.runner.NetworkExperiment` is a small
   value (about 1 KB pickled) that costs microseconds to build, so
-  every ``("run", experiments, index_attempts, capacity)`` chunk
-  message carries its job's experiments: one, or a tuple of them.  A
-  chunk runs each run index through every experiment in order before
-  the next index (:func:`_run_chunk`), and the job resolves with one
-  outcome list per experiment.  The campaign executor submits the
-  ``nu`` points of one (q, link model) cell as one such *cell job*.
-  Workers keep no per-experiment state.  What they keep between
-  chunks is the field snapshots (neighbor pairs, code assignment) of
-  at most ``capacity`` runs, one job's run indices, and
-  :data:`SNAPSHOT_MEMO_BYTES`, for the campaign shards of the other
-  grid points to reuse (:class:`_SnapshotMemo`).  Each kept snapshot
-  also holds the cell it last served: everything a run computes
-  before M-NDP reads ``nu`` (compromise, D-NDP outcome, latency
-  sample) and, with one M-NDP round, the hop-ball closure.  The next
-  ``nu`` point of that (run, q, link model) cell skips the sweep and
-  resumes the closure past the hop level it reached; in a cell job
-  that next point is the very next run the worker does.
+  every ``("run", experiments, index_attempts)`` chunk message carries
+  its job's experiments: one, or a tuple of them.  A chunk runs each
+  run index through every experiment in order before the next index
+  (:func:`_run_chunk`), and the job resolves with one outcome list per
+  experiment.  The campaign executor submits every point of one block
+  of run indices as one such *block job* (the ``nu`` points of one
+  cell as a *cell job* when the block has fewer runs than the pool
+  has workers), with the points that share a run's field snapshot
+  (neighbor pairs, code assignment) adjacent, and within them the
+  ``nu`` points of one (q, link model) cell.  Workers keep no
+  per-experiment state: each holds the one snapshot it last used
+  (:class:`_HeldSnapshot`), and that snapshot holds the cell it last
+  served: everything a run computes before M-NDP reads ``nu``
+  (compromise, D-NDP outcome, latency sample) and, with one M-NDP
+  round, the hop-ball closure.  So a run's snapshot is built once per
+  job, and the next ``nu`` point of a cell skips the sweep and resumes
+  the closure past the hop level it reached.
 - **Submission is asynchronous and jobs overlap.**
   :meth:`WorkerPool.submit` returns a :class:`PendingRun` immediately.
   A dispatcher thread keeps the active jobs in a FIFO, each with its
@@ -105,7 +105,7 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
 from typing import (
@@ -130,7 +130,6 @@ from repro.experiments.runner import (
     FieldSnapshot,
     NetworkExperiment,
     RunResult,
-    SnapshotKey,
 )
 from repro.obs import current
 from repro.obs import names as _names
@@ -241,93 +240,54 @@ class SupervisionPolicy:
         check_positive("close_grace", self.close_grace)
 
 
-#: Bytes of field snapshots, cells included, that one process's memo
-#: holds besides the snapshot in use.  A kept Table I snapshot (n=2000,
-#: m=100) is about 0.5 MB, 0.09 MB of uint16 pairs and 0.4 MB of uint16
-#: codes; the cell it last served adds up to about 0.65 MB while its
-#: M-NDP closure is unresolved (a 0.5 MB hop ball, a 0.1 MB neighbor
-#: table, per-pair distances).  The budget holds ten such snapshots, the
-#: block of a ``runs_per_shard`` 10 campaign (the EXPERIMENTS.md Fig 4/5
-#: recipe).  Worst case: this plus the snapshot in use.
-SNAPSHOT_MEMO_BYTES = 12 << 20
+class _HeldSnapshot:
+    """The one field snapshot a process holds: the last one it used.
 
-
-class _SnapshotMemo:
-    """The field snapshots one process keeps between chunks.
-
-    Every point of a campaign shares the campaign seed, and its shards
-    iterate the points inside each block of run indices
-    (:meth:`~repro.campaigns.spec.CampaignSpec.shards`), so the chunks a
-    worker takes one after another mostly need the same runs on the
-    same topology.  Entries are keyed by
-    :meth:`~repro.experiments.runner.NetworkExperiment.snapshot_key`,
-    every value a snapshot is a pure function of, so a hit is exactly
-    the snapshot the run would have built.  A kept snapshot also holds
-    the :class:`~repro.experiments.runner.RunCell` it last served:
-    points sorted by ``nu`` last (the Fig 5 axis) share their
-    compromise and D-NDP outcome, and one M-NDP closure resumed from
-    point to point.  Snapshots and cells record no metrics (the run
-    replays what a cell counted), so a hit and a miss leave the same
-    per-run counters.
-
-    Before it serves a run the memo evicts the least recently used
-    other snapshots until fewer than ``capacity`` (one job's run
-    indices) are held and they total under :data:`SNAPSHOT_MEMO_BYTES`.
-    That budget bounds the worst case: a process holds at most it plus
-    the snapshot in use, whatever the shard size.  Reuse needs a
-    shard's run block to fit in the budget; a larger block cycles
-    through the memo in index order, so nearly every LRU lookup misses
-    and the campaign runs at the speed of unshared snapshots.
+    A job runs each run index through every point of the job before the
+    next index (:func:`_run_chunk`), and the campaign executor orders a
+    job's points so that those sharing a snapshot, and within them
+    those sharing a cell, are adjacent (``nu`` last).  So the snapshot a
+    point needs is the one the previous point used, or one never needed
+    again; holding just that one serves every reuse.  It is kept
+    between chunks too, for the cell jobs of one small block, which
+    run the same run indices one after another.  The snapshot also
+    holds the :class:`~repro.experiments.runner.RunCell` it last
+    served, and records no metrics, so a reused snapshot and a fresh
+    one leave the same per-run counters.
     """
 
     def __init__(self) -> None:
-        self._held: "OrderedDict[SnapshotKey, FieldSnapshot]" = (
-            OrderedDict()
-        )
+        self._snapshot: Optional[FieldSnapshot] = None
 
     def get(
-        self, experiment: NetworkExperiment, run_index: int, capacity: int
+        self, experiment: NetworkExperiment, run_index: int
     ) -> FieldSnapshot:
-        """Run ``run_index``'s snapshot, built on a miss."""
+        """Run ``run_index``'s snapshot: the held one if its key is
+        the run's, else a new one, built after the held one is
+        dropped."""
         key = experiment.snapshot_key(run_index)
-        snapshot = self._held.pop(key, None)
-        while self._held and (
-            len(self._held) >= capacity
-            or self.nbytes >= SNAPSHOT_MEMO_BYTES
-        ):
-            self._held.popitem(last=False)
-        if snapshot is None:
-            snapshot = FieldSnapshot(key, kept=True)
-        self._held[key] = snapshot
-        return snapshot
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the snapshots held."""
-        return sum(snapshot.nbytes for snapshot in self._held.values())
-
-    def clear(self) -> None:
-        self._held.clear()
+        if self._snapshot is None or self._snapshot.key != key:
+            self._snapshot = None
+            self._snapshot = FieldSnapshot(key)
+        return self._snapshot
 
 
 def _run_chunk(
     experiments: Tuple[NetworkExperiment, ...],
     index_attempts: List[Tuple[int, int]],
-    memo: _SnapshotMemo,
-    capacity: int,
+    held: _HeldSnapshot,
     faults: Any = None,
 ) -> List[List[_Outcome]]:
     """Run ``(index, attempt)`` pairs through each of ``experiments``.
 
     Returns one outcome list per experiment, in ``experiments`` order.
     Each run index goes through every experiment before the next index
-    starts, so the experiments of one cell job (the ``nu`` points of
-    one (q, link model) cell) meet the run's snapshot, and the cell it
-    holds, one after another whatever ``capacity`` is.
+    starts, on the snapshot ``held`` serves, so the points of one job
+    that share a run's snapshot, or its cell, meet it one after
+    another.
 
     Worker processes and the in-process mode both execute through this
-    loop, each run on its snapshot from ``memo`` (which keeps at most
-    ``capacity``).  A failure in one of the
+    loop.  A failure in one of the
     :data:`~repro.errors.WORKER_TRAPPED_ERRORS` families comes back as
     tagged outcome data instead of aborting the chunk; anything else
     (``KeyboardInterrupt``, ``SystemExit``, foreign ``BaseException``
@@ -341,10 +301,11 @@ def _run_chunk(
             faults.before_run(index, attempt)
         for experiment, into in zip(experiments, outcomes):
             try:
-                snapshot = memo.get(experiment, index, capacity)
-                into.append(
-                    (index, experiment.run_once(index, snapshot), None)
-                )
+                into.append((
+                    index,
+                    experiment.run_once(index, held.get(experiment, index)),
+                    None,
+                ))
             except WORKER_TRAPPED_ERRORS:
                 into.append((index, None, traceback.format_exc()))
     return outcomes
@@ -355,10 +316,10 @@ def _worker_main(
 ) -> None:
     """Worker process loop: run the chunks the dispatcher sends.
 
-    Each ``("run", experiments, index_attempts, capacity)`` message
-    executes through :func:`_run_chunk` on this process's snapshot
-    memo; per-run failures travel back as tagged outcome data, anything
-    else is a pool fault reported as ``fatal``.
+    Each ``("run", experiments, index_attempts)`` message executes
+    through :func:`_run_chunk` on this process's held snapshot;
+    per-run failures travel back as tagged outcome data, anything else
+    is a pool fault reported as ``fatal``.
 
     ``close_conns`` carries every *parent-side* pipe end this process
     inherited (its own and those of already-running siblings) and is
@@ -378,7 +339,7 @@ def _worker_main(
     """
     for foreign in close_conns:
         foreign.close()
-    memo = _SnapshotMemo()
+    held = _HeldSnapshot()
     try:
         while True:
             try:
@@ -392,12 +353,9 @@ def _worker_main(
                 raise WorkerPoolError(
                     f"unknown pool message tag {tag!r}"
                 )
-            _, experiments, index_attempts, capacity = message
+            _, experiments, index_attempts = message
             conn.send((
-                "done",
-                _run_chunk(
-                    experiments, index_attempts, memo, capacity, faults
-                ),
+                "done", _run_chunk(experiments, index_attempts, held, faults)
             ))
     except BaseException:  # jrsnd: noqa(JRS003) -- worker crash containment: every failure must reach the parent as a 'fatal' report before this process exits
         try:
@@ -611,8 +569,8 @@ class WorkerPool:
         self._closed = False
         self._broken = False
         self._dispatcher: Optional[threading.Thread] = None
-        # The in-process mode's snapshot memo (workers keep their own).
-        self._memo = _SnapshotMemo()
+        # The in-process mode's held snapshot (workers hold their own).
+        self._held = _HeldSnapshot()
         if not processes:
             return
         # ``submit`` and ``close`` write to this pipe so the dispatcher,
@@ -671,7 +629,7 @@ class WorkerPool:
             if self._dispatcher is not None:
                 self._wake()
         if self._dispatcher is None:
-            self._memo.clear()
+            self._held = _HeldSnapshot()  # drops the last snapshot
             return
         grace = self._policy.close_grace
         self._dispatcher.join(timeout=grace)
@@ -724,9 +682,9 @@ class WorkerPool:
     ) -> PendingRun:
         """Queue ``run_indices`` of ``work``; returns immediately.
 
-        ``work`` is a :class:`NetworkExperiment` or a tuple of them (a
-        *cell job*: the campaign executor submits the ``nu`` points of
-        one cell this way).  The experiments themselves are the unit of
+        ``work`` is a :class:`NetworkExperiment` or a tuple of them (the
+        campaign executor submits the points of one run block, or of
+        one cell, this way).  The experiments themselves are the unit of
         work: they are pickled into every chunk message, and a worker
         runs each index of its chunk through every experiment of the
         copy it receives, in order, so one worker sees all the points
@@ -772,8 +730,7 @@ class WorkerPool:
                         _run_chunk,
                         experiments,
                         [(index, 0) for index in indices],
-                        self._memo,
-                        len(set(indices)),
+                        self._held,
                     ),
                     single=single,
                 )
@@ -875,8 +832,7 @@ class WorkerPool:
         try:
             worker.conn.send(
                 ("run", job.experiments,
-                 [(index, job.attempts[index]) for index in chunk],
-                 len(job.attempts))
+                 [(index, job.attempts[index]) for index in chunk])
             )
         except (OSError, ValueError):
             return False

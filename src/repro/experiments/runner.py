@@ -125,12 +125,6 @@ class RunCell:
     direct: Optional[np.ndarray]
     closure: Optional[HopClosure]
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays the cell holds."""
-        held = 0 if self.direct is None else self.direct.nbytes
-        return held + (0 if self.closure is None else self.closure.nbytes)
-
 
 class FieldSnapshot:
     """Steps 1 and 2 of a run: the neighbor pairs of a uniform
@@ -142,19 +136,13 @@ class FieldSnapshot:
     the constructor unpacks; draws come from the run seed's
     ``placement`` and ``assignment`` streams, as in an unshared run.
 
-    A snapshot built for one run (``kept=False``) holds its int64 pairs
-    and nothing more: :meth:`assignment` returns the
-    :class:`CodeAssignment` it draws.  A ``kept`` one (a pool memo's)
-    holds the pairs and, once drawn, the assignment in the narrowest
-    unsigned dtypes, read-only (0.5 MB instead of 2 MB at Table I
-    scale): the pairs are widened on each read, and the narrowed
-    assignment is handed out as it is.  A kept snapshot also holds the
-    :class:`RunCell` it last served, so the next point of that cell
-    skips steps 3 and 4 and resumes its M-NDP closure.  Either way the
-    snapshot records no metrics, so sharing it changes no counter.
+    The snapshot holds its read-only int64 pairs, the assignment once
+    drawn, and the :class:`RunCell` it last served, so the next point
+    of that cell skips steps 3 and 4 and resumes its M-NDP closure.  It
+    records no metrics, so sharing it changes no counter.
     """
 
-    def __init__(self, key: SnapshotKey, kept: bool = False) -> None:
+    def __init__(self, key: SnapshotKey) -> None:
         seed, n_nodes, width, height, tx_range, _m, _l, backend = key
         self.key = key
         self.seeds = SeedSequencer(seed)
@@ -163,43 +151,22 @@ class FieldSnapshot:
             field, n_nodes, self.seeds.rng("placement")
         )
         pairs = field.neighbor_pairs(positions, backend=backend)
-        if kept:
-            pairs = pairs.astype(np.min_scalar_type(max(n_nodes - 1, 0)))
         pairs.setflags(write=False)
-        self._pairs = pairs
-        self._kept = kept
+        #: The sorted ``(k, 2)`` int64 neighbor pair array, read-only.
+        self.pairs = pairs
         self._assignment: Optional[CodeAssignment] = None
         self._cell: Optional[RunCell] = None
 
-    @property
-    def pairs(self) -> np.ndarray:
-        """The sorted ``(k, 2)`` int64 neighbor pair array, read-only."""
-        if self._pairs.dtype == np.int64:
-            return self._pairs
-        pairs = self._pairs.astype(np.int64)
-        pairs.setflags(write=False)
-        return pairs
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the arrays the snapshot holds, its cell's included."""
-        held = self._pairs.nbytes
-        if self._assignment is not None:
-            held += self._assignment.codes.nbytes
-        return held + (0 if self._cell is None else self._cell.nbytes)
-
     def assignment(self) -> CodeAssignment:
         """The run's code assignment, drawn from the ``assignment``
-        stream (once, if the snapshot is kept)."""
-        if self._assignment is not None:
-            return self._assignment
-        _seed, n_nodes, _w, _h, _r, m, share_count, backend = self.key
-        assignment = PreDistributor(n_nodes, m, share_count).assign(
-            self.seeds.rng("assignment"), backend=backend
-        )
-        if self._kept:
-            assignment = self._assignment = assignment.narrowed()
-        return assignment
+        stream on the first call."""
+        if self._assignment is None:
+            _seed, n_nodes, _w, _h, _r, m, share_count, backend = self.key
+            distributor = PreDistributor(n_nodes, m, share_count)
+            self._assignment = distributor.assign(
+                self.seeds.rng("assignment"), backend=backend
+            )
+        return self._assignment
 
     def cell(self, key: CellKey) -> Optional[RunCell]:
         """The cell this snapshot last served, if its key is ``key``."""
@@ -207,10 +174,8 @@ class FieldSnapshot:
         return cell if cell is not None and cell.key == key else None
 
     def keep(self, cell: RunCell) -> None:
-        """Hold ``cell`` in place of the last one (a kept snapshot
-        only)."""
-        if self._kept:
-            self._cell = cell
+        """Hold ``cell`` in place of the last one."""
+        self._cell = cell
 
 
 @dataclass(frozen=True)
@@ -514,10 +479,11 @@ class NetworkExperiment:
         """Execute one snapshot with its own derived seed.
 
         ``snapshot`` is run ``run_index``'s :class:`FieldSnapshot` when
-        the caller already holds it (the pool's workers keep the ones
-        consecutive campaign shards share); without it the run builds
-        its own and keeps nothing.  A snapshot whose key differs from
-        :meth:`snapshot_key` raises :class:`ConfigurationError`.
+        the caller already holds it (a pool worker holds the one it
+        last used, for the next point of the same run); without it the
+        run builds its own and keeps nothing.  A snapshot whose key
+        differs from :meth:`snapshot_key` raises
+        :class:`ConfigurationError`.
 
         With ``collect_metrics`` a fresh registry is installed for the
         duration of the snapshot so every layer's counters land in this

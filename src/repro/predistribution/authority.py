@@ -37,8 +37,7 @@ class CodeAssignment:
     ----------
     codes:
         ``codes[i, r]`` is node ``i``'s round-``r`` pool index.  Stored
-        as a read-only ``int64`` copy (:meth:`narrowed` gives the same
-        assignment in the narrowest unsigned dtype).
+        as a read-only ``int64`` copy.
     pool_size:
         Total number of pool codes ``s = w * m`` used by the assignment.
 
@@ -76,18 +75,6 @@ class CodeAssignment:
         matrix.setflags(write=False)
         self.codes = matrix
         self.pool_size = int(pool_size)
-
-    def narrowed(self) -> "CodeAssignment":
-        """This assignment with its code matrix held read-only in the
-        narrowest unsigned dtype that fits the pool (uint16 up to 65536
-        codes), without the constructor's copy and layout check: the
-        layout was checked when this one was built."""
-        codes = self.codes.astype(np.min_scalar_type(self.pool_size - 1))
-        codes.setflags(write=False)
-        narrow = object.__new__(CodeAssignment)
-        narrow.codes = codes
-        narrow.pool_size = self.pool_size
-        return narrow
 
     @property
     def n_nodes(self) -> int:

@@ -569,57 +569,106 @@ NU_SMOKE_SPEC = os.path.join(
 )
 
 
+BLOCK_SMOKE_SPEC = os.path.join(
+    os.path.dirname(NU_SMOKE_SPEC), "campaign_smoke_block.json"
+)
+
+
+def _fresh_points(spec):
+    """Each point's fresh ``run_once`` results, by point index."""
+    fresh = {}
+    for point in spec.points():
+        experiment = NetworkExperiment(
+            spec.point_config(point),
+            seed=spec.seed,
+            strategy=spec.point_strategy(point),
+            mndp_rounds=spec.mndp_rounds,
+            link_model=spec.point_link_model(point),
+            compute_backend=spec.compute_backend,
+            phy_backend=spec.phy_backend,
+        )
+        fresh[point.index] = tuple(
+            experiment.run_once(index)
+            for index in range(spec.runs_per_point)
+        )
+    return fresh
+
+
+def _stored_points(spec, path):
+    with CampaignStore(path) as store:
+        points = store.point_results(spec.name, spec.spec_hash(), REV)
+    return {index: result.runs for index, (_, result) in points.items()}
+
+
+def _launch_at_both_engines(spec, root):
+    paths = {}
+    for processes in (1, 2):
+        path = str(root / f"p{processes}.sqlite")
+        status = run_campaign(
+            spec, path, processes=processes, git_revision=REV
+        )
+        assert status.complete
+        paths[processes] = path
+    return paths
+
+
 class TestNuSmokeSpec:
     """``examples/campaign_smoke_nu.json`` (the CI ``campaign-smoke``
     job launches it at ``--processes 2`` and ``1`` and ``cmp``s the
     stores): its nu axis is not monotone, so a pool worker serves each
-    (run, q, link model) cell's nu points from one kept snapshot,
+    (run, q, link model) cell's nu points from one held snapshot,
     resuming the closure upward and thresholding it downward."""
 
     @pytest.fixture(scope="class")
     def stores(self, tmp_path_factory):
         spec = CampaignSpec.from_file(NU_SMOKE_SPEC)
-        paths = {}
-        for processes in (1, 2):
-            path = str(
-                tmp_path_factory.mktemp("nu") / f"p{processes}.sqlite"
-            )
-            status = run_campaign(
-                spec, path, processes=processes, git_revision=REV
-            )
-            assert status.complete
-            paths[processes] = path
-        return spec, paths
+        return spec, _launch_at_both_engines(
+            spec, tmp_path_factory.mktemp("nu")
+        )
 
     def test_every_point_equals_fresh_run_once_rows(self, stores):
         spec, paths = stores
         assert [point.params_dict["nu"] for point in spec.points()] == [
             3, 1, 2, 3, 1, 2,
         ]
-        fresh = {}
-        for point in spec.points():
-            experiment = NetworkExperiment(
-                spec.point_config(point),
-                seed=spec.seed,
-                strategy=spec.point_strategy(point),
-                mndp_rounds=spec.mndp_rounds,
-                link_model=spec.point_link_model(point),
-                compute_backend=spec.compute_backend,
-                phy_backend=spec.phy_backend,
-            )
-            fresh[point.index] = tuple(
-                experiment.run_once(index)
-                for index in range(spec.runs_per_point)
-            )
+        fresh = _fresh_points(spec)
         for path in paths.values():
-            with CampaignStore(path) as store:
-                points = store.point_results(
-                    spec.name, spec.spec_hash(), REV
-                )
-            for point in spec.points():
-                assert points[point.index][1].runs == fresh[point.index]
+            assert _stored_points(spec, path) == fresh
         # Non-vacuous: the nu points of a cell recover different counts.
         assert len({runs[0].mndp_successes for runs in fresh.values()}) > 3
+
+    def test_stores_are_byte_identical_across_engines(self, stores):
+        _, paths = stores
+        with open(paths[1], "rb") as a, open(paths[2], "rb") as b:
+            assert a.read() == b.read()
+
+
+class TestBlockSmokeSpec:
+    """``examples/campaign_smoke_block.json`` (the CI ``campaign-smoke``
+    job launches it at ``--processes 2`` and ``1`` and ``cmp``s the
+    stores): one shard per point, so after the lone first shard every
+    point is one block job, and its ``share_count`` axis sorts after
+    ``nu``, so the job reorders its points to share each snapshot."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, tmp_path_factory):
+        spec = CampaignSpec.from_file(BLOCK_SMOKE_SPEC)
+        return spec, _launch_at_both_engines(
+            spec, tmp_path_factory.mktemp("block")
+        )
+
+    def test_every_point_equals_fresh_run_once_rows(self, stores):
+        spec, paths = stores
+        assert spec.runs_per_shard is None
+        assert [
+            (point.params_dict["nu"], point.params_dict["share_count"])
+            for point in spec.points()[:3]
+        ] == [(3, 10), (3, 6), (1, 10)]
+        fresh = _fresh_points(spec)
+        for path in paths.values():
+            assert _stored_points(spec, path) == fresh
+        # Non-vacuous: the share counts and nu points disagree.
+        assert len({runs for runs in fresh.values()}) == len(fresh)
 
     def test_stores_are_byte_identical_across_engines(self, stores):
         _, paths = stores

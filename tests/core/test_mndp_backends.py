@@ -420,9 +420,10 @@ class TestResumedClosure:
         graph.add_links([(0, 1), (1, 2), (2, 3)])
         closure = MNDPSampler(1).closure([(0, 3)], graph)
         assert closure.distances(2).tolist() == [0]
-        held = closure.nbytes
+        assert closure._ball is not None
         assert closure.distances(3).tolist() == [3]
-        assert closure.nbytes < held
+        assert closure._ball is None
+        assert closure._table is None and closure._links is None
         assert closure.distances(8).tolist() == [3]
         assert closure.distances(2).tolist() == [0]
 

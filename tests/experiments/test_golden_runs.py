@@ -6,10 +6,15 @@ run index.  The counts were recorded before the occupied-cell neighbor
 search and the array-returning M-NDP closure replaced their
 predecessors, so a kernel change that alters any placement, neighbor
 pair, D-NDP draw or M-NDP recovery shows up here as a changed tuple.
+
+Under the reactive jammer every chipless pair probability is 0 or 1,
+so those rows cannot see the chipless sweep's per-pair uniform draws;
+the random-jammer rows can (their pair probabilities are fractional).
 """
 
 import pytest
 
+from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
 from repro.experiments.runner import NetworkExperiment
 
@@ -47,3 +52,36 @@ def test_paper_scale_run_is_pinned(phy, link_model, nu, run_index, expected):
     )
     assert got == expected
     assert result.mean_dndp_latency is None
+
+
+# Random jammer, q = 60: (phy_backend, link_model, nu, run_index,
+#  (n_pairs, dndp_successes, mndp_successes, mean_degree))
+RANDOM_GOLDEN = [
+    ("chipless", "codes", 2, 8, (21558, 18465, 3093, 21.558)),
+    ("chipless", "codes", 8, 9, (21568, 18445, 3123, 21.568)),
+    ("message", "codes", 2, 10, (21348, 18334, 3013, 21.348)),
+]
+
+
+@pytest.mark.parametrize(
+    "phy, link_model, nu, run_index, expected",
+    RANDOM_GOLDEN,
+    ids=[f"{phy}-{link}-nu{nu}" for phy, link, nu, _, _ in RANDOM_GOLDEN],
+)
+def test_random_jammer_run_is_pinned(
+    phy, link_model, nu, run_index, expected
+):
+    config = JRSNDConfig(phy_backend=phy, nu=nu, n_compromised=60)
+    result = NetworkExperiment(
+        config,
+        seed=SEED,
+        strategy=JammerStrategy.RANDOM,
+        link_model=link_model,
+    ).run_once(run_index)
+    got = (
+        result.n_pairs,
+        result.dndp_successes,
+        result.mndp_successes,
+        result.mean_degree,
+    )
+    assert got == expected

@@ -1,4 +1,4 @@
-"""Cell jobs: a tuple of experiments submitted as one pool job.
+"""Block and cell jobs: a tuple of experiments submitted as one pool job.
 
 Every chunk of such a job runs each of its run indices through every
 experiment in order, on one worker, and the job resolves with one

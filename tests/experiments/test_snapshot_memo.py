@@ -1,6 +1,6 @@
-"""Field snapshots shared between runs: a snapshot a pool worker serves
-from its memo, with the cell it last served, gives exactly the run a
-fresh ``run_once`` gives."""
+"""Field snapshots shared between runs: the snapshot a pool worker
+holds, with the cell it last served, gives exactly the run a fresh
+``run_once`` gives."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.core import mndp as mndp_module
 from repro.core.mndp import HopClosure
 from repro.errors import ConfigurationError
 from repro.experiments import pool as pool_module
-from repro.experiments.pool import _run_chunk, _SnapshotMemo
+from repro.experiments.pool import _HeldSnapshot, _run_chunk
 from repro.experiments.runner import FieldSnapshot, NetworkExperiment
 from repro.experiments.scenarios import preset_config
 
@@ -36,23 +36,20 @@ def _cells(base):
 class _CountingSnapshot(FieldSnapshot):
     built = 0
 
-    def __init__(self, key, kept=False):
+    def __init__(self, key):
         type(self).built += 1
-        super().__init__(key, kept)
+        super().__init__(key)
 
 
 @pytest.mark.parametrize("base", ["tiny", "tiny-chipless"])
 def test_memo_hits_equal_fresh_runs(base, monkeypatch):
     """Message and chipless PHY, both link models, nu 1 and 8: the 8
-    cells share two snapshots, and every served run equals a fresh
-    ``run_once`` with the same deterministic metrics."""
+    cells, run as one job, share two snapshots, and every served run
+    equals a fresh ``run_once`` with the same deterministic metrics."""
     monkeypatch.setattr(_CountingSnapshot, "built", 0)
     monkeypatch.setattr(pool_module, "FieldSnapshot", _CountingSnapshot)
-    memo = _SnapshotMemo()
     cells = _cells(base)
-    served = [
-        _run_chunk((cell,), [(0, 0), (1, 0)], memo, 2)[0] for cell in cells
-    ]
+    served = _run_chunk(tuple(cells), [(0, 0), (1, 0)], _HeldSnapshot())
     assert _CountingSnapshot.built == 2
     for cell, outcomes in zip(cells, served):
         assert [index for index, _, _ in outcomes] == [0, 1]
@@ -68,103 +65,44 @@ def test_memo_hits_equal_fresh_runs(base, monkeypatch):
     assert len({outcomes[0][1] for outcomes in served}) > 1
 
 
-def test_memo_evicts_least_recent_before_building(monkeypatch):
-    monkeypatch.setattr(_CountingSnapshot, "built", 0)
-    monkeypatch.setattr(pool_module, "FieldSnapshot", _CountingSnapshot)
-    memo = _SnapshotMemo()
-    experiment = NetworkExperiment(preset_config("tiny"), seed=SEED)
-    first = memo.get(experiment, 0, 2)
-    memo.get(experiment, 1, 2)
-    assert memo.get(experiment, 0, 2) is first
-    memo.get(experiment, 2, 2)  # evicts run 1, the least recent
-    assert _CountingSnapshot.built == 3
-    assert memo.get(experiment, 0, 2) is first
-    memo.get(experiment, 1, 2)
-    assert _CountingSnapshot.built == 4
-    # A smaller job shrinks the memo to its own size.
-    memo.get(experiment, 5, 1)
-    assert _CountingSnapshot.built == 5 and len(memo._held) == 1
-    assert memo.get(experiment, 0, 1) is not first
-    assert _CountingSnapshot.built == 6
-
-
-def test_memo_holds_under_its_byte_budget_before_a_build(monkeypatch):
-    """Whatever the job's size, the snapshots held ahead of a build
-    total under ``SNAPSHOT_MEMO_BYTES``."""
-    monkeypatch.setattr(_CountingSnapshot, "built", 0)
-    monkeypatch.setattr(pool_module, "FieldSnapshot", _CountingSnapshot)
-    experiment = NetworkExperiment(preset_config("tiny"), seed=SEED)
-    sizes = [
-        FieldSnapshot(experiment.snapshot_key(index), kept=True).nbytes
-        for index in range(2)
-    ]
-    monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", sum(sizes))
-    memo = _SnapshotMemo()
-    first = memo.get(experiment, 0, 100)
-    second = memo.get(experiment, 1, 100)
-    assert memo.nbytes == sum(sizes)
-    memo.get(experiment, 2, 100)  # evicts run 0 only
-    assert list(memo._held.values())[0] is second
-    assert len(memo._held) == 2
-    assert memo.get(experiment, 0, 100) is not first
-    assert _CountingSnapshot.built == 4
-    # A budget below one snapshot still serves the run at hand.
-    monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", 1)
-    held = memo.get(experiment, 3, 100)
-    assert len(memo._held) == 1 and memo.get(experiment, 3, 100) is held
-
-
 def test_memo_keys_on_the_topology_not_the_point():
-    memo = _SnapshotMemo()
+    """A process holds one snapshot: the next point reuses it when it
+    has the same topology, and replaces it otherwise."""
+    held = _HeldSnapshot()
     config = preset_config("tiny")
     base = NetworkExperiment(config, seed=SEED)
-    shared = memo.get(base, 0, 4)
+    shared = held.get(base, 0)
     for same in (
         NetworkExperiment(config.replace(n_compromised=0, nu=8), seed=SEED,
                           link_model="independent"),
         NetworkExperiment(config, seed=SEED, mndp_rounds=3),
     ):
-        assert memo.get(same, 0, 4) is shared
+        assert held.get(same, 0) is shared
+    assert held.get(base, 1) is not shared
     for other in (
         NetworkExperiment(config, seed=SEED + 1),
         NetworkExperiment(config.replace(share_count=6), seed=SEED),
         NetworkExperiment(config.replace(tx_range=250.0), seed=SEED),
         NetworkExperiment(config, seed=SEED, compute_backend="reference"),
     ):
-        assert memo.get(other, 0, 4) is not shared
+        shared = held.get(base, 0)
+        replaced = held.get(other, 0)
+        assert replaced is not shared
+        assert held.get(other, 0) is replaced
 
 
-def test_kept_snapshot_narrows_what_it_holds():
-    experiment = NetworkExperiment(preset_config("tiny"), seed=SEED)
-    fresh = FieldSnapshot(experiment.snapshot_key(0))
-    snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
-    assert snapshot._pairs.itemsize < fresh.pairs.itemsize
-    assert not snapshot._pairs.flags.writeable
-    assert snapshot.pairs.dtype == np.int64
-    assert not snapshot.pairs.flags.writeable
-    assert np.array_equal(snapshot.pairs, fresh.pairs)
-    drawn = fresh.assignment()
-    first = snapshot.assignment()
-    # The validated assignment is handed out as held: no widening copy.
-    assert snapshot.assignment() is first
-    assert np.array_equal(first.codes, drawn.codes)
-    assert first.pool_size == drawn.pool_size
-    assert first.codes.itemsize < drawn.codes.itemsize
-    assert not first.codes.flags.writeable
-    assert snapshot.nbytes == snapshot._pairs.nbytes + first.codes.nbytes
-
-
-def test_unkept_snapshot_holds_only_its_pairs():
-    """``run_once`` without a memo gets the arrays it built, unchanged."""
+def test_snapshot_holds_its_pairs_and_one_assignment():
     experiment = NetworkExperiment(preset_config("tiny"), seed=SEED)
     snapshot = FieldSnapshot(experiment.snapshot_key(0))
-    assert snapshot.pairs is snapshot.pairs
     assert snapshot.pairs.dtype == np.int64
     assert not snapshot.pairs.flags.writeable
     assignment = snapshot.assignment()
+    assert snapshot.assignment() is assignment
     assert assignment.codes.dtype == np.int64
-    assert snapshot._assignment is None
-    assert np.array_equal(snapshot.assignment().codes, assignment.codes)
+    assert not assignment.codes.flags.writeable
+    fresh = FieldSnapshot(experiment.snapshot_key(0))
+    assert np.array_equal(snapshot.pairs, fresh.pairs)
+    assert np.array_equal(assignment.codes, fresh.assignment().codes)
 
 
 def test_run_once_refuses_another_runs_snapshot():
@@ -175,7 +113,7 @@ def test_run_once_refuses_another_runs_snapshot():
         experiment.run_once(1, snapshot)
 
 
-# -- the cell a kept snapshot last served ----------------------------------
+# -- the cell a snapshot last served ----------------------------------
 
 NU_ORDERS = {
     "ascending": [1, 2, 3, 4, 5, 6, 7, 8],
@@ -218,7 +156,7 @@ def _counting(monkeypatch, owner, name):
 @pytest.mark.parametrize("link_model", ["codes", "independent"])
 @pytest.mark.parametrize("base", ["tiny", "tiny-chipless"])
 def test_one_cell_serves_every_nu(base, link_model, backend, order):
-    """Every nu of one cell, in any order, from one kept snapshot:
+    """Every nu of one cell, in any order, from one snapshot:
     each run equals a fresh ``run_once`` with the same deterministic
     metrics, and the snapshot keeps serving the same cell."""
     snapshot = None
@@ -229,7 +167,7 @@ def test_one_cell_serves_every_nu(base, link_model, backend, order):
             base, nu, link_model=link_model, compute_backend=backend
         )
         if snapshot is None:
-            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+            snapshot = FieldSnapshot(experiment.snapshot_key(0))
         served = experiment.run_once(0, snapshot)
         _assert_same_run(served, experiment.run_once(0))
         cells.add(id(snapshot._cell))
@@ -252,7 +190,7 @@ def test_one_cell_serves_every_nu_under_random_jamming(base):
             sample_latency=True,
         )
         if snapshot is None:
-            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+            snapshot = FieldSnapshot(experiment.snapshot_key(0))
         served = experiment.run_once(0, snapshot)
         _assert_same_run(served, experiment.run_once(0))
         assert served.mean_dndp_latency is not None
@@ -270,7 +208,7 @@ def test_two_rounds_reuse_only_the_dndp_outcome(link_model, monkeypatch):
     for nu in NU_ORDERS["shuffled"]:
         experiment = _point("tiny", nu, link_model=link_model, mndp_rounds=2)
         if snapshot is None:
-            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+            snapshot = FieldSnapshot(experiment.snapshot_key(0))
         served.append((experiment, experiment.run_once(0, snapshot)))
     assert len(decided) == 1
     cell = snapshot._cell
@@ -295,7 +233,7 @@ def test_two_rounds_reuse_only_the_dndp_outcome(link_model, monkeypatch):
 def test_any_input_but_nu_is_a_cell_miss(change, monkeypatch):
     decided = _counting(monkeypatch, NetworkExperiment, "_decide")
     base = _point("tiny", 3)
-    snapshot = FieldSnapshot(base.snapshot_key(0), kept=True)
+    snapshot = FieldSnapshot(base.snapshot_key(0))
     base.run_once(0, snapshot)
     _point("tiny", 6).run_once(0, snapshot)
     assert len(decided) == 1
@@ -316,7 +254,7 @@ def test_eight_points_sweep_once_and_grow_each_ball_once(monkeypatch):
     for nu in NU_ORDERS["shuffled"]:
         experiment = _point("tiny", nu)
         if snapshot is None:
-            snapshot = FieldSnapshot(experiment.snapshot_key(0), kept=True)
+            snapshot = FieldSnapshot(experiment.snapshot_key(0))
         experiment.run_once(0, snapshot)
     closure = snapshot._cell.closure
     assert closure.level == 8
@@ -327,35 +265,3 @@ def test_eight_points_sweep_once_and_grow_each_ball_once(monkeypatch):
     # A fresh run at nu=8 grows the same balls again.
     _point("tiny", 8).run_once(0)
     assert len(grows) == 6 and len(sweeps) == 2
-
-
-def test_memo_budget_counts_cell_state(monkeypatch):
-    experiment = _point("tiny", 8)
-    memo = _SnapshotMemo()
-    _run_chunk((experiment,), [(0, 0)], memo, 100)
-    snapshot = memo._held[experiment.snapshot_key(0)]
-    cell = snapshot._cell
-    # The closure is unresolved at level 8, so it still holds a ball.
-    assert cell.closure._ball is not None
-    assert cell.nbytes == cell.closure.nbytes > cell.closure._ball.nbytes
-    assert memo.nbytes == (
-        snapshot._pairs.nbytes
-        + snapshot._assignment.codes.nbytes
-        + cell.nbytes
-    )
-    # A budget the snapshot fits in without its cell: the cell puts it
-    # over, so serving another run evicts it.
-    monkeypatch.setattr(
-        pool_module, "SNAPSHOT_MEMO_BYTES", memo.nbytes - cell.nbytes + 1
-    )
-    memo.get(experiment, 1, 100)
-    assert experiment.snapshot_key(0) not in memo._held
-    # A hit evicts too, so cells grown since the last build count; the
-    # snapshot in use is never counted against the others.
-    monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", 1 << 30)
-    _run_chunk((experiment,), [(2, 0), (1, 0)], memo, 100)
-    assert len(memo._held) == 2
-    monkeypatch.setattr(pool_module, "SNAPSHOT_MEMO_BYTES", 1)
-    held = memo.get(experiment, 1, 100)
-    assert held._cell is not None
-    assert list(memo._held.values()) == [held]
