@@ -1,10 +1,16 @@
 """Shared benchmark configuration.
 
+The figure benchmarks (``test_fig*.py``) launch their figure's spec,
+``examples/figN.json``, into a temporary store and assert the paper's
+shapes on its ``campaign query`` rows (:func:`repro.campaigns.query_rows`).
+
 Environment knobs:
 
 - ``REPRO_BENCH_RUNS``   Monte Carlo runs per sweep point (default 5;
-  the paper averages 100 — set it for a full reproduction).
-- ``REPRO_BENCH_SEED``   root seed (default 2011).
+  the figure specs and the paper use 100 — set it for a full
+  reproduction).  Overrides a figure spec's ``runs_per_point``.
+- ``REPRO_BENCH_SEED``   root seed (default 2011).  Overrides a figure
+  spec's ``seed``.
 
 Command-line knobs:
 
@@ -16,9 +22,12 @@ Command-line knobs:
 
 import json
 import os
-from typing import Any, Dict
+from pathlib import Path
+from typing import Any, Dict, List
 
 import pytest
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 _BENCH_RECORDS: Dict[str, Dict[str, Any]] = {}
 
@@ -39,6 +48,32 @@ def runs() -> int:
 @pytest.fixture
 def seed() -> int:
     return bench_seed()
+
+
+@pytest.fixture
+def figure_rows(tmp_path, runs, seed):
+    """``figure_rows(name)`` launches ``examples/<name>.json`` at the
+    bench's runs and seed into a fresh store; its query rows."""
+    from repro.campaigns import (
+        CampaignSpec,
+        CampaignStore,
+        query_rows,
+        run_campaign,
+    )
+
+    def launch(name: str) -> List[Dict[str, Any]]:
+        data = json.loads((EXAMPLES / f"{name}.json").read_text())
+        data.update(runs_per_point=runs, seed=seed)
+        spec = CampaignSpec.from_dict(data)
+        path = str(tmp_path / f"{name}.sqlite")
+        assert run_campaign(spec, path, git_revision="bench").complete
+        with CampaignStore(path) as store:
+            results = store.point_results(
+                spec.name, spec.spec_hash(), "bench"
+            )
+        return query_rows(spec, results)
+
+    return launch
 
 
 def pytest_addoption(parser):

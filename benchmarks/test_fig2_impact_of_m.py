@@ -6,24 +6,19 @@
     Theorem 4's T_M near m ~ 60, and JR-SND stays under 2 s at m = 100.
 """
 
-from repro.experiments.figures import figure2_sweep
 from repro.experiments.reporting import format_series_table
 
-M_VALUES = (20, 40, 60, 80, 100, 140, 200)
 
-
-def test_figure2_impact_of_m(benchmark, runs, seed):
+def test_figure2_impact_of_m(benchmark, figure_rows):
     rows = benchmark.pedantic(
-        figure2_sweep,
-        kwargs={"m_values": M_VALUES, "runs": runs, "seed": seed},
-        rounds=1,
-        iterations=1,
+        figure_rows, args=("fig2",), rounds=1, iterations=1
     )
     print()
     print(
         format_series_table(
             rows,
-            columns=["m", "p_dndp", "p_mndp", "p_jrsnd"],
+            columns=["codes_per_node", "p_dndp", "p_dndp_ci", "p_mndp",
+                     "p_mndp_ci", "p_jrsnd", "p_jrsnd_ci"],
             title="Figure 2(a): discovery probability vs m "
                   "(reactive jamming)",
         )
@@ -32,18 +27,20 @@ def test_figure2_impact_of_m(benchmark, runs, seed):
     print(
         format_series_table(
             rows,
-            columns=["m", "t_dndp", "t_mndp", "t_jrsnd"],
+            columns=["codes_per_node", "dndp_expected_latency",
+                     "mndp_expected_latency", "combined_latency"],
             title="Figure 2(b): latency vs m (seconds, Theorems 2/4)",
         )
     )
 
-    by_m = {row["m"]: row for row in rows}
+    by_m = {row["codes_per_node"]: row for row in rows}
     # (a) probability grows with m for every curve.
     assert by_m[200]["p_dndp"] > by_m[20]["p_dndp"]
     assert by_m[200]["p_jrsnd"] >= by_m[20]["p_jrsnd"]
     # (b) T_D quadratic; crossover with T_M between m = 40 and m = 80.
-    assert by_m[200]["t_dndp"] / by_m[100]["t_dndp"] > 3.5
-    assert by_m[40]["t_dndp"] < by_m[40]["t_mndp"]
-    assert by_m[80]["t_dndp"] > by_m[80]["t_mndp"]
+    t_d, t_m = "dndp_expected_latency", "mndp_expected_latency"
+    assert by_m[200][t_d] / by_m[100][t_d] > 3.5
+    assert by_m[40][t_d] < by_m[40][t_m]
+    assert by_m[80][t_d] > by_m[80][t_m]
     # Headline: under 2 s at the default m = 100.
-    assert by_m[100]["t_jrsnd"] < 2.0
+    assert by_m[100]["combined_latency"] < 2.0

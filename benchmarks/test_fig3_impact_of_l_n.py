@@ -7,29 +7,23 @@ D-NDP first rises (alpha falls) then declines (sharing probability
 falls), while M-NDP benefits from density and keeps JR-SND high.
 """
 
-from repro.experiments.figures import figure3a_sweep, figure3b_sweep
 from repro.experiments.reporting import format_series_table
 
-L_VALUES = (5, 10, 20, 40, 60, 100, 150, 200)
-N_VALUES = (500, 1000, 1500, 2000, 3000, 4000)
 
-
-def test_figure3a_impact_of_l(benchmark, runs, seed):
+def test_figure3a_impact_of_l(benchmark, figure_rows):
     rows = benchmark.pedantic(
-        figure3a_sweep,
-        kwargs={"l_values": L_VALUES, "runs": runs, "seed": seed},
-        rounds=1,
-        iterations=1,
+        figure_rows, args=("fig3a",), rounds=1, iterations=1
     )
     print()
     print(
         format_series_table(
             rows,
-            columns=["l", "p_dndp", "p_mndp", "p_jrsnd"],
+            columns=["share_count", "p_dndp", "p_dndp_ci", "p_mndp",
+                     "p_mndp_ci", "p_jrsnd", "p_jrsnd_ci"],
             title="Figure 3(a): discovery probability vs l",
         )
     )
-    by_l = {row["l"]: row for row in rows}
+    by_l = {row["share_count"]: row for row in rows}
     # Rising branch.
     assert by_l[100]["p_dndp"] > by_l[5]["p_dndp"]
     assert by_l[40]["p_dndp"] > by_l[10]["p_dndp"]
@@ -37,22 +31,20 @@ def test_figure3a_impact_of_l(benchmark, runs, seed):
     assert by_l[200]["p_dndp"] < by_l[100]["p_dndp"]
 
 
-def test_figure3b_impact_of_n(benchmark, runs, seed):
+def test_figure3b_impact_of_n(benchmark, figure_rows):
     rows = benchmark.pedantic(
-        figure3b_sweep,
-        kwargs={"n_values": N_VALUES, "runs": runs, "seed": seed},
-        rounds=1,
-        iterations=1,
+        figure_rows, args=("fig3b",), rounds=1, iterations=1
     )
     print()
     print(
         format_series_table(
             rows,
-            columns=["n", "p_dndp", "p_mndp", "p_jrsnd", "degree"],
+            columns=["n_nodes", "p_dndp", "p_dndp_ci", "p_mndp",
+                     "p_mndp_ci", "p_jrsnd", "p_jrsnd_ci", "degree"],
             title="Figure 3(b): discovery probability vs n",
         )
     )
-    by_n = {row["n"]: row for row in rows}
+    by_n = {row["n_nodes"]: row for row in rows}
     # D-NDP: rise (alpha falls with n at fixed q) to a peak around
     # n ~ 1000, then decline as the sharing probability falls.
     assert by_n[1000]["p_dndp"] > by_n[500]["p_dndp"]

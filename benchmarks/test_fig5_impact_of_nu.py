@@ -12,32 +12,23 @@ the authors' C++ simulator sampled — reproduces their plotted
 nu-dependence.
 """
 
-from repro.experiments.figures import figure5_sweep
 from repro.experiments.reporting import format_series_table
 
-NU_VALUES = (1, 2, 3, 4, 5, 6, 7, 8)
+COLUMNS = ["nu", "p_dndp", "p_dndp_ci", "p_mndp", "p_mndp_ci", "p_jrsnd",
+           "p_jrsnd_ci"]
 
 
-def test_figure5_impact_of_nu(benchmark, runs, seed):
-    def sweep_both():
-        independent = figure5_sweep(
-            nu_values=NU_VALUES, q=100, runs=runs, seed=seed,
-            link_model="independent",
-        )
-        faithful = figure5_sweep(
-            nu_values=NU_VALUES, q=100, runs=runs, seed=seed,
-            link_model="codes",
-        )
-        return independent, faithful
-
-    independent, faithful = benchmark.pedantic(
-        sweep_both, rounds=1, iterations=1
+def test_figure5_impact_of_nu(benchmark, figure_rows):
+    rows = benchmark.pedantic(
+        figure_rows, args=("fig5",), rounds=1, iterations=1
     )
+    independent = [row for row in rows if row["link_model"] == "independent"]
+    faithful = [row for row in rows if row["link_model"] == "codes"]
     print()
     print(
         format_series_table(
             independent,
-            columns=["nu", "p_dndp", "p_mndp", "p_jrsnd"],
+            columns=COLUMNS,
             title="Figure 5(a): probability vs nu — independent-link "
                   "model (matches the paper's plotted curve)",
         )
@@ -46,7 +37,7 @@ def test_figure5_impact_of_nu(benchmark, runs, seed):
     print(
         format_series_table(
             faithful,
-            columns=["nu", "p_dndp", "p_mndp", "p_jrsnd"],
+            columns=COLUMNS,
             title="Figure 5(a)': same sweep, faithful code-level model "
                   "(correlations shorten logical paths)",
         )
@@ -55,7 +46,7 @@ def test_figure5_impact_of_nu(benchmark, runs, seed):
     print(
         format_series_table(
             independent,
-            columns=["nu", "t_mndp"],
+            columns=["nu", "mndp_expected_latency"],
             title="Figure 5(b): M-NDP latency vs nu (Theorem 4, seconds)",
         )
     )
@@ -70,8 +61,9 @@ def test_figure5_impact_of_nu(benchmark, runs, seed):
     assert by_nu[2.0]["p_jrsnd"] < by_nu[6.0]["p_jrsnd"]
     assert by_nu[6.0]["p_jrsnd"] > 0.9
     # Latency about 4 s at nu = 6 (order-of-magnitude shape).
-    assert 2.0 < by_nu[6.0]["t_mndp"] < 8.0
-    assert by_nu[8.0]["t_mndp"] > by_nu[1.0]["t_mndp"]
+    t_m = "mndp_expected_latency"
+    assert 2.0 < by_nu[6.0][t_m] < 8.0
+    assert by_nu[8.0][t_m] > by_nu[1.0][t_m]
     # Faithful model saturates earlier than the independent one: by
     # nu = 5 it is within two points of its nu = 8 ceiling (isolated
     # nodes, not path length, are what is left).

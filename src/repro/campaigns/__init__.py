@@ -23,10 +23,14 @@ queryable record.  This package adds that layer:
   form — resuming after a kill yields a file bit-identical to an
   uninterrupted run, and re-running a finished campaign is a no-op.
 
+- :func:`query_rows` — a campaign's stored points as the rows a paper
+  figure plots, with confidence intervals and the Theorem 2/4
+  latencies computed at print time.
+
 ``python -m repro campaign launch|resume|status|query|diff`` is the
 command-line surface; see ``docs/architecture.md`` ("Campaigns & the
-results store") and the EXPERIMENTS.md recipe reproducing the paper's
-Figure 4/5 sweeps as one resumable campaign.
+results store").  Every figure of the paper is one spec under
+``examples/`` (``fig2.json`` … ``fig5.json``).
 """
 
 from repro.campaigns.spec import (
@@ -37,6 +41,7 @@ from repro.campaigns.spec import (
 )
 from repro.campaigns.store import CampaignStore, current_git_revision
 from repro.campaigns.executor import CampaignStatus, run_campaign
+from repro.campaigns.query import query_rows
 
 __all__ = [
     "CampaignPoint",
@@ -46,5 +51,6 @@ __all__ = [
     "GRID_AXES",
     "Shard",
     "current_git_revision",
+    "query_rows",
     "run_campaign",
 ]

@@ -286,7 +286,9 @@ def run_campaign(
     git_revision:
         Override the revision key (defaults to ``git rev-parse HEAD``).
     progress:
-        Optional line sink for human-readable progress.
+        Optional line sink for human-readable progress.  A sink that
+        raises ``BrokenPipeError`` gets no further lines; the campaign
+        still runs to the end and commits.
     retry_quarantined:
         Clear this campaign's quarantine records and re-execute their
         shards.  Plain resume (the default) skips quarantined shards —
@@ -308,7 +310,18 @@ def run_campaign(
     revision = git_revision or current_git_revision()
     shards = spec.shards()
     spec_hash = spec.spec_hash()
-    emit = progress or (lambda line: None)
+    sink = progress
+
+    def emit(line: str) -> None:
+        nonlocal sink
+        if sink is None:
+            return
+        try:
+            sink(line)
+        except BrokenPipeError:
+            # The progress reader went away (``... | head``): drop the
+            # remaining lines and finish the campaign.
+            sink = None
     registry = current()
     policy = supervision or SupervisionPolicy(
         max_run_retries=spec.max_run_retries

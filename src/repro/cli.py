@@ -3,7 +3,6 @@
 Regenerates each of the paper's evaluation artifacts from the terminal:
 
 - ``table1``   — analysis-vs-simulation check at the Table I defaults;
-- ``figure2`` … ``figure5`` — the corresponding sweep tables;
 - ``theory``   — the Theorem 1-4 closed forms at given parameters;
 - ``dsss``     — a jammed-HELLO PHY sweep exercising the spread /
   despread / ECC hot path and its artifact caches;
@@ -14,10 +13,14 @@ Regenerates each of the paper's evaluation artifacts from the terminal:
   (``launch`` / ``resume`` / ``status`` / ``query`` / ``diff``)
   backed by the :mod:`repro.campaigns` SQLite results store; a killed
   campaign resumes from completed shards only and finishes with a
-  store bit-identical to an uninterrupted run's.
+  store bit-identical to an uninterrupted run's.  Each figure of the
+  paper is one spec (``examples/fig2.json`` … ``examples/fig5.json``):
+  ``campaign launch --spec`` it, then ``campaign query [--chart]``
+  prints what the figure plots.
 
-Every command accepts ``--runs`` (Monte Carlo runs per point; the paper
-uses 100), ``--seed``, and ``--metrics-out <path.json>`` — the latter
+Every command accepts ``--runs`` (Monte Carlo runs per point of
+``table1`` and ``validate``; the paper uses 100), ``--seed``, and
+``--metrics-out <path.json>`` — the latter
 installs a :class:`~repro.obs.MetricsRegistry` for the duration of the
 command and writes the resulting
 :class:`~repro.obs.MetricsSnapshot` as JSON, giving benchmark runs
@@ -25,7 +28,9 @@ machine-readable telemetry to regress against.
 
 A command refused with a :class:`~repro.errors.ConfigurationError` (a
 bad spec, a missing or damaged store) prints one ``error:`` line on
-stderr and exits with :data:`EXIT_CONFIGURATION_ERROR`.
+stderr and exits with :data:`EXIT_CONFIGURATION_ERROR`.  A reader that
+closes stdout early (``| head``) ends the command quietly with
+:data:`EXIT_STDOUT_CLOSED`; a campaign still finishes and commits.
 """
 
 from __future__ import annotations
@@ -48,22 +53,22 @@ from repro.analysis.mndp_theory import (
 )
 from repro.core.config import JRSNDConfig
 from repro.errors import ConfigurationError
-from repro.experiments.figures import (
-    figure2_sweep,
-    figure3a_sweep,
-    figure3b_sweep,
-    figure4_sweep,
-    figure5_sweep,
-)
 from repro.experiments.reporting import format_series_table
 from repro.experiments.runner import NetworkExperiment
 
-__all__ = ["main", "build_parser", "EXIT_CONFIGURATION_ERROR"]
+__all__ = [
+    "main", "build_parser", "EXIT_CONFIGURATION_ERROR",
+    "EXIT_STDOUT_CLOSED",
+]
 
 #: Exit code of a command refused with a ``ConfigurationError``; 1 means
 #: an incomplete campaign or a broken invariant, 2 an argument error,
 #: and 3 quarantined runs.
 EXIT_CONFIGURATION_ERROR = 4
+
+#: Exit code of a command whose stdout was closed by its reader: 128 +
+#: SIGPIPE, what a shell reports for a writer the signal ended.
+EXIT_STDOUT_CLOSED = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,28 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo runs per sweep point "
                              "(paper: 100)")
     parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument("--chart", action="store_true",
-                        help="draw the sweep as a terminal chart "
-                             "in addition to the table")
     parser.add_argument("--metrics-out", metavar="PATH", default=None,
                         help="collect metrics across the command and "
                              "write the snapshot as JSON to PATH")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1", help="defaults consistency check")
-    sub.add_parser("figure2", help="impact of m (probability + latency)")
-    sub.add_parser("figure3a", help="impact of l")
-    sub.add_parser("figure3b", help="impact of n")
-    fig4 = sub.add_parser("figure4", help="impact of q")
-    fig4.add_argument("--share-count", type=int, default=40,
-                      help="l (paper: 40 for (a), 20 for (b))")
-    fig5 = sub.add_parser("figure5", help="impact of nu")
-    fig5.add_argument("--q", type=int, default=100)
-    fig5.add_argument(
-        "--link-model", choices=("codes", "independent"),
-        default="independent",
-        help="independent matches the paper's plotted curves",
-    )
     theory = sub.add_parser("theory", help="Theorem 1-4 closed forms")
     theory.add_argument("--q", type=int, default=20)
     theory.add_argument("--nu", type=int, default=2)
@@ -210,6 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--campaign", metavar="NAME", required=True)
     query.add_argument("--revision", default=None,
                        help="revision to query (default: latest)")
+    query.add_argument("--chart", action="store_true",
+                       help="also chart the probabilities against the "
+                            "first numeric axis with several values, "
+                            "one chart per combination of the others")
     diff = campaign_sub.add_parser(
         "diff",
         help="per-point deltas of one campaign across two revisions "
@@ -417,21 +410,50 @@ def _stored_key(store, campaign: str, revision: Optional[str]):
     return row["spec_hash"], row["git_revision"]
 
 
-def _campaign_point_rows(results) -> List[dict]:
-    """``point_results`` output flattened into printable table rows."""
-    rows = []
-    for point_index, (params, result) in results.items():
-        row = {"point": point_index}
-        row.update(params)
-        row.update(
-            p_dndp=result.discovery_probability("dndp"),
-            p_mndp=result.discovery_probability("mndp"),
-            p_jrsnd=result.discovery_probability("jrsnd"),
-            t_dndp=result.mean_dndp_latency() or float("nan"),
-            runs=len(result.runs),
+def _query_charts(spec, rows: List[dict]) -> List[str]:
+    """Probability charts of a campaign's query rows.
+
+    The x-axis is the first grid axis (in point order) whose values
+    are numbers and that has more than one of them; each combination
+    of the other axes' values gets its own chart.  No such axis, no
+    chart.
+    """
+    from repro.experiments.charts import ascii_chart
+
+    def numeric(values) -> bool:
+        return all(
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            for value in values
         )
-        rows.append(row)
-    return rows
+
+    axes = sorted(spec.grid)
+    x = next(
+        (
+            axis for axis in axes
+            if len(spec.grid[axis]) > 1 and numeric(spec.grid[axis])
+        ),
+        None,
+    )
+    if x is None:
+        return []
+    others = [axis for axis in axes if axis != x]
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(
+            tuple(row[axis] for axis in others), []
+        ).append(row)
+    charts = []
+    for values, group in groups.items():
+        where = ", ".join(
+            f"{axis}={value}" for axis, value in zip(others, values)
+        )
+        charts.append(ascii_chart(
+            group, x, ["p_dndp", "p_mndp", "p_jrsnd"],
+            title=f"{spec.name}: probability vs {x}"
+                  + (f" ({where})" if where else ""),
+        ))
+    return charts
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -572,10 +594,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"\ncanonical digest: {digest}")
         return 3 if total_quarantined else 0
     if args.campaign_command == "query":
+        from repro.campaigns import query_rows
+
         with _existing_store(args.store) as store:
             spec_hash, revision = _stored_key(
                 store, args.campaign, args.revision
             )
+            spec, _revision = store.spec_for(args.campaign, revision)
             results = store.point_results(
                 args.campaign, spec_hash, revision
             )
@@ -583,11 +608,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"campaign {args.campaign!r} has no committed "
                   f"shards at revision {revision}")
             return 1
+        rows = query_rows(spec, results)
         print(format_series_table(
-            _campaign_point_rows(results),
+            rows,
             title=f"{args.campaign} @ {revision[:12]} "
                   f"(spec {spec_hash})",
         ))
+        if args.chart:
+            for chart in _query_charts(spec, rows):
+                print()
+                print(chart)
         return 0
     if args.campaign_command == "diff":
         with _existing_store(args.store) as store:
@@ -651,9 +681,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     with context:
         try:
             code = _dispatch(args) or 0
+            sys.stdout.flush()
         except ConfigurationError as error:
             print(f"error: {' '.join(str(error).split())}", file=sys.stderr)
             return EXIT_CONFIGURATION_ERROR
+        except BrokenPipeError:
+            # The reader of stdout exited (``| head``).  Point stdout
+            # at devnull so the interpreter's exit flush cannot fail
+            # again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            code = EXIT_STDOUT_CLOSED
     if registry is not None:
         from repro.utils.fileio import atomic_write_text
 
@@ -668,68 +707,6 @@ def _dispatch(args: argparse.Namespace) -> Optional[int]:
     """Execute the selected sub-command; may return an exit code."""
     if args.command == "table1":
         _cmd_table1(args)
-    elif args.command == "figure2":
-        rows = figure2_sweep(runs=args.runs, seed=args.seed)
-        print(format_series_table(
-            rows, columns=["m", "p_dndp", "p_mndp", "p_jrsnd"],
-            title="Figure 2(a)",
-        ))
-        print()
-        print(format_series_table(
-            rows, columns=["m", "t_dndp", "t_mndp", "t_jrsnd"],
-            title="Figure 2(b)",
-        ))
-        if args.chart:
-            from repro.experiments.charts import ascii_chart
-
-            print()
-            print(ascii_chart(
-                rows, "m", ["p_dndp", "p_mndp", "p_jrsnd"],
-                title="Figure 2(a): probability vs m",
-            ))
-            print()
-            print(ascii_chart(
-                rows, "m", ["t_dndp", "t_mndp"],
-                title="Figure 2(b): latency vs m (s)",
-            ))
-    elif args.command == "figure3a":
-        print(format_series_table(
-            figure3a_sweep(runs=args.runs, seed=args.seed),
-            columns=["l", "p_dndp", "p_mndp", "p_jrsnd"],
-            title="Figure 3(a)",
-        ))
-    elif args.command == "figure3b":
-        print(format_series_table(
-            figure3b_sweep(runs=args.runs, seed=args.seed),
-            columns=["n", "p_dndp", "p_mndp", "p_jrsnd"],
-            title="Figure 3(b)",
-        ))
-    elif args.command == "figure4":
-        print(format_series_table(
-            figure4_sweep(
-                share_count=args.share_count, runs=args.runs,
-                seed=args.seed,
-            ),
-            columns=["q", "p_dndp", "p_mndp", "p_jrsnd"],
-            title=f"Figure 4 at l = {args.share_count}",
-        ))
-    elif args.command == "figure5":
-        rows = figure5_sweep(
-            q=args.q, runs=args.runs, seed=args.seed,
-            link_model=args.link_model,
-        )
-        print(format_series_table(
-            rows, columns=["nu", "p_dndp", "p_mndp", "p_jrsnd", "t_mndp"],
-            title=f"Figure 5 (q = {args.q}, {args.link_model} links)",
-        ))
-        if args.chart:
-            from repro.experiments.charts import ascii_chart
-
-            print()
-            print(ascii_chart(
-                rows, "nu", ["p_dndp", "p_mndp", "p_jrsnd"],
-                title="Figure 5(a): probability vs nu",
-            ))
     elif args.command == "theory":
         _cmd_theory(args)
     elif args.command == "dsss":

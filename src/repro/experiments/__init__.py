@@ -2,18 +2,13 @@
 
 :class:`~repro.experiments.runner.NetworkExperiment` reproduces the
 authors' simulation setup — 2000 nodes in a 5000 x 5000 m field, 300 m
-range, averages over independently seeded runs — and
-:mod:`repro.experiments.figures` defines the exact parameter sweeps
-behind every figure of the evaluation section.
+range, averages over independently seeded runs.  Every figure of the
+evaluation section is a :mod:`repro.campaigns` spec over it
+(``examples/fig2.json`` … ``examples/fig5.json``), run through the
+worker pool into a results store and read back with ``campaign
+query``.
 """
 
-from repro.experiments.figures import (
-    figure2_sweep,
-    figure3a_sweep,
-    figure3b_sweep,
-    figure4_sweep,
-    figure5_sweep,
-)
 from repro.experiments.charts import ascii_chart
 from repro.experiments.reporting import format_series_table
 from repro.experiments.validation import (
@@ -31,11 +26,6 @@ __all__ = [
     "NetworkExperiment",
     "ExperimentResult",
     "RunResult",
-    "figure2_sweep",
-    "figure3a_sweep",
-    "figure3b_sweep",
-    "figure4_sweep",
-    "figure5_sweep",
     "format_series_table",
     "ascii_chart",
     "ValidationPoint",

@@ -1,10 +1,10 @@
-"""Terminal charts for the figure sweeps.
+"""Terminal charts for the figure campaigns.
 
-No plotting stack is assumed offline; :func:`ascii_chart` renders the
-multi-series sweep rows the benches produce as a fixed-size character
-grid with axes, per-series markers and a legend — enough to *see* the
-crossovers and knees the paper's figures show, straight from
-``python -m repro figure2 --chart``.
+No plotting stack is assumed offline; :func:`ascii_chart` renders
+multi-series sweep rows as a fixed-size character grid with axes,
+per-series markers and a legend — enough to *see* the crossovers and
+knees the paper's figures show, straight from ``python -m repro
+campaign query --chart``.
 """
 
 from __future__ import annotations

@@ -159,6 +159,65 @@ class TestResume:
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
+    def test_closed_progress_reader_still_commits_everything(
+        self, tmp_path, reference
+    ):
+        """A progress sink whose reader went away (``... | head``)
+        gets no further lines; the campaign still runs to the end and
+        commits the reference bytes."""
+        _, expected, _ = reference
+        lines = []
+
+        def closed(line):
+            lines.append(line)
+            raise BrokenPipeError(32, "Broken pipe")
+
+        path = str(tmp_path / "piped.sqlite")
+        status = run_campaign(
+            tiny_spec(), path, processes=2, git_revision=REV,
+            progress=closed,
+        )
+        assert status.complete
+        assert len(lines) == 1
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+
+    def test_cli_launch_into_a_closed_pipe_commits_everything(
+        self, tmp_path, reference
+    ):
+        """``campaign launch ... | head`` with the reader gone before
+        the first line: no traceback, exit code ``EXIT_STDOUT_CLOSED``,
+        and a complete store with the reference bytes."""
+        from repro.cli import EXIT_STDOUT_CLOSED
+
+        _, expected, _ = reference
+        path = str(tmp_path / "piped.sqlite")
+        spec_path = str(tmp_path / "spec.json")
+        with open(spec_path, "w") as handle:
+            handle.write(tiny_spec().to_json())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.dirname(
+                os.path.abspath(__file__)
+            ))),
+            "src",
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "campaign", "launch",
+                "--spec", spec_path, "--store", path,
+                "--revision", REV, "--processes", "2",
+            ],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_STDOUT_CLOSED, err
+        assert err == ""
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+
     def test_finished_campaign_rerun_is_a_noop(
         self, tmp_path, reference
     ):
@@ -415,6 +474,65 @@ class TestCli:
         argv = [arg.format(typo=typo, ref=reference[0]) for arg in argv]
         cli_refused(["campaign", *argv], typo)
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "grid,empty_mndp",
+        [
+            ({"n_compromised": [5, 10]}, False),
+            # share_count = n_nodes: every node holds every code, so
+            # with q = 0 every pair discovers directly and no run has
+            # a failure for M-NDP to recover.
+            ({"n_compromised": [0], "share_count": [120]}, True),
+        ],
+        ids=["smoke", "no-dndp-failures"],
+    )
+    def test_query_prints_every_figure_column(
+        self, tmp_path, capsys, grid, empty_mndp
+    ):
+        """The Theorem 2/4 latency columns are the closed forms at
+        each point's config; an empty P_M series prints ``nan`` as its
+        half-width instead of failing."""
+        from repro.analysis.combined import combined_latency
+        from repro.analysis.dndp_theory import dndp_expected_latency
+        from repro.analysis.mndp_theory import mndp_expected_latency
+        from repro.campaigns import query_rows
+        from repro.cli import main
+
+        spec = CampaignSpec(
+            name="columns", seed=2011, runs_per_point=2, base="tiny",
+            grid=grid,
+        )
+        path = str(tmp_path / "columns.sqlite")
+        run_campaign(spec, path, processes=1, git_revision=REV)
+        with CampaignStore(path) as store:
+            rows = query_rows(spec, store.point_results(
+                spec.name, spec.spec_hash(), REV
+            ))
+        capsys.readouterr()
+        assert main([
+            "campaign", "query", "--store", path, "--campaign", "columns",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[1].split()
+        printed = [dict(zip(header, line.split())) for line in lines[3:]]
+        assert len(printed) == len(rows) == len(spec.points())
+        for point, row, cells in zip(spec.points(), rows, printed):
+            config = spec.point_config(point)
+            closed = {
+                "dndp_expected_latency": dndp_expected_latency(config),
+                "mndp_expected_latency": mndp_expected_latency(config),
+                "combined_latency": combined_latency(config),
+            }
+            for column, value in closed.items():
+                assert row[column] == value
+                assert cells[column] == f"{value:.4f}"
+            for kind in ("dndp", "jrsnd"):
+                assert row[f"p_{kind}_ci"] >= 0.0
+            if empty_mndp:
+                assert row["p_dndp"] == 1.0
+                assert cells["p_mndp_ci"] == "nan"
+            else:
+                assert row["p_mndp_ci"] >= 0.0
 
     def test_diff_across_stores(self, reference, tmp_path, capsys):
         from repro.cli import main

@@ -160,9 +160,11 @@ class TestValidation:
 
 def _documented_specs():
     """Every campaign spec the docs and examples ship, as JSON text."""
+    examples = REPO_ROOT / "examples"
     texts = [
         (path.name, path.read_text(encoding="utf-8"))
-        for path in sorted((REPO_ROOT / "examples").glob("campaign_smoke*.json"))
+        for pattern in ("campaign_smoke*.json", "fig*.json")
+        for path in sorted(examples.glob(pattern))
     ]
     experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```json\n(.*?)```", experiments, flags=re.DOTALL)
@@ -181,6 +183,39 @@ class TestDocumentedSpecs:
                 CampaignSpec.from_dict(data)
             except ConfigurationError as error:
                 pytest.fail(f"{where}: {error}")
+
+    def test_figure_specs_sweep_the_papers_axes(self):
+        """One spec per figure: Section VI-B's axes at 100 runs per
+        point, seed 2011, Table I base, reactive jamming."""
+        figures = {
+            "fig2.json": {
+                "codes_per_node": [20, 40, 60, 80, 100, 140, 200],
+            },
+            "fig3a.json": {
+                "share_count": [5, 10, 20, 40, 60, 100, 150, 200],
+            },
+            "fig3b.json": {"n_nodes": [500, 1000, 1500, 2000, 3000, 4000]},
+            "fig4.json": {
+                "n_compromised": [0, 20, 40, 60, 80, 100],
+                "share_count": [40, 20],
+            },
+            "fig5.json": {
+                "n_compromised": [100],
+                "nu": [1, 2, 3, 4, 5, 6, 7, 8],
+                "link_model": ["independent", "codes"],
+            },
+        }
+        shipped = {
+            where: CampaignSpec.from_json(text)
+            for where, text in _documented_specs()
+            if where.startswith("fig")
+        }
+        assert sorted(shipped) == sorted(figures)
+        for where, grid in figures.items():
+            spec = shipped[where]
+            assert dict(spec.grid) == grid, where
+            assert (spec.runs_per_point, spec.seed, spec.base,
+                    spec.strategy) == (100, 2011, "paper", "reactive")
 
 
 class TestHashing:

@@ -1,8 +1,25 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+
+def launch(tmp_path, spec, name="spec"):
+    """Launch ``spec`` (a dict) in-process; the store path."""
+    spec_path = tmp_path / f"{name}.json"
+    spec_path.write_text(json.dumps(spec))
+    store = str(tmp_path / f"{name}.sqlite")
+    assert main([
+        "campaign", "launch", "--spec", str(spec_path), "--store", store,
+        "--revision", "r", "--processes", "1",
+    ]) == 0
+    return store
 
 
 class TestParser:
@@ -15,16 +32,15 @@ class TestParser:
         assert args.runs == 5
         assert args.seed == 2011
 
-    def test_figure5_options(self):
-        args = build_parser().parse_args(
-            ["figure5", "--q", "60", "--link-model", "codes"]
-        )
-        assert args.q == 60
-        assert args.link_model == "codes"
-
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure9"])
+
+    @pytest.mark.parametrize("argv", [["figure4"], ["--chart", "table1"]])
+    def test_figure_commands_and_top_level_chart_are_gone(self, argv):
+        """A figure is a campaign spec; ``--chart`` is a query flag."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
 
 
 class TestCommands:
@@ -40,23 +56,76 @@ class TestCommands:
         # T_D at defaults ~ 1.70 s appears in the table.
         assert "1.70" in out
 
-    def test_figure4_small(self, capsys):
-        # One tiny run exercises the whole pipeline end to end.
+    def test_figure4_small(self, tmp_path, capsys):
+        # The Fig 4 spec at one run per point exercises the whole
+        # pipeline end to end: launch, store, query.
+        spec = json.loads((EXAMPLES / "fig4.json").read_text())
+        spec["runs_per_point"] = 1
+        store = launch(tmp_path, spec)
+        capsys.readouterr()
         assert main(
-            ["--runs", "1", "--seed", "1", "figure4", "--share-count", "40"]
+            ["campaign", "query", "--store", store, "--campaign", "fig4"]
         ) == 0
         out = capsys.readouterr().out
-        assert "Figure 4" in out
-        assert "p_jrsnd" in out
+        assert out.startswith("fig4 @ r")
+        assert "p_jrsnd" in out and "combined_latency" in out
+        assert len(out.splitlines()) == 3 + 12
+
+
+QUERY = ["campaign", "query", "--store", "s.sqlite", "--campaign", "c"]
 
 
 class TestChartFlag:
     def test_chart_flag_parsed(self):
-        args = build_parser().parse_args(["--chart", "figure2"])
+        args = build_parser().parse_args(QUERY + ["--chart"])
         assert args.chart
 
     def test_chart_default_off(self):
-        assert not build_parser().parse_args(["figure2"]).chart
+        assert not build_parser().parse_args(QUERY).chart
+
+    def test_one_chart_per_combination_of_the_other_axes(
+        self, tmp_path, capsys
+    ):
+        """The x-axis is the first numeric axis with several values
+        (``link_model`` is not numeric, ``n_compromised`` has one
+        value); each link model gets its own chart."""
+        store = launch(tmp_path, {
+            "name": "nu", "seed": 1, "runs_per_point": 1, "base": "tiny",
+            "grid": {
+                "link_model": ["codes", "independent"],
+                "n_compromised": [20],
+                "nu": [1, 2, 3],
+            },
+        })
+        capsys.readouterr()
+        assert main([
+            "campaign", "query", "--store", store, "--campaign", "nu",
+            "--chart",
+        ]) == 0
+        titles = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("nu: probability")
+        ]
+        assert titles == [
+            "nu: probability vs nu (link_model=codes, n_compromised=20)",
+            "nu: probability vs nu "
+            "(link_model=independent, n_compromised=20)",
+        ]
+
+    def test_no_chart_without_a_numeric_axis_to_sweep(
+        self, tmp_path, capsys
+    ):
+        store = launch(tmp_path, {
+            "name": "flat", "seed": 1, "runs_per_point": 1, "base": "tiny",
+            "grid": {"strategy": ["reactive", "random"]},
+        })
+        capsys.readouterr()
+        assert main([
+            "campaign", "query", "--store", store, "--campaign", "flat",
+            "--chart",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "p_jrsnd" in out and "probability vs" not in out
 
 
 class TestDsssCommand:
@@ -113,7 +182,7 @@ class TestMetricsOut:
             [
                 "--runs", "1", "--seed", "1",
                 "--metrics-out", str(out),
-                "figure4", "--share-count", "40",
+                "table1",
             ]
         ) == 0
         assert "metrics snapshot written" in capsys.readouterr().out
