@@ -21,15 +21,15 @@ from repro.experiments.runner import ExperimentResult
 __all__ = ["query_rows"]
 
 
-def _half_width(result: ExperimentResult, kind: str) -> float:
-    """95% Student-t half-width of ``kind``'s per-run series; ``nan``
-    when the series is empty (``mndp`` when no run had a D-NDP
-    failure to recover)."""
+def _estimate(result: ExperimentResult, kind: str) -> Tuple[float, float]:
+    """Mean and 95% Student-t half-width of ``kind``'s per-run series;
+    both ``nan`` when the series is empty (``mndp`` when no run had a
+    D-NDP failure to recover)."""
     try:
         _mean, low, high = result.confidence_interval(kind)
     except ConfigurationError:
-        return float("nan")
-    return float(high - low) / 2
+        return float("nan"), float("nan")
+    return result.discovery_probability(kind), float(high - low) / 2
 
 
 def query_rows(
@@ -41,7 +41,8 @@ def query_rows(
     ``results`` is :meth:`CampaignStore.point_results` output for the
     campaign ``spec`` describes.  Each row holds the point index, its
     axis values, ``p_<kind>`` and its half-width ``p_<kind>_ci`` for
-    ``dndp``/``mndp``/``jrsnd``, ``degree``, the sampled ``t_dndp``
+    ``dndp``/``mndp``/``jrsnd`` (both ``nan`` for an empty series),
+    ``degree``, the sampled ``t_dndp``
     (``nan`` unless the spec samples latency),
     ``dndp_expected_latency``, ``mndp_expected_latency`` and
     ``combined_latency`` at ``spec.point_config``, and ``runs``.
@@ -59,8 +60,7 @@ def query_rows(
         row: Dict[str, Any] = {"point": point_index}
         row.update(params)
         for kind in ("dndp", "mndp", "jrsnd"):
-            row[f"p_{kind}"] = result.discovery_probability(kind)
-            row[f"p_{kind}_ci"] = _half_width(result, kind)
+            row[f"p_{kind}"], row[f"p_{kind}_ci"] = _estimate(result, kind)
         row.update(
             degree=result.mean_degree(),
             t_dndp=result.mean_dndp_latency() or float("nan"),

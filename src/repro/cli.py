@@ -264,8 +264,8 @@ def _cmd_dsss(args: argparse.Namespace) -> None:
 
     Each distinct HELLO is transmitted twice with the same spread code,
     so the run exercises the waveform/rs_codec artifact caches and the
-    selected Reed-Solomon backend — all visible in a ``--metrics-out``
-    snapshot via the ``cache.*`` and ``ecc.*`` counters.
+    Reed-Solomon codec — all visible in a ``--metrics-out`` snapshot
+    via the ``cache.*`` and ``ecc.*`` counters.
     """
     import numpy as np
 

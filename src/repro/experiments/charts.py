@@ -9,6 +9,7 @@ campaign query --chart``.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Sequence
 
 from repro.errors import ConfigurationError
@@ -43,7 +44,9 @@ def ascii_chart(
     x:
         Key of the x-axis column.
     series:
-        Keys of the y-series to draw (each gets its own marker).
+        Keys of the y-series to draw (each gets its own marker; a
+        non-finite value, such as an empty series' ``nan``, is not
+        drawn).
     width, height:
         Plot area size in characters (excluding axes).
     """
@@ -62,9 +65,12 @@ def ascii_chart(
             raise ConfigurationError(f"unknown column {key!r}")
 
     xs = [float(row[x]) for row in rows]
-    ys = [float(row[key]) for row in rows for key in series]
+    ys = [
+        float(row[key]) for row in rows for key in series
+        if math.isfinite(float(row[key]))
+    ]
     x_low, x_high = min(xs), max(xs)
-    y_low, y_high = min(ys), max(ys)
+    y_low, y_high = min(ys, default=0.0), max(ys, default=0.0)
     if x_high == x_low:
         x_high = x_low + 1.0
     if y_high == y_low:
@@ -88,7 +94,8 @@ def ascii_chart(
     for index, key in enumerate(series):
         marker = _MARKERS[index]
         for row in rows:
-            place(float(row[x]), float(row[key]), marker)
+            if math.isfinite(float(row[key])):
+                place(float(row[x]), float(row[key]), marker)
 
     lines: List[str] = []
     if title:

@@ -6,8 +6,9 @@ Examples::
     python -m repro.lint --list-rules  # the JRS rule pack
 
 Exit codes: 0 clean, 1 findings, 2 usage error (a missing path, or
-paths that hold no ``.py`` file).  The run is one sequential pass over
-both phases and writes nothing to disk.
+paths that hold no ``.py`` file).  The run checks each file, then the
+imports of all of them for cycles, in one sequential pass that writes
+nothing to disk.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "JR-SND determinism lints: per-file AST rules guarding "
-            "seeded randomness, simulated time, narrow excepts, and "
-            "registered metric names, plus cross-module rules for "
-            "thread-shared state, architecture layering, and RNG "
-            "provenance."
+            "JR-SND determinism lints: AST rules guarding seeded "
+            "randomness, simulated time, narrow excepts, registered "
+            "metric names, thread-shared state, architecture layering "
+            "and import cycles, and RNG provenance."
         ),
     )
     parser.add_argument(

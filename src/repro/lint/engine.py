@@ -2,10 +2,9 @@
 
 Each file is parsed once and its nodes are collected once, in
 ``ast.walk`` (breadth-first) order, into :attr:`ModuleContext.nodes`;
-the context indexer, the phase-2 summarizer and the per-file rule
-dispatch all iterate that one list.  Rules never see each other and
-never mutate the tree, so adding a rule cannot perturb another rule's
-findings.
+the context indexer and the rule dispatch both iterate that one list.
+Rules never see each other and never mutate the tree, so adding a
+rule cannot perturb another rule's findings.
 
 Suppressions are per-line comments of the form::
 
@@ -29,7 +28,6 @@ import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -41,14 +39,10 @@ from typing import (
     Type,
 )
 
-if TYPE_CHECKING:
-    from repro.lint.graph import ProjectIndex
-
 __all__ = [
     "Violation",
     "ModuleContext",
     "Rule",
-    "ProjectRule",
     "Suppression",
     "SUPPRESSION_CODE",
     "parse_suppressions",
@@ -201,7 +195,7 @@ class ModuleContext:
 
 
 class Rule:
-    """Base class for one per-file lint rule.
+    """Base class for one lint rule, checked one file at a time.
 
     Subclasses set :attr:`code`, :attr:`description`, and
     :attr:`node_types`, then implement :meth:`check`.  A rule may
@@ -230,32 +224,6 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message,
-        )
-
-
-class ProjectRule:
-    """Base class for one cross-module (phase-2) rule.
-
-    Unlike :class:`Rule`, a project rule sees the whole
-    :class:`~repro.lint.graph.ProjectIndex` at once and emits findings
-    for any file in it.  Project rules read only the index, never the
-    filesystem or the clock, so their findings are a function of the
-    summaries alone.
-    """
-
-    code: str = ""
-    description: str = ""
-
-    def check_project(
-        self, index: "ProjectIndex"
-    ) -> Iterable[Violation]:
-        raise NotImplementedError
-
-    def violation_at(
-        self, path: str, line: int, col: int, message: str
-    ) -> Violation:
-        return Violation(
-            rule=self.code, path=path, line=line, col=col, message=message
         )
 
 

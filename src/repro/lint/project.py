@@ -1,13 +1,11 @@
 """The lint runner: one sequential pass, nothing written to disk.
 
-:func:`lint_source` is the per-file step: parse once, read the
-justified-``noqa`` suppressions, run the per-file rule pack over the
-module's nodes, and condense the same parse into a
-:class:`~repro.lint.graph.ModuleSummary`.  :func:`lint_project` runs
-that step over every file, assembles the
-:class:`~repro.lint.graph.ProjectIndex`, runs the cross-module rules
-(JRS008, JRS010, JRS011), and filters their findings with the same per-file
-suppression maps.
+:func:`lint_source` checks one file: parse once, read the
+justified-``noqa`` suppressions, run the rule pack over the module's
+nodes, and keep the module-scope runtime imports.  :func:`lint_project`
+runs that step over every file, then JRS010's import-cycle pass over
+the imports they kept, and filters its findings with the same
+per-file suppression maps.
 """
 
 from __future__ import annotations
@@ -28,20 +26,26 @@ from repro.lint.engine import (
     parse_suppressions,
     syntax_error_violation,
 )
-from repro.lint.graph import ModuleSummary, ProjectIndex, summarize_module
-from repro.lint.rules import FILE_RULES, PROJECT_RULES
+from repro.lint.rules import (
+    RULES,
+    ImportRecord,
+    JRS010ArchitectureLayering,
+    module_imports,
+)
 
 __all__ = ["FileResult", "ProjectLintResult", "lint_project", "lint_source"]
 
 
 @dataclass
 class FileResult:
-    """Phase 1 for one file."""
+    """The per-file check of one file."""
 
-    #: Per-file findings with suppressions applied, sorted by position.
+    #: Findings with suppressions applied, sorted by position.
     violations: List[Violation]
-    summary: ModuleSummary
-    #: Justified suppressions by line, for filtering phase-2 findings.
+    module: str
+    #: Module-scope runtime imports, for the import-cycle pass.
+    imports: Tuple[ImportRecord, ...]
+    #: Justified suppressions by line, for filtering cycle findings.
     suppressions: Dict[int, Suppression]
 
 
@@ -67,24 +71,16 @@ def _suppressed(
 
 
 def lint_source(source: str, path: str) -> FileResult:
-    """Lint one module's source text (phase 1)."""
+    """Lint one module's source text."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        empty = ModuleSummary(
-            path=path,
-            module=module_name_for_path(str(Path(path).resolve())),
-            imports=(),
-            classes=(),
-            functions=(),
-            rng_sites=(),
-            factory_refs=(),
-        )
-        return FileResult([syntax_error_violation(path, exc)], empty, {})
+        module = module_name_for_path(str(Path(path).resolve()))
+        return FileResult([syntax_error_violation(path, exc)], module, (), {})
     ctx = ModuleContext(path, tree)
     suppressions, findings = parse_suppressions(source, path)
     dispatch: Dict[Type[ast.AST], List[Rule]] = {}
-    for rule in FILE_RULES:
+    for rule in RULES:
         if rule.applies_to(ctx):
             for node_type in rule.node_types:
                 dispatch.setdefault(node_type, []).append(rule)
@@ -93,27 +89,27 @@ def lint_source(source: str, path: str) -> FileResult:
             findings.extend(rule.check(node, ctx))
     kept = [v for v in findings if not _suppressed(v, suppressions)]
     kept.sort(key=_position)
-    return FileResult(kept, summarize_module(ctx), suppressions)
+    return FileResult(kept, ctx.module, module_imports(ctx), suppressions)
 
 
 def lint_project(paths: Sequence[str]) -> ProjectLintResult:
-    """Run both phases over every ``.py`` file under ``paths``."""
-    results = [
-        lint_source(file_path.read_text(encoding="utf-8"), str(file_path))
-        for file_path in iter_python_files(paths)
-    ]
-    violations = [v for result in results for v in result.violations]
-    suppressions = {
-        result.summary.path: result.suppressions for result in results
-    }
-    index = ProjectIndex([result.summary for result in results])
-    for rule in PROJECT_RULES:
-        violations.extend(
-            violation
-            for violation in rule.check_project(index)
-            if not _suppressed(
-                violation, suppressions.get(violation.path, {})
-            )
+    """Lint every ``.py`` file under ``paths``, then look for import
+    cycles among them."""
+    results: Dict[str, FileResult] = {
+        str(file_path): lint_source(
+            file_path.read_text(encoding="utf-8"), str(file_path)
         )
+        for file_path in iter_python_files(paths)
+    }
+    violations = [v for result in results.values() for v in result.violations]
+    cycles = JRS010ArchitectureLayering.check_cycles(
+        (path, result.module, result.imports)
+        for path, result in results.items()
+    )
+    violations.extend(
+        violation
+        for violation in cycles
+        if not _suppressed(violation, results[violation.path].suppressions)
+    )
     violations.sort(key=_position)
     return ProjectLintResult(violations, len(results))

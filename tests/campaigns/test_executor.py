@@ -491,7 +491,7 @@ class TestCli:
     ):
         """The Theorem 2/4 latency columns are the closed forms at
         each point's config; an empty P_M series prints ``nan`` as its
-        half-width instead of failing."""
+        value and its half-width instead of failing."""
         from repro.analysis.combined import combined_latency
         from repro.analysis.dndp_theory import dndp_expected_latency
         from repro.analysis.mndp_theory import mndp_expected_latency
@@ -530,6 +530,7 @@ class TestCli:
                 assert row[f"p_{kind}_ci"] >= 0.0
             if empty_mndp:
                 assert row["p_dndp"] == 1.0
+                assert cells["p_mndp"] == "nan"
                 assert cells["p_mndp_ci"] == "nan"
             else:
                 assert row["p_mndp_ci"] >= 0.0

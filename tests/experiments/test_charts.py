@@ -55,6 +55,21 @@ class TestAsciiChart:
         chart = ascii_chart(flat, "x", ["y"])
         assert "o" in chart
 
+    def test_non_finite_points_are_skipped(self):
+        """A ``nan`` y (an empty series) is not drawn and does not set
+        the y range; a series that is all ``nan`` draws nothing."""
+        rows = [dict(row, q=float("nan")) for row in ROWS]
+        chart = ascii_chart(rows, "m", ["p", "q"], width=30, height=8)
+        plot = [line.split("|", 1)[1] for line in chart.splitlines()
+                if "|" in line]
+        assert sum(line.count("o") for line in plot) == 3
+        assert not any("x" in line for line in plot)
+        empty = ascii_chart(rows, "m", ["q"], width=30, height=8)
+        assert not any(
+            "o" in line.split("|", 1)[1]
+            for line in empty.splitlines() if "|" in line
+        )
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ascii_chart([], "m", ["p"])

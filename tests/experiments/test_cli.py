@@ -112,6 +112,29 @@ class TestChartFlag:
             "(link_model=independent, n_compromised=20)",
         ]
 
+    def test_chart_skips_an_empty_series(self, tmp_path, capsys):
+        """``share_count`` = ``n_nodes`` with q = 0: no run has a
+        D-NDP failure, so every point's P_M is ``nan``; the chart draws
+        P_J (``+``, over P_D's ``o`` at 1.0) and leaves P_M (``x``)
+        out."""
+        store = launch(tmp_path, {
+            "name": "empty", "seed": 1, "runs_per_point": 1, "base": "tiny",
+            "grid": {
+                "n_compromised": [0], "share_count": [120], "nu": [1, 2],
+            },
+        })
+        capsys.readouterr()
+        assert main([
+            "campaign", "query", "--store", store, "--campaign", "empty",
+            "--chart",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "empty: probability vs nu" in out
+        plot = [line.split("|", 1)[1] for line in out.splitlines()
+                if " |" in line]
+        assert sum(line.count("+") for line in plot) == 2
+        assert not any("x" in line for line in plot)
+
     def test_no_chart_without_a_numeric_axis_to_sweep(
         self, tmp_path, capsys
     ):

@@ -1,26 +1,20 @@
-"""ProjectIndex tests: module naming, import records, and the flow
-analyses phase 2 builds on."""
+"""Import-graph tests: module naming, the runtime import records the
+cycle pass reads, cycle detection, and the self-call reachability
+JRS008 follows from a thread target."""
 
 import ast
 
+from repro.lint import lint_project
 from repro.lint.engine import ModuleContext, module_name_for_path, package_of
-from repro.lint.flow import (
+from repro.lint.rules import (
     find_import_cycles,
-    reachable_methods,
-    tainted_rng_producers,
+    module_imports,
+    runtime_import_targets,
 )
-from repro.lint.graph import ModuleSummary, ProjectIndex, summarize_module
 
 
-def summarize(path: str, source: str) -> ModuleSummary:
-    tree = ast.parse(source, filename=path)
-    return summarize_module(ModuleContext(path, tree))
-
-
-def build_index(files: dict) -> ProjectIndex:
-    return ProjectIndex(
-        [summarize(path, source) for path, source in files.items()]
-    )
+def context(path: str, source: str) -> ModuleContext:
+    return ModuleContext(path, ast.parse(source, filename=path))
 
 
 class TestModuleNaming:
@@ -62,100 +56,82 @@ class TestImportRecords:
     )
 
     def test_flags(self):
-        summary = summarize("src/repro/sim/x.py", self.SOURCE)
-        by_target = {
-            record.target: record for record in summary.imports
+        ctx = context("src/repro/sim/x.py", self.SOURCE)
+        targets = {
+            node.lineno: runtime_import_targets(node, ctx)
+            for node in ctx.nodes
+            if isinstance(node, (ast.Import, ast.ImportFrom))
         }
-        assert not by_target["repro.ecc"].type_checking
-        assert not by_target["repro.ecc"].function_scope
-        assert by_target["repro.experiments"].type_checking
-        assert by_target["repro.campaigns"].function_scope
+        assert targets[2] == ["repro.ecc"]
         # `from repro.obs import names` also binds the submodule.
-        assert "repro.obs.names" in by_target
+        assert targets[3] == ["repro.obs", "repro.obs.names"]
+        # TYPE_CHECKING and function-scope imports are no runtime edge.
+        assert targets[5] == []
+        assert targets[7] == []
 
     def test_runtime_imports_exclude_type_checking(self):
-        index = build_index({"src/repro/sim/x.py": self.SOURCE})
-        targets = {
-            record.target
-            for record in index.runtime_imports("repro.sim.x")
-        }
-        assert "repro.experiments" not in targets
-        assert "repro.campaigns" in targets
-        lazy_free = {
-            record.target
-            for record in index.runtime_imports(
-                "repro.sim.x", include_lazy=False
-            )
-        }
-        assert "repro.campaigns" not in lazy_free
+        ctx = context("src/repro/sim/x.py", self.SOURCE)
+        records = [
+            (record.line, record.target) for record in module_imports(ctx)
+        ]
+        assert records == [
+            (1, "typing"),
+            (2, "repro.ecc"),
+            (3, "repro.obs"),
+            (3, "repro.obs.names"),
+        ]
 
 
 class TestFlowAnalyses:
-    #: a -> b -> c, with d independent: a DAG.
-    DAG = {
-        "src/repro/sim/a.py": "from repro.sim import b\n",
-        "src/repro/sim/b.py": "from repro.sim import c\n",
-        "src/repro/sim/c.py": "X = 1\n",
-        "src/repro/sim/d.py": "Y = 2\n",
-    }
-
-    def test_reachable_methods(self):
+    def test_reachable_methods(self, tmp_path):
+        """A method the thread target reaches through a self-call runs
+        on the thread: its unlocked write to state a public method
+        reads is a finding."""
         source = (
             "import threading\n"
             "class A:\n"
             "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._n = 0\n"
             "        self._t = threading.Thread(target=self._run)\n"
             "    def _run(self):\n"
             "        self._helper()\n"
             "    def _helper(self):\n"
-            "        pass\n"
+            "        self._n = 1\n"
             "    def public(self):\n"
-            "        pass\n"
+            "        with self._lock:\n"
+            "            return self._n\n"
         )
-        summary = summarize("src/repro/experiments/x.py", source)
-        cls = summary.classes[0]
-        assert cls.thread_targets == ("_run",)
-        reachable = reachable_methods(cls, cls.thread_targets)
-        assert reachable == {"_run", "_helper"}
-
-    def test_rng_producer_taint(self):
-        index = build_index(
-            {
-                "src/repro/utils/helpers.py": (
-                    "import numpy as np\n"
-                    "def fresh(seed):\n"
-                    "    return np.random.default_rng(seed)\n"
-                    "def indirect(seed):\n"
-                    "    rng = fresh(seed)\n"
-                    "    return rng\n"
-                    "def unrelated():\n"
-                    "    return 3\n"
-                ),
-                "src/repro/utils/rng.py": (
-                    "import numpy as np\n"
-                    "def derive_rng(seed, label):\n"
-                    "    return np.random.default_rng(seed)\n"
-                ),
-            }
-        )
-        producers = tainted_rng_producers(index)
-        assert "repro.utils.helpers.fresh" in producers
-        assert "repro.utils.helpers.indirect" in producers
-        assert "repro.utils.helpers.unrelated" not in producers
-        # The blessed module never enters the taint set.
-        assert "repro.utils.rng.derive_rng" not in producers
+        target = tmp_path / "src" / "repro" / "experiments" / "x.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(source)
+        violations = lint_project([str(tmp_path)]).violations
+        assert [(v.rule, v.line) for v in violations] == [("JRS008", 10)]
+        assert "thread target '_run'" in violations[0].message
 
     def test_cycle_detection(self):
-        index = build_index(
-            {
-                "src/repro/sim/a.py": "from repro.sim import b\n",
-                "src/repro/sim/b.py": "from repro.sim import a\n",
-                "src/repro/sim/c.py": "from repro.sim import a\n",
-            }
-        )
-        cycles = find_import_cycles(index)
-        assert cycles == [("repro.sim.a", "repro.sim.b")]
+        edges = {
+            "repro.sim.a": {"repro.sim.b"},
+            "repro.sim.b": {"repro.sim.a"},
+            "repro.sim.c": {"repro.sim.a"},
+        }
+        assert find_import_cycles(edges) == [("repro.sim.a", "repro.sim.b")]
 
     def test_no_cycles_in_dag(self):
-        index = build_index(self.DAG)
-        assert find_import_cycles(index) == []
+        #: a -> b -> c, with d independent: a DAG.
+        edges = {
+            "repro.sim.a": {"repro.sim.b"},
+            "repro.sim.b": {"repro.sim.c"},
+            "repro.sim.c": set(),
+            "repro.sim.d": set(),
+        }
+        assert find_import_cycles(edges) == []
+
+    def test_separate_cycles_are_separate_components(self):
+        edges = {
+            "a": {"b"},
+            "b": {"a", "c"},
+            "c": {"d"},
+            "d": {"c"},
+        }
+        assert find_import_cycles(edges) == [("a", "b"), ("c", "d")]

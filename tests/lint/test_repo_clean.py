@@ -4,8 +4,8 @@ This is the CI contract in miniature — if a change introduces an
 unseeded RNG, a wall-clock read, a broad except, a typo'd metric name,
 unlocked thread-shared state, a layering breach, or an in-place
 Generator anywhere under ``src/``, this test fails locally before the
-lint job does.  The seeded mutation tests prove the cross-module rules
-actually bite on the real tree, not just on fixtures.
+lint job does.  The seeded mutation tests prove JRS008, JRS010 and
+JRS011 actually bite on the real tree, not just on fixtures.
 """
 
 import pkgutil
@@ -26,7 +26,7 @@ SRC = REPO_ROOT / "src"
 #: Exact count of files under src/ when last pinned.  Bump it when the
 #: tree grows; lower it only in a change that deletes modules on
 #: purpose, and say so in that change.
-FILES_CHECKED_FLOOR = 94
+FILES_CHECKED_FLOOR = 92
 
 
 def count_src_files() -> int:
@@ -91,7 +91,7 @@ def run_lint(tree: Path, code: str):
 
 class TestSeededMutations:
     """Remove a known-good safeguard from the real tree; the matching
-    cross-module rule must catch it."""
+    rule must catch it."""
 
     def test_jrs008_catches_removed_lock(self, src_copy):
         pool = src_copy / "repro" / "experiments" / "pool.py"
@@ -142,3 +142,37 @@ class TestSeededMutations:
         ]
         assert len(layering) == 1
         assert "spreader.py" in layering[0].path
+
+    def test_jrs011_catches_generator_helper_and_local_rng(self, src_copy):
+        """A utils helper that hands sim/ a fresh generator is flagged
+        at its return; a seeded generator built in sim/ is flagged
+        where it is built."""
+        helper = src_copy / "repro" / "utils" / "stats.py"
+        helper.write_text(
+            helper.read_text()
+            + "\n\nimport numpy as np\n\n\n"
+            "def fresh_rng(seed):\n"
+            "    return np.random.default_rng(seed)\n"
+        )
+        field = src_copy / "repro" / "sim" / "field.py"
+        field.write_text(
+            field.read_text()
+            + "\n\nfrom repro.utils.stats import fresh_rng\n\n\n"
+            "def jitter(n):\n"
+            "    return fresh_rng(7).normal(size=n)\n"
+        )
+        violations = run_lint(src_copy, "JRS011")
+        assert [
+            (Path(v.path).name, v.line) for v in violations
+        ] == [("stats.py", len(helper.read_text().splitlines()))]
+
+        medium = src_copy / "repro" / "sim" / "medium.py"
+        medium.write_text(
+            medium.read_text()
+            + "\n\ndef local_noise(n):\n"
+            "    return np.random.default_rng(3).normal(size=n)\n"
+        )
+        violations = run_lint(src_copy, "JRS011")
+        flagged = {(Path(v.path).name, v.line) for v in violations}
+        assert len(violations) == 2
+        assert ("medium.py", len(medium.read_text().splitlines())) in flagged

@@ -28,9 +28,9 @@ EXPECTED_MIN = {
     "JRS004": 8,
 }
 
-#: Cross-module rules: fixtures are linted as a one-file project tree
-#: rooted at the virtual path (both phases run, so a bad fixture must
-#: also be free of per-file findings).
+#: Rules that need a package scope or the import-cycle pass: fixtures
+#: are linted as a one-file project tree rooted at the virtual path
+#: (every rule runs, so a bad fixture must be free of other findings).
 PROJECT_IN_SCOPE = {
     "JRS008": "src/repro/experiments/fixture.py",
     "JRS010": "src/repro/dsss/fixture.py",
@@ -161,8 +161,9 @@ class TestProjectRuleDetails:
         assert violations == []
 
     def test_jrs011_cross_module_producer(self, tmp_path):
-        """A helper in another module that returns a fresh generator
-        taints its callers inside the simulated world."""
+        """A helper outside utils.rng that returns a fresh generator
+        is flagged at its return, so a call to it from the simulated
+        world cannot mint an unflagged one."""
         violations = run_project_tree(
             tmp_path,
             {
@@ -183,9 +184,46 @@ class TestProjectRuleDetails:
                 ),
             },
         )
-        assert [v.rule for v in violations] == ["JRS011"]
-        assert violations[0].path.endswith("noise.py")
+        assert [(v.rule, v.line) for v in violations] == [("JRS011", 5)]
+        assert violations[0].path.endswith("mkrng.py")
         assert "make_rng" in violations[0].message
+
+    def test_jrs011_producer_outside_sim_flagged_at_return(self, tmp_path):
+        """Outside the simulated world, only a function that returns
+        a fresh generator (directly or through one local) is flagged;
+        constructing one for local use, or in utils.rng, is not."""
+        violations = run_project_tree(
+            tmp_path,
+            {
+                "src/repro/utils/helpers.py": (
+                    "import numpy as np\n"
+                    "def fresh(seed):\n"
+                    "    return np.random.default_rng(seed)\n"
+                    "def through_local(seed):\n"
+                    "    rng = np.random.default_rng(seed)\n"
+                    "    return rng\n"
+                    "def indirect(seed):\n"
+                    "    rng = fresh(seed)\n"
+                    "    return rng\n"
+                    "def local_use(seed):\n"
+                    "    rng = np.random.default_rng(seed)\n"
+                    "    return rng.normal()\n"
+                    "class Box:\n"
+                    "    def make(self):\n"
+                    "        return np.random.Generator(np.random.PCG64(1))\n"
+                ),
+                "src/repro/utils/rng.py": (
+                    "import numpy as np\n"
+                    "def derive_rng(seed, label):\n"
+                    "    return np.random.default_rng(seed)\n"
+                ),
+            },
+        )
+        assert [(v.rule, v.line) for v in violations] == [
+            ("JRS011", 3), ("JRS011", 6), ("JRS011", 15),
+        ]
+        assert all(v.path.endswith("helpers.py") for v in violations)
+        assert "'Box.make'" in violations[2].message
 
     def test_jrs011_utils_rng_is_blessed(self, tmp_path):
         """utils/rng.py itself may mint generators; callers that go

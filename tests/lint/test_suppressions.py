@@ -1,9 +1,10 @@
-"""Suppression edge cases for the two-phase engine.
+"""Suppression edge cases.
 
 Suppressions are per-physical-line: a ``# jrsnd: noqa(CODE) --
 justification`` comment silences findings anchored on *that* line
-only, for per-file and cross-module rules alike, and an unjustified
-noqa both fails to suppress and is itself a JRS000 finding.
+only, for the per-file checks and the import-cycle pass alike, and an
+unjustified noqa both fails to suppress and is itself a JRS000
+finding.
 """
 
 from pathlib import Path
@@ -89,7 +90,7 @@ class TestDecoratedDefs:
 
 
 def project_cases(comment_for):
-    """One minimal single-finding tree per cross-module case, keyed
+    """One minimal single-finding tree per project-tree case, keyed
     ``CODE`` or ``CODE-variant``, with ``comment_for(code)`` appended
     to the flagged line."""
     return {
@@ -135,24 +136,24 @@ def project_cases(comment_for):
                 "    return rng.normal(size=n)\n"
             )
         },
-        # The finding's cause (a helper that mints a generator) is in
-        # another module than the line it anchors on.
+        # A helper outside utils.rng that mints a generator for the
+        # simulated world: the finding anchors on the helper's return.
         "JRS011-cross-module": {
             "src/repro/utils/mkrng.py": (
                 "import numpy as np\n"
                 "\n"
                 "\n"
                 "def make_rng(seed):\n"
-                "    return np.random.default_rng(seed)\n"
+                "    return np.random.default_rng(seed)  "
+                + comment_for("JRS011")
+                + "\n"
             ),
             "src/repro/sim/noise.py": (
                 "from repro.utils.mkrng import make_rng\n"
                 "\n"
                 "\n"
                 "def sample(n):\n"
-                "    rng = make_rng(7)  "
-                + comment_for("JRS011")
-                + "\n"
+                "    rng = make_rng(7)\n"
                 "    return rng.normal(size=n)\n"
             ),
         },
