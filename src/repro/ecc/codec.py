@@ -19,6 +19,7 @@ quantify both regimes.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -30,10 +31,32 @@ from repro.utils.artifact_cache import shared_cache
 __all__ = ["ExpansionCodec", "erasure_tolerance"]
 
 
+def _check_mu(mu: float) -> float:
+    if (
+        isinstance(mu, bool)
+        or not isinstance(mu, numbers.Real)
+        or not 0 < mu < math.inf
+    ):
+        raise ConfigurationError(
+            f"mu must be a positive finite number, got {mu!r}"
+        )
+    return float(mu)
+
+
+def _check_message_bits(message_bits: int) -> None:
+    if (
+        isinstance(message_bits, bool)
+        or not isinstance(message_bits, numbers.Integral)
+        or message_bits <= 0
+    ):
+        raise ConfigurationError(
+            f"message_bits must be a positive integer, got {message_bits!r}"
+        )
+
+
 def erasure_tolerance(mu: float) -> float:
     """The paper's tolerated corruption fraction ``mu / (1 + mu)``."""
-    if mu <= 0:
-        raise ConfigurationError(f"mu must be positive, got {mu}")
+    mu = _check_mu(mu)
     return mu / (1.0 + mu)
 
 
@@ -50,9 +73,7 @@ class ExpansionCodec:
     _SYMBOL_BITS = 8
 
     def __init__(self, mu: float) -> None:
-        if mu <= 0:
-            raise ConfigurationError(f"mu must be positive, got {mu}")
-        self._mu = float(mu)
+        self._mu = _check_mu(mu)
         # Largest data chunk whose codeword still fits in an RS word.
         max_codeword = 255
         self._max_data_symbols = max(
@@ -82,10 +103,9 @@ class ExpansionCodec:
     def _rs(self, n_parity: int) -> ReedSolomonCodec:
         """The RS codec for ``n_parity``, via the shared artifact cache.
 
-        Replaces the old unbounded per-instance dict: codecs are shared
-        across every ExpansionCodec in the process, the cache is
-        LRU-bounded, and reuse is visible in the ``cache.rs_codec``
-        hit/miss counters.
+        Codecs are shared across every ExpansionCodec in the process,
+        the cache is LRU-bounded, and reuse is visible in the
+        ``cache.rs_codec`` hit/miss counters.
         """
         return shared_cache().get_or_build(
             "rs_codec", n_parity, lambda: ReedSolomonCodec(n_parity)
@@ -97,10 +117,7 @@ class ExpansionCodec:
         Approximately ``(1 + mu) * message_bits``, rounded up to symbol
         and chunk granularity.
         """
-        if message_bits <= 0:
-            raise ConfigurationError(
-                f"message_bits must be positive, got {message_bits}"
-            )
+        _check_message_bits(message_bits)
         data_symbols = math.ceil(message_bits / self._SYMBOL_BITS)
         total = 0
         for k in self._chunk_sizes(data_symbols):
@@ -108,13 +125,17 @@ class ExpansionCodec:
         return total * self._SYMBOL_BITS
 
     def encode(self, bits: Sequence[int]) -> np.ndarray:
-        """Encode a 0/1 bit sequence; returns the coded bit array."""
-        arr = np.asarray(bits, dtype=np.int8)
+        """Encode a sequence of integer 0/1 bits; returns the coded bit
+        array."""
+        arr = np.asarray(bits)
         if arr.size == 0:
             raise ConfigurationError("cannot encode an empty message")
-        if not np.isin(arr, (0, 1)).all():
+        if (
+            arr.dtype.kind not in "iu"
+            or not np.isin(arr, (0, 1)).all()
+        ):
             raise ConfigurationError("bits must contain only 0 and 1")
-        symbols = self._pack(arr)
+        symbols = self._pack(arr.astype(np.int8))
         out: List[int] = []
         offset = 0
         for k in self._chunk_sizes(len(symbols)):
@@ -130,20 +151,28 @@ class ExpansionCodec:
 
         ``symbols`` holds one entry per coded bit: 0, 1, or ``None`` for
         an erasure (a DSSS block whose correlation fell below ``tau``).
-        ``message_bits`` is the original (pre-ECC) message length.  Raises
-        :class:`repro.errors.DecodeError` when corruption exceeds the
-        code's capability.
+        ``message_bits`` is the original (pre-ECC) message length.  Any
+        other entry (``2``, ``0.5``, ``True``) is a
+        :class:`~repro.errors.ConfigurationError` naming its bit index.
+        Raises :class:`repro.errors.DecodeError` when corruption exceeds
+        the code's capability.
         """
-        if message_bits <= 0:
-            raise ConfigurationError(
-                f"message_bits must be positive, got {message_bits}"
-            )
         expected = self.encoded_bits(message_bits)
         decisions = list(symbols)
         if len(decisions) != expected:
             raise ConfigurationError(
                 f"expected {expected} coded bits, got {len(decisions)}"
             )
+        for index, decision in enumerate(decisions):
+            if decision is not None and (
+                isinstance(decision, bool)
+                or not isinstance(decision, numbers.Integral)
+                or decision not in (0, 1)
+            ):
+                raise ConfigurationError(
+                    f"decision at bit {index} is {decision!r}; "
+                    f"expected 0, 1 or None"
+                )
         data_symbols = math.ceil(message_bits / self._SYMBOL_BITS)
         decoded_symbols: List[int] = []
         bit_offset = 0
@@ -174,6 +203,7 @@ class ExpansionCodec:
         parity budget; the bound below is conservative across chunk
         boundaries.
         """
+        _check_message_bits(message_bits)
         data_symbols = math.ceil(message_bits / self._SYMBOL_BITS)
         worst = None
         for k in self._chunk_sizes(data_symbols):

@@ -18,27 +18,15 @@ DSSS block fails the correlation threshold and is flagged), which is why
 the paper's expansion factor ``1 + mu`` maps to a tolerated erasure
 fraction of ``mu / (1 + mu)``.
 
-Arithmetic runs on NumPy table-lookup kernels
-(:mod:`repro.ecc.gf256_vec`) wherever they pay: long words use batched
-syndrome evaluation and a batched LFSR encoder, and
-:meth:`~ReedSolomonCodec.encode_batch` /
-:meth:`~ReedSolomonCodec.decode_batch` amortize the kernels across many
-words at once — the shape of the Monte Carlo jammed-HELLO workload,
-where thousands of short words decode per sweep point.  Decoding
-exploits the fact that jamming mostly produces erasures: a word whose
-*folded* (Forney) syndromes vanish has an erasure-only solution and
-takes a fully batched locator/Forney path; any word with actual errors,
-and any single word under 64 symbols, runs the per-symbol scalar
-pipeline above, so results — including every ``EccDecodeError`` past
-the ``2e + f`` budget — are bit-identical to the always-scalar test
-oracle :class:`repro.oracles.ScalarReedSolomonCodec`.
+Symbols and erasure positions must be integers (Python or NumPy, not
+``bool``); anything else is a :class:`~repro.errors.ConfigurationError`
+at the boundary rather than a truncated or misread value.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+import numbers
+from typing import List, Sequence, Tuple
 
 from repro.ecc.gf256 import GF256
 from repro.errors import ConfigurationError, EccDecodeError
@@ -47,10 +35,12 @@ from repro.obs import names as _names
 
 __all__ = ["ReedSolomonCodec"]
 
-# Below this word length the numpy kernel overhead exceeds the scalar
-# loop cost for a *single* word (measured crossover near 40 symbols);
-# batch calls always vectorize since the overhead amortizes.
-_VEC_MIN_SYMBOLS = 64
+
+def _integer(name: str, value: int) -> int:
+    """``value`` as a Python int; raises for a non-integer or ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class ReedSolomonCodec:
@@ -63,13 +53,13 @@ class ReedSolomonCodec:
     """
 
     def __init__(self, n_parity: int) -> None:
+        n_parity = _integer("n_parity", n_parity)
         if not 0 < n_parity < GF256.ORDER - 1:
             raise ConfigurationError(
                 f"n_parity must be in [1, {GF256.ORDER - 2}], got {n_parity}"
             )
-        self._n_parity = int(n_parity)
+        self._n_parity = n_parity
         self._generator = self._build_generator(self._n_parity)
-        self._generator_arr = np.asarray(self._generator, dtype=np.uint8)
 
     @staticmethod
     def _build_generator(n_parity: int) -> List[int]:
@@ -97,50 +87,10 @@ class ReedSolomonCodec:
     def encode(self, message: Sequence[int]) -> List[int]:
         """Append parity symbols to ``message``.
 
-        ``message`` is a sequence of symbols in [0, 255] whose length plus
-        ``n_parity`` must not exceed 255.
+        ``message`` is a sequence of integer symbols in [0, 255] whose
+        length plus ``n_parity`` must not exceed 255.
         """
-        message = list(message)
-        self._check_encodable(message)
-        self._count(_names.ECC_SYMBOLS_ENCODED, len(message) + self._n_parity)
-        if len(message) >= _VEC_MIN_SYMBOLS:
-            return self._encode_rows(
-                np.asarray([message], dtype=np.uint8)
-            )[0]
-        return self._encode_scalar(message)
-
-    def encode_batch(
-        self, messages: Sequence[Sequence[int]]
-    ) -> List[List[int]]:
-        """Encode a batch of equal-length messages.
-
-        Equivalent to ``[self.encode(m) for m in messages]`` but the
-        whole batch runs through one batched LFSR, one feedback step per
-        data symbol.
-        """
-        messages = [list(m) for m in messages]
-        if not messages:
-            return []
-        lengths = {len(m) for m in messages}
-        if len(lengths) != 1:
-            raise ConfigurationError(
-                f"encode_batch needs equal-length messages, got "
-                f"lengths {sorted(lengths)}"
-            )
-        # Vectorized bounds check; a failing batch re-raises from the
-        # scalar checker on the offending message so the exception is
-        # identical to a per-message loop.  Length/empty checks are
-        # batch-uniform, so word 0 stands in for all.
-        self._check_encodable(messages[0])
-        bad = self._first_bad_row(messages)
-        if bad is not None:
-            self._check_encodable(messages[bad])
-        total = len(messages) * (len(messages[0]) + self._n_parity)
-        self._count(_names.ECC_SYMBOLS_ENCODED, total)
-        return self._encode_rows(np.asarray(messages, dtype=np.uint8))
-
-    def _check_encodable(self, message: List[int]) -> None:
-        self._check_symbols("message", message)
+        message = self._symbols("message", message)
         if len(message) + self._n_parity > self.max_codeword_length():
             raise ConfigurationError(
                 f"codeword of {len(message) + self._n_parity} symbols "
@@ -148,18 +98,11 @@ class ReedSolomonCodec:
             )
         if not message:
             raise ConfigurationError("cannot encode an empty message")
-
-    def _encode_scalar(self, message: List[int]) -> List[int]:
+        self._count(_names.ECC_SYMBOLS_ENCODED, len(message) + self._n_parity)
         padded = message + [0] * self._n_parity
         _, remainder = GF256.poly_divmod(padded, self._generator)
         parity = [0] * (self._n_parity - len(remainder)) + list(remainder)
         return message + parity
-
-    def _encode_rows(self, rows: np.ndarray) -> List[List[int]]:
-        from repro.ecc.gf256_vec import rs_encode_batch
-
-        parity = rs_encode_batch(rows, self._generator_arr)
-        return np.hstack([rows, parity]).tolist()
 
     # ------------------------------------------------------------------
     # Decoding
@@ -172,98 +115,32 @@ class ReedSolomonCodec:
     ) -> List[int]:
         """Recover the data symbols from a corrupted codeword.
 
-        ``erasure_positions`` are indices into ``received`` whose symbols
-        are known to be unreliable (their values are still used as a
-        starting point; any value works).  Raises
+        ``erasure_positions`` are integer indices into ``received`` whose
+        symbols are known to be unreliable (their values are still used
+        as a starting point; any value works).  Raises
         :class:`repro.errors.EccDecodeError` when the corruption exceeds
         the code's capability.
         """
-        received = list(received)
-        self._check_decodable(received, erasure_positions)
-        self._count(_names.ECC_SYMBOLS_DECODED, len(received))
-        if len(received) >= _VEC_MIN_SYMBOLS:
-            return self._decode_rows(
-                [received], [sorted(set(int(p) for p in erasure_positions))]
-            )[0]
-        return self._decode_scalar(received, erasure_positions)
-
-    def decode_batch(
-        self,
-        words: Sequence[Sequence[int]],
-        erasure_lists: Optional[Sequence[Sequence[int]]] = None,
-    ) -> List[List[int]]:
-        """Decode a batch of equal-length received words.
-
-        Equivalent to ``[self.decode(w, e) for w, e in zip(...)]``,
-        including which :class:`~repro.errors.EccDecodeError` is raised
-        first when several words are unrecoverable.  Syndrome
-        evaluation, erasure folding, and the erasure-only correction
-        path run batched across all words; only words containing actual
-        symbol *errors* drop to the scalar reference pipeline.
-        """
-        words = list(words)
-        if not words:
-            return []
-        if erasure_lists is None:
-            erasure_lists = [()] * len(words)
-        if len(erasure_lists) != len(words):
+        word = self._symbols("received", received)
+        if len(word) <= self._n_parity:
             raise ConfigurationError(
-                f"{len(erasure_lists)} erasure lists for "
-                f"{len(words)} words"
-            )
-        lengths = {len(w) for w in words}
-        if len(lengths) != 1:
-            raise ConfigurationError(
-                f"decode_batch needs equal-length words, got "
-                f"lengths {sorted(lengths)}"
-            )
-        self._count(_names.ECC_SYMBOLS_DECODED, len(words) * len(words[0]))
-        return self._decode_rows(words, erasure_lists)
-
-    @staticmethod
-    def _first_bad_row(rows: Sequence[Sequence[int]]) -> Optional[int]:
-        """Index of the first row holding a symbol outside [0, 255]."""
-        try:
-            arr = np.asarray(rows, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            for index, row in enumerate(rows):
-                for symbol in row:
-                    if not 0 <= symbol < GF256.ORDER:
-                        return index
-            return None
-        row_bad = ((arr < 0) | (arr >= GF256.ORDER)).any(axis=1)
-        if row_bad.any():
-            return int(np.flatnonzero(row_bad)[0])
-        return None
-
-    def _check_decodable(
-        self, received: List[int], erasure_positions: Sequence[int]
-    ) -> None:
-        self._check_symbols("received", received)
-        if len(received) <= self._n_parity:
-            raise ConfigurationError(
-                f"received word of {len(received)} symbols cannot carry "
+                f"received word of {len(word)} symbols cannot carry "
                 f"{self._n_parity} parity symbols"
             )
-        for position in erasure_positions:
-            if not 0 <= position < len(received):
+        erasures = sorted(
+            {_integer("erasure position", p) for p in erasure_positions}
+        )
+        for position in erasures:
+            if not 0 <= position < len(word):
                 raise ConfigurationError(
                     f"erasure position {position} out of range"
                 )
-        if len(set(erasure_positions)) > self._n_parity:
+        if len(erasures) > self._n_parity:
             raise EccDecodeError(
-                f"{len(set(erasure_positions))} erasures exceed "
+                f"{len(erasures)} erasures exceed "
                 f"{self._n_parity} parity symbols"
             )
-
-    def _decode_scalar(
-        self,
-        received: Sequence[int],
-        erasure_positions: Sequence[int],
-    ) -> List[int]:
-        """The reference errors-and-erasures pipeline."""
-        word = list(received)
-        erasures = sorted(set(int(p) for p in erasure_positions))
+        self._count(_names.ECC_SYMBOLS_DECODED, len(word))
         syndromes = self._syndromes(word)
         if all(s == 0 for s in syndromes):
             return word[: len(word) - self._n_parity]
@@ -293,249 +170,15 @@ class ReedSolomonCodec:
             raise EccDecodeError("correction failed: residual syndromes")
         return corrected[: len(word) - self._n_parity]
 
-    def _decode_rows(
-        self,
-        words: Sequence[Sequence[int]],
-        erasure_lists: Sequence[Sequence[int]],
-    ) -> List[List[int]]:
-        """The vectorized batch pipeline over raw (unvalidated) inputs.
-
-        Validation, erasure dedup/sorting, and the padded position
-        table are all built in one vectorized pass.  Clean words
-        return immediately from the batched syndrome pass;
-        erasure-only words (vanishing folded syndromes) go through the
-        batched locator/Forney path; anything else falls back to the
-        scalar reference in ascending word order, so the first
-        unrecoverable word raises exactly as a sequential loop would.
-        """
-        from repro.ecc import gf256_vec as vec
-
-        n_parity = self._n_parity
-        batch = len(words)
-        length = len(words[0])
-        k = length - n_parity
-
-        # --- validation, raising exactly as a per-word scalar loop
-        # would.  Word 0 is checked fully up front (the word-length
-        # check is batch-uniform, so it stands in for all); the rest
-        # run vectorized, and the first word failing any check
-        # re-raises through the scalar checker for the identical
-        # exception.
-        self._check_decodable(list(words[0]), erasure_lists[0])
-        try:
-            arr64 = np.asarray(words, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError):
-            # Exotic symbol types numpy cannot convert: the scalar
-            # reference handles (or rejects) them one word at a time.
-            for word, erasures in zip(words, erasure_lists):
-                self._check_decodable(list(word), erasures)
-            return [
-                self._decode_scalar(word, erasures)
-                for word, erasures in zip(words, erasure_lists)
-            ]
-        fail: Optional[int] = None
-        row_bad = ((arr64 < 0) | (arr64 >= GF256.ORDER)).any(axis=1)
-        if row_bad.any():
-            fail = int(np.flatnonzero(row_bad)[0])
-        counts = np.asarray(
-            [len(erasures) for erasures in erasure_lists], dtype=np.int64
-        )
-        total = int(counts.sum())
-        flat = np.asarray(
-            [int(p) for e in erasure_lists for p in e], dtype=np.int64
-        )
-        owner = np.repeat(np.arange(batch), counts)
-        suspects = []
-        out_of_range = (flat < 0) | (flat >= length)
-        if out_of_range.any():
-            suspects.extend(owner[out_of_range].tolist())
-        # A long raw list only fails if its *distinct* positions
-        # exceed the budget; confirm per suspect, they are rare.
-        suspects.extend(
-            index
-            for index in np.flatnonzero(counts > n_parity).tolist()
-            if len(set(erasure_lists[index])) > n_parity
-        )
-        if suspects and (fail is None or min(suspects) < fail):
-            fail = min(suspects)
-        if fail is not None:
-            self._check_decodable(
-                list(words[fail]), erasure_lists[fail]
-            )
-
-        # --- ragged erasure lists -> left-aligned sorted distinct
-        # positions padded with the sentinel ``length`` (sorts last).
-        f_raw = int(counts.max()) if batch else 0
-        if f_raw:
-            positions = np.full((batch, f_raw), length, dtype=np.int64)
-            col = np.arange(total) - np.repeat(
-                np.cumsum(counts) - counts, counts
-            )
-            positions[owner, col] = flat
-            positions.sort(axis=1)
-            duplicate = np.zeros_like(positions, dtype=bool)
-            duplicate[:, 1:] = (
-                positions[:, 1:] == positions[:, :-1]
-            ) & (positions[:, 1:] < length)
-            if duplicate.any():
-                positions[duplicate] = length
-                positions.sort(axis=1)
-            pad = positions >= length
-            f_counts = (~pad).sum(axis=1)
-            f_max = int(f_counts.max())
-            positions = np.where(pad, 0, positions)[:, :f_max]
-            pad = pad[:, :f_max]
-        else:
-            f_max = 0
-            f_counts = counts
-            positions = np.zeros((batch, 0), dtype=np.int64)
-            pad = np.zeros((batch, 0), dtype=bool)
-
-        arr = arr64.astype(np.uint8)
-        syndromes = vec.syndromes_batch(arr, n_parity)
-        clean = ~syndromes.any(axis=1)
-        # Output rows default to the received data symbols — exactly
-        # right for clean words; corrected and fallback rows overwrite.
-        out = arr[:, :k].copy()
-
-        fallback: List[int] = []
-        candidates = ~clean & (f_counts > 0)
-        # Dirty words with no declared erasures hold genuine errors:
-        # straight to the scalar reference.
-        fallback.extend(
-            np.flatnonzero(~clean & (f_counts == 0)).tolist()
-        )
-        if candidates.any():
-            rows = np.flatnonzero(candidates)
-            sub_counts = f_counts[rows]
-            sub_positions = positions[rows]
-            sub_pad = pad[rows]
-            # X_j = alpha^(L - 1 - position); padded slots use root 0
-            # (identity locator factors, masked out of Forney).
-            roots = np.where(
-                sub_pad,
-                np.uint8(0),
-                vec.gf_pow_alpha(length - 1 - sub_positions),
-            )
-            # Shared fold loop: each row's exact erasure-only test is
-            # recorded at its own fold depth f (zero-root folds past a
-            # row's last real erasure merely shift its folded
-            # syndromes, so the test must be read off at depth f).
-            folded = syndromes[rows]
-            erasure_only = np.zeros(rows.size, dtype=bool)
-            for t in range(f_max + 1):
-                done = sub_counts == t
-                if done.any():
-                    erasure_only[done] = ~folded[done].any(axis=1)
-                if t < f_max:
-                    x = roots[:, t]
-                    folded = vec.gf_mul(folded[:, :-1], x[:, None]) ^ (
-                        folded[:, 1:]
-                    )
-            fallback.extend(rows[~erasure_only].tolist())
-            if erasure_only.any():
-                sel = np.flatnonzero(erasure_only)
-                sub_rows = rows[sel]
-                corrected, solved = self._solve_erasures(
-                    vec, arr[sub_rows], syndromes[sub_rows],
-                    roots[sel], sub_positions[sel], sub_pad[sel],
-                )
-                out[sub_rows[solved]] = corrected[solved][:, :k]
-                # The batched path could not certify these words; the
-                # scalar reference gets the final say.
-                fallback.extend(sub_rows[~solved].tolist())
-
-        results = out.tolist()
-        for index in sorted(fallback):
-            results[index] = self._decode_scalar(
-                words[index], erasure_lists[index]
-            )
-        return results
-
-    def _solve_erasures(
-        self,
-        vec: np.ndarray,
-        rows: np.ndarray,
-        syndromes: np.ndarray,
-        roots: np.ndarray,
-        positions: np.ndarray,
-        pad: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched erasure-only Forney correction.
-
-        ``rows`` is ``(B, L)``; ``roots``, ``positions``, and the
-        boolean ``pad`` mask are ``(B, f_max)`` — slots flagged in
-        ``pad`` are zero-root padding for words with fewer erasures
-        and contribute identity locator factors and no correction.
-        Returns the corrected words and a boolean mask of which were
-        verified (re-computed syndromes all zero); unverified words go
-        back to the scalar reference so its exception fires.
-        """
-        n_parity = self._n_parity
-        batch, f_max = roots.shape
-        locators = vec.erasure_locators_batch(roots)  # (B, f_max + 1)
-        # Omega(x) = S(x) * Lambda(x) mod x^n_parity, with S written
-        # highest-degree-first exactly as the scalar pipeline does;
-        # leading zero locator columns of padded words contribute
-        # nothing, so the low-order n_parity product columns match the
-        # scalar product exactly.
-        synd_rev = syndromes[:, ::-1]
-        product = np.zeros((batch, n_parity + f_max), dtype=np.uint8)
-        for t in range(f_max + 1):
-            product[:, t : t + n_parity] ^= vec.gf_mul(
-                synd_rev, locators[:, t][:, None]
-            )
-        omega = product[:, -n_parity:]
-        # Formal derivative: odd-degree coefficients survive (column
-        # degree is position-determined, so one mask fits all words).
-        degrees = np.arange(f_max, 0, -1)
-        derivative = np.where(
-            (degrees % 2 == 1)[None, :], locators[:, :-1], np.uint8(0)
-        )
-        # Horner-evaluate Omega and Lambda' at every word's inverse
-        # roots simultaneously: (B, f_max) points per (B, D) rows.
-        x_inverse = vec.gf_inv(roots)
-        numerators = np.zeros((batch, f_max), dtype=np.uint8)
-        for t in range(omega.shape[1]):
-            numerators = vec.gf_mul(numerators, x_inverse) ^ (
-                omega[:, t][:, None]
-            )
-        denominators = np.zeros((batch, f_max), dtype=np.uint8)
-        for t in range(derivative.shape[1]):
-            denominators = vec.gf_mul(denominators, x_inverse) ^ (
-                derivative[:, t][:, None]
-            )
-        ok = np.ones(batch, dtype=bool)
-        zero_den = (denominators == 0) & ~pad
-        if zero_den.any():
-            # Cannot happen for distinct erasure roots; route the
-            # affected words through the scalar reference anyway.
-            ok &= ~zero_den.any(axis=1)
-        denominators = np.where(
-            denominators == 0, np.uint8(1), denominators
-        )
-        magnitudes = np.where(
-            pad, np.uint8(0), vec.gf_div(numerators, denominators)
-        )
-        corrected = rows.copy()
-        # One slot at a time: padded slots may alias a real erasure
-        # position in the same row (their magnitude is 0, but numpy
-        # buffers duplicate fancy indices, dropping updates), so each
-        # XOR-assign must touch every row at most once.
-        word_index = np.arange(batch)
-        for j in range(f_max):
-            corrected[word_index, positions[:, j]] ^= magnitudes[:, j]
-        residual = vec.syndromes_batch(corrected, n_parity)
-        ok &= ~residual.any(axis=1)
-        return corrected, ok
-
     @staticmethod
-    def _check_symbols(name: str, symbols: Sequence[int]) -> None:
-        for symbol in symbols:
+    def _symbols(name: str, symbols: Sequence[int]) -> List[int]:
+        out = [_integer(f"{name} symbol", symbol) for symbol in symbols]
+        for symbol in out:
             if not 0 <= symbol < GF256.ORDER:
                 raise ConfigurationError(
                     f"{name} contains symbol {symbol} outside [0, 255]"
                 )
+        return out
 
     def _count(self, name: str, amount: int) -> None:
         registry = _metrics()
@@ -543,7 +186,7 @@ class ReedSolomonCodec:
             registry.inc(name, amount)
 
     # ------------------------------------------------------------------
-    # Scalar decoding pipeline internals (the reference)
+    # Decoding pipeline internals
     # ------------------------------------------------------------------
 
     def _syndromes(self, word: Sequence[int]) -> List[int]:

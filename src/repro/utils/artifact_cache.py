@@ -1,7 +1,7 @@
 """A process-local LRU cache for PHY artifacts.
 
-The per-pair hot path of the protocol rebuilds several artifacts that
-are invariant across rounds and trials: the stacked code matrices inside
+The chip-level PHY loop rebuilds several artifacts that are invariant
+across rounds and trials: the stacked code matrices inside
 :class:`~repro.dsss.engine.CorrelationEngine`, the spread chip waveform
 of a repeated HELLO, and :class:`~repro.ecc.reed_solomon.ReedSolomonCodec`
 instances for each parity width.  :class:`ArtifactCache` memoizes them

@@ -40,6 +40,11 @@ class TestEncode:
         with pytest.raises(ConfigurationError):
             ReedSolomonCodec(255)
 
+    @pytest.mark.parametrize("n_parity", [2.5, True])
+    def test_rejects_non_integer_parity_count(self, n_parity):
+        with pytest.raises(ConfigurationError, match="n_parity"):
+            ReedSolomonCodec(n_parity)
+
 
 class TestDecodeClean:
     def test_identity(self, rng):
@@ -131,6 +136,80 @@ class TestMixedErrorsErasures:
             for position in positions[e:]:
                 codeword[position] = int(rng.integers(0, 256))
             assert rs.decode(codeword, positions[e:].tolist()) == message
+
+
+class TestCapabilityBoundary:
+    def test_exact_capability_boundary(self):
+        # 2e + f == n - k exactly, the deepest erasure fold.
+        n_parity = 6
+        message = list(range(20))
+        rs = ReedSolomonCodec(n_parity)
+        for e, f in ((0, 6), (1, 4), (2, 2), (3, 0)):
+            word = rs.encode(message)
+            positions = list(range(e + f))
+            for position in positions:
+                word[position] ^= 0xA5
+            assert rs.decode(word, positions[e:]) == message
+
+    def test_longest_erasure_only_word(self, rng):
+        # k = n_parity = 127: a 254-symbol word with every parity
+        # symbol spent on an erasure.
+        rs = ReedSolomonCodec(127)
+        message = [int(x) for x in rng.integers(0, 256, size=127)]
+        codeword = rs.encode(message)
+        assert len(codeword) == 254
+        erasures = sorted(
+            rng.choice(len(codeword), size=127, replace=False).tolist()
+        )
+        for position in erasures:
+            codeword[position] ^= int(rng.integers(1, 256))
+        assert rs.decode(codeword, erasures) == message
+
+
+class TestTypedSymbols:
+    def test_encode_rejects_float_symbol(self):
+        with pytest.raises(ConfigurationError, match="2.5"):
+            ReedSolomonCodec(4).encode([1, 2.5, 3])
+
+    def test_encode_rejects_float_in_long_message(self):
+        message = [1] * 70
+        message[10] = 2.5
+        with pytest.raises(ConfigurationError, match="2.5"):
+            ReedSolomonCodec(4).encode(message)
+
+    def test_decode_rejects_float_in_long_word(self):
+        rs = ReedSolomonCodec(4)
+        word = rs.encode([7] * 70)
+        word[3] = 7.9
+        with pytest.raises(ConfigurationError, match="7.9"):
+            rs.decode(word)
+
+    def test_rejects_bool_symbol(self):
+        rs = ReedSolomonCodec(4)
+        with pytest.raises(ConfigurationError, match="True"):
+            rs.encode([1, True, 3])
+        word = rs.encode([1, 1, 3])
+        word[1] = True
+        with pytest.raises(ConfigurationError, match="True"):
+            rs.decode(word)
+
+    def test_rejects_non_integer_erasure_position(self):
+        rs = ReedSolomonCodec(4)
+        word = rs.encode([1, 2, 3])
+        with pytest.raises(ConfigurationError, match="1.5"):
+            rs.decode(word, [1.5])
+        with pytest.raises(ConfigurationError, match="False"):
+            rs.decode(word, [False])
+
+    def test_accepts_numpy_integers(self):
+        rs = ReedSolomonCodec(4)
+        message = np.array([10, 20, 30], dtype=np.uint8)
+        codeword = rs.encode(message)
+        assert codeword == rs.encode([10, 20, 30])
+        assert all(type(symbol) is int for symbol in codeword)
+        codeword[0] ^= 0x11
+        erasures = np.array([0], dtype=np.int64)
+        assert rs.decode(np.array(codeword), erasures) == [10, 20, 30]
 
 
 class TestMetadata:

@@ -26,7 +26,7 @@ SRC = REPO_ROOT / "src"
 #: Exact count of files under src/ when last pinned.  Bump it when the
 #: tree grows; lower it only in a change that deletes modules on
 #: purpose, and say so in that change.
-FILES_CHECKED_FLOOR = 92
+FILES_CHECKED_FLOOR = 91
 
 
 def count_src_files() -> int:
