@@ -19,7 +19,7 @@ Layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -225,7 +225,7 @@ class LogicalGraph:
         return clone
 
 
-# Pairs per chunk of the ball-intersection test: two (chunk, n/64)
+# Pairs per chunk of the ball-intersection test: two (chunk, m/64)
 # uint64 gathers stay cache-sized instead of spanning every pair.
 _MEET_CHUNK = 1024
 
@@ -241,28 +241,31 @@ def _narrow(values: np.ndarray, bound: int) -> np.ndarray:
     return values.astype(np.min_scalar_type(bound), copy=False)
 
 
-def _neighbor_table(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Directed links ``src[i] -> dst[i]`` as an ``(n, max_degree)``
-    table in the narrowest dtype, padded with the sentinel node ``n``."""
-    order = np.argsort(src)
-    src, dst = src[order], dst[order]
-    degree = np.bincount(src, minlength=n)
-    table = np.full(
-        (n, int(degree.max(initial=0))), n, dtype=np.min_scalar_type(n)
-    )
+def _neighbor_table(
+    lo: np.ndarray, hi: np.ndarray, degree: np.ndarray
+) -> List[np.ndarray]:
+    """The links ``lo[i] -- hi[i]`` over nodes ``[0, m)`` whose degrees
+    ``degree`` do not increase, as columns: column ``k`` holds the
+    ``k``-th neighbor of every node with more than ``k`` links, which
+    is a prefix of the nodes."""
+    src = np.concatenate([lo, hi])
+    # A stable sort of narrow keys is a radix sort.
+    dst = np.concatenate([hi, lo])[np.argsort(src, kind="stable")]
     starts = np.cumsum(degree) - degree
-    table[src, np.arange(src.size) - starts[src]] = dst
-    return table
+    # prefix[k]: how many nodes have more than k links.
+    prefix = degree.size - np.cumsum(np.bincount(degree))
+    return [
+        dst[starts[:count] + k]
+        for k, count in enumerate(prefix[: degree[0]].tolist())
+    ]
 
 
-def _grow(ball: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``B_{r+1}[v] = B_r[v] | OR_k B_r[table[v, k]]`` for every node;
-    the sentinel row stays zero.  Costs ``max_degree * n * n/64`` word
-    ORs, one gather per table column."""
+def _grow(ball: np.ndarray, table: List[np.ndarray]) -> np.ndarray:
+    """``B_{r+1}[v] = B_r[v] | OR_k B_r[table[k][v]]`` for every node.
+    Costs one ``m/64``-word gather and OR per directed link."""
     grown = ball.copy()
-    body = grown[:-1]
-    for column in table.T:
-        body |= ball[column]
+    for column in table:
+        grown[: column.size] |= np.take(ball, column, axis=0)
     return grown
 
 
@@ -274,8 +277,8 @@ def _meets(
     hit = np.empty(a_arr.size, dtype=bool)
     for start in range(0, a_arr.size, _MEET_CHUNK):
         stop = start + _MEET_CHUNK
-        shared = outer[a_arr[start:stop]]
-        shared &= inner[b_arr[start:stop]]
+        shared = np.take(outer, a_arr[start:stop], axis=0)
+        shared &= np.take(inner, b_arr[start:stop], axis=0)
         hit[start:stop] = np.bitwise_or.reduce(shared, axis=1) != 0
     return hit
 
@@ -284,31 +287,37 @@ class HopClosure:
     """Hop distances of unlinked pairs over relay links, resolved one
     level at a time and resumable.
 
-    ``B_r`` packs every node's closed ``r``-hop ball into ``uint64``
-    words, plus an all-zero sentinel row ``n``.  A pair unresolved below
-    level ``L`` sits at distance ``L`` iff ``B_ceil(L/2)[a] &
-    B_floor(L/2)[b]`` is non-zero.  The pairs are unlinked, so none sits
-    at distance 1 and the sweep starts at 2.  Levels ``2k`` and
-    ``2k + 1`` read only ``B_k`` and ``B_(k+1)``, so the closure holds
-    one ball, the largest grown so far, next to the level reached, the
-    distances resolved, the pairs still unresolved and the relay links
-    (as a neighbor table once a ball has to grow), all in the narrowest
-    dtypes.  :meth:`distances` grows balls only past the level already
-    reached and answers a smaller ``nu`` from what is resolved; once no
-    pair is left unresolved, the ball and the links are dropped.
+    A node on no relay link reaches nobody, so a pair with such an
+    endpoint (or with ``a == b``) never enters the sweep.  The ``m``
+    relaying nodes are relabelled ``[0, m)`` by descending relay degree,
+    and ``B_r`` packs each one's closed ``r``-hop ball into ``uint64``
+    words.  A pair unresolved below level ``L`` sits at distance ``L``
+    iff ``B_ceil(L/2)[a] & B_floor(L/2)[b]`` is non-zero.  The pairs are
+    unlinked, so none sits at distance 1 and the sweep starts at 2.
+    Growing a ball ORs each node's ``k``-th neighbor's row into the
+    prefix of nodes with more than ``k`` links, so the work follows the
+    links, not ``m`` times the largest degree.
+
+    Levels ``2k`` and ``2k + 1`` read only ``B_k`` and ``B_(k+1)``, so
+    the closure holds one ball, the largest grown so far, next to the
+    level reached, the distances resolved, the pairs still unresolved
+    and the relay links (as a neighbor table once a ball has to grow),
+    all in the narrowest dtypes.  :meth:`distances` grows balls only
+    past the level already reached and answers a smaller ``nu`` from
+    what is resolved; once no pair is left unresolved, the ball and the
+    links are dropped.
 
     Parameters
     ----------
-    a, b, valid:
-        The pairs' endpoints, and which pairs may be recovered at all
-        (not one with an excluded endpoint, nor ``a == b``).
+    a, b:
+        The pairs' endpoints.
     lo, hi:
         The relay links ``lo[i] -- hi[i]``.
     n:
         Node count; every index lies in ``[0, n)``.
     index:
-        Each pair's row in the physical pair array it was screened
-        from (default: its own position); :meth:`tally` reports these.
+        Each pair's row in the physical pair array it was taken from
+        (default: its own position); :meth:`tally` reports these.
     attempted:
         Pairs the round attempts, duplicates included (default: the
         pair count), which :meth:`tally` adds to
@@ -319,7 +328,6 @@ class HopClosure:
         self,
         a: np.ndarray,
         b: np.ndarray,
-        valid: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
         n: int,
@@ -329,32 +337,33 @@ class HopClosure:
         count = a.size
         if index is None:
             index = np.arange(count)
-        self._n = int(n)
         self._index = _narrow(index, int(index.max(initial=0)))
         self._attempted = count if attempted is None else int(attempted)
         self._dist = np.zeros(count, dtype=np.min_scalar_type(n))
         # Pairs resolved at each level, indexed by level.
         self._hits = [0, 0]
         self._level = 1
-        # A pair with an endpoint on no relay link is out of reach at
-        # any distance: it never enters the sweep.
-        relayed = np.zeros(n, dtype=bool)
-        relayed[lo] = True
-        relayed[hi] = True
-        remaining = np.flatnonzero(valid & relayed[a] & relayed[b])
-        self._remaining = _narrow(remaining, count)
-        self._ends = _narrow(np.stack([a[remaining], b[remaining]]), n)
-        self._links: Optional[np.ndarray] = (
-            _narrow(np.stack([lo, hi]), n) if remaining.size else None
+        degree = np.bincount(np.concatenate([lo, hi]), minlength=n)
+        remaining = np.flatnonzero(
+            (a != b) & (degree[a] > 0) & (degree[b] > 0)
         )
-        self._table: Optional[np.ndarray] = None
+        self._remaining = _narrow(remaining, count)
+        self._ends: Optional[np.ndarray] = None
+        self._links: Optional[np.ndarray] = None
+        self._degree: Optional[np.ndarray] = None
+        if remaining.size:
+            order = np.argsort(-degree, kind="stable")
+            self._degree = degree[order[: np.count_nonzero(degree)]]
+            label = np.empty(n, dtype=np.intp)
+            label[order] = np.arange(n)
+            m = self._degree.size
+            self._ends = _narrow(
+                label[np.stack([a[remaining], b[remaining]])], m
+            )
+            self._links = _narrow(label[np.stack([lo, hi])], m)
+        self._table: Optional[List[np.ndarray]] = None
         self._ball: Optional[np.ndarray] = None
         self._radius = 0
-
-    @property
-    def n_nodes(self) -> int:
-        """The node count the pairs index into."""
-        return self._n
 
     @property
     def level(self) -> int:
@@ -371,23 +380,25 @@ class HopClosure:
         of the pairs it recovers, in pair order.
 
         Records the round in ``registry``: ``mndp.rounds``,
-        ``mndp.pairs_attempted`` and one ``mndp.recovery_hops`` tally
-        per distance.
+        ``mndp.pairs_attempted``, ``mndp.pairs_recovered`` and one
+        ``mndp.recovery_hops`` tally per distance.
         """
-        rows = self._index[np.flatnonzero(self.distances(nu))]
+        found = self._index[np.flatnonzero(self.distances(nu))]
         if registry.enabled:
             registry.inc(_names.MNDP_ROUNDS)
             registry.inc(_names.MNDP_PAIRS_ATTEMPTED, self._attempted)
+            registry.inc(_names.MNDP_PAIRS_RECOVERED, int(found.size))
             for level in range(2, min(nu, self._level) + 1):
                 if self._hits[level]:
                     registry.observe(
                         _names.MNDP_RECOVERY_HOPS, level, self._hits[level]
                     )
-        return rows
+        return found
 
     def _resolve(self, nu: int) -> None:
         """Resolve every level up to ``nu`` not resolved yet."""
         while self._level < nu and self._remaining.size:
+            assert self._ends is not None and self._degree is not None
             level = self._level + 1
             if self._ball is None:
                 self._ball, self._radius = self._first_ball(), 1
@@ -396,11 +407,7 @@ class HopClosure:
                 if self._table is None:
                     assert self._links is not None
                     lo, hi = self._links
-                    self._table = _neighbor_table(
-                        np.concatenate([lo, hi]),
-                        np.concatenate([hi, lo]),
-                        self._n,
-                    )
+                    self._table = _neighbor_table(lo, hi, self._degree)
                     self._links = None
                 self._ball = _grow(inner, self._table)
                 self._radius += 1
@@ -411,16 +418,16 @@ class HopClosure:
             self._ends = self._ends[:, ~hit]
             self._level = level
         if not self._remaining.size:
-            self._links = self._table = self._ball = None
+            self._links = self._degree = self._table = self._ball = None
 
     def _first_ball(self) -> np.ndarray:
-        """``B_1``: every node with its relay neighbors."""
-        assert self._links is not None
-        n = self._n
+        """``B_1``: every relaying node with its relay neighbors."""
+        assert self._links is not None and self._degree is not None
+        m = self._degree.size
         lo, hi = self._links
-        nodes = np.arange(n)
+        nodes = np.arange(m)
         members = np.concatenate([hi, lo, nodes])
-        ball = np.zeros((n + 1, (n + 63) // 64), dtype=np.uint64)
+        ball = np.zeros((m, (m + 63) // 64), dtype=np.uint64)
         np.bitwise_or.at(
             ball,
             (np.concatenate([lo, hi, nodes]), members >> 6),
@@ -441,12 +448,7 @@ class _Screen:
     passes.
     """
 
-    def __init__(
-        self,
-        raw: np.ndarray,
-        logical: LogicalGraph,
-        exclude: FrozenSet[int],
-    ) -> None:
+    def __init__(self, raw: np.ndarray, logical: LogicalGraph) -> None:
         n = logical.n_nodes
         edges = logical.edge_array()
         self.n = n
@@ -461,17 +463,10 @@ class _Screen:
         if not _strictly_increasing(linked):
             linked = np.unique(linked)
         self.linked = linked
-        self.excluded = np.zeros(n, dtype=bool)
-        self.excluded[[x for x in exclude if 0 <= x < n]] = True
-        # Excluded endpoints never discover anyone, and a node is never
-        # its own neighbor (the reference finds it at distance 0).
-        self.valid = (self.a != self.b) & ~(
-            self.excluded[self.a] | self.excluded[self.b]
-        )
 
     def closure(self) -> HopClosure:
-        """The closure of the pairs not linked yet over the links whose
-        endpoints both relay."""
+        """The closure of the pairs not linked yet (deduplicated, with
+        their rows) over the links so far."""
         pos = np.searchsorted(self.linked, self.keys)
         pend = np.flatnonzero(self.linked[pos] != self.keys)
         # The reference keys new links by pair, so duplicates in the
@@ -483,13 +478,11 @@ class _Screen:
                 first.sort()
                 pend_unique = pend[first]
         lo, hi = np.divmod(self.linked[:-1], self.n)
-        relay = ~(self.excluded[lo] | self.excluded[hi])
         return HopClosure(
             self.a[pend_unique],
             self.b[pend_unique],
-            self.valid[pend_unique],
-            lo[relay],
-            hi[relay],
+            lo,
+            hi,
             self.n,
             index=pend_unique,
             attempted=int(pend.size),
@@ -507,10 +500,6 @@ class MNDPSampler:
     ----------
     nu:
         Maximum hops an M-NDP request may traverse.
-    exclude:
-        Node indices that do not relay (e.g. when modelling compromised
-        nodes refusing to cooperate — the paper keeps them in, so the
-        default is empty).
     backend:
         ``"vectorized"`` (default) answers each round by intersecting
         packed hop balls shared by every pair; ``"reference"`` keeps the
@@ -519,12 +508,7 @@ class MNDPSampler:
         pairs and tally the same ``mndp.recovery_hops`` histogram.
     """
 
-    def __init__(
-        self,
-        nu: int,
-        exclude: Iterable[int] = (),
-        backend: str = "vectorized",
-    ) -> None:
+    def __init__(self, nu: int, backend: str = "vectorized") -> None:
         check_positive("nu", nu)
         if backend not in COMPUTE_BACKENDS:
             raise ConfigurationError(
@@ -532,18 +516,12 @@ class MNDPSampler:
                 f"got {backend!r}"
             )
         self._nu = int(nu)
-        self._exclude = frozenset(int(x) for x in exclude)
         self._backend = backend
 
     @property
     def nu(self) -> int:
         """The hop budget."""
         return self._nu
-
-    @property
-    def excluded(self) -> FrozenSet[int]:
-        """Nodes that refuse to relay."""
-        return self._exclude
 
     @property
     def backend(self) -> str:
@@ -572,12 +550,14 @@ class MNDPSampler:
         or a node index outside ``[0, n_nodes)`` raises
         :class:`ConfigurationError`.
 
-        ``closure`` is a :class:`HopClosure` that :meth:`closure` built
-        for these ``physical_pairs``: the one round then resumes it
-        instead of screening the pairs against ``logical``, which is not
-        read (and may be ``None``), and grows only the hop balls past
-        the level it reached.  It needs ``rounds == 1`` and the
-        vectorized backend; results and metrics equal a call without it.
+        ``closure`` is a :class:`HopClosure` of the pairs not linked yet
+        over the links, whose ``index`` gives each pair's row in
+        ``physical_pairs``: the one round then tallies it instead of
+        screening the pairs against ``logical``, which is not read (and
+        may be ``None``), and grows only the hop balls past the level it
+        reached.  It needs ``rounds == 1``, the vectorized backend and
+        ``physical_pairs`` as sorted, unique ``a < b`` rows; results and
+        metrics equal a call without it.
         """
         check_positive("rounds", rounds)
         raw = _pair_array(physical_pairs)
@@ -588,12 +568,7 @@ class MNDPSampler:
                     "a closure resumes one round on the vectorized "
                     f"backend, not {rounds} on {self._backend!r}"
                 )
-            found = raw[closure.tally(self._nu, registry)]
-            keys = (
-                np.minimum(found[:, 0], found[:, 1]) * closure.n_nodes
-                + np.maximum(found[:, 0], found[:, 1])
-            )
-            return self._recovered(keys, closure.n_nodes, registry)
+            return raw[closure.tally(self._nu, registry)]
         if logical is None:
             raise ConfigurationError("discover needs a logical graph")
         if raw.size:
@@ -629,22 +604,6 @@ class MNDPSampler:
             registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
         return np.array(sorted(discovered), dtype=np.int64).reshape(-1, 2)
 
-    def closure(
-        self, physical_pairs: Sequence[Pair], logical: LogicalGraph
-    ) -> HopClosure:
-        """The :class:`HopClosure` of one M-NDP round over ``logical``.
-
-        It holds the physical pairs not linked yet (deduplicated, with
-        their rows in ``physical_pairs``) and the links both of whose
-        endpoints relay; it reads no ``nu``, so every hop budget can
-        resume it through :meth:`discover`'s ``closure`` argument.
-        ``physical_pairs`` is checked as in :meth:`discover`.
-        """
-        raw = _pair_array(physical_pairs)
-        if raw.size:
-            logical._check_range(int(raw.min()), int(raw.max()))
-        return _Screen(raw, logical, self._exclude).closure()
-
     def _discover_vectorized(
         self,
         raw: np.ndarray,
@@ -660,7 +619,7 @@ class MNDPSampler:
         copies, no per-pair ``has_link`` queries.  Metrics, results,
         and first-occurrence pair deduplication match the reference.
         """
-        screen = _Screen(raw, logical, self._exclude)
+        screen = _Screen(raw, logical)
         found: List[np.ndarray] = []
         for round_index in range(rounds):
             new_keys = screen.keys[screen.closure().tally(self._nu, registry)]
@@ -672,19 +631,10 @@ class MNDPSampler:
             screen.link(new_keys)
         # A recovered pair joins the links, so no key repeats across
         # rounds.
-        return self._recovered(
-            np.concatenate(found or [screen.keys[:0]]), screen.n, registry
-        )
-
-    @staticmethod
-    def _recovered(keys: np.ndarray, n: int, registry) -> np.ndarray:
-        """The recovered pair keys as sorted ``(a, b)`` rows; records
-        ``mndp.pairs_recovered``."""
+        keys = np.concatenate(found or [screen.keys[:0]])
         if not _strictly_increasing(keys):
             keys = np.sort(keys)
-        if registry.enabled:
-            registry.inc(_names.MNDP_PAIRS_RECOVERED, int(keys.size))
-        return np.stack(divmod(keys, n), axis=1)
+        return np.stack(divmod(keys, screen.n), axis=1)
 
     def _one_round(
         self, pending: List[Pair], logical: LogicalGraph
@@ -692,35 +642,15 @@ class MNDPSampler:
         """Pairs connectable by a ``<= nu``-hop path in the current
         graph, mapped to the hop distance of that path (in ``pending``
         order), by per-source networkx shortest-path queries."""
-        sources = {a for a, _ in pending}
-        reach: Dict[int, Dict[int, int]] = {}
-        graph = logical
-        if self._exclude:
-            graph = self._without_excluded(logical)
-        for source in sources:
-            if source in self._exclude:
-                reach[source] = {}
-                continue
-            reach[source] = graph.within_hops(source, self._nu)
+        reach = {
+            source: logical.within_hops(source, self._nu)
+            for source in {a for a, _ in pending}
+        }
         return {
             (a, b): reach[a][b]
             for a, b in pending
-            if b not in self._exclude and reach[a].get(b, 0) > 0
+            if reach[a].get(b, 0) > 0
         }
-
-    def _without_excluded(self, logical: LogicalGraph) -> LogicalGraph:
-        """The logical graph with excluded nodes unable to *relay*.
-
-        Excluded nodes keep their direct links but cannot sit inside a
-        path, so we drop them entirely and handle endpoint cases in the
-        caller (an excluded endpoint never discovers anyone via M-NDP).
-        """
-        clone = LogicalGraph(logical.n_nodes)
-        for a, b in logical.edges():
-            if a in self._exclude or b in self._exclude:
-                continue
-            clone.add_link(a, b)
-        return clone
 
 
 def validate_request_chain(

@@ -112,10 +112,12 @@ class RunCell:
     pairs the chipless sweep decided (``phy.pairs_swept``), and what
     M-NDP needs of the direct links.  With one M-NDP round on the
     vectorized backend that is the round's resumable
-    :class:`~repro.core.mndp.HopClosure`, and the direct mask is
-    dropped; otherwise links formed in one round feed the next, so the
-    cell holds the read-only direct mask and each point runs M-NDP over
-    it afresh.
+    :class:`~repro.core.mndp.HopClosure`, built straight from the
+    direct mask (the failed pairs are the pending ones, the direct
+    pairs the relay links), and the mask is dropped; each ``nu`` point
+    resumes it through :meth:`~repro.core.mndp.MNDPSampler.discover`.
+    Otherwise links formed in one round feed the next, so the cell holds
+    the read-only direct mask and each point runs M-NDP over it afresh.
     """
 
     key: CellKey
@@ -583,8 +585,8 @@ class NetworkExperiment:
     ) -> RunCell:
         """Steps 3 and 4 of a run (compromise, D-NDP sweep, latency
         sample) and, with one M-NDP round on the vectorized backend, the
-        round's :class:`~repro.core.mndp.HopClosure` over the direct
-        links."""
+        round's :class:`~repro.core.mndp.HopClosure` of the failed pairs
+        over the direct links."""
         config = self._config
         seeds = snapshot.seeds
 
@@ -625,8 +627,14 @@ class NetworkExperiment:
             return RunCell(
                 key, dndp_successes, mean_latency, swept, direct, None
             )
-        closure = MNDPSampler(config.nu).closure(
-            pairs, self._logical(pairs, direct)
+        # The pairs are sorted, unique a < b rows, so the ones that
+        # failed D-NDP are exactly the round's pending pairs.
+        failed = np.flatnonzero(~direct)
+        pending = pairs[failed]
+        linked = pairs[direct]
+        closure = HopClosure(
+            pending[:, 0], pending[:, 1], linked[:, 0], linked[:, 1],
+            config.n_nodes, index=failed,
         )
         return RunCell(key, dndp_successes, mean_latency, swept, None, closure)
 

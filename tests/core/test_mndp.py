@@ -198,20 +198,6 @@ class TestMNDPSampler:
         two_rounds = MNDPSampler(nu=2).discover(pairs, logical, rounds=2)
         assert two_rounds.tolist() == [[0, 1], [0, 3]]
 
-    def test_excluded_relays(self):
-        logical = LogicalGraph(3)
-        logical.add_link(0, 2)
-        logical.add_link(1, 2)
-        sampler = MNDPSampler(nu=2, exclude=[2])
-        assert sampler.discover([(0, 1)], logical).shape == (0, 2)
-
-    def test_excluded_endpoint(self):
-        logical = LogicalGraph(3)
-        logical.add_link(0, 2)
-        logical.add_link(1, 2)
-        sampler = MNDPSampler(nu=2, exclude=[1])
-        assert sampler.discover([(0, 1)], logical).shape == (0, 2)
-
     def test_rejects_bad_nu(self):
         with pytest.raises(ConfigurationError):
             MNDPSampler(nu=0)

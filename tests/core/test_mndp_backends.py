@@ -27,34 +27,30 @@ def _random_instance(rnd):
     return n, graph, pairs
 
 
-def _run_backend(backend, nu, pairs, graph, exclude=(), rounds=1):
+def _run_backend(backend, nu, pairs, graph, rounds=1):
     """``discover`` on one backend: the recovered pair array and the
     metrics."""
     registry = MetricsRegistry()
     with installed(registry):
-        recovered = MNDPSampler(
-            nu, exclude=exclude, backend=backend
-        ).discover(pairs, graph, rounds=rounds)
+        recovered = MNDPSampler(nu, backend=backend).discover(
+            pairs, graph, rounds=rounds
+        )
     return recovered, registry.snapshot()
 
 
-def _assert_backends_agree(nu, pairs, graph, exclude=(), rounds=1):
+def _assert_backends_agree(nu, pairs, graph, rounds=1):
     """Same pairs, counters and ``mndp.recovery_hops`` histogram from
     both backends, and the same hop count for every pending pair (see
     :func:`_per_pair_hops`).  Returns the recovered pairs and the hop
     counts in pending order, round by round."""
-    want, want_metrics = _run_backend(
-        "reference", nu, pairs, graph, exclude, rounds
-    )
-    got, got_metrics = _run_backend(
-        "vectorized", nu, pairs, graph, exclude, rounds
-    )
+    want, want_metrics = _run_backend("reference", nu, pairs, graph, rounds)
+    got, got_metrics = _run_backend("vectorized", nu, pairs, graph, rounds)
     _assert_sorted_pairs(want)
     _assert_sorted_pairs(got)
     assert np.array_equal(got, want)
     assert got_metrics.counters == want_metrics.counters
     assert got_metrics.histograms == want_metrics.histograms
-    found = _per_pair_hops(nu, pairs, graph, exclude, rounds)
+    found = _per_pair_hops(nu, pairs, graph, rounds)
     assert sorted(found) == [tuple(pair) for pair in want.tolist()]
     hops = list(found.values())
     stat = want_metrics.histograms.get(names.MNDP_RECOVERY_HOPS)
@@ -64,21 +60,20 @@ def _assert_backends_agree(nu, pairs, graph, exclude=(), rounds=1):
     return want, hops
 
 
-def _per_pair_hops(nu, pairs, graph, exclude, rounds):
+def _per_pair_hops(nu, pairs, graph, rounds):
     """Round by round, the reference ``_one_round`` pair → hops dict
     equals the vectorized ``HopClosure`` distances of the same pending
     pairs; returns every round's dict merged, in pending order."""
-    sampler = MNDPSampler(nu, exclude=exclude)
+    sampler = MNDPSampler(nu)
     working = graph.copy()
     found = {}
     for _ in range(rounds):
-        pending = [
-            (min(a, b), max(a, b))
-            for a, b in np.asarray(pairs).reshape(-1, 2).tolist()
-            if not working.has_link(a, b)
-        ]
+        pending = _pending(pairs, working)
         want = sampler._one_round(pending, working)
-        assert _closure_hops(sampler, pending, working) == want
+        dist = _closure(pending, working).distances(nu)
+        assert {
+            pair: hops for pair, hops in zip(pending, dist.tolist()) if hops
+        } == want
         if not want:
             break
         found.update(want)
@@ -86,28 +81,34 @@ def _per_pair_hops(nu, pairs, graph, exclude, rounds):
     return found
 
 
-def _closure_hops(sampler, pending, graph):
-    """The vectorized closure's pair → hops dict for ``pending``."""
-    excluded = sampler.excluded
+def _pending(pairs, graph):
+    """``pairs`` as ``(a, b), a <= b`` tuples, in order, without the
+    ones ``graph`` already links."""
+    return [
+        (min(a, b), max(a, b))
+        for a, b in np.asarray(pairs).reshape(-1, 2).tolist()
+        if not graph.has_link(a, b)
+    ]
+
+
+def _closure(pending, graph):
+    """The vectorized closure of the ``pending`` pairs over every link
+    of ``graph``."""
     ends = np.array(pending, dtype=np.int64).reshape(-1, 2)
     edges = graph.edge_array()
-    relay = np.array(
-        [a not in excluded and b not in excluded
-         for a, b in edges.tolist()],
-        dtype=bool,
+    return HopClosure(
+        ends[:, 0], ends[:, 1], edges[:, 0], edges[:, 1], graph.n_nodes
     )
-    valid = np.array(
-        [a != b and a not in excluded and b not in excluded
-         for a, b in pending],
-        dtype=bool,
+
+
+def _without(graph, nodes):
+    """A copy of ``graph`` in which ``nodes`` relay nothing: every link
+    touching one is dropped."""
+    kept = LogicalGraph(graph.n_nodes)
+    kept.add_links(
+        [edge for edge in graph.edges() if not set(edge) & set(nodes)]
     )
-    dist = HopClosure(
-        ends[:, 0], ends[:, 1], valid,
-        edges[relay, 0], edges[relay, 1], graph.n_nodes,
-    ).distances(sampler.nu)
-    return {
-        pair: hops for pair, hops in zip(pending, dist.tolist()) if hops
-    }
+    return kept
 
 
 def _assert_sorted_pairs(recovered):
@@ -124,8 +125,8 @@ class TestBackendEquivalence:
         rnd = random.Random(500 + nu)
         for _ in range(40):
             n, graph, pairs = _random_instance(rnd)
-            exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            _assert_backends_agree(nu, pairs, graph, exclude)
+            cut = _without(graph, rnd.sample(range(n), rnd.randrange(0, 3)))
+            _assert_backends_agree(nu, pairs, cut)
 
     def test_discover_identical_over_rounds(self):
         rnd = random.Random(900)
@@ -161,27 +162,29 @@ class TestBackendEquivalence:
 
     def test_discover_with_excludes_and_duplicates(self):
         # Duplicate and reversed pairs must resolve once (dict-key
-        # semantics of the reference), and excluded nodes must neither
-        # relay nor discover.
+        # semantics of the reference), and nodes cut off the graph must
+        # neither relay nor discover.
         rnd = random.Random(77)
         for _ in range(25):
             n, graph, pairs = _random_instance(rnd)
             noisy = pairs + [(b, a) for a, b in pairs[::2]] + pairs[:3]
-            exclude = rnd.sample(range(n), rnd.randrange(0, 4))
-            want = MNDPSampler(
-                3, exclude=exclude, backend="reference"
-            ).discover(noisy, graph, rounds=2)
-            got = MNDPSampler(
-                3, exclude=exclude, backend="vectorized"
-            ).discover(noisy, graph, rounds=2)
+            excluded = rnd.sample(range(n), rnd.randrange(0, 4))
+            cut = _without(graph, excluded)
+            want = MNDPSampler(3, backend="reference").discover(
+                noisy, cut, rounds=2
+            )
+            got = MNDPSampler(3, backend="vectorized").discover(
+                noisy, cut, rounds=2
+            )
             assert np.array_equal(want, got)
+            assert not np.isin(want, excluded).any()
 
     def test_discover_metrics_identical(self):
         rnd = random.Random(4242)
         for _ in range(10):
             n, graph, pairs = _random_instance(rnd)
-            exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            _assert_backends_agree(3, pairs, graph, exclude, rounds=3)
+            cut = _without(graph, rnd.sample(range(n), rnd.randrange(0, 3)))
+            _assert_backends_agree(3, pairs, cut, rounds=3)
 
     def test_self_pairs_never_recovered(self):
         graph = LogicalGraph(4)
@@ -246,10 +249,10 @@ class TestClosureEquivalence:
                 if a < b < n
             }
         )
-        exclude = rnd.sample(range(n), 3)
+        cut = _without(graph, rnd.sample(range(n), 3))
         for nu in NUS:
             _assert_backends_agree(nu, pairs, graph)
-            _assert_backends_agree(nu, pairs, graph, exclude)
+            _assert_backends_agree(nu, pairs, cut)
         recovered, _ = _assert_backends_agree(8, pairs, graph)
         # Non-vacuous: some pairs recover and some stay out of reach.
         assert 0 < len(recovered) < len(
@@ -291,7 +294,7 @@ class TestClosureEquivalence:
         pairs = [(0, 4), (1, 4), (0, 7)]
         full, _ = _assert_backends_agree(nu, pairs, graph)
         cut, cut_hops = _assert_backends_agree(
-            nu, pairs, graph, exclude=[2]
+            nu, pairs, _without(graph, [2])
         )
         assert ([0, 4] in full.tolist()) == (nu >= 4)
         # With relay 2 out, 0 reaches 4 only by the 5-hop detour, and
@@ -301,19 +304,20 @@ class TestClosureEquivalence:
         if nu >= 6:
             assert cut_hops == [5, 6, 3]
         both, _ = _assert_backends_agree(
-            nu, pairs, graph, exclude=[2, 6]
+            nu, pairs, _without(graph, [2, 6])
         )
         assert [0, 4] not in both.tolist()
         assert [1, 4] not in both.tolist()
 
     @pytest.mark.parametrize("nu", NUS)
     def test_excluded_endpoints(self, nu):
-        graph = _path_graph(10)
-        pairs = [(0, 5), (2, 9), (4, 6), (0, 9)]
-        recovered, _ = _assert_backends_agree(
-            nu, pairs, graph, exclude=[0, 9]
-        )
+        # Nodes 0 and 9 sit on no link of the path 1-...-8.
+        graph = LogicalGraph(10)
+        graph.add_links([(i, i + 1) for i in range(1, 8)])
+        pairs = [(0, 5), (2, 9), (4, 6), (0, 9), (1, 8)]
+        recovered, _ = _assert_backends_agree(nu, pairs, graph)
         assert not np.isin(recovered, [0, 9]).any()
+        assert ([4, 6] in recovered.tolist()) == (nu >= 2)
 
     def test_isolated_endpoints_at_nu_8(self):
         # Nodes 10..14 sit on no logical link, so every pair touching
@@ -345,8 +349,8 @@ class TestClosureEquivalence:
         rnd = random.Random(31 * nu + rounds)
         for _ in range(15):
             n, graph, pairs = _random_instance(rnd)
-            exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            _assert_backends_agree(nu, pairs, graph, exclude, rounds)
+            cut = _without(graph, rnd.sample(range(n), rnd.randrange(0, 3)))
+            _assert_backends_agree(nu, pairs, cut, rounds)
         # A chain whose round-1 links bring far pairs within budget.
         n = 4 * nu + 1
         graph = _path_graph(n)
@@ -374,19 +378,19 @@ class TestClosureEquivalence:
 
 class TestResumedClosure:
     """One :class:`HopClosure` queried at several hop budgets equals a
-    fresh closure per budget, and ``discover`` resuming it equals a
-    plain ``discover``."""
+    fresh closure per budget, and ``discover`` resuming it from any
+    level equals a plain ``discover``."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_any_order_equals_fresh(self, seed):
         rnd = random.Random(1300 + seed)
         for _ in range(20):
             n, graph, pairs = _random_instance(rnd)
-            sampler = MNDPSampler(1)
-            closure = sampler.closure(pairs, graph)
+            pending = _pending(pairs, graph)
+            closure = _closure(pending, graph)
             budgets = [rnd.randrange(1, 9) for _ in range(6)]
             for nu in budgets:
-                fresh = MNDPSampler(nu).closure(pairs, graph)
+                fresh = _closure(pending, graph)
                 assert np.array_equal(
                     closure.distances(nu), fresh.distances(nu)
                 )
@@ -397,17 +401,15 @@ class TestResumedClosure:
         rnd = random.Random(1400 + nu)
         for _ in range(25):
             n, graph, pairs = _random_instance(rnd)
-            exclude = rnd.sample(range(n), rnd.randrange(0, 3))
-            sampler = MNDPSampler(nu, exclude=exclude)
-            closure = MNDPSampler(8, exclude=exclude).closure(pairs, graph)
+            graph = _without(graph, rnd.sample(range(n), rnd.randrange(0, 3)))
+            pending = _pending(pairs, graph)
+            closure = _closure(pending, graph)
             # Resumed from any level reached before.
             closure.distances(rnd.randrange(1, 9))
-            want, want_metrics = _run_backend(
-                "reference", nu, pairs, graph, exclude
-            )
+            want, want_metrics = _run_backend("reference", nu, pairs, graph)
             registry = MetricsRegistry()
             with installed(registry):
-                got = sampler.discover(pairs, None, closure=closure)
+                got = MNDPSampler(nu).discover(pending, None, closure=closure)
             _assert_sorted_pairs(got)
             assert np.array_equal(got, want)
             got_metrics = registry.snapshot()
@@ -418,7 +420,7 @@ class TestResumedClosure:
         # A path 0-1-2-3: the pair (0, 3) sits at distance 3.
         graph = LogicalGraph(4)
         graph.add_links([(0, 1), (1, 2), (2, 3)])
-        closure = MNDPSampler(1).closure([(0, 3)], graph)
+        closure = _closure([(0, 3)], graph)
         assert closure.distances(2).tolist() == [0]
         assert closure._ball is not None
         assert closure.distances(3).tolist() == [3]
@@ -430,13 +432,112 @@ class TestResumedClosure:
     def test_closure_needs_one_vectorized_round(self):
         graph = LogicalGraph(3)
         graph.add_link(0, 1)
-        closure = MNDPSampler(2).closure([(0, 2)], graph)
+        closure = _closure([(0, 2)], graph)
         with pytest.raises(ConfigurationError, match="one round"):
             MNDPSampler(2).discover([(0, 2)], None, rounds=2, closure=closure)
         with pytest.raises(ConfigurationError, match="one round"):
             MNDPSampler(2, backend="reference").discover(
                 [(0, 2)], None, closure=closure
             )
+
+
+def _random_hub_graph(n, rnd):
+    """A graph over ``n`` nodes: about a fifth of them on no link, a
+    path through twelve others, and two hubs linked to about a third of
+    the rest, which also carry sparse random links."""
+    isolated = set(rnd.sample(range(n), max(1, n // 5)))
+    linked = [node for node in range(n) if node not in isolated]
+    rnd.shuffle(linked)
+    body, path = linked[:-12], linked[-12:]
+    edges = set(zip(path, path[1:]))
+    if body:
+        edges.add((body[-1], path[0]))
+    for hub in body[:2]:
+        for node in body:
+            if node != hub and rnd.random() < 0.35:
+                edges.add((hub, node))
+    for _ in range(len(body) if len(body) > 1 else 0):
+        edges.add(tuple(rnd.sample(body, 2)))
+    graph = LogicalGraph(n)
+    graph.add_links(sorted(edges))
+    return graph
+
+
+def _flower_hub_graph(n, rnd):
+    """A graph over ``n`` nodes in which no link has a detour of three
+    hops or fewer: two hubs of different degrees, each the meeting
+    point of 9-node cycles, a ring of the nodes left over if it has at
+    least 7, and about a fifth of the nodes (with any leftovers) on no
+    link.  Every neighbor then brings a node of its own into each ball
+    that grows through it."""
+    nodes = list(range(n))
+    rnd.shuffle(nodes)
+    rest = nodes[max(1, n // 5):]
+    edges = []
+
+    def cycle(ring):
+        edges.extend(zip(ring, ring[1:] + ring[:1]))
+
+    petals = max(1, len(rest) // 16)
+    for count in (petals, petals - 1):
+        if count and len(rest) >= 9:
+            hub, rest = rest[0], rest[1:]
+            for _ in range(count):
+                if len(rest) >= 8:
+                    cycle([hub] + rest[:8])
+                    rest = rest[8:]
+    if len(rest) >= 7:
+        cycle(rest)
+    graph = LogicalGraph(n)
+    graph.add_links(edges)
+    return graph
+
+
+class TestDegreeOrderedGrowth:
+    """The closure relabels the relaying nodes by descending degree and
+    grows each ball over degree-ordered neighbor columns; its distances
+    must equal networkx BFS over the original labels."""
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+    @pytest.mark.parametrize("shape", [_random_hub_graph, _flower_hub_graph])
+    def test_distances_equal_bfs_at_every_budget(self, shape, n):
+        rnd = random.Random(4000 + n)
+        graph = shape(n, rnd)
+        # Every unlinked pair both ways round (the closure grows the
+        # first end's ball past the second's at odd levels), isolated
+        # endpoints and self pairs included.
+        pending = [
+            pair
+            for a in range(n)
+            for b in range(a + 1, n)
+            if not graph.has_link(a, b)
+            for pair in ((a, b), (b, a))
+        ] + [(0, 0), (n - 1, n - 1)]
+        reach = {a: graph.within_hops(a, 8) for a in range(n)}
+        closure = _closure(pending, graph)
+        budgets = NUS[:]
+        rnd.shuffle(budgets)
+        for nu in budgets:
+            want = [
+                hops if hops <= nu else 0
+                for hops in (reach[a].get(b, 0) for a, b in pending)
+            ]
+            assert closure.distances(nu).tolist() == want
+            assert _closure(pending, graph).distances(nu).tolist() == want
+        # Non-vacuous: every hop count from 2 to 8 occurs, and so do
+        # pairs out of reach.
+        if n > 2:
+            hops = {reach[a].get(b, 0) for a, b in pending}
+            assert hops == {0, *range(2, 9)}
+
+    def test_relabelling_is_not_the_identity(self):
+        # Node 4 is the hub: it must sort first, so the pair ends and
+        # the links both move to new labels.
+        graph = LogicalGraph(6)
+        graph.add_links([(0, 1), (1, 2), (4, 0), (4, 2), (4, 3), (4, 5)])
+        closure = _closure([(0, 2), (1, 3), (1, 5), (2, 5)], graph)
+        assert closure._degree.tolist() == [4, 2, 2, 2, 1, 1]
+        assert closure.distances(3).tolist() == [2, 3, 3, 2]
 
 
 class TestLogicalGraphBulk:

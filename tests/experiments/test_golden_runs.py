@@ -1,15 +1,20 @@
 """Pinned paper-scale run results.
 
 Each case is one Table I snapshot (2000 nodes on the 5000 x 5000 m
-field, 300 m range, q = 60 compromised nodes, reactive jammer) at its own
-run index.  The counts were recorded before the occupied-cell neighbor
-search and the array-returning M-NDP closure replaced their
-predecessors, so a kernel change that alters any placement, neighbor
-pair, D-NDP draw or M-NDP recovery shows up here as a changed tuple.
+field, 300 m range, q = 60 compromised nodes unless noted, reactive
+jammer) at its own run index.  The counts were recorded before the
+occupied-cell neighbor search, the array-returning M-NDP closure and
+its degree-ordered growth replaced their predecessors, so a kernel
+change that alters any placement, neighbor pair, D-NDP draw or M-NDP
+recovery shows up here as a changed tuple.
 
 Under the reactive jammer every chipless pair probability is 0 or 1,
 so those rows cannot see the chipless sweep's per-pair uniform draws;
 the random-jammer rows can (their pair probabilities are fractional).
+
+The last two tables pin the M-NDP stage alone: one codes run's
+recoveries at every hop budget from 3 to 7 (at Figure 5's q = 100), and
+the ``mndp.*`` counters and hop histogram of two runs at nu = 8.
 """
 
 import pytest
@@ -17,6 +22,7 @@ import pytest
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
 from repro.experiments.runner import NetworkExperiment
+from repro.obs import names
 
 SEED = 2011
 
@@ -85,3 +91,56 @@ def test_random_jammer_run_is_pinned(
         result.mean_degree,
     )
     assert got == expected
+
+
+# Reactive jammer, q = 100 (Figure 5's compromise), message PHY, codes
+# link model, run 11 at each hop budget: (nu, mndp_successes).  Every
+# budget shares the run's 21461 pairs and 4500 direct successes.
+NU_LADDER = [(3, 11898), (4, 13530), (5, 13996), (6, 14139), (7, 14209)]
+
+
+@pytest.mark.parametrize(
+    "nu, expected", NU_LADDER, ids=[f"nu{nu}" for nu, _ in NU_LADDER]
+)
+def test_codes_run_is_pinned_at_every_budget(nu, expected):
+    config = JRSNDConfig(phy_backend="message", nu=nu, n_compromised=100)
+    result = NetworkExperiment(
+        config, seed=SEED, link_model="codes"
+    ).run_once(11)
+    got = (result.n_pairs, result.dndp_successes, result.mndp_successes)
+    assert got == (21461, 4500, expected)
+
+
+# Reactive jammer, q = 60, nu = 8, with metrics: (phy_backend,
+#  link_model, run_index, (mndp.pairs_attempted, mndp.pairs_recovered,
+#  mndp.recovery_hops counts)).
+MNDP_METRICS_GOLDEN = [
+    (
+        "message", "codes", 12,
+        (12315, 11005, ((2.0, 10088), (3.0, 865), (4.0, 45), (5.0, 7))),
+    ),
+    (
+        "chipless", "independent", 13,
+        (12256, 12248, ((2.0, 10934), (3.0, 1268), (4.0, 43), (5.0, 3))),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "phy, link_model, run_index, expected",
+    MNDP_METRICS_GOLDEN,
+    ids=[f"{phy}-{link}-nu8" for phy, link, _, _ in MNDP_METRICS_GOLDEN],
+)
+def test_mndp_metrics_are_pinned(phy, link_model, run_index, expected):
+    config = JRSNDConfig(phy_backend=phy, nu=8, n_compromised=60)
+    result = NetworkExperiment(
+        config, seed=SEED, link_model=link_model, collect_metrics=True
+    ).run_once(run_index)
+    metrics = result.metrics
+    got = (
+        metrics.counters[names.MNDP_PAIRS_ATTEMPTED],
+        metrics.counters[names.MNDP_PAIRS_RECOVERED],
+        metrics.histograms[names.MNDP_RECOVERY_HOPS].counts,
+    )
+    assert got == expected
+    assert result.mndp_successes == expected[1]
