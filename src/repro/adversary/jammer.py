@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import FrozenSet
+from functools import cached_property
+from typing import FrozenSet, Iterable
 
 import numpy as np
 
 from repro.adversary.compromise import CompromiseState
 from repro.errors import ConfigurationError
 from repro.sim.medium import RadioMedium, Transmission
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integer_array, check_positive
 
 __all__ = ["JammerStrategy", "JammingModel", "MediumJammer"]
 
@@ -59,7 +60,8 @@ class JammingModel:
     strategy:
         Random or reactive.
     compromised_codes:
-        Pool indices known to the adversary.
+        Pool indices known to the adversary: an integer array or an
+        iterable of integers (duplicates count once).
     z:
         Parallel jamming signals (the paper's ``z``).
     mu:
@@ -70,7 +72,7 @@ class JammingModel:
     def __init__(
         self,
         strategy: JammerStrategy,
-        compromised_codes: FrozenSet[int],
+        compromised_codes: Iterable[int],
         z: int,
         mu: float,
     ) -> None:
@@ -81,7 +83,7 @@ class JammingModel:
         check_positive("z", z)
         check_positive("mu", mu)
         self._strategy = strategy
-        self._codes = frozenset(int(c) for c in compromised_codes)
+        self._code_array = _distinct_codes(compromised_codes)
         self._z = int(z)
         self._mu = float(mu)
 
@@ -94,7 +96,12 @@ class JammingModel:
         mu: float,
     ) -> "JammingModel":
         """Build a model from a sampled compromise state."""
-        return cls(strategy, state.codes, z, mu)
+        return cls(strategy, state.code_array, z, mu)
+
+    @cached_property
+    def _codes(self) -> FrozenSet[int]:
+        """The compromised codes as a set, for per-message queries."""
+        return frozenset(self._code_array.tolist())
 
     @property
     def strategy(self) -> JammerStrategy:
@@ -104,7 +111,7 @@ class JammingModel:
     @property
     def n_compromised(self) -> int:
         """Number of compromised codes ``c`` available to the jammer."""
-        return len(self._codes)
+        return int(self._code_array.size)
 
     @property
     def codes_per_message(self) -> int:
@@ -114,10 +121,10 @@ class JammingModel:
 
     def random_success_probability(self) -> float:
         """Theorem 1's ``beta = min(z (1 + mu) / (c mu), 1)``."""
-        if not self._codes:
+        if not self.n_compromised:
             return 0.0
         return min(
-            self._z * (1.0 + self._mu) / (len(self._codes) * self._mu), 1.0
+            self._z * (1.0 + self._mu) / (self.n_compromised * self._mu), 1.0
         )
 
     def knows(self, code_index: int) -> bool:
@@ -141,8 +148,8 @@ class JammingModel:
         if self._strategy is JammerStrategy.REACTIVE:
             return True
         # Random: target code must be among the codes tried this message.
-        tries = min(self.codes_per_message, len(self._codes))
-        return bool(rng.random() < tries / len(self._codes))
+        tries = min(self.codes_per_message, self.n_compromised)
+        return bool(rng.random() < tries / self.n_compromised)
 
     def burst_jammed(
         self,
@@ -166,10 +173,21 @@ class JammingModel:
             JammerStrategy.REACTIVE, JammerStrategy.INTELLIGENT
         ):
             return True
-        tries = min(self.codes_per_message, len(self._codes))
-        p_single = tries / len(self._codes)
+        tries = min(self.codes_per_message, self.n_compromised)
+        p_single = tries / self.n_compromised
         p_burst = min(n_messages * p_single, 1.0)
         return bool(rng.random() < p_burst)
+
+
+def _distinct_codes(codes: Iterable[int]) -> np.ndarray:
+    """``codes`` as an ascending, duplicate-free ``int64`` array; an
+    array that already is one (a :class:`CompromiseState`'s) passes
+    through uncopied."""
+    array = check_integer_array("compromised codes", codes)
+    array = array.astype(np.int64, copy=False).ravel()
+    if array.size > 1 and not (array[1:] > array[:-1]).all():
+        array = np.unique(array)
+    return array
 
 
 class MediumJammer:

@@ -16,6 +16,7 @@ distribution while the noise between points is paired.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -92,6 +93,11 @@ def _typed(name: str, value: Any, kind: type) -> Any:
             f"got {value!r}"
         )
     return kind(value)
+
+
+#: :func:`preset_config`, built once per preset name: every point's
+#: config is a ``replace`` of it, and a config is immutable.
+_preset = functools.lru_cache(maxsize=None)(preset_config)
 
 
 @dataclass(frozen=True)
@@ -254,7 +260,7 @@ class CampaignSpec:
         # Resolving the preset and every distinct combination of
         # config-axis values now surfaces a bad name or value at
         # spec-build time, not in the first shard that reaches it.
-        base = preset_config(self.base)
+        base = _preset(self.base)
         config_axes = [
             axis for axis in sorted(self.grid) if axis in CONFIG_AXES
         ]
@@ -447,7 +453,7 @@ class CampaignSpec:
             for axis, value in point.params
             if axis in CONFIG_AXES
         }
-        return preset_config(self.base).replace(**overrides)
+        return _preset(self.base).replace(**overrides)
 
     def point_strategy(self, point: CampaignPoint) -> JammerStrategy:
         return _STRATEGIES[point.params_dict["strategy"]]

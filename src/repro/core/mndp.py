@@ -250,12 +250,12 @@ def _neighbor_table(
     is a prefix of the nodes."""
     src = np.concatenate([lo, hi])
     # A stable sort of narrow keys is a radix sort.
-    dst = np.concatenate([hi, lo])[np.argsort(src, kind="stable")]
+    dst = np.take(np.concatenate([hi, lo]), np.argsort(src, kind="stable"))
     starts = np.cumsum(degree) - degree
     # prefix[k]: how many nodes have more than k links.
     prefix = degree.size - np.cumsum(np.bincount(degree))
     return [
-        dst[starts[:count] + k]
+        np.take(dst, starts[:count] + k)
         for k, count in enumerate(prefix[: degree[0]].tolist())
     ]
 
@@ -345,7 +345,7 @@ class HopClosure:
         self._level = 1
         degree = np.bincount(np.concatenate([lo, hi]), minlength=n)
         remaining = np.flatnonzero(
-            (a != b) & (degree[a] > 0) & (degree[b] > 0)
+            (a != b) & (np.take(degree, a) > 0) & (np.take(degree, b) > 0)
         )
         self._remaining = _narrow(remaining, count)
         self._ends: Optional[np.ndarray] = None
@@ -353,14 +353,18 @@ class HopClosure:
         self._degree: Optional[np.ndarray] = None
         if remaining.size:
             order = np.argsort(-degree, kind="stable")
-            self._degree = degree[order[: np.count_nonzero(degree)]]
+            self._degree = np.take(degree, order[: np.count_nonzero(degree)])
             label = np.empty(n, dtype=np.intp)
             label[order] = np.arange(n)
             m = self._degree.size
             self._ends = _narrow(
-                label[np.stack([a[remaining], b[remaining]])], m
+                np.take(
+                    label,
+                    np.stack([np.take(a, remaining), np.take(b, remaining)]),
+                ),
+                m,
             )
-            self._links = _narrow(label[np.stack([lo, hi])], m)
+            self._links = _narrow(np.take(label, np.stack([lo, hi])), m)
         self._table: Optional[List[np.ndarray]] = None
         self._ball: Optional[np.ndarray] = None
         self._radius = 0
@@ -383,7 +387,9 @@ class HopClosure:
         ``mndp.pairs_attempted``, ``mndp.pairs_recovered`` and one
         ``mndp.recovery_hops`` tally per distance.
         """
-        found = self._index[np.flatnonzero(self.distances(nu))]
+        self._resolve(nu)
+        dist = self._dist
+        found = np.compress((dist != 0) & (dist <= nu), self._index)
         if registry.enabled:
             registry.inc(_names.MNDP_ROUNDS)
             registry.inc(_names.MNDP_PAIRS_ATTEMPTED, self._attempted)
@@ -412,10 +418,11 @@ class HopClosure:
                 self._ball = _grow(inner, self._table)
                 self._radius += 1
             hit = _meets(self._ball, inner, self._ends[0], self._ends[1])
-            self._dist[self._remaining[hit]] = level
+            self._dist[np.compress(hit, self._remaining)] = level
             self._hits.append(int(np.count_nonzero(hit)))
-            self._remaining = self._remaining[~hit]
-            self._ends = self._ends[:, ~hit]
+            miss = ~hit
+            self._remaining = np.compress(miss, self._remaining)
+            self._ends = np.compress(miss, self._ends, axis=1)
             self._level = level
         if not self._remaining.size:
             self._links = self._degree = self._table = self._ball = None
@@ -568,7 +575,7 @@ class MNDPSampler:
                     "a closure resumes one round on the vectorized "
                     f"backend, not {rounds} on {self._backend!r}"
                 )
-            return raw[closure.tally(self._nu, registry)]
+            return np.take(raw, closure.tally(self._nu, registry), axis=0)
         if logical is None:
             raise ConfigurationError("discover needs a logical graph")
         if raw.size:

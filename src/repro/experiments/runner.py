@@ -18,7 +18,8 @@ Section V-A gives every node exactly one code per round, and round
 ``r``'s codes are ``[w·r, w·(r+1))``, so two nodes share a code in round
 ``r`` exactly when their round-``r`` codes are equal.  The per-pair
 D-NDP sampling therefore reads each pair's shared and compromised code
-counts off an ``m``-wide equality test on the ``(n, m)`` code matrix,
+counts off an ``m``-wide equality test on the assignment's ``(n, m)``
+round-local keys (code minus ``w·r``, in the narrowest unsigned dtype),
 4096 pairs at a time; the ``"reference"`` compute backend counts the
 same thing from a node-by-code membership matrix and serves as the
 equivalence oracle.  ``tests/experiments`` checks statistical agreement
@@ -28,6 +29,8 @@ with the reference per-pair :class:`repro.core.dndp.DNDPSampler`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -69,6 +72,11 @@ SnapshotKey = Tuple[int, int, float, float, float, int, int, str]
 #: sample_latency)``.
 CellKey = Tuple[Any, ...]
 
+#: Every :class:`JRSNDConfig` field but ``nu``, as one tuple.
+_CONFIG_SANS_NU = attrgetter(
+    *(spec.name for spec in fields(JRSNDConfig) if spec.name != "nu")
+)
+
 #: Pairs per sweep chunk.  Every sweep draws its uniforms chunk by
 #: chunk, so this is part of the rng stream and must not change.
 _CHUNK = 4096
@@ -81,6 +89,15 @@ _FOLD_LANES = 31
 #: Multiplying by this sums a ``uint64``'s eight bytes into its top
 #: byte (exact while the total stays below 256).
 _BYTE_SUM = np.uint64(0x0101010101010101)
+
+
+@lru_cache(maxsize=256)
+def _run_seed(seed: int, run_index: int) -> int:
+    """Run ``run_index``'s child seed under root ``seed``, derived once
+    per process: a pool worker needs it to find the run's snapshot and
+    again in :meth:`NetworkExperiment.run_once`, and every point of a
+    campaign runs on one seed."""
+    return SeedSequencer(seed).child(f"run-{run_index}").seed
 
 
 def _lane_counts(lanes: np.ndarray) -> np.ndarray:
@@ -138,8 +155,9 @@ class FieldSnapshot:
     the constructor unpacks; draws come from the run seed's
     ``placement`` and ``assignment`` streams, as in an unshared run.
 
-    The snapshot holds its read-only int64 pairs, the assignment once
-    drawn, and the :class:`RunCell` it last served, so the next point
+    The snapshot holds its read-only int64 pairs, the assignment (its
+    round-local keys) once drawn, and the :class:`RunCell` it last
+    served, so the next point
     of that cell skips steps 3 and 4 and resumes its M-NDP closure.  It
     records no metrics, so sharing it changes no counter.
     """
@@ -465,7 +483,7 @@ class NetworkExperiment:
         """The key of run ``run_index``'s :class:`FieldSnapshot`."""
         config = self._config
         return (
-            self._seeds.child(f"run-{run_index}").seed,
+            _run_seed(self._seeds.seed, run_index),
             config.n_nodes,
             config.field_width,
             config.field_height,
@@ -525,7 +543,7 @@ class NetworkExperiment:
         mean_degree = (
             2.0 * n_pairs / config.n_nodes if config.n_nodes else 0.0
         )
-        key = self._cell_key()
+        key = self._cell_key
         cell = snapshot.cell(key)
         if cell is None:
             cell = self._decide(snapshot, pairs, key)
@@ -564,16 +582,13 @@ class NetworkExperiment:
 
     # ------------------------------------------------------------------
 
+    @cached_property
     def _cell_key(self) -> CellKey:
         """Every input of :meth:`_evaluate` besides the snapshot and
-        ``config.nu``."""
-        config = self._config
+        ``config.nu``; the experiment never changes, so this is built
+        once."""
         return (
-            tuple(
-                getattr(config, spec.name)
-                for spec in fields(config)
-                if spec.name != "nu"
-            ),
+            _CONFIG_SANS_NU(self._config),
             self._strategy,
             self._link_model,
             self._mndp_rounds,
@@ -630,8 +645,8 @@ class NetworkExperiment:
         # The pairs are sorted, unique a < b rows, so the ones that
         # failed D-NDP are exactly the round's pending pairs.
         failed = np.flatnonzero(~direct)
-        pending = pairs[failed]
-        linked = pairs[direct]
+        pending = np.take(pairs, failed, axis=0)
+        linked = np.compress(direct, pairs, axis=0)
         closure = HopClosure(
             pending[:, 0], pending[:, 1], linked[:, 0], linked[:, 1],
             config.n_nodes, index=failed,
@@ -642,7 +657,7 @@ class NetworkExperiment:
         """The logical graph of the pairs that succeeded directly."""
         logical = LogicalGraph(self._config.n_nodes)
         if self._compute_backend == "vectorized":
-            logical.add_links(pairs[direct])
+            logical.add_links(np.compress(direct, pairs, axis=0))
         else:
             for (a, b), success in zip(pairs.tolist(), direct.tolist()):
                 if success:
@@ -663,7 +678,7 @@ class NetworkExperiment:
             self._strategy, compromise, config.z_jamming_signals, config.mu
         )
         compromised = np.zeros(assignment.pool_size, dtype=bool)
-        compromised[np.fromiter(compromise.codes, dtype=np.int64)] = True
+        compromised[compromise.code_array] = True
         return assignment, compromised, jamming
 
     def _sample_independent(
@@ -693,13 +708,13 @@ class NetworkExperiment:
         Yields ``(start, stop, safe_count, comp_count)``: how many codes
         pair ``start..stop-1`` shares that the jammer does not / does
         know.  The vectorized kernel tests the two endpoints' rows of
-        the round-aligned code matrix for equality (``codes[a] ==
-        codes[b]`` is the per-round shared-code mask) and masks it with
-        ``node_comp = compromised[codes]``, built once per run; both
-        masks are counted eight rounds at a time on their ``uint64``
-        lane views (:func:`_lane_counts`).  The ``"reference"`` backend
-        ANDs rows of a node-by-code membership matrix instead; both
-        yield the same counts.
+        the assignment's round-local keys for equality (``keys[a] ==
+        keys[b]`` is the per-round shared-code mask) and masks it with
+        ``node_comp``, each node's per-round compromised flag, built
+        once per run; both masks are counted eight rounds at a time on
+        their ``uint64`` lane views (:func:`_lane_counts`).  The
+        ``"reference"`` backend ANDs rows of a node-by-code membership
+        matrix instead; both yield the same counts.
         """
         if self._compute_backend == "reference":
             membership = np.zeros(
@@ -721,21 +736,17 @@ class NetworkExperiment:
                     (shared & compromised).sum(axis=1),
                 )
             return
-        # Round-local keys (code minus the round's offset w·r) are
-        # equal exactly where the codes are, and fit the narrowest
-        # dtype.  Rows are padded to whole 8-byte lanes: the padding
-        # keys are 0 on both sides, so every pair "shares" the
-        # ``padding`` extra rounds, never compromised ones.
-        n_nodes, m = assignment.codes.shape
-        w = assignment.pool_size // m
+        # Rows are padded to whole 8-byte lanes: the padding keys are 0
+        # on both sides, so every pair "shares" the ``padding`` extra
+        # rounds, never compromised ones.
+        local = assignment.keys
+        n_nodes, m = local.shape
         width = -(-m // _LANE) * _LANE
         padding = width - m
-        keys = np.zeros(
-            (n_nodes, width), dtype=np.min_scalar_type(max(w - 1, 0))
-        )
-        keys[:, :m] = assignment.codes - w * np.arange(m)
+        keys = np.zeros((n_nodes, width), dtype=local.dtype)
+        keys[:, :m] = local
         node_comp = np.zeros((n_nodes, width), dtype=bool)
-        node_comp[:, :m] = compromised[assignment.codes]
+        node_comp[:, :m] = np.take(compromised, local + assignment.offsets)
         comp_lanes = node_comp.view(np.uint64)
         for start in range(0, len(pairs), _CHUNK):
             stop = min(start + _CHUNK, len(pairs))
@@ -808,8 +819,9 @@ class NetworkExperiment:
         per-message model to two sub-session probabilities (safe /
         compromised shared code); each pair's success probability is
         then ``1 - (1-p_s)^x_s (1-p_c)^x_c`` over the shared-code counts
-        :meth:`_shared_counts` yields, and one uniform per pair decides
-        the outcome.  Same 4096-pair chunks and one ``rng.random(chunk)``
+        :meth:`_shared_counts` yields, read from a table over every
+        count pair in ``0..m`` built once per run, and one uniform per
+        pair decides the outcome.  Same 4096-pair chunks and one ``rng.random(chunk)``
         draw per chunk on both compute backends, so reference and
         vectorized consume identical rng streams and return identical
         outcomes.  The caller counts the swept pairs
@@ -825,11 +837,16 @@ class NetworkExperiment:
         success = np.zeros(n_pairs, dtype=bool)
         registry = current()
         with registry.timer(_names.PHY_SWEEP_SECONDS):
+            # table[x_s * (m + 1) + x_c] for every count pair in 0..m.
+            counts = np.arange(assignment.codes_per_node + 1)
+            table = model.pair_success_probability(
+                counts[:, None], counts[None, :]
+            ).ravel()
             for start, stop, safe_count, comp_count in self._shared_counts(
                 pairs, assignment, compromised
             ):
-                probability = model.pair_success_probability(
-                    safe_count, comp_count
+                probability = np.take(
+                    table, safe_count * counts.size + comp_count
                 )
                 success[start:stop] = (
                     rng.random(stop - start) < probability

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_integer_array, check_positive
 
 __all__ = ["CodeAssignment", "PreDistributor"]
 
@@ -26,45 +26,41 @@ __all__ = ["CodeAssignment", "PreDistributor"]
 class CodeAssignment:
     """The result of pre-distribution.
 
-    Section V-A hands out one code per round, so the assignment is an
-    ``(n, m)`` integer matrix whose column ``r`` holds every node's
-    round-``r`` code, drawn from ``[w·r, w·(r+1))``.  Two nodes then
-    share a code in round ``r`` exactly when their round-``r`` entries
-    are equal, which makes ``C_A ∩ C_B`` an ``m``-wide equality test.
-    The constructor enforces that layout.
+    Section V-A hands out one code per round, and round ``r``'s codes
+    are ``[w·r, w·(r+1))``, so the assignment is an ``(n, m)`` matrix
+    of *round-local keys*: ``keys[i, r]`` is node ``i``'s round-``r``
+    code minus the round's offset ``w·r``, in ``[0, w)``.  Two nodes
+    share a code in round ``r`` exactly when their round-``r`` keys are
+    equal, which makes ``C_A ∩ C_B`` an ``m``-wide equality test.  The
+    keys are held read-only in the narrowest unsigned dtype that holds
+    ``w - 1`` (``uint8`` for the paper's ``w = 50``).
 
     Parameters
     ----------
     codes:
-        ``codes[i, r]`` is node ``i``'s round-``r`` pool index.  Stored
-        as a read-only ``int64`` copy.
+        ``codes[i, r]`` is node ``i``'s round-``r`` pool index, an
+        integer matrix (a bool, float or other non-integer entry is a
+        :class:`ConfigurationError`, as is a code outside its round's
+        block).
     pool_size:
         Total number of pool codes ``s = w * m`` used by the assignment.
 
-    The list views :attr:`node_codes` and :attr:`code_holders` are built
-    on first read and cached.
+    The pool-index matrix :attr:`codes` and the list views
+    :attr:`node_codes` and :attr:`code_holders` are built on first read
+    and cached.
     """
 
     def __init__(self, codes: Sequence[Sequence[int]], pool_size: int) -> None:
-        try:
-            matrix = np.array(codes, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"codes must be an (n, m) integer matrix: {exc}"
-            ) from None
+        matrix = check_integer_array("codes", codes)
         if matrix.ndim != 2:
             raise ConfigurationError(
                 f"codes must be an (n, m) matrix, got shape {matrix.shape}"
             )
+        matrix = matrix.astype(np.int64, copy=False)
         n_rounds = matrix.shape[1]
-        if n_rounds == 0 or pool_size % n_rounds:
-            raise ConfigurationError(
-                f"pool_size {pool_size} is not a multiple of "
-                f"m={n_rounds} codes per node"
-            )
-        w = pool_size // n_rounds
-        low = w * np.arange(n_rounds, dtype=np.int64)
-        outside = (matrix < low) | (matrix >= low + w)
+        w = _subsets_per_round(pool_size, n_rounds)
+        local = matrix - w * np.arange(n_rounds, dtype=np.int64)
+        outside = (local < 0) | (local >= w)
         if outside.any():
             node, round_index = np.argwhere(outside)[0].tolist()
             raise ConfigurationError(
@@ -72,19 +68,64 @@ class CodeAssignment:
                 f"{int(matrix[node, round_index])} lies outside "
                 f"[{w * round_index}, {w * (round_index + 1)})"
             )
-        matrix.setflags(write=False)
-        self.codes = matrix
+        self._hold(local.astype(_key_dtype(w)), pool_size)
+
+    @classmethod
+    def _from_keys(
+        cls, keys: np.ndarray, pool_size: int
+    ) -> "CodeAssignment":
+        """The assignment whose round-local keys are ``keys``, an
+        ``(n, m)`` array in the narrowest unsigned dtype holding
+        ``w - 1``, held as given (not copied).
+
+        Another dtype or shape, or a key of ``w`` or more, is a
+        :class:`ConfigurationError`.
+        """
+        if not isinstance(keys, np.ndarray) or keys.ndim != 2:
+            raise ConfigurationError("keys must be an (n, m) array")
+        w = _subsets_per_round(pool_size, keys.shape[1])
+        if keys.dtype != _key_dtype(w):
+            raise ConfigurationError(
+                f"keys for w={w} must be {_key_dtype(w)}, got {keys.dtype}"
+            )
+        if keys.size and int(keys.max()) >= w:
+            raise ConfigurationError(
+                f"round-local key {int(keys.max())} is not below w={w}"
+            )
+        assignment = cls.__new__(cls)
+        assignment._hold(keys, pool_size)
+        return assignment
+
+    def _hold(self, keys: np.ndarray, pool_size: int) -> None:
+        keys.setflags(write=False)
+        #: ``(n, m)`` round-local keys, read-only (see the class doc).
+        self.keys = keys
         self.pool_size = int(pool_size)
 
     @property
     def n_nodes(self) -> int:
         """Number of (real) nodes covered by the assignment."""
-        return int(self.codes.shape[0])
+        return int(self.keys.shape[0])
 
     @property
     def codes_per_node(self) -> int:
         """The paper's ``m``."""
-        return int(self.codes.shape[1])
+        return int(self.keys.shape[1])
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """``w·r`` for each round ``r``: ``codes = keys + offsets``."""
+        m = self.codes_per_node
+        return (self.pool_size // m) * np.arange(m, dtype=np.int64)
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """``codes[i, r]`` is node ``i``'s round-``r`` pool index: a
+        read-only ``(n, m)`` ``int64`` matrix."""
+        codes = np.empty(self.keys.shape, dtype=np.int64)
+        np.add(self.keys, self.offsets, out=codes)
+        codes.setflags(write=False)
+        return codes
 
     @cached_property
     def node_codes(self) -> List[List[int]]:
@@ -124,15 +165,52 @@ class CodeAssignment:
         any late-join increments)."""
         return int(np.bincount(self.codes.ravel(), minlength=1).max())
 
-    def compromised_codes(self, compromised_nodes: Sequence[int]) -> Set[int]:
-        """Union of pool indices held by the given nodes."""
-        nodes = np.asarray(compromised_nodes, dtype=np.int64).ravel()
-        bad = nodes[(nodes < 0) | (nodes >= self.n_nodes)]
+    def node_indices(self, nodes: Sequence[int]) -> np.ndarray:
+        """``nodes`` as an ``int64`` array of node indices.
+
+        A non-integer entry (bool and float included) or an index
+        outside ``[0, n)`` is a :class:`ConfigurationError`; an integer
+        array is checked by its dtype, without a per-entry pass.
+        """
+        array = check_integer_array("node indices", nodes)
+        array = array.astype(np.int64, copy=False).ravel()
+        bad = array[(array < 0) | (array >= self.n_nodes)]
         if bad.size:
             raise ConfigurationError(
                 f"node index {int(bad[0])} out of range [0, {self.n_nodes})"
             )
-        return set(np.unique(self.codes[nodes]).tolist())
+        return array
+
+    def compromised_code_array(
+        self, compromised_nodes: Sequence[int]
+    ) -> np.ndarray:
+        """Ascending pool indices held by the given nodes, as a
+        duplicate-free ``int64`` array."""
+        nodes = self.node_indices(compromised_nodes)
+        held = np.zeros(self.pool_size, dtype=bool)
+        held[np.take(self.keys, nodes, axis=0) + self.offsets] = True
+        return np.flatnonzero(held)
+
+    def compromised_codes(self, compromised_nodes: Sequence[int]) -> Set[int]:
+        """Union of pool indices held by the given nodes."""
+        return set(self.compromised_code_array(compromised_nodes).tolist())
+
+
+def _subsets_per_round(pool_size: int, n_rounds: int) -> int:
+    """``w = s / m``, or :class:`ConfigurationError` when ``m`` does not
+    divide the pool."""
+    if n_rounds == 0 or pool_size % n_rounds:
+        raise ConfigurationError(
+            f"pool_size {pool_size} is not a multiple of "
+            f"m={n_rounds} codes per node"
+        )
+    return pool_size // n_rounds
+
+
+def _key_dtype(w: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds a round-local key
+    ``[0, w)``."""
+    return np.min_scalar_type(max(w - 1, 0))
 
 
 class PreDistributor:
@@ -242,19 +320,20 @@ class PreDistributor:
         return CodeAssignment(node_codes, pool_size=self.pool_size)
 
     def _assign_vectorized(self, rng: np.random.Generator) -> CodeAssignment:
-        """Inverse-permutation form of :meth:`_assign_reference`: a node
-        lands in subset ``position // l``, so one scatter per round
-        yields every node's code."""
+        """Inverse-permutation form of :meth:`_assign_reference`: the
+        node at position ``j`` of round ``r``'s permutation lands in
+        subset ``j // l``, so one scatter of the slots' subsets per
+        round yields every node's round-local key.  Rounds are rows of
+        a round-major buffer over every slot, virtual ones included."""
         total = self._n + self._n_virtual
-        codes = np.empty((self._n, self._m), dtype=np.int64)
-        position_of = np.empty(total, dtype=np.int64)
-        slots = np.arange(total, dtype=np.int64)
+        dtype = _key_dtype(self._w)
+        subset = (np.arange(total) // self._l).astype(dtype)
+        keys = np.empty((self._m, total), dtype=dtype)
         for round_index in range(self._m):
-            position_of[rng.permutation(total)] = slots
-            codes[:, round_index] = (
-                self._w * round_index + position_of[: self._n] // self._l
-            )
-        return CodeAssignment(codes, pool_size=self.pool_size)
+            keys[round_index, rng.permutation(total)] = subset
+        return CodeAssignment._from_keys(
+            np.ascontiguousarray(keys[:, : self._n].T), self.pool_size
+        )
 
     def admit_new_nodes(
         self,

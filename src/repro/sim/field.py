@@ -184,10 +184,11 @@ class RectangularField:
         exactly once.  Forward cells are found by ``searchsorted`` over
         the occupied cell keys only, so memory is O(n) however many
         empty cells the field holds.  A squared-distance screen with
-        1e-9 slack drops far candidates; survivors are confirmed with
-        ``np.hypot``, the correctly-rounded double the reference's
-        ``math.hypot`` computes, so the boundary decision is
-        bit-identical.  The rows are sorted on the key
+        1e-9 slack drops far candidates, and those within 1e-9 of the
+        range (relative, on the square) are confirmed with ``np.hypot``,
+        the correctly-rounded double the reference's ``math.hypot``
+        computes, so the boundary decision is bit-identical; the rest
+        lie strictly inside the range.  The rows are sorted on the key
         ``low << 32 | high``, i.e. by ``(low, high)``.
         """
         n = len(pos)
@@ -240,14 +241,22 @@ class RectangularField:
         z = np.empty(n, dtype=np.complex128)
         z.real = pos[order, 0]
         z.imag = pos[order, 1]
-        d = z[left] - z[right]
+        d = np.take(z, left)
+        d -= np.take(z, right)
         dx, dy = d.real, d.imag
-        near = np.flatnonzero(
-            dx * dx + dy * dy <= radius * radius * (1.0 + 1e-9)
-        )
-        near = near[np.hypot(dx[near], dy[near]) <= radius]
-        first = order[left[near]]
-        second = order[right[near]]
+        square = dx * dx
+        square += dy * dy
+        near = np.flatnonzero(square <= radius * radius * (1.0 + 1e-9))
+        # Only a candidate inside the +-1e-9 band can fall on either
+        # side of the range; below it every one is in range.
+        square = np.take(square, near)
+        edge = np.flatnonzero(square > radius * radius * (1.0 - 1e-9))
+        if edge.size:
+            band = np.take(d, np.take(near, edge))
+            far = edge[np.hypot(band.real, band.imag) > radius]
+            near = np.delete(near, far)
+        first = np.take(order, np.take(left, near))
+        second = np.take(order, np.take(right, near))
         pair_key = np.sort(
             (np.minimum(first, second) << 32) | np.maximum(first, second)
         )

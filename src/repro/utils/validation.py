@@ -6,7 +6,9 @@ format, keeping the validation noise in constructors short and consistent.
 
 from __future__ import annotations
 
-from typing import Any, Tuple, Type, Union
+from typing import Any, Iterable, Tuple, Type, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -16,6 +18,7 @@ __all__ = [
     "check_fraction",
     "check_in_range",
     "check_type",
+    "check_integer_array",
 ]
 
 Number = Union[int, float]
@@ -66,3 +69,38 @@ def check_type(
             f"{name} must be {expected}, got {type(value).__name__}"
         )
     return value
+
+
+def check_integer_array(name: str, values: Iterable[Any]) -> np.ndarray:
+    """Require integer entries; return them as an integer array.
+
+    An array is checked by its dtype (an empty one of any dtype passes
+    as ``int64``), without a pass over its entries.  Other input is
+    checked entry by entry, since numpy would read a ``True`` among
+    integers as ``1`` and truncate nothing it cannot see: a bool,
+    float or any other non-integer entry, or an integer beyond
+    ``int64``, raises.  Nested sequences give a nested array.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":
+            return values
+        if not values.size:
+            return values.astype(np.int64)
+        raise ConfigurationError(
+            f"{name} must be integers, got {values.dtype}"
+        )
+    try:
+        entries = np.array(list(values), dtype=object)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be integers: {exc}") from None
+    for value in entries.flat:
+        if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, np.integer)
+        ):
+            raise ConfigurationError(
+                f"{name} must be integers, got {value!r}"
+            )
+    try:
+        return entries.astype(np.int64)
+    except OverflowError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from None

@@ -127,3 +127,21 @@ class TestMediumJammer:
             delivered += len(got)
         # beta = 16/100, so ~84% should get through.
         assert delivered / 200 == pytest.approx(0.84, abs=0.08)
+
+
+class TestCompromisedCodeInput:
+    @pytest.mark.parametrize(
+        "codes", [[1.5], [True], np.array([1.0, 2.0]), ["3"]]
+    )
+    def test_non_integer_codes_rejected(self, codes):
+        with pytest.raises(ConfigurationError):
+            JammingModel(JammerStrategy.REACTIVE, codes, 8, 1.0)
+
+    @pytest.mark.parametrize(
+        "codes",
+        [[7, 3, 3], frozenset({3, 7}), np.array([7, 3, 7]), np.array([3, 7])],
+    )
+    def test_duplicates_count_once(self, codes):
+        model = JammingModel(JammerStrategy.RANDOM, codes, 8, 1.0)
+        assert model.n_compromised == 2
+        assert model.knows(3) and model.knows(7) and not model.knows(4)

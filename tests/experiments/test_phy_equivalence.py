@@ -270,3 +270,71 @@ class TestRunnerLevel:
         metrics = result.merged_metrics()
         counters = dict(metrics.counters)
         assert counters.get(_names.PHY_PAIRS_SWEPT, 0) > 0
+
+
+class TestProbabilityTable:
+    """The sweep reads each pair's success probability from a table
+    built once per run; it equals the per-pair closed form bit for
+    bit, so every outcome equals a sweep that computes it pair by
+    pair."""
+
+    @pytest.mark.parametrize(
+        "strategy, noise_std",
+        [
+            (JammerStrategy.RANDOM, 0.0),
+            (JammerStrategy.REACTIVE, 2.0),
+            (JammerStrategy.RANDOM, 1.0),
+        ],
+    )
+    def test_sweep_equals_the_per_pair_form(self, strategy, noise_std):
+        from repro.dsss.phy import ChiplessModel
+        from repro.experiments.runner import FieldSnapshot
+        from repro.experiments.scenarios import preset_config
+
+        config = preset_config("paper-chipless").replace(
+            n_compromised=60, phy_noise_std=noise_std
+        )
+        experiment = NetworkExperiment(config, seed=17, strategy=strategy)
+        for run_index in range(2):
+            snapshot = FieldSnapshot(experiment.snapshot_key(run_index))
+            pairs = snapshot.pairs
+            assignment, compromised, jamming = experiment._code_state(
+                snapshot
+            )
+            got = experiment._sample_dndp_chipless(
+                pairs, assignment, compromised, jamming,
+                snapshot.seeds.rng("jamming"),
+            )
+            model = ChiplessModel(config, jamming)
+            rng = snapshot.seeds.rng("jamming")
+            want = np.zeros(len(pairs), dtype=bool)
+            fractional = 0
+            for start, stop, safe, comp in experiment._shared_counts(
+                pairs, assignment, compromised
+            ):
+                probability = model.pair_success_probability(safe, comp)
+                fractional += int(
+                    ((probability > 0) & (probability < 1)).sum()
+                )
+                want[start:stop] = rng.random(stop - start) < probability
+            assert fractional > 0
+            assert np.array_equal(got, want)
+
+    def test_table_entries_equal_the_closed_form(self):
+        from repro.dsss.phy import ChiplessModel
+
+        config = JRSNDConfig(phy_backend="chipless", phy_noise_std=1.0)
+        jamming = JammingModel(JammerStrategy.RANDOM, range(900), 8, 1.0)
+        model = ChiplessModel(config, jamming)
+        m = config.codes_per_node
+        counts = np.arange(m + 1)
+        table = model.pair_success_probability(
+            counts[:, None], counts[None, :]
+        ).ravel()
+        rng = np.random.default_rng(4)
+        safe = rng.integers(0, m + 1, 50_000)
+        comp = rng.integers(0, m + 1 - safe)
+        assert np.array_equal(
+            np.take(table, safe * (m + 1) + comp),
+            model.pair_success_probability(safe, comp),
+        )

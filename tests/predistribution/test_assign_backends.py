@@ -137,3 +137,120 @@ class TestCodeAssignment:
         assignment = CodeAssignment([[0, 2]], pool_size=4)
         with pytest.raises(ValueError):
             assignment.codes[0, 0] = 1
+
+
+class TestRoundLocalKeys:
+    """The assignment holds round-local keys; every view derived from
+    them equals the per-subset reference's."""
+
+    @pytest.mark.parametrize(
+        "n,m,l",
+        [
+            (57, 6, 10),    # n % l != 0: three virtual slots per round
+            (600, 4, 2),    # w = 300 > 255: uint16 keys
+            (601, 3, 2),    # both: w = 301 and one virtual slot
+            (40, 5, 40),    # w = 1: every key is 0
+        ],
+    )
+    def test_views_equal_the_reference(self, n, m, l):
+        distributor = PreDistributor(n, m, l)
+        w = distributor.subsets_per_round
+        for seed in (0, 5):
+            want = distributor.assign(
+                np.random.default_rng(seed), backend="reference"
+            )
+            got = distributor.assign(
+                np.random.default_rng(seed), backend="vectorized"
+            )
+            assert got.keys.dtype == np.min_scalar_type(w - 1)
+            assert got.keys.shape == (n, m)
+            assert not got.keys.flags.writeable
+            assert np.array_equal(got.keys, want.keys)
+            assert np.array_equal(
+                got.codes, got.keys + w * np.arange(m)
+            )
+            assert got.codes.dtype == np.int64
+            assert not got.codes.flags.writeable
+            assert np.array_equal(got.codes, want.codes)
+            assert got.node_codes == want.node_codes
+            assert list(got.code_holders.items()) == list(
+                want.code_holders.items()
+            )
+            for a, b in ((0, 1), (2, n - 1), (n - 1, 3)):
+                assert got.shared_codes(a, b) == want.shared_codes(a, b)
+            assert got.max_share_count() == want.max_share_count()
+            rng_a = np.random.default_rng(seed + 1)
+            rng_b = np.random.default_rng(seed + 1)
+            joined_want, new_want = distributor.admit_new_nodes(
+                want, l + 3, rng_a
+            )
+            joined_got, new_got = distributor.admit_new_nodes(
+                got, l + 3, rng_b
+            )
+            assert new_got == new_want
+            assert np.array_equal(joined_got.keys, joined_want.keys)
+            assert joined_got.node_codes == joined_want.node_codes
+
+    def test_wide_keys_need_uint16(self):
+        assignment = PreDistributor(600, 4, 2).assign(
+            np.random.default_rng(2)
+        )
+        assert assignment.keys.dtype == np.uint16
+        assert int(assignment.keys.max()) == 299
+
+    def test_keys_from_the_constructor(self):
+        # w = 3: round 1's codes [3, 6) become keys [0, 3).
+        assignment = CodeAssignment([[0, 3], [2, 5]], pool_size=6)
+        assert assignment.keys.dtype == np.uint8
+        assert assignment.keys.tolist() == [[0, 0], [2, 2]]
+        assert assignment.offsets.tolist() == [0, 3]
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([[0, 1]], dtype=np.int64),   # not the key dtype
+            np.array([[0, 3]], dtype=np.uint8),   # key >= w
+            np.array([0, 1], dtype=np.uint8),     # not a matrix
+        ],
+    )
+    def test_assignment_path_checks_its_keys(self, keys):
+        with pytest.raises(ConfigurationError):
+            CodeAssignment._from_keys(keys, pool_size=6)
+
+
+class TestTypedCodes:
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            [[0.7, 3.2], [1.9, 2.0]],         # floats would truncate
+            [[True, 3], [1, 2]],              # a bool among integers
+            [[0, "3"], [1, 2]],               # text
+            np.array([[0.0, 3.0], [1.0, 2.0]]),
+            np.array([[True, False], [True, True]]),
+            [[0, 2**70], [1, 2]],             # beyond int64
+        ],
+    )
+    def test_non_integer_codes_rejected(self, codes):
+        with pytest.raises(ConfigurationError):
+            CodeAssignment(codes, pool_size=4)
+
+    def test_numpy_integer_entries_accepted(self):
+        assignment = CodeAssignment(
+            [[np.int32(0), np.uint8(3)], [1, np.int64(2)]], pool_size=4
+        )
+        assert assignment.node_codes == [[0, 3], [1, 2]]
+
+    @pytest.mark.parametrize(
+        "nodes", [[1.7], [True], np.array([1.0]), np.array([True]), ["1"]]
+    )
+    def test_non_integer_nodes_rejected(self, nodes):
+        assignment = CodeAssignment([[0, 2], [1, 3]], pool_size=4)
+        with pytest.raises(ConfigurationError):
+            assignment.compromised_codes(nodes)
+
+    def test_integer_nodes_accepted(self):
+        assignment = CodeAssignment([[0, 2], [1, 3]], pool_size=4)
+        assert assignment.compromised_codes(np.array([1], np.uint8)) == {
+            1, 3
+        }
+        assert assignment.compromised_codes([]) == set()

@@ -48,6 +48,27 @@ class TestNeighborPairBackends:
         found = got.tolist()
         assert [0, 1] in found and [0, 2] in found and [0, 3] not in found
 
+    @pytest.mark.parametrize("tx_range", [300.0, 7.5, 0.3])
+    def test_points_around_the_range_agree(self, tx_range):
+        # Only candidates within 1e-9 of the range (on the squared
+        # distance) are confirmed with hypot: points at r and r(1 +-
+        # 1e-12) fall in that band, r(1 +- 2e-9) just outside it.
+        field = RectangularField(10 * tx_range, 10 * tx_range, tx_range)
+        center = np.array([5 * tx_range, 5 * tx_range])
+        factors = (1.0, 1 - 1e-12, 1 + 1e-12, 1 - 2e-9, 1 + 2e-9)
+        angles = np.linspace(0.0, 2 * np.pi, 13)[:-1]
+        positions = [center]
+        for factor in factors:
+            for angle in angles:
+                offset = np.array([np.cos(angle), np.sin(angle)])
+                positions.append(center + tx_range * factor * offset)
+        pairs = _assert_backends_agree(field, np.array(positions))
+        with_center = {b for a, b in pairs.tolist() if a == 0}
+        inside = range(1 + 3 * angles.size, 1 + 4 * angles.size)
+        outside = range(1 + 4 * angles.size, 1 + 5 * angles.size)
+        assert set(inside) <= with_center
+        assert not set(outside) & with_center
+
     def test_returns_sorted_int64_array(self):
         field = RectangularField(10.0, 10.0, 20.0)
         positions = [(2.0, 2.0), (0.0, 0.0), (1.0, 1.0), (3.0, 0.5)]
