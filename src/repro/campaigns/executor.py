@@ -49,31 +49,17 @@ runs each job when it is waited on.  Because a shard's results are a
 pure function of ``(spec, shard)``, the store bytes are unaffected by
 the worker count or the grouping.
 
-A SIGKILL anywhere in steps 3-4 loses at most the committing job plus
-the ``w`` in-flight jobs behind it; committed shards are the only
-durable state, they always form a prefix of the pending shards in
-order, and the next ``resume`` re-executes exactly the lost ones, so
-the final store is bit-identical to an uninterrupted run's.
-
-Self-healing (the supervision layer):
-
-- Worker deaths inside a shard are absorbed by the pool supervisor
-  (respawn + seed-pure retry, see
-  :class:`~repro.experiments.pool.SupervisionPolicy`); the executor
-  never sees them.
-- A run that exhausts its retry budget comes back as a **quarantined**
-  failure: the executor persists one failure record per poisoned run,
-  leaves the shard uncommitted, and moves on (a run index quarantined
-  inside a job fails in every shard of the job).  Plain resume
-  skips quarantined shards; ``retry_quarantined=True`` clears the
-  records and re-executes them.
-- Supervision itself giving up (respawn budget exhausted, spawn
-  failure) triggers **graceful degradation** instead of an exception:
-  the multiprocess pool is swapped for an in-process one and every
-  uncommitted in-flight job re-runs on it in shard order, announced
-  loudly on the progress sink and recorded as one infrastructure
-  event.  Both rungs produce bit-identical results, so degradation
-  changes throughput, never bytes.
+**Failure and resume.**  Resume is the only recovery.  A SIGKILL
+anywhere in steps 3-4 loses at most the committing job plus the ``w``
+in-flight jobs behind it; committed shards are the only durable state,
+they always form a prefix of the pending shards in order, and the next
+``resume`` re-executes exactly the lost ones, so the final store is
+bit-identical to an uninterrupted run's.  A pool worker that dies
+(OOM kill, crash) breaks the pool: the executor closes it and lets the
+:class:`~repro.errors.WorkerPoolError`, which names the run indices
+the worker held, propagate with every committed shard kept, and
+``resume`` finishes the store.  A run that raises fails its shard with
+:class:`~repro.errors.ParallelExecutionError`, the same way.
 """
 
 from __future__ import annotations
@@ -83,27 +69,19 @@ import os
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.campaigns.spec import CampaignSpec, Shard
 from repro.campaigns.store import (
-    INFRASTRUCTURE_KIND,
-    QUARANTINE_KIND,
     CampaignStore,
     ShardRows,
     current_git_revision,
 )
-from repro.errors import (
-    ConfigurationError,
-    ParallelExecutionError,
-    WorkerPoolError,
-    is_quarantined_failure,
-)
+from repro.errors import ConfigurationError
 from repro.experiments.pool import (
     PendingRun,
-    SupervisionPolicy,
     WorkerPool,
     available_cpu_count,
     collect_outcomes,
@@ -130,17 +108,23 @@ class CampaignStatus:
     runs_executed: int
     complete: bool
     canonical_digest: str
-    #: Quarantine records present in the store when this invocation
-    #: returned (store-wide for this key, not just this invocation).
-    runs_quarantined: int = 0
-    shards_quarantined: int = 0
-    #: Engine-degradation messages emitted by this invocation.
-    degraded: Tuple[str, ...] = field(default=())
 
     @property
     def was_noop(self) -> bool:
         """True when every shard was already in the store."""
         return self.shards_executed == 0 and self.complete
+
+    @property
+    def runs_quarantined(self) -> int:
+        """Always 0: no run is set aside.  Kept only until Benchmark v2
+        drops the read of it in ``perfbench/workloads.py``."""
+        return 0
+
+    @property
+    def degraded(self) -> Tuple[str, ...]:
+        """Always empty: a campaign runs on one engine.  Kept only until
+        Benchmark v2 drops the read of it in ``perfbench/workloads.py``."""
+        return ()
 
 
 def _self_sigkill() -> None:
@@ -250,9 +234,6 @@ def run_campaign(
     kill_after_shards: Optional[int] = None,
     git_revision: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
-    retry_quarantined: bool = False,
-    supervision: Optional[SupervisionPolicy] = None,
-    execution_faults: Any = None,
 ) -> CampaignStatus:
     """Launch or resume ``spec`` against the store at ``store_path``.
 
@@ -265,7 +246,10 @@ def run_campaign(
     Re-invoking on a finished campaign is a no-op that leaves the
     store untouched.  A store that fails verification on open raises
     ``ConfigurationError`` before anything runs, and is left as it
-    was (see :class:`~repro.campaigns.store.CampaignStore`).
+    was (see :class:`~repro.campaigns.store.CampaignStore`).  A pool
+    worker that dies raises :class:`~repro.errors.WorkerPoolError`
+    once the pool is closed; every shard committed before it stays
+    committed, and resuming finishes the campaign.
 
     Parameters
     ----------
@@ -289,19 +273,6 @@ def run_campaign(
         Optional line sink for human-readable progress.  A sink that
         raises ``BrokenPipeError`` gets no further lines; the campaign
         still runs to the end and commits.
-    retry_quarantined:
-        Clear this campaign's quarantine records and re-execute their
-        shards.  Plain resume (the default) skips quarantined shards —
-        a run that repeatedly killed its worker will do so again
-        unless something changed.
-    supervision:
-        Pool supervision policy override.  Defaults to a policy built
-        from the spec's ``max_run_retries``, so retry budgets are part
-        of the campaign's declarative description.
-    execution_faults:
-        Test-only chaos hook forwarded to the worker boundary (see
-        :mod:`repro.faults.execution`); the in-process mode ignores it
-        (there is no worker process to kill).
     """
     if processes is not None:
         check_positive("processes", processes)
@@ -323,41 +294,12 @@ def run_campaign(
             # remaining lines and finish the campaign.
             sink = None
     registry = current()
-    policy = supervision or SupervisionPolicy(
-        max_run_retries=spec.max_run_retries
-    )
     workers = processes or available_cpu_count()
 
     executed = 0
     runs_executed = 0
-    degradations: List[str] = []
     with CampaignStore(store_path) as store:
         store.register_campaign(spec, revision)
-
-        def _open_pool(worker_count: int) -> WorkerPool:
-            return WorkerPool(
-                processes=worker_count,
-                policy=policy,
-                execution_faults=execution_faults,
-            )
-
-        def _degrade(shard_index: int, error: BaseException) -> WorkerPool:
-            """Announce + persist the one engine degradation and
-            return the in-process pool that replaces the failed one."""
-            registry.inc(_names.POOL_DEGRADED)
-            message = (
-                f"supervision gave up on engine 'pool' at shard "
-                f"{shard_index} ({error}); degrading to 'in-process'"
-            )
-            emit("!! " + message)
-            # Run index -1 marks an engine event, not a run.
-            store.record_failure(
-                spec.name, spec_hash, revision, shard_index, -1,
-                INFRASTRUCTURE_KIND, 0, message,
-            )
-            degradations.append(message)
-            return _open_pool(0)
-
         done = store.completed_shards(spec.name, spec_hash, revision)
         # 'complete' is only ever written by the canonical export, so
         # it also certifies the file is already in canonical form.
@@ -373,48 +315,20 @@ def run_campaign(
                 f"resuming: {skipped}/{len(shards)} shards already "
                 f"in store"
             )
-        quarantined_shards = store.quarantined_shards(
-            spec.name, spec_hash, revision
-        )
-        if quarantined_shards and retry_quarantined:
-            cleared = store.clear_failures(
-                spec.name, spec_hash, revision, kind=QUARANTINE_KIND
-            )
-            emit(
-                f"retry-quarantined: cleared {cleared} quarantine "
-                f"record(s); re-executing "
-                f"{len(quarantined_shards)} shard(s)"
-            )
-            quarantined_shards = frozenset()
-        elif quarantined_shards:
-            emit(
-                f"skipping {len(quarantined_shards)} quarantined "
-                f"shard(s); resume with --retry-quarantined to "
-                f"re-execute them"
-            )
         pending: List[Shard] = []
         for shard in shards:
             if shard.index in done:
-                continue
-            if shard.index in quarantined_shards:
                 continue
             if max_shards is not None and len(pending) >= max_shards:
                 break
             pending.append(shard)
 
-        # The engine ladder has two rungs, both bit-identical: a
-        # multiprocess pool degrades to the in-process one.
-        try:
-            pool = _open_pool(workers if pending and workers > 1 else 0)
-        except (WorkerPoolError, OSError) as error:
-            pool = _degrade(pending[0].index, error)
-        # Jobs submitted and not yet committed, in shard order.  A
-        # ``None`` handle is a job the broken pool refused; waiting on
-        # it resubmits, which raises and degrades.
-        window: Deque[Tuple[Job, Optional[PendingRun]]] = deque()
+        pool = WorkerPool(workers if pending and workers > 1 else 0)
+        # Jobs submitted and not yet committed, in shard order.
+        window: Deque[Tuple[Job, PendingRun]] = deque()
         upcoming = iter(_jobs(pending, workers))
 
-        def _fill(pool: WorkerPool) -> None:
+        def _fill() -> None:
             """Submit jobs until ``pool.processes`` of them queue
             behind the head of the window (none in-process, where a
             job runs only when it is waited on)."""
@@ -422,44 +336,7 @@ def run_campaign(
                 job = next(upcoming, None)
                 if job is None:
                     return
-                try:
-                    handle: Optional[PendingRun] = _submit_job(
-                        pool, spec, job
-                    )
-                except WorkerPoolError:
-                    handle = None
-                window.append((job, handle))
-
-        def _quarantine(shard: Shard, error: ParallelExecutionError) -> None:
-            """Record ``shard``'s quarantined runs; re-raise ``error``
-            if any of its failures is not a quarantine."""
-            quarantined = [
-                (index, tb)
-                for index, tb in error.failures
-                if is_quarantined_failure(tb)
-            ]
-            if len(quarantined) != len(error.failures):
-                # Genuine run failures (bad config, bug in a
-                # component) are not supervision's domain: surface
-                # them unchanged.
-                raise error
-            for run_index, tb in quarantined:
-                store.record_failure(
-                    spec.name, spec_hash, revision,
-                    shard.index, run_index, QUARANTINE_KIND,
-                    policy.max_run_retries + 1, tb,
-                )
-            registry.inc(_names.CAMPAIGNS_SHARDS_QUARANTINED)
-            registry.inc(
-                _names.CAMPAIGNS_RUNS_QUARANTINED, len(quarantined)
-            )
-            emit(
-                f"!! shard {shard.index + 1}/{len(shards)}: "
-                f"{len(quarantined)} run(s) quarantined "
-                f"(worker killed on every attempt); "
-                f"shard left uncommitted — resume with "
-                f"--retry-quarantined to re-execute"
-            )
+                window.append((job, _submit_job(pool, spec, job)))
 
         try:
             elapsed_total = 0.0
@@ -468,52 +345,23 @@ def run_campaign(
                 # that finishes a later job first takes the next one
                 # instead of idling while the loop still waits on the
                 # head, and the head's commit overlaps their compute.
-                _fill(pool)
+                _fill()
                 if not window:
                     break
-                job, handle = window[0]
+                job, handle = window.popleft()
                 started = time.perf_counter()
-                while True:
-                    try:
-                        outcomes = (
-                            handle or _submit_job(pool, spec, job)
-                        ).wait()
-                        break
-                    except (WorkerPoolError, OSError) as error:
-                        # Supervision itself gave up: swap in the
-                        # in-process pool and re-run every uncommitted
-                        # job in order (identical bits on either rung).
-                        if not pool.processes:
-                            raise
-                        registry.inc(
-                            _names.CAMPAIGNS_SHARDS_RETRIED,
-                            sum(len(queued) for queued, _ in window),
-                        )
-                        pool.close()
-                        pool = _degrade(job[0].index, error)
-                        for position, (queued, _) in enumerate(list(window)):
-                            window[position] = (
-                                queued, _submit_job(pool, spec, queued)
-                            )
-                        handle = window[0][1]
-                window.popleft()
+                outcomes = handle.wait()
                 finished: List[ShardRows] = []
                 for shard, shard_outcomes in sorted(
                     zip(job, outcomes), key=lambda pair: pair[0].index
                 ):
-                    try:
-                        result = collect_outcomes(shard_outcomes)
-                    except ParallelExecutionError as error:
-                        _quarantine(shard, error)
-                        continue
+                    result = collect_outcomes(shard_outcomes)
                     finished.append((
                         shard,
                         result.runs,
                         result.merged_metrics()
                         if spec.collect_metrics else None,
                     ))
-                if not finished:
-                    continue
                 # One transaction for the whole job.
                 store.write_shard(
                     spec, revision, *finished[0], more=finished[1:]
@@ -556,14 +404,7 @@ def run_campaign(
             pool.close()
         done = store.completed_shards(spec.name, spec_hash, revision)
         complete = len(done) == len(shards)
-        quarantine_records = store.failure_records(
-            spec.name, spec_hash, revision, kind=QUARANTINE_KIND
-        )
 
-    runs_quarantined = len(quarantine_records)
-    shards_quarantined = len(
-        {record["shard_index"] for record in quarantine_records}
-    )
     if complete and not already_complete:
         _canonicalize(
             store_path, (spec.name, spec_hash, revision)
@@ -579,14 +420,9 @@ def run_campaign(
             emit("campaign already complete; store untouched")
         else:
             remaining = len(shards) - len(done)
-            note = (
-                f" ({shards_quarantined} of them quarantined)"
-                if shards_quarantined else ""
-            )
             emit(
-                f"stopped with {remaining} shards "
-                f"remaining{note}; resume with the same spec to "
-                f"continue"
+                f"stopped with {remaining} shards remaining; resume "
+                f"with the same spec to continue"
             )
 
     return CampaignStatus(
@@ -599,9 +435,6 @@ def run_campaign(
         runs_executed=runs_executed,
         complete=complete,
         canonical_digest=digest,
-        runs_quarantined=runs_quarantined,
-        shards_quarantined=shards_quarantined,
-        degraded=tuple(degradations),
     )
 
 

@@ -72,6 +72,11 @@ REMOVED_FIELDS: Dict[str, str] = {
         "runs are seed-pure, so a run that hangs hangs again on retry; "
         "there is no per-run soft timeout"
     ),
+    "max_run_retries": (
+        "a worker death fails the launch and resume re-runs the lost "
+        "shards; runs are seed-pure, so a retry inside the pool gives "
+        "nothing resume does not"
+    ),
 }
 
 
@@ -175,10 +180,6 @@ class CampaignSpec:
         Optional PHY override forwarded to the experiment; ``None``
         (default) keeps the base preset's ``config.phy_backend`` (so a
         ``*-chipless`` base is not silently overridden).
-    max_run_retries:
-        Times the pool supervisor retries a run whose worker died
-        before quarantining it as a tagged failure (see
-        :class:`~repro.experiments.pool.SupervisionPolicy`).
     """
 
     name: str
@@ -194,7 +195,6 @@ class CampaignSpec:
     collect_metrics: bool = True
     sample_latency: bool = False
     phy_backend: Optional[str] = None
-    max_run_retries: int = 2
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("-", "").replace(
@@ -207,11 +207,6 @@ class CampaignSpec:
         if self.runs_per_shard is not None:
             check_positive("runs_per_shard", self.runs_per_shard)
         check_positive("mndp_rounds", self.mndp_rounds)
-        if self.max_run_retries < 0:
-            raise ConfigurationError(
-                f"max_run_retries must be >= 0, "
-                f"got {self.max_run_retries}"
-            )
         for axis, values in self.grid.items():
             if axis not in GRID_AXES:
                 raise ConfigurationError(
@@ -290,7 +285,6 @@ class CampaignSpec:
             "collect_metrics": self.collect_metrics,
             "sample_latency": self.sample_latency,
             "phy_backend": self.phy_backend,
-            "max_run_retries": self.max_run_retries,
             "sampling": SAMPLING,
         }
 
@@ -315,7 +309,7 @@ class CampaignSpec:
             "name", "seed", "runs_per_point", "grid", "base",
             "strategy", "link_model", "runs_per_shard", "mndp_rounds",
             "compute_backend", "collect_metrics", "sample_latency",
-            "phy_backend", "max_run_retries", "sampling",
+            "phy_backend", "sampling",
         }
         removed = sorted(REMOVED_FIELDS.keys() & data.keys())
         if removed:
@@ -375,7 +369,6 @@ class CampaignSpec:
             collect_metrics=get("collect_metrics", bool, True),
             sample_latency=get("sample_latency", bool, False),
             phy_backend=optional("phy_backend", str),
-            max_run_retries=get("max_run_retries", int, 2),
         )
 
     @classmethod

@@ -23,13 +23,8 @@ Two properties carry the resume guarantees:
   byte-deterministic, so a resumed campaign's final store is
   *bit-identical* to an uninterrupted run's.
 
-Robustness (schema v2):
+Robustness (schema v3):
 
-- a ``failures`` table records **quarantined runs** (runs benched by
-  the pool supervisor after repeatedly killing their worker) and
-  **infrastructure events** (engine degradations), keyed like every
-  other row so resume logic can skip — or, with
-  ``--retry-quarantined``, clear and re-execute — poisoned shards;
 - every open runs ``PRAGMA integrity_check``, a spec-hash check over
   the stored campaign rows and a torn-shard check (one grouped scan of
   the run rows); a store that fails
@@ -38,14 +33,11 @@ Robustness (schema v2):
   finding, and is left as it was.  Nothing is rebuilt from it: runs
   are seed-pure, so re-running the campaign into a fresh store gives
   the same bytes;
-- v1 stores migrate in place (the new table is created and the
-  version stamped, in one transaction, which is also how a new store
-  is bootstrapped); unknown versions are still refused.
-
-Canonical form is unaffected: quarantine rows block completion (their
-shards never commit) and infrastructure events are execution telemetry,
-excluded from the canonical export — so a completed campaign's bytes
-are identical whether or not supervision had to intervene on the way.
+- v1 stores are stamped v3 in place (in one transaction, which is also
+  how a new store is bootstrapped).  A v2 store differs from v3 only
+  by a ``failures`` table of set-aside runs: with that table empty it
+  is read as it is, and with rows in it it is refused, unchanged,
+  since v3 has nowhere to keep them.  Unknown versions are refused.
 """
 
 from __future__ import annotations
@@ -66,11 +58,9 @@ __all__ = [
     "CampaignStore",
     "current_git_revision",
     "STORE_SCHEMA_VERSION",
-    "QUARANTINE_KIND",
-    "INFRASTRUCTURE_KIND",
 ]
 
-STORE_SCHEMA_VERSION = 2
+STORE_SCHEMA_VERSION = 3
 
 #: One finished shard as :meth:`CampaignStore.write_shard` commits it:
 #: the shard, its runs in index order, its merged metrics (or ``None``).
@@ -111,24 +101,10 @@ CREATE TABLE IF NOT EXISTS runs (
     PRIMARY KEY (campaign_id, spec_hash, git_revision, run_index,
                  shard_index)
 );
-CREATE TABLE IF NOT EXISTS failures (
-    campaign_id  TEXT NOT NULL,
-    spec_hash    TEXT NOT NULL,
-    git_revision TEXT NOT NULL,
-    shard_index  INTEGER NOT NULL,
-    run_index    INTEGER NOT NULL,
-    kind         TEXT NOT NULL,
-    attempts     INTEGER NOT NULL,
-    detail       TEXT NOT NULL,
-    PRIMARY KEY (campaign_id, spec_hash, git_revision, shard_index,
-                 run_index, kind)
-);
 """
 
-#: Failure-record kinds (the store is agnostic; these are the two the
-#: executor writes).
-QUARANTINE_KIND = "quarantine"
-INFRASTRUCTURE_KIND = "infrastructure"
+#: The tables of a store, in canonical-export order.
+_TABLES = ("campaigns", "shards", "runs")
 
 
 def _stored_spec(spec_json: str) -> CampaignSpec:
@@ -212,17 +188,30 @@ class CampaignStore:
         # and canonical stores share their on-disk geometry everywhere.
         conn.execute("PRAGMA page_size = 4096")
         (version,) = conn.execute("PRAGMA user_version").fetchone()
-        if version not in (0, 1, STORE_SCHEMA_VERSION):
+        if version not in (0, 1, 2, STORE_SCHEMA_VERSION):
             raise ConfigurationError(
                 f"campaign store {self._path} has schema v{version}, "
                 f"which is not supported (expected "
                 f"v{STORE_SCHEMA_VERSION})"
             )
+        if version == 2:
+            (records,) = conn.execute(
+                "SELECT COUNT(*) FROM failures"
+            ).fetchone()
+            if records:
+                raise ConfigurationError(
+                    f"campaign store {self._path} is a schema v2 store "
+                    f"holding {records} failure record(s), which schema "
+                    f"v{STORE_SCHEMA_VERSION} has no table for; runs "
+                    f"are seed-pure, so re-running the campaign into a "
+                    f"fresh store gives its results"
+                )
+            return
         # ``IF NOT EXISTS`` throughout makes this both the fresh-file
-        # bootstrap and the v1 → v2 migration (v2 only adds the
-        # ``failures`` table; existing rows are untouched), in one
-        # write transaction: the tables and the version stamp land
-        # together, with one journal sync instead of one per statement.
+        # bootstrap and the v1 → v3 stamp (v1 has the same three
+        # tables; existing rows are untouched), in one write
+        # transaction: the tables and the version stamp land together,
+        # with one journal sync instead of one per statement.
         script = _SCHEMA
         if version != STORE_SCHEMA_VERSION:
             script += f"PRAGMA user_version = {STORE_SCHEMA_VERSION};\n"
@@ -239,8 +228,8 @@ class CampaignStore:
         ``spec_hash`` column, plus counting every shard's run rows,
         catches logical damage that leaves the pages well-formed.  An
         unsupported schema *version* is not damage: it raises its own
-        ``ConfigurationError``.  Nothing here writes to a store that
-        is already at the current schema version.
+        ``ConfigurationError``.  Nothing here writes to a v2 or v3
+        store.
         """
         conn = self._conn
         try:
@@ -438,99 +427,6 @@ class CampaignStore:
                 ],
             )
 
-    # -- failure records ------------------------------------------------
-
-    def record_failure(
-        self,
-        campaign_id: str,
-        spec_hash: str,
-        git_revision: str,
-        shard_index: int,
-        run_index: int,
-        kind: str,
-        attempts: int,
-        detail: str,
-    ) -> None:
-        """Upsert one failure record (quarantine or infrastructure).
-
-        ``run_index`` is the quarantined run for ``kind="quarantine"``;
-        infrastructure events use negative indices (``-1``, ``-2``,
-        ...) — they describe the engine, not a run — so several events
-        at one shard coexist under the primary key.
-        """
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO failures "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id, spec_hash, git_revision,
-                    int(shard_index), int(run_index), kind,
-                    int(attempts), detail,
-                ),
-            )
-
-    def failure_records(
-        self,
-        campaign_id: str,
-        spec_hash: str,
-        git_revision: str,
-        kind: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
-        """Failure records for this key, ordered deterministically."""
-        query = (
-            "SELECT shard_index, run_index, kind, attempts, detail "
-            "FROM failures WHERE campaign_id = ? AND spec_hash = ? "
-            "AND git_revision = ?"
-        )
-        params: List[Any] = [campaign_id, spec_hash, git_revision]
-        if kind is not None:
-            query += " AND kind = ?"
-            params.append(kind)
-        query += " ORDER BY shard_index, run_index, kind"
-        return [
-            {
-                "shard_index": shard_index,
-                "run_index": run_index,
-                "kind": row_kind,
-                "attempts": attempts,
-                "detail": detail,
-            }
-            for shard_index, run_index, row_kind, attempts, detail
-            in self._conn.execute(query, params)
-        ]
-
-    def quarantined_shards(
-        self, campaign_id: str, spec_hash: str, git_revision: str
-    ) -> frozenset:
-        """Indices of shards holding at least one quarantined run."""
-        rows = self._conn.execute(
-            "SELECT DISTINCT shard_index FROM failures "
-            "WHERE campaign_id = ? AND spec_hash = ? "
-            "AND git_revision = ? AND kind = ?",
-            (campaign_id, spec_hash, git_revision, QUARANTINE_KIND),
-        ).fetchall()
-        return frozenset(index for (index,) in rows)
-
-    def clear_failures(
-        self,
-        campaign_id: str,
-        spec_hash: str,
-        git_revision: str,
-        kind: Optional[str] = None,
-    ) -> int:
-        """Delete failure records for this key; returns rows removed."""
-        query = (
-            "DELETE FROM failures WHERE campaign_id = ? "
-            "AND spec_hash = ? AND git_revision = ?"
-        )
-        params: List[Any] = [campaign_id, spec_hash, git_revision]
-        if kind is not None:
-            query += " AND kind = ?"
-            params.append(kind)
-        with self._conn:
-            cursor = self._conn.execute(query, params)
-        return int(cursor.rowcount)
-
     # -- queries --------------------------------------------------------
 
     def list_campaigns(self) -> List[Dict[str, Any]]:
@@ -665,7 +561,7 @@ class CampaignStore:
 
     def _all_rows(self) -> Dict[str, List[Tuple[Any, ...]]]:
         tables = {}
-        for table in ("campaigns", "shards", "runs", "failures"):
+        for table in _TABLES:
             columns = [
                 info[1]
                 for info in self._conn.execute(
@@ -714,13 +610,6 @@ class CampaignStore:
         replaces it, so a crash at any instant leaves either a
         resumable working store or a finished canonical one, never an
         ambiguous in-between.
-
-        Infrastructure failure records (engine degradations) are
-        execution telemetry, not campaign content: they are dropped
-        from the export so a campaign that had to degrade mid-flight
-        still canonicalizes byte-identically to an undisturbed one.
-        Quarantine records *are* content (they block completion) and
-        are carried through.
         """
         if os.path.exists(path):
             os.unlink(path)
@@ -742,13 +631,8 @@ class CampaignStore:
                     )
                     for row in rows["campaigns"]
                 ]
-            rows["failures"] = [
-                row for row in rows["failures"]
-                if row[5] != INFRASTRUCTURE_KIND
-            ]
             with conn:
-                for table in ("campaigns", "shards", "runs",
-                              "failures"):
+                for table in _TABLES:
                     if not rows[table]:
                         continue
                     placeholders = ", ".join(

@@ -28,8 +28,11 @@ machine-readable telemetry to regress against.
 
 A command refused with a :class:`~repro.errors.ConfigurationError` (a
 bad spec, a missing or damaged store) prints one ``error:`` line on
-stderr and exits with :data:`EXIT_CONFIGURATION_ERROR`.  A reader that
-closes stdout early (``| head``) ends the command quietly with
+stderr and exits with :data:`EXIT_CONFIGURATION_ERROR`.  A campaign
+``launch``/``resume`` whose pool worker died prints one ``error:``
+line naming the resume command and exits with
+:data:`EXIT_WORKER_POOL_ERROR`; its committed shards are kept.  A
+reader that closes stdout early (``| head``) ends the command quietly with
 :data:`EXIT_STDOUT_CLOSED`; a campaign still finishes and commits.
 """
 
@@ -52,19 +55,23 @@ from repro.analysis.mndp_theory import (
     mndp_two_hop_bound,
 )
 from repro.core.config import JRSNDConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerPoolError
 from repro.experiments.reporting import format_series_table
 from repro.experiments.runner import NetworkExperiment
 
 __all__ = [
     "main", "build_parser", "EXIT_CONFIGURATION_ERROR",
-    "EXIT_STDOUT_CLOSED",
+    "EXIT_STDOUT_CLOSED", "EXIT_WORKER_POOL_ERROR",
 ]
 
 #: Exit code of a command refused with a ``ConfigurationError``; 1 means
-#: an incomplete campaign or a broken invariant, 2 an argument error,
-#: and 3 quarantined runs.
+#: an incomplete campaign or a broken invariant, 2 an argument error.
 EXIT_CONFIGURATION_ERROR = 4
+
+#: Exit code of a campaign ``launch``/``resume`` stopped by a
+#: ``WorkerPoolError``: a pool worker died.  Committed shards are kept,
+#: so ``campaign resume`` finishes the store.
+EXIT_WORKER_POOL_ERROR = 3
 
 #: Exit code of a command whose stdout was closed by its reader: 128 +
 #: SIGPIPE, what a shell reports for a writer the signal ended.
@@ -143,7 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("launch", "start a campaign (skips shards already stored)"),
         ("resume", "continue an interrupted campaign"),
     ):
-        runner = campaign_sub.add_parser(verb, help=blurb)
+        runner = campaign_sub.add_parser(
+            verb, help=blurb,
+            epilog="exit status: 0 complete (or stopped by "
+                   "--max-shards), 1 incomplete, 3 a pool worker died "
+                   "(committed shards are kept: resume), 4 a bad spec "
+                   "or store",
+        )
         runner.add_argument("--spec", metavar="PATH", default=None,
                             help="campaign spec JSON file")
         runner.add_argument("--store", metavar="PATH", required=True,
@@ -165,33 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
         runner.add_argument("--revision", default=None,
                             help="override the git revision key "
                                  "(default: git rev-parse HEAD)")
-        runner.add_argument("--retry-quarantined",
-                            action="store_true",
-                            help="clear quarantine records and "
-                                 "re-execute their shards (default: "
-                                 "quarantined shards are skipped)")
-        runner.add_argument("--chaos-kill-rate", type=float,
-                            default=0.0, metavar="P",
-                            help="testing hook: each run SIGKILLs its "
-                                 "worker with probability P (seeded)")
-        runner.add_argument("--chaos-kill-seed", type=int, default=0,
-                            metavar="SEED",
-                            help="seed for --chaos-kill-rate draws")
-        runner.add_argument("--chaos-max-kills", type=int, default=1,
-                            metavar="N",
-                            help="kills per selected run before it is "
-                                 "allowed through (keep at or below "
-                                 "the spec's max_run_retries for a "
-                                 "clean finish)")
     status = campaign_sub.add_parser(
         "status", help="per-campaign shard progress and store digest"
     )
     status.add_argument("--store", metavar="PATH", required=True)
     status.add_argument("--json", action="store_true",
-                        help="machine-readable status (shards done/"
-                             "pending, quarantined runs, degradation "
-                             "events); exit code 3 when quarantined "
-                             "runs exist")
+                        help="machine-readable status (shards done "
+                             "and pending, canonical digest)")
     query = campaign_sub.add_parser(
         "query", help="per-point aggregated results of a campaign"
     )
@@ -463,26 +456,28 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     if args.campaign_command in ("launch", "resume"):
         spec = _campaign_spec(args)
-        execution_faults = None
-        if args.chaos_kill_rate:
-            from repro.faults import WorkerKiller
-
-            execution_faults = WorkerKiller(
-                seed=args.chaos_kill_seed,
-                rate=args.chaos_kill_rate,
-                max_kills=args.chaos_max_kills,
+        try:
+            status = run_campaign(
+                spec,
+                args.store,
+                processes=args.processes,
+                max_shards=args.max_shards,
+                kill_after_shards=args.kill_after_shards,
+                git_revision=args.revision,
+                progress=print,
             )
-        status = run_campaign(
-            spec,
-            args.store,
-            processes=args.processes,
-            max_shards=args.max_shards,
-            kill_after_shards=args.kill_after_shards,
-            git_revision=args.revision,
-            progress=print,
-            retry_quarantined=args.retry_quarantined,
-            execution_faults=execution_faults,
-        )
+        except WorkerPoolError as error:
+            revision = (
+                f" --revision {args.revision}" if args.revision else ""
+            )
+            print(
+                f"error: {' '.join(str(error).split())}; committed "
+                f"shards are kept: resume with 'python -m repro "
+                f"campaign resume --store {args.store} --campaign "
+                f"{spec.name}{revision}'",
+                file=sys.stderr,
+            )
+            return EXIT_WORKER_POOL_ERROR
         remaining = (
             status.shards_total
             - status.shards_executed
@@ -497,48 +492,22 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                            f"{status.shards_executed} executed / "
                            f"{status.shards_skipped} skipped"),
                 ("runs executed", status.runs_executed),
-                ("runs quarantined", status.runs_quarantined),
-                ("degradations", len(status.degraded)),
                 ("complete", status.complete),
                 ("digest", status.canonical_digest),
             ],
             title=f"campaign {args.campaign_command}: {status.campaign_id}",
         ))
-        if status.runs_quarantined:
-            return 3
         return 0 if status.complete or args.max_shards is not None else 1
     if args.campaign_command == "status":
         import json as _json
 
-        from repro.campaigns.store import (
-            INFRASTRUCTURE_KIND,
-            QUARANTINE_KIND,
-        )
-
         with _existing_store(args.store) as store:
             campaigns = store.list_campaigns()
             digest = store.canonical_digest()
-            details = []
-            for row in campaigns:
-                key = (
-                    row["campaign_id"], row["spec_hash"],
-                    row["git_revision"],
-                )
-                details.append((
-                    row,
-                    store.failure_records(*key, kind=QUARANTINE_KIND),
-                    store.failure_records(
-                        *key, kind=INFRASTRUCTURE_KIND
-                    ),
-                ))
-        total_quarantined = sum(
-            len(quarantine) for _, quarantine, _ in details
-        )
         if args.json:
             payload = {
                 "store": args.store,
                 "canonical_digest": digest,
-                "runs_quarantined": total_quarantined,
                 "campaigns": [
                     {
                         "campaign_id": row["campaign_id"],
@@ -550,30 +519,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                         "shards_pending": (
                             row["shards_total"] - row["shards_done"]
                         ),
-                        "runs_quarantined": len(quarantine),
-                        "shards_quarantined": len(
-                            {
-                                record["shard_index"]
-                                for record in quarantine
-                            }
-                        ),
-                        "quarantined_runs": [
-                            {
-                                "shard_index": record["shard_index"],
-                                "run_index": record["run_index"],
-                                "attempts": record["attempts"],
-                            }
-                            for record in quarantine
-                        ],
-                        "degradation_events": [
-                            record["detail"] for record in infra
-                        ],
                     }
-                    for row, quarantine, infra in details
+                    for row in campaigns
                 ],
             }
             print(_json.dumps(payload, indent=2, sort_keys=True))
-            return 3 if total_quarantined else 0
+            return 0
         if not campaigns:
             print(f"no campaigns in {args.store}")
             return 0
@@ -585,14 +536,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     "revision": row["git_revision"][:12],
                     "status": row["status"],
                     "shards": f"{row['shards_done']}/{row['shards_total']}",
-                    "quarantined": len(quarantine),
                 }
-                for row, quarantine, _ in details
+                for row in campaigns
             ],
             title=f"campaigns in {args.store}",
         ))
         print(f"\ncanonical digest: {digest}")
-        return 3 if total_quarantined else 0
+        return 0
     if args.campaign_command == "query":
         from repro.campaigns import query_rows
 

@@ -49,43 +49,15 @@ class RevokedCodeError(ReproError):
 
 
 class WorkerPoolError(ReproError):
-    """The worker-pool machinery itself failed beyond repair.
+    """A worker died or the pool failed: resume.
 
-    The execution plane classifies failures into three families:
-
-    - **transient** — a worker died but supervision absorbed it: the
-      worker was respawned and the affected runs were retried
-      (bit-identically, runs are seed-pure).  Transient failures never
-      raise; they are visible only as ``pool.workers_respawned`` /
-      ``pool.runs_retried`` counters.
-    - **quarantine** — a run exceeded its retry budget (it keeps
-      killing its worker).  The run is reported as a tagged failure
-      outcome carrying :data:`QUARANTINE_MARKER` and surfaces
-      through :class:`ParallelExecutionError`; the pool survives.
-    - **infrastructure** — supervision itself failed (respawn budget
-      exhausted, spawn failures, a closed/broken pool).  Only this
-      family raises ``WorkerPoolError``; the campaign executor reacts
-      by degrading to a simpler engine rather than aborting.
+    The pool does not replace a dead worker; the error names the run
+    indices the worker held and breaks the pool.  Runs are seed-pure
+    and a campaign shard commits in one transaction, so ``campaign
+    resume`` re-runs exactly the lost shards to the same bytes.  A run
+    that *raises* is not this error: it comes back as a tagged failure
+    and surfaces through :class:`ParallelExecutionError`.
     """
-
-
-#: Prefix tagging a failure traceback as a *quarantined* run: one that
-#: repeatedly killed its worker and was benched after
-#: exhausting its retry budget, rather than a run that raised.
-QUARANTINE_MARKER = "[quarantined]"
-
-
-def quarantine_failure(run_index, attempts, reason):
-    """The tagged failure text for a quarantined run."""
-    return (
-        f"{QUARANTINE_MARKER} run {run_index} killed its worker on "
-        f"all {attempts} attempts; last failure: {reason}"
-    )
-
-
-def is_quarantined_failure(traceback_text):
-    """True if a failure traceback marks a quarantined run."""
-    return str(traceback_text).startswith(QUARANTINE_MARKER)
 
 
 #: The concrete exception families a Monte Carlo worker run may raise

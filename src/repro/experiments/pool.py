@@ -1,4 +1,4 @@
-"""The supervised, persistent worker pool: the one execution engine.
+"""The persistent worker pool: the one execution engine.
 
 Every Monte Carlo run outside a bare ``NetworkExperiment.run`` goes
 through :class:`WorkerPool`: ``WorkerPool(p).run(experiment,
@@ -19,7 +19,7 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   ``(config, seed, run index)``, and a
   :class:`~repro.experiments.runner.NetworkExperiment` is a small
   value (about 1 KB pickled) that costs microseconds to build, so
-  every ``("run", experiments, index_attempts)`` chunk message carries
+  every ``("run", experiments, indices)`` chunk message carries
   its job's experiments: one, or a tuple of them.  A chunk runs each
   run index through every experiment in order before the next index
   (:func:`_run_chunk`), and the job resolves with one outcome list per
@@ -39,62 +39,43 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
 - **Submission is asynchronous and jobs overlap.**
   :meth:`WorkerPool.submit` returns a :class:`PendingRun` immediately.
   A dispatcher thread keeps the active jobs in a FIFO, each with its
-  own chunk queue, attempt counts, outcomes and respawn count, and
-  hands every idle worker the next chunk of the oldest job that still
-  has one.  A handle resolves as soon as its own job has nothing
-  pending and nothing in flight, whatever the jobs around it do.  The
-  dispatcher blocks on the busy workers' pipes plus a wake-up pipe
-  that :meth:`~WorkerPool.submit` and :meth:`~WorkerPool.close` write
-  to, so a new job starts on an idle worker at once.  A lone job (one
-  :meth:`~WorkerPool.run` call) spreads over every worker; the campaign
-  executor keeps one job per worker in flight, so even one-run
-  shards keep every worker busy.
+  own chunk queue and outcomes, and hands every idle worker the next
+  chunk of the oldest job that still has one.  A handle resolves as
+  soon as its own job has nothing pending and nothing in flight,
+  whatever the jobs around it do.  The dispatcher blocks on the busy
+  workers' pipes plus a wake-up pipe that :meth:`~WorkerPool.submit`
+  and :meth:`~WorkerPool.close` write to, so a new job starts on an
+  idle worker at once.  A lone job (one :meth:`~WorkerPool.run` call)
+  spreads over every worker; the campaign executor keeps one job per
+  worker in flight, so even one-run shards keep every worker busy.
 
 **In-process mode.**  ``WorkerPool(processes=0)`` spawns no child and
 no dispatcher thread: :meth:`~WorkerPool.submit` only records the job
 and :meth:`PendingRun.wait` runs it in the caller's thread, through the
 same per-chunk loop (:func:`_run_chunk`) a worker process uses — same
 trapping of :data:`~repro.errors.WORKER_TRAPPED_ERRORS` into tagged
-outcomes.  It is the serial engine and the campaign's fallback when
-supervision gives up.  It never calls the execution-fault hook: a
-``WorkerKiller`` there would SIGKILL the caller.
+outcomes.  It is the serial engine.
 
-**Supervision.**  An overnight campaign is only as reliable as its
-least reliable process, so the dispatcher does not treat a worker
-death as fatal.  Under a :class:`SupervisionPolicy`:
-
-- a dead worker (EOF mid-chunk, broken pipe, ``fatal`` report) is
-  **respawned** and its in-flight runs are **retried** as singleton
-  chunks after the :data:`RESPAWN_BACKOFF` delay — runs are seed-pure,
-  so a retried run is bit-identical to an undisturbed one.  The death
-  is charged to the job whose chunk the worker held, against that
-  job's own ``max_respawns`` budget;
-- a run index that keeps killing its worker past ``max_run_retries``
-  is **quarantined**, in every experiment of its job: it comes back
-  as a tagged failure outcome carrying
-  :data:`~repro.errors.QUARANTINE_MARKER` (surfacing through
-  ``ParallelExecutionError``) instead of sinking the pool;
-- only *infrastructure* failures — a job's respawn budget exhausted,
-  a spawn failure, the pool closed mid-job — raise
-  :class:`~repro.errors.WorkerPoolError` and break the pool, failing
-  every active and queued job.
-
-One execution-fault injector can be attached at construction
-(test-only hook): workers call its ``before_run`` hook ahead of every
-run attempt, which is how the seeded ``WorkerKiller`` of
-:mod:`repro.faults.execution` drives the supervisor deterministically
-in tests and chaos CI.
+**Failure.**  A run that raises one of the trapped errors comes back
+as a tagged failure outcome and surfaces through
+:class:`~repro.errors.ParallelExecutionError`; the pool stays usable.
+A worker found dead — EOF on its pipe, a ``fatal`` report, or a chunk
+that cannot be sent to it — is not replaced: the dispatcher raises
+:class:`~repro.errors.WorkerPoolError` naming the run indices of the
+chunk the worker held, which breaks the pool and fails every active
+and queued job.  Recovery is the caller's: runs are seed-pure, so the
+campaign executor's committed shards stay committed and ``campaign
+resume`` re-runs the lost ones to the same bytes.
 
 Determinism is untouched: a run's randomness depends only on
 ``(seed, run_index)`` and every mode executes ``run_once`` through the
 same loop, so in-process, one-shot and persistent pools produce
 bit-identical :class:`~repro.experiments.runner.RunResult` streams
-(pinned by ``tests/experiments/test_pool.py``) — with or without
-respawns in between.
+(pinned by ``tests/experiments/test_pool.py``).
 
 Pool activity is observable through the ``pool.*`` counters in
-:mod:`repro.obs.names`: workers spawned/respawned/force-killed,
-tasks dispatched, runs retried, and runs quarantined.
+:mod:`repro.obs.names`: workers spawned and force-killed, and tasks
+dispatched.
 """
 
 from __future__ import annotations
@@ -103,7 +84,6 @@ import functools
 import multiprocessing
 import os
 import threading
-import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
@@ -123,7 +103,6 @@ from repro.errors import (
     ConfigurationError,
     ParallelExecutionError,
     WorkerPoolError,
-    quarantine_failure,
 )
 from repro.experiments.runner import (
     ExperimentResult,
@@ -137,7 +116,6 @@ from repro.utils.validation import check_non_negative, check_positive
 
 __all__ = [
     "PendingRun",
-    "SupervisionPolicy",
     "WorkerPool",
     "adaptive_chunksize",
     "available_cpu_count",
@@ -147,6 +125,10 @@ __all__ = [
 #: Hard cap on run indices shipped per task message, bounding both the
 #: request payload and the ``RunResult`` batch coming back.
 MAX_CHUNKSIZE = 32
+
+#: Seconds each step of :meth:`WorkerPool.close`'s join → ``terminate()``
+#: → ``kill()`` escalation waits for a worker process.
+CLOSE_GRACE = 10.0
 
 _Outcome = Tuple[int, Optional[RunResult], Optional[str]]
 
@@ -188,58 +170,6 @@ def adaptive_chunksize(n_tasks: int, workers: int) -> int:
     return max(1, min(MAX_CHUNKSIZE, per_worker))
 
 
-#: Seconds the dispatcher sleeps after the n-th *consecutive* worker
-#: death (n = 1, 2, ...; the last entry repeats): bounded exponential
-#: backoff, so a crash-looping machine is not hammered with respawn
-#: storms.  The count resets on any completed chunk.
-RESPAWN_BACKOFF: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8, 1.0)
-
-
-def retry_delay(consecutive_deaths: int) -> float:
-    """Backoff before the dispatch following the n-th straight death."""
-    if consecutive_deaths <= 0:
-        return 0.0
-    return RESPAWN_BACKOFF[min(consecutive_deaths, len(RESPAWN_BACKOFF)) - 1]
-
-
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """How the pool reacts when workers die.
-
-    Parameters
-    ----------
-    max_run_retries:
-        How many times one run may kill its worker and still be
-        re-dispatched.  A run failing attempt ``max_run_retries``
-        (i.e. on its ``max_run_retries + 1``-th try) is quarantined as
-        a tagged failure outcome.
-    max_respawns:
-        Per-job respawn budget.  A worker death is charged to the job
-        whose chunk the worker held (or was about to receive); more
-        deaths than this within a single job is an infrastructure
-        failure: the pool breaks with ``WorkerPoolError`` (the campaign
-        executor then degrades to the in-process mode).
-    close_grace:
-        Per-escalation-step grace (seconds) used when reaping worker
-        processes: join → ``terminate()`` → ``kill()``.
-    """
-
-    max_run_retries: int = 2
-    max_respawns: int = 16
-    close_grace: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.max_run_retries < 0:
-            raise ConfigurationError(
-                f"max_run_retries must be >= 0, got {self.max_run_retries}"
-            )
-        if self.max_respawns < 0:
-            raise ConfigurationError(
-                f"max_respawns must be >= 0, got {self.max_respawns}"
-            )
-        check_positive("close_grace", self.close_grace)
-
-
 class _HeldSnapshot:
     """The one field snapshot a process holds: the last one it used.
 
@@ -274,11 +204,10 @@ class _HeldSnapshot:
 
 def _run_chunk(
     experiments: Tuple[NetworkExperiment, ...],
-    index_attempts: List[Tuple[int, int]],
+    indices: List[int],
     held: _HeldSnapshot,
-    faults: Any = None,
 ) -> List[List[_Outcome]]:
-    """Run ``(index, attempt)`` pairs through each of ``experiments``.
+    """Run ``indices`` through each of ``experiments``.
 
     Returns one outcome list per experiment, in ``experiments`` order.
     Each run index goes through every experiment before the next index
@@ -292,13 +221,10 @@ def _run_chunk(
     tagged outcome data instead of aborting the chunk; anything else
     (``KeyboardInterrupt``, ``SystemExit``, foreign ``BaseException``
     types) propagates — it signals cancellation or a component misusing
-    the error taxonomy, not a failed run.  ``faults`` (when set) has its
-    ``before_run(index, attempt)`` called ahead of every run index.
+    the error taxonomy, not a failed run.
     """
     outcomes: List[List[_Outcome]] = [[] for _ in experiments]
-    for index, attempt in index_attempts:
-        if faults is not None:
-            faults.before_run(index, attempt)
+    for index in indices:
         for experiment, into in zip(experiments, outcomes):
             try:
                 into.append((
@@ -311,12 +237,10 @@ def _run_chunk(
     return outcomes
 
 
-def _worker_main(
-    conn: Any, close_conns: List[Any], faults: Any = None
-) -> None:
+def _worker_main(conn: Any, close_conns: List[Any]) -> None:
     """Worker process loop: run the chunks the dispatcher sends.
 
-    Each ``("run", experiments, index_attempts)`` message executes
+    Each ``("run", experiments, indices)`` message executes
     through :func:`_run_chunk` on this process's held snapshot;
     per-run failures travel back as tagged outcome data, anything else
     is a pool fault reported as ``fatal``.
@@ -328,14 +252,7 @@ def _worker_main(
     worker itself — still holds a live write end) and the orphaned
     pool would survive the crash forever.  Closing them makes "parent
     died" indistinguishable from a clean shutdown: ``recv`` raises
-    ``EOFError`` and the worker exits.  The same argument covers
-    respawned workers: each new worker closes every older sibling's
-    parent end, so its own parent end is held by the parent alone.
-
-    ``faults`` is the execution-plane chaos hook: when set, its
-    ``before_run(index, attempt)`` runs ahead of every run attempt —
-    the seeded injectors use it to kill or hold this process at
-    deterministic points.
+    ``EOFError`` and the worker exits.
     """
     for foreign in close_conns:
         foreign.close()
@@ -353,10 +270,8 @@ def _worker_main(
                 raise WorkerPoolError(
                     f"unknown pool message tag {tag!r}"
                 )
-            _, experiments, index_attempts = message
-            conn.send((
-                "done", _run_chunk(experiments, index_attempts, held, faults)
-            ))
+            _, experiments, indices = message
+            conn.send(("done", _run_chunk(experiments, indices, held)))
     except BaseException:  # jrsnd: noqa(JRS003) -- worker crash containment: every failure must reach the parent as a 'fatal' report before this process exits
         try:
             conn.send(("fatal", traceback.format_exc()))
@@ -451,11 +366,17 @@ class PendingRun:
         dispatcher slot the caller has mentally reclaimed.  An
         in-process job runs right here, in the caller's thread, and is
         not bounded by ``timeout``; an exception it does not trap
-        propagates unchanged.
+        propagates unchanged, and fails the handle, so every later
+        :meth:`wait` re-raises it.
         """
         deferred, self._deferred = self._deferred, None
         if deferred is not None:
-            self._finish(deferred())
+            try:
+                outcomes = deferred()
+            except BaseException as error:  # jrsnd: noqa(JRS003) -- an untrapped error (KeyboardInterrupt, ...) must resolve the handle before it propagates, or a later wait blocks forever
+                self._fail(error)
+                raise
+            self._finish(outcomes)
         if not self._event.wait(timeout):
             self.cancel()
             raise WorkerPoolError(
@@ -482,20 +403,16 @@ class _Job:
 
     Every chunk runs its run indices through each of ``experiments``;
     ``outcomes`` holds one list per experiment.  ``pending`` holds the
-    chunks not yet handed to a worker, ``running`` counts the chunks in
-    flight, and ``respawns`` the worker deaths charged to this job
-    (against ``max_respawns``).  Attempts count per run index: a
-    worker death blames the index, whichever experiment it was in.  The
-    handle resolves once nothing is pending and nothing is running.
+    chunks not yet handed to a worker and ``running`` counts the chunks
+    in flight.  The handle resolves once nothing is pending and nothing
+    is running.
     """
 
     experiments: Tuple[NetworkExperiment, ...]
     handle: PendingRun
     pending: Deque[List[int]]
-    attempts: Dict[int, int]
     outcomes: List[List[_Outcome]]
     running: int = 0
-    respawns: int = 0
     started: bool = False
 
 
@@ -503,13 +420,12 @@ class _Job:
 class _Worker:
     """One live worker process and its parent-side pipe end."""
 
-    slot: int
     process: Any
     conn: Any
 
 
 class WorkerPool:
-    """A supervised pool of long-lived worker processes.
+    """A pool of long-lived worker processes.
 
     Create one per campaign (or per sweep) and reuse it across every
     experiment::
@@ -525,13 +441,10 @@ class WorkerPool:
     demand-driven chunks (a slow worker never stalls the fast ones),
     and jobs submitted back to back run side by side as soon as the
     earlier ones leave a worker idle.  Each job resolves on its own,
-    when its last chunk comes back.  Worker deaths are
-    absorbed by the :class:`SupervisionPolicy` (respawn + retry +
-    quarantine), charged to the job whose chunk the worker held; the
-    pool only becomes *broken* — failing every active and queued job
-    and refusing further submissions — on an infrastructure failure
-    such as an exhausted respawn budget.  Per-run failures never break
-    it.
+    when its last chunk comes back.  A worker death makes the pool
+    *broken*: every active and queued job fails with
+    :class:`~repro.errors.WorkerPoolError` and further submissions are
+    refused.  Per-run failures never break it.
 
     Parameters
     ----------
@@ -540,34 +453,20 @@ class WorkerPool:
         ``0`` selects the in-process mode: no child process and no
         dispatcher thread — each job runs in the caller's thread when
         its :class:`PendingRun` is first waited on.
-    policy:
-        Supervision knobs; defaults to ``SupervisionPolicy()``.
-    execution_faults:
-        Test-only injector — any object with a
-        ``before_run(run_index, attempt)`` method, such as
-        :class:`~repro.faults.execution.WorkerKiller` — delivered to
-        every worker (original and respawned alike); the in-process
-        mode never calls it.
     """
 
-    def __init__(
-        self,
-        processes: Optional[int] = None,
-        policy: Optional[SupervisionPolicy] = None,
-        execution_faults: Any = None,
-    ) -> None:
+    def __init__(self, processes: Optional[int] = None) -> None:
         if processes is None:
             processes = available_cpu_count()
         check_non_negative("processes", processes)
-        self._policy = policy or SupervisionPolicy()
-        self._faults = execution_faults
         self._context = multiprocessing.get_context()
         self._workers: List[_Worker] = []
         # Jobs submitted but not yet seen by the dispatcher.
         self._submitted: Deque[_Job] = deque()
         self._lock = threading.Lock()
         self._closed = False
-        self._broken = False
+        # The failure that broke the pool, once one has.
+        self._failure: Optional[BaseException] = None
         self._dispatcher: Optional[threading.Thread] = None
         # The in-process mode's held snapshot (workers hold their own).
         self._held = _HeldSnapshot()
@@ -578,8 +477,8 @@ class WorkerPool:
         self._wake_reader, self._wake_writer = self._context.Pipe(
             duplex=False
         )
-        for slot in range(int(processes)):
-            self._workers.append(self._spawn_worker(slot))
+        for _ in range(int(processes)):
+            self._workers.append(self._spawn_worker())
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
             name="repro-pool-dispatcher",
@@ -601,9 +500,10 @@ class WorkerPool:
 
     @property
     def broken(self) -> bool:
-        """True once an infrastructure failure has disabled the pool."""
+        """True once a worker death (or a dispatcher fault) has
+        disabled the pool."""
         with self._lock:
-            return self._broken
+            return self._failure is not None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -614,7 +514,7 @@ class WorkerPool:
     def close(self) -> None:
         """Stop the dispatcher and workers; idempotent.
 
-        Jobs already submitted are given ``close_grace`` seconds to
+        Jobs already submitted are given :data:`CLOSE_GRACE` seconds to
         finish; after that shutdown escalates per worker — join, then
         ``terminate()``, then ``kill()`` — so a wedged or
         SIGTERM-ignoring worker can not leak past close, and every job
@@ -631,7 +531,7 @@ class WorkerPool:
         if self._dispatcher is None:
             self._held = _HeldSnapshot()  # drops the last snapshot
             return
-        grace = self._policy.close_grace
+        grace = CLOSE_GRACE
         self._dispatcher.join(timeout=grace)
         for worker in self._workers:
             try:
@@ -714,11 +614,10 @@ class WorkerPool:
         if any(index < 0 for index in indices):
             raise ConfigurationError("run_indices must be non-negative")
         with self._lock:
-            if self._broken:
+            if self._failure is not None:
                 raise WorkerPoolError(
-                    "worker pool is broken (respawn budget exhausted "
-                    "or the dispatch protocol failed); create a new "
-                    "pool"
+                    f"worker pool broken by an earlier failure: "
+                    f"{self._failure}"
                 )
             if self._closed:
                 raise ConfigurationError(
@@ -727,10 +626,7 @@ class WorkerPool:
             if self._dispatcher is None:
                 return PendingRun(
                     deferred=functools.partial(
-                        _run_chunk,
-                        experiments,
-                        [(index, 0) for index in indices],
-                        self._held,
+                        _run_chunk, experiments, indices, self._held
                     ),
                     single=single,
                 )
@@ -743,7 +639,6 @@ class WorkerPool:
                     indices[start : start + chunk]
                     for start in range(0, len(indices), chunk)
                 ),
-                {index: 0 for index in indices},
                 [[] for _ in experiments],
             ))
             self._wake()
@@ -776,67 +671,20 @@ class WorkerPool:
 
     # -- worker management ---------------------------------------------
 
-    def _spawn_worker(self, slot: int) -> _Worker:
+    def _spawn_worker(self) -> _Worker:
         """Start one worker process wired for orphan-free shutdown."""
         parent_end, child_end = self._context.Pipe(duplex=True)
         close_conns = [worker.conn for worker in self._workers]
         close_conns += [self._wake_reader, self._wake_writer, parent_end]
         process = self._context.Process(
             target=_worker_main,
-            args=(child_end, close_conns, self._faults),
+            args=(child_end, close_conns),
             daemon=True,
         )
         process.start()
         child_end.close()
         current().inc(_names.POOL_WORKERS_SPAWNED)
-        return _Worker(slot=slot, process=process, conn=parent_end)
-
-    def _respawn(self, slot: int, job: _Job, reason: str) -> None:
-        """Replace the worker in ``slot`` after a death, charging the
-        death to ``job``.
-
-        Raises ``WorkerPoolError`` (infrastructure) when the pool is
-        closing, ``job``'s respawn budget is exhausted, or the
-        replacement itself cannot be spawned.
-        """
-        with self._lock:
-            closing = self._closed
-        worker = self._workers[slot]
-        self._stop_process(worker.process, self._policy.close_grace)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        if closing:
-            raise WorkerPoolError(
-                "worker pool closed while a job was in flight"
-            )
-        job.respawns += 1
-        if job.respawns > self._policy.max_respawns:
-            raise WorkerPoolError(
-                f"respawn budget exhausted ({self._policy.max_respawns}"
-                f" worker deaths in one job); last failure: {reason}"
-            )
-        try:
-            self._workers[slot] = self._spawn_worker(slot)
-        except (OSError, ValueError) as error:
-            raise WorkerPoolError(
-                f"could not respawn pool worker {slot}: {error}"
-            ) from error
-        current().inc(_names.POOL_WORKERS_RESPAWNED)
-
-    @staticmethod
-    def _deliver(worker: _Worker, job: _Job, chunk: List[int]) -> bool:
-        """Send a run chunk; False if the pipe is dead — the caller
-        respawns and the chunk stays queued."""
-        try:
-            worker.conn.send(
-                ("run", job.experiments,
-                 [(index, job.attempts[index]) for index in chunk])
-            )
-        except (OSError, ValueError):
-            return False
-        return True
+        return _Worker(process=process, conn=parent_end)
 
     # -- dispatcher ----------------------------------------------------
 
@@ -846,7 +694,7 @@ class WorkerPool:
             self._dispatch(active)
         except BaseException as error:  # jrsnd: noqa(JRS003) -- dispatcher thread boundary: any failure must resolve the pending handles, not die silently in a daemon thread
             with self._lock:
-                self._broken = True
+                self._failure = error
                 queued = list(self._submitted)
                 self._submitted.clear()
             for job in active:
@@ -866,10 +714,11 @@ class WorkerPool:
         """Run every submitted job until the pool closes.
 
         ``active`` is the FIFO of jobs the dispatcher has taken over;
-        it is the caller's so that a failure can resolve them all.
+        it is the caller's so that a failure can resolve them all.  A
+        worker found dead raises ``WorkerPoolError`` naming the run
+        indices of the chunk it held, which breaks the pool.
         """
         in_flight: Dict[int, Tuple[_Job, List[int]]] = {}
-        consecutive_deaths = 0
         while True:
             registry = current()
             with self._lock:
@@ -887,32 +736,26 @@ class WorkerPool:
                     )
                 )
             # -- dispatch to idle workers, oldest job first ------------
-            for slot in range(len(self._workers)):
+            for slot, worker in enumerate(self._workers):
                 if slot in in_flight:
                     continue
                 job = next((job for job in active if job.pending), None)
                 if job is None:
                     break
-                chunk_indices = job.pending[0]
-                if self._deliver(self._workers[slot], job, chunk_indices):
-                    job.pending.popleft()
-                    job.running += 1
-                    job.started = True
-                    in_flight[slot] = (job, chunk_indices)
-                    registry.inc(_names.POOL_TASKS_DISPATCHED)
-                else:
-                    # Dead before the chunk was even dispatched: the
-                    # chunk carries no blame (stays queued as-is); the
-                    # job's respawn budget still bounds this.
-                    consecutive_deaths += 1
-                    self._respawn(
-                        slot, job, "worker gone before dispatch"
-                    )
-            if not in_flight:
-                if active:
-                    continue  # a respawned worker takes the chunk
-                if closing:
-                    return
+                chunk = job.pending.popleft()
+                try:
+                    worker.conn.send(("run", job.experiments, chunk))
+                except (OSError, ValueError):
+                    raise WorkerPoolError(
+                        f"pool worker {slot} is gone: could not send "
+                        f"it run indices {chunk}"
+                    ) from None
+                job.running += 1
+                job.started = True
+                in_flight[slot] = (job, chunk)
+                registry.inc(_names.POOL_TASKS_DISPATCHED)
+            if closing and not in_flight and not active:
+                return
             # -- wait for replies or submissions ----------------------
             conn_to_slot = {
                 self._workers[slot].conn: slot for slot in in_flight
@@ -923,32 +766,22 @@ class WorkerPool:
                         conn.recv_bytes()
                     continue
                 slot = conn_to_slot[conn]
+                job, chunk = in_flight.pop(slot)
                 try:
-                    message: Optional[Tuple[Any, ...]] = conn.recv()
+                    message: Tuple[Any, ...] = conn.recv()
                 except (EOFError, OSError):
-                    message = None
-                job, chunk_indices = in_flight.pop(slot)
+                    raise WorkerPoolError(
+                        f"pool worker {slot} died holding run indices "
+                        f"{chunk} (killed or crashed before replying)"
+                    ) from None
+                if message[0] != "done":
+                    raise WorkerPoolError(
+                        f"pool worker {slot} failed holding run indices "
+                        f"{chunk}:\n{message[1]}"
+                    )
                 job.running -= 1
-                if message is not None and message[0] == "done":
-                    for into, outcomes in zip(job.outcomes, message[1]):
-                        into.extend(outcomes)
-                    consecutive_deaths = 0
-                else:
-                    # EOF (killed / crashed) or a 'fatal' report:
-                    # either way this worker is done for — respawn it
-                    # and put the blame on the runs it was holding.
-                    reason = (
-                        "worker died mid-chunk (killed or crashed "
-                        "before replying)"
-                        if message is None
-                        else f"worker fault:\n{message[1]}"
-                    )
-                    consecutive_deaths += 1
-                    self._respawn(slot, job, reason)
-                    self._absorb_failure(
-                        job, chunk_indices, reason, registry
-                    )
-                    time.sleep(retry_delay(consecutive_deaths))
+                for into, outcomes in zip(job.outcomes, message[1]):
+                    into.extend(outcomes)
                 self._settle(job, active)
 
     @staticmethod
@@ -958,32 +791,3 @@ class WorkerPool:
             return
         active.remove(job)
         job.handle._finish(job.outcomes)
-
-    def _absorb_failure(
-        self,
-        job: _Job,
-        chunk_indices: List[int],
-        reason: str,
-        registry: Any,
-    ) -> None:
-        """Retry or quarantine every run index of a failed chunk of
-        ``job``, in each of its experiments.
-
-        Retried indices go back as *singleton* chunks: a run sharing a
-        chunk with a poison run must not inherit its blame, and after
-        one isolation round the killer is unambiguous.
-        """
-        policy = self._policy
-        runs = len(job.experiments)
-        for index in chunk_indices:
-            job.attempts[index] += 1
-            if job.attempts[index] > policy.max_run_retries:
-                failure = quarantine_failure(
-                    index, job.attempts[index], reason
-                )
-                for into in job.outcomes:
-                    into.append((index, None, failure))
-                registry.inc(_names.POOL_RUNS_QUARANTINED, runs)
-            else:
-                job.pending.append([index])
-                registry.inc(_names.POOL_RUNS_RETRIED, runs)

@@ -28,15 +28,8 @@ Everything the layer does is visible as ``faults.*`` counters in the
 registry the plan is bound with — an event network's ``metrics``, which
 :func:`~repro.experiments.chaos.run_chaos` absorbs into the installed
 :mod:`repro.obs` registry.
-
-A second, *execution-plane* family (:mod:`repro.faults.execution`)
-targets the worker-pool supervisor instead of the channel: a seeded
-:class:`WorkerKiller` enters through a test-only hook at the pool
-boundary, so respawn/retry/quarantine behaviour is just as
-deterministic as the jammed channel.
 """
 
-from repro.faults.execution import WorkerKiller
 from repro.faults.injectors import (
     BurstJammer,
     ClockSkew,
@@ -61,5 +54,4 @@ __all__ = [
     "ClockSkew",
     "InvariantChecker",
     "InvariantViolation",
-    "WorkerKiller",
 ]

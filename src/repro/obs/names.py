@@ -144,22 +144,12 @@ CAMPAIGNS_RUNS_EXECUTED = "campaigns.runs_executed"
 CAMPAIGNS_SHARD_SECONDS = "campaigns.shard_seconds"
 CAMPAIGNS_STORE_COMMITS = "campaigns.store_commits"
 CAMPAIGNS_RESUMED = "campaigns.resumed"
-CAMPAIGNS_SHARDS_RETRIED = "campaigns.shards_retried"
-CAMPAIGNS_SHARDS_QUARANTINED = "campaigns.shards_quarantined"
-CAMPAIGNS_RUNS_QUARANTINED = "campaigns.runs_quarantined"
 
 # -- persistent worker pool (campaign engine) --------------------------
 
 POOL_WORKERS_SPAWNED = "pool.workers_spawned"
 POOL_TASKS_DISPATCHED = "pool.tasks_dispatched"
-
-# -- pool supervision (respawn / retry / quarantine / degradation) -----
-
-POOL_WORKERS_RESPAWNED = "pool.workers_respawned"
 POOL_WORKERS_FORCE_KILLED = "pool.workers_force_killed"
-POOL_RUNS_RETRIED = "pool.runs_retried"
-POOL_RUNS_QUARANTINED = "pool.runs_quarantined"
-POOL_DEGRADED = "pool.degraded"
 
 # -- dynamic-name helpers ----------------------------------------------
 

@@ -11,6 +11,7 @@ deterministic metrics included, and the stores are byte-identical at
 ``processes`` 1 and 2.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -18,20 +19,19 @@ import sys
 import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
+from repro.campaigns import executor
 from repro.campaigns.executor import _jobs
-from repro.campaigns.store import QUARANTINE_KIND
-from repro.errors import is_quarantined_failure
+from repro.errors import WorkerPoolError
 from repro.experiments import pool as pool_module
-from repro.experiments.pool import SupervisionPolicy
 from repro.experiments.runner import (
     ExperimentResult,
     FieldSnapshot,
     NetworkExperiment,
 )
-from repro.faults import WorkerKiller
 from repro.obs import installed
 from repro.obs import names as _names
 from repro.obs.registry import MetricsRegistry
+from tests.injectors import HoldRun
 
 REV = "testrev"
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -282,24 +282,27 @@ def _killed_launch(spec, tmp_path, kill_after_shards):
         return path, store.completed_shards(spec.name, spec.spec_hash(), REV)
 
 
-def _poisoned(spec, tmp_path):
-    """Launch ``spec`` at ``processes`` 2 with run 3 killing its worker
-    on every attempt; return the store path, status and records."""
-    path = tmp_path / "poison.sqlite"
-    status = _launch(
-        spec, path, 2,
-        supervision=SupervisionPolicy(max_run_retries=1, close_grace=5.0),
-        execution_faults=WorkerKiller(kills={3: 99}),
+def _killed_worker_then_resume(spec, tmp_path, monkeypatch):
+    """Launch ``spec`` at ``processes`` 2 with run 3 SIGKILLing its
+    worker, check the launch fails naming that run and keeps a prefix
+    of the shards committed, then resume; return the shards committed
+    before the resume."""
+    path = tmp_path / "killed.sqlite"
+    monkeypatch.setattr(
+        executor, "NetworkExperiment",
+        functools.partial(HoldRun, hold_run=3, kill=True),
     )
+    with pytest.raises(
+        WorkerPoolError, match=r"died holding run indices \[3\]"
+    ):
+        _launch(spec, path, 2)
+    monkeypatch.undo()
     with CampaignStore(str(path)) as store:
         done = store.completed_shards(spec.name, spec.spec_hash(), REV)
-        records = store.failure_records(
-            spec.name, spec.spec_hash(), REV, kind=QUARANTINE_KIND
-        )
-    assert all(is_quarantined_failure(r["detail"]) for r in records)
-    return path, status, done, [
-        (record["shard_index"], record["run_index"]) for record in records
-    ]
+    assert done == frozenset(range(len(done)))
+    resumed = _launch(spec, path, 2)
+    assert resumed.complete and resumed.shards_skipped == len(done)
+    return path, done
 
 
 class TestInterruptions:
@@ -337,36 +340,27 @@ class TestInterruptions:
         assert resumed.shards_skipped == max_shards
         assert _read(path) == reference
 
-    def test_quarantine_inside_a_cell_job(self, tmp_path, small_reference):
+    def test_worker_death_inside_a_cell_job_then_resume(
+        self, tmp_path, monkeypatch, small_reference
+    ):
         """Run 3 is the fourth 1-run block, one cell job of three
-        shards per link model: every shard of those jobs records the
-        failure and stays uncommitted, and ``retry_quarantined``
-        re-runs them to the reference bytes."""
+        shards per link model: its worker's death fails the launch
+        before any of them commits, and resume re-runs them to the
+        reference bytes."""
         spec = nu_spec(runs_per_shard=1)
-        path, status, done, records = _poisoned(spec, tmp_path)
-        assert not status.complete
-        assert status.shards_quarantined == 6
-        assert status.runs_quarantined == 6
-        assert done == frozenset(range(18))
-        assert records == [(shard, 3) for shard in range(18, 24)]
-        retried = _launch(spec, path, 2, retry_quarantined=True)
-        assert retried.complete and retried.runs_quarantined == 0
+        path, done = _killed_worker_then_resume(spec, tmp_path, monkeypatch)
+        assert len(done) <= 18
         assert _read(path) == small_reference
 
-    def test_quarantine_inside_a_block_job(self, tmp_path, reference):
+    def test_worker_death_inside_a_block_job_then_resume(
+        self, tmp_path, monkeypatch, reference
+    ):
         """Run 3 lives in the second run block, one block job of six
-        shards: every shard of the job records the failure and stays
-        uncommitted, and ``retry_quarantined`` re-runs them to the
-        reference bytes."""
+        shards: its worker's death fails the launch before any of them
+        commits, and resume re-runs them to the reference bytes."""
         spec = nu_spec()
-        path, status, done, records = _poisoned(spec, tmp_path)
-        assert not status.complete
-        assert status.shards_quarantined == 6
-        assert status.runs_quarantined == 6
-        assert done == frozenset(range(6))
-        assert records == [(shard, 3) for shard in range(6, 12)]
-        retried = _launch(spec, path, 2, retry_quarantined=True)
-        assert retried.complete and retried.runs_quarantined == 0
+        path, done = _killed_worker_then_resume(spec, tmp_path, monkeypatch)
+        assert len(done) <= 6
         assert _read(path) == reference
 
     def test_sigkill_inside_a_cell_job_then_resume(

@@ -9,6 +9,7 @@ cleanup — so the recovery path exercised here is the one a crash or
 OOM kill takes in production.
 """
 
+import functools
 import os
 import shutil
 import sqlite3
@@ -349,11 +350,14 @@ class TestPersistentPoolEngine:
 
         monkeypatch.setattr(executor, "_submit_job", recording_submit)
         monkeypatch.setattr(PendingRun, "_finish", recording_finish)
+        monkeypatch.setattr(
+            executor, "NetworkExperiment",
+            functools.partial(HoldRun, hold_run=0, seconds=1.0),
+        )
         lines = []
         path = str(tmp_path / "held.sqlite")
         status = run_campaign(
             spec, path, processes=2, git_revision=REV,
-            execution_faults=HoldRun(run=0, seconds=1.0),
             progress=lines.append,
         )
         assert status.complete

@@ -70,6 +70,13 @@ class TestValidation:
                 {"name": "x", "seed": 1, "runs_per_point": 1, field: value}
             )
 
+    @pytest.mark.parametrize("value", [0, 2])
+    def test_from_dict_rejects_removed_max_run_retries(self, value):
+        data = tiny_spec().to_dict()
+        assert "max_run_retries" not in data
+        with pytest.raises(ConfigurationError, match="resume"):
+            CampaignSpec.from_dict({**data, "max_run_retries": value})
+
     @pytest.mark.parametrize("value", [None, 600.0])
     def test_from_dict_rejects_removed_run_timeout(self, value):
         data = tiny_spec().to_dict()
@@ -97,12 +104,12 @@ class TestValidation:
 
     def test_from_dict_accepts_integral_floats(self):
         data = tiny_spec().to_dict()
-        data.update(seed=2011.0, runs_per_point=4.0, max_run_retries=3.0)
+        data.update(seed=2011.0, runs_per_point=4.0, mndp_rounds=3.0)
         spec = CampaignSpec.from_dict(data)
         assert spec.seed == 2011 and isinstance(spec.seed, int)
-        assert spec.max_run_retries == 3
-        assert isinstance(spec.max_run_retries, int)
-        assert spec.spec_hash() == tiny_spec(max_run_retries=3).spec_hash()
+        assert spec.mndp_rounds == 3
+        assert isinstance(spec.mndp_rounds, int)
+        assert spec.spec_hash() == tiny_spec(mndp_rounds=3).spec_hash()
 
     def test_cli_launch_rejects_mistyped_seed(self, tmp_path, cli_refused):
         data = tiny_spec().to_dict()

@@ -311,41 +311,141 @@ class TestSchemaBootstrap:
             }
         finally:
             conn.close()
-        assert version == 2
-        assert tables == {"campaigns", "shards", "runs", "failures"}
+        assert version == 3
+        assert tables == {"campaigns", "shards", "runs"}
         # Reopening a current store writes nothing.
         with CampaignStore(path):
             pass
         assert change_counter(path) == 1
 
     def test_v1_store_migrates_in_one_transaction(self, tmp_path):
-        """A v1 store (no ``failures`` table) gains the table and the
-        v2 stamp in one write, and keeps its rows."""
+        """A v1 store (the v3 tables) gains the v3 stamp in one write,
+        and keeps its rows."""
         spec = tiny_spec()
         path = str(tmp_path / "v1.sqlite")
         with CampaignStore(path) as store:
             populate(store, spec)
         conn = sqlite3.connect(path)
-        conn.execute("DROP TABLE failures")
         conn.execute("PRAGMA user_version = 1")
         conn.commit()
         conn.close()
         before = change_counter(path)
         with CampaignStore(path) as store:
             done = store.completed_shards(spec.name, spec.spec_hash(), REV)
-            assert store.failure_records(spec.name, spec.spec_hash(), REV) == []
         assert done == frozenset(range(4))
         assert change_counter(path) == before + 1
         conn = sqlite3.connect(path)
         try:
             (version,) = conn.execute("PRAGMA user_version").fetchone()
-            (failures_sql,) = conn.execute(
-                "SELECT sql FROM sqlite_master WHERE name = 'failures'"
-            ).fetchone()
         finally:
             conn.close()
-        assert version == 2
-        assert failures_sql.startswith("CREATE TABLE failures")
+        assert version == 3
+
+
+#: The ``failures`` table of schema v2, as stores of that version hold it.
+V2_FAILURES = """
+CREATE TABLE failures (
+    campaign_id  TEXT NOT NULL,
+    spec_hash    TEXT NOT NULL,
+    git_revision TEXT NOT NULL,
+    shard_index  INTEGER NOT NULL,
+    run_index    INTEGER NOT NULL,
+    kind         TEXT NOT NULL,
+    attempts     INTEGER NOT NULL,
+    detail       TEXT NOT NULL,
+    PRIMARY KEY (campaign_id, spec_hash, git_revision, shard_index,
+                 run_index, kind)
+)
+"""
+
+
+def make_v2(path, spec, failures=()):
+    """Rewrite a populated store as schema v2 wrote it: a ``failures``
+    table holding ``failures`` rows, and a spec that still carries
+    ``max_run_retries``.  Returns the spec hash its rows are keyed
+    under."""
+    data = spec.to_dict()
+    data.update(max_run_retries=2)
+    old_json = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    old_hash = hashlib.sha256(old_json.encode("utf-8")).hexdigest()[:16]
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute(
+            "UPDATE campaigns SET spec_json = ?, spec_hash = ?",
+            (old_json, old_hash),
+        )
+        for table in ("shards", "runs"):
+            conn.execute(f"UPDATE {table} SET spec_hash = ?", (old_hash,))
+        conn.execute(V2_FAILURES)
+        conn.executemany(
+            "INSERT INTO failures VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            [
+                (spec.name, old_hash, REV, shard, run, kind, 3, "detail")
+                for shard, run, kind in failures
+            ],
+        )
+    conn.execute("PRAGMA user_version = 2")
+    conn.close()
+    return old_hash
+
+
+class TestSchemaV2:
+    """Stores written while the spec carried ``max_run_retries`` and the
+    store a ``failures`` table."""
+
+    def test_store_with_failure_records_is_refused_unchanged(
+        self, tmp_path, cli_refused
+    ):
+        path = tmp_path / "v2.sqlite"
+        spec = tiny_spec()
+        with CampaignStore(str(path)) as store:
+            populate(store, spec)
+        make_v2(str(path), spec, failures=[(2, 3, "quarantine")])
+        before = path.read_bytes()
+        with pytest.raises(ConfigurationError) as excinfo:
+            CampaignStore(str(path))
+        message = str(excinfo.value)
+        assert str(path) in message and "1 failure record" in message
+        cli_refused(
+            ["campaign", "query", "--store", str(path),
+             "--campaign", "smoke"],
+            "schema v2",
+        )
+        assert path.read_bytes() == before
+
+    def test_store_without_failure_records_opens_verifies_and_queries(
+        self, tmp_path, capsys
+    ):
+        """An empty ``failures`` table is read as it is: the store
+        opens and verifies without a write, lists and queries its
+        campaign under the hash it was stored with, and ``status``
+        reports it."""
+        from repro.cli import main
+
+        path = tmp_path / "v2.sqlite"
+        spec = tiny_spec()
+        with CampaignStore(str(path)) as store:
+            populate(store, spec)
+            expected = store.point_results(spec.name, spec.spec_hash(), REV)
+        old_hash = make_v2(str(path), spec)
+        assert old_hash != spec.spec_hash()
+        before = path.read_bytes()
+        with CampaignStore(str(path)) as store:
+            [row] = store.list_campaigns()
+            stored, revision = store.spec_for("smoke")
+            assert store.point_results(spec.name, old_hash, REV) == expected
+        assert row["spec"] == spec and stored == spec
+        assert row["spec_hash"] == old_hash and revision == REV
+        assert row["shards_done"] == row["shards_total"] == 4
+        capsys.readouterr()
+        assert main([
+            "campaign", "query", "--store", str(path), "--campaign", "smoke",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "p_dndp" in out and f"(spec {old_hash})" in out
+        assert main(["campaign", "status", "--store", str(path)]) == 0
+        assert "4/4" in capsys.readouterr().out
+        assert path.read_bytes() == before
 
 
 def per_shard_torn(conn):

@@ -1,30 +1,27 @@
-"""Campaign-level supervision: chaos, quarantine, degradation, damage.
+"""Campaign failure and resume: a dead worker stops the launch, resume
+finishes it.
 
-Everything here drives ``run_campaign`` under the seeded
-execution-plane injectors (:mod:`repro.faults.execution`) and pins the
-headline robustness guarantee: supervision may change *how long* a
-campaign takes, never *what bytes* it produces.  Every recovery
-scenario ends with a byte comparison against the module's
-uninterrupted reference store; a damaged store is not recovered but
-refused, and its bytes are compared with themselves.
+Resume is the only recovery.  A pool worker that dies mid-campaign
+fails the launch with ``WorkerPoolError`` naming the run indices it
+held; the shards committed before it stay committed, and resuming
+gives the bytes of an uninterrupted in-process run.  A damaged store
+is not recovered but refused, and its bytes are compared with
+themselves.
 """
 
+import functools
+import os
+import signal
 import sqlite3
 
 import pytest
 
 from repro.campaigns import CampaignSpec, CampaignStore, run_campaign
-from repro.campaigns.store import QUARANTINE_KIND
-from repro.errors import ConfigurationError, is_quarantined_failure
-from repro.experiments.pool import SupervisionPolicy
-from repro.faults import WorkerKiller
-from repro.obs import installed
-from repro.obs import names as _names
-from repro.obs.registry import MetricsRegistry
+from repro.campaigns import executor
+from repro.errors import ConfigurationError, WorkerPoolError
+from tests.injectors import HoldRun
 
 REV = "testrev"
-
-FAST = SupervisionPolicy(close_grace=5.0)
 
 
 def tiny_spec():
@@ -38,184 +35,76 @@ def tiny_spec():
     )
 
 
+def long_spec():
+    """``tiny_spec`` over four 2-run blocks: five jobs at two workers,
+    so jobs are still to be submitted after the first commit."""
+    return CampaignSpec.from_dict(
+        dict(tiny_spec().to_dict(), runs_per_point=8)
+    )
+
+
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
-    """An uninterrupted campaign's canonical store (path, bytes)."""
+    """``long_spec``'s uninterrupted in-process canonical store bytes."""
     path = str(tmp_path_factory.mktemp("ref") / "ref.sqlite")
-    status = run_campaign(tiny_spec(), path, git_revision=REV)
+    status = run_campaign(long_spec(), path, processes=1, git_revision=REV)
     assert status.complete
     with open(path, "rb") as handle:
-        return path, handle.read(), status
+        return handle.read()
 
 
-class TestChaosCompletes:
-    """Worker kills inside the retry budget are invisible in the store."""
+def _committed(path):
+    spec = long_spec()
+    with CampaignStore(path) as store:
+        return store.completed_shards(spec.name, spec.spec_hash(), REV)
 
-    def test_pooled_campaign_survives_worker_kills(
-        self, tmp_path, reference
+
+class TestWorkerDeath:
+    def test_worker_killed_after_first_commit_then_resume(
+        self, tmp_path, monkeypatch, reference
     ):
-        _, expected, ref_status = reference
-        path = str(tmp_path / "chaos.sqlite")
-        status = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            supervision=FAST,
-            execution_faults=WorkerKiller(kills={1: 1, 3: 2}),
-        )
-        assert status.complete
-        assert status.runs_quarantined == 0
-        assert status.degraded == ()
-        assert status.canonical_digest == ref_status.canonical_digest
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
+        """SIGKILL one pool worker from the progress sink right after
+        the first commit.  The jobs still to be submitted reach the
+        dead worker, so the launch fails naming the chunk it held;
+        the committed prefix stays, and resume gives the in-process
+        bytes."""
+        pools = []
 
-    def test_in_process_campaign_skips_faults(
-        self, tmp_path, reference
-    ):
-        """With one worker the campaign runs in-process, where a
-        ``WorkerKiller`` would SIGKILL this test process: the fault
-        hook is never called and the store is the reference bytes."""
-        _, expected, _ = reference
-        path = str(tmp_path / "chaos-in-process.sqlite")
-        status = run_campaign(
-            tiny_spec(), path, processes=1, git_revision=REV,
-            supervision=FAST,
-            execution_faults=WorkerKiller(kills={0: 1, 2: 1}),
-        )
-        assert status.complete
-        assert status.runs_quarantined == 0
-        assert status.degraded == ()
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
+        class RecordingPool(executor.WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
 
+        monkeypatch.setattr(executor, "WorkerPool", RecordingPool)
+        killed = []
 
-class TestQuarantine:
-    POLICY = SupervisionPolicy(
-        max_run_retries=1, close_grace=5.0
-    )
-    # Run 3 exists in both points, so the shards covering runs 2..3
-    # of each point (indices 2 and 3: shards iterate points inside
-    # each run block) both quarantine one run.
-    POISON = WorkerKiller(kills={3: 99})
+        def progress(line):
+            if " committed " in line and not killed:
+                (pool,) = pools
+                victim = pool._processes[0].pid
+                os.kill(victim, signal.SIGKILL)
+                killed.append(victim)
 
-    def test_poison_run_quarantines_shard_not_campaign(self, tmp_path):
-        path = str(tmp_path / "poison.sqlite")
-        status = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            supervision=self.POLICY, execution_faults=self.POISON,
-        )
-        assert not status.complete
-        assert status.runs_quarantined == 2
-        assert status.shards_quarantined == 2
-        spec = tiny_spec()
-        with CampaignStore(path) as store:
-            done = store.completed_shards(
-                spec.name, spec.spec_hash(), REV
+        path = str(tmp_path / "killed.sqlite")
+        with pytest.raises(
+            WorkerPoolError, match=r"run indices \[\d+(, \d+)*\]"
+        ):
+            run_campaign(
+                long_spec(), path, processes=2, git_revision=REV,
+                progress=progress,
             )
-            records = store.failure_records(
-                spec.name, spec.spec_hash(), REV,
-                kind=QUARANTINE_KIND,
-            )
-        assert done == frozenset({0, 1})
-        assert [
-            (record["shard_index"], record["run_index"])
-            for record in records
-        ] == [(2, 3), (3, 3)]
-        assert all(
-            is_quarantined_failure(record["detail"])
-            and record["attempts"] == 2
-            for record in records
+        assert killed
+        done = _committed(path)
+        assert 0 in done and done == frozenset(range(len(done)))
+        assert len(done) < len(long_spec().shards())
+        monkeypatch.undo()
+        resumed = run_campaign(
+            long_spec(), path, processes=2, git_revision=REV
         )
-
-    def test_resume_skips_then_retry_quarantined_completes(
-        self, tmp_path, reference
-    ):
-        _, expected, ref_status = reference
-        path = str(tmp_path / "poison.sqlite")
-        run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            supervision=self.POLICY, execution_faults=self.POISON,
-        )
-        # Plain resume must not re-execute known-poison shards.
-        lines = []
-        plain = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            progress=lines.append,
-        )
-        assert not plain.complete
-        assert plain.shards_executed == 0
-        assert plain.runs_quarantined == 2
-        assert any("retry-quarantined" in line for line in lines)
-        # --retry-quarantined clears the records and re-executes; with
-        # the fault gone the campaign finishes bit-identically.
-        retried = run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            retry_quarantined=True,
-        )
-        assert retried.complete
-        assert retried.runs_quarantined == 0
-        assert retried.canonical_digest == ref_status.canonical_digest
+        assert resumed.complete
+        assert resumed.shards_skipped == len(done)
         with open(path, "rb") as handle:
-            assert handle.read() == expected
-
-
-class TestDegradationLadder:
-    def test_pool_failure_degrades_to_serial_and_completes(
-        self, tmp_path, reference
-    ):
-        """With a zero respawn budget every worker death is an
-        infrastructure failure: the executor steps down its one rung,
-        multiprocess pool → in-process (serial) execution, loudly, and
-        still produces the reference bytes (degradation events are
-        telemetry, not content)."""
-        _, expected, ref_status = reference
-        path = str(tmp_path / "degraded.sqlite")
-        lines = []
-        registry = MetricsRegistry()
-        with installed(registry):
-            status = run_campaign(
-                tiny_spec(), path, processes=2, git_revision=REV,
-                supervision=SupervisionPolicy(
-                    max_respawns=0, close_grace=5.0
-                ),
-                execution_faults=WorkerKiller(kills={0: 1}),
-                progress=lines.append,
-            )
-        assert status.complete
-        assert len(status.degraded) == 1
-        assert [
-            line for line in lines if "degrading to" in line
-        ] == ["!! " + status.degraded[0]]
-        assert "degrading to 'in-process'" in status.degraded[0]
-        assert registry.snapshot().counters[_names.POOL_DEGRADED] == 1
-        assert status.canonical_digest == ref_status.canonical_digest
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
-
-
-    def test_break_on_second_in_flight_shard_degrades_once(
-        self, tmp_path, reference
-    ):
-        """Run 2 lives in shards 2 and 3 (the second run block),
-        submitted beside shard 0: its death breaks the pool with later
-        shards in flight.  Every uncommitted shard re-runs in-process,
-        with one degradation event and the reference bytes."""
-        _, expected, ref_status = reference
-        path = str(tmp_path / "degraded-second.sqlite")
-        registry = MetricsRegistry()
-        with installed(registry):
-            status = run_campaign(
-                tiny_spec(), path, processes=2, git_revision=REV,
-                supervision=SupervisionPolicy(
-                    max_respawns=0, close_grace=5.0
-                ),
-                execution_faults=WorkerKiller(kills={2: 1}),
-            )
-        assert status.complete
-        assert len(status.degraded) == 1
-        assert registry.snapshot().counters[_names.POOL_DEGRADED] == 1
-        assert status.canonical_digest == ref_status.canonical_digest
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
+            assert handle.read() == reference
 
 
 def _torn(path):
@@ -289,70 +178,41 @@ class TestSalvage:
 
 
 class TestCli:
-    def test_chaos_within_budget_completes_clean(
-        self, tmp_path, reference, capsys
+    def test_worker_death_exits_3_naming_the_resume_command(
+        self, tmp_path, monkeypatch, capsys, reference
     ):
-        """The CI chaos scenario: every run kills its worker once,
-        which is inside the default retry budget, so the campaign
-        finishes with zero quarantined runs and reference bytes."""
-        from repro.cli import main
+        """Run 5 SIGKILLs its worker: ``launch`` prints one ``error:``
+        line naming the run and the resume command and exits
+        ``EXIT_WORKER_POOL_ERROR``; that command finishes the store
+        with the in-process bytes."""
+        from repro.cli import EXIT_WORKER_POOL_ERROR, main
 
-        _, expected, _ = reference
-        path = str(tmp_path / "chaos-cli.sqlite")
+        path = str(tmp_path / "cli.sqlite")
         spec_path = str(tmp_path / "spec.json")
         with open(spec_path, "w") as handle:
-            handle.write(tiny_spec().to_json())
-        rc = main([
+            handle.write(long_spec().to_json())
+        monkeypatch.setattr(
+            executor, "NetworkExperiment",
+            functools.partial(HoldRun, hold_run=5, kill=True),
+        )
+        capsys.readouterr()
+        assert main([
             "campaign", "launch", "--spec", spec_path,
             "--store", path, "--revision", REV, "--processes", "2",
-            "--chaos-kill-rate", "1.0", "--chaos-max-kills", "1",
-        ])
-        capsys.readouterr()
-        assert rc == 0
-        with open(path, "rb") as handle:
-            assert handle.read() == expected
-        assert main([
-            "campaign", "status", "--store", path, "--json",
-        ]) == 0
-
-    def test_status_json_reports_quarantine_with_exit_3(
-        self, tmp_path, reference, capsys
-    ):
-        import json
-
-        from repro.cli import main
-
-        _, expected, _ = reference
-        path = str(tmp_path / "poison-cli.sqlite")
-        run_campaign(
-            tiny_spec(), path, processes=2, git_revision=REV,
-            supervision=TestQuarantine.POLICY,
-            execution_faults=TestQuarantine.POISON,
+        ]) == EXIT_WORKER_POOL_ERROR == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "died holding run indices [5]" in err
+        assert "committed shards are kept" in err
+        resume = (
+            f"python -m repro campaign resume --store {path} "
+            f"--campaign smoke --revision {REV}"
         )
-        assert main([
-            "campaign", "status", "--store", path, "--json",
-        ]) == 3
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs_quarantined"] == 2
-        (campaign,) = payload["campaigns"]
-        assert campaign["shards_done"] == 2
-        assert campaign["shards_pending"] == 2
-        assert campaign["shards_quarantined"] == 2
-        assert [
-            (entry["shard_index"], entry["run_index"])
-            for entry in campaign["quarantined_runs"]
-        ] == [(2, 3), (3, 3)]
-        # Plain (non-JSON) status surfaces the same exit code.
-        assert main([
-            "campaign", "status", "--store", path,
-        ]) == 3
-        capsys.readouterr()
-        # The resume CLI with --retry-quarantined finishes the job.
-        assert main([
-            "campaign", "resume", "--store", path,
-            "--campaign", "smoke", "--revision", REV,
-            "--processes", "2", "--retry-quarantined",
-        ]) == 0
+        assert resume in err
+        monkeypatch.undo()
+        assert main(
+            resume.split()[3:] + ["--processes", "2"]
+        ) == 0
         capsys.readouterr()
         with open(path, "rb") as handle:
-            assert handle.read() == expected
+            assert handle.read() == reference

@@ -8,7 +8,6 @@ calls.
 
 import os
 import time
-from dataclasses import dataclass
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.errors import (
     WorkerPoolError,
 )
 from repro.experiments.pool import (
-    SupervisionPolicy,
     WorkerPool,
     adaptive_chunksize,
     available_cpu_count,
@@ -45,19 +43,21 @@ TINY = JRSNDConfig(
 TINY_B = TINY.replace(n_compromised=10)
 
 
-@dataclass(frozen=True)
-class StartRecorder:
-    """Execution-fault hook that appends ``pid index time`` to ``path``
-    before every run and then holds the worker for ``hold`` seconds, so
-    each run occupies its worker for at least that long."""
+class StartRecorder(NetworkExperiment):
+    """An experiment whose every run appends ``pid index time`` to
+    ``path`` and then holds its worker for ``hold`` seconds, so each
+    run occupies its worker for at least that long."""
 
-    path: str
-    hold: float = 0.5
+    def __init__(self, config, seed, path, hold=0.5):
+        super().__init__(config, seed)
+        self.path = path
+        self.hold = hold
 
-    def before_run(self, run_index, attempt):
+    def run_once(self, run_index, snapshot=None):
         with open(self.path, "a") as handle:
             handle.write(f"{os.getpid()} {run_index} {time.time()}\n")
         time.sleep(self.hold)
+        return super().run_once(run_index, snapshot)
 
 
 @pytest.fixture
@@ -203,11 +203,11 @@ class TestConcurrentJobs:
         """Two one-run jobs on a two-worker pool start on different
         workers within one hold of each other: the second job does not
         wait for the first to finish."""
-        recorder = StartRecorder(str(tmp_path / "starts.txt"))
+        recorder = StartRecorder(TINY, 7, str(tmp_path / "starts.txt"))
         experiment = NetworkExperiment(TINY, seed=7)
-        with WorkerPool(processes=2, execution_faults=recorder) as pool:
-            first = pool.submit(experiment, [0])
-            second = pool.submit(experiment, [1])
+        with WorkerPool(processes=2) as pool:
+            first = pool.submit(recorder, [0])
+            second = pool.submit(recorder, [1])
             outcomes = second.wait() + first.wait()
         with open(recorder.path) as handle:
             starts = {
@@ -312,33 +312,17 @@ class TestFailureSemantics:
         with pytest.raises(ConfigurationError):
             pool.submit(NetworkExperiment(TINY, seed=7), [])
 
-    def test_dead_workers_are_respawned(self, pool):
-        """Supervision absorbs worker deaths between jobs: every
-        worker is respawned and the job still produces serial bits."""
+    def test_workers_dead_between_jobs_break_the_pool(self, pool):
+        """Workers that died while idle are found on the next job: it
+        fails with WorkerPoolError, which poisons later submissions."""
         for process in pool._processes:
             process.terminate()
             process.join(timeout=10.0)
-        serial = NetworkExperiment(TINY, seed=7).run(2)
-        result = pool.run(NetworkExperiment(TINY, seed=7), [0, 1])
-        assert result.runs == serial.runs
-        assert not pool.broken
-
-    def test_exhausted_respawn_budget_breaks_the_pool(self):
-        """Infrastructure failure (more deaths than the respawn budget
-        allows) surfaces as WorkerPoolError and poisons later
-        submissions."""
-        policy = SupervisionPolicy(
-            max_respawns=0, close_grace=5.0
-        )
-        with WorkerPool(processes=2, policy=policy) as pool:
-            for process in pool._processes:
-                process.terminate()
-                process.join(timeout=10.0)
-            with pytest.raises(WorkerPoolError):
-                pool.run(NetworkExperiment(TINY, seed=7), [0, 1])
-            with pytest.raises(WorkerPoolError):
-                pool.submit(NetworkExperiment(TINY, seed=7), [0])
-            assert pool.broken
+        with pytest.raises(WorkerPoolError, match=r"run indices \[[01]\]"):
+            pool.run(NetworkExperiment(TINY, seed=7), [0, 1])
+        with pytest.raises(WorkerPoolError):
+            pool.submit(NetworkExperiment(TINY, seed=7), [0])
+        assert pool.broken
 
 
 class TestInProcessMode:
@@ -407,20 +391,22 @@ class TestInProcessMode:
         assert "synthetic failure" in err.failures[0][1]
         assert len(err.completed.runs) == 2
 
-    def test_never_calls_the_execution_fault_hook(self):
-        """A WorkerKiller in the caller's process would SIGKILL the
-        caller itself; the in-process mode must never invoke it."""
-        from repro.faults import WorkerKiller
+    def test_untrapped_error_fails_the_handle(self):
+        """An error outside the trapped families propagates from the
+        first ``wait`` and fails the handle: a second ``wait``
+        re-raises at once instead of blocking forever."""
 
-        class Recording(WorkerKiller):
-            def before_run(self, run_index, attempt):
-                raise AssertionError("fault hook called in-process")
+        class Interrupted(NetworkExperiment):
+            def run_once(self, run_index, snapshot=None):
+                raise KeyboardInterrupt
 
-        faults = Recording(kills={0: 99})
-        serial = NetworkExperiment(TINY, seed=7).run(2)
-        with WorkerPool(processes=0, execution_faults=faults) as inline:
-            result = inline.run(NetworkExperiment(TINY, seed=7), [0, 1])
-        assert result.runs == serial.runs
+        with WorkerPool(processes=0) as inline:
+            handle = inline.submit(Interrupted(TINY, seed=7), [0])
+            with pytest.raises(KeyboardInterrupt):
+                handle.wait()
+            assert handle.done()
+            with pytest.raises(KeyboardInterrupt):
+                handle.wait(timeout=0)
 
     def test_negative_processes_refused(self):
         with pytest.raises(ConfigurationError):

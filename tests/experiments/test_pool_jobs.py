@@ -2,21 +2,17 @@
 
 Every chunk of such a job runs each of its run indices through every
 experiment in order, on one worker, and the job resolves with one
-outcome list per experiment.  Whatever the worker count, retries and
-quarantine, each list equals what submitting that experiment alone
-gives.
+outcome list per experiment.  Whatever the worker count, each list
+equals what submitting that experiment alone gives.
 """
 
 import pytest
 
-from repro.errors import ConfigurationError, is_quarantined_failure
-from repro.experiments.pool import SupervisionPolicy, WorkerPool
+from repro.errors import ConfigurationError, WorkerPoolError
+from repro.experiments.pool import WorkerPool
 from repro.experiments.runner import NetworkExperiment
 from repro.experiments.scenarios import preset_config
-from repro.faults import WorkerKiller
-from repro.obs import installed
-from repro.obs import names as _names
-from repro.obs.registry import MetricsRegistry
+from tests.injectors import HoldRun
 
 SEED = 2011
 
@@ -96,38 +92,19 @@ def test_bad_work_is_refused_before_queueing(processes):
         assert not pool.broken
 
 
-def test_a_killed_worker_retries_the_index_through_every_experiment():
-    experiments = _cell()
-    registry = MetricsRegistry()
-    with installed(registry):
-        with WorkerPool(
-            processes=2,
-            policy=SupervisionPolicy(close_grace=5.0),
-            execution_faults=WorkerKiller(kills={1: 1}),
-        ) as pool:
-            per_experiment = pool.submit(experiments, [0, 1, 2]).wait()
-    for experiment, outcomes in zip(experiments, per_experiment):
-        assert _sorted(outcomes) == [
-            (index, experiment.run_once(index), None) for index in range(3)
-        ]
-    counters = registry.snapshot().counters
-    assert counters[_names.POOL_WORKERS_RESPAWNED] >= 1
-    # One-index chunks: run 1 was retried once, in each of the points.
-    assert counters[_names.POOL_RUNS_RETRIED] == len(experiments)
-
-
-def test_a_quarantined_index_fails_in_every_experiment():
-    experiments = _cell()
-    with WorkerPool(
-        processes=2,
-        policy=SupervisionPolicy(max_run_retries=1, close_grace=5.0),
-        execution_faults=WorkerKiller(kills={1: 99}),
-    ) as pool:
-        per_experiment = pool.submit(experiments, [0, 1, 2]).wait()
-    for experiment, outcomes in zip(experiments, per_experiment):
-        by_index = {index: (result, tb) for index, result, tb in outcomes}
-        assert sorted(by_index) == [0, 1, 2]
-        result, tb = by_index[1]
-        assert result is None and is_quarantined_failure(tb)
-        for index in (0, 2):
-            assert by_index[index] == (experiment.run_once(index), None)
+def test_a_killed_worker_fails_the_whole_job():
+    """Run 1 SIGKILLs its worker in the cell's second point: the job
+    fails as one, naming the chunk the worker held, whatever the other
+    points of that run already returned."""
+    first, second, third = _cell()
+    killer = HoldRun(
+        second.config, SEED, hold_run=1, kill=True,
+        link_model="independent", collect_metrics=True,
+    )
+    with WorkerPool(processes=2) as pool:
+        handle = pool.submit((first, killer, third), [0, 1, 2])
+        with pytest.raises(
+            WorkerPoolError, match=r"died holding run indices \[1\]"
+        ):
+            handle.wait(timeout=60.0)
+        assert pool.broken

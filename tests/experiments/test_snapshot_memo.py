@@ -49,7 +49,7 @@ def test_memo_hits_equal_fresh_runs(base, monkeypatch):
     monkeypatch.setattr(_CountingSnapshot, "built", 0)
     monkeypatch.setattr(pool_module, "FieldSnapshot", _CountingSnapshot)
     cells = _cells(base)
-    served = _run_chunk(tuple(cells), [(0, 0), (1, 0)], _HeldSnapshot())
+    served = _run_chunk(tuple(cells), [0, 1], _HeldSnapshot())
     assert _CountingSnapshot.built == 2
     for cell, outcomes in zip(cells, served):
         assert [index for index, _, _ in outcomes] == [0, 1]
