@@ -51,7 +51,6 @@ def _time_direct(spec: CampaignSpec) -> float:
             sample_latency=spec.sample_latency,
             link_model=spec.point_link_model(point),
             collect_metrics=spec.collect_metrics,
-            compute_backend=spec.compute_backend,
             phy_backend=spec.phy_backend,
         )
         with WorkerPool(workers if workers > 1 else 0) as pool:

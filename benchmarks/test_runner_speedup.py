@@ -1,9 +1,10 @@
-"""Hot-path bench: the vectorized compute backend vs the reference.
+"""Hot-path bench: the snapshot pipeline vs its reference oracle.
 
-``NetworkExperiment`` at the Table I defaults under
-``compute_backend="reference"`` vs ``"vectorized"``: identical
-``RunResult`` values and a 2x wall-clock improvement (relaxed in smoke
-mode, which also shrinks the field).
+``NetworkExperiment`` at the Table I defaults against
+:func:`repro.oracles.reference_run` (the per-item loops, the
+node-by-code membership matrix and the networkx M-NDP closure on the
+same rng streams): identical ``RunResult`` values and a 2x wall-clock
+improvement (relaxed in smoke mode, which also shrinks the field).
 
 Results land in ``--bench-json`` (see ``conftest``) for CI artifacts.
 
@@ -17,7 +18,8 @@ import os
 import time
 
 from repro.core.config import JRSNDConfig
-from repro.experiments.runner import NetworkExperiment
+from repro.experiments.runner import ExperimentResult, NetworkExperiment
+from repro.oracles import reference_run
 
 
 def _smoke() -> bool:
@@ -34,23 +36,28 @@ def test_runner_speedup_over_reference(benchmark, seed, bench_record):
         config = JRSNDConfig()
         runs, target = 2, 2.0
 
-    def timed(backend):
-        experiment = NetworkExperiment(
-            config, seed=seed, compute_backend=backend
+    def run_reference():
+        return ExperimentResult(
+            runs=tuple(reference_run(config, seed, i) for i in range(runs))
         )
+
+    def run_vectorized():
+        return NetworkExperiment(config, seed=seed).run(runs)
+
+    def timed(run):
         start = time.perf_counter()
-        result = experiment.run(runs)
+        result = run()
         return time.perf_counter() - start, result
 
     def compare():
-        # Best of two passes per backend to ride out scheduler noise
-        # (the identical seed makes every pass the same workload).
+        # Best of two passes per side to ride out scheduler noise (the
+        # identical seed makes every pass the same workload).
         ref_t, ref_result = min(
-            (timed("reference") for _ in range(2)),
+            (timed(run_reference) for _ in range(2)),
             key=lambda pair: pair[0],
         )
         vec_t, vec_result = min(
-            (timed("vectorized") for _ in range(2)),
+            (timed(run_vectorized) for _ in range(2)),
             key=lambda pair: pair[0],
         )
         return ref_t, vec_t, ref_result, vec_result
@@ -74,7 +81,7 @@ def test_runner_speedup_over_reference(benchmark, seed, bench_record):
         f"\nn={config.n_nodes} runs={runs}: reference {ref_t:.3f}s, "
         f"vectorized {vec_t:.3f}s -> {speedup:.2f}x"
     )
-    # Identical snapshots — the backends share every rng draw.
+    # Identical snapshots — the oracle shares every rng draw.
     assert vec_result == ref_result
     assert speedup >= target, (
         f"vectorized runner only {speedup:.2f}x faster than reference "

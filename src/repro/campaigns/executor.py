@@ -218,7 +218,6 @@ def _submit_job(
             sample_latency=spec.sample_latency,
             link_model=spec.point_link_model(shard.point),
             collect_metrics=spec.collect_metrics,
-            compute_backend=spec.compute_backend,
             phy_backend=spec.phy_backend,
         )
         for shard in job

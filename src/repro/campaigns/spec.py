@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.jammer import JammerStrategy
 from repro.core.config import JRSNDConfig
-from repro.core.mndp import COMPUTE_BACKENDS
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import preset_config
 from repro.utils.validation import check_positive
@@ -60,6 +59,11 @@ _LINK_MODELS = ("codes", "independent")
 #: differently.  It is not a setting: :meth:`CampaignSpec.from_dict`
 #: accepts this value or none.
 SAMPLING = "common-random-numbers"
+
+#: The one snapshot pipeline, written into the canonical JSON as specs
+#: wrote it while a reference one could be picked, so no spec hash
+#: moved.  Like :data:`SAMPLING`, it is not a setting.
+COMPUTE_BACKEND = "vectorized"
 
 #: Fields older specs carried and :meth:`CampaignSpec.from_dict` now
 #: rejects, each with the reason it went.  A store still holds them in
@@ -174,7 +178,7 @@ class CampaignSpec:
         Checkpoint granularity: a point's runs are chunked into shards
         of at most this many runs (default: one shard per point), and
         shards run block by block, every point within a block.
-    mndp_rounds, compute_backend, collect_metrics, sample_latency:
+    mndp_rounds, collect_metrics, sample_latency:
         Forwarded to :class:`~repro.experiments.runner.NetworkExperiment`.
     phy_backend:
         Optional PHY override forwarded to the experiment; ``None``
@@ -191,7 +195,6 @@ class CampaignSpec:
     link_model: str = "codes"
     runs_per_shard: Optional[int] = None
     mndp_rounds: int = 1
-    compute_backend: str = "vectorized"
     collect_metrics: bool = True
     sample_latency: bool = False
     phy_backend: Optional[str] = None
@@ -239,11 +242,6 @@ class CampaignSpec:
                     f"grid link_model {value!r} must be one of "
                     f"{_LINK_MODELS}"
                 )
-        if self.compute_backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"compute_backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {self.compute_backend!r}"
-            )
         if self.phy_backend is not None:
             from repro.dsss.phy import PHY_BACKENDS
 
@@ -264,6 +262,11 @@ class CampaignSpec:
         ):
             base.replace(**dict(zip(config_axes, combo)))
 
+    @property
+    def compute_backend(self) -> str:
+        """:data:`COMPUTE_BACKEND`, which ``perfbench/`` still reads."""
+        return COMPUTE_BACKEND
+
     # -- canonical form and hashing ------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
@@ -281,7 +284,7 @@ class CampaignSpec:
             "link_model": self.link_model,
             "runs_per_shard": self.runs_per_shard,
             "mndp_rounds": self.mndp_rounds,
-            "compute_backend": self.compute_backend,
+            "compute_backend": COMPUTE_BACKEND,
             "collect_metrics": self.collect_metrics,
             "sample_latency": self.sample_latency,
             "phy_backend": self.phy_backend,
@@ -325,12 +328,14 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"unknown campaign spec fields: {sorted(unknown)}"
             )
-        if data.get("sampling", SAMPLING) != SAMPLING:
-            raise ConfigurationError(
-                f"campaign spec field 'sampling' is written by the "
-                f"program and must be {SAMPLING!r}, got "
-                f"{data['sampling']!r}"
-            )
+        for name, fixed in (
+            ("sampling", SAMPLING), ("compute_backend", COMPUTE_BACKEND)
+        ):
+            if data.get(name, fixed) != fixed:
+                raise ConfigurationError(
+                    f"campaign spec field {name!r} is written by the "
+                    f"program and must be {fixed!r}, got {data[name]!r}"
+                )
         for required in ("name", "seed", "runs_per_point"):
             if required not in data:
                 raise ConfigurationError(
@@ -365,7 +370,6 @@ class CampaignSpec:
             link_model=get("link_model", str, "codes"),
             runs_per_shard=optional("runs_per_shard", int),
             mndp_rounds=get("mndp_rounds", int, 1),
-            compute_backend=get("compute_backend", str, "vectorized"),
             collect_metrics=get("collect_metrics", bool, True),
             sample_latency=get("sample_latency", bool, False),
             phy_backend=optional("phy_backend", str),

@@ -2,8 +2,8 @@
 
 Layers:
 
-- :class:`LogicalGraph` — the network's logical-neighbor relation, with
-  the bounded-hop reachability query M-NDP's success depends on.
+- :class:`LogicalGraph` — the network's logical-neighbor links, the
+  relays every M-NDP path runs over.
 - :class:`MNDPSampler` — the Monte Carlo model: two physical neighbors
   that failed D-NDP discover each other iff a jamming-resilient logical
   path of at most ``nu`` hops connects them (M-NDP messages travel over
@@ -19,7 +19,7 @@ Layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from repro.obs import names as _names
 from repro.utils.validation import check_positive
 
 __all__ = [
-    "COMPUTE_BACKENDS",
     "HopClosure",
     "LogicalGraph",
     "MNDPSampler",
@@ -41,16 +40,7 @@ __all__ = [
     "validate_response_chain",
 ]
 
-# Shared by every experiment-layer component with a reference/vectorized
-# implementation pair: "vectorized" is the fast path, "reference" the
-# original loops the fast path is equality-tested against.
-COMPUTE_BACKENDS = ("reference", "vectorized")
-
 Pair = Tuple[int, int]
-
-
-def _ordered(a: int, b: int) -> Pair:
-    return (a, b) if a <= b else (b, a)
 
 
 def _pair_array(pairs: Iterable[Pair]) -> np.ndarray:
@@ -83,65 +73,26 @@ def _pair_array(pairs: Iterable[Pair]) -> np.ndarray:
 
 
 class LogicalGraph:
-    """The logical-neighbor graph over node indices ``[0, n_nodes)``.
-
-    Links are logged as they arrive; the networkx graph that answers
-    graph queries is only built on the first query, and bulk inserts
-    via :meth:`add_links` are pushed into it only when a query needs
-    them.  The vectorized M-NDP closure reads :meth:`edge_array`
-    instead, so a snapshot's hot path never builds the networkx graph.
-    """
+    """The logical-neighbor links over node indices ``[0, n_nodes)``,
+    logged as they arrive; M-NDP reads them through :meth:`edge_array`.
+    Graph queries are the test oracle's,
+    :class:`repro.oracles.ReferenceGraph`."""
 
     def __init__(self, n_nodes: int) -> None:
         check_positive("n_nodes", n_nodes)
         self._n_nodes = int(n_nodes)
-        # The networkx graph, built by _flush on the first graph query.
-        self._graph: Optional[Any] = None
-        # Every edge ever recorded: (k, 2) chunks from add_links plus a
-        # list of single pairs from add_link (duplicates are harmless).
+        # Every edge ever recorded, as (k, 2) chunks (duplicates are
+        # harmless).
         self._chunks: List[np.ndarray] = []
-        self._singles: List[Pair] = []
-        self._n_flushed = 0
-
-    def _flush(self) -> Any:
-        """The networkx graph with every recorded link pushed in.
-
-        Single links go in when added once the graph exists; before
-        that they are replayed, ahead of the buffered chunks, when the
-        graph is built, which is the order the links would have had in
-        an eagerly built graph.
-        """
-        if self._graph is None:
-            import networkx as nx
-
-            self._graph = nx.Graph()
-            self._graph.add_nodes_from(range(self._n_nodes))
-            self._graph.add_edges_from(self._singles)
-        while self._n_flushed < len(self._chunks):
-            chunk = self._chunks[self._n_flushed]
-            self._graph.add_edges_from(map(tuple, chunk.tolist()))
-            self._n_flushed += 1
-        return self._graph
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes in the graph."""
         return self._n_nodes
 
-    @property
-    def n_edges(self) -> int:
-        """Number of logical-neighbor links."""
-        return self._flush().number_of_edges()
-
     def add_link(self, a: int, b: int) -> None:
         """Record that ``a`` and ``b`` are logical neighbors."""
-        a, b = int(a), int(b)
-        if a == b:
-            raise ConfigurationError("a node is not its own neighbor")
-        self._check_range(min(a, b), max(a, b))
-        if self._graph is not None:
-            self._graph.add_edge(a, b)
-        self._singles.append((a, b))
+        self.add_links([(a, b)])
 
     def add_links(self, pairs: Iterable[Pair]) -> None:
         """Record many logical links in one pass.
@@ -173,56 +124,13 @@ class LogicalGraph:
     def edge_array(self) -> np.ndarray:
         """Every recorded link as a ``(k, 2)`` int array.
 
-        May contain duplicates (re-adding a link is a no-op on the
-        graph but stays in the log); consumers scatter it into an
-        adjacency structure, where duplicates are harmless.
+        May contain duplicates (re-adding a link stays in the log);
+        consumers scatter it into an adjacency structure, where
+        duplicates are harmless.
         """
-        parts = list(self._chunks)
-        if self._singles:
-            parts.append(np.array(self._singles, dtype=np.int64))
-        if not parts:
+        if not self._chunks:
             return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(parts, axis=0)
-
-    def has_link(self, a: int, b: int) -> bool:
-        """Whether the pair already discovered each other."""
-        return self._flush().has_edge(int(a), int(b))
-
-    def neighbors(self, node: int) -> Set[int]:
-        """Logical neighbors of ``node``."""
-        return set(self._flush().neighbors(int(node)))
-
-    def edges(self) -> Set[Pair]:
-        """All logical links as ordered pairs."""
-        return {_ordered(a, b) for a, b in self._flush().edges()}
-
-    def within_hops(self, source: int, max_hops: int) -> Dict[int, int]:
-        """Nodes reachable from ``source`` in at most ``max_hops`` logical
-        hops, mapped to their distance."""
-        import networkx as nx
-
-        check_positive("max_hops", max_hops)
-        return dict(
-            nx.single_source_shortest_path_length(
-                self._flush(), int(source), cutoff=int(max_hops)
-            )
-        )
-
-    def hop_distance(self, a: int, b: int, max_hops: int) -> int:
-        """Logical distance between ``a`` and ``b``, or 0 if unreachable
-        within ``max_hops`` (0 is never a valid distance for a != b)."""
-        reachable = self.within_hops(a, max_hops)
-        return reachable.get(int(b), 0)
-
-    def copy(self) -> "LogicalGraph":
-        """An independent copy."""
-        clone = LogicalGraph(self.n_nodes)
-        if self._graph is not None:
-            clone._graph = self._flush().copy()
-        clone._chunks = list(self._chunks)
-        clone._singles = list(self._singles)
-        clone._n_flushed = self._n_flushed
-        return clone
+        return np.concatenate(self._chunks, axis=0)
 
 
 # Pairs per chunk of the ball-intersection test: two (chunk, m/64)
@@ -476,8 +384,8 @@ class _Screen:
         their rows) over the links so far."""
         pos = np.searchsorted(self.linked, self.keys)
         pend = np.flatnonzero(self.linked[pos] != self.keys)
-        # The reference keys new links by pair, so duplicates in the
-        # physical pairs resolve (and observe metrics) only once.
+        # New links are keyed by pair, so duplicates in the physical
+        # pairs resolve (and observe metrics) only once.
         pend_unique = pend
         if not _strictly_increasing(self.keys[pend]):
             first = np.unique(self.keys[pend], return_index=True)[1]
@@ -503,37 +411,25 @@ class _Screen:
 class MNDPSampler:
     """Monte Carlo M-NDP: bounded-hop closure of the logical graph.
 
+    Each round intersects packed hop balls shared by every pair
+    (:class:`HopClosure`); the test oracle
+    :func:`repro.oracles.reference_discover` runs per-source networkx
+    queries and returns the same pairs and metrics.
+
     Parameters
     ----------
     nu:
         Maximum hops an M-NDP request may traverse.
-    backend:
-        ``"vectorized"`` (default) answers each round by intersecting
-        packed hop balls shared by every pair; ``"reference"`` keeps the
-        original per-source networkx shortest-path queries.  Both find
-        every pair at the same hop distance, so they return the same
-        pairs and tally the same ``mndp.recovery_hops`` histogram.
     """
 
-    def __init__(self, nu: int, backend: str = "vectorized") -> None:
+    def __init__(self, nu: int) -> None:
         check_positive("nu", nu)
-        if backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"mndp backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {backend!r}"
-            )
         self._nu = int(nu)
-        self._backend = backend
 
     @property
     def nu(self) -> int:
         """The hop budget."""
         return self._nu
-
-    @property
-    def backend(self) -> str:
-        """The closure implementation in use."""
-        return self._backend
 
     def discover(
         self,
@@ -557,75 +453,33 @@ class MNDPSampler:
         or a node index outside ``[0, n_nodes)`` raises
         :class:`ConfigurationError`.
 
+        Each round screens the still-unlinked pairs against the links
+        so far (:class:`_Screen`), resolves them in one
+        :class:`HopClosure` and merges the new links in.  Duplicate and
+        reversed pairs resolve once, at their first occurrence.
+
         ``closure`` is a :class:`HopClosure` of the pairs not linked yet
         over the links, whose ``index`` gives each pair's row in
         ``physical_pairs``: the one round then tallies it instead of
         screening the pairs against ``logical``, which is not read (and
         may be ``None``), and grows only the hop balls past the level it
-        reached.  It needs ``rounds == 1``, the vectorized backend and
-        ``physical_pairs`` as sorted, unique ``a < b`` rows; results and
-        metrics equal a call without it.
+        reached.  It needs ``rounds == 1`` and ``physical_pairs`` as
+        sorted, unique ``a < b`` rows; results and metrics equal a call
+        without it.
         """
         check_positive("rounds", rounds)
         raw = _pair_array(physical_pairs)
         registry = _metrics()
         if closure is not None:
-            if rounds != 1 or self._backend != "vectorized":
+            if rounds != 1:
                 raise ConfigurationError(
-                    "a closure resumes one round on the vectorized "
-                    f"backend, not {rounds} on {self._backend!r}"
+                    f"a closure resumes one round, not {rounds}"
                 )
             return np.take(raw, closure.tally(self._nu, registry), axis=0)
         if logical is None:
             raise ConfigurationError("discover needs a logical graph")
         if raw.size:
             logical._check_range(int(raw.min()), int(raw.max()))
-        if self._backend == "vectorized":
-            return self._discover_vectorized(raw, logical, rounds, registry)
-        discovered: Set[Pair] = set()
-        working = logical
-        for round_index in range(rounds):
-            pending = [
-                _ordered(a, b)
-                for a, b in raw.tolist()
-                if not working.has_link(a, b)
-            ]
-            new_links = self._one_round(pending, working)
-            if registry.enabled:
-                registry.inc(_names.MNDP_ROUNDS)
-                registry.inc(_names.MNDP_PAIRS_ATTEMPTED, len(pending))
-                for hops in new_links.values():
-                    registry.observe(_names.MNDP_RECOVERY_HOPS, hops)
-            if not new_links:
-                break
-            discovered.update(new_links)
-            if round_index == rounds - 1:
-                # The updated graph would never be read again; skip the
-                # copy + commit (the caller's graph is left untouched
-                # either way).
-                break
-            working = working.copy() if working is logical else working
-            for a, b in new_links:
-                working.add_link(a, b)
-        if registry.enabled:
-            registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
-        return np.array(sorted(discovered), dtype=np.int64).reshape(-1, 2)
-
-    def _discover_vectorized(
-        self,
-        raw: np.ndarray,
-        logical: LogicalGraph,
-        rounds: int,
-        registry,
-    ) -> np.ndarray:
-        """Array-native form of the reference :meth:`discover` loop.
-
-        Each round screens the still-unlinked pairs against the links
-        so far (:class:`_Screen`), resolves their distances in one
-        :class:`HopClosure`, and merges the new links in: no graph
-        copies, no per-pair ``has_link`` queries.  Metrics, results,
-        and first-occurrence pair deduplication match the reference.
-        """
         screen = _Screen(raw, logical)
         found: List[np.ndarray] = []
         for round_index in range(rounds):
@@ -642,22 +496,6 @@ class MNDPSampler:
         if not _strictly_increasing(keys):
             keys = np.sort(keys)
         return np.stack(divmod(keys, screen.n), axis=1)
-
-    def _one_round(
-        self, pending: List[Pair], logical: LogicalGraph
-    ) -> Dict[Pair, int]:
-        """Pairs connectable by a ``<= nu``-hop path in the current
-        graph, mapped to the hop distance of that path (in ``pending``
-        order), by per-source networkx shortest-path queries."""
-        reach = {
-            source: logical.within_hops(source, self._nu)
-            for source in {a for a, _ in pending}
-        }
-        return {
-            (a, b): reach[a][b]
-            for a, b in pending
-            if reach[a].get(b, 0) > 0
-        }
 
 
 def validate_request_chain(

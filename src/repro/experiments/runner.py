@@ -20,10 +20,11 @@ Section V-A gives every node exactly one code per round, and round
 D-NDP sampling therefore reads each pair's shared and compromised code
 counts off an ``m``-wide equality test on the assignment's ``(n, m)``
 round-local keys (code minus ``w·r``, in the narrowest unsigned dtype),
-4096 pairs at a time; the ``"reference"`` compute backend counts the
-same thing from a node-by-code membership matrix and serves as the
-equivalence oracle.  ``tests/experiments`` checks statistical agreement
-with the reference per-pair :class:`repro.core.dndp.DNDPSampler`.
+4096 pairs at a time.  The test oracle
+:func:`repro.oracles.reference_run` counts the same thing from a
+node-by-code membership matrix on the same rng streams, and
+``tests/experiments`` checks statistical agreement with the per-pair
+:class:`repro.core.dndp.DNDPSampler`.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from repro.adversary.compromise import CompromiseModel
 from repro.adversary.jammer import JammerStrategy, JammingModel
 from repro.core.config import JRSNDConfig
 from repro.core.dndp import DNDPSampler
-from repro.core.mndp import (
-    COMPUTE_BACKENDS,
-    HopClosure,
-    LogicalGraph,
-    MNDPSampler,
-)
+from repro.core.mndp import HopClosure, LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, MetricsSnapshot, current, installed
 from repro.obs import names as _names
@@ -64,8 +60,8 @@ __all__ = [
 
 #: What a :class:`FieldSnapshot` is a pure function of: ``(run seed,
 #: n_nodes, field_width, field_height, tx_range, codes_per_node,
-#: share_count, compute_backend)``.
-SnapshotKey = Tuple[int, int, float, float, float, int, int, str]
+#: share_count)``.
+SnapshotKey = Tuple[int, int, float, float, float, int, int]
 
 #: What a :class:`RunCell` is a pure function of besides its snapshot:
 #: ``(config fields but nu, strategy, link_model, mndp_rounds,
@@ -127,8 +123,8 @@ class RunCell:
     ``config.nu`` (:data:`CellKey`, on top of the snapshot).  It holds
     the D-NDP outcome: the success count, the mean sampled latency, the
     pairs the chipless sweep decided (``phy.pairs_swept``), and what
-    M-NDP needs of the direct links.  With one M-NDP round on the
-    vectorized backend that is the round's resumable
+    M-NDP needs of the direct links.  With one M-NDP round that is the
+    round's resumable
     :class:`~repro.core.mndp.HopClosure`, built straight from the
     direct mask (the failed pairs are the pending ones, the direct
     pairs the relay links), and the mask is dropped; each ``nu`` point
@@ -163,14 +159,14 @@ class FieldSnapshot:
     """
 
     def __init__(self, key: SnapshotKey) -> None:
-        seed, n_nodes, width, height, tx_range, _m, _l, backend = key
+        seed, n_nodes, width, height, tx_range, _m, _l = key
         self.key = key
         self.seeds = SeedSequencer(seed)
         field = RectangularField(width, height, tx_range)
         positions = uniform_positions(
             field, n_nodes, self.seeds.rng("placement")
         )
-        pairs = field.neighbor_pairs(positions, backend=backend)
+        pairs = field.neighbor_pairs(positions)
         pairs.setflags(write=False)
         #: The sorted ``(k, 2)`` int64 neighbor pair array, read-only.
         self.pairs = pairs
@@ -181,10 +177,10 @@ class FieldSnapshot:
         """The run's code assignment, drawn from the ``assignment``
         stream on the first call."""
         if self._assignment is None:
-            _seed, n_nodes, _w, _h, _r, m, share_count, backend = self.key
+            _seed, n_nodes, _w, _h, _r, m, share_count = self.key
             distributor = PreDistributor(n_nodes, m, share_count)
             self._assignment = distributor.assign(
-                self.seeds.rng("assignment"), backend=backend
+                self.seeds.rng("assignment")
             )
         return self._assignment
 
@@ -399,13 +395,10 @@ class NetworkExperiment:
         the calling process).  Off by default; the layers then report
         into the no-op registry at negligible cost.
     compute_backend:
-        ``"vectorized"`` (default) runs the snapshot pipeline on the
-        array implementations (neighbor search, pre-distribution, the
-        round-aligned shared-code kernel of the D-NDP sweeps, M-NDP
-        closure); ``"reference"`` keeps the original per-item loops and
-        the node-by-code membership matrix as equivalence oracles.
-        Both backends consume identical rng streams and produce
-        identical :class:`RunResult` values.
+        Only ``"vectorized"``, the one snapshot pipeline; it stays a
+        parameter while ``perfbench/workloads.py`` passes it.  The
+        per-item reference pipeline is the test oracle
+        :func:`repro.oracles.reference_run`.
     phy_backend:
         When set, overrides ``config.phy_backend`` for the D-NDP
         sampling step (``"codes"`` link model only): ``"message"``
@@ -441,10 +434,11 @@ class NetworkExperiment:
                 f"link_model must be 'codes' or 'independent', "
                 f"got {link_model!r}"
             )
-        if compute_backend not in COMPUTE_BACKENDS:
+        if compute_backend != "vectorized":
             raise ConfigurationError(
-                f"compute_backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {compute_backend!r}"
+                f"compute_backend is always 'vectorized', got "
+                f"{compute_backend!r}: the reference pipeline is the "
+                "test oracle repro.oracles.reference_run"
             )
         if phy_backend is not None:
             config = config.replace(phy_backend=phy_backend)
@@ -455,7 +449,6 @@ class NetworkExperiment:
         self._sample_latency = bool(sample_latency)
         self._link_model = link_model
         self._collect_metrics = bool(collect_metrics)
-        self._compute_backend = compute_backend
 
     @property
     def config(self) -> JRSNDConfig:
@@ -466,11 +459,6 @@ class NetworkExperiment:
     def collect_metrics(self) -> bool:
         """Whether runs carry per-run metric snapshots."""
         return self._collect_metrics
-
-    @property
-    def compute_backend(self) -> str:
-        """The snapshot-pipeline implementation in use."""
-        return self._compute_backend
 
     def run(self, runs: int = 1) -> ExperimentResult:
         """Execute ``runs`` independent snapshots."""
@@ -490,7 +478,6 @@ class NetworkExperiment:
             config.tx_range,
             config.codes_per_node,
             config.share_count,
-            self._compute_backend,
         )
 
     def run_once(
@@ -549,15 +536,15 @@ class NetworkExperiment:
             cell = self._decide(snapshot, pairs, key)
             snapshot.keep(cell)
 
-        mndp = MNDPSampler(config.nu, backend=self._compute_backend)
+        mndp = MNDPSampler(config.nu)
         if cell.closure is not None:
             recovered = mndp.discover(pairs, None, closure=cell.closure)
         else:
             assert cell.direct is not None
+            logical = LogicalGraph(config.n_nodes)
+            logical.add_links(np.compress(cell.direct, pairs, axis=0))
             recovered = mndp.discover(
-                pairs,
-                self._logical(pairs, cell.direct),
-                rounds=self._mndp_rounds,
+                pairs, logical, rounds=self._mndp_rounds
             )
 
         registry = current()
@@ -599,9 +586,9 @@ class NetworkExperiment:
         self, snapshot: FieldSnapshot, pairs: np.ndarray, key: CellKey
     ) -> RunCell:
         """Steps 3 and 4 of a run (compromise, D-NDP sweep, latency
-        sample) and, with one M-NDP round on the vectorized backend, the
-        round's :class:`~repro.core.mndp.HopClosure` of the failed pairs
-        over the direct links."""
+        sample) and, with one M-NDP round, the round's
+        :class:`~repro.core.mndp.HopClosure` of the failed pairs over the
+        direct links."""
         config = self._config
         seeds = snapshot.seeds
 
@@ -637,7 +624,7 @@ class NetworkExperiment:
             ]
             mean_latency = float(np.mean(samples))
 
-        if self._mndp_rounds > 1 or self._compute_backend != "vectorized":
+        if self._mndp_rounds > 1:
             direct.setflags(write=False)
             return RunCell(
                 key, dndp_successes, mean_latency, swept, direct, None
@@ -652,17 +639,6 @@ class NetworkExperiment:
             config.n_nodes, index=failed,
         )
         return RunCell(key, dndp_successes, mean_latency, swept, None, closure)
-
-    def _logical(self, pairs: np.ndarray, direct: np.ndarray) -> LogicalGraph:
-        """The logical graph of the pairs that succeeded directly."""
-        logical = LogicalGraph(self._config.n_nodes)
-        if self._compute_backend == "vectorized":
-            logical.add_links(np.compress(direct, pairs, axis=0))
-        else:
-            for (a, b), success in zip(pairs.tolist(), direct.tolist()):
-                if success:
-                    logical.add_link(a, b)
-        return logical
 
     def _code_state(
         self, snapshot: FieldSnapshot
@@ -707,35 +683,16 @@ class NetworkExperiment:
 
         Yields ``(start, stop, safe_count, comp_count)``: how many codes
         pair ``start..stop-1`` shares that the jammer does not / does
-        know.  The vectorized kernel tests the two endpoints' rows of
-        the assignment's round-local keys for equality (``keys[a] ==
+        know.  The kernel tests the two endpoints' rows of the
+        assignment's round-local keys for equality (``keys[a] ==
         keys[b]`` is the per-round shared-code mask) and masks it with
         ``node_comp``, each node's per-round compromised flag, built
         once per run; both masks are counted eight rounds at a time on
-        their ``uint64`` lane views (:func:`_lane_counts`).  The
-        ``"reference"`` backend ANDs rows of a node-by-code membership
-        matrix instead; both yield the same counts.
+        their ``uint64`` lane views (:func:`_lane_counts`).  The test
+        oracle :func:`repro.oracles.reference_shared_counts` ANDs rows
+        of a node-by-code membership matrix instead and yields the same
+        counts.
         """
-        if self._compute_backend == "reference":
-            membership = np.zeros(
-                (assignment.n_nodes, assignment.pool_size), dtype=bool
-            )
-            membership[
-                np.arange(assignment.n_nodes)[:, None], assignment.codes
-            ] = True
-            for start in range(0, len(pairs), _CHUNK):
-                stop = min(start + _CHUNK, len(pairs))
-                shared = (
-                    membership[pairs[start:stop, 0]]
-                    & membership[pairs[start:stop, 1]]
-                )
-                yield (
-                    start,
-                    stop,
-                    (shared & ~compromised).sum(axis=1),
-                    (shared & compromised).sum(axis=1),
-                )
-            return
         # Rows are padded to whole 8-byte lanes: the padding keys are 0
         # on both sides, so every pair "shares" the ``padding`` extra
         # rounds, never compromised ones.
@@ -775,7 +732,7 @@ class NetworkExperiment:
         both the HELLO jam (prob ``beta``) and the burst jam
         (prob ``beta'``).  Counts come from :meth:`_shared_counts`; one
         ``rng.random`` draw per chunk covers that chunk's pairs with a
-        compromised shared code, on both compute backends.
+        compromised shared code.
         """
         success = np.zeros(len(pairs), dtype=bool)
         random_strategy = (
@@ -821,10 +778,10 @@ class NetworkExperiment:
         then ``1 - (1-p_s)^x_s (1-p_c)^x_c`` over the shared-code counts
         :meth:`_shared_counts` yields, read from a table over every
         count pair in ``0..m`` built once per run, and one uniform per
-        pair decides the outcome.  Same 4096-pair chunks and one ``rng.random(chunk)``
-        draw per chunk on both compute backends, so reference and
-        vectorized consume identical rng streams and return identical
-        outcomes.  The caller counts the swept pairs
+        pair decides the outcome: one ``rng.random(chunk)`` draw per
+        4096-pair chunk, which the test oracle
+        :func:`repro.oracles.reference_run` draws too.  The caller
+        counts the swept pairs
         (``phy.pairs_swept``), so a cell that reuses the outcome counts
         them too.
         """

@@ -1,54 +1,76 @@
 """Reference implementations kept only as test oracles.
 
 The runtime has one correlation engine
-(:class:`~repro.dsss.engine.BatchedCorrelationEngine`) and one
+(:class:`~repro.dsss.engine.BatchedCorrelationEngine`), one
 implementation of the chipless PHY model
-(:class:`~repro.dsss.phy.ChiplessModel`).  Their slow, obviously-correct
-references live here so the equivalence tests can check the fast paths
-and the speed-up benchmarks have an honest baseline; for the PHY these
-are the per-draw pair PHYs, the chip-level one included.  The
+(:class:`~repro.dsss.phy.ChiplessModel`) and one snapshot pipeline.
+Their slow, obviously-correct references live here so the equivalence
+tests can check the fast paths and the speed-up benchmarks have an
+honest baseline: the per-draw pair PHYs, the chip-level one included,
+and the per-item snapshot pipeline :func:`reference_run`.  The
 Reed-Solomon codec (:class:`~repro.ecc.reed_solomon.ReedSolomonCodec`)
 has a single pipeline and needs no reference: its tests check round
-trips and the ``2e + f <= n - k`` budget directly.  Only
-``tests/`` and ``benchmarks/`` import this module; no runtime code path
-loads it.
+trips and the ``2e + f <= n - k`` budget directly.  Only ``tests/``
+and ``benchmarks/`` import this module, and with it networkx.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple, Union
+from collections import defaultdict
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Tuple, Union
 
+import networkx as nx
 import numpy as np
 
 from repro.adversary.compromise import CompromiseModel
 from repro.adversary.jammer import JammerStrategy, JammingModel
+from repro.analysis.dndp_theory import dndp_lower_bound, dndp_upper_bound
 from repro.core.config import JRSNDConfig
+from repro.core.dndp import DNDPSampler
+from repro.core.mndp import LogicalGraph, _pair_array
 from repro.dsss.channel import ChipChannel
 from repro.dsss.correlator import correlate_many
 from repro.dsss.engine import CorrelationEngine
 from repro.dsss.phy import _AUTH, _BURST_KINDS, _CONFIRM, _HELLO
-from repro.dsss.phy import CONFIRM_BLOCKS, _identify_fraction
+from repro.dsss.phy import CONFIRM_BLOCKS, ChiplessModel, _identify_fraction
 from repro.dsss.spread_code import CodePool
 from repro.dsss.synchronizer import SlidingWindowSynchronizer
 from repro.errors import ConfigurationError
+from repro.experiments.runner import RunResult
+from repro.obs import MetricsRegistry, current, installed
+from repro.obs import names as _names
 from repro.predistribution.authority import CodeAssignment, PreDistributor
-from repro.sim.field import RectangularField
+from repro.sim.field import Position, RectangularField, _position_array
 from repro.sim.mobility import uniform_positions
 from repro.utils.rng import SeedSequencer
+from repro.utils.validation import check_positive
 
 __all__ = [
     "NaiveCorrelationEngine",
     "PairPHY",
     "ChipPairPHY",
     "ChiplessPairPHY",
+    "ReferenceGraph",
     "make_pair_phy",
+    "reference_assign",
+    "reference_discover",
+    "reference_neighbor_pairs",
+    "reference_round",
+    "reference_run",
+    "reference_shared_counts",
     "run_point_state",
     "sample_dndp_chip",
 ]
 
 #: A pool code index, or a key naming an unjammable session code.
 CodeKey = Union[int, str]
+
+Pair = Tuple[int, int]
+
+#: Pairs per D-NDP sweep chunk, part of the runner's rng contract.
+_CHUNK = 4096
 
 
 class NaiveCorrelationEngine(CorrelationEngine):
@@ -456,7 +478,7 @@ def run_point_state(
     run_index: int = 0,
 ) -> Tuple[np.ndarray, CodeAssignment, JammingModel, SeedSequencer]:
     """One run's pairs, code assignment, jamming model and seed tree,
-    rebuilt from the seed labels
+    rebuilt on the reference pieces from the seed labels
     :class:`~repro.experiments.runner.NetworkExperiment` draws them
     from on the codes link model."""
     seeds = SeedSequencer(seed).child(f"run-{run_index}")
@@ -466,11 +488,11 @@ def run_point_state(
     positions = uniform_positions(
         field, config.n_nodes, seeds.rng("placement")
     )
-    pairs = field.neighbor_pairs(positions)
+    pairs = reference_neighbor_pairs(field, positions)
     distributor = PreDistributor(
         config.n_nodes, config.codes_per_node, config.share_count
     )
-    assignment = distributor.assign(seeds.rng("assignment"))
+    assignment = reference_assign(distributor, seeds.rng("assignment"))
     compromise = CompromiseModel(assignment).compromise_random(
         config.n_compromised, seeds.rng("compromise")
     )
@@ -502,3 +524,243 @@ def sample_dndp_chip(
             assignment.shared_codes(a, b), rng
         )[0]
     return success
+
+
+# -- the snapshot pipeline ---------------------------------------------
+
+
+def reference_neighbor_pairs(
+    field: RectangularField, positions: Sequence[Position]
+) -> np.ndarray:
+    """:meth:`RectangularField.neighbor_pairs` by a grid-bucketed loop:
+    each node against its 3 x 3 cells of side ``tx_range``."""
+    points = _position_array(positions).tolist()
+    cell = field.tx_range
+    buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+    for index, (x, y) in enumerate(points):
+        buckets[(int(x // cell), int(y // cell))].append(index)
+    pairs: Set[Pair] = set()
+    for (cx, cy), members in buckets.items():
+        candidates = [
+            j
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for j in buckets.get((cx + dx, cy + dy), ())
+        ]
+        for i in members:
+            for j in candidates:
+                if j > i and field.in_range(points[i], points[j]):
+                    pairs.add((i, j))
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def reference_assign(
+    distributor: PreDistributor, rng: np.random.Generator
+) -> CodeAssignment:
+    """:meth:`PreDistributor.assign` subset by subset: round ``r``'s
+    permutation of every slot hands code ``w·r + j`` to the real nodes
+    among its ``j``-th ``l`` slots."""
+    n, w = distributor.n_nodes, distributor.subsets_per_round
+    size = distributor.share_count
+    node_codes: List[List[int]] = [[] for _ in range(n)]
+    for round_index in range(distributor.codes_per_node):
+        order = rng.permutation(n + distributor.n_virtual).tolist()
+        for subset in range(w):
+            for node in order[subset * size : (subset + 1) * size]:
+                if node < n:
+                    node_codes[node].append(w * round_index + subset)
+    return CodeAssignment(node_codes, pool_size=distributor.pool_size)
+
+
+def reference_shared_counts(
+    pairs: np.ndarray, assignment: CodeAssignment, compromised: np.ndarray
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray]]:
+    """The runner's per-chunk ``(start, stop, safe_count, comp_count)``
+    from a node-by-code membership matrix and the pool-sized
+    ``compromised`` mask."""
+    member = np.zeros((assignment.n_nodes, assignment.pool_size), bool)
+    member[np.arange(assignment.n_nodes)[:, None], assignment.codes] = True
+    for start in range(0, len(pairs), _CHUNK):
+        stop = min(start + _CHUNK, len(pairs))
+        shared = member[pairs[start:stop, 0]] & member[pairs[start:stop, 1]]
+        safe = (shared & ~compromised).sum(axis=1)
+        yield start, stop, safe, (shared & compromised).sum(axis=1)
+
+
+class ReferenceGraph(LogicalGraph):
+    """A :class:`~repro.core.mndp.LogicalGraph` that also keeps its
+    links in a networkx graph, which answers graph queries."""
+
+    def __init__(self, n_nodes: int) -> None:
+        super().__init__(n_nodes)
+        self._graph = nx.Graph()
+        self._graph.add_nodes_from(range(self.n_nodes))
+
+    def add_links(self, pairs: Iterable[Pair]) -> None:
+        arr = _pair_array(pairs)
+        super().add_links(arr)
+        self._graph.add_edges_from(map(tuple, arr.tolist()))
+
+    @property
+    def n_edges(self) -> int:
+        return int(self._graph.number_of_edges())
+
+    def has_link(self, a: int, b: int) -> bool:
+        return bool(self._graph.has_edge(int(a), int(b)))
+
+    def neighbors(self, node: int) -> Set[int]:
+        return set(self._graph.neighbors(int(node)))
+
+    def edges(self) -> Set[Pair]:
+        """All links as ``(a, b), a < b`` pairs."""
+        return {(min(a, b), max(a, b)) for a, b in self._graph.edges()}
+
+    def within_hops(self, source: int, max_hops: int) -> Dict[int, int]:
+        """Nodes at most ``max_hops`` hops from ``source``, mapped to
+        their distance."""
+        check_positive("max_hops", max_hops)
+        return dict(
+            nx.single_source_shortest_path_length(
+                self._graph, int(source), cutoff=int(max_hops)
+            )
+        )
+
+    def hop_distance(self, a: int, b: int, max_hops: int) -> int:
+        """Distance from ``a`` to ``b``, or 0 beyond ``max_hops``."""
+        return self.within_hops(a, max_hops).get(int(b), 0)
+
+    def copy(self) -> "ReferenceGraph":
+        clone = ReferenceGraph(self.n_nodes)
+        clone.add_links(self.edge_array())
+        return clone
+
+
+def reference_round(
+    nu: int, pending: Sequence[Pair], logical: ReferenceGraph
+) -> Dict[Pair, int]:
+    """The ``pending`` pairs a ``<= nu``-hop path of ``logical``
+    connects, mapped to its hop count (in ``pending`` order), by a
+    cutoff BFS from each source."""
+    reach = {a: logical.within_hops(a, nu) for a in {a for a, _ in pending}}
+    return {
+        (a, b): reach[a][b] for a, b in pending if reach[a].get(b, 0) > 0
+    }
+
+
+def reference_discover(
+    nu: int,
+    physical_pairs: Sequence[Pair],
+    logical: ReferenceGraph,
+    rounds: int = 1,
+) -> np.ndarray:
+    """``MNDPSampler(nu).discover(physical_pairs, logical, rounds)`` on
+    networkx: each round runs :func:`reference_round` over the pairs
+    not linked yet, then links what it found in a copy of ``logical``.
+    Records the same ``mndp.*`` metrics."""
+    check_positive("rounds", rounds)
+    raw = _pair_array(physical_pairs)
+    if raw.size:
+        logical._check_range(int(raw.min()), int(raw.max()))
+    registry = current()
+    discovered: Set[Pair] = set()
+    working = logical
+    for round_index in range(rounds):
+        pending = [
+            (min(a, b), max(a, b))
+            for a, b in raw.tolist()
+            if not working.has_link(a, b)
+        ]
+        found = reference_round(nu, pending, working)
+        registry.inc(_names.MNDP_ROUNDS)
+        registry.inc(_names.MNDP_PAIRS_ATTEMPTED, len(pending))
+        for hops in found.values():
+            registry.observe(_names.MNDP_RECOVERY_HOPS, hops)
+        discovered.update(found)
+        if not found or round_index == rounds - 1:
+            break
+        working = working.copy() if working is logical else working
+        working.add_links(list(found))
+    registry.inc(_names.MNDP_PAIRS_RECOVERED, len(discovered))
+    return np.array(sorted(discovered), dtype=np.int64).reshape(-1, 2)
+
+
+def reference_run(
+    config: JRSNDConfig,
+    seed: int,
+    run_index: int = 0,
+    strategy: JammerStrategy = JammerStrategy.REACTIVE,
+    mndp_rounds: int = 1,
+    sample_latency: bool = False,
+    link_model: str = "codes",
+) -> RunResult:
+    """Run ``run_index`` of :class:`NetworkExperiment(config, seed, ...,
+    collect_metrics=True) <repro.experiments.runner.NetworkExperiment>`
+    on the reference pieces: the same :class:`RunResult`, carrying the
+    same counters and histograms.
+
+    Draws come from the runner's stream labels, in the runner's calls:
+    on the codes link model one ``rng.random`` per 4096-pair chunk.
+    The code state is drawn on both link models; streams are keyed by
+    label, so that moves no other draw.
+    """
+    with installed(MetricsRegistry()) as registry:
+        pairs, assignment, jamming, seeds = run_point_state(
+            config, seed, strategy, run_index
+        )
+        rng = seeds.rng("jamming")
+        chipless = link_model == "codes" and config.phy_backend == "chipless"
+        random_jammer = strategy is JammerStrategy.RANDOM
+        if link_model == "independent":
+            bound = dndp_upper_bound if random_jammer else dndp_lower_bound
+            direct = rng.random(len(pairs)) < bound(config, config.n_compromised)
+        else:
+            direct = np.zeros(len(pairs), dtype=bool)
+            compromised = np.array(
+                [jamming.knows(code) for code in range(assignment.pool_size)]
+            )
+            counts = np.arange(config.codes_per_node + 1)
+            table = ChiplessModel(config, jamming).pair_success_probability(
+                counts[:, None], counts[None, :]
+            )
+            # One random-jammed sub-session dies to its HELLO or burst.
+            tries = min(jamming.codes_per_message, jamming.n_compromised)
+            beta = tries / max(jamming.n_compromised, 1)
+            kill = beta + min(3 * beta, 1.0) - beta * min(3 * beta, 1.0)
+            for start, stop, safe, comp in reference_shared_counts(
+                pairs, assignment, compromised
+            ):
+                if chipless:
+                    direct[start:stop] = rng.random(stop - start) < table[
+                        safe, comp
+                    ]
+                    continue
+                direct[start:stop] = safe > 0
+                hit = np.flatnonzero(comp > 0)
+                if random_jammer and hit.size and jamming.n_compromised:
+                    escaped = rng.random(hit.size) >= kill ** comp[hit]
+                    direct[start + hit] |= escaped
+        successes = int(np.count_nonzero(direct))
+        latency = None
+        if sample_latency and successes:
+            sampler, rng = DNDPSampler(config, jamming), seeds.rng("latency")
+            draws = range(min(successes, 1000))
+            latency = float(np.mean([sampler.sample_latency(rng) for _ in draws]))
+        logical = ReferenceGraph(config.n_nodes)
+        for (a, b), linked in zip(pairs.tolist(), direct.tolist()):
+            if linked:
+                logical.add_link(a, b)
+        recovered = len(
+            reference_discover(config.nu, pairs, logical, mndp_rounds)
+        )
+        degree = 2.0 * len(pairs) / config.n_nodes
+        if chipless and len(pairs):
+            registry.inc(_names.PHY_PAIRS_SWEPT, len(pairs))
+        registry.inc(_names.EXPERIMENT_RUNS)
+        registry.inc(_names.EXPERIMENT_PAIRS, len(pairs))
+        registry.inc(_names.EXPERIMENT_DNDP_SUCCESSES, successes)
+        registry.inc(_names.EXPERIMENT_MNDP_RECOVERED, recovered)
+        registry.observe(_names.EXPERIMENT_MEAN_DEGREE, degree)
+    return RunResult(
+        len(pairs), successes, recovered, degree, latency,
+        metrics=registry.snapshot(),
+    )

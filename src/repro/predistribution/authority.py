@@ -278,9 +278,7 @@ class PreDistributor:
         """Pool codes consumed: ``s = w * m``."""
         return self._w * self._m
 
-    def assign(
-        self, rng: np.random.Generator, backend: str = "vectorized"
-    ) -> CodeAssignment:
+    def assign(self, rng: np.random.Generator) -> CodeAssignment:
         """Run the ``m`` rounds and return the assignment.
 
         Virtual node slots participate in the partition but their codes
@@ -288,43 +286,14 @@ class PreDistributor:
         up shared by fewer than ``l`` real nodes — the behaviour the
         paper describes as "not affect the performance very much".
 
-        Both backends consume exactly one ``rng.permutation`` per round
-        and build identical assignments; ``"reference"`` keeps the
-        original per-subset loops, ``"vectorized"`` (default) derives
-        each node's subset from the inverse permutation.
+        Each round draws one ``rng.permutation`` of every slot, virtual
+        ones included; the node at position ``j`` lands in subset
+        ``j // l``, so one scatter of the slots' subsets per round
+        yields every node's round-local key.  Rounds are rows of a
+        round-major buffer.  The per-subset test oracle
+        :func:`repro.oracles.reference_assign` draws the same
+        permutations and builds the same assignment.
         """
-        from repro.core.mndp import COMPUTE_BACKENDS
-
-        if backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"assign backend must be one of {COMPUTE_BACKENDS}, "
-                f"got {backend!r}"
-            )
-        if backend == "reference":
-            return self._assign_reference(rng)
-        return self._assign_vectorized(rng)
-
-    def _assign_reference(self, rng: np.random.Generator) -> CodeAssignment:
-        total = self._n + self._n_virtual
-        node_codes: List[List[int]] = [[] for _ in range(self._n)]
-        for round_index in range(self._m):
-            order = rng.permutation(total)
-            for subset_index in range(self._w):
-                code_index = self._w * round_index + subset_index
-                members = order[
-                    subset_index * self._l : (subset_index + 1) * self._l
-                ]
-                for node in members:
-                    if node < self._n:
-                        node_codes[int(node)].append(code_index)
-        return CodeAssignment(node_codes, pool_size=self.pool_size)
-
-    def _assign_vectorized(self, rng: np.random.Generator) -> CodeAssignment:
-        """Inverse-permutation form of :meth:`_assign_reference`: the
-        node at position ``j`` of round ``r``'s permutation lands in
-        subset ``j // l``, so one scatter of the slots' subsets per
-        round yields every node's round-local key.  Rounds are rows of
-        a round-major buffer over every slot, virtual ones included."""
         total = self._n + self._n_virtual
         dtype = _key_dtype(self._w)
         subset = (np.arange(total) // self._l).astype(dtype)

@@ -14,8 +14,7 @@ fraction ``1 - 3*sqrt(3) / (4 pi)`` of one disc's area.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -126,71 +125,31 @@ class RectangularField:
         check_positive("n_nodes", n_nodes)
         return (n_nodes - 1) * math.pi * self._range**2 / self.area
 
-    def neighbor_pairs(
-        self, positions: Sequence[Position], backend: str = "vectorized"
-    ) -> np.ndarray:
+    def neighbor_pairs(self, positions: Sequence[Position]) -> np.ndarray:
         """All index pairs ``(i, j), i < j`` within transmission range.
 
         ``positions`` is an ``(n, 2)`` array or a sequence of ``(x, y)``
         pairs; anything that is not ``n`` finite coordinate pairs raises
         :class:`ConfigurationError`.  Returns a ``(k, 2)`` int64 array
-        sorted by ``(i, j)``.  ``"vectorized"`` (default) is the
-        occupied-cell search of :meth:`_neighbor_pairs_vectorized`;
-        ``"reference"`` is the original grid-bucketed loop.  Both return
-        the same array.
-        """
-        from repro.core.mndp import COMPUTE_BACKENDS
+        sorted by ``(i, j)``, the same array as the grid-bucketed test
+        oracle :func:`repro.oracles.reference_neighbor_pairs`.
 
-        if backend not in COMPUTE_BACKENDS:
-            raise ConfigurationError(
-                f"neighbor_pairs backend must be one of "
-                f"{COMPUTE_BACKENDS}, got {backend!r}"
-            )
-        pos = _position_array(positions)
-        if backend == "vectorized":
-            return self._neighbor_pairs_vectorized(pos)
-        pairs = self._neighbor_pairs_reference(pos.tolist())
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
-
-    def _neighbor_pairs_reference(
-        self, positions: Sequence[Position]
-    ) -> List[Tuple[int, int]]:
-        """Grid-bucketed: O(n) expected for uniform placements."""
-        cell = self._range
-        buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for index, position in enumerate(positions):
-            key = (int(position[0] // cell), int(position[1] // cell))
-            buckets[key].append(index)
-        pairs: List[Tuple[int, int]] = []
-        for (cx, cy), members in buckets.items():
-            candidates: List[int] = []
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    candidates.extend(buckets.get((cx + dx, cy + dy), ()))
-            for i in members:
-                for j in candidates:
-                    if j > i and self.in_range(positions[i], positions[j]):
-                        pairs.append((i, j))
-        return sorted(set(pairs))
-
-    def _neighbor_pairs_vectorized(self, pos: np.ndarray) -> np.ndarray:
-        """Occupied-cell search over the reference's grid.
-
-        Nodes get the reference's cells (side ``tx_range``) and are
-        sorted by cell.  Each node is paired with the later nodes of its
-        own cell and every node of the four forward cells ``(0, +1)``,
-        ``(+1, -1)``, ``(+1, 0)``, ``(+1, +1)``, which visits each
-        in-range candidate pair of the reference's 3 x 3 neighborhood
+        An occupied-cell search over a grid of side ``tx_range``: nodes
+        are sorted by cell, and each is paired with the later nodes of
+        its own cell and every node of the four forward cells
+        ``(0, +1)``, ``(+1, -1)``, ``(+1, 0)``, ``(+1, +1)``, which
+        visits each in-range candidate pair of a 3 x 3 neighborhood
         exactly once.  Forward cells are found by ``searchsorted`` over
         the occupied cell keys only, so memory is O(n) however many
         empty cells the field holds.  A squared-distance screen with
         1e-9 slack drops far candidates, and those within 1e-9 of the
         range (relative, on the square) are confirmed with ``np.hypot``,
-        the correctly-rounded double the reference's ``math.hypot``
-        computes, so the boundary decision is bit-identical; the rest
-        lie strictly inside the range.  The rows are sorted on the key
+        the correctly-rounded double :meth:`distance` computes, so the
+        boundary decision is :meth:`in_range`'s; the rest lie strictly
+        inside the range.  The rows are sorted on the key
         ``low << 32 | high``, i.e. by ``(low, high)``.
         """
+        pos = _position_array(positions)
         n = len(pos)
         if n < 2:
             return np.empty((0, 2), dtype=np.int64)
@@ -236,8 +195,8 @@ class RectangularField:
             lo - offsets, length
         )
         # One complex gather per side fetches both coordinates; the
-        # real and imaginary parts of the difference are the reference's
-        # dx and dy, bit for bit.
+        # real and imaginary parts of the difference are dx and dy, bit
+        # for bit.
         z = np.empty(n, dtype=np.complex128)
         z.real = pos[order, 0]
         z.imag = pos[order, 1]

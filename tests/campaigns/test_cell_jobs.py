@@ -76,7 +76,6 @@ def _fresh_shards(spec):
             sample_latency=spec.sample_latency,
             link_model=spec.point_link_model(point),
             collect_metrics=True,
-            compute_backend=spec.compute_backend,
             phy_backend=spec.phy_backend,
         )
         runs = tuple(experiment.run_once(i) for i in shard.run_indices)
@@ -201,7 +200,6 @@ CASES = {
     "chipless-random-two-rounds": dict(
         base="tiny-chipless", strategy="random", mndp_rounds=2
     ),
-    "reference-backend": dict(base="tiny", compute_backend="reference"),
     "latency": dict(base="tiny", sample_latency=True),
     # 1-run blocks: cell jobs at processes 2, block jobs in-process.
     "small-blocks": dict(base="tiny", runs_per_shard=1),
@@ -210,8 +208,7 @@ CASES = {
 
 class TestCellJobsEqualFreshRuns:
     """Block and cell jobs: message and chipless PHY, both link models,
-    reactive and random jamming, one and two M-NDP rounds, both compute
-    backends."""
+    reactive and random jamming, one and two M-NDP rounds."""
 
     @pytest.fixture(scope="class", params=sorted(CASES))
     def stores(self, request, tmp_path_factory):

@@ -623,7 +623,6 @@ class TestCommonRandomNumbers:
                 strategy=spec.point_strategy(point),
                 mndp_rounds=spec.mndp_rounds,
                 link_model=spec.point_link_model(point),
-                compute_backend=spec.compute_backend,
                 phy_backend=spec.phy_backend,
             ).run(spec.runs_per_point)
             assert points[point.index][1].runs == expected.runs
@@ -707,7 +706,6 @@ def _fresh_points(spec):
             strategy=spec.point_strategy(point),
             mndp_rounds=spec.mndp_rounds,
             link_model=spec.point_link_model(point),
-            compute_backend=spec.compute_backend,
             phy_backend=spec.phy_backend,
         )
         fresh[point.index] = tuple(

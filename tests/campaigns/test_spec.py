@@ -225,6 +225,81 @@ class TestDocumentedSpecs:
                     spec.strategy) == (100, 2011, "paper", "reactive")
 
 
+#: Every example spec's ``spec_hash()``.  Stores key their rows by it
+#: and CI pins the fig4/fig5 canonical digests, which cover it, so a
+#: change that moves one strands every store written before it.
+PINNED_HASHES = {
+    "campaign_smoke": "d2f0a67f33757678",
+    "campaign_smoke_block": "088ce16560f3d3fc",
+    "campaign_smoke_chipless": "64ec43b1e4666e93",
+    "campaign_smoke_nu": "bfb0878f40384209",
+    "fig2": "700df69f8cb257b4",
+    "fig3a": "d3af313fc8e4d3b1",
+    "fig3b": "9852a432f72e64fb",
+    "fig4": "32a4f9c1e2574f02",
+    "fig5": "8df137efa86a266b",
+}
+
+
+class TestPinnedHashes:
+    def test_example_spec_hashes_are_pinned(self):
+        hashes = {
+            path.stem: CampaignSpec.from_file(str(path)).spec_hash()
+            for path in (REPO_ROOT / "examples").glob("*.json")
+        }
+        assert hashes == PINNED_HASHES
+
+    def test_canonical_json_writes_the_one_compute_backend(self):
+        """``compute_backend`` is written like ``sampling``: a value the
+        program writes, which a spec may leave out."""
+        data = tiny_spec().to_dict()
+        assert data["compute_backend"] == "vectorized"
+        assert tiny_spec().compute_backend == "vectorized"
+        del data["compute_backend"]
+        assert CampaignSpec.from_dict(data) == tiny_spec()
+
+    @pytest.mark.parametrize("value", ["reference", "cuda", None, 1])
+    def test_reference_compute_backend_is_refused(
+        self, value, tmp_path, cli_refused
+    ):
+        """From a dict, and from a store whose ``spec_json`` holds it
+        under its own (valid) hash: every read is refused and the file
+        keeps its bytes."""
+        import hashlib
+        import sqlite3
+
+        from repro.campaigns import CampaignStore
+
+        data = dict(tiny_spec().to_dict(), compute_backend=value)
+        with pytest.raises(ConfigurationError, match="compute_backend"):
+            CampaignSpec.from_dict(data)
+
+        path = tmp_path / "old.sqlite"
+        with CampaignStore(str(path)) as store:
+            store.register_campaign(tiny_spec(), "rev")
+        stored = json.dumps(data, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(stored.encode("utf-8")).hexdigest()[:16]
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "UPDATE campaigns SET spec_json = ?, spec_hash = ?",
+                (stored, digest),
+            )
+        conn.close()
+        before = path.read_bytes()
+        with CampaignStore(str(path)) as store:
+            with pytest.raises(ConfigurationError, match="compute_backend"):
+                store.spec_for("smoke")
+            with pytest.raises(ConfigurationError, match="compute_backend"):
+                store.list_campaigns()
+        for command in ("status", "resume"):
+            argv = ["campaign", command, "--store", str(path)]
+            if command == "resume":
+                argv += ["--campaign", "smoke", "--revision", "rev"]
+            cli_refused(argv, "compute_backend")
+        assert path.read_bytes() == before
+
+
 class TestHashing:
     def test_hash_is_stable_across_constructions(self):
         """The hash is a content address: key order and container

@@ -1,4 +1,9 @@
-"""Unit tests for the M-NDP graph model and chain validation."""
+"""Unit tests for the M-NDP graph model and chain validation.
+
+Graph queries (``has_link``, ``within_hops``, ...) belong to the
+networkx test oracle :class:`repro.oracles.ReferenceGraph`, a
+:class:`LogicalGraph` that keeps its links in a networkx graph too.
+"""
 
 import numpy as np
 import pytest
@@ -13,11 +18,20 @@ from repro.core.mndp import (
 from repro.crypto.identity import TrustedAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.errors import ConfigurationError
+from repro.oracles import ReferenceGraph, reference_discover
+
+#: ``discover(nu, pairs, graph)`` of each implementation.
+DISCOVER = {
+    "reference": reference_discover,
+    "vectorized": lambda nu, pairs, graph: MNDPSampler(nu).discover(
+        pairs, graph
+    ),
+}
 
 
 class TestLogicalGraph:
     def test_links(self):
-        graph = LogicalGraph(5)
+        graph = ReferenceGraph(5)
         graph.add_link(0, 1)
         assert graph.has_link(0, 1)
         assert graph.has_link(1, 0)
@@ -29,38 +43,37 @@ class TestLogicalGraph:
             LogicalGraph(3).add_link(1, 1)
 
     def test_neighbors(self):
-        graph = LogicalGraph(4)
+        graph = ReferenceGraph(4)
         graph.add_link(0, 1)
         graph.add_link(0, 2)
         assert graph.neighbors(0) == {1, 2}
 
     def test_within_hops(self):
-        graph = LogicalGraph(5)
+        graph = ReferenceGraph(5)
         for a, b in [(0, 1), (1, 2), (2, 3), (3, 4)]:
             graph.add_link(a, b)
         reach = graph.within_hops(0, 2)
         assert reach == {0: 0, 1: 1, 2: 2}
 
     def test_hop_distance(self):
-        graph = LogicalGraph(4)
+        graph = ReferenceGraph(4)
         graph.add_link(0, 1)
         graph.add_link(1, 2)
         assert graph.hop_distance(0, 2, 3) == 2
         assert graph.hop_distance(0, 3, 3) == 0  # unreachable
 
     def test_copy_independent(self):
-        graph = LogicalGraph(3)
+        graph = ReferenceGraph(3)
         graph.add_link(0, 1)
         clone = graph.copy()
         clone.add_link(1, 2)
         assert not graph.has_link(1, 2)
 
     def test_copy_before_and_after_first_query(self):
-        # The networkx graph is built on the first query; a copy taken
-        # either side of that point holds the same links and stays
-        # independent of the original.
+        # A copy taken either side of the first query holds the same
+        # links and stays independent of the original.
         for query_first in (False, True):
-            graph = LogicalGraph(5)
+            graph = ReferenceGraph(5)
             graph.add_links(np.array([[0, 1], [1, 2]]))
             graph.add_link(2, 3)
             if query_first:
@@ -71,7 +84,7 @@ class TestLogicalGraph:
             assert clone.edges() == {(0, 1), (1, 2), (2, 3), (3, 4)}
 
     def test_links_added_after_first_query_are_seen(self):
-        graph = LogicalGraph(4)
+        graph = ReferenceGraph(4)
         graph.add_link(0, 1)
         assert graph.neighbors(1) == {0}
         graph.add_link(1, 2)
@@ -88,14 +101,11 @@ class TestLogicalGraph:
     def test_add_links_negative_index_rejected(self):
         # -1 used to wrap to node 4 in the vectorized scatter, so the
         # links (0,-1), (-1,2) made (0,2) look recovered over 2 hops.
-        for backend in ("reference", "vectorized"):
-            graph = LogicalGraph(5)
+        for discover in DISCOVER.values():
+            graph = ReferenceGraph(5)
             with pytest.raises(ConfigurationError):
                 graph.add_links([(0, -1), (-1, 2)])
-            discovered = MNDPSampler(nu=2, backend=backend).discover(
-                [(0, 2)], graph
-            )
-            assert discovered.shape == (0, 2)
+            assert discover(2, [(0, 2)], graph).shape == (0, 2)
 
     def test_add_links_index_past_end_rejected(self):
         graph = LogicalGraph(5)
@@ -129,10 +139,10 @@ class TestPairArrays:
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_discover_rejects(self, backend, case):
-        graph = LogicalGraph(5)
+        graph = ReferenceGraph(5)
         graph.add_links([(0, 2), (2, 1)])
         with pytest.raises(ConfigurationError):
-            MNDPSampler(2, backend=backend).discover(self.BAD[case], graph)
+            DISCOVER[backend](2, self.BAD[case], graph)
 
     @pytest.mark.parametrize(
         "pairs",
@@ -145,7 +155,7 @@ class TestPairArrays:
         ],
     )
     def test_integer_pairs_accepted(self, pairs):
-        graph = LogicalGraph(5)
+        graph = ReferenceGraph(5)
         graph.add_links(pairs)
         assert graph.edges() == {(0, 1), (3, 4)}
         recovered = MNDPSampler(2).discover(pairs, LogicalGraph(5))

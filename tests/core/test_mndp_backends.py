@@ -1,4 +1,9 @@
-"""Reference vs vectorized M-NDP closure equivalence."""
+"""The M-NDP closure against its networkx oracle.
+
+``"vectorized"`` is :meth:`MNDPSampler.discover` (the hop-ball
+closure), ``"reference"`` the per-source networkx loop of
+:func:`repro.oracles.reference_discover`.
+"""
 
 import random
 from collections import Counter
@@ -10,11 +15,20 @@ from repro.core.mndp import HopClosure, LogicalGraph, MNDPSampler
 from repro.errors import ConfigurationError
 from repro.obs import MetricsRegistry, installed
 from repro.obs import names
+from repro.oracles import ReferenceGraph, reference_discover, reference_round
+
+#: ``discover(nu, pairs, graph, rounds)`` of each implementation.
+DISCOVER = {
+    "reference": reference_discover,
+    "vectorized": lambda nu, pairs, graph, rounds=1: MNDPSampler(
+        nu
+    ).discover(pairs, graph, rounds=rounds),
+}
 
 
 def _random_instance(rnd):
     n = rnd.randrange(5, 35)
-    graph = LogicalGraph(n)
+    graph = ReferenceGraph(n)
     for _ in range(rnd.randrange(0, 3 * n)):
         a, b = rnd.sample(range(n), 2)
         graph.add_link(a, b)
@@ -32,9 +46,7 @@ def _run_backend(backend, nu, pairs, graph, rounds=1):
     metrics."""
     registry = MetricsRegistry()
     with installed(registry):
-        recovered = MNDPSampler(nu, backend=backend).discover(
-            pairs, graph, rounds=rounds
-        )
+        recovered = DISCOVER[backend](nu, pairs, graph, rounds=rounds)
     return recovered, registry.snapshot()
 
 
@@ -61,15 +73,15 @@ def _assert_backends_agree(nu, pairs, graph, rounds=1):
 
 
 def _per_pair_hops(nu, pairs, graph, rounds):
-    """Round by round, the reference ``_one_round`` pair → hops dict
-    equals the vectorized ``HopClosure`` distances of the same pending
-    pairs; returns every round's dict merged, in pending order."""
-    sampler = MNDPSampler(nu)
+    """Round by round, the reference ``reference_round`` pair → hops
+    dict equals the vectorized ``HopClosure`` distances of the same
+    pending pairs; returns every round's dict merged, in pending
+    order."""
     working = graph.copy()
     found = {}
     for _ in range(rounds):
         pending = _pending(pairs, working)
-        want = sampler._one_round(pending, working)
+        want = reference_round(nu, pending, working)
         dist = _closure(pending, working).distances(nu)
         assert {
             pair: hops for pair, hops in zip(pending, dist.tolist()) if hops
@@ -104,7 +116,7 @@ def _closure(pending, graph):
 def _without(graph, nodes):
     """A copy of ``graph`` in which ``nodes`` relay nothing: every link
     touching one is dropped."""
-    kept = LogicalGraph(graph.n_nodes)
+    kept = ReferenceGraph(graph.n_nodes)
     kept.add_links(
         [edge for edge in graph.edges() if not set(edge) & set(nodes)]
     )
@@ -133,32 +145,21 @@ class TestBackendEquivalence:
         for _ in range(30):
             n, graph, pairs = _random_instance(rnd)
             rounds = rnd.randrange(1, 4)
-            want = MNDPSampler(2, backend="reference").discover(
-                pairs, graph, rounds=rounds
-            )
-            got = MNDPSampler(2, backend="vectorized").discover(
-                pairs, graph, rounds=rounds
-            )
+            want = reference_discover(2, pairs, graph, rounds=rounds)
+            got = MNDPSampler(2).discover(pairs, graph, rounds=rounds)
             assert np.array_equal(want, got)
 
     def test_discover_leaves_caller_graph_untouched(self):
-        graph = LogicalGraph(4)
+        graph = ReferenceGraph(4)
         graph.add_link(0, 1)
         graph.add_link(1, 2)
         edges_before = graph.edges()
-        recovered = MNDPSampler(2).discover(
-            [(0, 2), (0, 3)], graph, rounds=3
-        )
-        assert recovered.tolist() == [[0, 2]]
-        assert graph.edges() == edges_before
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MNDPSampler(2, backend="gpu")
-
-    def test_backend_property(self):
-        assert MNDPSampler(2).backend == "vectorized"
-        assert MNDPSampler(2, backend="reference").backend == "reference"
+        logged_before = graph.edge_array().tolist()
+        for discover in DISCOVER.values():
+            recovered = discover(2, [(0, 2), (0, 3)], graph, rounds=3)
+            assert recovered.tolist() == [[0, 2]]
+            assert graph.edges() == edges_before
+            assert graph.edge_array().tolist() == logged_before
 
     def test_discover_with_excludes_and_duplicates(self):
         # Duplicate and reversed pairs must resolve once (dict-key
@@ -170,12 +171,8 @@ class TestBackendEquivalence:
             noisy = pairs + [(b, a) for a, b in pairs[::2]] + pairs[:3]
             excluded = rnd.sample(range(n), rnd.randrange(0, 4))
             cut = _without(graph, excluded)
-            want = MNDPSampler(3, backend="reference").discover(
-                noisy, cut, rounds=2
-            )
-            got = MNDPSampler(3, backend="vectorized").discover(
-                noisy, cut, rounds=2
-            )
+            want = reference_discover(3, noisy, cut, rounds=2)
+            got = MNDPSampler(3).discover(noisy, cut, rounds=2)
             assert np.array_equal(want, got)
             assert not np.isin(want, excluded).any()
 
@@ -187,7 +184,7 @@ class TestBackendEquivalence:
             _assert_backends_agree(3, pairs, cut, rounds=3)
 
     def test_self_pairs_never_recovered(self):
-        graph = LogicalGraph(4)
+        graph = ReferenceGraph(4)
         graph.add_link(0, 1)
         graph.add_link(1, 2)
         recovered, hops = _assert_backends_agree(
@@ -201,23 +198,23 @@ class TestBackendEquivalence:
     def test_out_of_range_pair_rejected(self, backend, index):
         # -1 would otherwise wrap to node n-1 on the array path and fake
         # (or hide) a recovery.
-        graph = LogicalGraph(6)
+        graph = ReferenceGraph(6)
         graph.add_links([(0, 5), (5, 4)])
-        sampler = MNDPSampler(3, backend=backend)
+        discover = DISCOVER[backend]
         with pytest.raises(
             ConfigurationError,
             match=rf"node index {index} out of range \[0, 6\)",
         ):
-            sampler.discover([(0, 4), (index, 4)], graph)
+            discover(3, [(0, 4), (index, 4)], graph)
         with pytest.raises(ConfigurationError):
-            sampler.discover(np.array([[4, index]]), graph)
+            discover(3, np.array([[4, index]]), graph)
 
 
 NUS = list(range(1, 9))
 
 
 def _path_graph(n):
-    graph = LogicalGraph(n)
+    graph = ReferenceGraph(n)
     graph.add_links([(i, i + 1) for i in range(n - 1)])
     return graph
 
@@ -231,7 +228,7 @@ class TestClosureEquivalence:
         # Balls pack n nodes into ceil(n/64) words; these sizes put the
         # last node on, just past, and just before a word boundary.
         rnd = random.Random(n)
-        graph = LogicalGraph(n)
+        graph = ReferenceGraph(n)
         graph.add_links(
             {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(n)}
         )
@@ -288,7 +285,7 @@ class TestClosureEquivalence:
     @pytest.mark.parametrize("nu", NUS)
     def test_excluded_relay_mid_path(self, nu):
         # 0-1-2-3-4 (4 hops) plus the detour 0-5-6-7-8-4 (5 hops).
-        graph = LogicalGraph(9)
+        graph = ReferenceGraph(9)
         graph.add_links([(0, 1), (1, 2), (2, 3), (3, 4)])
         graph.add_links([(0, 5), (5, 6), (6, 7), (7, 8), (8, 4)])
         pairs = [(0, 4), (1, 4), (0, 7)]
@@ -312,7 +309,7 @@ class TestClosureEquivalence:
     @pytest.mark.parametrize("nu", NUS)
     def test_excluded_endpoints(self, nu):
         # Nodes 0 and 9 sit on no link of the path 1-...-8.
-        graph = LogicalGraph(10)
+        graph = ReferenceGraph(10)
         graph.add_links([(i, i + 1) for i in range(1, 8)])
         pairs = [(0, 5), (2, 9), (4, 6), (0, 9), (1, 8)]
         recovered, _ = _assert_backends_agree(nu, pairs, graph)
@@ -324,7 +321,7 @@ class TestClosureEquivalence:
         # one is out of reach and is dropped before a ball is built;
         # pairs_attempted and the hop histogram still count them as
         # the oracle does.
-        graph = LogicalGraph(15)
+        graph = ReferenceGraph(15)
         graph.add_links([(i, i + 1) for i in range(9)])
         graph.add_links([(0, 5), (3, 9), (12, 13)])
         pairs = [
@@ -370,7 +367,7 @@ class TestClosureEquivalence:
         rng = np.random.default_rng(20110620)
         field = RectangularField(5000.0, 5000.0, 300.0)
         pairs = field.neighbor_pairs(uniform_positions(field, 2000, rng))
-        graph = LogicalGraph(2000)
+        graph = ReferenceGraph(2000)
         graph.add_links(pairs[rng.random(len(pairs)) < 0.3])
         recovered, hops = _assert_backends_agree(nu, pairs, graph)
         assert max(hops) == nu and len(recovered) > len(pairs) // 4
@@ -418,7 +415,7 @@ class TestResumedClosure:
 
     def test_resolved_closure_drops_its_ball(self):
         # A path 0-1-2-3: the pair (0, 3) sits at distance 3.
-        graph = LogicalGraph(4)
+        graph = ReferenceGraph(4)
         graph.add_links([(0, 1), (1, 2), (2, 3)])
         closure = _closure([(0, 3)], graph)
         assert closure.distances(2).tolist() == [0]
@@ -430,15 +427,14 @@ class TestResumedClosure:
         assert closure.distances(2).tolist() == [0]
 
     def test_closure_needs_one_vectorized_round(self):
-        graph = LogicalGraph(3)
+        graph = ReferenceGraph(3)
         graph.add_link(0, 1)
         closure = _closure([(0, 2)], graph)
         with pytest.raises(ConfigurationError, match="one round"):
             MNDPSampler(2).discover([(0, 2)], None, rounds=2, closure=closure)
-        with pytest.raises(ConfigurationError, match="one round"):
-            MNDPSampler(2, backend="reference").discover(
-                [(0, 2)], None, closure=closure
-            )
+        assert MNDPSampler(2).discover(
+            [(0, 2)], None, closure=closure
+        ).shape == (0, 2)
 
 
 def _random_hub_graph(n, rnd):
@@ -458,7 +454,7 @@ def _random_hub_graph(n, rnd):
                 edges.add((hub, node))
     for _ in range(len(body) if len(body) > 1 else 0):
         edges.add(tuple(rnd.sample(body, 2)))
-    graph = LogicalGraph(n)
+    graph = ReferenceGraph(n)
     graph.add_links(sorted(edges))
     return graph
 
@@ -488,7 +484,7 @@ def _flower_hub_graph(n, rnd):
                     rest = rest[8:]
     if len(rest) >= 7:
         cycle(rest)
-    graph = LogicalGraph(n)
+    graph = ReferenceGraph(n)
     graph.add_links(edges)
     return graph
 
@@ -533,11 +529,16 @@ class TestDegreeOrderedGrowth:
     def test_relabelling_is_not_the_identity(self):
         # Node 4 is the hub: it must sort first, so the pair ends and
         # the links both move to new labels.
-        graph = LogicalGraph(6)
+        graph = ReferenceGraph(6)
         graph.add_links([(0, 1), (1, 2), (4, 0), (4, 2), (4, 3), (4, 5)])
         closure = _closure([(0, 2), (1, 3), (1, 5), (2, 5)], graph)
         assert closure._degree.tolist() == [4, 2, 2, 2, 1, 1]
         assert closure.distances(3).tolist() == [2, 3, 3, 2]
+
+
+def _logged(graph):
+    """The links ``graph`` logged, as a set of ``(a, b), a < b``."""
+    return {tuple(sorted(edge)) for edge in graph.edge_array().tolist()}
 
 
 class TestLogicalGraphBulk:
@@ -547,37 +548,38 @@ class TestLogicalGraphBulk:
             one.add_link(a, b)
         bulk = LogicalGraph(6)
         bulk.add_links(np.array([[0, 1], [1, 2], [4, 5]]))
-        assert bulk.edges() == one.edges()
-        assert bulk.n_edges == 3
-        assert bulk.has_link(1, 2)
-        assert bulk.neighbors(1) == {0, 2}
+        assert _logged(bulk) == _logged(one) == {(0, 1), (1, 2), (4, 5)}
+        reference = ReferenceGraph(6)
+        reference.add_links(bulk.edge_array())
+        assert reference.edges() == _logged(one)
+        assert reference.n_edges == 3
+        assert reference.has_link(1, 2)
+        assert reference.neighbors(1) == {0, 2}
 
     def test_add_links_accepts_iterables_and_empty(self):
         graph = LogicalGraph(4)
         graph.add_links([(0, 1), (2, 3)])
         graph.add_links([])
-        assert graph.edges() == {(0, 1), (2, 3)}
+        assert _logged(graph) == {(0, 1), (2, 3)}
 
     def test_add_links_rejects_self_loops(self):
         graph = LogicalGraph(4)
         with pytest.raises(ConfigurationError):
             graph.add_links([(0, 1), (2, 2)])
         # The rejected batch left no partial state behind.
-        assert graph.edges() == set()
+        assert graph.edge_array().shape == (0, 2)
 
     def test_edge_array_covers_both_insert_paths(self):
         graph = LogicalGraph(5)
         graph.add_link(0, 1)
         graph.add_links(np.array([[1, 2], [3, 4]]))
-        recorded = {
-            tuple(sorted(edge)) for edge in graph.edge_array().tolist()
-        }
-        assert recorded == {(0, 1), (1, 2), (3, 4)}
+        assert _logged(graph) == {(0, 1), (1, 2), (3, 4)}
 
     def test_copy_preserves_buffered_links(self):
-        graph = LogicalGraph(4)
+        graph = ReferenceGraph(4)
         graph.add_links([(0, 1)])
         clone = graph.copy()
         clone.add_links([(2, 3)])
         assert clone.edges() == {(0, 1), (2, 3)}
         assert graph.edges() == {(0, 1)}
+        assert _logged(graph) == {(0, 1)}

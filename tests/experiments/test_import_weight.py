@@ -1,14 +1,17 @@
 """The run path imports neither scipy, networkx nor the test oracles.
 
 scipy is most of ``import repro``'s cost and only the aggregation
-helpers and the Theorem 3 quadrature use it; networkx only answers
-``LogicalGraph`` graph queries.  Both are imported inside the functions
-that need them, so a fresh interpreter that loads the campaign executor,
-the experiment runner, the worker pool, the PHY models and the CLI must
-not have either loaded.  :mod:`repro.oracles` holds the reference
-correlation engine, RS codec and per-draw pair PHYs (the chip PHY among
-them) for the equivalence tests and speed-up benchmarks; no runtime
-module may load it, at import or while a chipless run executes.  A bare ``import repro``
+helpers and the Theorem 3 quadrature use it, imported inside the
+functions that need them.  networkx is a test-only dependency: only
+:mod:`repro.oracles` imports it, for the reference logical graph and
+M-NDP closure.  So a fresh interpreter that loads the campaign
+executor, the experiment runner, the worker pool, the PHY models and
+the CLI must not have either loaded.  :mod:`repro.oracles` holds the
+reference correlation engine, per-draw pair PHYs (the chip PHY among
+them) and snapshot pipeline for the equivalence tests and speed-up
+benchmarks; no runtime module may load it, at import or while a run
+executes: a chipless one, or one of two M-NDP rounds, which keeps the
+direct links in a :class:`~repro.core.mndp.LogicalGraph`.  A bare ``import repro``
 (config, node, runner, metrics) does not load the worker pool or
 ``multiprocessing`` either: only code that fans runs out pays for them.
 The pool itself loads numpy's lazily imported ``numpy.random`` and
@@ -44,7 +47,11 @@ import sys
 from repro.experiments.runner import NetworkExperiment
 from repro.experiments.scenarios import preset_config
 NetworkExperiment(preset_config("tiny-chipless"), seed=0).run_once(0)
-print("repro.oracles" in sys.modules)
+NetworkExperiment(preset_config("tiny"), seed=0, mndp_rounds=2).run_once(0)
+print(",".join(
+    name for name in sys.modules
+    if name.split(".")[0] == "networkx" or name == "repro.oracles"
+))
 """
 
 
@@ -89,7 +96,7 @@ def test_run_path_imports_no_scipy_or_networkx():
 
 
 def test_chipless_run_loads_no_oracles():
-    assert _probe(RUN_PROBE) == "False"
+    assert _probe(RUN_PROBE) == ""
 
 
 def test_import_repro_loads_no_pool_or_multiprocessing():

@@ -13,6 +13,7 @@ from repro.experiments import pool as pool_module
 from repro.experiments.pool import _HeldSnapshot, _run_chunk
 from repro.experiments.runner import FieldSnapshot, NetworkExperiment
 from repro.experiments.scenarios import preset_config
+from repro.oracles import reference_run
 
 SEED = 2011
 
@@ -83,7 +84,6 @@ def test_memo_keys_on_the_topology_not_the_point():
         NetworkExperiment(config, seed=SEED + 1),
         NetworkExperiment(config.replace(share_count=6), seed=SEED),
         NetworkExperiment(config.replace(tx_range=250.0), seed=SEED),
-        NetworkExperiment(config, seed=SEED, compute_backend="reference"),
     ):
         shared = held.get(base, 0)
         replaced = held.get(other, 0)
@@ -151,31 +151,43 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _fresh(experiment, against, **kwargs):
+    """Run 0 of ``experiment`` without a held snapshot: a fresh
+    ``run_once`` (``"vectorized"``) or the oracle's ``reference_run``
+    (``"reference"``); ``kwargs`` are the experiment's own."""
+    if against == "vectorized":
+        return experiment.run_once(0)
+    return reference_run(experiment.config, SEED, 0, **kwargs)
+
+
 @pytest.mark.parametrize("order", sorted(NU_ORDERS))
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
+@pytest.mark.parametrize("against", ["vectorized", "reference"])
 @pytest.mark.parametrize("link_model", ["codes", "independent"])
 @pytest.mark.parametrize("base", ["tiny", "tiny-chipless"])
-def test_one_cell_serves_every_nu(base, link_model, backend, order):
-    """Every nu of one cell, in any order, from one snapshot:
-    each run equals a fresh ``run_once`` with the same deterministic
-    metrics, and the snapshot keeps serving the same cell."""
-    snapshot = None
-    cells = set()
-    recovered = set()
-    for nu in NU_ORDERS[order]:
-        experiment = _point(
-            base, nu, link_model=link_model, compute_backend=backend
-        )
-        if snapshot is None:
-            snapshot = FieldSnapshot(experiment.snapshot_key(0))
-        served = experiment.run_once(0, snapshot)
-        _assert_same_run(served, experiment.run_once(0))
-        cells.add(id(snapshot._cell))
-        recovered.add(served.mndp_successes)
-    assert len(cells) == 1
-    assert (snapshot._cell.closure is not None) == (backend == "vectorized")
-    # Non-vacuous: the nu points disagree.
-    assert len(recovered) > 3
+def test_one_cell_serves_every_nu(base, link_model, against, order):
+    """Every nu of one cell, in any order, from one snapshot, with one
+    M-NDP round (the cell holds a closure) and with two (it holds the
+    direct mask): each run equals a fresh run (``against``) with the
+    same deterministic metrics, and the snapshot keeps serving the
+    same cell."""
+    for rounds in (1, 2):
+        snapshot = None
+        cells = set()
+        recovered = set()
+        for nu in NU_ORDERS[order]:
+            kwargs = dict(link_model=link_model, mndp_rounds=rounds)
+            experiment = _point(base, nu, **kwargs)
+            if snapshot is None:
+                snapshot = FieldSnapshot(experiment.snapshot_key(0))
+            served = experiment.run_once(0, snapshot)
+            _assert_same_run(served, _fresh(experiment, against, **kwargs))
+            cells.add(id(snapshot._cell))
+            recovered.add(served.mndp_successes)
+        assert len(cells) == 1
+        assert (snapshot._cell.closure is None) == (rounds > 1)
+        assert (snapshot._cell.direct is None) == (rounds == 1)
+        # Non-vacuous: the nu points disagree.
+        assert len(recovered) > 3
 
 
 @pytest.mark.parametrize("base", ["tiny", "tiny-chipless"])

@@ -1,10 +1,21 @@
-"""Reference vs vectorized pre-distribution assignment equivalence."""
+"""Pre-distribution against its per-subset oracle.
+
+``"vectorized"`` is :meth:`PreDistributor.assign`, ``"reference"`` the
+subset-by-subset loop of :func:`repro.oracles.reference_assign`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.oracles import reference_assign
 from repro.predistribution.authority import CodeAssignment, PreDistributor
+
+#: ``assign(distributor, rng)`` of each implementation.
+ASSIGN = {
+    "reference": reference_assign,
+    "vectorized": PreDistributor.assign,
+}
 
 
 class TestAssignBackends:
@@ -20,12 +31,8 @@ class TestAssignBackends:
     def test_identical_assignments(self, n, m, l):
         distributor = PreDistributor(n, m, l)
         for seed in (0, 1, 99):
-            want = distributor.assign(
-                np.random.default_rng(seed), backend="reference"
-            )
-            got = distributor.assign(
-                np.random.default_rng(seed), backend="vectorized"
-            )
+            want = reference_assign(distributor, np.random.default_rng(seed))
+            got = distributor.assign(np.random.default_rng(seed))
             assert want.node_codes == got.node_codes
             assert want.code_holders == got.code_holders
             # Key insertion order matters for deterministic iteration.
@@ -33,13 +40,13 @@ class TestAssignBackends:
             assert want.pool_size == got.pool_size
 
     def test_same_rng_stream_consumption(self):
-        # Both backends draw exactly one permutation per round, so a
-        # draw made *after* assign must agree between them.
+        # Both draw exactly one permutation per round, so a draw made
+        # *after* assign must agree between them.
         distributor = PreDistributor(23, 5, 4)
         rng_a = np.random.default_rng(7)
         rng_b = np.random.default_rng(7)
-        distributor.assign(rng_a, backend="reference")
-        distributor.assign(rng_b, backend="vectorized")
+        reference_assign(distributor, rng_a)
+        distributor.assign(rng_b)
         assert rng_a.integers(0, 1 << 30) == rng_b.integers(0, 1 << 30)
 
     def test_node_codes_are_python_ints(self):
@@ -50,12 +57,6 @@ class TestAssignBackends:
             assert all(type(code) is int for code in codes)
         for holders in assignment.code_holders.values():
             assert all(type(node) is int for node in holders)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PreDistributor(9, 2, 3).assign(
-                np.random.default_rng(0), backend="fast"
-            )
 
 
 def _assert_round_aligned(assignment, w):
@@ -70,9 +71,7 @@ class TestRoundAlignedLayout:
     @pytest.mark.parametrize("n,m,l", [(10, 3, 2), (253, 6, 10), (97, 7, 13)])
     def test_assign_puts_round_r_in_its_block(self, backend, n, m, l):
         distributor = PreDistributor(n, m, l)
-        assignment = distributor.assign(
-            np.random.default_rng(4), backend=backend
-        )
+        assignment = ASSIGN[backend](distributor, np.random.default_rng(4))
         assert assignment.codes.shape == (n, m)
         _assert_round_aligned(assignment, distributor.subsets_per_round)
 
@@ -156,12 +155,8 @@ class TestRoundLocalKeys:
         distributor = PreDistributor(n, m, l)
         w = distributor.subsets_per_round
         for seed in (0, 5):
-            want = distributor.assign(
-                np.random.default_rng(seed), backend="reference"
-            )
-            got = distributor.assign(
-                np.random.default_rng(seed), backend="vectorized"
-            )
+            want = reference_assign(distributor, np.random.default_rng(seed))
+            got = distributor.assign(np.random.default_rng(seed))
             assert got.keys.dtype == np.min_scalar_type(w - 1)
             assert got.keys.shape == (n, m)
             assert not got.keys.flags.writeable

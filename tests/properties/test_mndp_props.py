@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mndp import LogicalGraph, MNDPSampler
+from repro.oracles import ReferenceGraph
 
 
 @st.composite
@@ -40,7 +41,7 @@ class TestClosureProperties:
     @settings(max_examples=80, deadline=None)
     def test_matches_networkx_shortest_paths(self, case):
         n, edges, pairs, nu = case
-        logical = LogicalGraph(n)
+        logical = ReferenceGraph(n)
         reference = nx.Graph()
         reference.add_nodes_from(range(n))
         for a, b in edges:

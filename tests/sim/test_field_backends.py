@@ -1,4 +1,9 @@
-"""Reference vs vectorized neighbor-pair search equivalence."""
+"""The neighbor-pair search against its grid-bucketed oracle.
+
+``"vectorized"`` is :meth:`RectangularField.neighbor_pairs`,
+``"reference"`` the per-cell loop of
+:func:`repro.oracles.reference_neighbor_pairs`.
+"""
 
 import math
 import tracemalloc
@@ -7,12 +12,19 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.oracles import reference_neighbor_pairs
 from repro.sim.field import RectangularField
+
+#: ``neighbor_pairs(field, positions)`` of each implementation.
+NEIGHBOR_PAIRS = {
+    "reference": reference_neighbor_pairs,
+    "vectorized": RectangularField.neighbor_pairs,
+}
 
 
 def _assert_backends_agree(field, positions):
-    want = field.neighbor_pairs(positions, backend="reference")
-    got = field.neighbor_pairs(positions, backend="vectorized")
+    want = reference_neighbor_pairs(field, positions)
+    got = field.neighbor_pairs(positions)
     assert got.dtype == np.int64 and got.shape[1:] == (2,)
     assert np.array_equal(want, got)
     return got
@@ -33,19 +45,17 @@ class TestNeighborPairBackends:
                     rng.uniform(0, width, n), rng.uniform(0, height, n)
                 )
             ]
-            want = field.neighbor_pairs(positions, backend="reference")
-            got = field.neighbor_pairs(positions, backend="vectorized")
-            assert np.array_equal(want, got)
+            assert np.array_equal(
+                reference_neighbor_pairs(field, positions),
+                field.neighbor_pairs(positions),
+            )
 
     def test_boundary_distance_agrees(self):
-        # Two nodes exactly tx_range apart: both backends use the same
+        # Two nodes exactly tx_range apart: both searches use the same
         # correctly-rounded hypot, so the boundary decision matches.
         field = RectangularField(100.0, 100.0, 5.0)
         positions = [(0.0, 0.0), (3.0, 4.0), (0.0, 5.0), (0.0, 5.0001)]
-        want = field.neighbor_pairs(positions, backend="reference")
-        got = field.neighbor_pairs(positions, backend="vectorized")
-        assert np.array_equal(want, got)
-        found = got.tolist()
+        found = _assert_backends_agree(field, positions).tolist()
         assert [0, 1] in found and [0, 2] in found and [0, 3] not in found
 
     @pytest.mark.parametrize("tx_range", [300.0, 7.5, 0.3])
@@ -72,8 +82,8 @@ class TestNeighborPairBackends:
     def test_returns_sorted_int64_array(self):
         field = RectangularField(10.0, 10.0, 20.0)
         positions = [(2.0, 2.0), (0.0, 0.0), (1.0, 1.0), (3.0, 0.5)]
-        for backend in ("reference", "vectorized"):
-            pairs = field.neighbor_pairs(positions, backend=backend)
+        for neighbor_pairs in NEIGHBOR_PAIRS.values():
+            pairs = neighbor_pairs(field, positions)
             assert pairs.dtype == np.int64 and pairs.shape == (6, 2)
             assert pairs.tolist() == [
                 [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]
@@ -81,15 +91,10 @@ class TestNeighborPairBackends:
 
     def test_small_inputs(self):
         field = RectangularField(10.0, 10.0, 5.0)
-        for backend in ("reference", "vectorized"):
+        for neighbor_pairs in NEIGHBOR_PAIRS.values():
             for positions in ([], [(1.0, 1.0)]):
-                pairs = field.neighbor_pairs(positions, backend=backend)
+                pairs = neighbor_pairs(field, positions)
                 assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
-
-    def test_unknown_backend_rejected(self):
-        field = RectangularField(10.0, 10.0, 5.0)
-        with pytest.raises(ConfigurationError):
-            field.neighbor_pairs([(0.0, 0.0)], backend="kdtree")
 
     def test_coordinates_on_cell_edges(self):
         # Every coordinate an exact multiple of tx_range: nodes sit on
@@ -159,7 +164,7 @@ class TestNeighborPairBackends:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        want = field.neighbor_pairs(positions, backend="reference")
+        want = reference_neighbor_pairs(field, positions)
         assert np.array_equal(got, want)
         assert len(got) > 1000
 
@@ -180,7 +185,7 @@ class TestPositionValidation:
     def test_bad_positions_rejected(self, backend, case):
         field = RectangularField(10.0, 10.0, 5.0)
         with pytest.raises(ConfigurationError):
-            field.neighbor_pairs(self.BAD[case], backend=backend)
+            NEIGHBOR_PAIRS[backend](field, self.BAD[case])
 
     def test_integer_positions_accepted(self):
         field = RectangularField(10.0, 10.0, 5.0)
