@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.predistribution.authority import CodeAssignment
-from repro.utils.validation import check_non_negative
+from repro.utils.validation import check_node_count, check_non_negative
 
 __all__ = ["CompromiseState", "CompromiseModel"]
 
@@ -103,12 +103,7 @@ class CompromiseModel:
         ``q`` must be an integer (not a bool) in ``[0, n]``; anything
         else is a :class:`ConfigurationError`.
         """
-        if isinstance(q, (bool, np.bool_)) or not isinstance(
-            q, (int, np.integer)
-        ):
-            raise ConfigurationError(
-                f"q must be an integer node count, got {q!r}"
-            )
+        check_node_count("q", q)
         check_non_negative("q", q)
         n = self._assignment.n_nodes
         if q > n:

@@ -17,7 +17,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.sim.field import Position, RectangularField
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    check_node_count,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = ["uniform_positions", "StaticPlacement", "RandomWaypointModel"]
 
@@ -28,8 +32,11 @@ def uniform_positions(
     """Place ``n_nodes`` uniformly at random in the field.
 
     Returns an ``(n_nodes, 2)`` float64 array of ``(x, y)`` rows: all
-    x draws first, then all y draws.
+    x draws first, then all y draws.  ``n_nodes`` must be a positive
+    integer (not a bool); anything else is a
+    :class:`ConfigurationError`.
     """
+    check_node_count("n_nodes", n_nodes)
     check_positive("n_nodes", n_nodes)
     xs = rng.uniform(0.0, field.width, size=n_nodes)
     ys = rng.uniform(0.0, field.height, size=n_nodes)

@@ -6,6 +6,7 @@ format, keeping the validation noise in constructors short and consistent.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Iterable, Tuple, Type, Union
 
 import numpy as np
@@ -18,6 +19,8 @@ __all__ = [
     "check_fraction",
     "check_in_range",
     "check_type",
+    "check_real",
+    "check_node_count",
     "check_integer_array",
 ]
 
@@ -67,6 +70,30 @@ def check_type(
             expected = types.__name__
         raise ConfigurationError(
             f"{name} must be {expected}, got {type(value).__name__}"
+        )
+    return value
+
+
+def check_real(name: str, value: Any) -> Number:
+    """Require a real number; return it.  A bool is refused: numpy and
+    arithmetic would silently read it as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, numbers.Real
+    ):
+        raise ConfigurationError(
+            f"{name} must be a real number, got {value!r}"
+        )
+    return value
+
+
+def check_node_count(name: str, value: Any) -> int:
+    """Require an integer (not a bool) count; return it.  Its sign is
+    the caller's to check."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+        value, (int, np.integer)
+    ):
+        raise ConfigurationError(
+            f"{name} must be an integer node count, got {value!r}"
         )
     return value
 

@@ -61,6 +61,20 @@ class TestGeometry:
         with pytest.raises(ConfigurationError, match="must be"):
             RectangularField(*dims)
 
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            ("100", 100, 10),
+            (True, 100, 10),
+            (100, np.True_, 10),
+            (100, 100, 10j),
+            (None, 100, 10),
+        ],
+    )
+    def test_rejects_non_real_dimensions(self, dims):
+        with pytest.raises(ConfigurationError, match="must be a real"):
+            RectangularField(*dims)
+
 
 class TestNeighborPairs:
     def test_matches_brute_force(self, rng):

@@ -7,6 +7,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.oracles import reference_neighbor_pairs
 from repro.sim.field import RectangularField
+from repro.sim.mobility import uniform_positions
 
 #: ``neighbor_pairs(field, positions)`` of each implementation.
 NEIGHBOR_PAIRS = {
@@ -169,6 +171,73 @@ class TestNeighborPairBackends:
         assert len(got) > 1000
 
 
+class TestPerColumnPasses:
+    """Cases aimed at the one-stencil-column-at-a-time screen."""
+
+    @pytest.mark.parametrize("strip", ["row", "column", "rising", "falling"])
+    def test_forward_columns_without_candidates(self, strip):
+        # Nodes along one row of cells have no (0, +1), (+1, -1) or
+        # (+1, +1) candidates; along one column, only (0, +1) ones;
+        # along a diagonal, only the diagonal forward cell's.
+        rng = np.random.default_rng(12)
+        field = RectangularField(1000.0, 1000.0, 10.0)
+        t = rng.uniform(0.0, 1000.0, 400)
+        jitter = rng.uniform(0.0, 9.9, 400)
+        positions = {
+            "row": np.stack((t, jitter), axis=1),
+            "column": np.stack((jitter, t), axis=1),
+            "rising": np.stack((t, t), axis=1),
+            "falling": np.stack((t, 1000.0 - t), axis=1),
+        }[strip]
+        assert len(_assert_backends_agree(field, positions)) > 0
+
+    def test_every_node_in_one_cell(self):
+        rng = np.random.default_rng(13)
+        field = RectangularField(100.0, 100.0, 50.0)
+        positions = rng.uniform(0.0, 49.9, (300, 2))
+        pairs = _assert_backends_agree(field, positions)
+        assert 0 < len(pairs) < 300 * 299 // 2
+
+    @pytest.mark.parametrize(
+        "start, step",
+        [
+            ((2.0, 2.0), (0.0, 5.0)),  # (0, +1)
+            ((4.0, 6.0), (3.0, -4.0)),  # (+1, -1)
+            ((2.0, 2.0), (5.0, 0.0)),  # (+1, 0)
+            ((4.0, 4.0), (3.0, 4.0)),  # (+1, +1)
+        ],
+        ids=["0,+1", "+1,-1", "+1,0", "+1,+1"],
+    )
+    def test_pairs_exactly_at_range_in_each_forward_cell(self, start, step):
+        # A and B are exactly tx_range = 5 apart with B in the forward
+        # cell; C is one ulp further out along the same direction.
+        field = RectangularField(20.0, 20.0, 5.0)
+        a = np.array(start)
+        b = a + np.array(step)
+        c = np.nextafter(b, b + np.array(step))
+        assert field.distance(a, b) == 5.0 and field.distance(a, c) > 5.0
+        pairs = _assert_backends_agree(field, np.stack((a, b, c)))
+        assert pairs.tolist() == [[0, 1], [1, 2]]
+
+    def test_table1_transient_peak_stays_under_2_mb(self):
+        # A transient peak above the rest of a run's is handed back to
+        # the kernel after the call and faulted in again on the next
+        # run; screening one column at a time keeps it near 1 MB.
+        field = RectangularField(5000.0, 5000.0, 300.0)
+        positions = uniform_positions(
+            field, 2000, np.random.default_rng(2011)
+        )
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            pairs = field.neighbor_pairs(positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 20_000 < len(pairs) < 23_000
+        assert peak - base <= 2 * 2**20
+
+
 class TestPositionValidation:
     BAD = {
         "nan": [(0.0, 0.0), (math.nan, 1.0)],
@@ -178,14 +247,22 @@ class TestPositionValidation:
         "flat": [0.0, 1.0, 2.0, 3.0],
         "ragged": [(0.0, 0.0), (1.0,)],
         "text": [("a", "b")],
+        "complex": [(0.0, 0.0), (1.0 + 2.0j, 1.0)],
+        "complex array": np.array([[0.0, 0.0], [1.0, 2.0j]]),
+        "bool": [(True, False), (False, True)],
+        "bool entry": [(0.0, 0.0), (True, 1.0)],
+        "bool array": np.array([[True, False], [False, True]]),
     }
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     @pytest.mark.parametrize("case", sorted(BAD))
     def test_bad_positions_rejected(self, backend, case):
         field = RectangularField(10.0, 10.0, 5.0)
-        with pytest.raises(ConfigurationError):
-            NEIGHBOR_PAIRS[backend](field, self.BAD[case])
+        # Raised, not read with a ComplexWarning or as 0/1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError):
+                NEIGHBOR_PAIRS[backend](field, self.BAD[case])
 
     def test_integer_positions_accepted(self):
         field = RectangularField(10.0, 10.0, 5.0)

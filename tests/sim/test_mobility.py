@@ -38,6 +38,14 @@ class TestUniformPositions:
         with pytest.raises(ConfigurationError):
             uniform_positions(field, 0, rng)
 
+    @pytest.mark.parametrize("n_nodes", [2.5, 3.0, True, "5", None])
+    def test_rejects_non_integer_count(self, field, rng, n_nodes):
+        with pytest.raises(ConfigurationError, match="integer node count"):
+            uniform_positions(field, n_nodes, rng)
+
+    def test_numpy_integer_count_accepted(self, field, rng):
+        assert uniform_positions(field, np.int64(3), rng).shape == (3, 2)
+
 
 class TestStaticPlacement:
     def test_time_invariant(self, field, rng):
