@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.predistribution.authority import CodeAssignment
-from repro.utils.validation import check_node_count, check_non_negative
+from repro.utils.validation import check_count, check_non_negative
 
 __all__ = ["CompromiseState", "CompromiseModel"]
 
@@ -103,7 +103,7 @@ class CompromiseModel:
         ``q`` must be an integer (not a bool) in ``[0, n]``; anything
         else is a :class:`ConfigurationError`.
         """
-        check_node_count("q", q)
+        check_count("q", q, "node count")
         check_non_negative("q", q)
         n = self._assignment.n_nodes
         if q > n:

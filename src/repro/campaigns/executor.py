@@ -12,9 +12,9 @@ the determinism guarantees around it:
    :class:`~repro.experiments.pool.WorkerPool`;
 4. collect each shard's outcomes and commit the job's results and
    merged deterministic metrics in one transaction;
-5. when every shard is present, mark the campaign complete and
-   atomically replace the working store with its canonical
-   byte-deterministic rebuild.
+5. when every shard is present, export the working store's canonical
+   byte-deterministic rebuild, marked complete, and atomically replace
+   the working store with it.
 
 **Block jobs.**  Every pending shard of one run range forms one job
 (:func:`_jobs`): under common random numbers a run index has one
@@ -37,17 +37,20 @@ caches survive across jobs), and the loop keeps one job per worker in
 flight behind the job it is waiting on: while it waits on job N, jobs
 N+1 .. N+w of a ``w``-worker pool are already submitted, so every
 worker stays busy, and a worker that finishes a later job first
-starts the next one instead of idling.  Jobs may finish in any order,
-but the loop waits on them, and commits them, strictly in shard
-order; job N's SQLite commit runs on the main thread while
-N+1 .. N+w compute, and job N+w+1 is submitted right after it.  With
-a single worker the pool runs in-process (forking one worker to do
-what the parent could do inline is pure overhead) and each job is
-submitted when the loop reaches it; the same submit → wait →
-``collect_outcomes`` (per shard) → ``write_shard`` loop then simply
-runs each job when it is waited on.  Because a shard's results are a
-pure function of ``(spec, shard)``, the store bytes are unaffected by
-the worker count or the grouping.
+starts the next one instead of idling.  The pool has no thread of its
+own: the loop's ``wait`` on job N is what collects every worker's
+replies and hands out the next chunks, and submitting job N+w+1 takes
+one more such step.  Jobs may finish in any order, but the loop waits
+on them, and commits them, strictly in shard order; job N's SQLite
+commit runs while N+1 .. N+w compute, and a worker that finishes
+during the commit gets its next chunk from the submit or wait that
+follows it.  With a single worker the pool runs in-process (forking
+one worker to do what the parent could do inline is pure overhead)
+and each job is submitted when the loop reaches it; the same submit →
+wait → ``collect_outcomes`` (per shard) → ``write_shard`` loop then
+simply runs each job when it is waited on.  Because a shard's results
+are a pure function of ``(spec, shard)``, the store bytes are
+unaffected by the worker count or the grouping.
 
 **Failure and resume.**  Resume is the only recovery.  A SIGKILL
 anywhere in steps 3-4 loses at most the committing job plus the ``w``
@@ -79,7 +82,6 @@ from repro.campaigns.store import (
     ShardRows,
     current_git_revision,
 )
-from repro.errors import ConfigurationError
 from repro.experiments.pool import (
     PendingRun,
     WorkerPool,
@@ -90,7 +92,11 @@ from repro.experiments.runner import NetworkExperiment
 from repro.obs import current
 from repro.obs import names as _names
 from repro.utils.fileio import atomic_write_text
-from repro.utils.validation import check_positive
+from repro.utils.validation import (
+    check_count,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = ["CampaignStatus", "run_campaign"]
 
@@ -254,18 +260,19 @@ def run_campaign(
     ----------
     processes:
         Worker processes of the campaign's pool, and the number of
-        jobs kept in flight behind the one being committed (at
-        least 1; a single worker runs in-process, one job at a
-        time).  A run block of fewer runs than this runs as cell
+        jobs kept in flight behind the one being committed (an
+        integer of at least 1; a single worker runs in-process, one
+        job at a time).  A run block of fewer runs than this runs as cell
         jobs.  Defaults to the CPUs available to this process.
     max_shards:
-        Stop gracefully after executing this many shards (testing and
-        budgeted execution); the campaign stays resumable.
+        Stop gracefully after executing this many shards (a
+        non-negative integer; testing and budgeted execution); the
+        campaign stays resumable.
     kill_after_shards:
         Testing hook: SIGKILL this process immediately after the
         commit that brings the shards committed by this invocation to
-        at least N, simulating a hard crash mid-campaign (the jobs
-        then in flight are lost).
+        at least N (a non-negative integer), simulating a hard crash
+        mid-campaign (the jobs then in flight are lost).
     git_revision:
         Override the revision key (defaults to ``git rev-parse HEAD``).
     progress:
@@ -274,9 +281,14 @@ def run_campaign(
         still runs to the end and commits.
     """
     if processes is not None:
+        check_count("processes", processes, "worker count")
         check_positive("processes", processes)
-    if max_shards is not None and max_shards < 0:
-        raise ConfigurationError("max_shards must be >= 0")
+    for name, count in (
+        ("max_shards", max_shards), ("kill_after_shards", kill_after_shards)
+    ):
+        if count is not None:
+            check_count(name, count, "shard count")
+            check_non_negative(name, count)
     revision = git_revision or current_git_revision()
     shards = spec.shards()
     spec_hash = spec.spec_hash()
@@ -403,18 +415,24 @@ def run_campaign(
             pool.close()
         done = store.completed_shards(spec.name, spec_hash, revision)
         complete = len(done) == len(shards)
+        canonicalize = complete and not already_complete
+        canonical_path = store_path + ".canonical.tmp"
+        if canonicalize:
+            store.export_canonical(
+                canonical_path, mark_complete=(spec.name, spec_hash, revision)
+            )
+        else:
+            digest = store.canonical_digest()
 
-    if complete and not already_complete:
-        _canonicalize(
-            store_path, (spec.name, spec_hash, revision)
-        )
+    if canonicalize:
+        # The working store is closed: atomically put its canonical
+        # rebuild in its place, then digest the file as it now stands.
+        os.replace(canonical_path, store_path)
         with CampaignStore(store_path) as store:
             digest = store.canonical_digest()
         _write_summary_sidecar(store_path, spec, revision, digest)
         emit(f"campaign complete; canonical store at {store_path}")
     else:
-        with CampaignStore(store_path) as store:
-            digest = store.canonical_digest()
         if complete:
             emit("campaign already complete; store untouched")
         else:
@@ -435,15 +453,6 @@ def run_campaign(
         complete=complete,
         canonical_digest=digest,
     )
-
-
-def _canonicalize(store_path, campaign_key) -> None:
-    """Atomically replace the working store with its canonical form,
-    stamping ``campaign_key`` complete in the exported rows."""
-    tmp_path = store_path + ".canonical.tmp"
-    with CampaignStore(store_path) as store:
-        store.export_canonical(tmp_path, mark_complete=campaign_key)
-    os.replace(tmp_path, store_path)
 
 
 def _write_summary_sidecar(

@@ -36,36 +36,43 @@ fork per shard would dominate the wall clock, so the pool amortizes it:
   round, the hop-ball closure.  So a run's snapshot is built once per
   job, and the next ``nu`` point of a cell skips the sweep and resumes
   the closure past the hop level it reached.
-- **Submission is asynchronous and jobs overlap.**
-  :meth:`WorkerPool.submit` returns a :class:`PendingRun` immediately.
-  A dispatcher thread keeps the active jobs in a FIFO, each with its
-  own chunk queue and outcomes, and hands every idle worker the next
-  chunk of the oldest job that still has one.  A handle resolves as
-  soon as its own job has nothing pending and nothing in flight,
-  whatever the jobs around it do.  The dispatcher blocks on the busy
-  workers' pipes plus a wake-up pipe that :meth:`~WorkerPool.submit`
-  and :meth:`~WorkerPool.close` write to, so a new job starts on an
-  idle worker at once.  A lone job (one :meth:`~WorkerPool.run` call)
-  spreads over every worker; the campaign executor keeps one job per
-  worker in flight, so even one-run shards keep every worker busy.
+- **The caller's thread drives dispatch, and jobs overlap.**  The pool
+  starts no thread.  It keeps the open jobs in a FIFO, each with its
+  own chunk queue and outcomes, and dispatches in *steps*: a step
+  collects the replies the busy workers have ready, then hands every
+  idle worker the next chunk of the oldest job that still has one.
+  :meth:`WorkerPool.submit` queues the job's chunks and takes one
+  step without blocking, so a new job starts on an idle worker at
+  once, and returns a :class:`PendingRun`.  :meth:`PendingRun.wait`
+  takes steps, blocking on the busy workers' pipes, until its own job
+  has nothing pending and nothing running, whatever the jobs around
+  it do; the replies of those jobs are collected on the way.  A lone
+  job (one :meth:`~WorkerPool.run` call) spreads over every worker;
+  the campaign executor keeps one job per worker in flight, so even
+  one-run shards keep every worker busy.  A worker that finishes
+  while the caller does something else (the executor's store commit)
+  waits for the caller's next ``submit`` or ``wait`` to get its next
+  chunk.
 
-**In-process mode.**  ``WorkerPool(processes=0)`` spawns no child and
-no dispatcher thread: :meth:`~WorkerPool.submit` only records the job
-and :meth:`PendingRun.wait` runs it in the caller's thread, through the
-same per-chunk loop (:func:`_run_chunk`) a worker process uses — same
-trapping of :data:`~repro.errors.WORKER_TRAPPED_ERRORS` into tagged
-outcomes.  It is the serial engine.
+**In-process mode.**  ``WorkerPool(processes=0)`` spawns no child:
+:meth:`~WorkerPool.submit` only queues the job, and
+:meth:`PendingRun.wait` runs the job's chunks in the caller's thread,
+through the same per-chunk loop (:func:`_run_chunk`) a worker process
+uses — same trapping of :data:`~repro.errors.WORKER_TRAPPED_ERRORS`
+into tagged outcomes.  It is the serial engine.
 
 **Failure.**  A run that raises one of the trapped errors comes back
 as a tagged failure outcome and surfaces through
 :class:`~repro.errors.ParallelExecutionError`; the pool stays usable.
 A worker found dead — EOF on its pipe, a ``fatal`` report, or a chunk
-that cannot be sent to it — is not replaced: the dispatcher raises
+that cannot be sent to it — is not replaced: the step raises
 :class:`~repro.errors.WorkerPoolError` naming the run indices of the
-chunk the worker held, which breaks the pool and fails every active
-and queued job.  Recovery is the caller's: runs are seed-pure, so the
-campaign executor's committed shards stay committed and ``campaign
-resume`` re-runs the lost ones to the same bytes.
+chunk the worker held.  That, or anything else escaping a step (a
+``KeyboardInterrupt`` mid-receive), breaks the pool and fails every
+open job, so no later ``wait`` blocks on a chunk nobody holds.
+Recovery is the caller's: runs are seed-pure, so the campaign
+executor's committed shards stay committed and ``campaign resume``
+re-runs the lost ones to the same bytes.
 
 Determinism is untouched: a run's randomness depends only on
 ``(seed, run_index)`` and every mode executes ``run_once`` through the
@@ -80,17 +87,14 @@ dispatched.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
-import threading
+import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _wait_ready
-from typing import (
-    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 # numpy 2.x loads these two on first use (every run draws from
 # numpy.random, and np.unique reaches numpy.ma).  Loading them before
@@ -112,7 +116,11 @@ from repro.experiments.runner import (
 )
 from repro.obs import current
 from repro.obs import names as _names
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    check_count,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = [
     "PendingRun",
@@ -238,7 +246,7 @@ def _run_chunk(
 
 
 def _worker_main(conn: Any, close_conns: List[Any]) -> None:
-    """Worker process loop: run the chunks the dispatcher sends.
+    """Worker process loop: run the chunks the pool sends.
 
     Each ``("run", experiments, indices)`` message executes
     through :func:`_run_chunk` on this process's held snapshot;
@@ -309,51 +317,41 @@ def collect_outcomes(outcomes: List[_Outcome]) -> ExperimentResult:
 
 
 class PendingRun:
-    """Handle for one submitted job; resolved by the dispatcher, or by
-    the first :meth:`wait` for an in-process job (``deferred``).
+    """One submitted job: its dispatch state and the caller's handle.
 
-    A job resolves with one outcome list per experiment; ``single``
-    marks a job submitted as a bare experiment, whose :meth:`wait`
-    returns that one list.
+    Every chunk runs its run indices through each of the job's
+    experiments, and the job's outcomes hold one list per experiment.
+    ``_pending`` holds the chunks not yet handed to a worker and
+    ``_running`` counts the chunks a worker holds; the pool's steps
+    move them along.  The job is done once nothing is pending and
+    nothing is running, or once the pool has failed it (``_error``).
+    ``single`` marks a job submitted as a bare experiment, whose
+    :meth:`wait` returns that one list.
     """
 
     def __init__(
         self,
-        deferred: Optional[Callable[[], List[List[_Outcome]]]] = None,
-        single: bool = False,
+        pool: "WorkerPool",
+        experiments: Tuple[NetworkExperiment, ...],
+        chunks: List[List[int]],
+        single: bool,
     ) -> None:
-        self._event = threading.Event()
-        self._outcomes: Optional[List[List[_Outcome]]] = None
+        self._pool = pool
+        self._experiments = experiments
+        self._pending: Deque[List[int]] = deque(chunks)
+        self._running = 0
+        self._outcomes: List[List[_Outcome]] = [[] for _ in experiments]
         self._error: Optional[BaseException] = None
-        self._cancelled = False
-        self._deferred = deferred
         self._single = single
 
     def done(self) -> bool:
         """True once the job has finished (successfully or not)."""
-        return self._event.is_set()
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called (a timed-out
-        :meth:`wait` calls it)."""
-        return self._cancelled
-
-    def cancel(self) -> None:
-        """Withdraw the job: the dispatcher skips it if not yet started.
-
-        A job with any chunk already on a worker runs to completion
-        (its results are simply discarded with this handle); a job
-        none of whose chunks has been dispatched is resolved
-        with ``WorkerPoolError`` instead of occupying the pool.  This
-        is what :meth:`wait` does on timeout, closing the old
-        outstanding-slot leak where a timed-out job stayed registered
-        with the dispatcher and could race the caller's next job.
-        """
-        self._cancelled = True
+        return self._error is not None or not (
+            self._pending or self._running
+        )
 
     def wait(self, timeout: Optional[float] = None) -> Any:
-        """Block until the job resolves; return its tagged outcomes.
+        """Drive the pool until this job is done; return its outcomes.
 
         Outcomes are ``(run_index, RunResult | None, traceback | None)``
         triples in completion order — callers sort by index
@@ -361,59 +359,18 @@ class PendingRun:
         experiment returns its list of them; a job submitted as a tuple
         returns one such list per experiment, in the tuple's order.
 
-        On timeout the job is cancelled (see :meth:`cancel`) before
-        ``WorkerPoolError`` is raised, so it cannot fire late into a
-        dispatcher slot the caller has mentally reclaimed.  An
-        in-process job runs right here, in the caller's thread, and is
-        not bounded by ``timeout``; an exception it does not trap
-        propagates unchanged, and fails the handle, so every later
-        :meth:`wait` re-raises it.
+        Each step of the wait runs in the caller's thread: it collects
+        every ready reply (of any job) and keeps the idle workers fed,
+        or, in the in-process mode, runs this job's next chunk.  A wait
+        that runs out of ``timeout`` raises ``WorkerPoolError`` and
+        leaves the job queued, so a later wait collects it.  A failed
+        job (a dead worker, an untrapped error, a closed pool) raises
+        its error, on this wait and every later one.
         """
-        deferred, self._deferred = self._deferred, None
-        if deferred is not None:
-            try:
-                outcomes = deferred()
-            except BaseException as error:  # jrsnd: noqa(JRS003) -- an untrapped error (KeyboardInterrupt, ...) must resolve the handle before it propagates, or a later wait blocks forever
-                self._fail(error)
-                raise
-            self._finish(outcomes)
-        if not self._event.wait(timeout):
-            self.cancel()
-            raise WorkerPoolError(
-                f"pool job did not finish within {timeout} s; the job "
-                f"was cancelled (skipped unless already running)"
-            )
+        self._pool._drive(self, timeout)
         if self._error is not None:
             raise self._error
-        assert self._outcomes is not None
         return self._outcomes[0] if self._single else self._outcomes
-
-    def _finish(self, outcomes: List[List[_Outcome]]) -> None:
-        self._outcomes = outcomes
-        self._event.set()
-
-    def _fail(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
-
-
-@dataclass
-class _Job:
-    """One submitted job and its dispatch state.
-
-    Every chunk runs its run indices through each of ``experiments``;
-    ``outcomes`` holds one list per experiment.  ``pending`` holds the
-    chunks not yet handed to a worker and ``running`` counts the chunks
-    in flight.  The handle resolves once nothing is pending and nothing
-    is running.
-    """
-
-    experiments: Tuple[NetworkExperiment, ...]
-    handle: PendingRun
-    pending: Deque[List[int]]
-    outcomes: List[List[_Outcome]]
-    running: int = 0
-    started: bool = False
 
 
 @dataclass
@@ -435,14 +392,14 @@ class WorkerPool:
                 result = pool.run(NetworkExperiment(config, seed=7),
                                   range(100))
 
-    A dispatcher thread keeps the submitted jobs in a FIFO and hands
-    each idle worker the next index chunk of the oldest job that still
-    has one.  A lone job therefore spreads over every worker in
-    demand-driven chunks (a slow worker never stalls the fast ones),
-    and jobs submitted back to back run side by side as soon as the
-    earlier ones leave a worker idle.  Each job resolves on its own,
-    when its last chunk comes back.  A worker death makes the pool
-    *broken*: every active and queued job fails with
+    The pool keeps the submitted jobs in a FIFO and, at every step the
+    caller's ``submit`` or ``wait`` takes, hands each idle worker the
+    next index chunk of the oldest job that still has one.  A lone job
+    therefore spreads over every worker in demand-driven chunks (a slow
+    worker never stalls the fast ones), and jobs submitted back to back
+    run side by side as soon as the earlier ones leave a worker idle.
+    Each job is done on its own, when its last chunk comes back.  A
+    worker death makes the pool *broken*: every open job fails with
     :class:`~repro.errors.WorkerPoolError` and further submissions are
     refused.  Per-run failures never break it.
 
@@ -450,41 +407,29 @@ class WorkerPool:
     ----------
     processes:
         Worker process count; defaults to :func:`available_cpu_count`.
-        ``0`` selects the in-process mode: no child process and no
-        dispatcher thread — each job runs in the caller's thread when
-        its :class:`PendingRun` is first waited on.
+        ``0`` selects the in-process mode: no child process — each job
+        runs in the caller's thread when its :class:`PendingRun` is
+        waited on.
     """
 
     def __init__(self, processes: Optional[int] = None) -> None:
         if processes is None:
             processes = available_cpu_count()
+        check_count("processes", processes, "worker count")
         check_non_negative("processes", processes)
         self._context = multiprocessing.get_context()
         self._workers: List[_Worker] = []
-        # Jobs submitted but not yet seen by the dispatcher.
-        self._submitted: Deque[_Job] = deque()
-        self._lock = threading.Lock()
+        # Open jobs, oldest first: each has a chunk pending or running.
+        self._jobs: Deque[PendingRun] = deque()
+        # Worker slot -> the job and chunk that worker holds.
+        self._in_flight: Dict[int, Tuple[PendingRun, List[int]]] = {}
         self._closed = False
         # The failure that broke the pool, once one has.
         self._failure: Optional[BaseException] = None
-        self._dispatcher: Optional[threading.Thread] = None
         # The in-process mode's held snapshot (workers hold their own).
         self._held = _HeldSnapshot()
-        if not processes:
-            return
-        # ``submit`` and ``close`` write to this pipe so the dispatcher,
-        # blocked on the busy workers' pipes, sees them at once.
-        self._wake_reader, self._wake_writer = self._context.Pipe(
-            duplex=False
-        )
         for _ in range(int(processes)):
             self._workers.append(self._spawn_worker())
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop,
-            name="repro-pool-dispatcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
 
     # -- lifecycle -----------------------------------------------------
 
@@ -500,10 +445,9 @@ class WorkerPool:
 
     @property
     def broken(self) -> bool:
-        """True once a worker death (or a dispatcher fault) has
-        disabled the pool."""
-        with self._lock:
-            return self._failure is not None
+        """True once a worker death (or another failure escaping a
+        step) has disabled the pool."""
+        return self._failure is not None
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -512,49 +456,38 @@ class WorkerPool:
         self.close()
 
     def close(self) -> None:
-        """Stop the dispatcher and workers; idempotent.
+        """Stop the workers; idempotent.
 
-        Jobs already submitted are given :data:`CLOSE_GRACE` seconds to
-        finish; after that shutdown escalates per worker — join, then
-        ``terminate()``, then ``kill()`` — so a wedged or
-        SIGTERM-ignoring worker can not leak past close, and every job
-        still unresolved fails with ``WorkerPoolError``.  Workers that
-        needed ``kill()`` are surfaced on the
-        ``pool.workers_force_killed`` counter.
+        Every worker is sent ``stop`` and its parent-side pipe end is
+        closed: an idle worker exits at once, a busy one once its
+        chunk is done.  Shutdown then escalates per worker — join,
+        then ``terminate()``, then ``kill()``, :data:`CLOSE_GRACE`
+        seconds each — so a wedged or SIGTERM-ignoring worker can not
+        leak past close.  Workers that needed ``kill()`` are surfaced
+        on the ``pool.workers_force_killed`` counter.  Every job still
+        open fails with ``WorkerPoolError``.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if self._dispatcher is not None:
-                self._wake()
-        if self._dispatcher is None:
-            self._held = _HeldSnapshot()  # drops the last snapshot
+        if self._closed:
             return
-        grace = CLOSE_GRACE
-        self._dispatcher.join(timeout=grace)
+        self._closed = True
+        self._held = _HeldSnapshot()  # drops the last snapshot
         for worker in self._workers:
             try:
                 worker.conn.send(("stop",))
             except (OSError, ValueError):
                 pass  # worker already gone
-        force_killed = 0
-        for worker in self._workers:
-            if self._stop_process(worker.process, grace):
-                force_killed += 1
+            worker.conn.close()
+        force_killed = sum(
+            self._stop_process(worker.process, CLOSE_GRACE)
+            for worker in self._workers
+        )
         if force_killed:
             current().inc(
                 _names.POOL_WORKERS_FORCE_KILLED, force_killed
             )
-        if self._dispatcher.is_alive():
-            # The workers are gone now, so a dispatcher that was stuck
-            # waiting on one unwinds via EOF and exits promptly.
-            self._dispatcher.join(timeout=grace)
-        for worker in self._workers:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+        self._fail_open(
+            WorkerPoolError("worker pool closed before the job finished")
+        )
 
     @staticmethod
     def _stop_process(process: Any, grace: float) -> bool:
@@ -580,7 +513,7 @@ class WorkerPool:
         work: Union[NetworkExperiment, Tuple[NetworkExperiment, ...]],
         run_indices: Sequence[int],
     ) -> PendingRun:
-        """Queue ``run_indices`` of ``work``; returns immediately.
+        """Queue ``run_indices`` of ``work``; returns without blocking.
 
         ``work`` is a :class:`NetworkExperiment` or a tuple of them (the
         campaign executor submits the points of one run block, or of
@@ -588,7 +521,9 @@ class WorkerPool:
         work: they are pickled into every chunk message, and a worker
         runs each index of its chunk through every experiment of the
         copy it receives, in order, so one worker sees all the points
-        of a run.  The caller may submit further jobs before waiting on
+        of a run.  Submitting takes one step that does not block: it
+        collects the replies already in and hands the idle workers
+        chunks.  The caller may submit further jobs before waiting on
         this one; they take any worker this job leaves idle — the
         campaign executor keeps one job per worker in flight that way.
         In the in-process mode a job only runs when its handle is
@@ -613,36 +548,32 @@ class WorkerPool:
             raise ConfigurationError("run_indices must be non-empty")
         if any(index < 0 for index in indices):
             raise ConfigurationError("run_indices must be non-negative")
-        with self._lock:
-            if self._failure is not None:
-                raise WorkerPoolError(
-                    f"worker pool broken by an earlier failure: "
-                    f"{self._failure}"
-                )
-            if self._closed:
-                raise ConfigurationError(
-                    "worker pool is closed; create a new pool"
-                )
-            if self._dispatcher is None:
-                return PendingRun(
-                    deferred=functools.partial(
-                        _run_chunk, experiments, indices, self._held
-                    ),
-                    single=single,
-                )
-            chunk = adaptive_chunksize(len(indices), len(self._workers))
-            handle = PendingRun(single=single)
-            self._submitted.append(_Job(
-                experiments,
-                handle,
-                deque(
-                    indices[start : start + chunk]
-                    for start in range(0, len(indices), chunk)
-                ),
-                [[] for _ in experiments],
-            ))
-            self._wake()
-        return handle
+        if self._failure is not None:
+            raise WorkerPoolError(
+                f"worker pool broken by an earlier failure: "
+                f"{self._failure}"
+            )
+        if self._closed:
+            raise ConfigurationError(
+                "worker pool is closed; create a new pool"
+            )
+        chunk = (
+            adaptive_chunksize(len(indices), len(self._workers))
+            if self._workers else len(indices)
+        )
+        job = PendingRun(
+            self,
+            experiments,
+            [
+                indices[start : start + chunk]
+                for start in range(0, len(indices), chunk)
+            ],
+            single,
+        )
+        self._jobs.append(job)
+        if self._workers:
+            self._step(0.0, job)
+        return job
 
     def run(
         self, experiment: NetworkExperiment, run_indices: Sequence[int]
@@ -662,20 +593,13 @@ class WorkerPool:
             )
         return collect_outcomes(self.submit(experiment, run_indices).wait())
 
-    def _wake(self) -> None:
-        """Wake the dispatcher (caller holds ``_lock``)."""
-        try:
-            self._wake_writer.send_bytes(b"")
-        except (OSError, ValueError):
-            pass  # the dispatcher has exited
-
     # -- worker management ---------------------------------------------
 
     def _spawn_worker(self) -> _Worker:
         """Start one worker process wired for orphan-free shutdown."""
         parent_end, child_end = self._context.Pipe(duplex=True)
         close_conns = [worker.conn for worker in self._workers]
-        close_conns += [self._wake_reader, self._wake_writer, parent_end]
+        close_conns.append(parent_end)
         process = self._context.Process(
             target=_worker_main,
             args=(child_end, close_conns),
@@ -686,108 +610,106 @@ class WorkerPool:
         current().inc(_names.POOL_WORKERS_SPAWNED)
         return _Worker(process=process, conn=parent_end)
 
-    # -- dispatcher ----------------------------------------------------
+    # -- dispatch ------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        active: Deque[_Job] = deque()
-        try:
-            self._dispatch(active)
-        except BaseException as error:  # jrsnd: noqa(JRS003) -- dispatcher thread boundary: any failure must resolve the pending handles, not die silently in a daemon thread
-            with self._lock:
-                self._failure = error
-                queued = list(self._submitted)
-                self._submitted.clear()
-            for job in active:
-                job.handle._fail(error)
-            for job in queued:
-                job.handle._fail(
-                    WorkerPoolError(
-                        f"worker pool broken by an earlier failure: "
-                        f"{error}"
-                    )
+    def _drive(self, job: PendingRun, timeout: Optional[float]) -> None:
+        """Take steps until ``job`` is done, for at most ``timeout``
+        seconds (``None``: no bound)."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not job.done():
+            remaining = (
+                None if deadline is None else deadline - time.monotonic()
+            )
+            if remaining is not None and remaining <= 0:
+                raise WorkerPoolError(
+                    f"pool job did not finish within {timeout} s; it "
+                    f"stays queued for a later wait"
                 )
-        finally:
-            self._wake_reader.close()
-            self._wake_writer.close()
+            self._step(remaining, job)
 
-    def _dispatch(self, active: Deque[_Job]) -> None:
-        """Run every submitted job until the pool closes.
+    def _step(self, timeout: Optional[float], job: PendingRun) -> None:
+        """One dispatch step, in the caller's thread.
 
-        ``active`` is the FIFO of jobs the dispatcher has taken over;
-        it is the caller's so that a failure can resolve them all.  A
+        With workers: collect the replies that arrive within
+        ``timeout`` seconds (``None``: block until one does; ``0``:
+        only those already in), then hand each idle worker the oldest
+        pending chunk.  In-process: run ``job``'s next chunk here.  A
         worker found dead raises ``WorkerPoolError`` naming the run
-        indices of the chunk it held, which breaks the pool.
+        indices of the chunk it held; that and anything else escaping
+        the step break the pool and fail every open job.
         """
-        in_flight: Dict[int, Tuple[_Job, List[int]]] = {}
-        while True:
-            registry = current()
-            with self._lock:
-                active.extend(self._submitted)
-                self._submitted.clear()
-                closing = self._closed
-            for job in [
-                job for job in active
-                if job.handle.cancelled and not job.started
-            ]:
-                active.remove(job)
-                job.handle._fail(
-                    WorkerPoolError(
-                        "pool job was cancelled before it started"
-                    )
+        try:
+            if not self._workers:
+                chunk = job._pending.popleft()
+                self._settle(
+                    job, _run_chunk(job._experiments, chunk, self._held)
                 )
-            # -- dispatch to idle workers, oldest job first ------------
-            for slot, worker in enumerate(self._workers):
-                if slot in in_flight:
-                    continue
-                job = next((job for job in active if job.pending), None)
-                if job is None:
-                    break
-                chunk = job.pending.popleft()
-                try:
-                    worker.conn.send(("run", job.experiments, chunk))
-                except (OSError, ValueError):
-                    raise WorkerPoolError(
-                        f"pool worker {slot} is gone: could not send "
-                        f"it run indices {chunk}"
-                    ) from None
-                job.running += 1
-                job.started = True
-                in_flight[slot] = (job, chunk)
-                registry.inc(_names.POOL_TASKS_DISPATCHED)
-            if closing and not in_flight and not active:
                 return
-            # -- wait for replies or submissions ----------------------
-            conn_to_slot = {
-                self._workers[slot].conn: slot for slot in in_flight
-            }
-            for conn in _wait_ready([*conn_to_slot, self._wake_reader]):
-                if conn is self._wake_reader:
-                    while conn.poll():
-                        conn.recv_bytes()
-                    continue
-                slot = conn_to_slot[conn]
-                job, chunk = in_flight.pop(slot)
-                try:
-                    message: Tuple[Any, ...] = conn.recv()
-                except (EOFError, OSError):
-                    raise WorkerPoolError(
-                        f"pool worker {slot} died holding run indices "
-                        f"{chunk} (killed or crashed before replying)"
-                    ) from None
-                if message[0] != "done":
-                    raise WorkerPoolError(
-                        f"pool worker {slot} failed holding run indices "
-                        f"{chunk}:\n{message[1]}"
-                    )
-                job.running -= 1
-                for into, outcomes in zip(job.outcomes, message[1]):
-                    into.extend(outcomes)
-                self._settle(job, active)
+            if self._in_flight:
+                slots = {
+                    self._workers[slot].conn: slot
+                    for slot in self._in_flight
+                }
+                for conn in _wait_ready(list(slots), timeout):
+                    self._collect(slots[conn])
+            self._dispatch()
+        except BaseException as error:  # jrsnd: noqa(JRS003) -- a step that fails for *any* reason leaves a chunk nobody holds: break the pool and fail every open job, then re-raise unchanged
+            self._failure = error
+            self._fail_open(error)
+            raise
 
-    @staticmethod
-    def _settle(job: _Job, active: Deque[_Job]) -> None:
-        """Resolve ``job``'s handle once nothing is pending or running."""
-        if job.pending or job.running:
-            return
-        active.remove(job)
-        job.handle._finish(job.outcomes)
+    def _collect(self, slot: int) -> None:
+        """Receive the reply of the worker in ``slot``."""
+        job, chunk = self._in_flight.pop(slot)
+        try:
+            message: Tuple[Any, ...] = self._workers[slot].conn.recv()
+        except (EOFError, OSError):
+            raise WorkerPoolError(
+                f"pool worker {slot} died holding run indices {chunk} "
+                f"(killed or crashed before replying)"
+            ) from None
+        if message[0] != "done":
+            raise WorkerPoolError(
+                f"pool worker {slot} failed holding run indices "
+                f"{chunk}:\n{message[1]}"
+            )
+        job._running -= 1
+        self._settle(job, message[1])
+
+    def _dispatch(self) -> None:
+        """Hand each idle worker the next chunk of the oldest job that
+        still has one."""
+        registry = current()
+        for slot, worker in enumerate(self._workers):
+            if slot in self._in_flight:
+                continue
+            job = next((job for job in self._jobs if job._pending), None)
+            if job is None:
+                return
+            chunk = job._pending.popleft()
+            try:
+                worker.conn.send(("run", job._experiments, chunk))
+            except (OSError, ValueError):
+                raise WorkerPoolError(
+                    f"pool worker {slot} is gone: could not send it "
+                    f"run indices {chunk}"
+                ) from None
+            job._running += 1
+            self._in_flight[slot] = (job, chunk)
+            registry.inc(_names.POOL_TASKS_DISPATCHED)
+
+    def _settle(
+        self, job: PendingRun, outcomes: List[List[_Outcome]]
+    ) -> None:
+        """Add one chunk's outcomes to ``job``; retire it once done."""
+        for into, chunk_outcomes in zip(job._outcomes, outcomes):
+            into.extend(chunk_outcomes)
+        if job.done():
+            self._jobs.remove(job)
+
+    def _fail_open(self, error: BaseException) -> None:
+        """Fail every open job with ``error``."""
+        for job in self._jobs:
+            job._error = error
+        self._jobs.clear()
+        self._in_flight.clear()

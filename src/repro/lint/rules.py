@@ -7,8 +7,7 @@ randomness only, simulated time only, and registered metric names.
 
 Every rule checks one module's AST: seeded randomness (JRS001), no
 wall clock inside the simulated world (JRS002), narrow excepts
-(JRS003), registered metric names (JRS004), lock discipline for state
-a class shares with its own thread (JRS008), the package layering
+(JRS003), registered metric names (JRS004), the package layering
 (JRS010) and RNG provenance (JRS011).  The one check that needs more
 than one file is JRS010's import-cycle pass
 (:meth:`JRS010ArchitectureLayering.check_cycles`), which runs over the
@@ -50,7 +49,6 @@ __all__ = [
     "JRS002WallClock",
     "JRS003BroadExcept",
     "JRS004UnregisteredMetricName",
-    "JRS008ThreadSharedState",
     "JRS010ArchitectureLayering",
     "JRS011RngProvenance",
     "ImportRecord",
@@ -316,138 +314,6 @@ class JRS004UnregisteredMetricName(Rule):
                     "repro.obs.names (e.g. cache_hits(kind)) so the "
                     "shape stays registered",
                 )
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``self.<attr>`` → attr name, else None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _is_lockish(attr: str) -> bool:
-    return "lock" in attr.lower()
-
-
-def _under_lock(
-    node: ast.AST, method: ast.FunctionDef, ctx: ModuleContext
-) -> bool:
-    """True if ``node`` sits in the body of a ``with self.<lock-ish>:``
-    block inside ``method`` (the ``with`` items themselves do not)."""
-    child, current = node, ctx.parents[node]
-    while current is not method:
-        if (
-            isinstance(current, ast.With)
-            and not isinstance(child, ast.withitem)
-            and any(
-                (attr := _self_attr(item.context_expr)) is not None
-                and _is_lockish(attr)
-                for item in current.items
-            )
-        ):
-            return True
-        child, current = current, ctx.parents[current]
-    return False
-
-
-class JRS008ThreadSharedState(Rule):
-    """State shared with a ``threading.Thread`` needs lock discipline.
-
-    For every class that spawns a thread on one of its own methods
-    (``threading.Thread(target=self.x)``): an attribute that is
-    plain-written outside ``__init__`` and touched both by the methods
-    the thread target reaches through self-calls and by the public
-    API is *shared*, and every access to it outside ``__init__`` must
-    sit inside a ``with self._lock:`` (any lock-named attribute)
-    block.  Container mutations through a stable reference
-    (``self._jobs.append``, ``self._workers[k] = v``) don't make the
-    *attribute* shared — the reference never changes — which keeps
-    single-owner dispatcher state such as per-job bookkeeping out of
-    scope.  The check reads one class's own methods, so it runs per
-    class.
-    """
-
-    code = "JRS008"
-    description = (
-        "attributes shared between a threading.Thread target and "
-        "public methods must be accessed under 'with self._lock'"
-    )
-    node_types = (ast.ClassDef,)
-
-    def check(
-        self, node: ast.AST, ctx: ModuleContext
-    ) -> Iterable[Violation]:
-        assert isinstance(node, ast.ClassDef)
-        accesses: List[Tuple[ast.FunctionDef, ast.Attribute, str]] = []
-        self_calls: Dict[str, Set[str]] = {}
-        targets: Set[str] = set()
-        for method in node.body:
-            if not isinstance(method, ast.FunctionDef):
-                continue
-            calls = self_calls.setdefault(method.name, set())
-            for statement in method.body:
-                for child in ast.walk(statement):
-                    if isinstance(child, ast.Attribute):
-                        attr = _self_attr(child)
-                        if attr is not None and not _is_lockish(attr):
-                            accesses.append((method, child, attr))
-                    elif isinstance(child, ast.Call):
-                        attr = _self_attr(child.func)
-                        if attr is not None:
-                            calls.add(attr)
-                        if (
-                            ctx.resolve_call_chain(child.func)
-                            != "threading.Thread"
-                        ):
-                            continue
-                        for keyword in child.keywords:
-                            target = _self_attr(keyword.value)
-                            if keyword.arg == "target" and target:
-                                targets.add(target)
-        # Methods that may run on the spawned thread: the targets and
-        # everything they reach through self-calls.
-        thread_set: Set[str] = set()
-        stack = [name for name in targets if name in self_calls]
-        while stack:
-            name = stack.pop()
-            if name not in thread_set:
-                thread_set.add(name)
-                stack.extend(
-                    callee for callee in self_calls[name]
-                    if callee in self_calls
-                )
-        if not thread_set:
-            return
-        accesses = [a for a in accesses if a[0].name != "__init__"]
-        written = {
-            attr for _, access, attr in accesses
-            if isinstance(access.ctx, (ast.Store, ast.Del))
-        }
-        thread_touched = {
-            attr for method, _, attr in accesses
-            if method.name in thread_set
-        }
-        public_touched = {
-            attr for method, _, attr in accesses
-            if not method.name.startswith("_")
-        }
-        shared = written & thread_touched & public_touched
-        target_list = ", ".join(sorted(targets))
-        for method, access, attr in accesses:
-            if attr not in shared or _under_lock(access, method, ctx):
-                continue
-            yield self.violation(
-                ctx,
-                access,
-                f"'self.{attr}' is shared between thread target "
-                f"'{target_list}' and public methods of '{node.name}' "
-                f"but accessed here (in '{method.name}') outside "
-                "'with self._lock'",
-            )
 
 
 #: Leaf packages any layer may import.
@@ -858,7 +724,6 @@ RULES: Tuple[Rule, ...] = (
     JRS002WallClock(),
     JRS003BroadExcept(),
     JRS004UnregisteredMetricName(),
-    JRS008ThreadSharedState(),
     JRS010ArchitectureLayering(),
     JRS011RngProvenance(),
 )

@@ -18,7 +18,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sim.field import Position, RectangularField
 from repro.utils.validation import (
-    check_node_count,
+    check_count,
     check_non_negative,
     check_positive,
 )
@@ -36,7 +36,7 @@ def uniform_positions(
     integer (not a bool); anything else is a
     :class:`ConfigurationError`.
     """
-    check_node_count("n_nodes", n_nodes)
+    check_count("n_nodes", n_nodes, "node count")
     check_positive("n_nodes", n_nodes)
     xs = rng.uniform(0.0, field.width, size=n_nodes)
     ys = rng.uniform(0.0, field.height, size=n_nodes)

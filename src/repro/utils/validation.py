@@ -20,7 +20,7 @@ __all__ = [
     "check_in_range",
     "check_type",
     "check_real",
-    "check_node_count",
+    "check_count",
     "check_integer_array",
 ]
 
@@ -86,14 +86,15 @@ def check_real(name: str, value: Any) -> Number:
     return value
 
 
-def check_node_count(name: str, value: Any) -> int:
-    """Require an integer (not a bool) count; return it.  Its sign is
-    the caller's to check."""
+def check_count(name: str, value: Any, what: str = "count") -> int:
+    """Require an integer (not a bool) count; return it.  ``what``
+    names the count in the message ("node count", "worker count", ...).
+    Its sign is the caller's to check."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(
         value, (int, np.integer)
     ):
         raise ConfigurationError(
-            f"{name} must be an integer node count, got {value!r}"
+            f"{name} must be an integer {what}, got {value!r}"
         )
     return value
 

@@ -15,6 +15,7 @@ import shutil
 import sqlite3
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -24,6 +25,21 @@ from repro.experiments.runner import NetworkExperiment
 from tests.injectors import HoldRun
 
 REV = "testrev"
+
+
+class FinishRecorder(HoldRun):
+    """A :class:`HoldRun` that appends ``run_index time`` to ``path``
+    as each of its runs finishes, in whichever process runs it."""
+
+    def __init__(self, config, seed, *, path, **kwargs):
+        super().__init__(config, seed, **kwargs)
+        self.path = path
+
+    def run_once(self, run_index, snapshot=None):
+        result = super().run_once(run_index, snapshot)
+        with open(self.path, "a") as handle:
+            handle.write(f"{run_index} {time.time()}\n")
+        return result
 
 
 def tiny_spec():
@@ -231,6 +247,33 @@ class TestResume:
         with open(path, "rb") as handle:
             assert handle.read() == expected
 
+    def test_store_opens_per_launch(self, tmp_path, reference, monkeypatch):
+        """A completing launch opens the working store once and the
+        canonical file once to digest it; a no-op launch opens the
+        store once.  Every open runs ``integrity_check``."""
+        from repro.campaigns import executor
+
+        ref_path, expected, status = reference
+        opened = []
+
+        class CountingStore(CampaignStore):
+            def __init__(self, path):
+                opened.append(path)
+                super().__init__(path)
+
+        monkeypatch.setattr(executor, "CampaignStore", CountingStore)
+        path = str(tmp_path / "fresh.sqlite")
+        launched = run_campaign(tiny_spec(), path, git_revision=REV)
+        assert opened == [path, path]
+        assert launched.canonical_digest == status.canonical_digest
+        opened.clear()
+        again = run_campaign(tiny_spec(), path, git_revision=REV)
+        assert again.was_noop
+        assert opened == [path]
+        assert again.canonical_digest == status.canonical_digest
+        with open(path, "rb") as handle:
+            assert handle.read() == expected
+
 
 class TestValidation:
     @pytest.mark.parametrize("processes", [0, -1])
@@ -246,6 +289,36 @@ class TestValidation:
             run_campaign(
                 tiny_spec(), str(path), processes=processes,
                 git_revision=REV,
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("processes", True),
+            ("processes", 2.5),
+            ("processes", "2"),
+            ("max_shards", 1.5),
+            ("max_shards", False),
+            ("max_shards", -1),
+            ("kill_after_shards", -1),
+            ("kill_after_shards", 1.0),
+            ("kill_after_shards", True),
+        ],
+    )
+    def test_non_integer_counts_refused_before_store_opens(
+        self, tmp_path, argument, value
+    ):
+        """A bool, a non-integer or a negative count is a typed error,
+        raised before any store file exists: ``processes=2.5`` used to
+        run two workers, ``True`` in-process, ``max_shards=1.5`` two
+        shards, and ``kill_after_shards=-1`` SIGKILLed the launch after
+        its first commit."""
+        path = tmp_path / "never.sqlite"
+        with pytest.raises(ConfigurationError, match=argument):
+            run_campaign(
+                tiny_spec(), str(path), git_revision=REV,
+                **{argument: value},
             )
         assert list(tmp_path.iterdir()) == []
 
@@ -324,7 +397,6 @@ class TestPersistentPoolEngine:
         the other worker finishes shard 1 (runs 2-3) first; shards
         still commit 1, 2 and the store equals an unheld run's."""
         from repro.campaigns import executor
-        from repro.experiments.pool import PendingRun
 
         spec = CampaignSpec.from_dict(dict(tiny_spec().to_dict(), grid={}))
         assert [shard.run_indices for shard in spec.shards()] == [
@@ -334,25 +406,12 @@ class TestPersistentPoolEngine:
         assert run_campaign(
             spec, reference, processes=1, git_revision=REV
         ).complete
-        shard_of = {}
-        finished = []
-        submit, finish = executor._submit_job, PendingRun._finish
-
-        def recording_submit(pool, spec, job):
-            (shard,) = job  # no nu axis: one shard per job
-            handle = submit(pool, spec, job)
-            shard_of[id(handle)] = shard.index
-            return handle
-
-        def recording_finish(handle, outcomes):
-            finished.append(shard_of.get(id(handle)))
-            finish(handle, outcomes)
-
-        monkeypatch.setattr(executor, "_submit_job", recording_submit)
-        monkeypatch.setattr(PendingRun, "_finish", recording_finish)
+        finishes = tmp_path / "finishes.txt"
         monkeypatch.setattr(
             executor, "NetworkExperiment",
-            functools.partial(HoldRun, hold_run=0, seconds=1.0),
+            functools.partial(
+                FinishRecorder, path=str(finishes), hold_run=0, seconds=1.0
+            ),
         )
         lines = []
         path = str(tmp_path / "held.sqlite")
@@ -361,6 +420,13 @@ class TestPersistentPoolEngine:
             progress=lines.append,
         )
         assert status.complete
+        # A shard's job finishes with the last of its runs.
+        last = {}
+        for line in finishes.read_text().splitlines():
+            index, stamp = line.split()
+            shard = int(index) // 2
+            last[shard] = max(last.get(shard, 0.0), float(stamp))
+        finished = sorted(last, key=last.get)
         assert finished == [1, 0]
         committed = [
             line.split()[1] for line in lines if " committed " in line

@@ -411,3 +411,10 @@ class TestInProcessMode:
     def test_negative_processes_refused(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(processes=-1)
+
+    @pytest.mark.parametrize("processes", [True, False, 2.5, 2.0, "2"])
+    def test_non_integer_processes_refused(self, processes):
+        """``True`` used to run one worker, ``2.5`` two, and ``"2"``
+        raised a bare ``TypeError``."""
+        with pytest.raises(ConfigurationError, match="integer worker count"):
+            WorkerPool(processes=processes)

@@ -54,11 +54,10 @@ class TestFormats:
         assert run_cli("--list-rules") == 0
         out = capsys.readouterr().out
         for code in (
-            "JRS001", "JRS002", "JRS003", "JRS004",
-            "JRS008", "JRS010", "JRS011",
+            "JRS001", "JRS002", "JRS003", "JRS004", "JRS010", "JRS011",
         ):
             assert code in out
-        for code in ("JRS005", "JRS006", "JRS007", "JRS009"):
+        for code in ("JRS005", "JRS006", "JRS007", "JRS008", "JRS009"):
             assert code not in out
         assert "justification" in out
 

@@ -1,10 +1,8 @@
 """Import-graph tests: module naming, the runtime import records the
-cycle pass reads, cycle detection, and the self-call reachability
-JRS008 follows from a thread target."""
+cycle pass reads, and cycle detection."""
 
 import ast
 
-from repro.lint import lint_project
 from repro.lint.engine import ModuleContext, module_name_for_path, package_of
 from repro.lint.rules import (
     find_import_cycles,
@@ -83,32 +81,6 @@ class TestImportRecords:
 
 
 class TestFlowAnalyses:
-    def test_reachable_methods(self, tmp_path):
-        """A method the thread target reaches through a self-call runs
-        on the thread: its unlocked write to state a public method
-        reads is a finding."""
-        source = (
-            "import threading\n"
-            "class A:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._n = 0\n"
-            "        self._t = threading.Thread(target=self._run)\n"
-            "    def _run(self):\n"
-            "        self._helper()\n"
-            "    def _helper(self):\n"
-            "        self._n = 1\n"
-            "    def public(self):\n"
-            "        with self._lock:\n"
-            "            return self._n\n"
-        )
-        target = tmp_path / "src" / "repro" / "experiments" / "x.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(source)
-        violations = lint_project([str(tmp_path)]).violations
-        assert [(v.rule, v.line) for v in violations] == [("JRS008", 10)]
-        assert "thread target '_run'" in violations[0].message
-
     def test_cycle_detection(self):
         edges = {
             "repro.sim.a": {"repro.sim.b"},

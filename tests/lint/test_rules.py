@@ -32,13 +32,11 @@ EXPECTED_MIN = {
 #: are linted as a one-file project tree rooted at the virtual path
 #: (every rule runs, so a bad fixture must be free of other findings).
 PROJECT_IN_SCOPE = {
-    "JRS008": "src/repro/experiments/fixture.py",
     "JRS010": "src/repro/dsss/fixture.py",
     "JRS011": "src/repro/sim/fixture.py",
 }
 
 PROJECT_EXPECTED_MIN = {
-    "JRS008": 5,
     "JRS010": 5,
     "JRS011": 5,
 }
@@ -103,33 +101,6 @@ class TestProjectRulePack:
 
 
 class TestProjectRuleDetails:
-    def test_jrs008_container_mutation_is_not_shared(self, tmp_path):
-        """Mutating a container through a stable self reference is
-        single-owner state, not a shared-attribute rebind."""
-        source = (
-            "import threading\n"
-            "\n"
-            "\n"
-            "class Queue:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self._jobs = []\n"
-            "        self._t = threading.Thread(target=self._loop)\n"
-            "\n"
-            "    def _loop(self):\n"
-            "        self._jobs.append(1)\n"
-            "\n"
-            "    def push(self, job):\n"
-            "        self._jobs.append(job)\n"
-            "\n"
-            "    def pop(self):\n"
-            "        return self._jobs.pop()\n"
-        )
-        violations = run_project_tree(
-            tmp_path, {"src/repro/experiments/fixture.py": source}
-        )
-        assert violations == []
-
     def test_jrs010_import_cycle_detected(self, tmp_path):
         violations = run_project_tree(
             tmp_path,

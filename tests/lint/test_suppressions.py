@@ -94,27 +94,6 @@ def project_cases(comment_for):
     ``CODE`` or ``CODE-variant``, with ``comment_for(code)`` appended
     to the flagged line."""
     return {
-        "JRS008": {
-            "src/repro/experiments/box.py": (
-                "import threading\n"
-                "\n"
-                "\n"
-                "class Box:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self._open = True\n"
-                "        self._t = threading.Thread(target=self._run)\n"
-                "\n"
-                "    def _run(self):\n"
-                "        self._open = False  "
-                + comment_for("JRS008")
-                + "\n"
-                "\n"
-                "    def is_open(self):\n"
-                "        with self._lock:\n"
-                "            return self._open\n"
-            )
-        },
         "JRS010": {
             "src/repro/dsss/leak.py": (
                 "from repro.experiments import runner  "
