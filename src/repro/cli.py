@@ -6,9 +6,6 @@ Regenerates each of the paper's evaluation artifacts from the terminal:
 - ``theory``   — the Theorem 1-4 closed forms at given parameters;
 - ``dsss``     — a jammed-HELLO PHY sweep exercising the spread /
   despread / ECC hot path and its artifact caches;
-- ``chaos``    — an invariant-checked fault-injection soak driving a
-  seeded :class:`~repro.faults.FaultPlan` against a small event
-  network (exits non-zero if any invariant breaks);
 - ``campaign`` — sharded, resumable sweep campaigns
   (``launch`` / ``resume`` / ``status`` / ``query`` / ``diff``)
   backed by the :mod:`repro.campaigns` SQLite results store; a killed
@@ -111,33 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "validate",
         help="sweep a config grid checking Theorem 1 agreement",
     )
-    chaos = sub.add_parser(
-        "chaos",
-        help="invariant-checked fault-injection soak "
-             "(exits non-zero on any violation)",
-    )
-    chaos.add_argument("--nodes", type=int, default=8,
-                       help="event-network size")
-    chaos.add_argument("--duration", type=float, default=30.0,
-                       help="simulated seconds to soak")
-    chaos.add_argument("--drop", type=float, default=0.05,
-                       help="per-delivery drop probability (0 disables)")
-    chaos.add_argument("--burst", type=float, default=0.5,
-                       help="chip-burst jam window length in seconds "
-                            "(0 disables)")
-    chaos.add_argument("--burst-period", type=float, default=5.0,
-                       help="seconds between jam windows")
-    chaos.add_argument("--no-churn", action="store_true",
-                       help="disable node crash/restart churn")
-    chaos.add_argument("--skew", type=float, default=1e-3,
-                       help="max per-node clock skew in seconds "
-                            "(0 disables)")
-    chaos.add_argument("--duplicate", type=float, default=0.02,
-                       help="duplicate-delivery probability (0 disables)")
-    chaos.add_argument("--reorder", type=float, default=0.02,
-                       help="reordered-delivery probability (0 disables)")
-    chaos.add_argument("--no-faults", action="store_true",
-                       help="run with the NullFaultPlan (baseline)")
     campaign = sub.add_parser(
         "campaign",
         help="sharded, resumable sweep campaigns backed by a "
@@ -320,39 +290,6 @@ def _cmd_dsss(args: argparse.Namespace) -> None:
         }],
         title="DSSS jammed-HELLO sweep",
     ))
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run an invariant-checked chaos soak; non-zero on violations."""
-    from repro.experiments.chaos import (
-        chaos_config,
-        default_chaos_plan,
-        run_chaos,
-    )
-    from repro.faults import NullFaultPlan
-
-    config = chaos_config(args.nodes)
-    if args.no_faults:
-        plan = NullFaultPlan()
-    else:
-        plan = default_chaos_plan(
-            config,
-            seed=args.seed,
-            duration=args.duration,
-            drop=args.drop,
-            burst=args.burst,
-            burst_period=args.burst_period,
-            churn=not args.no_churn,
-            skew=args.skew,
-            duplicate=args.duplicate,
-            reorder=args.reorder,
-        )
-    report = run_chaos(
-        config, seed=args.seed, duration=args.duration, plan=plan
-    )
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.ok else 1
 
 
 def _existing_store(path: str):
@@ -661,8 +598,6 @@ def _dispatch(args: argparse.Namespace) -> Optional[int]:
         _cmd_theory(args)
     elif args.command == "dsss":
         _cmd_dsss(args)
-    elif args.command == "chaos":
-        return _cmd_chaos(args)
     elif args.command == "campaign":
         return _cmd_campaign(args)
     elif args.command == "validate":

@@ -107,9 +107,6 @@ class JRSNDConfig:
         session FAILED and releases its monitors.  0 disables the
         timers entirely, restoring the original fire-and-forget
         behavior.
-    mndp_queue_capacity:
-        Per-node bound on queued M-NDP frames; pushes beyond it are
-        dropped (and counted) instead of growing without bound.
     phy_backend:
         Which PHY model the Monte Carlo experiments decide D-NDP
         outcomes with: ``"message"`` (default; the paper's per-message
@@ -154,7 +151,6 @@ class JRSNDConfig:
     use_gps: bool = False
     tx_antennas: int = 1
     retry_max_attempts: int = 2
-    mndp_queue_capacity: int = 128
     wire_fidelity: bool = False
     phy_backend: str = "message"
     phy_noise_std: float = 0.0
@@ -209,7 +205,6 @@ class JRSNDConfig:
         check_positive("tx_range", self.tx_range)
         check_positive("tx_antennas", self.tx_antennas)
         check_non_negative("retry_max_attempts", self.retry_max_attempts)
-        check_positive("mndp_queue_capacity", self.mndp_queue_capacity)
         from repro.dsss.phy import PHY_BACKENDS
 
         if self.phy_backend not in PHY_BACKENDS:

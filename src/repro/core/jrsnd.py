@@ -35,11 +35,7 @@ from repro.core.messages import (
     MNDPResponse,
     nonce_bytes,
 )
-from repro.core.mndp import (
-    PendingRequestQueue,
-    validate_request_chain,
-    validate_response_chain,
-)
+from repro.core.mndp import validate_request_chain, validate_response_chain
 from repro.core.neighbors import NeighborTable
 from repro.core.timing import ProtocolTiming
 from repro.core.wire import WireCodec
@@ -60,6 +56,7 @@ from repro.errors import (
 from repro.obs import MetricsRegistry
 from repro.obs import names as _names
 from repro.utils.artifact_cache import shared_cache
+from repro.utils.validation import check_positive
 from repro.predistribution.revocation import RevocationList
 from repro.sim.engine import Simulator, Timeout
 from repro.sim.field import Position
@@ -69,13 +66,6 @@ __all__ = ["JRSNDNode", "JRSNDOutcome", "FakeSignedRequest"]
 
 #: Multiplier between consecutive AUTH-retry timeouts.
 RETRY_BACKOFF_FACTOR = 2.0
-#: Simulated seconds an M-NDP frame may wait in the pending queue (and
-#: the age bound for the request dedup / return-route state) before it
-#: is garbage-collected.
-MNDP_TTL = 120.0
-#: How many times a queued M-NDP frame may be requeued after its target
-#: session vanished again before it is dropped.
-MNDP_MAX_REQUEUES = 3
 
 
 @dataclass(frozen=True)
@@ -189,11 +179,6 @@ class JRSNDNode:
             backoff_factor=RETRY_BACKOFF_FACTOR,
             max_timeout=8.0 * base_timeout,
         )
-        self._mndp_queue = PendingRequestQueue(
-            ttl=MNDP_TTL,
-            max_requeues=MNDP_MAX_REQUEUES,
-            capacity=config.mndp_queue_capacity,
-        )
         self._sessions: Dict[NodeId, DNDPSession] = {}
         self._session_codes: Dict[NodeId, _SessionCodeState] = {}
         self._logical: Dict[NodeId, int] = {}  # peer id -> peer index
@@ -203,10 +188,7 @@ class JRSNDNode:
         # concurrent sessions can share one pool code, and one session
         # ending must not stop the monitoring another still needs.
         self._realtime: Dict[int, int] = {}
-        # M-NDP dedup keys map to the sim time they were recorded so
-        # gc_stale_sessions() can age them out together with the
-        # matching return-route entries.
-        self._mndp_seen: Dict[Tuple[NodeId, int], float] = {}
+        self._mndp_seen: Set[Tuple[NodeId, int]] = set()
         self._mndp_return_route: Dict[Tuple[NodeId, int], NodeId] = {}
         self._peer_index: Dict[NodeId, int] = {}
         self.neighbor_table = NeighborTable()
@@ -539,7 +521,7 @@ class JRSNDNode:
         # peer could possibly answer.  With retries enabled the
         # responder stays available for the initiator's whole retry
         # budget; state advance exits the loop early either way, so
-        # fault-free runs never see the difference.
+        # runs that lose no message never see the difference.
         wait = self.timing.t_process
         if self._retry.enabled:
             wait = max(wait, self._retry.total_budget)
@@ -886,28 +868,6 @@ class JRSNDNode:
         else:
             self._dndp_count += 1
             self._metrics.inc(_names.DNDP_ESTABLISHED)
-        if len(self._mndp_queue):
-            entries = self._mndp_queue.pop_for(peer, self._sim.now)
-            if entries:
-                self._sim.process(
-                    self._drain_mndp_queue(peer, entries),
-                    name=f"mndp-drain@{self.index}",
-                )
-
-    def _drain_mndp_queue(
-        self, peer: NodeId, entries: Sequence[object]
-    ) -> Iterator[object]:
-        """Deliver M-NDP frames that waited for a session with ``peer``."""
-        for entry in entries:
-            if self._session_codes.get(peer) is None:
-                # The session vanished again between dequeue and send.
-                if self._mndp_queue.requeue(entry, self._sim.now):
-                    self._metrics.inc(_names.RETRY_MNDP_REQUEUED)
-                else:
-                    self._metrics.inc(_names.RETRY_MNDP_DROPPED)
-                continue
-            self._metrics.inc(_names.RETRY_MNDP_DEQUEUED)
-            yield from self._unicast_session(peer, entry.frame)
 
     def _record_invalid(self, pool_indices: Sequence[int]) -> None:
         """Count an invalid request against each involved pool code."""
@@ -974,6 +934,8 @@ class JRSNDNode:
 
     def start_maintenance(self, threshold: float, interval: float):
         """Run periodic expiry on the simulated clock."""
+        check_positive("threshold", threshold)
+        check_positive("interval", interval)
 
         def maintain() -> Iterator[object]:
             while True:
@@ -999,62 +961,8 @@ class JRSNDNode:
         )
         return True
 
-    def gc_stale_sessions(self) -> int:
-        """Reclaim dead protocol state so faults degrade gracefully.
-
-        Drops FAILED and stale pending sessions (releasing their
-        monitor refcounts and unconfirmed session-code listeners),
-        expires queued M-NDP frames past their TTL, and ages out M-NDP
-        dedup / return-route entries older than :data:`MNDP_TTL`.  Returns
-        the number of sessions collected.
-        """
-        removed = 0
-        for peer, session in list(self._sessions.items()):
-            if session.state is SessionState.ESTABLISHED:
-                continue
-            if (
-                session.state is not SessionState.FAILED
-                and not self._session_stale(session)
-            ):
-                continue
-            self._drop_session(peer, session)
-            removed += 1
-        if removed:
-            self._metrics.inc(_names.RETRY_SESSIONS_GCED, removed)
-        expired = self._mndp_queue.expire(self._sim.now)
-        if expired:
-            self._metrics.inc(_names.RETRY_MNDP_EXPIRED, expired)
-        cutoff = self._sim.now - MNDP_TTL
-        stale_keys = [
-            key
-            for key, recorded in self._mndp_seen.items()
-            if recorded < cutoff
-        ]
-        for key in stale_keys:
-            del self._mndp_seen[key]
-            self._mndp_return_route.pop(key, None)
-        if stale_keys:
-            self._metrics.inc(_names.RETRY_MNDP_STATE_PRUNED, len(stale_keys))
-        return removed
-
-    def start_session_gc(self, interval: float):
-        """Run :meth:`gc_stale_sessions` periodically on the sim clock."""
-        if interval <= 0:
-            raise ConfigurationError(
-                f"gc interval must be positive: {interval}"
-            )
-
-        def collect() -> Iterator[object]:
-            while True:
-                yield Timeout(interval)
-                self.gc_stale_sessions()
-
-        return self._sim.process(
-            collect(), name=f"session-gc@{self.index}"
-        )
-
     # ------------------------------------------------------------------
-    # introspection (used by repro.faults.invariants)
+    # introspection
     # ------------------------------------------------------------------
 
     def sessions(self) -> Dict[NodeId, DNDPSession]:
@@ -1064,20 +972,6 @@ class JRSNDNode:
     def monitor_counts(self) -> Dict[int, int]:
         """Current real-time monitoring refcounts per pool code."""
         return dict(self._realtime)
-
-    def wedged_sessions(self) -> List[Tuple[NodeId, SessionState]]:
-        """Non-terminal sessions that outlived the staleness bound.
-
-        A hardened stack should never accumulate these: timeouts move
-        them to FAILED and :meth:`gc_stale_sessions` reclaims them.
-        """
-        return [
-            (peer, session.state)
-            for peer, session in sorted(self._sessions.items())
-            if session.state
-            not in (SessionState.ESTABLISHED, SessionState.FAILED)
-            and self._session_stale(session)
-        ]
 
     # ------------------------------------------------------------------
     # M-NDP
@@ -1121,7 +1015,7 @@ class JRSNDNode:
             source_signature=signature,
             source_position=position,
         )
-        self._mndp_seen[(self.node_id, nonce)] = self._sim.now
+        self._mndp_seen.add((self.node_id, nonce))
         self._my_mndp_nonce = nonce
         for peer in sorted(self._logical):
             yield from self._unicast_session(peer, request)
@@ -1130,15 +1024,6 @@ class JRSNDNode:
         """Send one frame over the session code shared with ``peer``."""
         state = self._session_codes.get(peer)
         if state is None:
-            # No live session (expired, crashed peer, churn): park the
-            # frame in the TTL'd pending queue instead of dropping it;
-            # it drains if the peer is re-discovered in time.
-            if peer == self.node_id:
-                return
-            if self._mndp_queue.push(peer, frame, self._sim.now):
-                self._metrics.inc(_names.RETRY_MNDP_QUEUED)
-            else:
-                self._metrics.inc(_names.RETRY_MNDP_QUEUE_DROPPED)
             return
         bits = frame.wire_bits(self.config) if hasattr(
             frame, "wire_bits"
@@ -1182,7 +1067,7 @@ class JRSNDNode:
         key = (request.source, request.nonce)
         if key in self._mndp_seen:
             return
-        self._mndp_seen[key] = self._sim.now
+        self._mndp_seen.add(key)
         # Verify the whole chain: one t_ver per signature.
         n_sigs = 1 + len(request.extensions)
         yield Timeout(n_sigs * self.config.t_ver)

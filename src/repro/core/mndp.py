@@ -18,7 +18,6 @@ Layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,8 +33,6 @@ __all__ = [
     "HopClosure",
     "LogicalGraph",
     "MNDPSampler",
-    "PendingFrame",
-    "PendingRequestQueue",
     "validate_request_chain",
     "validate_response_chain",
 ]
@@ -548,100 +545,3 @@ def validate_response_chain(
         ):
             return False
     return True
-
-
-@dataclass
-class PendingFrame:
-    """One M-NDP frame waiting for a session route to (re)appear."""
-
-    peer: object
-    frame: object
-    enqueued_at: float
-    requeues: int = 0
-
-
-class PendingRequestQueue:
-    """A bounded TTL queue for M-NDP frames without a live route.
-
-    The event-driven M-NDP silently discarded any frame whose target
-    session had expired or not yet confirmed; under churn that loses
-    whole discovery rounds.  Nodes now park such frames here: entries
-    are drained when the peer's session (re)establishes, expire after
-    ``ttl`` simulated seconds, may be requeued at most ``max_requeues``
-    times, and the queue never exceeds ``capacity`` entries.
-    """
-
-    def __init__(
-        self, ttl: float, max_requeues: int, capacity: int
-    ) -> None:
-        check_positive("ttl", ttl)
-        if max_requeues < 0:
-            raise ConfigurationError(
-                f"max_requeues must be non-negative: {max_requeues}"
-            )
-        check_positive("capacity", capacity)
-        self._ttl = float(ttl)
-        self._max_requeues = int(max_requeues)
-        self._capacity = int(capacity)
-        self._entries: List[PendingFrame] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def ttl(self) -> float:
-        """Entry lifetime in simulated seconds."""
-        return self._ttl
-
-    def push(self, peer: object, frame: object, now: float) -> bool:
-        """Queue a frame; False (dropped) when the queue is full."""
-        if len(self._entries) >= self._capacity:
-            return False
-        self._entries.append(PendingFrame(peer, frame, float(now)))
-        return True
-
-    def requeue(self, entry: PendingFrame, now: float) -> bool:
-        """Put a popped entry back after its route vanished again.
-
-        False (dropped) once the entry exhausted its requeue budget,
-        outlived its TTL, or the queue is full.
-        """
-        if entry.requeues >= self._max_requeues:
-            return False
-        if now - entry.enqueued_at > self._ttl:
-            return False
-        if len(self._entries) >= self._capacity:
-            return False
-        entry.requeues += 1
-        self._entries.append(entry)
-        return True
-
-    def pop_for(self, peer: object, now: float) -> List[PendingFrame]:
-        """Remove and return the live entries addressed to ``peer``.
-
-        Entries already past their TTL are not returned (they die on
-        the next :meth:`expire` sweep).
-        """
-        matched: List[PendingFrame] = []
-        kept: List[PendingFrame] = []
-        for entry in self._entries:
-            if (
-                entry.peer == peer
-                and now - entry.enqueued_at <= self._ttl
-            ):
-                matched.append(entry)
-            else:
-                kept.append(entry)
-        self._entries = kept
-        return matched
-
-    def expire(self, now: float) -> int:
-        """Drop entries older than the TTL; returns how many died."""
-        kept = [
-            entry
-            for entry in self._entries
-            if now - entry.enqueued_at <= self._ttl
-        ]
-        expired = len(self._entries) - len(kept)
-        self._entries = kept
-        return expired

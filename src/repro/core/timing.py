@@ -108,7 +108,7 @@ class ProtocolTiming:
 
         A generous bound on the benign worst case — the peer's buffered
         decode (``t_b + t_p``), both key computations, and a few auth
-        transmissions — so in a fault-free run the timer never fires
+        transmissions — so in a loss-free run the timer never fires
         before the AUTH_RESPONSE arrives and retries stay silent.
         """
         c = self._config

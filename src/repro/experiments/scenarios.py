@@ -117,7 +117,7 @@ class EventNetwork:
     """A fully wired event-driven JR-SND deployment.
 
     ``metrics`` is the network's one registry: every count and latency
-    sample its nodes and fault plan record lands there exactly once.
+    sample its nodes record lands there exactly once.
     """
 
     config: JRSNDConfig
@@ -155,7 +155,6 @@ def build_event_network(
     positions: Optional[Sequence[Position]] = None,
     jammer_strategy: Optional[JammerStrategy] = None,
     link_model=None,
-    faults=None,
 ) -> EventNetwork:
     """Wire up a complete event-driven network.
 
@@ -177,11 +176,6 @@ def build_event_network(
         Optional :class:`repro.sim.links.LinkModel` (e.g.
         ``LogNormalShadowingModel``); defaults to the paper's unit
         disk.
-    faults:
-        Optional :class:`repro.sim.medium.FaultHook` (typically a
-        :class:`repro.faults.FaultPlan`) injected into the medium and
-        counting into the network's ``metrics``; ``None`` keeps the
-        legacy fault-free delivery path.
     """
     seeds = SeedSequencer(seed)
     simulator = Simulator()
@@ -195,8 +189,6 @@ def build_event_network(
         config.mu,
         link_model=link_model,
         link_rng=seeds.rng("links"),
-        faults=faults,
-        metrics=metrics,
     )
 
     pool = CodePool.generate(

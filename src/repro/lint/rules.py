@@ -345,26 +345,24 @@ _LAYER_ALLOWED: Dict[str, FrozenSet[str]] = {
     "analysis": frozenset(
         {"obs", "utils", "core", "sim", "predistribution"}
     ),
-    "faults": frozenset({"obs", "utils", "core", "sim"}),
     "experiments": frozenset(
         {
             "obs", "utils", "ecc", "sim", "dsss", "crypto", "core",
-            "adversary", "predistribution", "analysis", "faults",
+            "adversary", "predistribution", "analysis",
         }
     ),
     "campaigns": frozenset(
         {
             "obs", "utils", "ecc", "sim", "dsss", "crypto", "core",
-            "adversary", "predistribution", "analysis", "faults",
-            "experiments",
+            "adversary", "predistribution", "analysis", "experiments",
         }
     ),
     "lint": frozenset({"obs", "utils"}),
     "cli": frozenset(
         {
             "obs", "utils", "ecc", "sim", "dsss", "crypto", "core",
-            "adversary", "predistribution", "analysis", "faults",
-            "experiments", "campaigns",
+            "adversary", "predistribution", "analysis", "experiments",
+            "campaigns",
         }
     ),
     "__main__": frozenset({"cli"}),
@@ -558,7 +556,7 @@ RNG_CONSTRUCTORS: FrozenSet[str] = frozenset(
 )
 
 #: The simulated world: generators here must all come from utils.rng.
-_SIM_WORLD: FrozenSet[str] = frozenset({"sim", "dsss", "faults"})
+_SIM_WORLD: FrozenSet[str] = frozenset({"sim", "dsss"})
 
 
 def _module_functions(
@@ -611,7 +609,7 @@ class JRS011RngProvenance(Rule):
     ``default_rng(42)`` independently still decouple their streams
     from the experiment's ``SeedSequencer`` tree — kill/resume
     bit-identity and the per-run seed audit both break.  Inside the
-    simulated world (``sim/``, ``dsss/``, ``faults/``), constructing a
+    simulated world (``sim/``, ``dsss/``), constructing a
     ``numpy.random.Generator`` directly, via an alias, or as a
     dataclass ``default_factory`` (a constructor, or a function of the
     same module that returns a fresh generator) is flagged.  Anywhere
@@ -623,7 +621,7 @@ class JRS011RngProvenance(Rule):
 
     code = "JRS011"
     description = (
-        "numpy Generators in sim/, dsss/, faults/ must be derived via "
+        "numpy Generators in sim/ and dsss/ must be derived via "
         "repro.utils.rng, not constructed in place; only utils.rng "
         "returns fresh ones"
     )

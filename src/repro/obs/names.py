@@ -34,7 +34,6 @@ __all__ = [
     "CONSTANT_FOR",
     "DYNAMIC_PATTERNS",
     "NAME_PATTERN",
-    "FAULTS_PREFIX",
     "RETRY_PREFIX",
     "cache_hits",
     "cache_misses",
@@ -102,30 +101,12 @@ REVOCATION_REVOKED = "revocation.revoked"  # structured event category
 DOS_VERIFICATIONS = "dos.verifications"
 NEIGHBORS_EXPIRED = "neighbors.expired"
 
-# -- handshake retry / session GC --------------------------------------
+# -- handshake retry ----------------------------------------------------
 
 RETRY_PREFIX = "retry."
 RETRY_SESSIONS_FAILED = "retry.sessions_failed"
 RETRY_AUTH_RETRANSMITS = "retry.auth_retransmits"
 RETRY_AUTH_RESPONSE_RETRANSMITS = "retry.auth_response_retransmits"
-RETRY_MNDP_QUEUED = "retry.mndp_queued"
-RETRY_MNDP_QUEUE_DROPPED = "retry.mndp_queue_dropped"
-RETRY_MNDP_REQUEUED = "retry.mndp_requeued"
-RETRY_MNDP_DROPPED = "retry.mndp_dropped"
-RETRY_MNDP_DEQUEUED = "retry.mndp_dequeued"
-RETRY_MNDP_EXPIRED = "retry.mndp_expired"
-RETRY_MNDP_STATE_PRUNED = "retry.mndp_state_pruned"
-RETRY_SESSIONS_GCED = "retry.sessions_gced"
-
-# -- fault injection ---------------------------------------------------
-
-FAULTS_PREFIX = "faults."
-FAULTS_BURST_JAMMED = "faults.burst_jammed"
-FAULTS_TX_SUPPRESSED = "faults.tx_suppressed"
-FAULTS_RX_CRASHED = "faults.rx_crashed"
-FAULTS_DROPPED = "faults.dropped"
-FAULTS_DELAYED = "faults.delayed"
-FAULTS_DUPLICATED = "faults.duplicated"
 
 # -- experiment harness ------------------------------------------------
 

@@ -6,8 +6,8 @@ is its Python equivalent: a generator-based discrete-event kernel
 (:mod:`repro.sim.field`), node placement and mobility models
 (:mod:`repro.sim.mobility`), and a code-addressed radio medium operating
 at message granularity (:mod:`repro.sim.medium`).  Counts and latency
-samples go to :mod:`repro.obs`: an event network's nodes and fault plan
-record into the network's own registry.
+samples go to :mod:`repro.obs`: an event network's nodes record into
+the network's own registry.
 """
 
 from repro.sim.engine import Event, Process, Simulator, Timeout

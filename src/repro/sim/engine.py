@@ -19,7 +19,6 @@ from typing import (
     Generator,
     List,
     Optional,
-    Protocol,
     Tuple,
 )
 
@@ -27,7 +26,7 @@ from repro.errors import SimulationError
 from repro.obs import current as _metrics
 from repro.obs import names as _names
 
-__all__ = ["Simulator", "SimObserver", "Event", "Timeout", "Process"]
+__all__ = ["Simulator", "Event", "Timeout", "Process"]
 
 
 class Event:
@@ -82,8 +81,9 @@ class Timeout:
     __slots__ = ("delay",)
 
     def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay}")
+        # ``not >=`` also refuses NaN, which compares false both ways.
+        if not delay >= 0:
+            raise SimulationError(f"timeout must be >= 0, got {delay}")
         self.delay = float(delay)
 
 
@@ -133,20 +133,6 @@ class Process:
         return f"Process({self._name!r})"
 
 
-class SimObserver(Protocol):
-    """Anything wanting a callback per executed event.
-
-    This is the kernel half of the narrow injection/observation API used
-    by :mod:`repro.faults`: the
-    :class:`~repro.faults.invariants.InvariantChecker` attaches itself
-    here to watch the clock (monotonicity) without the hot loop paying
-    anything when no observer is installed.
-    """
-
-    def on_event(self, when: float) -> None:
-        """Called with each executed event's timestamp."""
-
-
 class Simulator:
     """The event loop: a heap of timestamped callbacks."""
 
@@ -156,11 +142,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._events_executed = 0
         self._heap_high_water = 0
-        self._observer: Optional[SimObserver] = None
-
-    def set_observer(self, observer: Optional[SimObserver]) -> None:
-        """Install (or clear, with ``None``) the per-event observer."""
-        self._observer = observer
 
     @property
     def now(self) -> float:
@@ -181,7 +162,8 @@ class Simulator:
         self, when: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self._now:
+        # ``not >=`` also refuses NaN: a NaN key breaks the heap order.
+        if not when >= self._now:
             raise SimulationError(
                 f"cannot schedule at {when} before now ({self._now})"
             )
@@ -194,8 +176,8 @@ class Simulator:
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> None:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0, got {delay}")
         self.call_at(self._now + delay, callback, *args)
 
     def event(self, name: str = "") -> Event:
@@ -217,7 +199,6 @@ class Simulator:
         nothing for observability.
         """
         executed = 0
-        observer = self._observer
         try:
             while self._heap:
                 when, _, callback, args = self._heap[0]
@@ -227,8 +208,6 @@ class Simulator:
                 heapq.heappop(self._heap)
                 self._now = when
                 executed += 1
-                if observer is not None:
-                    observer.on_event(when)
                 callback(*args)
             if until is not None:
                 self._now = max(self._now, float(until))

@@ -30,7 +30,6 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
 )
 
@@ -38,13 +37,12 @@ import numpy as np
 
 from repro.ecc.codec import erasure_tolerance
 from repro.errors import SimulationError
-from repro.obs import NULL, MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.field import Position, RectangularField
 from repro.sim.links import DiskLinkModel, LinkModel
 from repro.utils.validation import check_fraction, check_positive
 
-__all__ = ["Transmission", "RadioMedium", "FaultHook"]
+__all__ = ["Transmission", "RadioMedium"]
 
 CodeKey = Hashable
 
@@ -98,39 +96,6 @@ class JammerObserver(Protocol):
 DeliveryCallback = Callable[[Transmission], None]
 
 
-class FaultHook(Protocol):
-    """The medium half of the narrow fault-injection API.
-
-    :class:`repro.faults.plan.FaultPlan` implements this; the medium
-    calls it at exactly two points — transmission start and per-receiver
-    delivery — and pays nothing when no hook is attached (or when
-    ``enabled`` is False, the :class:`~repro.faults.plan.NullFaultPlan`
-    case).
-    """
-
-    enabled: bool
-
-    def bind(self, simulator: Simulator, metrics: MetricsRegistry) -> None:
-        """Called once when the medium is constructed; the hook counts
-        what it injects into ``metrics``."""
-
-    def on_transmit(self, tx: Transmission, medium: "RadioMedium") -> bool:
-        """Inspect (and possibly jam) a starting transmission.
-
-        Returning False suppresses it entirely (crashed sender).
-        """
-
-    def delivery_actions(
-        self, tx: Transmission, node: int, now: float
-    ) -> Sequence[float]:
-        """Decide the fate of one would-be delivery.
-
-        Returns a sequence of delays: empty = dropped, ``[0.0]`` =
-        delivered normally, several entries = duplicated, positive
-        entries = delayed (reordering / clock skew).
-        """
-
-
 class RadioMedium:
     """Registers listeners and routes message-level transmissions.
 
@@ -143,14 +108,9 @@ class RadioMedium:
     mu:
         ECC expansion parameter; a message survives if its jammed
         fraction is below ``mu / (1 + mu)``.
-    faults:
-        Optional :class:`FaultHook` (a
-        :class:`repro.faults.plan.FaultPlan`).  ``None`` (the default)
-        and a disabled hook are byte-identical to the un-hooked medium:
-        deliveries stay synchronous and no fault randomness is drawn.
-    metrics:
-        The registry ``faults`` counts into (the owning network's; the
-        default :data:`~repro.obs.NULL` discards the counts).
+    link_model, link_rng:
+        Reception model (the paper's unit disk by default) and the
+        stream a probabilistic model samples from.
     """
 
     def __init__(
@@ -160,8 +120,6 @@ class RadioMedium:
         mu: float,
         link_model: Optional[LinkModel] = None,
         link_rng: Optional[np.random.Generator] = None,
-        faults: Optional[FaultHook] = None,
-        metrics: MetricsRegistry = NULL,
     ) -> None:
         self._simulator = simulator
         self._field = field_
@@ -186,9 +144,6 @@ class RadioMedium:
         self._jammers: List[JammerObserver] = []
         self.delivered_count = 0
         self.jammed_count = 0
-        self._faults = faults
-        if faults is not None:
-            faults.bind(simulator, metrics)
 
     @property
     def tolerance(self) -> float:
@@ -248,14 +203,6 @@ class RadioMedium:
             start=self._simulator.now,
             duration=float(duration),
         )
-        faults = self._faults
-        if (
-            faults is not None
-            and faults.enabled
-            and not faults.on_transmit(tx, self)
-        ):
-            # Crashed/churned-out sender: the radio never keys up.
-            return tx
         for jammer in self._jammers:
             jammer.on_transmission(tx, self)
         self._simulator.call_at(tx.end, self._complete, tx)
@@ -289,8 +236,6 @@ class RadioMedium:
         if lost:
             self.jammed_count += 1
             return
-        faults = self._faults
-        use_faults = faults is not None and faults.enabled
         for node, (position_getter, codes) in list(self._listeners.items()):
             if node == tx.sender:
                 continue
@@ -300,38 +245,8 @@ class RadioMedium:
             distance = self._field.distance(position_getter(), tx.position)
             if not self._link_model.delivered(distance, self._link_rng):
                 continue
-            if not use_faults:
-                self.delivered_count += 1
-                callback(tx)
-                continue
-            for delay in faults.delivery_actions(
-                tx, node, self._simulator.now
-            ):
-                if delay <= 0.0:
-                    # Synchronous, exactly like the un-faulted path, so
-                    # a no-op plan is bit-identical to no plan at all.
-                    self.delivered_count += 1
-                    callback(tx)
-                else:
-                    self._simulator.call_after(
-                        delay, self._deliver_faulted, node, tx
-                    )
-
-    def _deliver_faulted(self, node: int, tx: Transmission) -> None:
-        """Deliver a delayed/duplicated copy, re-checking the listener.
-
-        Between scheduling and delivery the receiver may have stopped
-        listening (revocation, session teardown) or deregistered; the
-        copy is then silently lost, as a real late radio frame would be.
-        """
-        entry = self._listeners.get(node)
-        if entry is None:
-            return
-        callback = entry[1].get(tx.code_key)
-        if callback is None:
-            return
-        self.delivered_count += 1
-        callback(tx)
+            self.delivered_count += 1
+            callback(tx)
 
     def _require_node(self, node: int) -> None:
         if node not in self._listeners:

@@ -115,7 +115,7 @@ class TestIntegerFields:
             ("nu", True),
             ("n_compromised", 5.0),
             ("codes_per_node", np.float64(100.0)),
-            ("mndp_queue_capacity", "128"),
+            ("retry_max_attempts", "2"),
             ("use_gps", "no"),
             ("wire_fidelity", 1),
             ("phy_noise_std", "0.5"),

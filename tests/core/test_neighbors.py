@@ -64,6 +64,13 @@ class TestNodeExpiry:
         assert len(expired) == before
         assert not node.logical_neighbors
         assert net.metrics.counter("neighbors.expired") >= before
+        # Counter conservation: each directed link was counted once.
+        directed = sum(len(node.logical_neighbors) for node in net.nodes)
+        assert directed == (
+            net.metrics.counter("dndp.established")
+            + net.metrics.counter("mndp.established")
+            - net.metrics.counter("neighbors.expired")
+        )
 
     def test_keepalive_prevents_expiry(self, small_config):
         net = self._discovered_network(small_config)
@@ -81,6 +88,26 @@ class TestNodeExpiry:
         expired = node.expire_stale_neighbors(threshold=50.0)
         assert peer_id not in expired
         assert peer_id in node.logical_neighbors
+
+    @pytest.mark.parametrize(
+        "threshold, interval",
+        [
+            (20.0, 0.0),
+            (20.0, float("nan")),
+            (20.0, -1.0),
+            (0.0, 10.0),
+            (float("nan"), 10.0),
+        ],
+    )
+    def test_maintenance_arguments_checked_at_the_call(
+        self, small_config, threshold, interval
+    ):
+        """A zero or NaN interval would spin forever at one sim time,
+        and a negative one would fail later inside ``run``."""
+        net = build_event_network(small_config, seed=11)
+        with pytest.raises(ConfigurationError):
+            net.nodes[0].start_maintenance(threshold, interval)
+        assert net.simulator.pending == 0
 
     def test_maintenance_process(self, small_config):
         net = self._discovered_network(small_config)

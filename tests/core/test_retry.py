@@ -1,5 +1,5 @@
 """Handshake retry/timeout hardening: retransmission, terminal FAILED
-states, monitor accounting, and stale-session garbage collection."""
+states and monitor accounting."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.core.dndp import RetryPolicy, SessionState
 from repro.core.messages import AuthResponse
 from repro.errors import ProtocolError
 from repro.experiments.scenarios import build_event_network
-from repro.faults import FaultInjector, FaultPlan
+from tests.injectors import DropFrames
 
 PAIR = JRSNDConfig(
     n_nodes=2,
@@ -30,25 +30,6 @@ RECOVERY = PAIR.replace(
     auth_frame_bits=96,
     rho=1e-11,
 )
-
-
-class _DropAuthResponsesUntil(FaultInjector):
-    """Deterministically swallow every AUTH_RESPONSE delivery before a
-    cutoff time (``None`` = forever): the lost-response scenario."""
-
-    name = "drop-auth2"
-
-    def __init__(self, until=None):
-        self._until = until
-        self.dropped = 0
-
-    def drops(self, tx, node, now):
-        if not isinstance(tx.frame, AuthResponse):
-            return False
-        if self._until is not None and now >= self._until:
-            return False
-        self.dropped += 1
-        return True
 
 
 def _establish_time(seed, config=PAIR):
@@ -97,14 +78,12 @@ class TestRetryPolicy:
 
 
 class TestAuthRetransmission:
-    def test_lost_response_recovered_by_retry(self):
+    def test_lost_response_recovered_by_retry(self, monkeypatch):
         """Dropping the first AUTH_RESPONSE volley must cost one retry,
         not the neighbor relationship."""
         cutoff = _establish_time(seed=31, config=RECOVERY) + 1e-6
-        injector = _DropAuthResponsesUntil(until=cutoff)
-        net = build_event_network(
-            RECOVERY, seed=31, faults=FaultPlan([injector], seed=0)
-        )
+        injector = DropFrames(AuthResponse, until=cutoff).install(monkeypatch)
+        net = build_event_network(RECOVERY, seed=31)
         for node in net.nodes:
             node.initiate_dndp()
         net.simulator.run(until=30.0)
@@ -120,13 +99,11 @@ class TestAuthRetransmission:
                 assert not session.monitored
             assert node.monitor_counts() == {}
 
-    def test_exhausted_retries_fail_terminally(self):
+    def test_exhausted_retries_fail_terminally(self, monkeypatch):
         """With the response channel dead forever, the initiator must
         land in FAILED with every monitor released — not wedge."""
-        injector = _DropAuthResponsesUntil(until=None)
-        net = build_event_network(
-            PAIR, seed=31, faults=FaultPlan([injector], seed=0)
-        )
+        DropFrames(AuthResponse).install(monkeypatch)
+        net = build_event_network(PAIR, seed=31)
         for node in net.nodes:
             node.initiate_dndp()
         net.simulator.run(until=60.0)
@@ -149,32 +126,12 @@ class TestAuthRetransmission:
             for session in node.sessions().values():
                 assert session.attempts <= PAIR.retry_max_attempts
 
-    def test_gc_reclaims_failed_sessions(self):
-        injector = _DropAuthResponsesUntil(until=None)
-        net = build_event_network(
-            PAIR, seed=31, faults=FaultPlan([injector], seed=0)
-        )
-        for node in net.nodes:
-            node.initiate_dndp()
-        net.simulator.run(until=60.0)
-        removed = sum(node.gc_stale_sessions() for node in net.nodes)
-        assert removed >= 1
-        for node in net.nodes:
-            assert all(
-                session.state is SessionState.ESTABLISHED
-                for session in node.sessions().values()
-            )
-            assert node.wedged_sessions() == []
-            assert node.monitor_counts() == {}
-
-    def test_retries_disabled_restores_fire_and_forget(self):
+    def test_retries_disabled_restores_fire_and_forget(self, monkeypatch):
         """max_attempts=0 must arm no timers: the lost response wedges
         the initiator exactly as the seed behavior did."""
         config = PAIR.replace(retry_max_attempts=0)
-        injector = _DropAuthResponsesUntil(until=None)
-        net = build_event_network(
-            config, seed=31, faults=FaultPlan([injector], seed=0)
-        )
+        DropFrames(AuthResponse).install(monkeypatch)
+        net = build_event_network(config, seed=31)
         for node in net.nodes:
             node.initiate_dndp()
         net.simulator.run(until=60.0)
@@ -186,6 +143,3 @@ class TestAuthRetransmission:
             for session in node.sessions().values()
         }
         assert SessionState.AWAIT_AUTH_RESPONSE in states
-        # ... and the GC still reclaims the wedge once it goes stale.
-        removed = sum(node.gc_stale_sessions() for node in net.nodes)
-        assert removed >= 1

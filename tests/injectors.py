@@ -1,4 +1,4 @@
-"""A network experiment whose run of one index holds or kills its worker.
+"""Test-side injectors: a held or killed pool run, a lossy medium.
 
 Tests of the pool's timing and failure paths (``close()`` escalation,
 ``wait`` timeouts, out-of-order shard completion, a worker dying
@@ -8,6 +8,10 @@ dies at a known run.  ``HoldRun`` is a
 the workers inside the job like any experiment; its results are the
 plain experiment's.  Submit a killing one to a multi-process pool
 only: in the in-process mode it would SIGKILL the caller.
+
+Tests of the AUTH retry need handshake messages lost on a medium that
+otherwise delivers them: :class:`DropFrames` swallows deliveries of one
+frame type at the receivers' callbacks.
 """
 
 import os
@@ -15,6 +19,7 @@ import signal
 import time
 
 from repro.experiments.runner import NetworkExperiment
+from repro.sim.medium import RadioMedium
 
 
 class HoldRun(NetworkExperiment):
@@ -44,3 +49,40 @@ class HoldRun(NetworkExperiment):
                 signal.signal(signal.SIGTERM, signal.SIG_IGN)
             time.sleep(self.seconds)
         return super().run_once(run_index, snapshot)
+
+
+class DropFrames:
+    """Swallow every delivery of a ``frame_type`` frame that completes
+    before ``until`` (``None``: forever), counting them in ``dropped``.
+
+    :meth:`install` patches :meth:`RadioMedium.listen` through
+    ``monkeypatch``, so call it before ``build_event_network`` starts
+    the nodes: each callback registered afterwards is wrapped.  A
+    delivery runs when its transmission ends, so ``tx.end`` is the
+    receiver's clock.
+    """
+
+    def __init__(self, frame_type, until=None):
+        self.frame_type = frame_type
+        self.until = until
+        self.dropped = 0
+
+    def install(self, monkeypatch):
+        listen = RadioMedium.listen
+
+        def lossy_listen(medium, node, code_key, callback):
+            def deliver(tx):
+                if self._drops(tx):
+                    self.dropped += 1
+                    return
+                callback(tx)
+
+            listen(medium, node, code_key, deliver)
+
+        monkeypatch.setattr(RadioMedium, "listen", lossy_listen)
+        return self
+
+    def _drops(self, tx):
+        if not isinstance(tx.frame, self.frame_type):
+            return False
+        return self.until is None or tx.end < self.until

@@ -34,6 +34,13 @@ class TestFullProtocolLifecycle:
         physical = set(net.node_pairs_in_range())
         logical = net.logical_pairs()
         assert logical == physical
+        # Counter conservation: each directed link was counted once.
+        directed = sum(len(node.logical_neighbors) for node in net.nodes)
+        assert directed == (
+            net.metrics.counter("dndp.established")
+            + net.metrics.counter("mndp.established")
+            - net.metrics.counter("neighbors.expired")
+        )
 
     def test_partial_compromise_partial_jamming(self):
         """Compromising some nodes degrades but does not destroy
@@ -61,6 +68,13 @@ class TestFullProtocolLifecycle:
         logical = net.logical_pairs()
         physical = set(net.node_pairs_in_range())
         assert logical <= physical
+        # Counter conservation: each directed link was counted once.
+        directed = sum(len(node.logical_neighbors) for node in net.nodes)
+        assert directed == (
+            net.metrics.counter("dndp.established")
+            + net.metrics.counter("mndp.established")
+            - net.metrics.counter("neighbors.expired")
+        )
         # Pairs sharing a non-compromised code always make it.
         for a, b in physical:
             shared = set(net.assignment.shared_codes(a, b))

@@ -26,8 +26,7 @@ class TestRegistry:
         prefixes = {name.split(".")[0] for name in names.ALL_NAMES}
         assert {
             "sim", "dsss", "ecc", "wire", "dndp", "mndp",
-            "revocation", "dos", "neighbors", "retry", "faults",
-            "experiment",
+            "revocation", "dos", "neighbors", "retry", "experiment",
         } <= prefixes
 
 

@@ -67,6 +67,20 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().call_after(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("schedule", ["call_at", "call_after"])
+    def test_rejects_nan_time(self, schedule):
+        """A NaN key compares false both ways and would run first,
+        out of time order; it is refused and the heap keeps its order."""
+        sim = Simulator()
+        order = []
+        with pytest.raises(SimulationError):
+            getattr(sim, schedule)(float("nan"), order.append, "nan")
+        sim.call_at(1.0, order.append, "one")
+        sim.call_at(0.5, order.append, "half")
+        sim.run()
+        assert order == ["half", "one"]
+        assert sim.now == 1.0
+
     def test_peek(self):
         sim = Simulator()
         assert sim.peek() is None
@@ -173,6 +187,10 @@ class TestProcesses:
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimulationError):
             Timeout(-1.0)
+
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(SimulationError):
+            Timeout(float("nan"))
 
     def test_immediate_process_completion(self):
         sim = Simulator()
